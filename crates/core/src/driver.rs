@@ -69,7 +69,7 @@ use crate::baselines::{
     fmd_local_round, fmes_local_round, fmq_local_round, local_train, LocalRoundOutput,
 };
 use crate::cohort::CohortSampler;
-use crate::merging::{CompactModelPlan, MergingConfig};
+use crate::merging::{CompactModelPlan, ExpertGramCache, GramCacheStats, MergingConfig};
 use crate::profiling::{ProfilingConfig, QuantizedModelCache, StaleProfiler};
 
 /// Simulated server-side aggregation latency per round, in seconds
@@ -1002,6 +1002,7 @@ impl FederatedRun {
             round_start_capture: None,
             restored_aggregator: None,
             cache_stats: Vec::new(),
+            gram_stats: Vec::new(),
         }
     }
 
@@ -1014,6 +1015,7 @@ impl FederatedRun {
         global: &MoeModel,
         cost: &CostModel,
         quant_cache: &QuantizedModelCache,
+        gram_cache: &ExpertGramCache,
         round: usize,
         assigner: &RoleAssigner,
         state: &mut FluxState,
@@ -1062,6 +1064,7 @@ impl FederatedRun {
                 global,
                 cost,
                 quant_cache,
+                gram_cache,
                 round,
                 assigner,
                 state,
@@ -1084,6 +1087,7 @@ impl FederatedRun {
         global: &MoeModel,
         cost: &CostModel,
         quant_cache: &QuantizedModelCache,
+        gram_cache: &ExpertGramCache,
         round: usize,
         assigner: &RoleAssigner,
         state: &mut FluxState,
@@ -1156,13 +1160,15 @@ impl FederatedRun {
         };
         let tuning_set = assignment.tuning_set();
 
-        // Adaptive merging (§5).
-        let plan = CompactModelPlan::build(
+        // Adaptive merging (§5), clustering on the round's shared expert
+        // inner products.
+        let plan = CompactModelPlan::build_shared(
             global,
             &profile,
             &tuning_set,
             non_tuning_budget,
             cfg.merging,
+            gram_cache,
             rng,
         );
         let mut compact = plan.apply(global, &profile);
@@ -1404,6 +1410,8 @@ pub struct ActiveRun {
     /// entry proves the cache was fresh that round and deduplicated within
     /// it.
     cache_stats: Vec<(usize, usize)>,
+    /// Per-round ledger of the round-scoped [`ExpertGramCache`].
+    gram_stats: Vec<GramCacheStats>,
 }
 
 impl ActiveRun {
@@ -1447,6 +1455,16 @@ impl ActiveRun {
         &self.cache_stats
     }
 
+    /// Per-round ledger of the round-scoped expert Gram cache, one entry
+    /// per `start_round` executed so far. A Flux round computes every
+    /// panel of its snapshot's Gram matrix exactly once
+    /// (`panels_computed == panels`) however many participants request it,
+    /// and does so again next round — the matrix of one snapshot is never
+    /// used for another. Methods that never cluster leave it untouched.
+    pub fn gram_cache_stats(&self) -> &[GramCacheStats] {
+        &self.gram_stats
+    }
+
     /// Writes a durable checkpoint of this run into `dir`: the store's
     /// versioned per-shard snapshot (dirty shards only after the first
     /// write) plus the run state needed to resume — round index, clock,
@@ -1463,7 +1481,9 @@ impl ActiveRun {
     ///
     /// # Errors
     ///
-    /// Fails only on I/O errors; a partially written file never replaces a
+    /// Fails on I/O errors, and with [`SnapshotError::TooLarge`] before
+    /// writing anything when the staged aggregator exceeds the format's
+    /// `u32` length prefix; a partially written file never replaces a
     /// previous good checkpoint (temp-file + atomic rename, manifest
     /// last).
     pub fn checkpoint(&self, dir: impl AsRef<Path>) -> Result<CheckpointStats, SnapshotError> {
@@ -1511,7 +1531,7 @@ impl ActiveRun {
             flux,
             fmes,
             aggregator: staged,
-        });
+        })?;
         self.store.checkpoint(dir.as_ref(), &meta)
     }
 
@@ -1641,10 +1661,15 @@ impl ActiveRun {
         // One quantized profiling copy per bit width per round, shared by
         // every participant of this round's fan-out.
         let quant_cache = QuantizedModelCache::new();
+        // One matrix of expert inner products per round: merging's PCA
+        // works on sub-blocks of it, so the pass over the parameters is
+        // paid once, by whichever participants reach merging first.
+        let gram_cache = ExpertGramCache::new();
         let (mut results, eval_of_pending) = {
             let global_ref: &MoeModel = &global;
             let aggregator_ref = &aggregator;
             let quant_cache_ref = &quant_cache;
+            let gram_cache_ref = &gram_cache;
             let round_rng = &self.round_rng;
             let assigner_ref = &self.assigner;
             let cost_ref = &self.cost;
@@ -1672,6 +1697,7 @@ impl ActiveRun {
                         global_ref,
                         cost_ref,
                         quant_cache_ref,
+                        gram_cache_ref,
                         round,
                         assigner_ref,
                         state,
@@ -1750,10 +1776,11 @@ impl ActiveRun {
             self.flux_states[participant.id] = state;
             self.fmes_profiles[participant.id] = fmes;
         }
-        // The round-scoped quantization cache dies here; record its hit/miss
-        // ledger so tests can pin "one quantization per bit width per
+        // The round-scoped caches die here; record their ledgers so tests
+        // can pin "one quantization per bit width and one Gram matrix per
         // round, never reused across rounds".
         self.cache_stats.push(quant_cache.stats());
+        self.gram_stats.push(gram_cache.stats());
         // Keep slot order aligned with the fleet for the ordered
         // reduction (the eval slot was popped above).
         debug_assert_eq!(results.len(), self.fleet.len());
@@ -2268,6 +2295,31 @@ mod tests {
                 "round {round}: every participant profiles through the cache"
             );
         }
+    }
+
+    #[test]
+    fn expert_gram_is_computed_once_per_round_and_never_reused() {
+        // Every Flux participant builds its plan through the round's Gram
+        // cache: each round computes every panel exactly once however the
+        // six requesters interleave on two workers, and *every* round does
+        // so again — a matrix carried over would describe last round's
+        // weights. Methods that never cluster never touch it.
+        let config = quick_config().with_participants(6);
+        let pool = ThreadPool::new(2);
+        let mut active = FederatedRun::new(config.clone(), 41).start(Method::Flux);
+        while !active.is_done() {
+            active.step_round(&pool);
+        }
+        let stats = active.gram_cache_stats();
+        assert_eq!(stats.len(), 3, "one ledger entry per round");
+        for (round, stats) in stats.iter().enumerate() {
+            assert_eq!(stats.requests, 6, "round {round}: one request per plan");
+            assert!(stats.panels > 0, "round {round} computed nothing");
+            assert_eq!(stats.panels_computed, stats.panels, "round {round}");
+        }
+        let mut dense = FederatedRun::new(config, 41).start(Method::Fmd);
+        dense.step_round(&pool);
+        assert_eq!(dense.gram_cache_stats(), [GramCacheStats::default()]);
     }
 
     #[test]

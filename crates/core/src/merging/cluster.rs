@@ -2,17 +2,23 @@
 //!
 //! Non-tuning experts are represented by PCA-reduced versions of their
 //! flattened parameters and grouped with K-Means so that similar experts are
-//! merged together. Flux fuses the per-layer clustering problems into one:
-//! every centroid carries a layer label and experts may only join centroids
-//! of their own layer, which removes the per-layer setup overhead (the 40×
-//! speedup of Fig. 16) without changing the layer-local semantics.
+//! merged together. The PCA runs in Gram space: the features are the scores
+//! [`scores_from_gram`] derives from the experts' inner products
+//! (`merging::gram`), shared across a round's participants when the caller
+//! holds an [`ExpertGramCache`]. Flux fuses the per-layer clustering
+//! problems into one: every centroid carries a layer label and experts may
+//! only join centroids of their own layer, which removes the per-layer setup
+//! overhead (the 40× speedup of Fig. 16) without changing the layer-local
+//! semantics.
 
 use serde::{Deserialize, Serialize};
 
 use flux_moe::{ExpertKey, MoeModel};
 use flux_tensor::kmeans::KMeans;
-use flux_tensor::pca::Pca;
+use flux_tensor::pca::scores_from_gram;
 use flux_tensor::{Matrix, SeededRng};
+
+use super::gram::{ExpertGram, ExpertGramCache};
 
 /// Whether the clustering problems of different layers are fused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -70,75 +76,76 @@ pub fn cluster_non_tuning_experts(
     pca_dims: usize,
     rng: &mut SeededRng,
 ) -> ExpertClusters {
+    cluster_non_tuning_experts_shared(model, non_tuning, budgets, mode, pca_dims, None, rng)
+}
+
+/// [`cluster_non_tuning_experts`] reading the experts' inner products from
+/// `gram_cache` (the cache of `model`'s round) when there is one, instead
+/// of computing those of the clustered experts. The clusters are the same
+/// either way, bit for bit.
+pub(crate) fn cluster_non_tuning_experts_shared(
+    model: &MoeModel,
+    non_tuning: &[Vec<usize>],
+    budgets: &[usize],
+    mode: ClusteringMode,
+    pca_dims: usize,
+    gram_cache: Option<&ExpertGramCache>,
+    rng: &mut SeededRng,
+) -> ExpertClusters {
     assert_eq!(non_tuning.len(), budgets.len(), "one budget per layer");
     assert_eq!(
         non_tuning.len(),
         model.layers.len(),
         "one expert list per model layer"
     );
+    let features = |keys: &[ExpertKey], rng: &mut SeededRng| {
+        expert_features(model, keys, pca_dims, gram_cache, rng)
+    };
     match mode {
-        ClusteringMode::Fused => cluster_fused(model, non_tuning, budgets, pca_dims, rng),
-        ClusteringMode::PerLayer => cluster_per_layer(model, non_tuning, budgets, pca_dims, rng),
+        ClusteringMode::Fused => cluster_fused(non_tuning, budgets, features, rng),
+        ClusteringMode::PerLayer => cluster_per_layer(non_tuning, budgets, features, rng),
     }
 }
 
-/// Builds the PCA-reduced feature matrix for a set of experts.
+/// Builds the PCA-reduced feature matrix for a set of experts: one row per
+/// expert, `pca_dims` principal-component scores of its flattened
+/// parameters (`[w1 | b1 | w2 | b2]`, the layout of
+/// [`flatten_params`](flux_moe::Expert::flatten_params)) among `keys`.
 ///
-/// The raw feature rows are the experts' flattened parameters in the
-/// `[w1 | b1 | w2 | b2]` layout of
-/// [`flatten_params`](flux_moe::Expert::flatten_params), but constructed
-/// fused: one contiguous panel per parameter block (each filled in a single
-/// extend pass across experts) stitched with the [`Matrix::hstack`] fast
-/// path, instead of flattening every expert into its own intermediate
-/// `Vec`. Bit-identical to the row-by-row construction.
+/// The scores come from the experts' inner products alone, so the flattened
+/// rows are only materialized where there is nothing to reduce — a single
+/// expert, or parameters no longer than the requested dimensionality —
+/// and the raw rows are the features.
 fn expert_features(
     model: &MoeModel,
     keys: &[ExpertKey],
     pca_dims: usize,
+    gram_cache: Option<&ExpertGramCache>,
     rng: &mut SeededRng,
 ) -> Matrix {
     let Some(&first_key) = keys.first() else {
         return Matrix::zeros(0, 0);
     };
-    let first = model.expert(first_key);
-    let (w1_len, b1_len, w2_len, b2_len) = (
-        first.w1.len(),
-        first.b1.len(),
-        first.w2.len(),
-        first.b2.len(),
-    );
-    let n = keys.len();
-    let mut w1s = Vec::with_capacity(n * w1_len);
-    let mut b1s = Vec::with_capacity(n * b1_len);
-    let mut w2s = Vec::with_capacity(n * w2_len);
-    let mut b2s = Vec::with_capacity(n * b2_len);
-    for &key in keys {
-        let expert = model.expert(key);
-        w1s.extend_from_slice(expert.w1.as_slice());
-        b1s.extend_from_slice(&expert.b1);
-        w2s.extend_from_slice(expert.w2.as_slice());
-        b2s.extend_from_slice(&expert.b2);
+    let cols = model.expert(first_key).num_params();
+    let dims = pca_dims.clamp(1, cols.min(keys.len()).max(1));
+    if keys.len() < 2 || dims >= cols {
+        let rows: Vec<Vec<f32>> = keys
+            .iter()
+            .map(|&key| model.expert(key).flatten_params())
+            .collect();
+        return Matrix::from_rows(&rows);
     }
-    // `from_vec` moves each buffer into its panel; no per-row copies until
-    // the single hstack.
-    let w1_panel = Matrix::from_vec(n, w1_len, w1s).expect("experts share w1 dimensions");
-    let b1_panel = Matrix::from_vec(n, b1_len, b1s).expect("experts share b1 dimensions");
-    let w2_panel = Matrix::from_vec(n, w2_len, w2s).expect("experts share w2 dimensions");
-    let b2_panel = Matrix::from_vec(n, b2_len, b2s).expect("experts share b2 dimensions");
-    let raw = Matrix::hstack(&[&w1_panel, &b1_panel, &w2_panel, &b2_panel])
-        .expect("per-block panels share the expert-count row dimension");
-    let dims = pca_dims.clamp(1, raw.cols().min(raw.rows()).max(1));
-    if raw.rows() < 2 || dims >= raw.cols() {
-        return raw;
-    }
-    Pca::fit_transform(&raw, dims, rng).unwrap_or(raw)
+    let block = match gram_cache {
+        Some(cache) => cache.gram(model).block(keys),
+        None => ExpertGram::compute(model, keys.to_vec()).block(keys),
+    };
+    scores_from_gram(block, dims, rng).expect("a non-empty square Gram block and dims >= 1")
 }
 
 fn cluster_fused(
-    model: &MoeModel,
     non_tuning: &[Vec<usize>],
     budgets: &[usize],
-    pca_dims: usize,
+    features: impl Fn(&[ExpertKey], &mut SeededRng) -> Matrix,
     rng: &mut SeededRng,
 ) -> ExpertClusters {
     // Collect every non-tuning expert (across all layers) into one point set.
@@ -160,7 +167,7 @@ fn cluster_fused(
     if keys.is_empty() {
         return ExpertClusters { clusters };
     }
-    let features = expert_features(model, &keys, pca_dims, rng);
+    let features = features(&keys, rng);
     let result = KMeans::new(centroid_labels.len())
         .fit_constrained(&features, &point_labels, &centroid_labels, rng)
         .expect("constrained clustering inputs are validated above");
@@ -181,10 +188,9 @@ fn cluster_fused(
 }
 
 fn cluster_per_layer(
-    model: &MoeModel,
     non_tuning: &[Vec<usize>],
     budgets: &[usize],
-    pca_dims: usize,
+    features: impl Fn(&[ExpertKey], &mut SeededRng) -> Matrix,
     rng: &mut SeededRng,
 ) -> ExpertClusters {
     let mut clusters = vec![Vec::new(); non_tuning.len()];
@@ -194,7 +200,7 @@ fn cluster_per_layer(
             continue;
         }
         let keys: Vec<ExpertKey> = experts.iter().map(|&e| ExpertKey::new(layer, e)).collect();
-        let features = expert_features(model, &keys, pca_dims, rng);
+        let features = features(&keys, rng);
         let result = KMeans::new(budget)
             .fit(&features, rng)
             .expect("layer clustering inputs are validated above");
@@ -227,41 +233,71 @@ mod tests {
 
     #[test]
     fn fused_feature_rows_match_the_flatten_params_reference() {
-        // The hstack-fused construction must be bit-identical to the legacy
-        // row-by-row `flatten_params` construction, both for the raw
-        // feature matrix (single expert dodges PCA) and through the PCA
-        // projection (same input bits + same seed → same output bits).
+        // Where there is nothing to reduce the features are the raw rows in
+        // the `flatten_params` layout: a single expert, and parameters no
+        // longer than the requested dimensionality.
         let model = model();
         let mut rng = SeededRng::new(9);
-        let single = expert_features(&model, &[ExpertKey::new(0, 3)], 4, &mut rng);
-        assert_eq!(
-            single.row(0),
-            &model.expert(ExpertKey::new(0, 3)).flatten_params()[..]
-        );
+        let key = ExpertKey::new(0, 3);
+        let single = expert_features(&model, &[key], 4, None, &mut rng);
+        assert_eq!(single.row(0), &model.expert(key).flatten_params()[..]);
 
+        let mut narrow = MoeConfig::tiny();
+        (narrow.d_model, narrow.d_ff) = (1, 1);
+        let narrow = MoeModel::new(narrow, &mut SeededRng::new(1));
+        let keys: Vec<ExpertKey> = (0..6).map(|e| ExpertKey::new(0, e)).collect();
+        assert_eq!(narrow.expert(keys[0]).num_params(), 4);
+        let raw = expert_features(&narrow, &keys, 4, None, &mut rng);
+        assert_eq!(raw.shape(), (6, 4));
+        for (r, &key) in keys.iter().enumerate() {
+            assert_eq!(raw.row(r), &narrow.expert(key).flatten_params()[..]);
+        }
+
+        // Empty key sets keep the legacy 0x0 shape.
+        let empty = expert_features(&model, &[], 4, None, &mut rng);
+        assert_eq!((empty.rows(), empty.cols()), (0, 0));
+    }
+
+    #[test]
+    fn gram_features_match_pca_of_the_flattened_rows() {
+        // The Gram-space scores are the PCA projection of the flattened
+        // rows: same pairwise geometry as `Pca::fit_transform` on the
+        // stacked matrix (each component is defined up to sign, so compare
+        // the distances K-Means sees), and identical whether the inner
+        // products come from the round's cache or are computed for the keys.
+        let model = model();
         let keys: Vec<ExpertKey> = (0..model.experts_per_layer()[0])
             .map(|e| ExpertKey::new(0, e))
             .chain((0..2).map(|e| ExpertKey::new(1, e)))
             .collect();
-        let mut rng_fused = SeededRng::new(9);
-        let fused = expert_features(&model, &keys, 4, &mut rng_fused);
+        let standalone = expert_features(&model, &keys, 4, None, &mut SeededRng::new(9));
+        let cache = ExpertGramCache::new();
+        let shared = expert_features(&model, &keys, 4, Some(&cache), &mut SeededRng::new(9));
+        assert_eq!(standalone.shape(), (keys.len(), 4));
+        assert_eq!(standalone.as_slice(), shared.as_slice());
+
         let rows: Vec<Vec<f32>> = keys
             .iter()
             .map(|&k| model.expert(k).flatten_params())
             .collect();
-        let raw = Matrix::from_rows(&rows);
-        let dims = 4usize.clamp(1, raw.cols().min(raw.rows()).max(1));
-        let mut rng_reference = SeededRng::new(9);
-        let reference = Pca::fit_transform(&raw, dims, &mut rng_reference).unwrap_or(raw);
-        assert_eq!(
-            (fused.rows(), fused.cols()),
-            (reference.rows(), reference.cols())
-        );
-        assert_eq!(fused.as_slice(), reference.as_slice());
-
-        // Empty key sets keep the legacy 0x0 shape.
-        let empty = expert_features(&model, &[], 4, &mut rng);
-        assert_eq!((empty.rows(), empty.cols()), (0, 0));
+        let reference = flux_tensor::pca::Pca::fit_transform(
+            &Matrix::from_rows(&rows),
+            4,
+            &mut SeededRng::new(9),
+        )
+        .unwrap();
+        for a in 0..keys.len() {
+            for b in 0..a {
+                let ours =
+                    flux_tensor::stats::euclidean_distance(standalone.row(a), standalone.row(b));
+                let theirs =
+                    flux_tensor::stats::euclidean_distance(reference.row(a), reference.row(b));
+                assert!(
+                    (ours - theirs).abs() <= 2e-2 * theirs.max(1.0),
+                    "experts {a},{b}: {ours} vs {theirs}"
+                );
+            }
+        }
     }
 
     #[test]

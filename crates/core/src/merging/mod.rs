@@ -16,14 +16,47 @@
 //!
 //! [`CompactModelPlan`] stitches the stages together and builds the compact
 //! per-participant model with a re-routed gate.
+//!
+//! # One expert Gram matrix per round
+//!
+//! The paper prices merging at 0.04 simulated seconds a round; in
+//! wall-clock it used to be the largest line of a Flux round, because every
+//! participant ran its PCA as a power iteration over its own `m×d` matrix
+//! of flattened experts. The PCA now runs in Gram space
+//! ([`flux_tensor::pca`]): the features are read off the eigenvectors of
+//! the `m×m` matrix of inner products between the experts, and the only
+//! pass over the parameters is the one that forms those inner products.
+//! All participants of a round cluster subsets of the same snapshot, so
+//! that pass is shared ([`gram`]):
+//!
+//! * the driver opens an [`ExpertGramCache`] in `ActiveRun::start_round`,
+//!   next to the quantized-model cache, and drops it when the fan-out
+//!   returns — a Gram matrix describes one snapshot and must never see the
+//!   next round's weights;
+//! * the first participants to reach merging fill it cooperatively (row
+//!   panels of the lower triangle, claimed one at a time; idle pool workers
+//!   join through a nested region), everyone else finds it complete;
+//! * each participant copies out the sub-block of its non-tuning experts,
+//!   centres it in `f64` and solves — `O(m²·k)` per participant instead of
+//!   `O(m·d·k·iterations)`.
+//!
+//! [`CompactModelPlan::build`] takes no cache and computes the inner
+//! products of just the experts it clusters;
+//! [`CompactModelPlan::build_shared`] is the driver's path. They return
+//! equal plans bit for bit, because an inner product is a pure function of
+//! its two experts: same reduction order whatever other experts are in the
+//! matrix, whichever panel or thread computed it
+//! ([`flux_tensor::gram`]).
 
 pub mod budget;
 pub mod cluster;
+pub mod gram;
 pub mod plan;
 pub mod strategy;
 
 pub use budget::{layer_budgets, BudgetPolicy};
 pub use cluster::{cluster_non_tuning_experts, ClusteringMode, ExpertClusters};
+pub use gram::{ExpertGramCache, GramCacheStats};
 pub use plan::{CompactModelPlan, ExpertSlot};
 pub use strategy::{merge_cluster, MergeStrategy};
 

@@ -5,11 +5,13 @@ use std::collections::{HashMap, HashSet};
 
 use serde::{Deserialize, Serialize};
 
+use flux_moe::layer::{MoeLayer, TransformerLayer};
 use flux_moe::{ActivationProfile, Expert, ExpertKey, MoeModel, RoutingMap};
 use flux_tensor::{Matrix, SeededRng};
 
 use super::budget::layer_budgets;
-use super::cluster::cluster_non_tuning_experts;
+use super::cluster::cluster_non_tuning_experts_shared;
+use super::gram::ExpertGramCache;
 use super::strategy::merge_cluster;
 use super::MergingConfig;
 
@@ -68,6 +70,11 @@ impl CompactModelPlan {
     /// * `non_tuning_budget` — the participant's `B_non_i` (total merged
     ///   experts across layers).
     ///
+    /// The inner products clustering needs are computed here, for the
+    /// non-tuning experts only; a caller building plans for many
+    /// participants against one model shares them through
+    /// [`CompactModelPlan::build_shared`] instead.
+    ///
     /// # Panics
     ///
     /// Panics if the profile shape does not match the model.
@@ -77,6 +84,47 @@ impl CompactModelPlan {
         tuning: &HashSet<ExpertKey>,
         non_tuning_budget: usize,
         config: MergingConfig,
+        rng: &mut SeededRng,
+    ) -> Self {
+        Self::build_with(model, profile, tuning, non_tuning_budget, config, None, rng)
+    }
+
+    /// [`CompactModelPlan::build`] reading the experts' inner products from
+    /// `gram_cache`, which must be the cache of `model`'s round: the first
+    /// plans of the round compute them (together, if they arrive together),
+    /// the rest copy their sub-block. The plan equals `build`'s bit for
+    /// bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile shape does not match the model.
+    pub fn build_shared(
+        model: &MoeModel,
+        profile: &ActivationProfile,
+        tuning: &HashSet<ExpertKey>,
+        non_tuning_budget: usize,
+        config: MergingConfig,
+        gram_cache: &ExpertGramCache,
+        rng: &mut SeededRng,
+    ) -> Self {
+        Self::build_with(
+            model,
+            profile,
+            tuning,
+            non_tuning_budget,
+            config,
+            Some(gram_cache),
+            rng,
+        )
+    }
+
+    fn build_with(
+        model: &MoeModel,
+        profile: &ActivationProfile,
+        tuning: &HashSet<ExpertKey>,
+        non_tuning_budget: usize,
+        config: MergingConfig,
+        gram_cache: Option<&ExpertGramCache>,
         rng: &mut SeededRng,
     ) -> Self {
         let num_layers = model.layers.len();
@@ -101,12 +149,13 @@ impl CompactModelPlan {
             &non_tuning_counts,
             non_tuning_budget,
         );
-        let clusters = cluster_non_tuning_experts(
+        let clusters = cluster_non_tuning_experts_shared(
             model,
             &non_tuning_per_layer,
             &budgets,
             config.clustering,
             config.pca_dims,
+            gram_cache,
             rng,
         );
 
@@ -183,7 +232,27 @@ impl CompactModelPlan {
 
     /// Materializes the compact model described by this plan.
     pub fn apply(&self, global: &MoeModel, profile: &ActivationProfile) -> MoeModel {
-        let mut compact = global.clone();
+        // Everything but the experts is copied; every layer's experts are
+        // built below, so cloning the global ones first would only be
+        // thrown away.
+        let mut compact = MoeModel {
+            config: global.config.clone(),
+            embedding: global.embedding.clone(),
+            layers: global
+                .layers
+                .iter()
+                .map(|layer| TransformerLayer {
+                    attention: layer.attention.clone(),
+                    moe: MoeLayer {
+                        gate: layer.moe.gate.clone(),
+                        experts: Vec::new(),
+                        routing_map: layer.moe.routing_map.clone(),
+                    },
+                })
+                .collect(),
+            lm_head: global.lm_head.clone(),
+            cls_head: global.cls_head.clone(),
+        };
         for (layer, layer_slots) in self.slots.iter().enumerate() {
             let mut experts = Vec::with_capacity(layer_slots.len());
             for slot in layer_slots {

@@ -11,9 +11,9 @@
 //! detected before this module ever parses a byte.
 //!
 //! The format is little-endian and length-prefixed like every other Flux
-//! codec; counts are bounded by plausibility caps so a damaged blob fails
-//! with [`SnapshotError::Corrupt`] instead of attempting a huge
-//! allocation.
+//! codec; record counts are bounded by a plausibility cap and byte lengths
+//! by the input that remains, so a damaged blob fails with
+//! [`SnapshotError::Corrupt`] instead of attempting a huge allocation.
 
 use bytes::{BufMut, BytesMut};
 
@@ -31,7 +31,9 @@ const MAGIC: &[u8; 8] = b"FLUXRUN1";
 /// aggregator count) after the participant count; version-1 blobs decode
 /// with the full-participation defaults (`None`, 1 edge).
 const VERSION: u32 = 2;
-/// Plausibility cap on every decoded count (records, pids, experts…).
+/// Plausibility cap on every decoded *record* count (records, pids,
+/// experts…). Byte lengths are not counts: the staged aggregator of a small
+/// model is tens of megabytes, and `take` bounds it by the remaining input.
 const MAX_COUNT: u64 = 1_000_000;
 
 /// Everything the checkpoint persists about a run beyond the model shards.
@@ -147,6 +149,18 @@ fn get_count(buf: &mut &[u8], what: &str) -> Result<usize, SnapshotError> {
         return Err(corrupt(format!("implausible {what} count {count}")));
     }
     Ok(count as usize)
+}
+
+/// Writes the `u32` length prefix of a byte field, refusing a length the
+/// prefix cannot hold instead of truncating it.
+fn put_byte_len(buf: &mut BytesMut, len: usize, what: &str) -> Result<(), SnapshotError> {
+    let len = u32::try_from(len).map_err(|_| {
+        SnapshotError::TooLarge(format!(
+            "{what} is {len} bytes, above the format's u32 length prefix"
+        ))
+    })?;
+    buf.put_u32_le(len);
+    Ok(())
 }
 
 fn put_breakdown(buf: &mut BytesMut, b: &RoundCostBreakdown) {
@@ -316,7 +330,12 @@ fn get_opt_profile(buf: &mut &[u8]) -> Result<Option<ActivationProfile>, Snapsho
 }
 
 /// Encodes a run's resumable state into the snapshot-manifest `meta` blob.
-pub(crate) fn encode_run_state(state: &RunState) -> Vec<u8> {
+///
+/// # Errors
+///
+/// Fails with [`SnapshotError::TooLarge`] when the staged aggregator does
+/// not fit its `u32` length prefix.
+pub(crate) fn encode_run_state(state: &RunState) -> Result<Vec<u8>, SnapshotError> {
     let mut buf = BytesMut::new();
     buf.put_slice(MAGIC);
     buf.put_u32_le(VERSION);
@@ -383,12 +402,12 @@ pub(crate) fn encode_run_state(state: &RunState) -> Vec<u8> {
     match &state.aggregator {
         Some(bytes) => {
             buf.put_u8(1);
-            buf.put_u32_le(bytes.len() as u32);
+            put_byte_len(&mut buf, bytes.len(), "the staged aggregator")?;
             buf.put_slice(bytes);
         }
         None => buf.put_u8(0),
     }
-    buf.to_vec()
+    Ok(buf.to_vec())
 }
 
 /// Decodes a `meta` blob back into a [`RunState`].
@@ -481,7 +500,8 @@ pub(crate) fn decode_run_state(mut buf: &[u8]) -> Result<RunState, SnapshotError
     let aggregator = match get_u8(buf)? {
         0 => None,
         1 => {
-            let len = get_count(buf, "aggregator-byte")?;
+            // A byte length, bounded by what is left of the blob.
+            let len = get_u32(buf)? as usize;
             Some(take(buf, len)?.to_vec())
         }
         other => return Err(corrupt(format!("unknown aggregator tag {other}"))),
@@ -650,7 +670,7 @@ mod tests {
     #[test]
     fn run_state_round_trips() {
         let state = sample_state();
-        let bytes = encode_run_state(&state);
+        let bytes = encode_run_state(&state).unwrap();
         let decoded = decode_run_state(&bytes).expect("clean blob decodes");
         assert_states_equal(&state, &decoded);
     }
@@ -666,7 +686,7 @@ mod tests {
             aggregator: None,
             ..sample_state()
         };
-        let bytes = encode_run_state(&state);
+        let bytes = encode_run_state(&state).unwrap();
         let decoded = decode_run_state(&bytes).expect("clean blob decodes");
         assert_states_equal(&state, &decoded);
     }
@@ -674,7 +694,7 @@ mod tests {
     #[test]
     fn bad_magic_and_truncation_are_rejected() {
         let state = sample_state();
-        let mut bytes = encode_run_state(&state);
+        let mut bytes = encode_run_state(&state).unwrap();
         assert!(decode_run_state(&bytes[..bytes.len() - 1]).is_err());
         bytes[0] ^= 0xFF;
         assert!(decode_run_state(&bytes).is_err());
@@ -682,8 +702,34 @@ mod tests {
     }
 
     #[test]
+    fn staged_aggregator_bytes_are_bounded_by_the_input_not_the_count_cap() {
+        // A fault-free pipelined round on `MoeConfig::small()` stages 21.5 MB:
+        // far above the record-count cap, and perfectly valid.
+        let state = RunState {
+            aggregator: Some(vec![7u8; MAX_COUNT as usize + 1]),
+            ..sample_state()
+        };
+        let bytes = encode_run_state(&state).unwrap();
+        let decoded = decode_run_state(&bytes).expect("a large staged aggregator decodes");
+        assert_eq!(decoded.aggregator, state.aggregator);
+        // A length prefix promising more than the blob holds is still
+        // refused before any allocation.
+        assert!(decode_run_state(&bytes[..bytes.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn oversized_byte_fields_are_refused_not_truncated() {
+        let mut buf = BytesMut::new();
+        put_byte_len(&mut buf, u32::MAX as usize, "x").expect("u32::MAX fits");
+        let err = put_byte_len(&mut buf, u32::MAX as usize + 1, "the staged aggregator")
+            .expect_err("one past u32::MAX cannot be written");
+        assert!(matches!(err, SnapshotError::TooLarge(_)), "{err}");
+        assert_eq!(buf.len(), 4, "nothing is written for a refused length");
+    }
+
+    #[test]
     fn trailing_garbage_is_rejected() {
-        let mut bytes = encode_run_state(&sample_state());
+        let mut bytes = encode_run_state(&sample_state()).unwrap();
         bytes.push(0);
         let err = match decode_run_state(&bytes) {
             Err(err) => err,
@@ -723,7 +769,7 @@ mod tests {
         // Re-encode sample_state() as a version-1 blob by hand: identical
         // layout minus the cohort fields.
         let state = sample_state();
-        let v2 = encode_run_state(&state);
+        let v2 = encode_run_state(&state).unwrap();
         let mut v1 = Vec::new();
         v1.extend_from_slice(&v2[..MAGIC.len()]);
         v1.extend_from_slice(&1u32.to_le_bytes());

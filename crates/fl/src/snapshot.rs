@@ -86,6 +86,8 @@ pub enum SnapshotError {
     /// The checkpoint is internally valid but does not fit the requested
     /// restore (wrong shard count, wrong run fingerprint, …).
     Mismatch(String),
+    /// A field is too large for its length prefix; nothing was written.
+    TooLarge(String),
 }
 
 impl fmt::Display for SnapshotError {
@@ -98,6 +100,7 @@ impl fmt::Display for SnapshotError {
             }
             SnapshotError::Missing(file) => write!(f, "checkpoint file missing: {file}"),
             SnapshotError::Mismatch(msg) => write!(f, "checkpoint does not fit: {msg}"),
+            SnapshotError::TooLarge(msg) => write!(f, "checkpoint field too large: {msg}"),
         }
     }
 }

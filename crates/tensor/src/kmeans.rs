@@ -7,6 +7,8 @@
 //! implements that scheme; [`KMeans::fit`] is the plain algorithm used for
 //! comparison (and by the Fig. 16 cost benchmark).
 
+use std::collections::HashMap;
+
 use serde::{Deserialize, Serialize};
 
 use crate::matrix::Matrix;
@@ -125,10 +127,10 @@ impl KMeans {
             iterations = iter + 1;
             // Assignment step.
             for (p, a) in assignments.iter_mut().enumerate() {
-                *a = self.nearest_centroid(data.row(p), &centroids, None).0;
+                *a = self.nearest_centroid(data.row(p), &centroids, 0..k).0;
             }
             // Update step.
-            let new_centroids = self.recompute_centroids(data, &assignments, k, &centroids, None);
+            let new_centroids = self.recompute_centroids(data, &assignments, k, &centroids, true);
             let movement = centroid_movement(&centroids, &new_centroids);
             centroids = new_centroids;
             if movement < self.tolerance {
@@ -136,7 +138,7 @@ impl KMeans {
             }
         }
         for (p, a) in assignments.iter_mut().enumerate() {
-            *a = self.nearest_centroid(data.row(p), &centroids, None).0;
+            *a = self.nearest_centroid(data.row(p), &centroids, 0..k).0;
         }
         let inertia = self.inertia(data, &assignments, &centroids);
         Ok(KMeansResult {
@@ -182,58 +184,60 @@ impl KMeans {
                 n
             )));
         }
-        for &label in point_labels {
-            if !centroid_labels.contains(&label) {
+        // Index points and centroids by label once: seeding draws from a
+        // label's point list and assignment scans a label's centroid list,
+        // both in ascending order — the order (and so the RNG draws, the
+        // tie-breaks and every resulting bit) of a scan over all points or
+        // all centroids that skips foreign labels.
+        let mut group_of_label: HashMap<usize, usize> = HashMap::new();
+        let mut centroids_of: Vec<Vec<usize>> = Vec::new();
+        for (c, &label) in centroid_labels.iter().enumerate() {
+            let group = *group_of_label.entry(label).or_insert_with(|| {
+                centroids_of.push(Vec::new());
+                centroids_of.len() - 1
+            });
+            centroids_of[group].push(c);
+        }
+        let mut points_of: Vec<Vec<usize>> = vec![Vec::new(); centroids_of.len()];
+        let mut group_of_point = Vec::with_capacity(n);
+        for (p, label) in point_labels.iter().enumerate() {
+            let Some(&group) = group_of_label.get(label) else {
                 return Err(TensorError::InvalidArgument(format!(
                     "point label {label} has no centroid"
                 )));
-            }
+            };
+            points_of[group].push(p);
+            group_of_point.push(group);
         }
 
         let k = centroid_labels.len();
         // Initialize each centroid from a random point of the matching label.
         let mut centroids = Matrix::zeros(k, data.cols());
-        for (c, &label) in centroid_labels.iter().enumerate() {
-            let candidates: Vec<usize> = (0..n).filter(|&p| point_labels[p] == label).collect();
+        for (c, label) in centroid_labels.iter().enumerate() {
+            let candidates = &points_of[group_of_label[label]];
             let pick = candidates[rng.below(candidates.len())];
             centroids.row_mut(c).copy_from_slice(data.row(pick));
         }
 
         let mut assignments = vec![0usize; n];
+        let assign = |assignments: &mut [usize], centroids: &Matrix| {
+            for (p, a) in assignments.iter_mut().enumerate() {
+                let admissible = centroids_of[group_of_point[p]].iter().copied();
+                *a = self.nearest_centroid(data.row(p), centroids, admissible).0;
+            }
+        };
         let mut iterations = 0;
         for iter in 0..self.max_iterations {
             iterations = iter + 1;
-            for p in 0..n {
-                assignments[p] = self
-                    .nearest_centroid(
-                        data.row(p),
-                        &centroids,
-                        Some((point_labels[p], centroid_labels)),
-                    )
-                    .0;
-            }
-            let new_centroids = self.recompute_centroids(
-                data,
-                &assignments,
-                k,
-                &centroids,
-                Some((point_labels, centroid_labels)),
-            );
+            assign(&mut assignments, &centroids);
+            let new_centroids = self.recompute_centroids(data, &assignments, k, &centroids, false);
             let movement = centroid_movement(&centroids, &new_centroids);
             centroids = new_centroids;
             if movement < self.tolerance {
                 break;
             }
         }
-        for p in 0..n {
-            assignments[p] = self
-                .nearest_centroid(
-                    data.row(p),
-                    &centroids,
-                    Some((point_labels[p], centroid_labels)),
-                )
-                .0;
-        }
+        assign(&mut assignments, &centroids);
         let inertia = self.inertia(data, &assignments, &centroids);
         Ok(KMeansResult {
             assignments,
@@ -265,20 +269,16 @@ impl KMeans {
         centroids
     }
 
-    /// Finds the closest admissible centroid for a point.
+    /// Finds the closest of the `admissible` centroids for a point; the first
+    /// one visited wins ties.
     fn nearest_centroid(
         &self,
         point: &[f32],
         centroids: &Matrix,
-        constraint: Option<(usize, &[usize])>,
+        admissible: impl Iterator<Item = usize>,
     ) -> (usize, f32) {
         let mut best = (0usize, f32::INFINITY);
-        for c in 0..centroids.rows() {
-            if let Some((label, centroid_labels)) = constraint {
-                if centroid_labels[c] != label {
-                    continue;
-                }
-            }
+        for c in admissible {
             let d = self.distance.eval(point, centroids.row(c));
             if d < best.1 {
                 best = (c, d);
@@ -293,7 +293,7 @@ impl KMeans {
         assignments: &[usize],
         k: usize,
         previous: &Matrix,
-        constraint: Option<(&[usize], &[usize])>,
+        reseed_empty: bool,
     ) -> Matrix {
         let d = data.cols();
         let mut sums = Matrix::zeros(k, d);
@@ -313,7 +313,7 @@ impl KMeans {
                 centroids.row_mut(c).copy_from_slice(previous.row(c));
                 // In the unconstrained case, re-seed with the farthest point
                 // to avoid permanently dead clusters.
-                if constraint.is_none() {
+                if reseed_empty {
                     if let Some((far_point, _)) = (0..data.rows())
                         .map(|p| {
                             let cur = assignments[p];

@@ -25,6 +25,7 @@
 //! ```
 
 pub mod error;
+pub mod gram;
 pub mod init;
 pub mod kmeans;
 pub mod matrix;

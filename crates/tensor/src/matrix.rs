@@ -23,8 +23,10 @@ use crate::{scratch, Result};
 /// streams them linearly while the touched rows of `B` stay cache-resident.
 /// Must remain a multiple of the depth unroll factor (4) so accumulation
 /// grouping is identical across block boundaries — [`Matrix::vecmat`] and
-/// the blocked kernel rely on that to produce bit-identical results.
-const KC: usize = 128;
+/// the blocked kernel rely on that to produce bit-identical results, and the
+/// Gram kernel ([`crate::gram`]) blocks its depth the same way so its entries
+/// equal [`Matrix::matmul_transb`]'s bit for bit.
+pub(crate) const KC: usize = 128;
 
 /// Accumulates `out += a · b` where `a` is `(m, k)`, `b` is `(k, n)` and
 /// `out` is `(m, n)`, all row-major. The caller provides `out` already

@@ -3,6 +3,7 @@
 use flux_tensor::{
     kmeans::KMeans,
     ops,
+    pca::{scores_from_gram, Pca},
     simd::{self, SimdLevel},
     stats, Matrix, SeededRng,
 };
@@ -409,4 +410,400 @@ fn warm_arena_matmul_is_bit_identical_to_cold() {
         warm.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         "arena warmth changed matmul results"
     );
+}
+
+// ---------------------------------------------------------------------------
+// PCA against an f64 reference eigen-solve.
+// ---------------------------------------------------------------------------
+
+/// Eigen-decomposition of a symmetric `n×n` matrix by cyclic Jacobi
+/// rotations in `f64`: `(eigenvalues, eigenvectors as rows)`, largest
+/// eigenvalue first. The textbook method — slow, unconditionally accurate.
+fn jacobi_eigen(mut a: Vec<f64>, n: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
+    let mut v = vec![0.0f64; n * n];
+    for i in 0..n {
+        v[i * n + i] = 1.0;
+    }
+    for _sweep in 0..64 {
+        let off: f64 = (0..n)
+            .flat_map(|i| (0..i).map(move |j| (i, j)))
+            .map(|(i, j)| a[i * n + j] * a[i * n + j])
+            .sum();
+        if off < 1e-26 {
+            break;
+        }
+        for p in 0..n {
+            for q in p + 1..n {
+                if a[p * n + q].abs() < 1e-300 {
+                    continue;
+                }
+                let theta = (a[q * n + q] - a[p * n + p]) / (2.0 * a[p * n + q]);
+                let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
+                let c = 1.0 / (t * t + 1.0).sqrt();
+                let s = t * c;
+                for k in 0..n {
+                    let (akp, akq) = (a[k * n + p], a[k * n + q]);
+                    a[k * n + p] = c * akp - s * akq;
+                    a[k * n + q] = s * akp + c * akq;
+                }
+                for k in 0..n {
+                    let (apk, aqk) = (a[p * n + k], a[q * n + k]);
+                    a[p * n + k] = c * apk - s * aqk;
+                    a[q * n + k] = s * apk + c * aqk;
+                }
+                for k in 0..n {
+                    let (vkp, vkq) = (v[k * n + p], v[k * n + q]);
+                    v[k * n + p] = c * vkp - s * vkq;
+                    v[k * n + q] = s * vkp + c * vkq;
+                }
+            }
+        }
+    }
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&x, &y| a[y * n + y].total_cmp(&a[x * n + x]));
+    let values = order.iter().map(|&c| a[c * n + c]).collect();
+    let vectors = order
+        .iter()
+        .map(|&c| (0..n).map(|k| v[k * n + c]).collect())
+        .collect();
+    (values, vectors)
+}
+
+/// The reference PCA scores of `data`'s rows in `f64`: centre, form the Gram
+/// matrix, Jacobi, `√λ·u` for the leading `k` components (one `Vec` per
+/// component).
+fn reference_scores(data: &Matrix, k: usize) -> Vec<Vec<f64>> {
+    let (n, d) = data.shape();
+    let mean: Vec<f64> = (0..d)
+        .map(|c| (0..n).map(|r| f64::from(data.get(r, c))).sum::<f64>() / n as f64)
+        .collect();
+    let centred: Vec<Vec<f64>> = (0..n)
+        .map(|r| {
+            (0..d)
+                .map(|c| f64::from(data.get(r, c)) - mean[c])
+                .collect()
+        })
+        .collect();
+    let mut gram = vec![0.0f64; n * n];
+    for i in 0..n {
+        for j in 0..n {
+            gram[i * n + j] = centred[i].iter().zip(&centred[j]).map(|(x, y)| x * y).sum();
+        }
+    }
+    let (values, vectors) = jacobi_eigen(gram, n);
+    (0..k)
+        .map(|c| {
+            let sigma = values[c].max(0.0).sqrt();
+            vectors[c].iter().map(|u| sigma * u).collect()
+        })
+        .collect()
+}
+
+/// Wide data (`n < d`) with a known, well-separated spectrum: `rank`
+/// orthogonal directions with singular values `16, 8, 4, …` (eigenvalue
+/// ratio 4:1, far inside the power iteration's budget), every sample
+/// shifted by `offset` in every feature.
+fn wide_data(n: usize, d: usize, rank: usize, offset: f32, seed: u64) -> Matrix {
+    let mut rng = SeededRng::new(seed);
+    // Orthonormal sample-side factors, each orthogonal to the all-ones
+    // vector so that centring leaves the spectrum as constructed.
+    let orthonormal = |len: usize, count: usize, centre: bool, rng: &mut SeededRng| {
+        let mut basis: Vec<Vec<f64>> = Vec::new();
+        while basis.len() < count {
+            let mut v: Vec<f64> = (0..len).map(|_| f64::from(rng.normal())).collect();
+            if centre {
+                let m = v.iter().sum::<f64>() / len as f64;
+                v.iter_mut().for_each(|x| *x -= m);
+            }
+            for b in &basis {
+                let along: f64 = v.iter().zip(b).map(|(x, y)| x * y).sum();
+                v.iter_mut().zip(b).for_each(|(x, y)| *x -= along * y);
+            }
+            let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
+            if norm > 1e-6 {
+                v.iter_mut().for_each(|x| *x /= norm);
+                basis.push(v);
+            }
+        }
+        basis
+    };
+    let left = orthonormal(n, rank, true, &mut rng);
+    let right = orthonormal(d, rank, false, &mut rng);
+    let mut data = Matrix::filled(n, d, offset);
+    for (c, (a, b)) in left.iter().zip(&right).enumerate() {
+        let sigma = 16.0 / f64::from(1u32 << c);
+        for (i, ai) in a.iter().enumerate() {
+            for (x, bj) in data.row_mut(i).iter_mut().zip(b) {
+                *x += (sigma * ai * bj) as f32;
+            }
+        }
+    }
+    data
+}
+
+/// Largest entry-wise difference between two score columns, up to the sign
+/// every principal component is free to take.
+fn column_gap(ours: &Matrix, c: usize, reference: &[f64]) -> f64 {
+    let gap = |sign: f64| {
+        reference
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (f64::from(ours.get(i, c)) - sign * r).abs())
+            .fold(0.0f64, f64::max)
+    };
+    gap(1.0).min(gap(-1.0))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn pca_scores_match_f64_reference_eigen_solve(
+        n in 5usize..18,
+        extra in 1usize..40,
+        k in 1usize..5,
+        offset_exp in 0u32..4,
+        seed in 0u64..1000,
+    ) {
+        // Offsets 0, 10, 100, 1000 against a spread of 1–16: the last is
+        // the cancellation case, where every inner product of raw rows is
+        // ~1e6·d and the structure lives five digits down.
+        let offset = if offset_exp == 0 { 0.0 } else { 10f32.powi(offset_exp as i32) };
+        let (d, rank) = (n + extra, 4.min(n - 1));
+        let k = k.min(rank);
+        let data = wide_data(n, d, rank, offset, seed);
+        let reference = reference_scores(&data, k);
+        // f32 centring keeps ~1e-7 of the offset per feature.
+        let tol = 2e-3 + 2e-5 * f64::from(offset) * (d as f64).sqrt();
+
+        let scores = Pca::fit_transform(&data, k, &mut SeededRng::new(seed ^ 0xabc)).unwrap();
+        prop_assert_eq!(scores.shape(), (n, k));
+        for (c, reference_column) in reference.iter().enumerate() {
+            let gap = column_gap(&scores, c, reference_column);
+            prop_assert!(gap <= tol, "component {c}: scores off by {gap} (tol {tol})");
+        }
+
+        let pca = Pca::fit(&data, k, &mut SeededRng::new(seed ^ 0xabc)).unwrap();
+        // Same solve, same start vectors: projecting through the recovered
+        // axes reproduces the scores read off the eigenvectors.
+        let projected = pca.transform(&data).unwrap();
+        for (x, y) in projected.as_slice().iter().zip(scores.as_slice()) {
+            prop_assert!(f64::from((x - y).abs()) <= tol, "transform {x} vs scores {y}");
+        }
+        for a in 0..k {
+            let norm = stats::l2_norm(pca.components.row(a));
+            prop_assert!((norm - 1.0).abs() < 2e-3, "component {a} has norm {norm}");
+            for b in 0..a {
+                let dot = stats::dot(pca.components.row(a), pca.components.row(b));
+                prop_assert!(dot.abs() < 2e-3, "components {a},{b} overlap by {dot}");
+            }
+        }
+        for pair in pca.explained_variance.windows(2) {
+            prop_assert!(pair[0] >= pair[1], "explained variance rises: {pair:?}");
+        }
+        for (c, &variance) in pca.explained_variance.iter().enumerate() {
+            let expected = (256.0 / f64::from(1u32 << (2 * c))) / n as f64;
+            prop_assert!(
+                (f64::from(variance) - expected).abs() <= 1e-2 * expected + tol,
+                "component {c}: variance {variance} vs constructed {expected}"
+            );
+        }
+    }
+
+    #[test]
+    fn pca_invariants_hold_on_unstructured_data(
+        n in 2usize..14,
+        d in 2usize..30,
+        k in 1usize..5,
+        seed in 0u64..1000,
+    ) {
+        // Gaussian noise has no spectral gap to converge on, tall and wide
+        // alike: the vectors are still orthonormal, the variances ordered
+        // and bounded by the total, and constant rows project to zero.
+        let k = k.min(d);
+        let data = Matrix::random_normal(n, d, 1.0, &mut SeededRng::new(seed));
+        let pca = Pca::fit(&data, k, &mut SeededRng::new(seed + 1)).unwrap();
+        prop_assert_eq!(pca.components.shape(), (k, d));
+        for pair in pca.explained_variance.windows(2) {
+            prop_assert!(pair[0] >= pair[1]);
+        }
+        let total: f32 = (0..d).map(|c| stats::variance(&data.col(c))).sum();
+        let explained: f32 = pca.explained_variance.iter().sum();
+        prop_assert!(explained <= total * 1.001 + 1e-4, "{explained} of {total}");
+        let scores = Pca::fit_transform(&data, k, &mut SeededRng::new(seed + 1)).unwrap();
+        prop_assert!(scores.as_slice().iter().all(|v| v.is_finite()));
+
+        let constant = Matrix::filled(n, d, 3.25);
+        let flat = Pca::fit_transform(&constant, k, &mut SeededRng::new(seed)).unwrap();
+        prop_assert!(flat.as_slice().iter().all(|v| v.abs() < 1e-4));
+        let flat = Pca::fit(&constant, k, &mut SeededRng::new(seed)).unwrap();
+        prop_assert!(flat.explained_variance.iter().all(|&v| v < 1e-6));
+    }
+
+    #[test]
+    fn gram_space_centring_survives_a_common_offset(
+        n in 5usize..16,
+        extra in 1usize..30,
+        k in 1usize..4,
+        seed in 0u64..1000,
+    ) {
+        // `scores_from_gram` sees only raw inner products and must subtract
+        // the shared offset in Gram space. With exact (f64) inner products
+        // of rows offset by 1000 — entries near 1e6·d, structure five digits
+        // below — the double-centring itself must not lose the structure.
+        let (d, rank) = (n + extra, 4.min(n - 1));
+        let k = k.min(rank);
+        let data = wide_data(n, d, rank, 1000.0, seed);
+        let row = |r: usize| data.row(r).iter().map(|&x| f64::from(x));
+        let mut gram = vec![0.0f64; n * n];
+        for i in 0..n {
+            for j in 0..n {
+                gram[i * n + j] = row(i).zip(row(j)).map(|(x, y)| x * y).sum();
+            }
+        }
+        let scores = scores_from_gram(gram, k, &mut SeededRng::new(seed)).unwrap();
+        let reference = reference_scores(&data, k);
+        for (c, reference_column) in reference.iter().enumerate() {
+            let gap = column_gap(&scores, c, reference_column);
+            prop_assert!(gap <= 2e-3, "component {c}: scores off by {gap}");
+        }
+    }
+}
+
+#[test]
+fn scores_from_gram_rejects_malformed_input() {
+    let mut rng = SeededRng::new(1);
+    assert!(scores_from_gram(Vec::new(), 1, &mut rng).is_err());
+    assert!(scores_from_gram(vec![1.0; 6], 1, &mut rng).is_err());
+    assert!(scores_from_gram(vec![1.0; 9], 0, &mut rng).is_err());
+    // More components than samples: the surplus columns are zero.
+    let scores = scores_from_gram(vec![2.0, 0.0, 0.0, 2.0], 3, &mut rng).unwrap();
+    assert_eq!(scores.shape(), (2, 3));
+    assert!((0..2).all(|r| scores.get(r, 2) == 0.0));
+}
+
+// ---------------------------------------------------------------------------
+// Label-indexed constrained K-Means against the full scan it replaced.
+// ---------------------------------------------------------------------------
+
+/// `KMeans::fit_constrained` as first written: every seeding step filters
+/// all points, every assignment scans all centroids and skips foreign
+/// labels. Returns `(assignments, centroids, iterations)`.
+fn constrained_by_full_scan(
+    km: &KMeans,
+    data: &Matrix,
+    point_labels: &[usize],
+    centroid_labels: &[usize],
+    rng: &mut SeededRng,
+) -> (Vec<usize>, Matrix, usize) {
+    let (n, k) = (data.rows(), centroid_labels.len());
+    let mut centroids = Matrix::zeros(k, data.cols());
+    for (c, &label) in centroid_labels.iter().enumerate() {
+        let candidates: Vec<usize> = (0..n).filter(|&p| point_labels[p] == label).collect();
+        let pick = candidates[rng.below(candidates.len())];
+        centroids.row_mut(c).copy_from_slice(data.row(pick));
+    }
+    let nearest = |p: usize, centroids: &Matrix| {
+        let mut best = (0usize, f32::INFINITY);
+        for (c, &label) in centroid_labels.iter().enumerate() {
+            if label != point_labels[p] {
+                continue;
+            }
+            let d = km.distance.eval(data.row(p), centroids.row(c));
+            if d < best.1 {
+                best = (c, d);
+            }
+        }
+        best.0
+    };
+    let mut assignments = vec![0usize; n];
+    let mut iterations = 0;
+    for iter in 0..km.max_iterations {
+        iterations = iter + 1;
+        for (p, a) in assignments.iter_mut().enumerate() {
+            *a = nearest(p, &centroids);
+        }
+        let mut sums = Matrix::zeros(k, data.cols());
+        let mut counts = vec![0usize; k];
+        for (p, &c) in assignments.iter().enumerate() {
+            counts[c] += 1;
+            for (s, &x) in sums.row_mut(c).iter_mut().zip(data.row(p)) {
+                *s += x;
+            }
+        }
+        let mut updated = Matrix::zeros(k, data.cols());
+        for (c, &count) in counts.iter().enumerate() {
+            if count == 0 {
+                updated.row_mut(c).copy_from_slice(centroids.row(c));
+            } else {
+                for (out, &s) in updated.row_mut(c).iter_mut().zip(sums.row(c)) {
+                    *out = s / count as f32;
+                }
+            }
+        }
+        let movement = centroids
+            .as_slice()
+            .iter()
+            .zip(updated.as_slice())
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f32, f32::max);
+        centroids = updated;
+        if movement < km.tolerance {
+            break;
+        }
+    }
+    for (p, a) in assignments.iter_mut().enumerate() {
+        *a = nearest(p, &centroids);
+    }
+    (assignments, centroids, iterations)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn constrained_kmeans_is_bit_identical_to_the_full_scan(
+        n in 1usize..40,
+        dims in 1usize..5,
+        labels in 1usize..5,
+        euclidean in 0usize..2,
+        seed in 0u64..10_000,
+    ) {
+        let mut rng = SeededRng::new(seed);
+        // Coarse coordinates make exact distance ties (and so the
+        // first-visited-wins rule) common instead of vanishingly rare.
+        let data = Matrix::from_vec(
+            n,
+            dims,
+            (0..n * dims).map(|_| rng.below(4) as f32 - 1.0).collect(),
+        )
+        .unwrap();
+        let point_labels: Vec<usize> = (0..n).map(|_| 3 * rng.below(labels)).collect();
+        // One to three centroids for every label that occurs, in shuffled
+        // order, so a label's centroids are scattered over the index range.
+        let mut centroid_labels: Vec<usize> = Vec::new();
+        for label in (0..labels).map(|l| 3 * l) {
+            if point_labels.contains(&label) {
+                centroid_labels.extend(std::iter::repeat_n(label, 1 + rng.below(3)));
+            }
+        }
+        rng.shuffle(&mut centroid_labels);
+
+        let mut km = KMeans::new(centroid_labels.len()).with_max_iterations(1 + rng.below(12));
+        if euclidean == 1 {
+            km = km.with_euclidean();
+        }
+        let (mut indexed_rng, mut scan_rng) = (SeededRng::new(seed ^ 7), SeededRng::new(seed ^ 7));
+        let indexed = km
+            .fit_constrained(&data, &point_labels, &centroid_labels, &mut indexed_rng)
+            .unwrap();
+        let (assignments, centroids, iterations) =
+            constrained_by_full_scan(&km, &data, &point_labels, &centroid_labels, &mut scan_rng);
+        prop_assert_eq!(&indexed.assignments, &assignments);
+        prop_assert_eq!(indexed.iterations, iterations);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&indexed.centroids), bits(&centroids));
+        // Same number of draws taken from the stream.
+        prop_assert_eq!(indexed_rng.below(1 << 30), scan_rng.below(1 << 30));
+    }
 }

@@ -116,6 +116,23 @@ fn kill_mid_round_replays_bit_identically() {
 }
 
 #[test]
+fn mid_round_checkpoint_with_megabytes_staged_restores() {
+    // Regression: the staged aggregator's byte length was bounded by the
+    // record-count cap (1 000 000), so the mid-round checkpoint of a
+    // fault-free pipelined run whose uploads had already streamed into the
+    // aggregator — megabytes on `MoeConfig::small()`, where FMD uploads
+    // every expert — was written fine and then refused by `restore` as
+    // corrupt. The run must restore and finish on the uninterrupted run's
+    // weights.
+    let config = RunConfig::quick_demo(MoeConfig::small(), DatasetKind::Gsm8k).with_rounds(2);
+    let run = FederatedRun::new(config, 24);
+    let reference = trace_of(&run.run(Method::Fmd));
+    let recovered = run_with_kill(&run, Method::Fmd, 1, true);
+    assert_eq!(recovered.checksum, reference.checksum);
+    assert_eq!(recovered, reference);
+}
+
+#[test]
 fn every_method_survives_a_mid_run_kill() {
     for method in Method::all() {
         let run = FederatedRun::new(quick(), 23);
