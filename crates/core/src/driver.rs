@@ -1002,7 +1002,7 @@ impl FederatedRun {
             round_start_capture: None,
             restored_aggregator: None,
             cache_stats: Vec::new(),
-            gram_stats: Vec::new(),
+            last_gram_stats: GramCacheStats::default(),
         }
     }
 
@@ -1410,8 +1410,8 @@ pub struct ActiveRun {
     /// entry proves the cache was fresh that round and deduplicated within
     /// it.
     cache_stats: Vec<(usize, usize)>,
-    /// Per-round ledger of the round-scoped [`ExpertGramCache`].
-    gram_stats: Vec<GramCacheStats>,
+    /// What the last round's [`ExpertGramCache`] did.
+    last_gram_stats: GramCacheStats,
 }
 
 impl ActiveRun {
@@ -1455,14 +1455,15 @@ impl ActiveRun {
         &self.cache_stats
     }
 
-    /// Per-round ledger of the round-scoped expert Gram cache, one entry
-    /// per `start_round` executed so far. A Flux round computes every
-    /// panel of its snapshot's Gram matrix exactly once
+    /// What the round-scoped expert Gram cache of the most recent
+    /// `start_round` did (all zero before the first). A Flux round computes
+    /// every panel of its snapshot's Gram matrix exactly once
     /// (`panels_computed == panels`) however many participants request it,
-    /// and does so again next round — the matrix of one snapshot is never
-    /// used for another. Methods that never cluster leave it untouched.
-    pub fn gram_cache_stats(&self) -> &[GramCacheStats] {
-        &self.gram_stats
+    /// and the next round starts from an empty cache again — the matrix of
+    /// one snapshot is never used for another. Methods that never cluster
+    /// leave it untouched.
+    pub fn last_gram_cache_stats(&self) -> GramCacheStats {
+        self.last_gram_stats
     }
 
     /// Writes a durable checkpoint of this run into `dir`: the store's
@@ -1780,7 +1781,7 @@ impl ActiveRun {
         // can pin "one quantization per bit width and one Gram matrix per
         // round, never reused across rounds".
         self.cache_stats.push(quant_cache.stats());
-        self.gram_stats.push(gram_cache.stats());
+        self.last_gram_stats = gram_cache.stats();
         // Keep slot order aligned with the fleet for the ordered
         // reduction (the eval slot was popped above).
         debug_assert_eq!(results.len(), self.fleet.len());
@@ -2302,24 +2303,26 @@ mod tests {
         // Every Flux participant builds its plan through the round's Gram
         // cache: each round computes every panel exactly once however the
         // six requesters interleave on two workers, and *every* round does
-        // so again — a matrix carried over would describe last round's
-        // weights. Methods that never cluster never touch it.
+        // so again — a cache carried over would describe last round's
+        // weights (and count twelve requests by the second round). Methods
+        // that never cluster never touch it.
         let config = quick_config().with_participants(6);
         let pool = ThreadPool::new(2);
         let mut active = FederatedRun::new(config.clone(), 41).start(Method::Flux);
+        assert_eq!(active.last_gram_cache_stats(), GramCacheStats::default());
+        let mut rounds = 0;
         while !active.is_done() {
             active.step_round(&pool);
+            let stats = active.last_gram_cache_stats();
+            assert_eq!(stats.requests, 6, "round {rounds}: one request per plan");
+            assert!(stats.panels > 0, "round {rounds} computed nothing");
+            assert_eq!(stats.panels_computed, stats.panels, "round {rounds}");
+            rounds += 1;
         }
-        let stats = active.gram_cache_stats();
-        assert_eq!(stats.len(), 3, "one ledger entry per round");
-        for (round, stats) in stats.iter().enumerate() {
-            assert_eq!(stats.requests, 6, "round {round}: one request per plan");
-            assert!(stats.panels > 0, "round {round} computed nothing");
-            assert_eq!(stats.panels_computed, stats.panels, "round {round}");
-        }
+        assert_eq!(rounds, 3);
         let mut dense = FederatedRun::new(config, 41).start(Method::Fmd);
         dense.step_round(&pool);
-        assert_eq!(dense.gram_cache_stats(), [GramCacheStats::default()]);
+        assert_eq!(dense.last_gram_cache_stats(), GramCacheStats::default());
     }
 
     #[test]

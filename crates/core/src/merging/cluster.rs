@@ -5,11 +5,11 @@
 //! merged together. The PCA runs in Gram space: the features are the scores
 //! [`scores_from_gram`] derives from the experts' inner products
 //! (`merging::gram`), shared across a round's participants when the caller
-//! holds an [`ExpertGramCache`]. Flux fuses the per-layer clustering
-//! problems into one: every centroid carries a layer label and experts may
-//! only join centroids of their own layer, which removes the per-layer setup
-//! overhead (the 40× speedup of Fig. 16) without changing the layer-local
-//! semantics.
+//! holds an [`ExpertGramCache`] and clusters in `Fused` mode. Flux fuses
+//! the per-layer clustering problems into one: every centroid carries a
+//! layer label and experts may only join centroids of their own layer,
+//! which removes the per-layer setup overhead (the 40× speedup of Fig. 16)
+//! without changing the layer-local semantics.
 
 use serde::{Deserialize, Serialize};
 
@@ -83,6 +83,11 @@ pub fn cluster_non_tuning_experts(
 /// `gram_cache` (the cache of `model`'s round) when there is one, instead
 /// of computing those of the clustered experts. The clusters are the same
 /// either way, bit for bit.
+///
+/// Only [`ClusteringMode::Fused`] reads the cache. `PerLayer` needs nothing
+/// but within-layer inner products — a `1/L` sliver of the shared `E×E`
+/// matrix — so each layer computes its own small matrix and the round's
+/// matrix is never formed.
 pub(crate) fn cluster_non_tuning_experts_shared(
     model: &MoeModel,
     non_tuning: &[Vec<usize>],
@@ -98,12 +103,14 @@ pub(crate) fn cluster_non_tuning_experts_shared(
         model.layers.len(),
         "one expert list per model layer"
     );
-    let features = |keys: &[ExpertKey], rng: &mut SeededRng| {
-        expert_features(model, keys, pca_dims, gram_cache, rng)
+    let features = |gram_cache| {
+        move |keys: &[ExpertKey], rng: &mut SeededRng| {
+            expert_features(model, keys, pca_dims, gram_cache, rng)
+        }
     };
     match mode {
-        ClusteringMode::Fused => cluster_fused(non_tuning, budgets, features, rng),
-        ClusteringMode::PerLayer => cluster_per_layer(non_tuning, budgets, features, rng),
+        ClusteringMode::Fused => cluster_fused(non_tuning, budgets, features(gram_cache), rng),
+        ClusteringMode::PerLayer => cluster_per_layer(non_tuning, budgets, features(None), rng),
     }
 }
 

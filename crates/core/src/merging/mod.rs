@@ -40,6 +40,11 @@
 //!   centres it in `f64` and solves — `O(m²·k)` per participant instead of
 //!   `O(m·d·k·iterations)`.
 //!
+//! Sharing pays for [`ClusteringMode::Fused`], whose one clustering problem
+//! spans every layer. The `PerLayer` ablation reads only within-layer inner
+//! products, `1/L` of the shared matrix, so it computes each layer's own
+//! small matrix and leaves the cache empty.
+//!
 //! [`CompactModelPlan::build`] takes no cache and computes the inner
 //! products of just the experts it clusters;
 //! [`CompactModelPlan::build_shared`] is the driver's path. They return

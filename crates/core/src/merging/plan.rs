@@ -93,7 +93,8 @@ impl CompactModelPlan {
     /// `gram_cache`, which must be the cache of `model`'s round: the first
     /// plans of the round compute them (together, if they arrive together),
     /// the rest copy their sub-block. The plan equals `build`'s bit for
-    /// bit.
+    /// bit. (`ClusteringMode::PerLayer` computes per-layer matrices of its
+    /// own and leaves the cache untouched.)
     ///
     /// # Panics
     ///

@@ -6,7 +6,7 @@ use std::collections::HashSet;
 use flux_core::baselines::top_frequency_experts;
 use flux_core::merging::{
     layer_budgets, merge_cluster, BudgetPolicy, ClusteringMode, CompactModelPlan, ExpertGramCache,
-    ExpertSlot, MergeStrategy, MergingConfig,
+    ExpertSlot, GramCacheStats, MergeStrategy, MergingConfig,
 };
 use flux_data::{DatasetConfig, DatasetGenerator, DatasetKind};
 use flux_moe::{Expert, ExpertKey, MoeConfig, MoeModel, RoutingMap};
@@ -196,16 +196,16 @@ fn shared_gram_plans_equal_standalone_plans_for_every_participant() {
                 "{clustering:?}, participant {participant}"
             );
         }
+        // Fused plans share the round's matrix; PerLayer only ever needs
+        // within-layer products, computes them per layer and never forms it.
         let stats = cache.stats();
-        assert_eq!(
-            stats.requests,
-            if clustering == ClusteringMode::Fused {
-                8
-            } else {
-                32
-            }
-        );
-        assert_eq!(stats.panels_computed, stats.panels);
+        if clustering == ClusteringMode::Fused {
+            assert_eq!(stats.requests, 8);
+            assert!(stats.panels > 0);
+            assert_eq!(stats.panels_computed, stats.panels);
+        } else {
+            assert_eq!(stats, GramCacheStats::default());
+        }
     }
 }
 
