@@ -11,24 +11,30 @@
 //!
 //! # Round execution modes
 //!
-//! Rounds execute in one of two schedules (see [`ExecutionMode`]):
+//! Every upload reaches the global model the same way, whatever the
+//! schedule: it is staged into the round's [`AggregationTree`] (as the
+//! participant finishes, from any thread in any order — or by the delivery
+//! layer / the arrival-shuffle knob when one of those decides what arrives
+//! and when), and `finish_round` closes the round with one
+//! [`ShardedStore::apply_round`]. The aggregator sorts its shards by
+//! participant id before the weighted merges, so losses, scores and
+//! weights are **bit-identical** for every thread count, arrival order and
+//! schedule.
 //!
-//! * **Barriered** — the reference fork-join schedule: dispatch every
-//!   participant, wait for all of them, aggregate, evaluate, repeat.
-//! * **Pipelined** (default) — the asynchronous schedule: participant
-//!   uploads are staged into the server's sharded aggregator *as they
-//!   arrive* (any thread, any order), and the server-side tail of round
-//!   *k* — evaluation of the freshly aggregated model, plus the simulated
-//!   aggregation latency — overlaps round *k+1*'s participant dispatch on
-//!   the same worker pool.
+//! The schedule (see [`ExecutionMode`]) decides only where a round's
+//! server-side tail — evaluation of the freshly aggregated model, plus the
+//! simulated aggregation latency — runs:
 //!
-//! Both schedules reduce in participant-id order (the aggregator sorts its
-//! shards by participant id before the weighted merges), so they produce
-//! **bit-identical losses, scores and weights** for every thread count and
-//! every arrival order; only the simulated timeline differs, because the
-//! pipeline hides each non-final round's server tail behind the next
-//! round's dispatch. `tests/integration_pipeline.rs` pins the equivalence
-//! with a golden trace.
+//! * **Barriered** — after the round, before the next dispatch: the round
+//!   is evaluated and recorded as soon as it is aggregated.
+//! * **Pipelined** (default) — overlapping round *k+1*'s participant
+//!   dispatch on the same worker pool: the evaluation rides in the next
+//!   fan-out, the simulated clock hides the aggregation latency of every
+//!   round but the last, and the record lands one round later.
+//!
+//! Only the simulated timeline differs between the two.
+//! `tests/integration_pipeline.rs` pins the equivalence with a golden
+//! trace.
 //!
 //! # Resumable execution
 //!
@@ -108,16 +114,19 @@ impl Method {
     }
 }
 
-/// How the driver schedules rounds onto the worker pool.
+/// Where each round's server-side tail runs. Uploads stage and aggregate
+/// identically under both variants; the mode decides whether the previous
+/// round's evaluation rides in the next fan-out, whether the simulated
+/// clock overlaps the aggregation latency, and whether a round's record is
+/// pushed at once or one round later.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecutionMode {
-    /// Strict fork-join rounds: dispatch, barrier, aggregate, evaluate.
-    /// Kept as the golden reference the pipelined schedule is pinned
-    /// against.
+    /// Dispatch, aggregate, evaluate, record, repeat: nothing of round *k*
+    /// is still in flight when round *k+1* dispatches.
     Barriered,
-    /// Asynchronous round pipeline: uploads aggregate incrementally as
-    /// they arrive and each round's server tail overlaps the next round's
-    /// dispatch. Bit-identical results to [`ExecutionMode::Barriered`].
+    /// Each round's evaluation and aggregation latency overlap the next
+    /// round's dispatch. Bit-identical results to
+    /// [`ExecutionMode::Barriered`]; only the simulated timeline is shorter.
     Pipelined,
 }
 
@@ -175,11 +184,10 @@ pub struct RunConfig {
     /// and per-round deadline. The default accepts every upload and never
     /// retries, which reproduces the fault-free pipeline bit-for-bit.
     pub fault_tolerance: FaultToleranceConfig,
-    /// Clients sampled into each round's cohort. `None` (the default) keeps
-    /// the legacy full-participation behavior: every registered client is
-    /// materialized up front and runs every round. `Some(k)` registers
-    /// `num_participants` lightweight client specs instead and materializes
-    /// only the `k` clients a seeded per-round sampler picks, so
+    /// Clients sampled into each round's cohort. `None` (the default) is
+    /// full participation — a cohort of all `num_participants` registered
+    /// clients, materialized once in round 0. `Some(k)` materializes only
+    /// the `k` clients a seeded per-round sampler picks, so
     /// participant-state memory stays O(k) however many clients register.
     #[serde(default)]
     pub cohort_size: Option<usize>,
@@ -435,9 +443,10 @@ struct ParticipantRound {
     bootstrap_utilities: Option<Vec<ExpertUtility>>,
     /// Utilities measured during this round's local training.
     reported_utilities: Vec<ExpertUtility>,
-    /// The wire-form upload, retained when it was not streamed into the
-    /// aggregator on completion (barriered mode, or the arrival-shuffle
-    /// knob).
+    /// The wire-form upload, retained only when something other than
+    /// completion order decides its arrival: the delivery layer (faults)
+    /// or the arrival-shuffle knob. Otherwise it was staged into the
+    /// round's aggregator the moment the participant finished.
     upload: Option<RoundUpload>,
     /// Bytes a dense upload of this participant's payload occupies.
     upload_bytes_dense: usize,
@@ -763,11 +772,10 @@ impl FederatedRun {
         self
     }
 
-    /// Verification knob: in pipelined mode, defer the incremental upload
-    /// submissions and replay them in a seeded-shuffled participant order
-    /// instead of completion order. Results must not change — the
-    /// golden-trace suite uses this to prove arrival-order invariance
-    /// deterministically.
+    /// Verification knob: defer the incremental upload submissions and
+    /// replay them in a seeded-shuffled participant order instead of
+    /// completion order. Results must not change — the golden-trace suite
+    /// uses this to prove arrival-order invariance deterministically.
     pub fn with_shuffled_arrivals(mut self, seed: u64) -> Self {
         self.arrival_seed = Some(seed);
         self
@@ -957,16 +965,13 @@ impl FederatedRun {
         if let Some(link) = cfg.link {
             registry.override_link(link);
         }
-        let sampler = cfg
-            .cohort_size
-            .map(|k| CohortSampler::new(cfg.num_participants, k, self.seed));
-        // Full participation materializes everyone up front (the legacy
-        // fleet); sampled runs materialize each round's cohort lazily.
-        let fleet = if sampler.is_some() {
-            Vec::new()
-        } else {
-            registry.materialize_all()
-        };
+        // Full participation is a cohort of everyone: the sampler then
+        // returns `0..N` every round and the fleet materializes once.
+        let sampler = CohortSampler::new(
+            cfg.num_participants,
+            cfg.cohort_size.unwrap_or(cfg.num_participants),
+            self.seed,
+        );
 
         // Server-side state. Per-client profiling state is indexed by the
         // stable client id and spans the whole registry; only sampled
@@ -984,7 +989,7 @@ impl FederatedRun {
             method,
             registry,
             sampler,
-            fleet,
+            fleet: Vec::new(),
             eval_set,
             store,
             cost: CostModel::default(),
@@ -1363,8 +1368,9 @@ struct ComputedRound {
 ///
 /// `start_round` performs the round's participant fan-out on the given
 /// worker pool (plus the overlapped evaluation of the previous round in
-/// pipelined mode); `finish_round` applies the participant-id-ordered
-/// reduction and the sharded aggregation. Splitting the loop this way lets
+/// pipelined mode), staging uploads into the round's aggregation tree;
+/// `finish_round` applies the participant-id-ordered reduction and
+/// installs the staged round into the store. Splitting the loop this way lets
 /// the [`crate::scheduler::Scheduler`] interleave rounds from many runs on
 /// one pool; a run stepped to completion produces results bit-identical to
 /// [`FederatedRun::run`] executed alone, whatever is interleaved between
@@ -1376,12 +1382,13 @@ pub struct ActiveRun {
     /// The registered client fleet as lightweight specs (corpus indices +
     /// device profile); participants materialize from here.
     registry: FleetSpec,
-    /// When sampling, the per-round seeded cohort sampler.
-    sampler: Option<CohortSampler>,
-    /// The participants active in the current (or most recent) round. With
-    /// full participation this is the whole fleet, materialized once; with
-    /// cohort sampling it is replaced by each round's freshly materialized
-    /// cohort, so heavy participant state stays O(cohort).
+    /// The per-round seeded cohort sampler (every client, every round,
+    /// under full participation).
+    sampler: CohortSampler,
+    /// The participants active in the current (or most recent) round,
+    /// replaced whenever a round's cohort differs from the previous one, so
+    /// heavy participant state stays O(cohort) — and full participation
+    /// materializes the whole fleet exactly once.
     fleet: Vec<Participant>,
     eval_set: Dataset,
     store: Arc<ShardedStore>,
@@ -1432,7 +1439,7 @@ impl ActiveRun {
 
     /// Number of participants materialized for the current (or most
     /// recent) round: the cohort size when sampling, the whole fleet
-    /// otherwise (zero before a sampled run's first round).
+    /// otherwise (zero before any run's first round).
     pub fn active_participants(&self) -> usize {
         self.fleet.len()
     }
@@ -1440,10 +1447,7 @@ impl ActiveRun {
     /// The stable client ids round `round` dispatches (every registered
     /// client under full participation).
     pub fn cohort_of(&self, round: usize) -> Vec<usize> {
-        match &self.sampler {
-            Some(sampler) => sampler.cohort(round),
-            None => (0..self.registry.len()).collect(),
-        }
+        self.sampler.cohort(round)
     }
 
     /// Per-round `(hits, misses)` of the round-scoped quantized-model
@@ -1573,8 +1577,10 @@ impl ActiveRun {
     ///
     /// Every participant (and, in pipelined mode, the overlapped evaluation
     /// of the previous round) reads the same store snapshot; no store lock
-    /// is held while they compute. In pipelined mode uploads stream into
-    /// the round's aggregator the moment each participant finishes.
+    /// is held while they compute. Uploads stage into the round's
+    /// aggregation tree the moment each participant finishes, under either
+    /// schedule — unless the delivery layer or the arrival-shuffle knob is
+    /// active, which retain them for `finish_round` to stage.
     ///
     /// # Panics
     ///
@@ -1600,12 +1606,13 @@ impl ActiveRun {
                 .collect(),
             fmes: self.fmes_profiles.clone(),
         });
-        // Cohort sampling: materialize only this round's K sampled clients
-        // (replacing the previous cohort, so heavy participant state stays
-        // O(K)). The sampler is a pure function of (seed, round), so a
-        // restored run re-derives the identical cohort.
-        if let Some(sampler) = &self.sampler {
-            let cohort = sampler.cohort(round);
+        // Materialize only this round's cohort, replacing the previous one
+        // when it differs (so heavy participant state stays O(K), and full
+        // participation materializes once). The sampler is a pure function
+        // of (seed, round), so a restored run re-derives the identical
+        // cohort.
+        let cohort = self.sampler.cohort(round);
+        if !self.fleet.iter().map(|p| p.id).eq(cohort.iter().copied()) {
             self.fleet = cohort
                 .iter()
                 .map(|&id| self.registry.materialize(id))
@@ -1613,8 +1620,7 @@ impl ActiveRun {
         }
         // Lift the active participants' profiling state out of the
         // registry-indexed arrays for the fan-out (cheap moves; blanks hold
-        // the seats), and put it back below. Full participation lifts
-        // everything, which reproduces the legacy zip exactly.
+        // the seats), and put it back below.
         let profiling_cfg = self.driver.config.profiling;
         let mut active_flux: Vec<FluxState> = self
             .fleet
@@ -1635,7 +1641,6 @@ impl ActiveRun {
             .collect();
         let driver = &self.driver;
         let method = self.method;
-        let pipelined = driver.mode == ExecutionMode::Pipelined;
         let faults_active = driver.faults_active();
         // A mid-round restore resumes the staged aggregator recovered from
         // the checkpoint as the tree's root; its already-staged pids reject
@@ -1646,13 +1651,13 @@ impl ActiveRun {
             .take()
             .unwrap_or_else(|| self.store.begin_round());
         let aggregator = AggregationTree::new(root, driver.config.aggregation_edges);
-        // In pipelined mode uploads stream into the aggregator the moment
-        // each participant finishes — unless the arrival shuffle knob is
-        // on, in which case they are replayed in a seeded order during
-        // finish_round (either way the aggregator's pid-ordered finalize
-        // makes arrival order unobservable), or the delivery layer is
-        // active, which decides per upload what arrives at all.
-        let submit_on_completion = pipelined && driver.arrival_seed.is_none() && !faults_active;
+        // Uploads stream into the aggregator the moment each participant
+        // finishes — unless the arrival shuffle knob is on, in which case
+        // they are replayed in a seeded order during finish_round (either
+        // way the aggregator's pid-ordered finalize makes arrival order
+        // unobservable), or the delivery layer is active, which decides
+        // per upload what arrives at all.
+        let submit_on_completion = driver.arrival_seed.is_none() && !faults_active;
 
         // One materialized snapshot per round: participants and the
         // overlapped evaluation share it through the `Arc`, so aggregation
@@ -1754,7 +1759,8 @@ impl ActiveRun {
             // The pipelined server tail: evaluate the *previous* round's
             // aggregated model (this round's snapshot) while this round's
             // participants compute.
-            let evaluating_pending = pipelined && self.pending.is_some();
+            let evaluating_pending =
+                driver.mode == ExecutionMode::Pipelined && self.pending.is_some();
             if evaluating_pending {
                 tasks.push(Box::new(move || {
                     TaskOut::Eval(global_ref.evaluate(eval_set_ref))
@@ -1795,11 +1801,13 @@ impl ActiveRun {
         });
     }
 
-    /// Closes the computed round: applies utility reports and the
-    /// participant-id-ordered reduction, aggregates into the tenant store
-    /// (per-shard locks only), advances the simulated clock, and records
-    /// the round (immediately when barriered; one round later when
-    /// pipelined, as the evaluation overlaps the next dispatch).
+    /// Closes the computed round: stages whatever uploads the delivery
+    /// layer or the arrival-shuffle knob retained, applies utility reports
+    /// and the participant-id-ordered reduction, installs the staged round
+    /// into the tenant store with one `apply_round` (per-shard locks only),
+    /// advances the simulated clock, and records the round (immediately
+    /// when barriered; one round later when pipelined, as the evaluation
+    /// overlaps the next dispatch).
     ///
     /// # Panics
     ///
@@ -1817,7 +1825,6 @@ impl ActiveRun {
             .expect("start_round must compute a round first");
         let cfg = &self.driver.config;
         let pipelined = self.driver.mode == ExecutionMode::Pipelined;
-        let faults_active = self.driver.faults_active();
 
         // The previous round's record completes as soon as its overlapped
         // evaluation lands (order is preserved: one round is in flight at
@@ -1832,7 +1839,7 @@ impl ActiveRun {
         // The delivery layer: under faults every upload was retained, and
         // the simulation decides which of them reach the aggregator (and
         // what the retries cost), purely from the seeds.
-        let (delivery_slots, round_faults) = if faults_active {
+        let (delivery_slots, round_faults) = if self.driver.faults_active() {
             let delivery = simulate_deliveries(
                 &self.driver,
                 round,
@@ -1849,10 +1856,7 @@ impl ActiveRun {
         // Ordered reduction: participant-id order, same as the old
         // sequential loop, regardless of completion order.
         let mut reduction = RoundReduction::default();
-        let mut expert_updates: Vec<ExpertUpdate> = Vec::new();
-        let mut head_updates = Vec::new();
-        for (slot, (participant, task_out)) in self.fleet.iter().zip(results.iter_mut()).enumerate()
-        {
+        for (slot, (participant, task_out)) in self.fleet.iter().zip(results.iter()).enumerate() {
             let result = match task_out {
                 TaskOut::Participant(result) => result,
                 TaskOut::Dropped => continue,
@@ -1886,53 +1890,20 @@ impl ActiveRun {
             if cost.total_s() > reduction.critical.total_s() {
                 reduction.critical = cost;
             }
-            if !pipelined && !faults_active {
-                if aggregator.num_edges() > 0 {
-                    // Barriered with an aggregation tree: the retained
-                    // uploads route through the edges in pid order (the
-                    // root's pid-ordered finalize makes the routing
-                    // unobservable anyway).
-                    if let Some(upload) = result.upload.take() {
-                        submit_upload(&aggregator, participant.id, upload, &snapshot);
-                    }
-                } else {
-                    // The barriered reference decodes at the same point
-                    // with the same base as the pipelined staging layer, so
-                    // the two schedules stay bit-identical under every
-                    // compression mode.
-                    let (updates, head) = match result.upload.take() {
-                        Some(RoundUpload::Dense(updates, head)) => (updates, head),
-                        Some(RoundUpload::Encoded(encoded)) => encoded
-                            .decode(&snapshot)
-                            .expect("a driver-produced upload decodes against its snapshot"),
-                        None => (Vec::new(), None),
-                    };
-                    expert_updates.extend(updates);
-                    if let Some(head) = head {
-                        head_updates.push(head);
-                    }
-                }
-            }
         }
 
-        if faults_active {
-            // Both schedules reduce what the delivery layer staged: the
-            // root's pid-ordered finalize keeps the result identical under
-            // either mode (and any tree shape) for the same fault draws.
-            self.store.apply_round(aggregator.collapse(), pool);
-        } else if pipelined {
-            if let Some(seed) = self.driver.arrival_seed {
-                // Replay the retained uploads in a seeded-shuffled
-                // participant order: a deterministic stand-in for the
-                // scheduler's arbitrary completion order.
-                submit_shuffled(&aggregator, &self.fleet, results, round, seed, &snapshot);
-            }
-            self.store.apply_round(aggregator.collapse(), pool);
-        } else if aggregator.num_edges() > 0 {
-            self.store.apply_round(aggregator.collapse(), pool);
-        } else {
-            self.store.aggregate(&expert_updates, &head_updates);
+        if let Some(seed) = self.driver.arrival_seed {
+            // Replay the retained uploads in a seeded-shuffled participant
+            // order: a deterministic stand-in for the scheduler's arbitrary
+            // completion order. (Under faults the delivery layer already
+            // took every upload, so nothing is left to replay.)
+            submit_shuffled(&aggregator, &self.fleet, results, round, seed, &snapshot);
         }
+        // The one door into the global model: whatever staged the uploads
+        // (completion order, the delivery layer, the shuffle), the root's
+        // pid-ordered finalize reduces them identically for every schedule
+        // and tree shape.
+        self.store.apply_round(aggregator.collapse(), pool);
 
         let critical = reduction.critical;
         // Every round but the last hides the aggregation latency behind

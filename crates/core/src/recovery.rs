@@ -27,9 +27,10 @@ use crate::assignment::ExpertUtility;
 use crate::driver::{ExecutionMode, Method, PendingRound, RoundFaults, RoundRecord};
 
 const MAGIC: &[u8; 8] = b"FLUXRUN1";
-/// Version 2 adds the cohort-sampling fingerprint (cohort size and edge
-/// aggregator count) after the participant count; version-1 blobs decode
-/// with the full-participation defaults (`None`, 1 edge).
+/// The only version this build reads or writes. Version 2 added the
+/// cohort-sampling fingerprint (cohort size and edge aggregator count)
+/// after the participant count; no version-1 blob was ever written outside
+/// a test, so anything else is refused as corrupt.
 const VERSION: u32 = 2;
 /// Plausibility cap on every decoded *record* count (records, pids,
 /// experts…). Byte lengths are not counts: the staged aggregator of a small
@@ -423,7 +424,7 @@ pub(crate) fn decode_run_state(mut buf: &[u8]) -> Result<RunState, SnapshotError
         return Err(corrupt("run-state blob has a bad magic"));
     }
     let version = get_u32(buf)?;
-    if version == 0 || version > VERSION {
+    if version != VERSION {
         return Err(corrupt(format!("unsupported run-state version {version}")));
     }
     let seed = get_u64(buf)?;
@@ -431,18 +432,12 @@ pub(crate) fn decode_run_state(mut buf: &[u8]) -> Result<RunState, SnapshotError
     let mode = mode_from_tag(get_u8(buf)?)?;
     let rounds = get_u32(buf)?;
     let participants = get_u32(buf)?;
-    // Version-1 blobs predate cohort sampling: full participation, flat
-    // aggregation.
-    let (cohort_size, aggregation_edges) = if version >= 2 {
-        let cohort = match get_u8(buf)? {
-            0 => None,
-            1 => Some(get_u32(buf)?),
-            other => return Err(corrupt(format!("unknown cohort tag {other}"))),
-        };
-        (cohort, get_u32(buf)?)
-    } else {
-        (None, 1)
+    let cohort_size = match get_u8(buf)? {
+        0 => None,
+        1 => Some(get_u32(buf)?),
+        other => return Err(corrupt(format!("unknown cohort tag {other}"))),
     };
+    let aggregation_edges = get_u32(buf)?;
     let next_round = get_u32(buf)?;
     let elapsed_s = get_f64(buf)?;
     let phase_breakdown = get_breakdown(buf)?;
@@ -765,11 +760,11 @@ mod tests {
     }
 
     #[test]
-    fn version_one_blobs_decode_with_full_participation_defaults() {
+    fn unsupported_versions_are_rejected() {
         // Re-encode sample_state() as a version-1 blob by hand: identical
-        // layout minus the cohort fields.
-        let state = sample_state();
-        let v2 = encode_run_state(&state).unwrap();
+        // layout minus the cohort fields. No build writes that layout any
+        // more, and none reads it.
+        let v2 = encode_run_state(&sample_state()).unwrap();
         let mut v1 = Vec::new();
         v1.extend_from_slice(&v2[..MAGIC.len()]);
         v1.extend_from_slice(&1u32.to_le_bytes());
@@ -779,10 +774,18 @@ mod tests {
         v1.extend_from_slice(&v2[fp_start..fp_end]);
         // Skip cohort tag+value (5 bytes for Some) and edges (4 bytes).
         v1.extend_from_slice(&v2[fp_end + 9..]);
-        let decoded = decode_run_state(&v1).expect("v1 blob decodes");
-        assert_eq!(decoded.cohort_size, None);
-        assert_eq!(decoded.aggregation_edges, 1);
-        assert_eq!(decoded.seed, state.seed);
-        assert_eq!(decoded.next_round, state.next_round);
+        // A blob from a newer build: the current layout under the next
+        // version number.
+        let mut newer = v2.clone();
+        newer[MAGIC.len()..fp_start].copy_from_slice(&(VERSION + 1).to_le_bytes());
+        for (blob, version) in [(v1, 1), (newer, VERSION + 1)] {
+            match decode_run_state(&blob) {
+                Err(SnapshotError::Corrupt(message)) => {
+                    assert_eq!(message, format!("unsupported run-state version {version}"))
+                }
+                Err(other) => panic!("version {version}: expected Corrupt, got {other}"),
+                Ok(_) => panic!("a version-{version} blob must be refused"),
+            }
+        }
     }
 }

@@ -111,7 +111,7 @@ pub fn fedavg_matrices(updates: &[(Matrix, f32)]) -> Option<Matrix> {
 ///   partition the expert-key space, so they can reduce concurrently; the
 ///   per-key weighted sums run in participant-id order regardless of how
 ///   updates arrived, which keeps the result *bit-identical* to the
-///   barriered one-shot aggregation.
+///   one-shot aggregation of the same uploads in participant-id order.
 #[derive(Debug)]
 pub struct ShardedAggregator {
     /// Expert updates staged per shard as `(participant_id, update)`.
@@ -323,11 +323,6 @@ impl AggregationTree {
                 .collect()
         };
         Self { root, edges }
-    }
-
-    /// A flat (single-level) tree around `root`.
-    pub fn flat(root: ShardedAggregator) -> Self {
-        Self::new(root, 0)
     }
 
     /// Number of edge aggregators (0 = flat).

@@ -468,8 +468,9 @@ impl EncodedTensor {
     ///
     /// # Errors
     ///
-    /// Returns a [`DecodeError`] when the payload is malformed (see
-    /// [`EncodedTensor::decode_slices`]).
+    /// Returns a [`DecodeError`] when the base has the wrong length for a
+    /// delta payload, a payload vector is truncated or oversized, a sparse
+    /// index is out of range, or quantization parameters are unusable.
     pub fn decode(&self, base: &Matrix) -> Result<Matrix, DecodeError> {
         let values = self.decode_slices(base.as_slice())?;
         Ok(Matrix::from_vec(self.rows, self.cols, values)
@@ -480,8 +481,9 @@ impl EncodedTensor {
     ///
     /// # Errors
     ///
-    /// Returns a [`DecodeError`] when the payload is malformed (see
-    /// [`EncodedTensor::decode_slices`]).
+    /// Returns a [`DecodeError`] when the base has the wrong length for a
+    /// delta payload, a payload vector is truncated or oversized, a sparse
+    /// index is out of range, or quantization parameters are unusable.
     pub fn decode_vec(&self, base: &[f32]) -> Result<Vec<f32>, DecodeError> {
         self.decode_slices(base)
     }

@@ -257,8 +257,14 @@ impl ShardedStore {
         self.complete_round();
     }
 
-    /// One-shot FedAvg application (the barriered path): the borrowed
-    /// updates go through the one-shot kernels, then install per shard.
+    /// One-shot FedAvg application — the reference the staged path is
+    /// pinned against, not a path any run takes: the borrowed updates
+    /// (participant-id order) go through the one-shot kernels, then install
+    /// per shard. [`ShardedStore::apply_round`] reduces each shard with
+    /// these same kernels in participant-id order; their equality is pinned
+    /// by `incremental_round_matches_one_shot_aggregate`, the
+    /// `sharded_incremental_matches_one_shot_fedavg` property test and
+    /// `proptest_tree`.
     pub fn aggregate(
         &self,
         expert_updates: &[crate::aggregate::ExpertUpdate],

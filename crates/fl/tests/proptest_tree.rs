@@ -1,14 +1,21 @@
 //! Property-based tests for the two-level [`AggregationTree`]: edge-group
 //! pre-reduction over arbitrary cohort partitions must be bit-identical to
 //! the flat [`ShardedAggregator`] reduction, for every edge count, ragged
-//! group assignment, shard count, arrival order and reduce-pool width.
+//! group assignment, shard count, arrival order and reduce-pool width —
+//! and, for uploads in wire form under every compression scheme, the model
+//! the staged round installs must be bit-identical to the one-shot
+//! [`ShardedStore::aggregate`] reference over the decoded uploads.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use flux_fl::{AggregationTree, ExpertUpdate, ShardedAggregator};
-use flux_moe::{Expert, ExpertKey};
+use flux_fl::{
+    AggregationTree, CompressionConfig, EncodedUpload, ExpertUpdate, ShardedAggregator,
+    ShardedStore,
+};
+use flux_moe::{Expert, ExpertKey, MoeConfig, MoeModel};
+use flux_quant::BitWidth;
 use flux_tensor::{Matrix, SeededRng};
 use threadpool::ThreadPool;
 
@@ -46,6 +53,41 @@ fn make_uploads(seed: u64, num_participants: usize) -> Vec<Upload> {
             (pid, updates, head)
         })
         .collect()
+}
+
+/// Uploads a participant of `base` could ship: 1–3 freshly drawn experts
+/// under keys of the model (repeats allowed), and ~80% of the time a head
+/// of the model's head shape.
+fn make_model_uploads(base: &MoeModel, seed: u64, num_participants: usize) -> Vec<Upload> {
+    let mut rng = SeededRng::new(seed);
+    let keys = base.expert_keys();
+    let (head_rows, head_cols) = base.active_head().shape();
+    (0..num_participants)
+        .map(|pid| {
+            let updates = (0..rng.range(1, 4))
+                .map(|_| ExpertUpdate {
+                    key: keys[rng.below(keys.len())],
+                    expert: Expert::new(base.config.d_model, base.config.d_ff, &mut rng),
+                    weight: rng.uniform_range(0.5, 4.0),
+                })
+                .collect();
+            let head = rng.chance(0.8).then(|| {
+                let m = Matrix::random_normal(head_rows, head_cols, 1.0, &mut rng);
+                (m, rng.uniform_range(0.5, 4.0))
+            });
+            (pid, updates, head)
+        })
+        .collect()
+}
+
+/// Every scheme an upload can cross the wire in.
+fn wire_configs() -> [CompressionConfig; 4] {
+    [
+        CompressionConfig::LosslessDelta,
+        CompressionConfig::quantized(BitWidth::Int8),
+        CompressionConfig::quantized(BitWidth::Int4),
+        CompressionConfig::quantized_sparse(BitWidth::Int4, 0.25),
+    ]
 }
 
 /// Flat reference: every upload submitted to a plain [`ShardedAggregator`]
@@ -86,10 +128,18 @@ proptest! {
     /// in a random order, any shard count and reduce width — collapses to
     /// a result bit-identical to the flat aggregator fed the same uploads
     /// in pid order.
+    ///
+    /// The same cohort in wire form, under every compression scheme:
+    /// [`EncodedUpload`]s staged with `submit_encoded` (decoded at whichever
+    /// level of the tree they route to, over zero, one or many edges) and
+    /// installed with `apply_round` leave the store bit-identical to the
+    /// one-shot [`ShardedStore::aggregate`] over the same uploads decoded
+    /// and concatenated in pid order — the staged path every run takes
+    /// against the reference no run takes.
     #[test]
     fn ragged_edge_partitions_match_flat_reduction(
         seed in 0u64..10_000,
-        num_edges in 1usize..9,
+        num_edges in 0usize..9,
         num_shards in 1usize..9,
         num_participants in 1usize..10,
         threads in 1usize..4,
@@ -102,7 +152,7 @@ proptest! {
         // stable `pid % num_edges` routing.
         let mut assign_rng = SeededRng::new(edge_seed);
         let assignment: Vec<usize> =
-            (0..num_participants).map(|_| assign_rng.below(num_edges)).collect();
+            (0..num_participants).map(|_| assign_rng.below(num_edges.max(1))).collect();
 
         let mut arrivals = uploads.clone();
         assign_rng.shuffle(&mut arrivals);
@@ -114,6 +164,43 @@ proptest! {
 
         let collapsed = tree.collapse().finalize(&ThreadPool::new(threads));
         assert_bit_identical(collapsed, &reference, "ragged partition");
+
+        let base = MoeModel::new(MoeConfig::tiny(), &mut SeededRng::new(seed));
+        let dense = make_model_uploads(&base, seed ^ 0x5EED, num_participants);
+        for config in wire_configs() {
+            let mut encoded: Vec<(usize, EncodedUpload)> = dense
+                .iter()
+                .map(|(pid, updates, head)| {
+                    (*pid, EncodedUpload::encode(updates, head.as_ref(), &base, config))
+                })
+                .collect();
+
+            let one_shot = ShardedStore::new(base.clone(), num_shards);
+            let mut expert_updates = Vec::new();
+            let mut head_updates = Vec::new();
+            for (_, upload) in &encoded {
+                let (updates, head) = upload.decode(&base).expect("a clean upload decodes");
+                expert_updates.extend(updates);
+                head_updates.extend(head);
+            }
+            one_shot.aggregate(&expert_updates, &head_updates);
+
+            let staged = ShardedStore::new(base.clone(), num_shards);
+            let tree = AggregationTree::new(staged.begin_round(), num_edges);
+            assign_rng.shuffle(&mut encoded);
+            for (pid, upload) in &encoded {
+                prop_assert_eq!(tree.submit_encoded(*pid, upload, &base), Ok(true));
+            }
+            staged.apply_round(tree.collapse(), &ThreadPool::new(threads));
+
+            // Bit patterns of every expert and both heads.
+            prop_assert_eq!(
+                staged.snapshot().param_checksum(),
+                one_shot.snapshot().param_checksum(),
+                "{:?} over {} edges diverged from the one-shot reference", config, num_edges
+            );
+            prop_assert_ne!(staged.snapshot().param_checksum(), base.param_checksum());
+        }
     }
 
     /// The stable `pid % num_edges` routing (what the driver uses) is also

@@ -17,7 +17,7 @@
 //!   non-tuning experts are merged.
 //! * **Parameter loading for customized models** — building a compact model
 //!   from a full model plus an expert keep/merge plan
-//!   ([`model::MoeModel::with_custom_experts`]).
+//!   ([`model::MoeModel::set_layer_experts`]).
 //! * **Gate re-routing** — the gating output of a merged expert is remapped
 //!   to its merged replacement ([`gating::RoutingMap`]).
 //! * **Expert-only fine-tuning** — backward produces per-expert gradients

@@ -981,7 +981,7 @@ impl MoeModel {
     /// Runs a forward-only profiling pass over a dataset, recording expert
     /// activation into a fresh tracker and returning the resulting profile.
     ///
-    /// The pass runs batched: samples are packed [`EVAL_BATCH`] at a time
+    /// The pass runs batched: samples are packed `EVAL_BATCH` at a time
     /// and the tracker attributes each packed row to its sample via the
     /// row→sample map, producing the identical profile the per-sample loop
     /// produced (row order within each `(layer, expert)` bucket is

@@ -7,9 +7,7 @@
 //! panel-packed kernel ([`Matrix::try_matmul`]) with fused-transpose
 //! variants ([`Matrix::matmul_transa`], [`Matrix::matmul_transb`]) and
 //! vector fast paths ([`Matrix::matvec`], [`Matrix::vecmat`]) so the
-//! backward pass never materializes transposed weights. A zero-skipping
-//! entry point ([`Matrix::try_matmul_sparse`]) remains for genuinely sparse
-//! operands such as gating masks.
+//! backward pass never materializes transposed weights.
 
 use serde::{Deserialize, Serialize};
 
@@ -487,41 +485,6 @@ impl Matrix {
             &other.data,
             &mut out.data,
         );
-        Ok(out)
-    }
-
-    /// Sparse-aware matmul that skips zero entries of `self`.
-    ///
-    /// The dense kernel behind [`Matrix::try_matmul`] deliberately dropped
-    /// the per-element zero branch; this entry point keeps it for operands
-    /// that are genuinely sparse (one-hot gating masks, routing selector
-    /// matrices), where skipping whole `B` rows pays for the branch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when `self.cols != other.rows`.
-    pub fn try_matmul_sparse(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.rows {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        let mut out = Matrix::zeros_pooled(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
-                if a == 0.0 {
-                    continue;
-                }
-                let other_row = other.row(k);
-                let out_row = out.row_mut(i);
-                for (o, &b) in out_row.iter_mut().zip(other_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
         Ok(out)
     }
 

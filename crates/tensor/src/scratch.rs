@@ -227,7 +227,7 @@ pub fn reset_round() {
 
 /// Takes a zero-filled **owned** buffer of exactly `len` elements,
 /// preferring a pooled buffer whose capacity is at least `len` and at most
-/// [`MAX_FIT_RATIO`]` * len` (so a tiny request never pins a huge buffer),
+/// `MAX_FIT_RATIO * len` (so a tiny request never pins a huge buffer),
 /// and allocating otherwise.
 pub fn take(len: usize) -> Vec<f32> {
     POOL.with(|pool| {

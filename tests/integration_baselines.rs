@@ -26,7 +26,8 @@ fn setup() -> (MoeModel, Vec<Participant>, CostModel) {
 fn fmd_aggregation_changes_the_global_model() {
     let (model, fleet, cost) = setup();
     let server = ParameterServer::new(model.clone());
-    let global = server.global_model();
+    let store = server.tenant(0);
+    let global = store.global_model();
     let mut all_updates = Vec::new();
     let mut heads = Vec::new();
     for p in &fleet {
@@ -36,15 +37,15 @@ fn fmd_aggregation_changes_the_global_model() {
             heads.push(h);
         }
     }
-    server.aggregate(&all_updates, &heads);
-    let updated = server.global_model();
+    store.aggregate(&all_updates, &heads);
+    let updated = store.global_model();
     // At least one expert changed after aggregation.
     let changed = model
         .expert_keys()
         .iter()
         .any(|&k| updated.expert(k) != model.expert(k));
     assert!(changed, "aggregation should modify the global model");
-    assert_eq!(server.rounds_completed(), 1);
+    assert_eq!(store.rounds_completed(), 1);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! the middle of a round, after its fan-out but before its reduction —
 //! and restored from its durable checkpoint replays to per-round losses,
 //! per-round scores and final global weights **bit-identical** to the
-//! uninterrupted run, under the pipelined schedule and every
+//! uninterrupted run, under both schedules and every
 //! `FLUX_THREADS` setting (CI re-runs this suite at 1/4/8). Nothing the
 //! checkpoint does not persist may influence the result: dataset, fleet
 //! and RNG chain are rebuilt deterministically from the seed.
@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use threadpool::ThreadPool;
 
-use flux_core::driver::{FederatedRun, Method, RunConfig, RunPhase, RunResult};
+use flux_core::driver::{ExecutionMode, FederatedRun, Method, RunConfig, RunPhase, RunResult};
 use flux_core::scheduler::{JobSpec, SchedulePolicy, Scheduler};
 use flux_data::DatasetKind;
 use flux_fl::snapshot::{corrupt_file_byte, shard_file};
@@ -104,14 +104,19 @@ fn kill_at_round_boundary_replays_bit_identically() {
 
 #[test]
 fn kill_mid_round_replays_bit_identically() {
-    let run = FederatedRun::new(quick(), 22);
-    let reference = trace_of(&run.run(Method::Flux));
-    for kill_round in [0, 1] {
-        let recovered = run_with_kill(&run, Method::Flux, kill_round, true);
-        assert_eq!(
-            recovered, reference,
-            "kill inside round {kill_round} must replay bit-identically"
-        );
+    // Under either schedule the fan-out has already staged its uploads when
+    // the kill lands, so the checkpoint carries them and the replayed
+    // fan-out's re-submissions are rejected as duplicates.
+    for mode in [ExecutionMode::Pipelined, ExecutionMode::Barriered] {
+        let run = FederatedRun::new(quick(), 22).with_mode(mode);
+        let reference = trace_of(&run.run(Method::Flux));
+        for kill_round in [0, 1] {
+            let recovered = run_with_kill(&run, Method::Flux, kill_round, true);
+            assert_eq!(
+                recovered, reference,
+                "{mode:?}: kill inside round {kill_round} must replay bit-identically"
+            );
+        }
     }
 }
 
