@@ -18,7 +18,13 @@
 //! * **Top-k sparsification** — only the `⌈k·n⌉` largest-magnitude delta
 //!   entries ship; near-zero deltas are dropped. Composes with
 //!   quantization (the surviving values quantize against one shared
-//!   scale).
+//!   scale). The survivors are found by *selection* on integer magnitude
+//!   keys, not by sorting, so encoding costs time linear in the tensor
+//!   size (see [`EncodedTensor::encode`]).
+//!
+//! Every upload is sealed with a word-wise content checksum
+//! ([`EncodedUpload::content_checksum`]) that staging verifies before it
+//! touches a tensor.
 //!
 //! The decode point is [`crate::aggregate::ShardedAggregator`] staging:
 //! decoded updates reduce under the same per-shard locks and
@@ -28,8 +34,8 @@
 use serde::{Deserialize, Serialize};
 
 use flux_moe::{Expert, ExpertKey, MoeModel};
-use flux_quant::{BitWidth, QuantizedMatrix};
-use flux_tensor::Matrix;
+use flux_quant::{quantize_row, BitWidth, QuantizedMatrix};
+use flux_tensor::{scratch, Matrix};
 
 use crate::aggregate::ExpertUpdate;
 
@@ -135,6 +141,12 @@ pub enum DecodeError {
         /// Number of entries in the tensor.
         len: usize,
     },
+    /// Sparse indices are not strictly ascending (the encoder emits them in
+    /// index order, so a repeat or a step back is forged or damaged).
+    UnsortedIndices {
+        /// Position in the index list of the first offending entry.
+        position: usize,
+    },
     /// Quantization parameters are unusable (non-finite scale, or a level
     /// that overflows the declared bit width).
     BadQuantization(String),
@@ -163,6 +175,10 @@ impl std::fmt::Display for DecodeError {
             DecodeError::IndexOutOfRange { index, len } => {
                 write!(f, "sparse index {index} out of range for {len} entries")
             }
+            DecodeError::UnsortedIndices { position } => write!(
+                f,
+                "sparse index at position {position} is not above its predecessor"
+            ),
             DecodeError::BadQuantization(msg) => write!(f, "bad quantization parameters: {msg}"),
         }
     }
@@ -179,6 +195,7 @@ pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
+/// Byte-wise FNV-1a (the on-disk snapshot checksum).
 pub(crate) fn fnv_bytes(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
@@ -187,16 +204,59 @@ pub(crate) fn fnv_bytes(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-fn fnv_u64(hash: u64, v: u64) -> u64 {
-    fnv_bytes(hash, &v.to_le_bytes())
+/// One step of the upload checksum: FNV-1a over 64-bit words instead of
+/// bytes — one multiply per word, not per byte. Both the XOR and the
+/// multiplication by the odd prime are bijections of the running hash, so
+/// two uploads that differ in exactly one folded word (any single flipped
+/// bit) always end on different checksums.
+#[inline]
+fn fold(hash: u64, word: u64) -> u64 {
+    (hash ^ word).wrapping_mul(FNV_PRIME)
 }
 
-fn fnv_u32(hash: u64, v: u32) -> u64 {
-    fnv_bytes(hash, &v.to_le_bytes())
+/// Folds a vector of 32-bit words (`bits` maps an item to its word): the
+/// length first — so a truncated vector can never alias a shorter one —
+/// then the words packed two per fold (an odd tail is zero-extended; the
+/// sealed length disambiguates).
+#[inline]
+fn fold_words<T: Copy>(mut hash: u64, items: &[T], bits: impl Fn(T) -> u32) -> u64 {
+    hash = fold(hash, items.len() as u64);
+    for pair in items.chunks(2) {
+        let high = pair.get(1).map_or(0, |&item| bits(item) as u64);
+        hash = fold(hash, bits(pair[0]) as u64 | high << 32);
+    }
+    hash
 }
 
-fn fnv_f32(hash: u64, v: f32) -> u64 {
-    fnv_u32(hash, v.to_bits())
+fn fold_u32s(hash: u64, words: &[u32]) -> u64 {
+    fold_words(hash, words, |w| w)
+}
+
+fn fold_f32s(hash: u64, values: &[f32]) -> u64 {
+    fold_words(hash, values, f32::to_bits)
+}
+
+/// Folds quantized levels: the length, then the levels packed eight per
+/// fold (a short tail is zero-padded).
+fn fold_levels(mut hash: u64, levels: &[i8]) -> u64 {
+    hash = fold(hash, levels.len() as u64);
+    for octet in levels.chunks(8) {
+        let mut bytes = [0u8; 8];
+        for (byte, &level) in bytes.iter_mut().zip(octet) {
+            *byte = level as u8;
+        }
+        hash = fold(hash, u64::from_le_bytes(bytes));
+    }
+    hash
+}
+
+/// Integer sort key of a delta's magnitude: the f32 bit pattern with the
+/// sign cleared. Monotone in `|δ|` for every finite value and total even
+/// where float comparison is not — `±0 → 0`, then subnormals, normals,
+/// `+∞`, and NaN payloads above everything.
+#[inline]
+fn magnitude_key(delta: f32) -> u32 {
+    delta.to_bits() & 0x7fff_ffff
 }
 
 /// One step of the SplitMix64 generator (drives deterministic corruption).
@@ -282,26 +342,14 @@ impl EncodedTensor {
                         CompressionConfig::LosslessDelta,
                     );
                 }
-                let delta: Vec<f32> = new.iter().zip(base).map(|(n, b)| n - b).collect();
                 if frac >= 1.0 {
                     let width = quantization.expect("handled above");
+                    let delta = new.iter().zip(base).map(|(n, b)| n - b).collect();
                     let delta_matrix = Matrix::from_vec(rows, cols, delta)
                         .expect("encoded tensor shape is consistent");
                     DeltaPayload::Quantized(QuantizedMatrix::quantize(&delta_matrix, width))
                 } else {
-                    let (indices, values) = top_k_entries(&delta, frac);
-                    match quantization {
-                        None => DeltaPayload::Sparse { indices, values },
-                        Some(width) => {
-                            let (levels, scale) = quantize_values(&values, width);
-                            DeltaPayload::SparseQuantized {
-                                indices,
-                                levels,
-                                scale,
-                                width,
-                            }
-                        }
-                    }
+                    encode_top_k(new, base, frac, quantization)
                 }
             }
         };
@@ -313,6 +361,26 @@ impl EncodedTensor {
     }
 
     /// Encodes a matrix against its base.
+    ///
+    /// # Top-k selection
+    ///
+    /// A sparsifying config ships the `k = ⌈fraction·n⌉` largest-magnitude
+    /// entries of `new − base`. Every delta is keyed by its magnitude bit
+    /// pattern (`to_bits() & 0x7fff_ffff`, an integer that is monotone in
+    /// `|δ|`), the k-th largest key is found with one `select_nth_unstable`
+    /// over a scratch copy of the keys, and one pass in index order emits
+    /// every entry above that threshold plus the first `k − above` entries
+    /// equal to it. So the cost is linear in the tensor size, the indices
+    /// leave already ascending, and the tie rule is exact: **among equal
+    /// magnitudes (of either sign) the lower flat index wins**. Exact `±0`
+    /// deltas key to 0 and never ship, even when `k` exceeds the number of
+    /// non-zero entries.
+    ///
+    /// Integer keys make the order total by construction, so a diverged
+    /// client's non-finite deltas cannot break the selection: `±∞` and NaN
+    /// rank as the largest magnitudes and ship like any other value.
+    /// Rejecting such poisoned values is the staging layer's job (the
+    /// aggregation tree's `submit_encoded`), not the encoder's.
     pub fn encode(new: &Matrix, base: &Matrix, config: CompressionConfig) -> Self {
         let (rows, cols) = new.shape();
         Self::encode_slices(new.as_slice(), base.as_slice(), rows, cols, config)
@@ -340,8 +408,9 @@ impl EncodedTensor {
     ///
     /// Returns a [`DecodeError`] when the base has the wrong length for a
     /// delta payload, a payload vector is truncated or oversized, a sparse
-    /// index is out of range, or quantization parameters are unusable —
-    /// every malformed-input case a flaky uplink can produce.
+    /// index is out of range or out of order, or quantization parameters
+    /// are unusable — every malformed-input case a flaky uplink can
+    /// produce.
     fn decode_slices(&self, base: &[f32]) -> Result<Vec<f32>, DecodeError> {
         let n = self.rows * self.cols;
         if self.needs_base() && base.len() != n {
@@ -414,15 +483,7 @@ impl EncodedTensor {
                     });
                 }
                 let mut out = base.to_vec();
-                for (&i, &v) in indices.iter().zip(values) {
-                    let slot = out
-                        .get_mut(i as usize)
-                        .ok_or(DecodeError::IndexOutOfRange {
-                            index: i as usize,
-                            len: n,
-                        })?;
-                    *slot += v;
-                }
+                scatter_add(&mut out, indices, values.iter().copied())?;
                 out
             }
             DeltaPayload::SparseQuantized {
@@ -448,15 +509,11 @@ impl EncodedTensor {
                     )));
                 }
                 let mut out = base.to_vec();
-                for (&i, &level) in indices.iter().zip(levels) {
-                    let slot = out
-                        .get_mut(i as usize)
-                        .ok_or(DecodeError::IndexOutOfRange {
-                            index: i as usize,
-                            len: n,
-                        })?;
-                    *slot += level as f32 * scale;
-                }
+                scatter_add(
+                    &mut out,
+                    indices,
+                    levels.iter().map(|&level| level as f32 * scale),
+                )?;
                 out
             }
         };
@@ -470,7 +527,8 @@ impl EncodedTensor {
     ///
     /// Returns a [`DecodeError`] when the base has the wrong length for a
     /// delta payload, a payload vector is truncated or oversized, a sparse
-    /// index is out of range, or quantization parameters are unusable.
+    /// index is out of range or out of order, or quantization parameters
+    /// are unusable.
     pub fn decode(&self, base: &Matrix) -> Result<Matrix, DecodeError> {
         let values = self.decode_slices(base.as_slice())?;
         Ok(Matrix::from_vec(self.rows, self.cols, values)
@@ -483,7 +541,8 @@ impl EncodedTensor {
     ///
     /// Returns a [`DecodeError`] when the base has the wrong length for a
     /// delta payload, a payload vector is truncated or oversized, a sparse
-    /// index is out of range, or quantization parameters are unusable.
+    /// index is out of range or out of order, or quantization parameters
+    /// are unusable.
     pub fn decode_vec(&self, base: &[f32]) -> Result<Vec<f32>, DecodeError> {
         self.decode_slices(base)
     }
@@ -531,44 +590,25 @@ impl EncodedTensor {
         TENSOR_HEADER_BYTES + body
     }
 
-    /// Folds this tensor's shape and payload content into an FNV-1a hash.
+    /// Folds this tensor's shape, payload tag, vector lengths and payload
+    /// words into the upload checksum.
     fn fold_checksum(&self, mut hash: u64) -> u64 {
-        hash = fnv_u64(hash, self.rows as u64);
-        hash = fnv_u64(hash, self.cols as u64);
+        hash = fold(hash, self.rows as u64);
+        hash = fold(hash, self.cols as u64);
         match &self.payload {
-            DeltaPayload::Dense(values) => {
-                hash = fnv_u64(hash, 0);
-                hash = fnv_u64(hash, values.len() as u64);
-                for &v in values {
-                    hash = fnv_f32(hash, v);
-                }
-            }
-            DeltaPayload::Xor(words) => {
-                hash = fnv_u64(hash, 1);
-                hash = fnv_u64(hash, words.len() as u64);
-                for &w in words {
-                    hash = fnv_u32(hash, w);
-                }
-            }
+            DeltaPayload::Dense(values) => fold_f32s(fold(hash, 0), values),
+            DeltaPayload::Xor(words) => fold_u32s(fold(hash, 1), words),
             DeltaPayload::Quantized(q) => {
-                hash = fnv_u64(hash, 2);
-                hash = fnv_u64(hash, q.width().bits() as u64);
-                for &s in q.scales() {
-                    hash = fnv_f32(hash, s);
-                }
+                hash = fold(hash, 2);
+                hash = fold(hash, q.width().bits() as u64);
+                hash = fold_f32s(hash, q.scales());
                 for row in 0..q.rows() {
-                    for &l in q.levels_row(row) {
-                        hash = fnv_bytes(hash, &[l as u8]);
-                    }
+                    hash = fold_levels(hash, q.levels_row(row));
                 }
+                hash
             }
             DeltaPayload::Sparse { indices, values } => {
-                hash = fnv_u64(hash, 3);
-                hash = fnv_u64(hash, indices.len() as u64);
-                for (&i, &v) in indices.iter().zip(values) {
-                    hash = fnv_u32(hash, i);
-                    hash = fnv_f32(hash, v);
-                }
+                fold_f32s(fold_u32s(fold(hash, 3), indices), values)
             }
             DeltaPayload::SparseQuantized {
                 indices,
@@ -576,17 +616,12 @@ impl EncodedTensor {
                 scale,
                 width,
             } => {
-                hash = fnv_u64(hash, 4);
-                hash = fnv_u64(hash, width.bits() as u64);
-                hash = fnv_f32(hash, *scale);
-                hash = fnv_u64(hash, indices.len() as u64);
-                for (&i, &l) in indices.iter().zip(levels) {
-                    hash = fnv_u32(hash, i);
-                    hash = fnv_bytes(hash, &[l as u8]);
-                }
+                hash = fold(hash, 4);
+                hash = fold(hash, width.bits() as u64);
+                hash = fold(hash, scale.to_bits() as u64);
+                fold_levels(fold_u32s(hash, indices), levels)
             }
         }
-        hash
     }
 
     /// Deterministically damages this tensor: flips one payload bit (or,
@@ -642,42 +677,110 @@ fn sparse_mask_bytes(n: usize, kept: usize) -> usize {
     n.div_ceil(8).min(kept * 4)
 }
 
-/// Deterministic top-k selection by |value|: ties break toward the lower
-/// flat index, exact zeros never ship, and the surviving indices come back
-/// sorted ascending.
-fn top_k_entries(delta: &[f32], fraction: f32) -> (Vec<u32>, Vec<f32>) {
-    let n = delta.len();
-    let k = ((n as f64) * fraction as f64).ceil() as usize;
-    let mut order: Vec<u32> = (0..n as u32)
-        .filter(|&i| delta[i as usize] != 0.0)
-        .collect();
-    order.sort_by(|&a, &b| {
-        let ma = delta[a as usize].abs();
-        let mb = delta[b as usize].abs();
-        mb.partial_cmp(&ma)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    order.truncate(k);
-    order.sort_unstable();
-    let values = order.iter().map(|&i| delta[i as usize]).collect();
-    (order, values)
+/// Adds `values` into `out` at `indices`, which must ascend strictly and
+/// stay in range — checked in the scatter loop itself, one compare each.
+fn scatter_add(
+    out: &mut [f32],
+    indices: &[u32],
+    values: impl Iterator<Item = f32>,
+) -> Result<(), DecodeError> {
+    let len = out.len();
+    // Lowest index the next entry may carry.
+    let mut floor = 0usize;
+    for (position, (&i, v)) in indices.iter().zip(values).enumerate() {
+        let index = i as usize;
+        if index < floor {
+            return Err(DecodeError::UnsortedIndices { position });
+        }
+        let slot = out
+            .get_mut(index)
+            .ok_or(DecodeError::IndexOutOfRange { index, len })?;
+        *slot += v;
+        floor = index + 1;
+    }
+    Ok(())
 }
 
-/// Symmetric quantization of a value list against one shared scale.
-fn quantize_values(values: &[f32], width: BitWidth) -> (Vec<i8>, f32) {
-    let max_level = width.max_level() as f32;
-    let max_abs = values.iter().fold(0.0f32, |acc, &v| acc.max(v.abs()));
-    let scale = if max_abs > 0.0 {
-        max_abs / max_level
-    } else {
-        1.0
-    };
-    let levels = values
-        .iter()
-        .map(|&v| (v / scale).round().clamp(-max_level, max_level) as i8)
-        .collect();
-    (levels, scale)
+/// The sparse payload of `new − base` keeping `k = ⌈fraction·n⌉` entries:
+/// selection and tie rule as documented on [`EncodedTensor::encode`].
+///
+/// Delta, key copy and surviving values live in one arena scope; the only
+/// allocations are the payload vectors, sized exactly.
+fn encode_top_k(
+    new: &[f32],
+    base: &[f32],
+    fraction: f32,
+    quantization: Option<BitWidth>,
+) -> DeltaPayload {
+    let n = new.len();
+    let k = ((n as f64) * fraction as f64).ceil() as usize;
+    scratch::with(2 * n, |buf| {
+        // `keys` holds each delta's magnitude key as the f32 of the same
+        // bit pattern (the arena serves f32s), read back with `to_bits`:
+        // it is never compared as a float. The selection permutes it; the
+        // emit pass then reuses it for the surviving values.
+        let (delta, keys) = buf.split_at_mut(n);
+        let mut nonzero = 0usize;
+        for ((d, key), (x, b)) in delta
+            .iter_mut()
+            .zip(keys.iter_mut())
+            .zip(new.iter().zip(base))
+        {
+            *d = x - b;
+            let magnitude = magnitude_key(*d);
+            *key = f32::from_bits(magnitude);
+            nonzero += usize::from(magnitude != 0);
+        }
+        let kept = k.min(nonzero);
+        // Entries above `threshold` all ship; of those equal to it, the
+        // first `ties` in index order.
+        let (threshold, mut ties) = match k {
+            // Nothing ships: no key reaches the threshold.
+            0 => (u32::MAX, 0),
+            // Every non-zero entry ships; the zero keys tie at 0 and stay.
+            _ if k >= nonzero => (0, 0),
+            _ => {
+                let (above, kth, _) =
+                    keys.select_nth_unstable_by_key(k - 1, |key| std::cmp::Reverse(key.to_bits()));
+                let threshold = kth.to_bits();
+                let above = above.iter().filter(|key| key.to_bits() > threshold).count();
+                (threshold, k - above)
+            }
+        };
+        let mut indices = Vec::with_capacity(kept);
+        for (i, &d) in delta.iter().enumerate() {
+            let magnitude = magnitude_key(d);
+            if magnitude < threshold {
+                continue;
+            }
+            if magnitude == threshold {
+                if ties == 0 {
+                    continue;
+                }
+                ties -= 1;
+            }
+            keys[indices.len()] = d;
+            indices.push(i as u32);
+        }
+        debug_assert_eq!(indices.len(), kept);
+        let values = &keys[..kept];
+        match quantization {
+            None => DeltaPayload::Sparse {
+                indices,
+                values: values.to_vec(),
+            },
+            Some(width) => {
+                let mut levels = vec![0i8; kept];
+                let scale = quantize_row(values, width, &mut levels);
+                DeltaPayload::SparseQuantized {
+                    indices,
+                    levels,
+                    scale,
+                    width,
+                }
+            }
+        }
+    })
 }
 
 /// One participant's update for a single expert in encoded wire form.
@@ -735,11 +838,11 @@ impl EncodedExpertUpdate {
         })
     }
 
-    /// Folds this update's key, weight and tensors into an FNV-1a hash.
+    /// Folds this update's key, weight and tensors into the upload checksum.
     fn fold_checksum(&self, mut hash: u64) -> u64 {
-        hash = fnv_u64(hash, self.key.layer as u64);
-        hash = fnv_u64(hash, self.key.expert as u64);
-        hash = fnv_f32(hash, self.weight);
+        hash = fold(hash, self.key.layer as u64);
+        hash = fold(hash, self.key.expert as u64);
+        hash = fold(hash, self.weight.to_bits() as u64);
         hash = self.w1.fold_checksum(hash);
         hash = self.b1.fold_checksum(hash);
         hash = self.w2.fold_checksum(hash);
@@ -768,16 +871,17 @@ impl EncodedExpertUpdate {
 pub type DecodedUpload = (Vec<ExpertUpdate>, Option<(Matrix, f32)>);
 
 /// One participant's full encoded upload: expert updates plus the optional
-/// task head, sealed with an end-to-end FNV-1a content checksum.
+/// task head, sealed with an end-to-end content checksum.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EncodedUpload {
     /// Encoded expert updates.
     pub experts: Vec<EncodedExpertUpdate>,
     /// Encoded task head and its aggregation weight.
     pub head: Option<(EncodedTensor, f32)>,
-    /// FNV-1a checksum over every key, weight, shape and payload word,
-    /// stamped at encode time. [`EncodedUpload::decode`] verifies it before
-    /// touching any tensor, so a bit flip anywhere in flight is rejected.
+    /// [`EncodedUpload::content_checksum`] of the upload as encoded: it
+    /// seals every key, weight, shape, vector length and payload word.
+    /// [`EncodedUpload::decode`] verifies it before touching any tensor, so
+    /// a bit flip or a lost tail anywhere in flight is rejected.
     pub checksum: u64,
 }
 
@@ -814,23 +918,27 @@ impl EncodedUpload {
         upload
     }
 
-    /// FNV-1a hash over the upload's entire content (keys, weights, shapes
-    /// and payload words) — what [`EncodedUpload::checksum`] must equal.
+    /// Hash over the upload's entire content (keys, weights, shapes, vector
+    /// lengths and payload words) — what [`EncodedUpload::checksum`] must
+    /// equal. FNV-1a folded a 64-bit word at a time (two f32/u32 payload
+    /// words or eight quantized levels per multiply), so sealing and
+    /// verifying cost a fraction of the byte-wise walk; any change confined
+    /// to one folded word — in particular any single flipped bit — changes
+    /// the result.
     pub fn content_checksum(&self) -> u64 {
         let mut hash = FNV_OFFSET;
-        hash = fnv_u64(hash, self.experts.len() as u64);
+        hash = fold(hash, self.experts.len() as u64);
         for expert in &self.experts {
             hash = expert.fold_checksum(hash);
         }
         match &self.head {
             Some((tensor, weight)) => {
-                hash = fnv_u64(hash, 1);
+                hash = fold(hash, 1);
                 hash = tensor.fold_checksum(hash);
-                hash = fnv_f32(hash, *weight);
+                fold(hash, weight.to_bits() as u64)
             }
-            None => hash = fnv_u64(hash, 0),
+            None => fold(hash, 0),
         }
-        hash
     }
 
     /// Re-stamps the checksum from the current content. Only needed after
@@ -876,62 +984,45 @@ impl EncodedUpload {
         Ok((updates, head))
     }
 
+    /// A copy of this upload with one tensor damaged and the stored checksum
+    /// left untouched. The first draw of the SplitMix64 stream `state`
+    /// picks the tensor (experts' `w1, b1, w2, b2` in order, then the
+    /// head), the second seeds `damage`. An upload with no tensor gets its
+    /// checksum flipped instead.
+    fn damaged(&self, mut state: u64, damage: fn(&mut EncodedTensor, u64)) -> Self {
+        let mut out = self.clone();
+        let slots = out.experts.len() * 4 + usize::from(out.head.is_some());
+        if slots == 0 {
+            out.checksum ^= 1;
+            return out;
+        }
+        let slot = splitmix(&mut state) as usize % slots;
+        let tensor = match out.experts.get_mut(slot / 4) {
+            Some(expert) => match slot % 4 {
+                0 => &mut expert.w1,
+                1 => &mut expert.b1,
+                2 => &mut expert.w2,
+                _ => &mut expert.b2,
+            },
+            None => &mut out.head.as_mut().expect("slot implies head exists").0,
+        };
+        damage(tensor, splitmix(&mut state));
+        out
+    }
+
     /// A deterministically corrupted copy of this upload: one payload word
     /// (chosen by `seed`) is bit-flipped while the stored checksum is left
     /// untouched, so [`EncodedUpload::decode`] must reject the result.
     /// This is the fault-injection hook modeling in-flight corruption.
     pub fn corrupted(&self, seed: u64) -> Self {
-        let mut out = self.clone();
-        let mut state = seed;
-        let r = splitmix(&mut state);
-        let slots = out.experts.len() * 4 + usize::from(out.head.is_some());
-        if slots == 0 {
-            // Nothing in the payload to damage: flip the checksum itself.
-            out.checksum ^= 1;
-            return out;
-        }
-        let slot = (r as usize) % slots;
-        let tensor = if slot < out.experts.len() * 4 {
-            let expert = &mut out.experts[slot / 4];
-            match slot % 4 {
-                0 => &mut expert.w1,
-                1 => &mut expert.b1,
-                2 => &mut expert.w2,
-                _ => &mut expert.b2,
-            }
-        } else {
-            &mut out.head.as_mut().expect("slot implies head exists").0
-        };
-        tensor.corrupt(splitmix(&mut state));
-        out
+        self.damaged(seed, EncodedTensor::corrupt)
     }
 
     /// A deterministically truncated copy of this upload: one tensor's
     /// payload vector loses its tail (the stored checksum is left
     /// untouched), modeling a connection dropped mid-upload.
     pub fn truncated(&self, seed: u64) -> Self {
-        let mut out = self.clone();
-        let mut state = seed ^ 0x5bf0_3635;
-        let r = splitmix(&mut state);
-        let slots = out.experts.len() * 4 + usize::from(out.head.is_some());
-        if slots == 0 {
-            out.checksum ^= 1;
-            return out;
-        }
-        let slot = (r as usize) % slots;
-        let tensor = if slot < out.experts.len() * 4 {
-            let expert = &mut out.experts[slot / 4];
-            match slot % 4 {
-                0 => &mut expert.w1,
-                1 => &mut expert.b1,
-                2 => &mut expert.w2,
-                _ => &mut expert.b2,
-            }
-        } else {
-            &mut out.head.as_mut().expect("slot implies head exists").0
-        };
-        tensor.truncate_payload(splitmix(&mut state));
-        out
+        self.damaged(seed ^ 0x5bf0_3635, EncodedTensor::truncate_payload)
     }
 
     /// Simulated wire bytes of the whole upload.
@@ -1062,6 +1153,226 @@ mod tests {
         }
     }
 
+    /// The sort-based selection this module shipped before the linear-time
+    /// encoder, kept verbatim as the reference the selection is pinned
+    /// against: full sort by `|δ|` descending (ties toward the lower flat
+    /// index) over the non-zero entries, truncate to `k`, re-sort by index.
+    fn reference_top_k(delta: &[f32], fraction: f32) -> (Vec<u32>, Vec<f32>) {
+        let n = delta.len();
+        let k = ((n as f64) * fraction as f64).ceil() as usize;
+        let mut order: Vec<u32> = (0..n as u32)
+            .filter(|&i| delta[i as usize] != 0.0)
+            .collect();
+        order.sort_by(|&a, &b| {
+            let ma = delta[a as usize].abs();
+            let mb = delta[b as usize].abs();
+            mb.partial_cmp(&ma)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        order.truncate(k);
+        order.sort_unstable();
+        let values = order.iter().map(|&i| delta[i as usize]).collect();
+        (order, values)
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Encodes `new − base` at `fraction` with and without quantization and
+    /// asserts every payload field equals the reference encoder's.
+    fn assert_matches_reference(new: &[f32], base: &[f32], fraction: f32, label: &str) {
+        let delta: Vec<f32> = new.iter().zip(base).map(|(n, b)| n - b).collect();
+        let (ref_indices, ref_values) = reference_top_k(&delta, fraction);
+        match EncodedTensor::encode_vec(new, base, CompressionConfig::sparse(fraction)).payload {
+            DeltaPayload::Sparse { indices, values } => {
+                assert_eq!(indices, ref_indices, "{label}: indices");
+                assert_eq!(bits(&values), bits(&ref_values), "{label}: values");
+            }
+            other => panic!("{label}: expected a sparse payload, got {other:?}"),
+        }
+        for width in BitWidth::all() {
+            let mut ref_levels = vec![0i8; ref_values.len()];
+            let ref_scale = quantize_row(&ref_values, width, &mut ref_levels);
+            let config = CompressionConfig::quantized_sparse(width, fraction);
+            match EncodedTensor::encode_vec(new, base, config).payload {
+                DeltaPayload::SparseQuantized {
+                    indices,
+                    levels,
+                    scale,
+                    width: w,
+                } => {
+                    assert_eq!(indices, ref_indices, "{label} {width:?}: indices");
+                    assert_eq!(levels, ref_levels, "{label} {width:?}: levels");
+                    assert_eq!(scale.to_bits(), ref_scale.to_bits(), "{label}: scale");
+                    assert_eq!(w, width);
+                }
+                other => panic!("{label}: expected sparse-quantized, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn selection_matches_the_sort_based_reference() {
+        let mut rng = SeededRng::new(31);
+        for case in 0..200 {
+            let n = rng.range(1, 130);
+            let base: Vec<f32> = (0..n).map(|_| rng.normal()).collect();
+            // Deltas drawn from a handful of magnitudes of both signs, with
+            // runs of exact zeros: ties at the threshold are the rule.
+            let grid = [0.0f32, 0.0, 0.25, -0.25, 0.5, -0.5, 1.5, -3.0];
+            let new: Vec<f32> = base
+                .iter()
+                .map(|b| {
+                    if case % 2 == 0 {
+                        b + grid[rng.below(grid.len())]
+                    } else {
+                        b + rng.normal_with(0.0, 0.01)
+                    }
+                })
+                .collect();
+            let nf = n as f32;
+            for fraction in [0.0, 1.0 / nf, 0.25, 0.5, 1.0 - 1.0 / nf, 0.999] {
+                if fraction >= 1.0 {
+                    continue; // n = 1: a fraction of 1 is not a top-k config
+                }
+                assert_matches_reference(&new, &base, fraction, &format!("case {case} n {n}"));
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_selections_match_the_reference() {
+        let zeros = [0.0f32; 8];
+        let deltas = [0.5f32, -3.0, 0.1, 2.0, 0.0, -0.2, 1.0, 0.05];
+        // k = 0: nothing ships.
+        let none = EncodedTensor::encode_vec(&deltas, &zeros, CompressionConfig::sparse(0.0));
+        assert_eq!(bits(&none.decode_vec(&zeros).unwrap()), bits(&zeros));
+        assert_eq!(none.encoded_bytes(), TENSOR_HEADER_BYTES);
+        // k ≥ non-zeros: every non-zero entry ships, the exact zero never.
+        let all = EncodedTensor::encode_vec(&deltas, &zeros, CompressionConfig::sparse(0.99));
+        match &all.payload {
+            DeltaPayload::Sparse { indices, .. } => assert_eq!(indices, &[0, 1, 2, 3, 5, 6, 7]),
+            other => panic!("{other:?}"),
+        }
+        // All-zero delta (of both signs): an empty payload at any fraction.
+        let signed_zeros = [0.0f32, -0.0, 0.0, -0.0];
+        let empty = EncodedTensor::encode_vec(
+            &signed_zeros,
+            &[0.0; 4],
+            CompressionConfig::quantized_sparse(BitWidth::Int4, 0.5),
+        );
+        match &empty.payload {
+            DeltaPayload::SparseQuantized { indices, scale, .. } => {
+                assert!(indices.is_empty());
+                assert_eq!(*scale, 1.0);
+            }
+            other => panic!("{other:?}"),
+        }
+        // Every magnitude equal: the k lowest indices win, whatever the sign.
+        let equal = [1.0f32, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0];
+        match &EncodedTensor::encode_vec(&equal, &zeros, CompressionConfig::sparse(0.5)).payload {
+            DeltaPayload::Sparse { indices, values } => {
+                assert_eq!(indices, &[0, 1, 2, 3]);
+                assert_eq!(values, &[1.0, -1.0, 1.0, -1.0]);
+            }
+            other => panic!("{other:?}"),
+        }
+        // n = 1 and n = 0, and all of the above against the reference.
+        for fraction in [0.0, 0.25, 0.5, 0.99] {
+            assert_matches_reference(&[], &[], fraction, "n = 0");
+            assert_matches_reference(&[2.5], &[1.0], fraction, "n = 1");
+            assert_matches_reference(&[1.0], &[1.0], fraction, "n = 1, zero delta");
+            assert_matches_reference(&deltas, &zeros, fraction, "distinct");
+            assert_matches_reference(&equal, &zeros, fraction, "all equal");
+            assert_matches_reference(&signed_zeros, &[0.0; 4], fraction, "all zero");
+        }
+    }
+
+    /// Regression: the sort-based encoder's float comparator was not a
+    /// total order, so one NaN delta panicked the worker inside `sort_by`.
+    #[test]
+    fn non_finite_deltas_encode_deterministically_and_never_panic() {
+        let mut rng = SeededRng::new(37);
+        for case in 0..50 {
+            let n = rng.range(8, 513);
+            let mut base: Vec<f32> = (0..n).map(|_| rng.normal()).collect();
+            let mut new: Vec<f32> = base
+                .iter()
+                .map(|b| b + rng.normal_with(0.0, 0.01))
+                .collect();
+            // Plant poisoned and edge-case deltas at distinct positions.
+            let specials = [
+                f32::NAN,
+                -f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                -0.0,
+                f32::MIN_POSITIVE / 4.0,
+                -f32::MIN_POSITIVE / 2.0,
+            ];
+            let planted = rng.choose_indices(n, specials.len());
+            for (&i, &v) in planted.iter().zip(&specials) {
+                base[i] = 0.0;
+                new[i] = v;
+            }
+            let non_finite: Vec<u32> = {
+                let mut at: Vec<u32> = planted[..4].iter().map(|&i| i as u32).collect();
+                at.sort_unstable();
+                at
+            };
+            let nf = n as f32;
+            for fraction in [0.0, 1.0 / nf, 4.0 / nf, 0.25, 0.5, 1.0 - 1.0 / nf, 1.0] {
+                for config in [
+                    CompressionConfig::sparse(fraction),
+                    CompressionConfig::quantized_sparse(BitWidth::Int4, fraction),
+                    CompressionConfig::quantized_sparse(BitWidth::Int8, fraction),
+                ] {
+                    let label = format!("case {case} n {n} {config:?}");
+                    let encoded = EncodedTensor::encode_vec(&new, &base, config);
+                    let again = EncodedTensor::encode_vec(&new, &base, config);
+                    assert_eq!(
+                        encoded.fold_checksum(FNV_OFFSET),
+                        again.fold_checksum(FNV_OFFSET),
+                        "{label}: encoding is not deterministic"
+                    );
+                    let indices = match &encoded.payload {
+                        DeltaPayload::Sparse { indices, .. }
+                        | DeltaPayload::SparseQuantized { indices, .. } => indices.clone(),
+                        // fraction 1 is not a top-k payload; it encoded
+                        // without panicking, which is all that is asked.
+                        _ => continue,
+                    };
+                    let k = ((n as f64) * fraction as f64).ceil() as usize;
+                    assert_eq!(indices.len(), k.min(n - 1), "{label}: one exact zero");
+                    assert!(
+                        !indices.contains(&(planted[4] as u32)),
+                        "{label}: a -0.0 delta shipped"
+                    );
+                    // NaN and ±Inf rank above every finite magnitude.
+                    if k >= 4 {
+                        assert!(
+                            non_finite.iter().all(|i| indices.contains(i)),
+                            "{label}: a non-finite delta lost to a finite one"
+                        );
+                    } else {
+                        assert!(indices.iter().all(|i| non_finite.contains(i)), "{label}");
+                    }
+                    // The payload decodes or is rejected with a typed
+                    // error (a shared scale of ∞ is unusable) — no panic.
+                    match encoded.decode_vec(&base) {
+                        Ok(decoded) => assert_eq!(decoded.len(), n),
+                        Err(err) => assert!(
+                            matches!(err, DecodeError::BadQuantization(_)),
+                            "{label}: {err}"
+                        ),
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn encoded_bytes_shrink_with_width_and_sparsity() {
         let base = random_matrix(9, 16, 32);
@@ -1179,6 +1490,80 @@ mod tests {
     }
 
     #[test]
+    fn unsorted_or_repeated_sparse_indices_are_rejected() {
+        let base = Matrix::zeros(1, 8);
+        let forge = |indices: Vec<u32>, quantized: bool| {
+            let payload = if quantized {
+                DeltaPayload::SparseQuantized {
+                    levels: vec![1; indices.len()],
+                    indices,
+                    scale: 0.5,
+                    width: BitWidth::Int4,
+                }
+            } else {
+                DeltaPayload::Sparse {
+                    values: vec![1.0; indices.len()],
+                    indices,
+                }
+            };
+            EncodedTensor {
+                rows: 1,
+                cols: 8,
+                payload,
+            }
+        };
+        for quantized in [false, true] {
+            // A repeated index would be applied twice.
+            let err = forge(vec![1, 3, 3, 6], quantized)
+                .decode(&base)
+                .unwrap_err();
+            assert_eq!(err, DecodeError::UnsortedIndices { position: 2 });
+            // A step back.
+            let err = forge(vec![5, 2], quantized).decode(&base).unwrap_err();
+            assert_eq!(err, DecodeError::UnsortedIndices { position: 1 });
+            // Strictly ascending indices decode.
+            assert!(forge(vec![0, 1, 7], quantized).decode(&base).is_ok());
+        }
+    }
+
+    #[test]
+    fn forged_resealed_upload_with_repeated_index_is_rejected() {
+        let mut rng = SeededRng::new(29);
+        let model = MoeModel::new(flux_moe::MoeConfig::tiny(), &mut rng);
+        let key = model.expert_keys()[0];
+        let mut expert = model.expert(key).clone();
+        let (r, c) = expert.w1.shape();
+        expert
+            .w1
+            .add_scaled(&random_matrix(30, r, c), 0.01)
+            .unwrap();
+        let updates = vec![ExpertUpdate {
+            key,
+            expert,
+            weight: 1.0,
+        }];
+        for config in [
+            CompressionConfig::sparse(0.25),
+            CompressionConfig::quantized_sparse(BitWidth::Int4, 0.25),
+        ] {
+            let mut upload = EncodedUpload::encode(&updates, None, &model, config);
+            assert!(upload.decode(&model).is_ok());
+            match &mut upload.experts[0].w1.payload {
+                DeltaPayload::Sparse { indices, .. }
+                | DeltaPayload::SparseQuantized { indices, .. } => indices[1] = indices[0],
+                other => panic!("{other:?}"),
+            }
+            // The seal catches the forgery; a forger who reseals meets the
+            // typed index check instead of a double-applied delta.
+            let err = upload.decode(&model).unwrap_err();
+            assert!(matches!(err, DecodeError::ChecksumMismatch { .. }));
+            upload.reseal();
+            let err = upload.decode(&model).unwrap_err();
+            assert_eq!(err, DecodeError::UnsortedIndices { position: 1 });
+        }
+    }
+
+    #[test]
     fn bad_quantization_params_are_rejected() {
         let base = Matrix::zeros(1, 4);
         let encoded = EncodedTensor {
@@ -1263,16 +1648,25 @@ mod tests {
         let mut rng = SeededRng::new(23);
         let model = MoeModel::new(flux_moe::MoeConfig::tiny(), &mut rng);
         let key = model.expert_keys()[0];
+        // A trained-looking expert, so the sparse payloads are not empty.
+        let mut expert = model.expert(key).clone();
+        let (r, c) = expert.w1.shape();
+        expert
+            .w1
+            .add_scaled(&random_matrix(24, r, c), 0.01)
+            .unwrap();
+        expert.b2[0] += 0.125;
         let updates = vec![ExpertUpdate {
             key,
-            expert: model.expert(key).clone(),
+            expert,
             weight: 2.0,
         }];
-        let head = (model.active_head().clone(), 1.0f32);
+        let head = (perturbed(model.active_head(), 25), 1.0f32);
         for config in [
             CompressionConfig::Dense,
             CompressionConfig::LosslessDelta,
             CompressionConfig::quantized(BitWidth::Int8),
+            CompressionConfig::sparse(0.5),
             CompressionConfig::quantized_sparse(BitWidth::Int4, 0.25),
         ] {
             let encoded = EncodedUpload::encode(&updates, Some(&head), &model, config);
@@ -1281,20 +1675,64 @@ mod tests {
             let (decoded, decoded_head) = encoded.decode(&model).unwrap();
             assert_eq!(decoded.len(), 1);
             assert!(decoded_head.is_some());
-            // Every seeded corruption and truncation is rejected, never a
-            // panic.
-            for seed in 0..8 {
-                let err = encoded.corrupted(seed).decode(&model).unwrap_err();
-                assert!(
-                    matches!(err, DecodeError::ChecksumMismatch { .. }),
-                    "{config:?} seed {seed}: {err}"
-                );
-                assert!(
-                    encoded.truncated(seed).decode(&model).is_err(),
-                    "{config:?} seed {seed}: truncated upload decoded"
+            // Every seeded corruption and truncation — whichever tensor,
+            // word and bit the seed lands on — is rejected by the word-wise
+            // checksum before any tensor is touched, never a panic.
+            for seed in 0..256 {
+                for damaged in [encoded.corrupted(seed), encoded.truncated(seed)] {
+                    let err = damaged.decode(&model).unwrap_err();
+                    assert!(
+                        matches!(err, DecodeError::ChecksumMismatch { .. }),
+                        "{config:?} seed {seed}: {err}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn folds_notice_every_single_bit_flip_and_lost_tail() {
+        // Odd lengths on purpose: the last fold of each vector is padded.
+        let words: Vec<u32> = (1..=7u32).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
+        let sealed = fold_u32s(FNV_OFFSET, &words);
+        for i in 0..words.len() {
+            for bit in 0..32 {
+                let mut flipped = words.clone();
+                flipped[i] ^= 1 << bit;
+                assert_ne!(
+                    fold_u32s(FNV_OFFSET, &flipped),
+                    sealed,
+                    "word {i} bit {bit}"
                 );
             }
         }
+        // The padding is zero, so only the sealed length tells a vector
+        // from the same vector without its trailing zeros.
+        let levels: [i8; 11] = [3, -7, 0, 1, 127, -128, 5, 0, -1, 0, 0];
+        let sealed = fold_levels(FNV_OFFSET, &levels);
+        for i in 0..levels.len() {
+            for bit in 0..8 {
+                let mut flipped = levels;
+                flipped[i] ^= (1u8 << bit) as i8;
+                assert_ne!(
+                    fold_levels(FNV_OFFSET, &flipped),
+                    sealed,
+                    "level {i} bit {bit}"
+                );
+            }
+        }
+        for len in 0..levels.len() {
+            assert_ne!(
+                fold_levels(FNV_OFFSET, &levels[..len]),
+                sealed,
+                "tail {len}"
+            );
+        }
+        let zero_tail = [9u32, 4, 0];
+        assert_ne!(
+            fold_u32s(FNV_OFFSET, &zero_tail[..2]),
+            fold_u32s(FNV_OFFSET, &zero_tail)
+        );
     }
 
     #[test]

@@ -30,4 +30,4 @@ pub mod matrix;
 
 pub use error::{quantization_mse, quantization_relative_error};
 pub use linear::quantized_matmul;
-pub use matrix::{BitWidth, QuantizedMatrix};
+pub use matrix::{quantize_row, BitWidth, QuantizedMatrix};

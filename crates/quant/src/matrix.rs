@@ -51,6 +51,34 @@ impl BitWidth {
     }
 }
 
+/// Symmetric quantization of one row of values against its own abs-max
+/// scale — the one row quantizer behind [`QuantizedMatrix::quantize`] and
+/// the upload codec's shared-scale sparse values.
+///
+/// Writes `round(v / s)` clamped to `±width.max_level()` into `out` and
+/// returns the scale `s = max|v| / max_level` (`1.0` for an all-zero or
+/// empty row, so dequantization never divides by zero). NaN values are
+/// skipped by the abs-max fold and quantize to level 0; an infinite value
+/// yields an infinite scale, which decoders reject.
+///
+/// # Panics
+///
+/// Panics if `out.len() != values.len()`.
+pub fn quantize_row(values: &[f32], width: BitWidth, out: &mut [i8]) -> f32 {
+    assert_eq!(values.len(), out.len(), "one level per value");
+    let max_level = width.max_level() as f32;
+    let max_abs = values.iter().fold(0.0f32, |acc, &v| acc.max(v.abs()));
+    let scale = if max_abs > 0.0 {
+        max_abs / max_level
+    } else {
+        1.0
+    };
+    for (level, &v) in out.iter_mut().zip(values) {
+        *level = (v / scale).round().clamp(-max_level, max_level) as i8;
+    }
+    scale
+}
+
 /// A weight matrix stored as symmetric per-row quantized integers.
 ///
 /// Each row keeps its own scale `s = max|w| / max_level`, and the stored
@@ -74,23 +102,10 @@ impl QuantizedMatrix {
     /// Quantizes a full-precision matrix.
     pub fn quantize(weights: &Matrix, width: BitWidth) -> Self {
         let (rows, cols) = weights.shape();
-        let max_level = width.max_level() as f32;
         let mut levels = vec![0i8; rows * cols];
-        let mut scales = vec![0.0f32; rows];
-        for r in 0..rows {
-            let row = weights.row(r);
-            let max_abs = row.iter().fold(0.0f32, |acc, &x| acc.max(x.abs()));
-            let scale = if max_abs > 0.0 {
-                max_abs / max_level
-            } else {
-                1.0
-            };
-            scales[r] = scale;
-            for (c, &w) in row.iter().enumerate() {
-                let q = (w / scale).round().clamp(-max_level, max_level);
-                levels[r * cols + c] = q as i8;
-            }
-        }
+        let scales = (0..rows)
+            .map(|r| quantize_row(weights.row(r), width, &mut levels[r * cols..(r + 1) * cols]))
+            .collect();
         Self {
             rows,
             cols,
@@ -180,6 +195,26 @@ mod tests {
         assert_eq!(BitWidth::Int8.compression_ratio(), 4.0);
         assert_eq!(BitWidth::Int4.compression_ratio(), 8.0);
         assert_eq!(BitWidth::Int2.compression_ratio(), 16.0);
+    }
+
+    #[test]
+    fn quantize_row_is_the_matrix_row_quantizer() {
+        let mut rng = SeededRng::new(6);
+        let w = Matrix::random_normal(3, 9, 2.0, &mut rng);
+        for &b in &BitWidth::all() {
+            let q = QuantizedMatrix::quantize(&w, b);
+            for r in 0..3 {
+                let mut levels = [0i8; 9];
+                let scale = quantize_row(w.row(r), b, &mut levels);
+                assert_eq!(scale.to_bits(), q.scales()[r].to_bits());
+                assert_eq!(&levels[..], q.levels_row(r));
+            }
+        }
+        // Degenerate rows keep a usable scale.
+        assert_eq!(quantize_row(&[], BitWidth::Int4, &mut []), 1.0);
+        let mut levels = [9i8; 2];
+        assert_eq!(quantize_row(&[0.0, -0.0], BitWidth::Int4, &mut levels), 1.0);
+        assert_eq!(levels, [0, 0]);
     }
 
     #[test]
