@@ -1,5 +1,4 @@
-//! Experiment harness shared by the per-figure binaries and Criterion
-//! benches.
+//! Experiment harness shared by the per-figure binaries.
 //!
 //! Every table and figure of the paper's evaluation has a binary in
 //! `src/bin/` that regenerates it (see `DESIGN.md` for the index). The

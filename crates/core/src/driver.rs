@@ -736,11 +736,14 @@ impl FederatedRun {
     /// Creates a run with the given configuration and seed.
     ///
     /// Participant-local rounds run concurrently on a pool sized from the
-    /// `FLUX_THREADS` environment variable (default: available parallelism;
-    /// `1` reproduces fully sequential execution), in the
-    /// [`ExecutionMode::Pipelined`] schedule. Results are reduced in
-    /// participant-id order, so neither the thread count nor the schedule
-    /// ever changes the output.
+    /// `FLUX_THREADS` environment variable (default: available
+    /// parallelism), in the [`ExecutionMode::Pipelined`] schedule. That
+    /// width bounds the participant fan-out only: nested fan-outs inside a
+    /// local round (e.g. the per-expert batches of a heavy MoE layer) size
+    /// themselves from `FLUX_THREADS` / host parallelism on their own, so
+    /// only `FLUX_THREADS=1` runs everything on the calling thread. Results
+    /// are reduced in participant-id order, so neither the thread count nor
+    /// the schedule ever changes the output.
     pub fn new(config: RunConfig, seed: u64) -> Self {
         Self {
             config,
@@ -752,8 +755,12 @@ impl FederatedRun {
         }
     }
 
-    /// Overrides the worker-thread count, taking precedence over the
-    /// `FLUX_THREADS` environment variable.
+    /// Overrides the width of the participant fan-out, taking precedence
+    /// over the `FLUX_THREADS` environment variable there. Nested fan-outs
+    /// are not reached by this override and keep following `FLUX_THREADS` /
+    /// host parallelism (see [`FederatedRun::new`]): `with_threads(1)`
+    /// serialises participants, not every kernel. Results are bit-identical
+    /// either way.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self

@@ -124,15 +124,6 @@ impl AttentionBatchCache {
         }
         received
     }
-
-    /// Retires every buffer into the scratch pool (loss-only callers that
-    /// never run the backward pass).
-    pub fn recycle(self) {
-        self.q.recycle();
-        self.k.recycle();
-        self.v.recycle();
-        self.probs.recycle();
-    }
 }
 
 impl AttentionCache {
@@ -203,7 +194,6 @@ impl Attention {
         let q = qkv.copy_cols(0, d);
         let k = qkv.copy_cols(d, 2 * d);
         let v = qkv.copy_cols(2 * d, 3 * d);
-        qkv.recycle();
         (q, k, v)
     }
 
@@ -225,25 +215,17 @@ impl Attention {
         let mut scores = q.matmul_transb(&k).expect("q/k widths match");
         scores.scale_in_place(1.0 / d.sqrt());
         let probs = ops::softmax_rows(&scores);
-        scores.recycle();
         let mixed = probs.matmul(&v);
         let output = mixed.matmul(&self.wo);
-        mixed.recycle();
         (output, AttentionCache { q, k, v, probs })
     }
 
     /// Forward pass without a cache; also returns the per-token received
     /// attention (the profiling path needs the scores but not gradients).
-    /// Numerically identical to [`Attention::forward`], with every
-    /// intermediate recycled into the scratch pool.
+    /// Numerically identical to [`Attention::forward`].
     pub fn forward_no_cache(&self, input: &Matrix) -> (Matrix, Vec<f32>) {
         let (out, cache) = self.forward(input);
-        let received = cache.received_attention();
-        cache.q.recycle();
-        cache.k.recycle();
-        cache.v.recycle();
-        cache.probs.recycle();
-        (out, received)
+        (out, cache.received_attention())
     }
 
     /// Batched forward pass over a packed `(total_tokens, d_model)` input.
@@ -278,7 +260,6 @@ impl Attention {
         }
         let mixed = probs.block_diag_matmul(&v, bounds);
         let output = mixed.matmul(&self.wo);
-        mixed.recycle();
         (
             output,
             AttentionBatchCache {
@@ -310,11 +291,10 @@ impl Attention {
         // mixed = probs · V (block-diagonal).
         let grad_probs = grad_mixed.block_diag_matmul_transb(&cache.v, bounds, max_seq);
         let grad_v = cache.probs.block_diag_matmul_transa(&grad_mixed, bounds);
-        grad_mixed.recycle();
         // probs = softmax(scores) row-wise inside each sample block; the
         // padding columns of `grad_scores` stay zero so the block-diagonal
         // GEMMs below never mix samples.
-        let mut grad_scores = Matrix::zeros_pooled(cache.probs.rows(), cache.probs.cols());
+        let mut grad_scores = Matrix::zeros(cache.probs.rows(), cache.probs.cols());
         for &(start, end) in bounds {
             let len = end - start;
             for r in start..end {
@@ -325,23 +305,16 @@ impl Attention {
                 );
             }
         }
-        grad_probs.recycle();
         grad_scores.scale_in_place(scale);
         // scores = Q · Kᵀ (scaled), block-diagonal.
         let grad_q = grad_scores.block_diag_matmul(&cache.k, bounds);
         let grad_k = grad_scores.block_diag_matmul_transa(&cache.q, bounds);
-        grad_scores.recycle();
         // Q = X·Wq, K = X·Wk, V = X·Wv (packed GEMMs).
         let mut grad_input = grad_q.matmul_transb(&self.wq).expect("widths match");
         let from_k = grad_k.matmul_transb(&self.wk).expect("widths match");
         grad_input.add_scaled(&from_k, 1.0).expect("same shape");
-        from_k.recycle();
         let from_v = grad_v.matmul_transb(&self.wv).expect("widths match");
         grad_input.add_scaled(&from_v, 1.0).expect("same shape");
-        from_v.recycle();
-        grad_q.recycle();
-        grad_k.recycle();
-        grad_v.recycle();
         grad_input
     }
 
@@ -356,9 +329,8 @@ impl Attention {
         // mixed = probs · V.
         let grad_probs = grad_mixed.matmul_transb(&cache.v).expect("widths match");
         let grad_v = cache.probs.matmul_transa(&grad_mixed).expect("rows match");
-        grad_mixed.recycle();
         // probs = softmax(scores) row-wise.
-        let mut grad_scores = Matrix::zeros_pooled(cache.probs.rows(), cache.probs.cols());
+        let mut grad_scores = Matrix::zeros(cache.probs.rows(), cache.probs.cols());
         for r in 0..cache.probs.rows() {
             ops::softmax_backward_row_into(
                 cache.probs.row(r),
@@ -366,23 +338,16 @@ impl Attention {
                 grad_scores.row_mut(r),
             );
         }
-        grad_probs.recycle();
         grad_scores.scale_in_place(scale);
         // scores = Q · Kᵀ (scaled).
         let grad_q = grad_scores.matmul(&cache.k);
         let grad_k = grad_scores.matmul_transa(&cache.q).expect("rows match");
-        grad_scores.recycle();
         // Q = X·Wq, K = X·Wk, V = X·Wv.
         let mut grad_input = grad_q.matmul_transb(&self.wq).expect("widths match");
         let from_k = grad_k.matmul_transb(&self.wk).expect("widths match");
         grad_input.add_scaled(&from_k, 1.0).expect("same shape");
-        from_k.recycle();
         let from_v = grad_v.matmul_transb(&self.wv).expect("widths match");
         grad_input.add_scaled(&from_v, 1.0).expect("same shape");
-        from_v.recycle();
-        grad_q.recycle();
-        grad_k.recycle();
-        grad_v.recycle();
         grad_input
     }
 }

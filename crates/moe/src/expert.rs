@@ -104,11 +104,9 @@ impl Expert {
     pub fn forward_no_cache(&self, input: &Matrix) -> Matrix {
         let hidden =
             ops::matmul_bias_gelu(input, &self.w1, &self.b1).expect("bias length matches d_ff");
-        let output = hidden
+        hidden
             .try_matmul_bias(&self.w2, &self.b2)
-            .expect("bias length matches d_model");
-        hidden.recycle();
-        output
+            .expect("bias length matches d_model")
     }
 
     /// Backward pass.
@@ -128,12 +126,10 @@ impl Expert {
         // its recomputation (see `ops::gelu_backward_cached`).
         let grad_pre =
             ops::gelu_backward_cached(&cache.pre_activation, &cache.hidden, &grad_hidden);
-        grad_hidden.recycle();
         // Input layer: pre = x·W1 + b1.
         let grad_w1 = cache.input.matmul_transa(&grad_pre).expect("row counts");
         let grad_b1 = grad_pre.sum_rows();
         let grad_input = grad_pre.matmul_transb(&self.w1).expect("col counts");
-        grad_pre.recycle();
         (
             ExpertGrad {
                 w1: grad_w1,

@@ -81,11 +81,9 @@ impl Gate {
     /// [`Gate::route`].
     pub fn route_all(&self, hidden: &Matrix) -> Vec<TokenRouting> {
         let logits = hidden.matmul(&self.weight);
-        let routings = (0..hidden.rows())
+        (0..hidden.rows())
             .map(|r| self.route_logits(logits.row(r)))
-            .collect();
-        logits.recycle();
-        routings
+            .collect()
     }
 }
 

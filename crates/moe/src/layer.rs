@@ -138,7 +138,7 @@ impl MoeLayer {
                 }
             })
             .collect();
-        let mut output = Matrix::zeros_pooled(seq, hidden.cols());
+        let mut output = Matrix::zeros(seq, hidden.cols());
         let mut expert_batches = HashMap::new();
         for (compact, rows, weights, batch_output, cache) in pool.run(tasks) {
             for (slot, (&row, &w)) in rows.iter().zip(weights.iter()).enumerate() {
@@ -147,7 +147,6 @@ impl MoeLayer {
                     *o += w * v;
                 }
             }
-            batch_output.recycle();
             expert_batches.insert(
                 compact,
                 ExpertBatch {
@@ -263,7 +262,6 @@ impl MoeLayer {
                 }
             }
         }
-        logits.recycle();
         slots
             .into_iter()
             .enumerate()
@@ -308,12 +306,11 @@ impl MoeLayer {
                 move || {
                     let batch_input = hidden.select_rows(&rows);
                     let batch_output = experts[compact].forward_no_cache(&batch_input);
-                    batch_input.recycle();
                     (rows, weights, batch_output)
                 }
             })
             .collect();
-        let mut output = Matrix::zeros_pooled(seq, hidden.cols());
+        let mut output = Matrix::zeros(seq, hidden.cols());
         for (rows, weights, batch_output) in pool.run(tasks) {
             for (slot, (&row, &w)) in rows.iter().zip(weights.iter()).enumerate() {
                 let out_row = output.row_mut(row);
@@ -321,7 +318,6 @@ impl MoeLayer {
                     *o += w * v;
                 }
             }
-            batch_output.recycle();
         }
         output
     }
@@ -354,8 +350,7 @@ impl MoeLayer {
                 move || {
                     // Gather the upstream gradient rows for this expert,
                     // scaled by the routing weight each token assigned to it.
-                    let mut grad_rows =
-                        Matrix::zeros_pooled(batch.token_rows.len(), grad_output.cols());
+                    let mut grad_rows = Matrix::zeros(batch.token_rows.len(), grad_output.cols());
                     for (slot, (&row, &w)) in batch
                         .token_rows
                         .iter()
@@ -369,12 +364,11 @@ impl MoeLayer {
                     }
                     let (grad, grad_batch_input) =
                         experts[compact].backward(&batch.cache, &grad_rows);
-                    grad_rows.recycle();
                     (compact, batch, grad, grad_batch_input)
                 }
             })
             .collect();
-        let mut grad_input = Matrix::zeros_pooled(cache.input_shape.0, cache.input_shape.1);
+        let mut grad_input = Matrix::zeros(cache.input_shape.0, cache.input_shape.1);
         let mut expert_grads = HashMap::new();
         for (compact, batch, grad, grad_batch_input) in pool.run(tasks) {
             // Scatter the input gradient back to the token rows.
@@ -387,7 +381,6 @@ impl MoeLayer {
                     *o += g;
                 }
             }
-            grad_batch_input.recycle();
             let wanted = tuning_experts.is_none_or(|set| set.contains(&compact));
             if wanted {
                 expert_grads.insert(compact, grad);
@@ -457,15 +450,11 @@ impl TransformerLayer {
     ) -> (Matrix, TransformerLayerCache) {
         let attn_in = ops::layer_norm(input, LN_EPS);
         let (attn_out, attn_cache) = self.attention.forward(&attn_in);
-        attn_in.recycle();
         let received = attn_cache.received_attention();
         let post_attention = input.add(&attn_out).expect("residual shapes match");
-        attn_out.recycle();
         let moe_in = ops::layer_norm(&post_attention, LN_EPS);
         let (moe_out, moe_cache) = self.moe.forward(&moe_in, layer_idx, &received, tracker);
-        moe_in.recycle();
         let output = post_attention.add(&moe_out).expect("residual shapes match");
-        moe_out.recycle();
         (
             output,
             TransformerLayerCache {
@@ -489,18 +478,12 @@ impl TransformerLayer {
     ) -> Matrix {
         let attn_in = ops::layer_norm(input, LN_EPS);
         let (attn_out, received) = self.attention.forward_no_cache(&attn_in);
-        attn_in.recycle();
         let post_attention = input.add(&attn_out).expect("residual shapes match");
-        attn_out.recycle();
         let moe_in = ops::layer_norm(&post_attention, LN_EPS);
         let moe_out = self
             .moe
             .forward_no_cache(&moe_in, layer_idx, &received, tracker);
-        moe_in.recycle();
-        let output = post_attention.add(&moe_out).expect("residual shapes match");
-        moe_out.recycle();
-        post_attention.recycle();
-        output
+        post_attention.add(&moe_out).expect("residual shapes match")
     }
 
     /// Batched forward pass over a packed `(total_tokens, d_model)` batch.
@@ -525,14 +508,10 @@ impl TransformerLayer {
     ) -> (Matrix, TransformerLayerBatchCache) {
         let attn_in = ops::layer_norm(&input, LN_EPS);
         let (attn_out, attn_cache) = self.attention.forward_batch(&attn_in, bounds);
-        attn_in.recycle();
         let post_attention = input.add(&attn_out).expect("residual shapes match");
-        attn_out.recycle();
         let moe_in = ops::layer_norm(&post_attention, LN_EPS);
         let (moe_out, moe_cache) = self.moe.forward(&moe_in, layer_idx, &[], None);
-        moe_in.recycle();
         let output = post_attention.add(&moe_out).expect("residual shapes match");
-        moe_out.recycle();
         (
             output,
             TransformerLayerBatchCache {
@@ -559,15 +538,12 @@ impl TransformerLayer {
     ) -> Matrix {
         let attn_in = ops::layer_norm(input, LN_EPS);
         let (attn_out, attn_cache) = self.attention.forward_batch(&attn_in, bounds);
-        attn_in.recycle();
         let received = if tracking.is_some() {
             attn_cache.received_attention()
         } else {
             Vec::new()
         };
-        attn_cache.recycle();
         let post_attention = input.add(&attn_out).expect("residual shapes match");
-        attn_out.recycle();
         let moe_in = ops::layer_norm(&post_attention, LN_EPS);
         let moe_out = match tracking {
             Some((tracker, row_samples)) => self.moe.forward_no_cache_attributed(
@@ -579,11 +555,7 @@ impl TransformerLayer {
             ),
             None => self.moe.forward_no_cache(&moe_in, layer_idx, &[], None),
         };
-        moe_in.recycle();
-        let output = post_attention.add(&moe_out).expect("residual shapes match");
-        moe_out.recycle();
-        post_attention.recycle();
-        output
+        post_attention.add(&moe_out).expect("residual shapes match")
     }
 
     /// Batched backward pass mirroring [`TransformerLayer::backward`]; the
@@ -602,22 +574,18 @@ impl TransformerLayer {
                 .backward(&cache.moe_cache, grad_output, tuning_experts);
         let mut grad_post_attention = grad_output.clone();
         let grad_from_moe = ops::layer_norm_backward(&cache.post_attention, &grad_moe_in, LN_EPS);
-        grad_moe_in.recycle();
         grad_post_attention
             .add_scaled(&grad_from_moe, 1.0)
             .expect("same shape");
-        grad_from_moe.recycle();
         // post_attention = input + attention(ln(input)).
         let grad_attn_in =
             self.attention
                 .backward_batch(&cache.attn_cache, bounds, &grad_post_attention);
         let mut grad_input = grad_post_attention;
         let grad_from_attention = ops::layer_norm_backward(&cache.input, &grad_attn_in, LN_EPS);
-        grad_attn_in.recycle();
         grad_input
             .add_scaled(&grad_from_attention, 1.0)
             .expect("same shape");
-        grad_from_attention.recycle();
         (expert_grads, grad_input)
     }
 
@@ -635,22 +603,18 @@ impl TransformerLayer {
                 .backward(&cache.moe_cache, grad_output, tuning_experts);
         let mut grad_post_attention = grad_output.clone();
         let grad_from_moe = ops::layer_norm_backward(&cache.post_attention, &grad_moe_in, LN_EPS);
-        grad_moe_in.recycle();
         grad_post_attention
             .add_scaled(&grad_from_moe, 1.0)
             .expect("same shape");
-        grad_from_moe.recycle();
         // post_attention = input + attention(ln(input)).
         let grad_attn_in = self
             .attention
             .backward(&cache.attn_cache, &grad_post_attention);
         let mut grad_input = grad_post_attention;
         let grad_from_attention = ops::layer_norm_backward(&cache.input, &grad_attn_in, LN_EPS);
-        grad_attn_in.recycle();
         grad_input
             .add_scaled(&grad_from_attention, 1.0)
             .expect("same shape");
-        grad_from_attention.recycle();
         (expert_grads, grad_input)
     }
 }

@@ -160,7 +160,7 @@ fn batched_forward_is_bit_identical_to_per_sample() {
 /// SIMD dispatch level, over ragged bounds including length-1 samples.
 #[test]
 fn block_diag_attention_matches_per_sample_at_every_level() {
-    let levels: Vec<SimdLevel> = [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2]
+    let levels: Vec<SimdLevel> = [SimdLevel::Scalar, SimdLevel::Avx2]
         .into_iter()
         .filter(|&l| simd::is_supported(l))
         .collect();

@@ -28,7 +28,7 @@ pub fn quantized_matmul(x: &Matrix, w: &QuantizedMatrix) -> Result<Matrix> {
         });
     }
     let n = w.cols();
-    let mut out = Matrix::zeros_pooled(x.rows(), n);
+    let mut out = Matrix::zeros(x.rows(), n);
     let scales = w.scales();
     for i in 0..x.rows() {
         let x_row = x.row(i);

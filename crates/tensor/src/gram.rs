@@ -122,7 +122,7 @@ mod tests {
     }
 
     fn supported_levels() -> Vec<SimdLevel> {
-        [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2]
+        [SimdLevel::Scalar, SimdLevel::Avx2]
             .into_iter()
             .filter(|&l| simd::is_supported(l))
             .collect()

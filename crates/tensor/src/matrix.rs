@@ -47,11 +47,10 @@ fn gemm_accumulate(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut
 /// arithmetic.
 ///
 /// The inner microkernels come from the runtime dispatch table
-/// ([`crate::simd::active`]): the scalar reference, SSE2 (bit-identical to
-/// scalar) or AVX2+FMA. Each variant's per-element accumulation order is
-/// fixed and independent of `m`/`n`/blocking, which is what keeps every
-/// variant individually deterministic across thread counts and batch
-/// shapes.
+/// ([`crate::simd::active`]): the scalar reference or AVX2+FMA. Each
+/// variant's per-element accumulation order is fixed and independent of
+/// `m`/`n`/blocking, which is what keeps every variant individually
+/// deterministic across thread counts and batch shapes.
 #[allow(clippy::too_many_arguments)]
 fn gemm_strided(
     m: usize,
@@ -145,25 +144,11 @@ impl Matrix {
         }
     }
 
-    /// Creates a zeroed matrix whose buffer comes from the thread-local
-    /// scratch pool (see [`Matrix::recycle`]). Hot paths use this for
-    /// intermediates so steady-state training does no per-call allocation;
-    /// the result is an ordinary matrix in every other respect.
-    pub fn zeros_pooled(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            data: scratch::take(rows * cols),
-        }
-    }
-
-    /// Retires this matrix's buffer into the thread-local scratch pool, to
-    /// be reused by a later [`Matrix::zeros_pooled`] or kernel scratch
-    /// request. Purely an optimization — dropping the matrix instead is
-    /// always correct.
-    pub fn recycle(self) {
-        scratch::give(self.data);
-    }
+    // A plain drop. Kept only because `benchmark/src/replay.rs` l.672-708
+    // still calls it and `benchmark/**` changes in benchmark-only PRs; goes
+    // with ROADMAP "Benchmark hygiene" (a).
+    #[doc(hidden)]
+    pub fn recycle(self) {}
 
     /// Creates a matrix filled with a constant value.
     pub fn filled(rows: usize, cols: usize, value: f32) -> Self {
@@ -349,27 +334,25 @@ impl Matrix {
         out
     }
 
-    /// Copies the contiguous row range `[start, end)` into a new matrix
-    /// whose buffer comes from the scratch pool. This is the segment-slicing
-    /// primitive of the batched training path: per-sample blocks of a packed
-    /// `(total_tokens, d)` activation matrix are carved out without touching
-    /// the allocator.
+    /// Copies the contiguous row range `[start, end)` into a new matrix.
+    /// This is the segment-slicing primitive of the batched training path:
+    /// per-sample blocks of a packed `(total_tokens, d)` activation matrix
+    /// are carved out with one contiguous copy.
     ///
     /// # Panics
     ///
     /// Panics if `start > end` or `end > self.rows()`.
     pub fn copy_rows(&self, start: usize, end: usize) -> Self {
         assert!(start <= end && end <= self.rows, "row range out of bounds");
-        let mut out = Matrix::zeros_pooled(end - start, self.cols);
+        let mut out = Matrix::zeros(end - start, self.cols);
         out.data
             .copy_from_slice(&self.data[start * self.cols..end * self.cols]);
         out
     }
 
-    /// Copies the contiguous column range `[start, end)` into a new matrix
-    /// whose buffer comes from the scratch pool. Used to split the output of
-    /// a fused wide GEMM (e.g. the attention Q/K/V projection) back into its
-    /// logical operands.
+    /// Copies the contiguous column range `[start, end)` into a new matrix.
+    /// Used to split the output of a fused wide GEMM (e.g. the attention
+    /// Q/K/V projection) back into its logical operands.
     ///
     /// # Panics
     ///
@@ -380,7 +363,7 @@ impl Matrix {
             "column range out of bounds"
         );
         let width = end - start;
-        let mut out = Matrix::zeros_pooled(self.rows, width);
+        let mut out = Matrix::zeros(self.rows, width);
         for r in 0..self.rows {
             out.row_mut(r)
                 .copy_from_slice(&self.data[r * self.cols + start..r * self.cols + end]);
@@ -435,7 +418,7 @@ impl Matrix {
                 rhs: other.shape(),
             });
         }
-        let mut out = Matrix::zeros_pooled(self.rows, other.cols);
+        let mut out = Matrix::zeros(self.rows, other.cols);
         gemm_accumulate(
             self.rows,
             self.cols,
@@ -473,7 +456,7 @@ impl Matrix {
                 rhs: (1, bias.len()),
             });
         }
-        let mut out = Matrix::zeros_pooled(self.rows, other.cols);
+        let mut out = Matrix::zeros(self.rows, other.cols);
         for r in 0..self.rows {
             out.row_mut(r).copy_from_slice(bias);
         }
@@ -507,7 +490,7 @@ impl Matrix {
             });
         }
         let (k, m, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros_pooled(m, n);
+        let mut out = Matrix::zeros(m, n);
         if m == 0 || n == 0 || k == 0 {
             return Ok(out);
         }
@@ -547,7 +530,7 @@ impl Matrix {
             });
         }
         let (m, n, k) = (self.rows, other.rows, self.cols);
-        let mut out = Matrix::zeros_pooled(m, n);
+        let mut out = Matrix::zeros(m, n);
         if m == 0 || n == 0 || k == 0 {
             return Ok(out);
         }
@@ -644,7 +627,7 @@ impl Matrix {
     ) -> Matrix {
         assert_eq!(self.cols, other.cols, "block_diag_matmul_transb widths");
         let d = self.cols;
-        let mut out = Matrix::zeros_pooled(self.rows, pad_cols);
+        let mut out = Matrix::zeros(self.rows, pad_cols);
         for &(start, end) in bounds {
             assert!(start <= end && end <= self.rows && end <= other.rows);
             let len = end - start;
@@ -690,7 +673,7 @@ impl Matrix {
     pub fn block_diag_matmul(&self, other: &Matrix, bounds: &[(usize, usize)]) -> Matrix {
         let pad = self.cols;
         let d = other.cols;
-        let mut out = Matrix::zeros_pooled(self.rows, d);
+        let mut out = Matrix::zeros(self.rows, d);
         for &(start, end) in bounds {
             assert!(start <= end && end <= self.rows && end <= other.rows);
             let len = end - start;
@@ -725,7 +708,7 @@ impl Matrix {
     pub fn block_diag_matmul_transa(&self, other: &Matrix, bounds: &[(usize, usize)]) -> Matrix {
         let pad = self.cols;
         let d = other.cols;
-        let mut out = Matrix::zeros_pooled(self.rows, d);
+        let mut out = Matrix::zeros(self.rows, d);
         for &(start, end) in bounds {
             assert!(start <= end && end <= self.rows && end <= other.rows);
             let len = end - start;

@@ -135,7 +135,7 @@ pub fn gelu_backward(x: &Matrix, grad: &Matrix) -> Matrix {
 pub fn gelu_backward_cached(x: &Matrix, y: &Matrix, grad: &Matrix) -> Matrix {
     debug_assert_eq!(x.shape(), y.shape());
     debug_assert_eq!(x.shape(), grad.shape());
-    let mut out = Matrix::zeros_pooled(x.rows(), x.cols());
+    let mut out = Matrix::zeros(x.rows(), x.cols());
     (simd::active().gelu_grad_cached)(
         x.as_slice(),
         y.as_slice(),

@@ -86,7 +86,6 @@ impl Pca {
             }
             (components, eigen.values)
         };
-        centered.recycle();
         Ok(Self {
             mean,
             components,
@@ -113,9 +112,7 @@ impl Pca {
         // the fused `A·Bᵀ` kernel (contiguous dot products, no per-row
         // temporary).
         let centered = centered(data, &self.mean);
-        let out = centered.matmul_transb(&self.components)?;
-        centered.recycle();
-        Ok(out)
+        centered.matmul_transb(&self.components)
     }
 
     /// Convenience: fit on `data` and immediately project it. For wide data
@@ -132,7 +129,6 @@ impl Pca {
         validate(data, k)?;
         let centered = centered(data, &feature_means(data));
         let gram = gram_f64(&rows_of(&centered));
-        centered.recycle();
         scores_from_gram(gram, k, rng)
     }
 }
@@ -208,9 +204,9 @@ fn feature_means(data: &Matrix) -> Vec<f32> {
     mean
 }
 
-/// `data` with `mean` subtracted from every row, in a pooled matrix.
+/// `data` with `mean` subtracted from every row.
 fn centered(data: &Matrix, mean: &[f32]) -> Matrix {
-    let mut out = Matrix::zeros_pooled(data.rows(), data.cols());
+    let mut out = Matrix::zeros(data.rows(), data.cols());
     for r in 0..data.rows() {
         for ((c, &x), &m) in out.row_mut(r).iter_mut().zip(data.row(r)).zip(mean) {
             *c = x - m;

@@ -1,49 +1,31 @@
-//! Thread-local scratch memory: a bump arena for scoped buffers plus a
-//! small pool of owned reusable `Vec<f32>`s.
+//! Thread-local scratch memory: a bump arena for scoped kernel buffers.
 //!
-//! The training hot path (matmul panel packing, gather/scatter of routed
-//! token batches, SPSA perturbation directions) needs short-lived buffers of
-//! a handful of recurring sizes every call. Allocating them fresh each time
-//! dominated small-model profiles, so this module serves them from two
-//! thread-local sources:
+//! A handful of kernels need a short-lived staging buffer every call — the
+//! GEMM pack panel, the `matmul_transa` / `matmul_transb` and
+//! block-diagonal transposes, the Gram slab, the upload codec's key
+//! scratch. Each lives in one lexical scope, and scopes nest strictly,
+//! which is exactly the discipline a bump arena wants: [`with`] serves an
+//! allocation as a pointer bump into a reserved chunk and a release as a
+//! pointer rewind, and when the outermost scope exits the arena resets to
+//! empty — O(1), no search, no per-size bookkeeping. Kernel scratch
+//! touches the allocator proper only while the arena is still growing
+//! toward its high-water mark; after that every scope of every round
+//! reuses the same chunk. [`reset_round`] trims an oversized arena back
+//! toward the recent rounds' high water (the driver calls it at round
+//! boundaries).
 //!
-//! * **[`with`] — the bump arena.** Scoped buffers (the kernel pack panel,
-//!   the transpose staging buffer) live in strictly nested scopes, which is
-//!   exactly the discipline a bump arena wants: an allocation is a pointer
-//!   bump into a reserved chunk, a release is a pointer rewind, and when
-//!   the outermost scope exits the arena resets to empty — O(1), no search,
-//!   no per-size bookkeeping. Steady-state training touches the allocator
-//!   proper only while the arena is still growing toward its high-water
-//!   mark; after that every scope of every round reuses the same chunk.
-//!   [`reset_round`] trims an oversized arena back toward the recent
-//!   rounds' high water (the driver calls it at round boundaries).
-//! * **[`take`] / [`give`] — the owned-buffer pool.** Buffers that escape
-//!   scopes ([`Matrix::zeros_pooled`](crate::Matrix::zeros_pooled) results
-//!   travel as ordinary matrices) must own their allocation, so they come
-//!   from a small sorted best-fit pool instead. A fit-ratio cap keeps a
-//!   tiny request from pinning a huge pooled buffer, and a full pool evicts
-//!   its smallest entry for a larger incoming one (large buffers are the
-//!   expensive ones to reallocate).
+//! This is the only scratch allocator. Buffers that escape a scope —
+//! every [`Matrix`](crate::Matrix) a kernel returns — are ordinary owned
+//! allocations that drop like any other `Vec`.
 //!
-//! Both sources are per-thread, so no locking and bit-identical results
-//! under any thread count. Lifetime tracks thread lifetime: since
+//! The arena is per-thread, so no locking and bit-identical results under
+//! any thread count. Lifetime tracks thread lifetime: since
 //! `vendor/threadpool` keeps its workers **persistent** across fork-join
-//! regions, a worker's arena and pool stay warm from one region to the
-//! next. The [`stats`] counters exist so tests can pin that reuse instead
-//! of assuming it.
+//! regions, a worker's arena stays warm from one region to the next. The
+//! [`stats`] counters exist so tests can pin that reuse instead of
+//! assuming it.
 
-use std::cell::{Cell, RefCell};
-
-/// Upper bound on pooled buffers per thread; beyond this, retiring a buffer
-/// evicts the smallest pooled entry (or drops the incoming buffer when it
-/// is itself the smallest). Generous enough for the deepest
-/// forward/backward nesting the models here produce.
-const MAX_POOLED: usize = 64;
-
-/// A pooled buffer serves a [`take`] only when its capacity is at most
-/// this multiple of the request: best-fit without a cap let a 16-element
-/// take consume (and pin) a megabyte buffer.
-const MAX_FIT_RATIO: usize = 4;
+use std::cell::RefCell;
 
 /// Smallest chunk the arena reserves; avoids pathological regrowth for
 /// byte-sized scopes.
@@ -51,13 +33,6 @@ const MIN_CHUNK: usize = 1024;
 
 thread_local! {
     static ARENA: RefCell<Arena> = const { RefCell::new(Arena::new()) };
-    // Kept sorted ascending by capacity so `take` is a best-fit binary
-    // search: small requests never consume large buffers, and the pool
-    // stays effective when hot paths retire buffers of many sizes.
-    static POOL: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
-    // Per-thread reuse accounting, reported via `stats`.
-    static HITS: Cell<u64> = const { Cell::new(0) };
-    static MISSES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The thread-local bump arena behind [`with`].
@@ -174,9 +149,11 @@ impl Arena {
 /// Per-thread scratch counters since the last [`reset_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScratchStats {
-    /// `take` calls served from a pooled buffer (no allocation).
-    pub hits: u64,
-    /// `take` calls that had to allocate.
+    // Always 0: nothing counts into it. Kept only because
+    // `benchmark/src/report.rs` l.624 still reads it and `benchmark/**`
+    // changes in benchmark-only PRs; goes with ROADMAP "Benchmark hygiene"
+    // (a).
+    #[doc(hidden)]
     pub misses: u64,
     /// [`with`] scopes served by bumping into already-reserved arena
     /// memory (no allocator traffic).
@@ -194,8 +171,7 @@ pub fn stats() -> ScratchStats {
     ARENA.with(|arena| {
         let arena = arena.borrow();
         ScratchStats {
-            hits: HITS.with(Cell::get),
-            misses: MISSES.with(Cell::get),
+            misses: 0,
             arena_hits: arena.hits,
             arena_misses: arena.misses,
             arena_capacity: arena.capacity(),
@@ -204,11 +180,8 @@ pub fn stats() -> ScratchStats {
     })
 }
 
-/// Zeroes the calling thread's scratch counters (arena chunks and pooled
-/// buffers are kept).
+/// Zeroes the calling thread's scratch counters (arena chunks are kept).
 pub fn reset_stats() {
-    HITS.with(|h| h.set(0));
-    MISSES.with(|m| m.set(0));
     ARENA.with(|arena| {
         let mut arena = arena.borrow_mut();
         arena.hits = 0;
@@ -223,49 +196,6 @@ pub fn reset_stats() {
 /// only long-lived driver threads need to call this.
 pub fn reset_round() {
     ARENA.with(|arena| arena.borrow_mut().reset_round());
-}
-
-/// Takes a zero-filled **owned** buffer of exactly `len` elements,
-/// preferring a pooled buffer whose capacity is at least `len` and at most
-/// `MAX_FIT_RATIO * len` (so a tiny request never pins a huge buffer),
-/// and allocating otherwise.
-pub fn take(len: usize) -> Vec<f32> {
-    POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        // Best fit: the smallest pooled buffer whose capacity suffices —
-        // accepted only within the fit-ratio cap.
-        let i = pool.partition_point(|b| b.capacity() < len);
-        if i < pool.len() && pool[i].capacity() <= len.saturating_mul(MAX_FIT_RATIO) {
-            HITS.with(|h| h.set(h.get() + 1));
-            let mut buf = pool.remove(i);
-            buf.clear();
-            buf.resize(len, 0.0);
-            buf
-        } else {
-            MISSES.with(|m| m.set(m.get() + 1));
-            vec![0.0; len]
-        }
-    })
-}
-
-/// Returns a buffer to the pool for reuse by a later [`take`]. A full pool
-/// evicts its smallest-capacity entry to admit a larger buffer; the
-/// incoming buffer is dropped only when it is itself the smallest.
-pub fn give(buf: Vec<f32>) {
-    if buf.capacity() == 0 {
-        return;
-    }
-    POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if pool.len() >= MAX_POOLED {
-            if pool[0].capacity() >= buf.capacity() {
-                return;
-            }
-            pool.remove(0);
-        }
-        let at = pool.partition_point(|b| b.capacity() < buf.capacity());
-        pool.insert(at, buf);
-    });
 }
 
 /// Runs `f` with a zero-filled scratch slice of `len` elements served from
@@ -292,7 +222,7 @@ pub fn with<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     // while any scope is live (growth pushes new chunks, coalescing only
     // happens with zero live scopes), and nested scopes get disjoint
     // ranges. The RefCell borrow is released before `f` runs, so nested
-    // `with`/`take`/`give` calls inside `f` cannot double-borrow.
+    // `with` calls inside `f` cannot double-borrow.
     let slice = unsafe { std::slice::from_raw_parts_mut(ptr, len) };
     slice.fill(0.0);
     f(slice)
@@ -303,85 +233,9 @@ mod tests {
     use super::*;
 
     /// Runs `f` on a dedicated thread: sibling tests share this thread's
-    /// arena, pool and counters otherwise.
+    /// arena and counters otherwise.
     fn on_fresh_thread<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
         std::thread::spawn(f).join().unwrap()
-    }
-
-    #[test]
-    fn take_returns_zeroed_buffer_of_requested_length() {
-        let mut buf = take(16);
-        assert_eq!(buf.len(), 16);
-        assert!(buf.iter().all(|&x| x == 0.0));
-        buf.iter_mut().for_each(|x| *x = 7.0);
-        give(buf);
-        // A recycled buffer comes back zeroed even though it was dirtied.
-        let again = take(16);
-        assert!(again.iter().all(|&x| x == 0.0));
-        give(again);
-    }
-
-    #[test]
-    fn pool_reuses_capacity() {
-        let buf = take(1024);
-        let ptr = buf.as_ptr();
-        give(buf);
-        let again = take(512);
-        assert_eq!(again.as_ptr(), ptr, "smaller request reuses the buffer");
-        give(again);
-    }
-
-    #[test]
-    fn take_respects_fit_ratio_cap() {
-        // Regression: best-fit without a waste cap let a tiny take consume
-        // a huge pooled buffer, pinning the large allocation behind a small
-        // use. A 16-element take must NOT steal a 1 MB (262144-element)
-        // buffer.
-        on_fresh_thread(|| {
-            let big = take(262_144);
-            let big_ptr = big.as_ptr();
-            give(big);
-            let small = take(16);
-            assert_ne!(
-                small.as_ptr(),
-                big_ptr,
-                "a 16-element take must not consume a 262144-capacity buffer"
-            );
-            give(small);
-            // The big buffer is still pooled and still serves big requests.
-            let big_again = take(262_144);
-            assert_eq!(big_again.as_ptr(), big_ptr);
-            give(big_again);
-        });
-    }
-
-    #[test]
-    fn give_to_full_pool_evicts_smallest_not_incoming() {
-        // Regression: a full pool silently dropped the incoming buffer even
-        // when it was larger than the smallest pooled entry. The smallest
-        // entry must be evicted instead, so the pool keeps the buffers that
-        // are expensive to reallocate.
-        on_fresh_thread(|| {
-            for _ in 0..MAX_POOLED {
-                give(Vec::with_capacity(8));
-            }
-            let big = Vec::with_capacity(4096);
-            let big_ptr = big.as_ptr();
-            give(big);
-            // The big buffer must be retrievable (it displaced a tiny one).
-            let back = take(4096);
-            assert_eq!(
-                back.as_ptr(),
-                big_ptr,
-                "full pool must evict its smallest entry for a larger incoming buffer"
-            );
-            // And an incoming buffer smaller than every pooled entry is the
-            // one dropped.
-            give(back);
-            give(Vec::with_capacity(2));
-            let tiny = take(2);
-            assert!(tiny.capacity() >= 2);
-        });
     }
 
     #[test]
@@ -517,27 +371,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_length_take_and_with_are_fine() {
-        let buf = take(0);
-        assert!(buf.is_empty());
-        give(buf);
+    fn zero_length_with_is_fine() {
         assert_eq!(with(0, |s| s.len()), 0);
-    }
-
-    #[test]
-    fn stats_count_hits_and_misses() {
-        on_fresh_thread(|| {
-            reset_stats();
-            let base = stats();
-            assert_eq!(base.hits, 0);
-            assert_eq!(base.misses, 0);
-            let buf = take(64);
-            give(buf);
-            let buf = take(32);
-            give(buf);
-            let s = stats();
-            assert_eq!(s.misses, 1, "first take allocates");
-            assert_eq!(s.hits, 1, "second take reuses the pooled buffer");
-        });
     }
 }
