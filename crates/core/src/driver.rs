@@ -826,8 +826,8 @@ impl FederatedRun {
     /// Starts a standalone run: the global model lives in a private
     /// sharded store (its own single-tenant server, in effect).
     pub fn start(&self, method: Method) -> ActiveRun {
-        self.start_with(method, |model| {
-            Arc::new(ShardedStore::new(model, DEFAULT_SHARDS))
+        self.start_with(method, |fresh| {
+            Arc::new(ShardedStore::new(fresh(), DEFAULT_SHARDS))
         })
     }
 
@@ -836,7 +836,7 @@ impl FederatedRun {
     /// so concurrent runs on the same server aggregate under disjoint
     /// per-shard locks.
     pub fn start_on(&self, method: Method, server: &ParameterServer) -> ActiveRun {
-        self.start_with(method, |model| server.register_tenant(model))
+        self.start_with(method, |fresh| server.register_tenant(fresh()))
     }
 
     /// Restores a standalone run from a durable checkpoint directory
@@ -896,8 +896,10 @@ impl FederatedRun {
         )?;
         let restored = Arc::new(loaded.store);
         // Deterministic rebuild of everything the checkpoint does not
-        // carry (dataset, fleet, eval set, RNG chain); the freshly
-        // initialized model is discarded in favor of the restored store.
+        // carry (dataset, fleet, eval set, RNG chain). The restored store
+        // takes the place of a freshly initialized model, which is therefore
+        // never built: its draws come from a stream of their own, so no
+        // other draw moves.
         let mut active = self.start_with(method, move |_fresh| adopt(restored));
         if state.flux.len() != active.registry.len() || state.fmes.len() != active.registry.len() {
             return Err(SnapshotError::Mismatch(format!(
@@ -933,13 +935,15 @@ impl FederatedRun {
         Ok(active)
     }
 
-    /// Shared setup: synthesizes the dataset, partitions the fleet,
-    /// initializes the global model into the store `register` provides, and
-    /// returns the resumable run state positioned before round 0.
+    /// Shared setup: synthesizes the dataset, partitions the fleet, takes
+    /// the global model's store from `register`, and returns the resumable
+    /// run state positioned before round 0. `register` is handed the random
+    /// initialisation of the global model as a thunk, so the model is only
+    /// built when a fresh store is wanted (a restore brings its own).
     fn start_with(
         &self,
         method: Method,
-        register: impl FnOnce(MoeModel) -> Arc<ShardedStore>,
+        register: impl FnOnce(&mut dyn FnMut() -> MoeModel) -> Arc<ShardedStore>,
     ) -> ActiveRun {
         let cfg = &self.config;
         let root = SeededRng::new(self.seed);
@@ -983,8 +987,7 @@ impl FederatedRun {
         // Server-side state. Per-client profiling state is indexed by the
         // stable client id and spans the whole registry; only sampled
         // clients ever grow a profile.
-        let global = MoeModel::new(model_config, &mut model_rng);
-        let store = register(global);
+        let store = register(&mut || MoeModel::new(model_config.clone(), &mut model_rng));
         let flux_states: Vec<FluxState> = (0..registry.len())
             .map(|_| FluxState {
                 profiler: StaleProfiler::new(cfg.profiling),

@@ -20,6 +20,14 @@ pub struct Expert {
     pub b2: Vec<f32>,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Parameter-gradient computations on this thread, so layer tests can
+    /// count the work a backward pass did instead of timing it.
+    pub(crate) static PARAM_GRAD_CALLS: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
+}
+
 /// Cache of intermediate activations needed for the expert backward pass.
 #[derive(Debug, Clone)]
 pub struct ExpertCache {
@@ -115,31 +123,49 @@ impl Expert {
     /// output), returns the parameter gradient and the gradient with respect
     /// to the expert input.
     pub fn backward(&self, cache: &ExpertCache, grad_output: &Matrix) -> (ExpertGrad, Matrix) {
+        let (grad, grad_input) = self.backward_parts(cache, grad_output, true, true);
+        (
+            grad.expect("parameter gradient asked for"),
+            grad_input.expect("input gradient asked for"),
+        )
+    }
+
+    /// [`Expert::backward`], computing only the halves somebody reads: the
+    /// parameter gradient (two GEMMs and two bias sums) when `want_params`,
+    /// the input gradient (one GEMM) when `want_input`. A frozen expert owes
+    /// the layers below it the input gradient alone; an expert of the
+    /// lowest tuned layer, below which nothing is trainable, the parameter
+    /// gradient alone. Each half is bit-identical to the full backward's.
+    pub fn backward_parts(
+        &self,
+        cache: &ExpertCache,
+        grad_output: &Matrix,
+        want_params: bool,
+        want_input: bool,
+    ) -> (Option<ExpertGrad>, Option<Matrix>) {
         debug_assert_eq!(grad_output.shape(), (cache.input.rows(), self.d_model()));
-        // Output layer: y = hidden·W2 + b2. The fused-transpose kernels
-        // avoid materializing any transposed weight or activation matrix.
-        let grad_w2 = cache.hidden.matmul_transa(grad_output).expect("row counts");
-        let grad_b2 = grad_output.sum_rows();
+        // Back through `y = hidden·W2 + b2` and the GELU. The
+        // fused-transpose kernels avoid materializing any transposed weight
+        // or activation matrix, and the cached hidden activations carry
+        // tanh(u) implicitly, sparing its recomputation (see
+        // `ops::gelu_backward_cached`).
         let grad_hidden = grad_output.matmul_transb(&self.w2).expect("col counts");
-        // Activation.
-        // The cached hidden activations carry tanh(u) implicitly, sparing
-        // its recomputation (see `ops::gelu_backward_cached`).
         let grad_pre =
             ops::gelu_backward_cached(&cache.pre_activation, &cache.hidden, &grad_hidden);
-        // Input layer: pre = x·W1 + b1.
-        let grad_w1 = cache.input.matmul_transa(&grad_pre).expect("row counts");
-        let grad_b1 = grad_pre.sum_rows();
-        let grad_input = grad_pre.matmul_transb(&self.w1).expect("col counts");
-        (
+        let grad = want_params.then(|| {
+            #[cfg(test)]
+            PARAM_GRAD_CALLS.with(|c| c.set(c.get() + 1));
+            // pre = x·W1 + b1, y = hidden·W2 + b2.
             ExpertGrad {
-                w1: grad_w1,
-                b1: grad_b1,
-                w2: grad_w2,
-                b2: grad_b2,
+                w1: cache.input.matmul_transa(&grad_pre).expect("row counts"),
+                b1: grad_pre.sum_rows(),
+                w2: cache.hidden.matmul_transa(grad_output).expect("row counts"),
+                b2: grad_output.sum_rows(),
                 token_count: cache.input.rows(),
-            },
-            grad_input,
-        )
+            }
+        });
+        let grad_input = want_input.then(|| grad_pre.matmul_transb(&self.w1).expect("col counts"));
+        (grad, grad_input)
     }
 
     /// Applies a gradient with plain SGD (used by tests and the baselines;
@@ -367,6 +393,24 @@ mod tests {
         assert!(
             (numeric - analytic).abs() < 0.05 * numeric.abs().max(1.0),
             "input grad numeric {numeric} analytic {analytic}"
+        );
+    }
+
+    #[test]
+    fn backward_halves_equal_the_full_backward() {
+        let e = expert(17);
+        let mut rng = SeededRng::new(18);
+        let x = Matrix::random_normal(7, 8, 1.0, &mut rng);
+        let grad_out = Matrix::random_normal(7, 8, 1.0, &mut rng);
+        let (_, cache) = e.forward(&x);
+        let (grad, grad_input) = e.backward(&cache, &grad_out);
+        assert_eq!(
+            e.backward_parts(&cache, &grad_out, false, true),
+            (None, Some(grad_input))
+        );
+        assert_eq!(
+            e.backward_parts(&cache, &grad_out, true, false),
+            (Some(grad), None)
         );
     }
 

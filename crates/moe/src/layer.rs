@@ -326,27 +326,36 @@ impl MoeLayer {
     ///
     /// Computes parameter gradients for the compact experts listed in
     /// `tuning_experts` (pass `None` to collect gradients for every expert)
-    /// and the gradient with respect to the layer input.
+    /// and, when `want_input` is set, the gradient with respect to the layer
+    /// input. Each routed expert runs only the half of its backward that
+    /// somebody reads: a frozen expert contributes its input gradient
+    /// alone, a tuned expert in the lowest tuned layer (`want_input` unset)
+    /// its parameter gradient alone, and a frozen expert there is skipped.
     pub fn backward(
         &self,
         cache: &MoeLayerCache,
         grad_output: &Matrix,
         tuning_experts: Option<&[usize]>,
-    ) -> (HashMap<usize, ExpertGrad>, Matrix) {
+        want_input: bool,
+    ) -> (HashMap<usize, ExpertGrad>, Option<Matrix>) {
         // Ascending expert order, mirroring the forward pass: deterministic
         // float accumulation and a stable parallel reduction order.
-        let mut batches: Vec<(usize, &ExpertBatch)> = cache
+        let mut batches: Vec<(usize, &ExpertBatch, bool)> = cache
             .expert_batches
             .iter()
-            .map(|(&compact, batch)| (compact, batch))
+            .map(|(&compact, batch)| {
+                let tuned = tuning_experts.is_none_or(|set| set.contains(&compact));
+                (compact, batch, tuned)
+            })
+            .filter(|&(_, _, tuned)| tuned || want_input)
             .collect();
-        batches.sort_unstable_by_key(|&(compact, _)| compact);
-        let routed_rows: usize = batches.iter().map(|(_, b)| b.token_rows.len()).sum();
+        batches.sort_unstable_by_key(|&(compact, _, _)| compact);
+        let routed_rows: usize = batches.iter().map(|(_, b, _)| b.token_rows.len()).sum();
         let pool = expert_pool(routed_rows, self.d_model(), self.d_ff(), batches.len());
         let tasks: Vec<_> = batches
             .into_iter()
-            .map(|(compact, batch)| {
-                let experts = &self.experts;
+            .map(|(compact, batch, tuned)| {
+                let expert = &self.experts[compact];
                 move || {
                     // Gather the upstream gradient rows for this expert,
                     // scaled by the routing weight each token assigned to it.
@@ -363,26 +372,29 @@ impl MoeLayer {
                         }
                     }
                     let (grad, grad_batch_input) =
-                        experts[compact].backward(&batch.cache, &grad_rows);
+                        expert.backward_parts(&batch.cache, &grad_rows, tuned, want_input);
                     (compact, batch, grad, grad_batch_input)
                 }
             })
             .collect();
-        let mut grad_input = Matrix::zeros(cache.input_shape.0, cache.input_shape.1);
+        let mut grad_input =
+            want_input.then(|| Matrix::zeros(cache.input_shape.0, cache.input_shape.1));
         let mut expert_grads = HashMap::new();
         for (compact, batch, grad, grad_batch_input) in pool.run(tasks) {
             // Scatter the input gradient back to the token rows.
-            for (slot, &row) in batch.token_rows.iter().enumerate() {
-                for (o, &g) in grad_input
-                    .row_mut(row)
-                    .iter_mut()
-                    .zip(grad_batch_input.row(slot))
-                {
-                    *o += g;
+            if let (Some(grad_input), Some(grad_batch_input)) = (&mut grad_input, grad_batch_input)
+            {
+                for (slot, &row) in batch.token_rows.iter().enumerate() {
+                    for (o, &g) in grad_input
+                        .row_mut(row)
+                        .iter_mut()
+                        .zip(grad_batch_input.row(slot))
+                    {
+                        *o += g;
+                    }
                 }
             }
-            let wanted = tuning_experts.is_none_or(|set| set.contains(&compact));
-            if wanted {
+            if let Some(grad) = grad {
                 expert_grads.insert(compact, grad);
             }
         }
@@ -567,11 +579,16 @@ impl TransformerLayer {
         bounds: &[(usize, usize)],
         grad_output: &Matrix,
         tuning_experts: Option<&[usize]>,
-    ) -> (HashMap<usize, ExpertGrad>, Matrix) {
+        want_input: bool,
+    ) -> (HashMap<usize, ExpertGrad>, Option<Matrix>) {
         // output = post_attention + moe(ln(post_attention)).
         let (expert_grads, grad_moe_in) =
             self.moe
-                .backward(&cache.moe_cache, grad_output, tuning_experts);
+                .backward(&cache.moe_cache, grad_output, tuning_experts, want_input);
+        // Nothing trainable lies below: no reader for the input gradient.
+        let Some(grad_moe_in) = grad_moe_in else {
+            return (expert_grads, None);
+        };
         let mut grad_post_attention = grad_output.clone();
         let grad_from_moe = ops::layer_norm_backward(&cache.post_attention, &grad_moe_in, LN_EPS);
         grad_post_attention
@@ -586,21 +603,30 @@ impl TransformerLayer {
         grad_input
             .add_scaled(&grad_from_attention, 1.0)
             .expect("same shape");
-        (expert_grads, grad_input)
+        (expert_grads, Some(grad_input))
     }
 
     /// Backward pass returning expert gradients (for the selected tuning
-    /// experts) and the gradient with respect to the block input.
+    /// experts) and, when `want_input` is set, the gradient with respect to
+    /// the block input. The block's own parameters besides the experts
+    /// (attention, gate) are frozen, so without `want_input` — the lowest
+    /// tuned layer, below which nothing is trainable — the attention and
+    /// layer-norm backwards are not run at all.
     pub fn backward(
         &self,
         cache: &TransformerLayerCache,
         grad_output: &Matrix,
         tuning_experts: Option<&[usize]>,
-    ) -> (HashMap<usize, ExpertGrad>, Matrix) {
+        want_input: bool,
+    ) -> (HashMap<usize, ExpertGrad>, Option<Matrix>) {
         // output = post_attention + moe(ln(post_attention)).
         let (expert_grads, grad_moe_in) =
             self.moe
-                .backward(&cache.moe_cache, grad_output, tuning_experts);
+                .backward(&cache.moe_cache, grad_output, tuning_experts, want_input);
+        // Nothing trainable lies below: no reader for the input gradient.
+        let Some(grad_moe_in) = grad_moe_in else {
+            return (expert_grads, None);
+        };
         let mut grad_post_attention = grad_output.clone();
         let grad_from_moe = ops::layer_norm_backward(&cache.post_attention, &grad_moe_in, LN_EPS);
         grad_post_attention
@@ -615,7 +641,7 @@ impl TransformerLayer {
         grad_input
             .add_scaled(&grad_from_attention, 1.0)
             .expect("same shape");
-        (expert_grads, grad_input)
+        (expert_grads, Some(grad_input))
     }
 }
 
@@ -658,8 +684,8 @@ mod tests {
         let hidden = Matrix::random_normal(5, 8, 1.0, &mut rng);
         let (_, cache) = l.forward(&hidden, 0, &[0.0; 5], None);
         let grad_out = Matrix::filled(5, 8, 1.0);
-        let (grads, grad_in) = l.backward(&cache, &grad_out, None);
-        assert_eq!(grad_in.shape(), (5, 8));
+        let (grads, grad_in) = l.backward(&cache, &grad_out, None, true);
+        assert_eq!(grad_in.expect("input gradient asked for").shape(), (5, 8));
         assert!(!grads.is_empty());
         for (compact, grad) in &grads {
             assert!(*compact < l.num_experts());
@@ -675,11 +701,62 @@ mod tests {
         let hidden = Matrix::random_normal(8, 8, 1.0, &mut rng);
         let (_, cache) = l.forward(&hidden, 0, &[0.0; 8], None);
         let grad_out = Matrix::filled(8, 8, 1.0);
-        let (all, _) = l.backward(&cache, &grad_out, None);
+        let (all, _) = l.backward(&cache, &grad_out, None, true);
         let only_zero = [0usize];
-        let (restricted, _) = l.backward(&cache, &grad_out, Some(&only_zero));
+        let (restricted, _) = l.backward(&cache, &grad_out, Some(&only_zero), true);
         assert!(restricted.len() <= all.len());
         assert!(restricted.keys().all(|&k| k == 0));
+    }
+
+    #[test]
+    fn moe_backward_runs_only_the_halves_somebody_reads() {
+        use crate::expert::PARAM_GRAD_CALLS;
+        let l = layer(30);
+        let mut rng = SeededRng::new(31);
+        let hidden = Matrix::random_normal(9, 8, 1.0, &mut rng);
+        let (_, cache) = l.forward(&hidden, 0, &[0.0; 9], None);
+        let grad_out = Matrix::random_normal(9, 8, 1.0, &mut rng);
+        let routed: Vec<usize> = cache.expert_batches.keys().copied().collect();
+        assert!(routed.len() >= 2, "the seed must route to several experts");
+        // One parameter-gradient computation per routed expert, counted on
+        // this thread (the tiny layer never fans out).
+        let param_grads = |f: &dyn Fn()| {
+            PARAM_GRAD_CALLS.with(|c| c.set(0));
+            f();
+            PARAM_GRAD_CALLS.with(|c| c.get())
+        };
+        let (all, full_input) = l.backward(&cache, &grad_out, None, true);
+        let full_input = full_input.expect("input gradient asked for");
+        assert_eq!(
+            param_grads(&|| drop(l.backward(&cache, &grad_out, None, true))),
+            routed.len()
+        );
+        // A tuning set: parameter gradients for its routed members only,
+        // bit-identical to the full backward's, and the same input gradient
+        // (frozen experts still pass theirs down).
+        let tuned = [routed[0], l.num_experts() + 7];
+        assert_eq!(
+            param_grads(&|| {
+                let (grads, input) = l.backward(&cache, &grad_out, Some(&tuned), true);
+                assert_eq!(grads.len(), 1);
+                assert_eq!(grads[&routed[0]], all[&routed[0]]);
+                assert_eq!(input.as_ref(), Some(&full_input));
+            }),
+            1
+        );
+        // The lowest tuned layer: no input gradient, same parameter gradients.
+        assert_eq!(
+            param_grads(&|| {
+                let (grads, input) = l.backward(&cache, &grad_out, Some(&tuned), false);
+                assert_eq!(grads.len(), 1);
+                assert_eq!(grads[&routed[0]], all[&routed[0]]);
+                assert!(input.is_none());
+            }),
+            1
+        );
+        let (grads, input) = l.backward(&cache, &grad_out, None, false);
+        assert_eq!(grads, all);
+        assert!(input.is_none());
     }
 
     #[test]
@@ -690,7 +767,7 @@ mod tests {
         let hidden = Matrix::random_normal(4, 6, 1.0, &mut rng);
         let (_, cache) = l.forward(&hidden, 0, &[0.0; 4], None);
         let grad_out = Matrix::filled(4, 6, 1.0);
-        let (grads, _) = l.backward(&cache, &grad_out, None);
+        let (grads, _) = l.backward(&cache, &grad_out, None, true);
         let (&expert_id, grad) = grads.iter().next().unwrap();
         let loss = |l: &MoeLayer| l.forward(&hidden, 0, &[0.0; 4], None).0.sum();
         let eps = 1e-2;
@@ -770,9 +847,15 @@ mod tests {
         let (y, cache) = block.forward(&x, 0, None);
         assert_eq!(y.shape(), (5, 8));
         assert_eq!(cache.received_attention.len(), 5);
-        let (grads, grad_in) = block.backward(&cache, &Matrix::filled(5, 8, 1.0), None);
-        assert_eq!(grad_in.shape(), (5, 8));
+        let grad_out = Matrix::filled(5, 8, 1.0);
+        let (grads, grad_in) = block.backward(&cache, &grad_out, None, true);
+        assert_eq!(grad_in.expect("input gradient asked for").shape(), (5, 8));
         assert!(!grads.is_empty());
+        // Below the lowest tuned layer nothing is trainable: same expert
+        // gradients, no input gradient.
+        let (lowest, none) = block.backward(&cache, &grad_out, None, false);
+        assert_eq!(lowest, grads);
+        assert!(none.is_none());
     }
 
     #[test]
@@ -782,7 +865,7 @@ mod tests {
         let block = TransformerLayer::new(8, 16, 4, 2, &mut rng);
         let x = Matrix::random_normal(4, 8, 1.0, &mut rng);
         let (_, cache) = block.forward(&x, 0, None);
-        let (_, grad_in) = block.backward(&cache, &Matrix::filled(4, 8, 1.0), None);
-        assert!(grad_in.frobenius_norm() > 0.0);
+        let (_, grad_in) = block.backward(&cache, &Matrix::filled(4, 8, 1.0), None, true);
+        assert!(grad_in.expect("input gradient asked for").frobenius_norm() > 0.0);
     }
 }

@@ -492,8 +492,9 @@ impl MoeModel {
     ///
     /// `tuning` restricts which `(layer, compact expert)` pairs get parameter
     /// gradients; `None` collects gradients for every activated expert. The
-    /// backward pass always propagates input gradients through every layer so
-    /// earlier tuning experts receive correct signals.
+    /// backward pass propagates input gradients down to the lowest layer
+    /// that holds a tuning expert and stops there: embeddings, attention and
+    /// gates are frozen, so nothing trainable lies below it.
     pub fn sample_gradients(
         &self,
         sample: &Sample,
@@ -505,19 +506,26 @@ impl MoeModel {
         let mut grad =
             ops::layer_norm_backward(&cache.last_block_output, &grad_final_hidden, LN_EPS);
         let mut expert_grads: HashMap<ExpertKey, ExpertGrad> = HashMap::new();
-        for (idx, layer) in self.layers.iter().enumerate().rev() {
+        let lowest = lowest_tuned_layer(tuning).unwrap_or(self.layers.len());
+        for (idx, layer) in self.layers.iter().enumerate().skip(lowest).rev() {
             let tuning_for_layer: Option<Vec<usize>> = tuning.map(|set| {
                 set.iter()
                     .filter(|k| k.layer == idx)
                     .map(|k| k.expert)
                     .collect()
             });
-            let (grads, grad_input) =
-                layer.backward(&cache.layer_caches[idx], &grad, tuning_for_layer.as_deref());
+            let (grads, grad_input) = layer.backward(
+                &cache.layer_caches[idx],
+                &grad,
+                tuning_for_layer.as_deref(),
+                idx > lowest,
+            );
             for (compact, g) in grads {
                 expert_grads.insert(ExpertKey::new(idx, compact), g);
             }
-            grad = grad_input;
+            if let Some(grad_input) = grad_input {
+                grad = grad_input;
+            }
         }
         GradientSet {
             expert_grads,
@@ -709,7 +717,8 @@ impl MoeModel {
         let mut grad =
             ops::layer_norm_backward(&cache.last_block_output, &grad_final_hidden, LN_EPS);
         let mut expert_grads: HashMap<ExpertKey, ExpertGrad> = HashMap::new();
-        for (idx, layer) in self.layers.iter().enumerate().rev() {
+        let lowest = lowest_tuned_layer(tuning).unwrap_or(self.layers.len());
+        for (idx, layer) in self.layers.iter().enumerate().skip(lowest).rev() {
             let tuning_for_layer: Option<Vec<usize>> = tuning.map(|set| {
                 set.iter()
                     .filter(|k| k.layer == idx)
@@ -721,11 +730,14 @@ impl MoeModel {
                 cache.batch.bounds(),
                 &grad,
                 tuning_for_layer.as_deref(),
+                idx > lowest,
             );
             for (compact, g) in grads {
                 expert_grads.insert(ExpertKey::new(idx, compact), g);
             }
-            grad = grad_input;
+            if let Some(grad_input) = grad_input {
+                grad = grad_input;
+            }
         }
         GradientSet {
             expert_grads,
@@ -1008,6 +1020,17 @@ impl GradientSet {
     }
 }
 
+/// The lowest layer the backward pass has to reach: the lowest one holding
+/// a tuning expert (layer 0 when every expert is tuned, `None` when none
+/// is). Embeddings, attention and gates are frozen, so nothing trainable
+/// lies below it and the gradient with respect to its input has no reader.
+fn lowest_tuned_layer(tuning: Option<&HashSet<ExpertKey>>) -> Option<usize> {
+    match tuning {
+        None => Some(0),
+        Some(set) => set.iter().map(|k| k.layer).min(),
+    }
+}
+
 /// Local ROUGE-L used by evaluation (duplicated from `flux-metrics` to keep
 /// the dependency graph acyclic: `flux-metrics` stays independent of the
 /// model crates).
@@ -1117,6 +1140,42 @@ mod tests {
         assert!(restricted.expert_grads.len() <= 2);
         assert!(restricted.expert_grads.keys().all(|k| tuning.contains(k)));
         assert!(all.expert_grads.len() >= restricted.expert_grads.len());
+        // Restricting the set only drops work nobody reads: what is still
+        // returned is bit-identical, also when the backward pass stops
+        // above layer 0 (the lowest tuned layer here is 1) and in the
+        // batched path.
+        let upper: HashSet<ExpertKey> = all
+            .expert_grads
+            .keys()
+            .filter(|k| k.layer >= 1)
+            .copied()
+            .collect();
+        assert!(!upper.is_empty());
+        let batch = [sample.clone(), gen_sample(10)];
+        let all_batched = model.batch_gradients(&batch, None);
+        for (set, full, part) in [
+            (
+                &tuning,
+                &all,
+                model.sample_gradients(&sample, Some(&tuning)),
+            ),
+            (&upper, &all, model.sample_gradients(&sample, Some(&upper))),
+            (
+                &upper,
+                &all_batched,
+                model.batch_gradients(&batch, Some(&upper)),
+            ),
+        ] {
+            assert_eq!(part.loss.to_bits(), full.loss.to_bits());
+            assert_eq!(part.head_grad, full.head_grad);
+            for (key, grad) in &part.expert_grads {
+                assert!(set.contains(key));
+                assert_eq!(grad, &full.expert_grads[key], "{key:?}");
+            }
+        }
+        let none = model.sample_gradients(&sample, Some(&HashSet::new()));
+        assert!(none.expert_grads.is_empty());
+        assert_eq!(none.head_grad, all.head_grad);
     }
 
     #[test]

@@ -1,10 +1,17 @@
 //! Quantized linear forward pass.
 //!
-//! The profiling path runs the gating network (and, optionally, whole MoE
-//! layers) with quantized weights. The activation is kept in `f32` and the
-//! weight is dequantized on the fly row-by-row, mirroring how weight-only
-//! quantization kernels behave: the output carries the rounding error of
-//! the weights, which is exactly the error source behind the paper's Fig. 5.
+//! `x · W` against a weight that stays quantized: the activation is kept in
+//! `f32` and the weight is dequantized on the fly row-by-row, mirroring how
+//! weight-only quantization kernels behave. The output carries the rounding
+//! error of the weights, which is exactly the error source behind the
+//! paper's Fig. 5.
+//!
+//! Nothing in the library calls this today. The profiling path does *not*
+//! run through it: `MoeModel::quantized_copy` dequantizes the whole model
+//! once into an ordinary `f32` `MoeModel`, and profiling is the plain `f32`
+//! forward over that copy — same rounding error, paid at copy time, with
+//! the `f32` GEMM's speed. The only callers are the benchmark's
+//! `quant.qmatmul_gops` probe and `crates/quant/tests/proptest_quant.rs`.
 
 use flux_tensor::{Matrix, Result, TensorError};
 

@@ -3,8 +3,9 @@
 //! [`Matrix`] is the only tensor type in the reproduction. Sequences of
 //! token embeddings are `(seq_len, d_model)` matrices, expert weights are
 //! `(d_in, d_out)` matrices, and batches are represented as collections of
-//! matrices. Matmul — the training hot path — runs through a cache-blocked,
-//! panel-packed kernel ([`Matrix::try_matmul`]) with fused-transpose
+//! matrices. Matmul — the training hot path — runs through a depth-blocked
+//! driver over register-tile kernels that read both operands where they lie
+//! ([`Matrix::try_matmul`]; nothing is packed), with fused-transpose
 //! variants ([`Matrix::matmul_transa`], [`Matrix::matmul_transb`]) and
 //! vector fast paths ([`Matrix::matvec`], [`Matrix::vecmat`]) so the
 //! backward pass never materializes transposed weights.
@@ -16,13 +17,12 @@ use crate::rng::SeededRng;
 use crate::simd;
 use crate::{scratch, Result};
 
-/// Depth (k) blocking factor of the matmul kernel. Panels of `A` spanning
-/// `KC` depth steps are packed into contiguous scratch so the micro-kernel
-/// streams them linearly while the touched rows of `B` stay cache-resident.
-/// Must remain a multiple of the depth unroll factor (4) so accumulation
-/// grouping is identical across block boundaries — [`Matrix::vecmat`] and
-/// the blocked kernel rely on that to produce bit-identical results, and the
-/// Gram kernel ([`crate::gram`]) blocks its depth the same way so its entries
+/// Depth (k) blocking factor of the matmul kernel: a tile sweeps at most
+/// `KC` depth steps before moving on, so the rows of `B` it touches stay
+/// cache-resident across the row tiles of one block.
+/// Must remain a multiple of the depth unroll factor (4) so the scalar
+/// level's four-term grouping never straddles a block boundary; the Gram
+/// kernel ([`crate::gram`]) blocks its depth the same way so its entries
 /// equal [`Matrix::matmul_transb`]'s bit for bit.
 pub(crate) const KC: usize = 128;
 
@@ -34,30 +34,34 @@ fn gemm_accumulate(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    gemm_strided(m, k, n, a, k, b, n, out, n);
+    gemm_strided(m, k, n, a, k, 1, b, n, out, n);
 }
 
-/// The strided general form of the blocked GEMM: `a` rows are `lda` apart,
-/// `b` rows `ldb` apart, `out` rows `ldc` apart (all row-major views; the
-/// depth runs along `a`'s rows, so each packed panel row is contiguous).
+/// The strided general form of the blocked GEMM, `out += A · b` with `A`
+/// addressed through two strides: `A[i][p] = a[i·rs + p·ds]`, so a
+/// row-major operand with rows `lda` apart is `(rs, ds) = (lda, 1)` and the
+/// transpose of one is `(1, lda)` — read in place either way, never packed
+/// or copied. `b` rows are `ldb` apart, `out` rows `ldc` apart.
 /// The fused block-diagonal attention path drives this directly on row
 /// slices of packed activations, with the padded scores matrix as `out` —
 /// no `copy_rows`/`paste_rows` staging, and **bit-identical** results to
-/// the dense entry points because the leading dimensions never enter the
-/// arithmetic.
+/// the dense entry points because strides and leading dimensions never
+/// enter the arithmetic.
 ///
-/// The inner microkernels come from the runtime dispatch table
+/// The tile kernel comes from the runtime dispatch table
 /// ([`crate::simd::active`]): the scalar reference or AVX2+FMA. Each
 /// variant's per-element accumulation order is fixed and independent of
-/// `m`/`n`/blocking, which is what keeps every variant individually
-/// deterministic across thread counts and batch shapes.
+/// `m`/`n`/tile height/blocking, which is what keeps every variant
+/// individually deterministic across thread counts and batch shapes. The
+/// kernel checks the extents of every tile it is handed.
 #[allow(clippy::too_many_arguments)]
 fn gemm_strided(
     m: usize,
     k: usize,
     n: usize,
     a: &[f32],
-    lda: usize,
+    rs: usize,
+    ds: usize,
     b: &[f32],
     ldb: usize,
     out: &mut [f32],
@@ -66,44 +70,52 @@ fn gemm_strided(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    debug_assert!(a.len() >= (m - 1) * lda + k);
-    debug_assert!(b.len() >= (k - 1) * ldb + n);
-    debug_assert!(out.len() >= (m - 1) * ldc + n);
     let kern = simd::active();
-    let mr = kern.mr;
-    scratch::with(mr * KC.min(k), |pack| {
-        let mut kk0 = 0;
-        while kk0 < k {
-            let kc = KC.min(k - kk0);
-            let b_panel = &b[kk0 * ldb..];
-            let mut i0 = 0;
-            while i0 + mr <= m {
-                // Pack the mr×kc panel of `a` depth-major: the micro-kernel
-                // then reads it strictly linearly.
-                for p in 0..kc {
-                    let dst = &mut pack[p * mr..p * mr + mr];
-                    for (r, slot) in dst.iter_mut().enumerate() {
-                        *slot = a[(i0 + r) * lda + kk0 + p];
-                    }
-                }
-                (kern.tile)(
-                    &pack[..kc * mr],
-                    kc,
-                    b_panel,
-                    ldb,
-                    n,
-                    &mut out[i0 * ldc..],
-                    ldc,
-                );
-                i0 += mr;
-            }
-            for i in i0..m {
-                let a_row = &a[i * lda + kk0..][..kc];
-                (kern.row)(a_row, b_panel, ldb, n, &mut out[i * ldc..][..n]);
-            }
-            kk0 += KC;
+    for kk0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - kk0);
+        let b_panel = &b[kk0 * ldb..];
+        for i0 in (0..m).step_by(kern.mr) {
+            (kern.tile)(
+                kern.mr.min(m - i0),
+                &a[i0 * rs + kk0 * ds..],
+                rs,
+                ds,
+                kc,
+                b_panel,
+                ldb,
+                n,
+                &mut out[i0 * ldc..],
+                ldc,
+            );
         }
-    });
+    }
+}
+
+/// Writes the transpose of the row-major `(rows, cols)` block at the head of
+/// `src` into `dst` (`dst[c · rows + r] = src[r · cols + c]`) — the `B`-side
+/// staging copy of the `transb` entry points, the one operand the kernels
+/// cannot read in place (they vectorise along its columns). Eight source
+/// rows advance together so every write run is eight contiguous elements
+/// instead of one element per cache line.
+fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    const STRIP: usize = 8;
+    let src = &src[..rows * cols];
+    let dst = &mut dst[..rows * cols];
+    let mut r0 = 0;
+    while r0 + STRIP <= rows {
+        let strip: [&[f32]; STRIP] = std::array::from_fn(|i| &src[(r0 + i) * cols..][..cols]);
+        for c in 0..cols {
+            for (slot, row) in dst[c * rows + r0..][..STRIP].iter_mut().zip(&strip) {
+                *slot = row[c];
+            }
+        }
+        r0 += STRIP;
+    }
+    for r in r0..rows {
+        for (c, &v) in src[r * cols..][..cols].iter().enumerate() {
+            dst[c * rows + r] = v;
+        }
+    }
 }
 
 /// Dot product with four independent accumulators (instruction-level
@@ -475,8 +487,8 @@ impl Matrix {
     ///
     /// `self` is `(k, m)`, `other` is `(k, n)`, the result is `(m, n)`.
     /// Replaces the `a.transpose().matmul(b)` pattern of the backward
-    /// passes: both operands are streamed row-contiguously and no transposed
-    /// copy is allocated.
+    /// passes, bit for bit: the kernel walks `self` column-wise where it
+    /// lies, so no transposed copy exists even as scratch.
     ///
     /// # Errors
     ///
@@ -494,19 +506,9 @@ impl Matrix {
         if m == 0 || n == 0 || k == 0 {
             return Ok(out);
         }
-        // Transpose `self` once into scratch — one cheap pass — and reuse
-        // the dispatched blocked kernel, exactly like `matmul_transb`. This
-        // replaced a hand-unrolled rank-1-update loop nest that duplicated
-        // the kernel's tail handling and could not vectorize through the
-        // dispatch layer.
-        scratch::with(k * m, |at| {
-            for p in 0..k {
-                for (c, &v) in self.row(p).iter().enumerate() {
-                    at[c * k + p] = v;
-                }
-            }
-            gemm_strided(m, k, n, at, k, &other.data, n, &mut out.data, n);
-        });
+        // `self` is read in place, down its columns: row stride 1, depth
+        // stride `m`.
+        gemm_strided(m, k, n, &self.data, 1, m, &other.data, n, &mut out.data, n);
         Ok(out)
     }
 
@@ -539,12 +541,8 @@ impl Matrix {
         // hundred columns. Instead, transpose `other` once into scratch —
         // one cheap pass — and reuse the vectorizing blocked kernel.
         scratch::with(k * n, |bt| {
-            for j in 0..n {
-                for (kk, &v) in other.row(j).iter().enumerate() {
-                    bt[kk * n + j] = v;
-                }
-            }
-            gemm_strided(m, k, n, &self.data, k, bt, n, &mut out.data, n);
+            transpose_into(&other.data, n, k, bt);
+            gemm_strided(m, k, n, &self.data, k, 1, bt, n, &mut out.data, n);
         });
         Ok(out)
     }
@@ -568,7 +566,7 @@ impl Matrix {
     /// Vector–matrix product `xᵀ · self` (fast path, no `Matrix` wrapping).
     ///
     /// Produces bit-identical results to routing a `(1, k)` matrix through
-    /// [`Matrix::try_matmul`]: both share the same depth-unrolled kernel.
+    /// [`Matrix::try_matmul`]: both are the same call into the blocked GEMM.
     ///
     /// # Errors
     ///
@@ -582,24 +580,12 @@ impl Matrix {
             });
         }
         let mut out = vec![0.0; self.cols];
-        let row_kernel = simd::active().row;
-        let mut p = 0;
-        // Mirror the KC blocking of the matmul kernel exactly (KC is a
-        // multiple of the unroll factor, so the grouping already matches;
-        // the explicit blocks keep that true if KC ever changes). Using the
-        // same dispatched row kernel as the blocked GEMM's row remainder
-        // keeps vecmat bit-identical to a `(1, k)` matmul at every level.
-        while p < self.rows {
-            let kc = KC.min(self.rows - p);
-            (row_kernel)(
-                &x[p..p + kc],
-                &self.data[p * self.cols..],
-                self.cols,
-                self.cols,
-                &mut out,
-            );
-            p += kc;
-        }
+        // A `(1, k)` matmul, spelled without the `Matrix`: the same tile
+        // kernel at height one, over the same depth blocks, so the result
+        // is bit-identical to `try_matmul` at every level.
+        gemm_strided(
+            1, self.rows, self.cols, x, 0, 1, &self.data, self.cols, &mut out, self.cols,
+        );
         Ok(out)
     }
 
@@ -638,17 +624,14 @@ impl Matrix {
             // Transpose the B block once into scratch (as matmul_transb
             // does), then run the strided kernel straight on the row slices.
             scratch::with(d * len, |bt| {
-                for (j, row) in (start..end).enumerate() {
-                    for (kk, &v) in other.row(row).iter().enumerate() {
-                        bt[kk * len + j] = v;
-                    }
-                }
+                transpose_into(&other.data[start * d..], len, d, bt);
                 gemm_strided(
                     len,
                     d,
                     len,
                     &self.data[start * d..],
                     d,
+                    1,
                     bt,
                     len,
                     &mut out.data[start * pad_cols..],
@@ -687,6 +670,7 @@ impl Matrix {
                 d,
                 &self.data[start * pad..],
                 pad,
+                1,
                 &other.data[start * d..],
                 d,
                 &mut out.data[start * d..],
@@ -716,27 +700,20 @@ impl Matrix {
             if len == 0 || d == 0 {
                 continue;
             }
-            // Transpose the (len, len) block out of the padded storage (as
-            // matmul_transa does) and reuse the dispatched kernel.
-            scratch::with(len * len, |at| {
-                for (p, row) in (start..end).enumerate() {
-                    let src = &self.data[row * pad..][..len];
-                    for (c, &v) in src.iter().enumerate() {
-                        at[c * len + p] = v;
-                    }
-                }
-                gemm_strided(
-                    len,
-                    len,
-                    d,
-                    at,
-                    len,
-                    &other.data[start * d..],
-                    d,
-                    &mut out.data[start * d..],
-                    d,
-                );
-            });
+            // The (len, len) block is read in place, column-wise, out of
+            // the padded storage (as `matmul_transa` reads its operand).
+            gemm_strided(
+                len,
+                len,
+                d,
+                &self.data[start * pad..],
+                1,
+                pad,
+                &other.data[start * d..],
+                d,
+                &mut out.data[start * d..],
+                d,
+            );
         }
         out
     }

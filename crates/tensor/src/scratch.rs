@@ -1,9 +1,10 @@
 //! Thread-local scratch memory: a bump arena for scoped kernel buffers.
 //!
 //! A handful of kernels need a short-lived staging buffer every call — the
-//! GEMM pack panel, the `matmul_transa` / `matmul_transb` and
-//! block-diagonal transposes, the Gram slab, the upload codec's key
-//! scratch. Each lives in one lexical scope, and scopes nest strictly,
+//! `B`-side transposes of `matmul_transb` / `block_diag_matmul_transb`
+//! (the GEMM tile reads `A` where it lies, so nothing else in a matmul is
+//! staged), the Gram slab, the upload codec's key scratch. Each lives in
+//! one lexical scope, and scopes nest strictly,
 //! which is exactly the discipline a bump arena wants: [`with`] serves an
 //! allocation as a pointer bump into a reserved chunk and a release as a
 //! pointer rewind, and when the outermost scope exits the arena resets to

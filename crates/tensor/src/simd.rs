@@ -30,8 +30,9 @@
 //!   the depth), which is *more* accurate than the scalar grouping but not
 //!   bit-equal to it; scalar-vs-AVX2 agreement is pinned by tolerance
 //!   proptests (≤1e-5 relative) and end-to-end score-equality tests.
-//!   Its scalar column tails use [`f32::mul_add`] inside an FMA-enabled
-//!   function so tail lanes round exactly like the vector lanes.
+//!   Column tails (`n mod 8`) run the same FMA chain under a lane mask, so
+//!   tail columns round exactly like full vectors and nothing outside the
+//!   `n` columns is read or written.
 //! - **Element-wise kernels are bitwise level-independent.** AXPY, the SPSA
 //!   perturbation and the GELU family deliberately avoid FMA and replicate
 //!   the scalar association, so they are bit-identical at every level.
@@ -42,12 +43,27 @@
 //! to the **current thread only** — never wrap pool-parallel code in it, or
 //! jobs executed by worker threads would run at a different level than jobs
 //! drained inline by the caller.
+//!
+//! # The GEMM tile reads its operands where they lie
+//!
+//! One kernel per level ([`Kernels::tile`]) computes
+//! `out[r][j] += Σₚ A[r][p] · B[p][j]` for a tile of `rows ≤ mr` output
+//! rows, addressing `A` through a row stride and a depth stride
+//! (`A[r][p] = a[r·rs + p·ds]`). Nothing is packed or transposed for it:
+//! a row-major operand is `(rs, ds) = (lda, 1)`, a transposed one is
+//! `(1, lda)`, the Gram slab is `(1, n)`, and a single row (`vecmat`, the
+//! last rows of a matrix) is a tile of smaller height. Strides and heights
+//! only say where values are fetched from and how work is grouped — they
+//! never enter the arithmetic — so every driver in [`crate::matrix`] and
+//! [`crate::gram`] produces the same bits as any other route to the same
+//! operands. The safe table entries check every extent they are about to
+//! touch (see [`TileKernel`]); the `unsafe` bodies rely on that alone.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Register-tile height of the scalar GEMM microkernel. Each level
-/// publishes its own height via [`Kernels::mr`]; the panel packing in
-/// `matrix.rs` interleaves `A` rows with exactly that stride.
+/// publishes its own height via [`Kernels::mr`]; the drivers in `matrix.rs`
+/// and `gram.rs` hand the tile at most that many rows at a time.
 const MR4: usize = 4;
 
 /// Register-tile height of the AVX2 GEMM microkernel: six rows × 16 columns
@@ -195,15 +211,32 @@ pub fn with_level<R>(level: SimdLevel, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// `out_row += a_row · b_panel` where `b_panel` rows are `ldb` apart and
-/// `n` columns are written. `a_row.len()` is the depth.
-pub type RowKernel = fn(a_row: &[f32], b: &[f32], ldb: usize, n: usize, out_row: &mut [f32]);
-
-/// Register tile of [`Kernels::mr`] rows: `pack` holds the depth-major
-/// mr-interleaved A-panel (`pack[p * mr + r]`), `b` rows are `ldb` apart,
-/// output row `r` starts at `out[r · ldc]`.
-pub type TileKernel =
-    fn(pack: &[f32], kc: usize, b: &[f32], ldb: usize, n: usize, out: &mut [f32], ldc: usize);
+/// Register tile: `out[r][j] += Σₚ A[r][p] · B[p][j]` for `r < rows`,
+/// `j < n`, `p < kc`, every operand read where it lies —
+/// `A[r][p] = a[r·rs + p·ds]`, `B[p][j] = b[p·ldb + j]`,
+/// `out[r][j] = out[r·ldc + j]`. `rows` is any height in `1..=mr`
+/// ([`Kernels::mr`]); an empty tile (`rows`, `n` or `kc` zero) is a no-op.
+/// Elements of `out` outside the `rows × n` window are never written.
+///
+/// # Panics
+///
+/// The table entries are safe functions: each checks, before touching
+/// anything, that `rows ≤ mr`, that the furthest elements
+/// `a[(rows−1)·rs + (kc−1)·ds]`, `b[(kc−1)·ldb + n − 1]` and
+/// `out[(rows−1)·ldc + n − 1]` exist, and that output rows do not overlap
+/// (`n ≤ ldc` when `rows > 1`), and panics otherwise.
+pub type TileKernel = fn(
+    rows: usize,
+    a: &[f32],
+    rs: usize,
+    ds: usize,
+    kc: usize,
+    b: &[f32],
+    ldb: usize,
+    n: usize,
+    out: &mut [f32],
+    ldc: usize,
+);
 
 /// `dst += scale * src`, element-wise.
 pub type AxpyKernel = fn(dst: &mut [f32], src: &[f32], scale: f32);
@@ -224,15 +257,12 @@ pub type GradCachedKernel = fn(x: &[f32], y: &[f32], grad: &[f32], out: &mut [f3
 pub struct Kernels {
     /// Level these kernels implement.
     pub level: SimdLevel,
-    /// Register-tile height of [`Kernels::tile`]: how many output rows the
-    /// tile kernel accumulates at once, and the A-panel pack interleave.
-    /// Row counts only group work — they never change any element's
-    /// accumulation order — so differing heights per level cannot break a
-    /// level's internal determinism.
+    /// Register-tile height of [`Kernels::tile`]: the most output rows the
+    /// tile kernel accumulates at once. Row counts only group work — they
+    /// never change any element's accumulation order — so differing heights
+    /// per level cannot break a level's internal determinism.
     pub mr: usize,
-    /// GEMM row-remainder / vecmat kernel.
-    pub row: RowKernel,
-    /// GEMM mr×NR register-tile kernel.
+    /// GEMM register-tile kernel over `1..=mr` rows of in-place operands.
     pub tile: TileKernel,
     /// `dst += scale * src` (bit-identical across levels).
     pub axpy: AxpyKernel,
@@ -266,8 +296,7 @@ pub fn kernels_for(level: SimdLevel) -> &'static Kernels {
 static SCALAR_KERNELS: Kernels = Kernels {
     level: SimdLevel::Scalar,
     mr: MR4,
-    row: row_scalar,
-    tile: tile4_scalar,
+    tile: tile_scalar,
     axpy: axpy_scalar,
     perturb: perturb_scalar,
     gelu: gelu_scalar_slice,
@@ -279,8 +308,7 @@ static SCALAR_KERNELS: Kernels = Kernels {
 static AVX2_KERNELS: Kernels = Kernels {
     level: SimdLevel::Avx2,
     mr: MR6,
-    row: row_avx2_dispatch,
-    tile: tile6_avx2_dispatch,
+    tile: tile_avx2_dispatch,
     axpy: axpy_avx2_dispatch,
     perturb: perturb_avx2_dispatch,
     gelu: gelu_avx2_dispatch,
@@ -289,40 +317,73 @@ static AVX2_KERNELS: Kernels = Kernels {
 };
 
 // ---------------------------------------------------------------------------
+// The bounds of a GEMM tile, checked once for both levels.
+// ---------------------------------------------------------------------------
+
+/// `(steps − 1) · stride + width`: one past the furthest offset a walk of
+/// `steps ≥ 1` strided steps over `width` contiguous elements touches.
+/// `None` on overflow.
+fn span(steps: usize, stride: usize, width: usize) -> Option<usize> {
+    (steps - 1).checked_mul(stride)?.checked_add(width)
+}
+
+/// The bounds half of the [`TileKernel`] contract, shared by both levels:
+/// returns `false` for an empty tile and panics when a non-empty one would
+/// reach outside `a`, `b` or `out`. Real assertions, not debug ones: the
+/// AVX2 body dereferences raw pointers on the strength of exactly these
+/// checks, and three comparisons per tile are noise next to its FMAs.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn tile_in_bounds(
+    mr: usize,
+    rows: usize,
+    a_len: usize,
+    rs: usize,
+    ds: usize,
+    kc: usize,
+    b_len: usize,
+    ldb: usize,
+    n: usize,
+    out_len: usize,
+    ldc: usize,
+) -> bool {
+    if rows == 0 || n == 0 || kc == 0 {
+        return false;
+    }
+    assert!(rows <= mr, "tile of {rows} rows on an {mr}-row kernel");
+    let a_end = span(rows, rs, 0).and_then(|r| span(kc, ds, 1)?.checked_add(r));
+    assert!(
+        a_end.is_some_and(|end| end <= a_len),
+        "tile reads A past its end: rows {rows} rs {rs} kc {kc} ds {ds} len {a_len}"
+    );
+    assert!(
+        span(kc, ldb, n).is_some_and(|end| end <= b_len),
+        "tile reads B past its end: kc {kc} ldb {ldb} n {n} len {b_len}"
+    );
+    assert!(
+        span(rows, ldc, n).is_some_and(|end| end <= out_len) && (rows == 1 || n <= ldc),
+        "tile writes out of bounds: rows {rows} ldc {ldc} n {n} len {out_len}"
+    );
+    true
+}
+
+// ---------------------------------------------------------------------------
 // Scalar reference kernels (the pinned pre-dispatch behavior).
 // ---------------------------------------------------------------------------
 
-/// One-row kernel: `out_row += a_row · b_panel`, unrolled 4-way over the
-/// depth with the grouping `t = a₀b₀ + a₁b₁ + a₂b₂ + a₃b₃; out += t`.
-/// Shared by the row remainder of the blocked GEMM and by `Matrix::vecmat`
-/// so both produce bit-identical accumulation order.
-fn row_scalar(a_row: &[f32], b: &[f32], ldb: usize, n: usize, out_row: &mut [f32]) {
-    let kc = a_row.len();
-    let mut p = 0;
-    while p + 4 <= kc {
-        let (a0, a1, a2, a3) = (a_row[p], a_row[p + 1], a_row[p + 2], a_row[p + 3]);
-        let b0 = &b[p * ldb..][..n];
-        let b1 = &b[(p + 1) * ldb..][..n];
-        let b2 = &b[(p + 2) * ldb..][..n];
-        let b3 = &b[(p + 3) * ldb..][..n];
-        for j in 0..n {
-            out_row[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
-        }
-        p += 4;
-    }
-    while p < kc {
-        let a0 = a_row[p];
-        for (o, &v) in out_row.iter_mut().zip(&b[p * ldb..][..n]) {
-            *o += a0 * v;
-        }
-        p += 1;
-    }
-}
-
-/// Four-row register tile with the same per-element grouping as
-/// [`row_scalar`] (so tiled rows are bitwise equal to row-kernel rows).
-fn tile4_scalar(
-    pack: &[f32],
+/// Scalar tile: per element, the depth is consumed four terms at a time with
+/// the grouping `t = a₀b₀ + a₁b₁ + a₂b₂ + a₃b₃; out += t` (left-associated,
+/// no FMA), then one term at a time for the `kc mod 4` tail. Rows are
+/// independent and the reference takes them one after another inside each
+/// depth group (the four `B` rows stay hot across the tile), so a row
+/// computed alone and a row computed inside a taller tile are bitwise equal
+/// by construction.
+#[allow(clippy::too_many_arguments)]
+fn tile_scalar(
+    rows: usize,
+    a: &[f32],
+    rs: usize,
+    ds: usize,
     kc: usize,
     b: &[f32],
     ldb: usize,
@@ -330,36 +391,44 @@ fn tile4_scalar(
     out: &mut [f32],
     ldc: usize,
 ) {
-    let (r0, rest) = out.split_at_mut(ldc);
-    let (r1, rest) = rest.split_at_mut(ldc);
-    let (r2, r3) = rest.split_at_mut(ldc);
-    let (o0, o1, o2) = (&mut r0[..n], &mut r1[..n], &mut r2[..n]);
-    let o3 = &mut r3[..n];
+    if !tile_in_bounds(
+        MR4,
+        rows,
+        a.len(),
+        rs,
+        ds,
+        kc,
+        b.len(),
+        ldb,
+        n,
+        out.len(),
+        ldc,
+    ) {
+        return;
+    }
     let mut p = 0;
     while p + 4 <= kc {
-        let ap = &pack[p * MR4..(p + 4) * MR4];
         let b0 = &b[p * ldb..][..n];
         let b1 = &b[(p + 1) * ldb..][..n];
         let b2 = &b[(p + 2) * ldb..][..n];
         let b3 = &b[(p + 3) * ldb..][..n];
-        for j in 0..n {
-            let (v0, v1, v2, v3) = (b0[j], b1[j], b2[j], b3[j]);
-            o0[j] += ap[0] * v0 + ap[4] * v1 + ap[8] * v2 + ap[12] * v3;
-            o1[j] += ap[1] * v0 + ap[5] * v1 + ap[9] * v2 + ap[13] * v3;
-            o2[j] += ap[2] * v0 + ap[6] * v1 + ap[10] * v2 + ap[14] * v3;
-            o3[j] += ap[3] * v0 + ap[7] * v1 + ap[11] * v2 + ap[15] * v3;
+        for (r, out_row) in out.chunks_mut(ldc).take(rows).enumerate() {
+            let out_row = &mut out_row[..n];
+            let at = r * rs + p * ds;
+            let (a0, a1, a2, a3) = (a[at], a[at + ds], a[at + 2 * ds], a[at + 3 * ds]);
+            for j in 0..n {
+                out_row[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+            }
         }
         p += 4;
     }
     while p < kc {
-        let ap = &pack[p * MR4..p * MR4 + MR4];
-        let brow = &b[p * ldb..][..n];
-        for j in 0..n {
-            let v = brow[j];
-            o0[j] += ap[0] * v;
-            o1[j] += ap[1] * v;
-            o2[j] += ap[2] * v;
-            o3[j] += ap[3] * v;
+        let b0 = &b[p * ldb..][..n];
+        for (r, out_row) in out.chunks_mut(ldc).take(rows).enumerate() {
+            let a0 = a[r * rs + p * ds];
+            for (o, &v) in out_row[..n].iter_mut().zip(b0) {
+                *o += a0 * v;
+            }
         }
         p += 1;
     }
@@ -425,18 +494,20 @@ const CACHED_GRAD_CUTOFF: f32 = 1e-3;
 // x86-64 kernels.
 // ---------------------------------------------------------------------------
 
+/// Lane masks of the AVX2 column tail: `TAIL_MASKS[8 - lanes..][..8]` has
+/// its first `lanes` lanes set (all ones) and the rest clear.
 #[cfg(target_arch = "x86_64")]
-fn row_avx2_dispatch(a_row: &[f32], b: &[f32], ldb: usize, n: usize, out_row: &mut [f32]) {
-    debug_assert!(out_row.len() >= n);
-    debug_assert!(a_row.is_empty() || b.len() >= (a_row.len() - 1) * ldb + n);
-    // SAFETY: the AVX2 table is only selected after `is_x86_feature_detected!`
-    // confirmed avx2+fma (see `is_supported`).
-    unsafe { x86::row_avx2(a_row, b, ldb, n, out_row) }
-}
+static TAIL_MASKS: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
 
+/// The safe face of the AVX2 tile, and the one place its `# Safety`
+/// conditions are established (the bodies in [`x86`] only restate them).
 #[cfg(target_arch = "x86_64")]
-fn tile6_avx2_dispatch(
-    pack: &[f32],
+#[allow(clippy::too_many_arguments)]
+fn tile_avx2_dispatch(
+    rows: usize,
+    a: &[f32],
+    rs: usize,
+    ds: usize,
     kc: usize,
     b: &[f32],
     ldb: usize,
@@ -444,11 +515,48 @@ fn tile6_avx2_dispatch(
     out: &mut [f32],
     ldc: usize,
 ) {
-    debug_assert!(pack.len() >= kc * MR6);
-    debug_assert!(out.len() >= 5 * ldc + n);
-    debug_assert!(kc == 0 || b.len() >= (kc - 1) * ldb + n);
-    // SAFETY: avx2+fma detected before this table is selected.
-    unsafe { x86::tile6_avx2(pack, kc, b, ldb, n, out, ldc) }
+    if !tile_in_bounds(
+        MR6,
+        rows,
+        a.len(),
+        rs,
+        ds,
+        kc,
+        b.len(),
+        ldb,
+        n,
+        out.len(),
+        ldc,
+    ) {
+        return;
+    }
+    let lanes = n % 8;
+    let mask: &[i32; 8] = TAIL_MASKS[8 - lanes..][..8]
+        .try_into()
+        .expect("eight mask lanes");
+    debug_assert!(
+        mask.iter()
+            .enumerate()
+            .all(|(lane, &m)| m == if lane < lanes { -1 } else { 0 }),
+        "tail mask must cover exactly n mod 8 = {lanes} lanes"
+    );
+    let (a, b, out) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+    // SAFETY: the AVX2 table is only selected after `is_x86_feature_detected!`
+    // confirmed avx2+fma (see `is_supported`). `tile_in_bounds` returned
+    // `true`, so `1 ≤ rows ≤ 6`, every `a[r·rs + p·ds]`, `b[p·ldb + j]` and
+    // `out[r·ldc + j]` with `r < rows`, `p < kc`, `j < n` lies inside its
+    // slice, and output rows are disjoint; `mask` has exactly the first
+    // `n mod 8` lanes set, so the masked tail touches columns `< n` only.
+    unsafe {
+        match rows {
+            1 => x86::tile_avx2::<1>(a, rs, ds, kc, b, ldb, n, out, ldc, mask),
+            2 => x86::tile_avx2::<2>(a, rs, ds, kc, b, ldb, n, out, ldc, mask),
+            3 => x86::tile_avx2::<3>(a, rs, ds, kc, b, ldb, n, out, ldc, mask),
+            4 => x86::tile_avx2::<4>(a, rs, ds, kc, b, ldb, n, out, ldc, mask),
+            5 => x86::tile_avx2::<5>(a, rs, ds, kc, b, ldb, n, out, ldc, mask),
+            _ => x86::tile_avx2::<MR6>(a, rs, ds, kc, b, ldb, n, out, ldc, mask),
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -496,173 +604,122 @@ mod x86 {
     //! the detection invariant.
     #![allow(clippy::missing_safety_doc)]
 
-    use super::{CACHED_GRAD_CUTOFF, GELU_3A, GELU_A, GELU_C, MR6};
+    use super::{CACHED_GRAD_CUTOFF, GELU_3A, GELU_A, GELU_C};
     use core::arch::x86_64::*;
 
     // -- AVX2+FMA GEMM: sequential depth-ordered FMA chains -----------------
 
-    /// AVX2 row kernel: per element, `acc = fma(aₚ, bₚⱼ, acc)` sequentially
-    /// over the depth. The scalar tail uses [`f32::mul_add`] inside this
-    /// FMA-enabled function so tail columns round identically to the vector
-    /// lanes (both compile to `vfmadd`).
+    /// AVX2 tile of `R` rows: per element, `acc = fma(A[r][p], B[p][j], acc)`
+    /// sequentially over the depth, starting from the value already in
+    /// `out` — at every height and in every column path, so a row computed
+    /// alone is bitwise equal to the same row inside a taller tile.
+    ///
+    /// Columns go 16 at a time; what is left (`n mod 16`) is one more pass of
+    /// one or two vectors whose last vector is lane-masked when `n mod 8 ≠ 0`.
+    /// At `R = 6` the 16-column pass keeps 12 accumulators, 2 `B` vectors
+    /// and 1 broadcast live (15 ymm registers) and issues 12 FMAs per 8
+    /// loads, so it is bound by FMA throughput; a four-row tile at the same
+    /// width issues 8 FMAs per 6 loads and stalls on the load ports instead.
+    ///
+    /// # Safety
+    ///
+    /// Needs avx2+fma, `R ≥ 1`, and — for every `r < R`, `p < kc`, `j < n` —
+    /// `a.add(r·rs + p·ds)`, `b.add(p·ldb + j)` readable and
+    /// `out.add(r·ldc + j)` readable and writable, with the `R` output rows
+    /// disjoint. `mask` must have exactly its first `n mod 8` lanes set.
+    /// [`super::tile_avx2_dispatch`] establishes all of it.
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn row_avx2(a_row: &[f32], b: &[f32], ldb: usize, n: usize, out_row: &mut [f32]) {
-        let kc = a_row.len();
-        let bp = b.as_ptr();
-        let op = out_row.as_mut_ptr();
+    pub unsafe fn tile_avx2<const R: usize>(
+        a: *const f32,
+        rs: usize,
+        ds: usize,
+        kc: usize,
+        b: *const f32,
+        ldb: usize,
+        n: usize,
+        out: *mut f32,
+        ldc: usize,
+        mask: &[i32; 8],
+    ) {
+        let mask = _mm256_loadu_si256(mask.as_ptr().cast());
         let mut j = 0;
         while j + 16 <= n {
-            let mut acc0 = _mm256_loadu_ps(op.add(j));
-            let mut acc1 = _mm256_loadu_ps(op.add(j + 8));
-            for p in 0..kc {
-                let a = _mm256_set1_ps(*a_row.get_unchecked(p));
-                let base = bp.add(p * ldb + j);
-                acc0 = _mm256_fmadd_ps(a, _mm256_loadu_ps(base), acc0);
-                acc1 = _mm256_fmadd_ps(a, _mm256_loadu_ps(base.add(8)), acc1);
-            }
-            _mm256_storeu_ps(op.add(j), acc0);
-            _mm256_storeu_ps(op.add(j + 8), acc1);
+            cols::<R, 2, false>(a, rs, ds, kc, b.add(j), ldb, out.add(j), ldc, mask);
             j += 16;
         }
-        while j + 8 <= n {
-            let mut acc = _mm256_loadu_ps(op.add(j));
-            for p in 0..kc {
-                let a = _mm256_set1_ps(*a_row.get_unchecked(p));
-                acc = _mm256_fmadd_ps(a, _mm256_loadu_ps(bp.add(p * ldb + j)), acc);
-            }
-            _mm256_storeu_ps(op.add(j), acc);
-            j += 8;
-        }
-        while j < n {
-            let mut acc = *op.add(j);
-            for p in 0..kc {
-                acc = a_row.get_unchecked(p).mul_add(*bp.add(p * ldb + j), acc);
-            }
-            *op.add(j) = acc;
-            j += 1;
+        let (b, out) = (b.add(j), out.add(j));
+        match n - j {
+            0 => {}
+            8 => cols::<R, 1, false>(a, rs, ds, kc, b, ldb, out, ldc, mask),
+            1..=7 => cols::<R, 1, true>(a, rs, ds, kc, b, ldb, out, ldc, mask),
+            _ => cols::<R, 2, true>(a, rs, ds, kc, b, ldb, out, ldc, mask),
         }
     }
 
-    /// AVX2 six-row tile, same per-element FMA chain as [`row_avx2`]
-    /// (tiled rows bitwise equal row-kernel rows within the AVX2 variant).
-    ///
-    /// The 16-column main loop keeps 12 accumulators, 2 `B` vectors and 1
-    /// broadcast live (15 ymm registers) and issues 12 FMAs per 8 loads, so
-    /// it is bound by FMA throughput; a four-row tile at the same width
-    /// issues 8 FMAs per 6 loads and stalls on the load ports instead.
+    /// Loads vector `v` of `V` at `ptr`; the last one under `mask` when
+    /// `MASKED` (masked-off lanes read as zero and are not accessed).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn load<const V: usize, const MASKED: bool>(
+        ptr: *const f32,
+        v: usize,
+        mask: __m256i,
+    ) -> __m256 {
+        if MASKED && v + 1 == V {
+            _mm256_maskload_ps(ptr.add(8 * v), mask)
+        } else {
+            _mm256_loadu_ps(ptr.add(8 * v))
+        }
+    }
+
+    /// One column pass of [`tile_avx2`]: `R` rows × `V` vectors starting at
+    /// column 0 of `b` / `out` (the caller offsets both), the last vector
+    /// under `mask` when `MASKED`. Same safety conditions, over the
+    /// `8·V` columns (`8·(V−1) + n mod 8` when masked) it covers.
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn tile6_avx2(
-        pack: &[f32],
+    #[inline]
+    unsafe fn cols<const R: usize, const V: usize, const MASKED: bool>(
+        a: *const f32,
+        rs: usize,
+        ds: usize,
         kc: usize,
-        b: &[f32],
+        b: *const f32,
         ldb: usize,
-        n: usize,
-        out: &mut [f32],
+        out: *mut f32,
         ldc: usize,
+        mask: __m256i,
     ) {
-        let pk = pack.as_ptr();
-        let bp = b.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut j = 0;
-        while j + 16 <= n {
-            let mut a0l = _mm256_loadu_ps(op.add(j));
-            let mut a0h = _mm256_loadu_ps(op.add(j + 8));
-            let mut a1l = _mm256_loadu_ps(op.add(ldc + j));
-            let mut a1h = _mm256_loadu_ps(op.add(ldc + j + 8));
-            let mut a2l = _mm256_loadu_ps(op.add(2 * ldc + j));
-            let mut a2h = _mm256_loadu_ps(op.add(2 * ldc + j + 8));
-            let mut a3l = _mm256_loadu_ps(op.add(3 * ldc + j));
-            let mut a3h = _mm256_loadu_ps(op.add(3 * ldc + j + 8));
-            let mut a4l = _mm256_loadu_ps(op.add(4 * ldc + j));
-            let mut a4h = _mm256_loadu_ps(op.add(4 * ldc + j + 8));
-            let mut a5l = _mm256_loadu_ps(op.add(5 * ldc + j));
-            let mut a5h = _mm256_loadu_ps(op.add(5 * ldc + j + 8));
-            for p in 0..kc {
-                let base = bp.add(p * ldb + j);
-                let bl = _mm256_loadu_ps(base);
-                let bh = _mm256_loadu_ps(base.add(8));
-                let ap = pk.add(p * MR6);
-                let a = _mm256_set1_ps(*ap);
-                a0l = _mm256_fmadd_ps(a, bl, a0l);
-                a0h = _mm256_fmadd_ps(a, bh, a0h);
-                let a = _mm256_set1_ps(*ap.add(1));
-                a1l = _mm256_fmadd_ps(a, bl, a1l);
-                a1h = _mm256_fmadd_ps(a, bh, a1h);
-                let a = _mm256_set1_ps(*ap.add(2));
-                a2l = _mm256_fmadd_ps(a, bl, a2l);
-                a2h = _mm256_fmadd_ps(a, bh, a2h);
-                let a = _mm256_set1_ps(*ap.add(3));
-                a3l = _mm256_fmadd_ps(a, bl, a3l);
-                a3h = _mm256_fmadd_ps(a, bh, a3h);
-                let a = _mm256_set1_ps(*ap.add(4));
-                a4l = _mm256_fmadd_ps(a, bl, a4l);
-                a4h = _mm256_fmadd_ps(a, bh, a4h);
-                let a = _mm256_set1_ps(*ap.add(5));
-                a5l = _mm256_fmadd_ps(a, bl, a5l);
-                a5h = _mm256_fmadd_ps(a, bh, a5h);
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (v, lane) in row.iter_mut().enumerate() {
+                *lane = load::<V, MASKED>(out.add(r * ldc), v, mask);
             }
-            _mm256_storeu_ps(op.add(j), a0l);
-            _mm256_storeu_ps(op.add(j + 8), a0h);
-            _mm256_storeu_ps(op.add(ldc + j), a1l);
-            _mm256_storeu_ps(op.add(ldc + j + 8), a1h);
-            _mm256_storeu_ps(op.add(2 * ldc + j), a2l);
-            _mm256_storeu_ps(op.add(2 * ldc + j + 8), a2h);
-            _mm256_storeu_ps(op.add(3 * ldc + j), a3l);
-            _mm256_storeu_ps(op.add(3 * ldc + j + 8), a3h);
-            _mm256_storeu_ps(op.add(4 * ldc + j), a4l);
-            _mm256_storeu_ps(op.add(4 * ldc + j + 8), a4h);
-            _mm256_storeu_ps(op.add(5 * ldc + j), a5l);
-            _mm256_storeu_ps(op.add(5 * ldc + j + 8), a5h);
-            j += 16;
         }
-        while j + 8 <= n {
-            let mut acc0 = _mm256_loadu_ps(op.add(j));
-            let mut acc1 = _mm256_loadu_ps(op.add(ldc + j));
-            let mut acc2 = _mm256_loadu_ps(op.add(2 * ldc + j));
-            let mut acc3 = _mm256_loadu_ps(op.add(3 * ldc + j));
-            let mut acc4 = _mm256_loadu_ps(op.add(4 * ldc + j));
-            let mut acc5 = _mm256_loadu_ps(op.add(5 * ldc + j));
-            for p in 0..kc {
-                let bv = _mm256_loadu_ps(bp.add(p * ldb + j));
-                let ap = pk.add(p * MR6);
-                acc0 = _mm256_fmadd_ps(_mm256_set1_ps(*ap), bv, acc0);
-                acc1 = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(1)), bv, acc1);
-                acc2 = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(2)), bv, acc2);
-                acc3 = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(3)), bv, acc3);
-                acc4 = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(4)), bv, acc4);
-                acc5 = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(5)), bv, acc5);
+        for p in 0..kc {
+            let bp = b.add(p * ldb);
+            let mut bv = [_mm256_setzero_ps(); V];
+            for (v, lane) in bv.iter_mut().enumerate() {
+                *lane = load::<V, MASKED>(bp, v, mask);
             }
-            _mm256_storeu_ps(op.add(j), acc0);
-            _mm256_storeu_ps(op.add(ldc + j), acc1);
-            _mm256_storeu_ps(op.add(2 * ldc + j), acc2);
-            _mm256_storeu_ps(op.add(3 * ldc + j), acc3);
-            _mm256_storeu_ps(op.add(4 * ldc + j), acc4);
-            _mm256_storeu_ps(op.add(5 * ldc + j), acc5);
-            j += 8;
-        }
-        while j < n {
-            let mut acc = [
-                *op.add(j),
-                *op.add(ldc + j),
-                *op.add(2 * ldc + j),
-                *op.add(3 * ldc + j),
-                *op.add(4 * ldc + j),
-                *op.add(5 * ldc + j),
-            ];
-            for p in 0..kc {
-                let v = *bp.add(p * ldb + j);
-                let ap = pk.add(p * MR6);
-                for (r, a) in acc.iter_mut().enumerate() {
-                    *a = (*ap.add(r)).mul_add(v, *a);
+            let ap = a.add(p * ds);
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = _mm256_broadcast_ss(&*ap.add(r * rs));
+                for (lane, &bv) in row.iter_mut().zip(&bv) {
+                    *lane = _mm256_fmadd_ps(av, bv, *lane);
                 }
             }
-            *op.add(j) = acc[0];
-            *op.add(ldc + j) = acc[1];
-            *op.add(2 * ldc + j) = acc[2];
-            *op.add(3 * ldc + j) = acc[3];
-            *op.add(4 * ldc + j) = acc[4];
-            *op.add(5 * ldc + j) = acc[5];
-            j += 1;
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (v, &lane) in row.iter().enumerate() {
+                let at = out.add(r * ldc + 8 * v);
+                if MASKED && v + 1 == V {
+                    _mm256_maskstore_ps(at, mask, lane);
+                } else {
+                    _mm256_storeu_ps(at, lane);
+                }
+            }
         }
     }
 
@@ -897,26 +954,17 @@ mod tests {
         (0..len).map(|_| rng.normal_with(0.0, 1.5)).collect()
     }
 
-    /// Runs a GEMM through a level's kernels the way `matrix.rs` drives
-    /// them: full `kern.mr`-row tiles, remainder rows through the row
-    /// kernel.
+    /// Runs a row-major GEMM through a level's tile the way `matrix.rs`
+    /// drives it: `kern.mr`-row tiles, the last one of whatever height is
+    /// left.
     fn run_gemm(level: SimdLevel, m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
         let kern = kernels_for(level);
-        let mr = kern.mr;
         let mut out = vec![0.0f32; m * n];
-        let mut pack = vec![0.0f32; mr * k];
         let mut i0 = 0;
-        while i0 + mr <= m {
-            for p in 0..k {
-                for r in 0..mr {
-                    pack[p * mr + r] = a[(i0 + r) * k + p];
-                }
-            }
-            (kern.tile)(&pack[..k * mr], k, b, n, n, &mut out[i0 * n..], n);
-            i0 += mr;
-        }
-        for i in i0..m {
-            (kern.row)(&a[i * k..(i + 1) * k], b, n, n, &mut out[i * n..][..n]);
+        while i0 < m {
+            let rows = kern.mr.min(m - i0);
+            (kern.tile)(rows, &a[i0 * k..], k, 1, k, b, n, n, &mut out[i0 * n..], n);
+            i0 += rows;
         }
         out
     }
@@ -965,17 +1013,18 @@ mod tests {
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn avx2_tile_rows_match_avx2_row_kernel() {
-        // The per-variant determinism contract: the tile kernel and the row
-        // kernel of one level share the per-element accumulation order.
-        if !is_supported(SimdLevel::Avx2) {
-            return;
-        }
+    fn tiled_rows_match_rows_computed_alone() {
+        // The per-variant determinism contract: a row's bits do not depend
+        // on the height of the tile it was computed in. (The stride,
+        // partial-height and masked-tail generalisation of this pin lives
+        // in `tests/proptest_tensor.rs`.)
         for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            if !is_supported(level) {
+                continue;
+            }
             // m covers ≥2 full tiles of either height (4 or 6) plus a
-            // remainder row; n covers the 16-wide, 8-wide and scalar column
+            // remainder row; n covers the 16-wide and the masked column
             // paths of the AVX2 tile.
             let (m, k, n) = (13usize, 19usize, 26usize);
             let a = sample(m * k, 71);
@@ -984,9 +1033,78 @@ mod tests {
             let kern = kernels_for(level);
             let mut by_rows = vec![0.0f32; m * n];
             for i in 0..m {
-                (kern.row)(&a[i * k..(i + 1) * k], &b, n, n, &mut by_rows[i * n..][..n]);
+                (kern.tile)(1, &a[i * k..], 0, 1, k, &b, n, n, &mut by_rows[i * n..], n);
             }
             assert_eq!(tiled, by_rows, "{level:?}");
+        }
+    }
+
+    #[test]
+    fn tile_rejects_operands_it_would_overrun() {
+        // The bounds are the safe wrapper's job at both levels, in release
+        // builds too: the AVX2 body trusts them.
+        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            if !is_supported(level) {
+                continue;
+            }
+            let tile = kernels_for(level).tile;
+            // (what, rows, a.len(), rs, ds, kc, b.len(), ldb, n, out.len(), ldc):
+            // a 2×6 · 6×2 product whose exact fit is 12 / 12 / 8 elements.
+            let overruns = [
+                ("A one short", 2, 11, 6, 1, 6, 12, 2, 2, 8, 6),
+                ("B one short", 2, 12, 6, 1, 6, 11, 2, 2, 8, 6),
+                ("out one short", 2, 12, 6, 1, 6, 12, 2, 2, 7, 6),
+                ("overlapping output rows", 2, 12, 6, 1, 6, 12, 2, 2, 8, 1),
+                (
+                    "more rows than the kernel has",
+                    7,
+                    12,
+                    1,
+                    1,
+                    1,
+                    12,
+                    1,
+                    1,
+                    12,
+                    1,
+                ),
+                (
+                    "a stride that overflows",
+                    2,
+                    12,
+                    usize::MAX,
+                    1,
+                    6,
+                    12,
+                    2,
+                    2,
+                    8,
+                    6,
+                ),
+            ];
+            for (what, rows, a_len, rs, ds, kc, b_len, ldb, n, out_len, ldc) in overruns {
+                let caught = std::panic::catch_unwind(|| {
+                    let (a, b) = (vec![1.0f32; a_len], vec![1.0f32; b_len]);
+                    tile(
+                        rows,
+                        &a,
+                        rs,
+                        ds,
+                        kc,
+                        &b,
+                        ldb,
+                        n,
+                        &mut vec![0.0f32; out_len],
+                        ldc,
+                    );
+                });
+                assert!(caught.is_err(), "{level:?}: {what} went unnoticed");
+            }
+            let (a, b) = (vec![1.0f32; 12], vec![1.0f32; 12]);
+            // The exact fit is accepted, and an empty tile touches nothing.
+            tile(2, &a, 6, 1, 6, &b, 2, 2, &mut [0.0f32; 8], 6);
+            tile(0, &[], 0, 0, 5, &[], 0, 5, &mut [], 0);
+            tile(1, &[], 0, 0, 0, &[], 0, 5, &mut [], 0);
         }
     }
 

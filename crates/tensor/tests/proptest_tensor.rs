@@ -350,8 +350,8 @@ fn tiny_odd_shapes_match_f64_reference_at_every_level() {
                         assert_close(&a.matmul_transb(&b.transpose()).unwrap(), &reference, 1e-5);
                         assert_close(&a.transpose().matmul_transa(&b).unwrap(), &reference, 1e-5);
                         // The vecmat fast path stays bit-identical to a 1×k
-                        // matmul at every level (both share the dispatched
-                        // row kernel).
+                        // matmul at every level (both are the dispatched
+                        // tile kernel at height one).
                         let x: Vec<f32> = (0..k).map(|i| (i as f32 * 0.71).sin()).collect();
                         let row = Matrix::from_vec(1, k, x.clone()).unwrap();
                         assert_eq!(
@@ -363,6 +363,125 @@ fn tiny_odd_shapes_match_f64_reference_at_every_level() {
                 }
             }
         });
+    }
+}
+
+/// One output element the way a level's GEMM contract spells it, starting
+/// from the value already in `out`: the scalar level groups four depth terms
+/// (`t = a₀b₀ + a₁b₁ + a₂b₂ + a₃b₃; acc += t`, left-associated, no FMA) and
+/// takes the `kc mod 4` tail one term at a time; AVX2 is one fused
+/// multiply-add per depth step, in depth order.
+fn reference_element(level: SimdLevel, init: f32, a: &[f32], b: &[f32]) -> f32 {
+    let mut acc = init;
+    match level {
+        SimdLevel::Scalar => {
+            let mut groups = a.chunks_exact(4).zip(b.chunks_exact(4));
+            for (a, b) in &mut groups {
+                acc += a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3];
+            }
+            let tail = a.len() - a.len() % 4;
+            for (a, b) in a[tail..].iter().zip(&b[tail..]) {
+                acc += a * b;
+            }
+        }
+        SimdLevel::Avx2 => {
+            for (&a, &b) in a.iter().zip(b) {
+                acc = a.mul_add(b, acc);
+            }
+        }
+    }
+    acc
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The in-place tile contract, at both levels: whatever the height of
+    /// the tile (`1..=mr`, so full tiles, partial tiles and the single row
+    /// `vecmat` uses), wherever `A` lies (row-major, transposed, or aliasing
+    /// the `B` slab the way the Gram panel does), whatever slack the leading
+    /// dimensions carry and whichever column path `n` takes (16-wide,
+    /// 8-wide, masked tail), every element in the `rows × n` window is the
+    /// level's pinned accumulation chain — hence equal, bit for bit, to the
+    /// same row computed alone — and nothing outside the window is written.
+    #[test]
+    fn tile_reads_operands_in_place_and_writes_only_its_window(
+        height in 1usize..=6,
+        kc in 1usize..=45,
+        n in 1usize..=40,
+        layout in 0usize..3,
+        slack in prop::collection::vec(0usize..4, 3),
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = SeededRng::new(seed);
+        for level in supported_levels() {
+            let kern = simd::kernels_for(level);
+            let rows = height.min(kern.mr);
+            let ldc = n + slack[0];
+            let ldb = n.max(rows) + slack[1];
+            let b: Vec<f32> = (0..kc * ldb).map(|_| rng.normal()).collect();
+            // (operand, offset, row stride, depth stride)
+            let own_a: Vec<f32>;
+            let (a, a_off, rs, ds): (&[f32], usize, usize, usize) = match layout {
+                0 => {
+                    let lda = kc + slack[2];
+                    own_a = (0..rows * lda).map(|_| rng.normal()).collect();
+                    (&own_a, 0, lda, 1)
+                }
+                1 => {
+                    let lda = rows + slack[2];
+                    own_a = (0..kc * lda).map(|_| rng.normal()).collect();
+                    (&own_a, 0, 1, lda)
+                }
+                _ => (&b, rng.below(ldb - rows + 1), 1, ldb),
+            };
+            // One row more than the tile may touch, NaN outside the window.
+            let mut out = vec![f32::NAN; (kern.mr + 1) * ldc];
+            let init: Vec<f32> = (0..rows * n).map(|_| rng.normal()).collect();
+            for r in 0..rows {
+                out[r * ldc..][..n].copy_from_slice(&init[r * n..][..n]);
+            }
+            (kern.tile)(rows, &a[a_off..], rs, ds, kc, &b, ldb, n, &mut out, ldc);
+            for (at, &got) in out.iter().enumerate() {
+                let (r, j) = (at / ldc, at % ldc);
+                if r >= rows || j >= n {
+                    prop_assert!(got.is_nan(), "{level:?}: wrote ({r},{j}) outside {rows}x{n}");
+                    continue;
+                }
+                let a_row: Vec<f32> = (0..kc).map(|p| a[a_off + r * rs + p * ds]).collect();
+                let b_col: Vec<f32> = (0..kc).map(|p| b[p * ldb + j]).collect();
+                let want = reference_element(level, init[r * n + j], &a_row, &b_col);
+                prop_assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{:?} ({},{}) of {}x{}x{} layout {}: {} vs {}",
+                    level, r, j, rows, kc, n, layout, got, want
+                );
+            }
+        }
+    }
+
+    /// `matmul_transa` reads its operand column-wise where it lies; the
+    /// result is the explicit transpose's product, bit for bit, across depth
+    /// blocks (`k > 128`), partial tiles and masked column tails.
+    #[test]
+    fn matmul_transa_is_bitwise_the_explicit_transpose(
+        k in 1usize..=140,
+        m in 1usize..=20,
+        n in 1usize..=40,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = SeededRng::new(seed);
+        let a = Matrix::random_normal(k, m, 1.0, &mut rng);
+        let b = Matrix::random_normal(k, n, 1.0, &mut rng);
+        for level in supported_levels() {
+            simd::with_level(level, || {
+                let fused = a.matmul_transa(&b).unwrap();
+                let reference = a.transpose().matmul(&b);
+                let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fused), bits(&reference), "{level:?} ({k},{m},{n})");
+            });
+        }
     }
 }
 
