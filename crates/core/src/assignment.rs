@@ -7,16 +7,16 @@
 //! utility is a gradient-magnitude × data-utilization signal (Eq. 3).
 //! Because only previously-selected experts have fresh gradients, the
 //! assigner mixes exploitation (top-utility experts) with exploration
-//! (randomly sampled experts whose utility is refreshed with a cheap
-//! forward-only gradient estimate), and the exploitation share ε grows as
-//! training progresses.
+//! (randomly sampled experts whose utility is refreshed with a forward-only
+//! gradient estimate that recomputes only what a perturbation can change),
+//! and the exploitation share ε grows as training progresses.
 
 use std::collections::{HashMap, HashSet};
 
 use serde::{Deserialize, Serialize};
 
 use flux_data::Sample;
-use flux_moe::{ActivationProfile, ExpertGrad, ExpertKey, MoeModel};
+use flux_moe::{ActivationProfile, ExpertGrad, ExpertKey, MoeModel, RecordedForward};
 use flux_tensor::{stats, SeededRng};
 
 /// Expert utility (Eq. 3): `u_e = |D_e| · sqrt(mean per-token gradient
@@ -332,31 +332,60 @@ impl ForwardGradEstimator {
         samples: &[Sample],
         rng: &mut SeededRng,
     ) -> (Vec<f32>, f32) {
-        let mut work_model = model.clone();
-        self.estimate_in_place(&mut work_model, expert, samples, rng)
+        let base = self.record_base(model, samples);
+        self.estimate_in_place(&mut model.clone(), &base, expert, rng)
     }
 
-    /// [`ForwardGradEstimator::estimate`] without the defensive model copy:
-    /// the target expert is perturbed in place and restored exactly before
-    /// returning, so a caller owning a mutable (compact) model pays no
-    /// full-model clone per estimated expert.
-    pub fn estimate_in_place(
+    /// [`estimated_utility`] of one expert, estimated in place (no model copy).
+    pub fn estimate_utility_in_place(
         &self,
         model: &mut MoeModel,
         expert: ExpertKey,
         samples: &[Sample],
+        samples_routed: usize,
+        rng: &mut SeededRng,
+    ) -> ExpertUtility {
+        let base = self.record_base(model, samples);
+        let (grad, _) = self.estimate_in_place(model, &base, expert, rng);
+        estimated_utility(expert, &grad, samples_routed)
+    }
+
+    /// Records the unperturbed forward over the evaluation samples (the
+    /// first `samples_per_eval`) that probes start from. It serves every
+    /// expert explored on `model`, as each estimate restores what it touched.
+    pub fn record_base<'a>(&self, model: &MoeModel, samples: &'a [Sample]) -> RecordedForward<'a> {
+        model.record_forward(samples.iter().take(self.samples_per_eval.max(1)))
+    }
+
+    /// [`ForwardGradEstimator::estimate`] without the defensive model copy
+    /// (the expert is perturbed in place and restored exactly on return),
+    /// from a `base` recorded off `model` as it is now; every entry point
+    /// ends here. Probes resume at the expert's layer, and an expert the
+    /// base routed no row to gets its exact zero without a forward or a
+    /// drawn direction: gradient, loss and RNG position are, bit for bit,
+    /// those of two full forwards per perturbation.
+    pub fn estimate_in_place(
+        &self,
+        model: &mut MoeModel,
+        base: &RecordedForward<'_>,
+        expert: ExpertKey,
         rng: &mut SeededRng,
     ) -> (Vec<f32>, f32) {
-        let base_expert = model.expert(expert).clone();
-        let dims = base_expert.num_params();
+        let dims = model.expert(expert).num_params();
         let mut grad = vec![0.0f32; dims];
-        if samples.is_empty() || self.num_perturbations == 0 {
+        if base.is_empty() || self.num_perturbations == 0 {
             return (grad, 0.0);
         }
-        let eval_samples: Vec<&Sample> =
-            samples.iter().take(self.samples_per_eval.max(1)).collect();
+        let pairs = self.num_perturbations as f32;
+        if !base.reaches(expert) {
+            rng.skip_normals(self.num_perturbations * dims);
+            // Summed the way the probes sum it, so the mean keeps its bits.
+            let each = 0.5 * (base.loss() + base.loss());
+            let sum = (0..self.num_perturbations).fold(0.0, |sum, _| sum + each);
+            return (grad, sum / pairs);
+        }
+        let base_expert = model.expert(expert).clone();
         let mut mean_loss = 0.0;
-        let mut evaluations = 0.0f32;
         // One reusable direction buffer; the plus/minus experts are written
         // in place over the model's expert (no per-perturbation clones).
         let mut direction = vec![0.0f32; dims];
@@ -368,64 +397,35 @@ impl ForwardGradEstimator {
             model
                 .expert_mut(expert)
                 .assign_perturbed(&base_expert, &direction, self.sigma);
-            let loss_plus = mean_loss_of(model, &eval_samples);
+            let loss_plus = model.batch_loss_from(base, expert.layer);
             model
                 .expert_mut(expert)
                 .assign_perturbed(&base_expert, &direction, -self.sigma);
-            let loss_minus = mean_loss_of(model, &eval_samples);
+            let loss_minus = model.batch_loss_from(base, expert.layer);
             mean_loss += 0.5 * (loss_plus + loss_minus);
-            evaluations += 1.0;
 
             // Central-difference directional derivative projected back onto
             // the perturbation direction.
             let directional = (loss_plus - loss_minus) / (2.0 * self.sigma);
             for (g, &d) in grad.iter_mut().zip(direction.iter()) {
-                *g += directional * d / self.num_perturbations as f32;
+                *g += directional * d / pairs;
             }
         }
         // Restore the unperturbed parameters bit-exactly.
         model.expert_mut(expert).copy_from(&base_expert);
-        (grad, mean_loss / evaluations.max(1.0))
-    }
-
-    /// Estimates the *utility* of an exploration expert: the estimated
-    /// gradient magnitude combined with data utilization, mirroring Eq. 3.
-    pub fn estimate_utility(
-        &self,
-        model: &MoeModel,
-        expert: ExpertKey,
-        samples: &[Sample],
-        samples_routed: usize,
-        rng: &mut SeededRng,
-    ) -> ExpertUtility {
-        let mut work_model = model.clone();
-        self.estimate_utility_in_place(&mut work_model, expert, samples, samples_routed, rng)
-    }
-
-    /// [`ForwardGradEstimator::estimate_utility`] without the defensive
-    /// model copy (see [`ForwardGradEstimator::estimate_in_place`]).
-    pub fn estimate_utility_in_place(
-        &self,
-        model: &mut MoeModel,
-        expert: ExpertKey,
-        samples: &[Sample],
-        samples_routed: usize,
-        rng: &mut SeededRng,
-    ) -> ExpertUtility {
-        let (grad, _) = self.estimate_in_place(model, expert, samples, rng);
-        let magnitude = stats::l2_norm(&grad) / (grad.len().max(1) as f32).sqrt();
-        ExpertUtility {
-            key: expert,
-            value: samples_routed as f32 * magnitude,
-            estimated: true,
-        }
+        (grad, mean_loss / pairs)
     }
 }
 
-fn mean_loss_of(model: &MoeModel, samples: &[&Sample]) -> f32 {
-    // One packed forward over all evaluation samples (see
-    // `MoeModel::batch_loss`) instead of one forward per sample.
-    model.batch_loss(samples)
+/// Utility of an exploration expert: its forward-only gradient estimate's
+/// magnitude combined with data utilization, mirroring Eq. 3.
+pub fn estimated_utility(key: ExpertKey, grad: &[f32], samples_routed: usize) -> ExpertUtility {
+    let magnitude = stats::l2_norm(grad) / (grad.len().max(1) as f32).sqrt();
+    ExpertUtility {
+        key,
+        value: samples_routed as f32 * magnitude,
+        estimated: true,
+    }
 }
 
 #[cfg(test)]
@@ -598,11 +598,11 @@ mod tests {
 
     #[test]
     fn estimate_utility_is_positive_for_active_expert() {
-        let (model, data) = model_and_data();
+        let (mut model, data) = model_and_data();
         let estimator = ForwardGradEstimator::default();
         let mut rng = SeededRng::new(9);
-        let utility = estimator.estimate_utility(
-            &model,
+        let utility = estimator.estimate_utility_in_place(
+            &mut model,
             ExpertKey::new(0, 0),
             &data.samples[..2],
             12,

@@ -68,8 +68,8 @@ use flux_moe::{ActivationProfile, EvalResult, ExpertKey, MoeConfig, MoeModel};
 use flux_tensor::SeededRng;
 
 use crate::assignment::{
-    expert_utility, initial_utilities, DynamicEpsilon, ExpertUtility, ForwardGradEstimator,
-    RoleAssigner,
+    estimated_utility, expert_utility, initial_utilities, DynamicEpsilon, ExpertUtility,
+    ForwardGradEstimator, RoleAssigner,
 };
 use crate::baselines::{
     fmd_local_round, fmes_local_round, fmq_local_round, local_train, LocalRoundOutput,
@@ -1241,20 +1241,17 @@ impl FederatedRun {
         };
         let explored = assignment.exploration.iter().take(4);
         let mut exploration_estimates = 0usize;
+        // One unperturbed forward, recorded when the first expert needs it
+        // and shared by the rest: each estimate perturbs the compact
+        // model's expert in place and restores it exactly.
+        let mut base = None;
         for original in explored {
             if let Some(compact_key) = key_map.get(original) {
-                // In-place estimation: the compact model's expert is
-                // perturbed and restored exactly, so no per-expert model
-                // clone is paid.
-                let mut estimate = estimator.estimate_utility_in_place(
-                    &mut compact,
-                    *compact_key,
-                    &train_samples,
-                    profile.samples_of(*original).len(),
-                    rng,
-                );
-                estimate.key = *original;
-                utilities.push(estimate);
+                let base =
+                    base.get_or_insert_with(|| estimator.record_base(&compact, &train_samples));
+                let (grad, _) = estimator.estimate_in_place(&mut compact, base, *compact_key, rng);
+                let samples_routed = profile.samples_of(*original).len();
+                utilities.push(estimated_utility(*original, &grad, samples_routed));
                 exploration_estimates += 1;
             }
         }

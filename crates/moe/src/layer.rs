@@ -34,6 +34,22 @@ fn expert_pool(routed_rows: usize, d_model: usize, d_ff: usize, experts_used: us
     }
 }
 
+thread_local! {
+    static EXPERT_FANOUTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Expert fan-outs started on this thread so far: one per MoE sub-layer
+/// forward that ran its routed experts. A count of work, for tests that
+/// hold "this call skips the layers it cannot change" to a number instead
+/// of a timing; only differences between two readings mean anything.
+pub fn expert_fanouts() -> usize {
+    EXPERT_FANOUTS.with(|c| c.get())
+}
+
+/// `(compact expert, token rows, routing weights)` per expert that received
+/// at least one row, in ascending compact-expert order.
+type RoutedGroups = Vec<(usize, Vec<usize>, Vec<f32>)>;
+
 /// The MoE feed-forward sub-layer: a gate over the *original* expert ids plus
 /// the (possibly merged/compact) expert list and the routing map connecting
 /// the two.
@@ -122,6 +138,7 @@ impl MoeLayer {
     ) -> (Matrix, MoeLayerCache) {
         let seq = hidden.rows();
         let groups = self.route_and_group(hidden, layer_idx, received_attention, tracker, None);
+        EXPERT_FANOUTS.with(|c| c.set(c.get() + 1));
         // Run each used expert on its token batch — fanned out to worker
         // threads when the routed work warrants it — then scatter results
         // sequentially in ascending expert order.
@@ -199,7 +216,7 @@ impl MoeLayer {
         received_attention: &[f32],
         mut tracker: Option<&mut ActivationTracker>,
         row_samples: Option<&[usize]>,
-    ) -> Vec<(usize, Vec<usize>, Vec<f32>)> {
+    ) -> RoutedGroups {
         let num_experts = self.gate.num_experts();
         let k = self.gate.top_k.min(num_experts);
         let logits = hidden.matmul(&self.gate.weight);
@@ -281,22 +298,15 @@ impl MoeLayer {
         received_attention: &[f32],
         tracker: Option<&mut ActivationTracker>,
     ) -> Matrix {
-        self.forward_no_cache_attributed(hidden, layer_idx, received_attention, tracker, None)
+        let groups = self.route_and_group(hidden, layer_idx, received_attention, tracker, None);
+        self.run_routed(hidden, groups)
     }
 
-    /// [`MoeLayer::forward_no_cache`] with an explicit row→sample map so a
-    /// tracker attributes tokens of a packed multi-sample batch correctly.
-    pub fn forward_no_cache_attributed(
-        &self,
-        hidden: &Matrix,
-        layer_idx: usize,
-        received_attention: &[f32],
-        tracker: Option<&mut ActivationTracker>,
-        row_samples: Option<&[usize]>,
-    ) -> Matrix {
-        let seq = hidden.rows();
-        let groups =
-            self.route_and_group(hidden, layer_idx, received_attention, tracker, row_samples);
+    /// The back half of the no-cache forward: every routed expert runs on
+    /// its rows and the weighted outputs scatter back in ascending expert
+    /// order.
+    fn run_routed(&self, hidden: &Matrix, groups: RoutedGroups) -> Matrix {
+        EXPERT_FANOUTS.with(|c| c.set(c.get() + 1));
         let routed_rows: usize = groups.iter().map(|(_, rows, _)| rows.len()).sum();
         let pool = expert_pool(routed_rows, self.d_model(), self.d_ff(), groups.len());
         let tasks: Vec<_> = groups
@@ -310,7 +320,7 @@ impl MoeLayer {
                 }
             })
             .collect();
-        let mut output = Matrix::zeros(seq, hidden.cols());
+        let mut output = Matrix::zeros(hidden.rows(), hidden.cols());
         for (rows, weights, batch_output) in pool.run(tasks) {
             for (slot, (&row, &w)) in rows.iter().zip(weights.iter()).enumerate() {
                 let out_row = output.row_mut(row);
@@ -535,8 +545,8 @@ impl TransformerLayer {
         )
     }
 
-    /// Batched forward pass that keeps no backward cache (the loss-probe
-    /// path of SPSA estimation, batched evaluation and batched profiling).
+    /// Batched forward pass that keeps no backward cache (loss probes,
+    /// batched evaluation and batched profiling).
     ///
     /// `tracking` carries the activation tracker plus the row→sample map of
     /// the packed batch; the per-token received attention is only computed
@@ -548,25 +558,65 @@ impl TransformerLayer {
         layer_idx: usize,
         tracking: Option<(&mut ActivationTracker, &[usize])>,
     ) -> Matrix {
+        let (post_attention, moe_in, groups) = self.route_batch(input, bounds, layer_idx, tracking);
+        self.finish_batch(&post_attention, &moe_in, groups)
+    }
+
+    /// [`TransformerLayer::forward_no_cache_batch`] that also reports which
+    /// compact experts received at least one row (ascending) — what a
+    /// recorded forward keeps to tell, later, whether perturbing an expert
+    /// can change anything downstream.
+    pub(crate) fn forward_recording_batch(
+        &self,
+        input: &Matrix,
+        bounds: &[(usize, usize)],
+        layer_idx: usize,
+    ) -> (Matrix, Vec<usize>) {
+        let (post_attention, moe_in, groups) = self.route_batch(input, bounds, layer_idx, None);
+        let routed = groups.iter().map(|&(compact, _, _)| compact).collect();
+        (self.finish_batch(&post_attention, &moe_in, groups), routed)
+    }
+
+    /// The front half of the no-cache batched forward, up to and including
+    /// the routing decisions (recorded into the tracker when one is given):
+    /// the post-attention residual stream, the MoE sub-layer input and the
+    /// routed groups. Activation profiling calls this alone on the last
+    /// block, whose expert outputs no routing decision reads.
+    pub(crate) fn route_batch(
+        &self,
+        input: &Matrix,
+        bounds: &[(usize, usize)],
+        layer_idx: usize,
+        tracking: Option<(&mut ActivationTracker, &[usize])>,
+    ) -> (Matrix, Matrix, RoutedGroups) {
         let attn_in = ops::layer_norm(input, LN_EPS);
         let (attn_out, attn_cache) = self.attention.forward_batch(&attn_in, bounds);
-        let received = if tracking.is_some() {
-            attn_cache.received_attention()
-        } else {
-            Vec::new()
-        };
         let post_attention = input.add(&attn_out).expect("residual shapes match");
         let moe_in = ops::layer_norm(&post_attention, LN_EPS);
-        let moe_out = match tracking {
-            Some((tracker, row_samples)) => self.moe.forward_no_cache_attributed(
+        let groups = match tracking {
+            Some((tracker, row_samples)) => self.moe.route_and_group(
                 &moe_in,
                 layer_idx,
-                &received,
+                &attn_cache.received_attention(),
                 Some(tracker),
                 Some(row_samples),
             ),
-            None => self.moe.forward_no_cache(&moe_in, layer_idx, &[], None),
+            None => self
+                .moe
+                .route_and_group(&moe_in, layer_idx, &[], None, None),
         };
+        (post_attention, moe_in, groups)
+    }
+
+    /// The back half: the routed experts run and their output joins the
+    /// residual stream.
+    fn finish_batch(
+        &self,
+        post_attention: &Matrix,
+        moe_in: &Matrix,
+        groups: RoutedGroups,
+    ) -> Matrix {
+        let moe_out = self.moe.run_routed(moe_in, groups);
         post_attention.add(&moe_out).expect("residual shapes match")
     }
 

@@ -40,5 +40,7 @@ pub use batch::PackedBatch;
 pub use config::{ModelCatalogEntry, MoeConfig};
 pub use expert::{Expert, ExpertGrad};
 pub use gating::RoutingMap;
-pub use model::{BatchForwardCache, EvalResult, ForwardCache, GradientSet, MoeModel};
+pub use model::{
+    BatchForwardCache, EvalResult, ForwardCache, GradientSet, MoeModel, RecordedForward,
+};
 pub use tracker::{ActivationProfile, ActivationTracker, ExpertKey};

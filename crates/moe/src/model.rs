@@ -8,11 +8,14 @@ use flux_data::{Dataset, Sample, Task};
 use flux_quant::{BitWidth, QuantizedMatrix};
 use flux_tensor::{init, ops, Matrix, SeededRng};
 
+use crate::attention::Attention;
 use crate::batch::PackedBatch;
 use crate::config::MoeConfig;
 use crate::expert::{Expert, ExpertGrad};
-use crate::gating::RoutingMap;
-use crate::layer::{TransformerLayer, TransformerLayerBatchCache, TransformerLayerCache, LN_EPS};
+use crate::gating::{Gate, RoutingMap};
+use crate::layer::{
+    MoeLayer, TransformerLayer, TransformerLayerBatchCache, TransformerLayerCache, LN_EPS,
+};
 use crate::tracker::{ActivationProfile, ActivationTracker, ExpertKey};
 
 /// Samples evaluated per packed forward pass during [`MoeModel::evaluate`]
@@ -62,6 +65,48 @@ pub struct BatchForwardCache {
     last_block_output: Matrix,
     /// Row layout of the packed batch.
     pub batch: PackedBatch,
+}
+
+/// An unperturbed packed forward over a few samples, recorded so that
+/// loss probes which change one expert ([`MoeModel::batch_loss_from`]) pay
+/// only for what the change can reach: the layers below the expert are not
+/// recomputed, and an expert no row was routed to needs no forward at all
+/// ([`RecordedForward::reaches`]) — the loss is the recorded one.
+///
+/// The record stays valid for as long as the model it was taken from is
+/// bit-identical below the layer a probe resumes at; restoring a perturbed
+/// expert exactly (as the forward-gradient estimator does) keeps it so.
+#[derive(Debug, Clone)]
+pub struct RecordedForward<'a> {
+    samples: Vec<&'a Sample>,
+    batch: PackedBatch,
+    /// Packed input of every layer.
+    layer_inputs: Vec<Matrix>,
+    /// Per layer, the compact experts that received at least one row
+    /// (ascending).
+    routed: Vec<Vec<usize>>,
+    loss: f32,
+}
+
+impl RecordedForward<'_> {
+    /// True when no sample was recorded (there is nothing to probe).
+    pub fn is_empty(&self) -> bool {
+        self.samples.is_empty()
+    }
+
+    /// Mean per-sample loss of the unperturbed model, exactly as
+    /// [`MoeModel::batch_loss`] returns it.
+    pub fn loss(&self) -> f32 {
+        self.loss
+    }
+
+    /// Whether any recorded row was routed to the compact expert `key`. If
+    /// none was, no forward over these samples reads the expert's weights.
+    pub fn reaches(&self, key: ExpertKey) -> bool {
+        self.routed
+            .get(key.layer)
+            .is_some_and(|routed| routed.binary_search(&key.expert).is_ok())
+    }
 }
 
 /// Gradients produced by one backward pass (or an accumulation of several).
@@ -269,31 +314,52 @@ impl MoeModel {
     /// Produces a profiling copy whose weights carry the round-trip error of
     /// the given quantization width (§4.1). The copy has the same shapes and
     /// API as the original and is used for forward-only activation profiling.
+    ///
+    /// The copy is assembled from the quantized matrices; only what
+    /// quantization keeps as is (biases, routing maps, the configuration)
+    /// is cloned, so no weight matrix is copied just to be replaced.
     pub fn quantized_copy(&self, width: BitWidth) -> MoeModel {
         let q = |m: &Matrix| QuantizedMatrix::quantize(m, width).dequantize();
-        let mut copy = self.clone();
-        copy.embedding = q(&copy.embedding);
-        copy.lm_head = q(&copy.lm_head);
-        if let Some(h) = &copy.cls_head {
-            copy.cls_head = Some(q(h));
+        let layers = self
+            .layers
+            .iter()
+            .map(|layer| TransformerLayer {
+                // A fresh Attention starts with an empty fused-QKV cache,
+                // so no stale [Wq|Wk|Wv] concatenation can survive the
+                // quantization.
+                attention: Attention::from_parts(
+                    q(&layer.attention.wq),
+                    q(&layer.attention.wk),
+                    q(&layer.attention.wv),
+                    q(&layer.attention.wo),
+                ),
+                moe: MoeLayer {
+                    gate: Gate {
+                        weight: q(&layer.moe.gate.weight),
+                        top_k: layer.moe.gate.top_k,
+                    },
+                    experts: layer
+                        .moe
+                        .experts
+                        .iter()
+                        .map(|expert| Expert {
+                            w1: q(&expert.w1),
+                            b1: expert.b1.clone(),
+                            w2: q(&expert.w2),
+                            b2: expert.b2.clone(),
+                        })
+                        .collect(),
+                    routing_map: layer.moe.routing_map.clone(),
+                },
+            })
+            .collect();
+        MoeModel {
+            config: self.config.clone(),
+            embedding: q(&self.embedding),
+            layers,
+            lm_head: q(&self.lm_head),
+            cls_head: self.cls_head.as_ref().map(q),
         }
-        for layer in &mut copy.layers {
-            // Rebuild the block rather than mutating projections in place:
-            // a fresh Attention starts with an empty fused-QKV cache, so no
-            // stale [Wq|Wk|Wv] concatenation can survive the quantization.
-            layer.attention = crate::attention::Attention::from_parts(
-                q(&layer.attention.wq),
-                q(&layer.attention.wk),
-                q(&layer.attention.wv),
-                q(&layer.attention.wo),
-            );
-            layer.moe.gate.weight = q(&layer.moe.gate.weight);
-            for expert in &mut layer.moe.experts {
-                expert.w1 = q(&expert.w1);
-                expert.w2 = q(&expert.w2);
-            }
-        }
-        copy
     }
 
     /// The per-dimension sinusoidal rates. They depend only on the dimension
@@ -368,8 +434,8 @@ impl MoeModel {
     /// Forward pass that keeps no backward state: only the final hidden
     /// states (after the last layer norm) are produced. Numerically
     /// identical to [`MoeModel::forward`], but every per-layer cache clone
-    /// is skipped — this is the path for evaluation, activation profiling
-    /// and SPSA loss probes.
+    /// is skipped — the per-sample path for predictions and loss-only
+    /// calls.
     pub fn forward_no_cache(
         &self,
         tokens: &[u32],
@@ -406,9 +472,8 @@ impl MoeModel {
     }
 
     /// Packed batched forward keeping no backward state — the batched
-    /// analogue of [`MoeModel::forward_no_cache`], used by loss probes and
-    /// evaluation. Returns the packed final hidden states and the batch
-    /// layout.
+    /// analogue of [`MoeModel::forward_no_cache`], used by evaluation.
+    /// Returns the packed final hidden states and the batch layout.
     pub fn forward_no_cache_batch(&self, samples: &[&Sample]) -> (Matrix, PackedBatch) {
         let (mut hidden, batch) = self.embed_batch(samples);
         for (idx, layer) in self.layers.iter().enumerate() {
@@ -855,9 +920,6 @@ impl MoeModel {
     }
 
     /// Loss of one sample (forward only — no parameter or input gradients).
-    ///
-    /// This is the cheap path for loss probes such as SPSA perturbation
-    /// evaluations, which previously paid a full backward pass per probe.
     pub fn sample_loss(&self, sample: &Sample) -> f32 {
         let final_hidden = self.forward_no_cache(&sample.tokens, None);
         self.head_loss(sample, &final_hidden)
@@ -865,13 +927,75 @@ impl MoeModel {
 
     /// Mean per-sample loss over a mini-batch, with one packed forward pass
     /// (no parameter or input gradients). The batched analogue of averaging
-    /// [`MoeModel::sample_loss`] over the samples — SPSA loss probes call
-    /// this so each perturbation evaluation pays one batched forward.
+    /// [`MoeModel::sample_loss`] over the samples.
     pub fn batch_loss(&self, samples: &[&Sample]) -> f32 {
         if samples.is_empty() {
             return 0.0;
         }
-        let (final_hidden, batch) = self.forward_no_cache_batch(samples);
+        let (hidden, batch) = self.embed_batch(samples);
+        self.loss_from_layer(samples, &batch, &hidden, 0)
+    }
+
+    /// Runs the packed forward once, unperturbed, and records what a later
+    /// probe needs to skip the work a one-expert change cannot affect:
+    /// every layer's input, which experts each layer routed rows to, and
+    /// the loss.
+    pub fn record_forward<'a>(
+        &self,
+        samples: impl IntoIterator<Item = &'a Sample>,
+    ) -> RecordedForward<'a> {
+        let samples: Vec<&Sample> = samples.into_iter().collect();
+        let (mut hidden, batch) = self.embed_batch(&samples);
+        let mut layer_inputs = Vec::with_capacity(self.layers.len());
+        let mut routed = Vec::with_capacity(self.layers.len());
+        let mut loss = 0.0;
+        if !samples.is_empty() {
+            for (idx, layer) in self.layers.iter().enumerate() {
+                let (next, layer_routed) =
+                    layer.forward_recording_batch(&hidden, batch.bounds(), idx);
+                layer_inputs.push(std::mem::replace(&mut hidden, next));
+                routed.push(layer_routed);
+            }
+            loss = self.loss_from_layer(&samples, &batch, &hidden, self.layers.len());
+        }
+        RecordedForward {
+            samples,
+            batch,
+            layer_inputs,
+            routed,
+            loss,
+        }
+    }
+
+    /// [`MoeModel::batch_loss`] over the recorded samples, resuming at
+    /// `layer` from its recorded input instead of recomputing the layers
+    /// below. With the model unchanged below `layer` since the record was
+    /// taken, these are the calls a full forward makes from that layer up,
+    /// on the same inputs: the result is the full forward's, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` is not a layer of the recorded forward.
+    pub fn batch_loss_from(&self, base: &RecordedForward<'_>, layer: usize) -> f32 {
+        self.loss_from_layer(&base.samples, &base.batch, &base.layer_inputs[layer], layer)
+    }
+
+    /// The tail every loss-only batched forward shares: layers `layer..`
+    /// over the packed `input` of `layer`, the final layer norm, and the
+    /// mean of the per-sample head losses.
+    fn loss_from_layer(
+        &self,
+        samples: &[&Sample],
+        batch: &PackedBatch,
+        input: &Matrix,
+        layer: usize,
+    ) -> f32 {
+        let mut hidden: Option<Matrix> = None;
+        for (idx, block) in self.layers.iter().enumerate().skip(layer) {
+            let current = hidden.as_ref().unwrap_or(input);
+            hidden = Some(block.forward_no_cache_batch(current, batch.bounds(), idx, None));
+        }
+        let final_hidden = ops::layer_norm(hidden.as_ref().unwrap_or(input), LN_EPS);
         let mut sum = 0.0;
         for (sample, &(start, end)) in samples.iter().zip(batch.bounds()) {
             let segment = final_hidden.copy_rows(start, end);
@@ -970,14 +1094,18 @@ impl MoeModel {
     /// row→sample map, producing the identical profile the per-sample loop
     /// produced (row order within each `(layer, expert)` bucket is
     /// unchanged, so even the f32 attention sums accumulate in the same
-    /// order). The final layer norm is skipped — no profiling signal reads
-    /// the normalized output.
+    /// order). Only routing decisions are read, so the pass stops at the
+    /// last layer's: that layer's experts, residual and the final layer
+    /// norm produce a hidden state nobody looks at.
     pub fn profile(&self, dataset: &Dataset) -> ActivationProfile {
         let mut tracker = ActivationTracker::new(
             (0..self.layers.len())
                 .map(|l| self.layers[l].moe.num_original_experts())
                 .collect(),
         );
+        let Some((last, below)) = self.layers.split_last() else {
+            return tracker.finish();
+        };
         for (chunk_idx, chunk) in dataset.samples.chunks(EVAL_BATCH).enumerate() {
             let refs: Vec<&Sample> = chunk.iter().collect();
             let (mut hidden, batch) = self.embed_batch(&refs);
@@ -985,7 +1113,7 @@ impl MoeModel {
             for (i, &(start, end)) in batch.bounds().iter().enumerate() {
                 row_samples.extend(std::iter::repeat_n(chunk_idx * EVAL_BATCH + i, end - start));
             }
-            for (idx, layer) in self.layers.iter().enumerate() {
+            for (idx, layer) in below.iter().enumerate() {
                 hidden = layer.forward_no_cache_batch(
                     &hidden,
                     batch.bounds(),
@@ -993,6 +1121,12 @@ impl MoeModel {
                     Some((&mut tracker, &row_samples)),
                 );
             }
+            last.route_batch(
+                &hidden,
+                batch.bounds(),
+                below.len(),
+                Some((&mut tracker, &row_samples)),
+            );
         }
         tracker.finish()
     }
@@ -1233,6 +1367,56 @@ mod tests {
     }
 
     #[test]
+    fn quantized_copy_equals_quantizing_a_clone_in_place() {
+        // The copy is assembled from quantized parts; this is the
+        // clone-then-overwrite construction it replaced, on a model with a
+        // merged layer and a classification head so the kept parts (biases,
+        // routing map, config) are not the defaults.
+        let mut model = tiny_cls_model(43, 3);
+        let merged = Expert::weighted_merge(
+            &[
+                &model.layers[1].moe.experts[6],
+                &model.layers[1].moe.experts[7],
+            ],
+            &[1.0, 2.0],
+        );
+        let mut experts: Vec<Expert> = model.layers[1].moe.experts[..6].to_vec();
+        experts.push(merged);
+        let map = RoutingMap::from_table(vec![0, 1, 2, 3, 4, 5, 6, 6]);
+        model.set_layer_experts(1, experts, map);
+        for expert in &mut model.layers[0].moe.experts {
+            expert.b1.fill(0.25);
+            expert.b2.fill(-0.5);
+        }
+        for width in [BitWidth::Int2, BitWidth::Int4, BitWidth::Int8] {
+            let q = |m: &Matrix| QuantizedMatrix::quantize(m, width).dequantize();
+            let mut reference = model.clone();
+            reference.embedding = q(&model.embedding);
+            reference.lm_head = q(&model.lm_head);
+            reference.cls_head = model.cls_head.as_ref().map(q);
+            for layer in &mut reference.layers {
+                layer.attention = Attention::from_parts(
+                    q(&layer.attention.wq),
+                    q(&layer.attention.wk),
+                    q(&layer.attention.wv),
+                    q(&layer.attention.wo),
+                );
+                layer.moe.gate.weight = q(&layer.moe.gate.weight);
+                for expert in &mut layer.moe.experts {
+                    expert.w1 = q(&expert.w1);
+                    expert.w2 = q(&expert.w2);
+                }
+            }
+            let copy = model.quantized_copy(width);
+            assert_eq!(copy.config, reference.config);
+            assert_eq!(copy.embedding, reference.embedding);
+            assert_eq!(copy.layers, reference.layers);
+            assert_eq!(copy.lm_head, reference.lm_head);
+            assert_eq!(copy.cls_head, reference.cls_head);
+        }
+    }
+
+    #[test]
     fn param_checksum_tracks_aggregation_visible_state() {
         let model = tiny_model(41);
         let same = model.clone();
@@ -1277,6 +1461,94 @@ mod tests {
             let total: f32 = profile.frequencies[layer].iter().sum();
             assert!((total - 2.0).abs() < 1e-3, "layer {layer} total {total}");
         }
+    }
+
+    #[test]
+    fn profile_stops_at_the_last_layers_routing() {
+        use crate::layer::expert_fanouts;
+        let model = tiny_model(27);
+        let mut rng = SeededRng::new(28);
+        let cfg = flux_data::DatasetConfig::for_kind(DatasetKind::Dolly, 64)
+            .with_num_samples(2 * EVAL_BATCH + 3)
+            .with_mean_seq_len(9);
+        let ds = DatasetGenerator::new(cfg).generate(&mut rng);
+        // The pass it replaced: every layer, the last one included, run in
+        // full with the tracker attached.
+        let mut tracker = ActivationTracker::new(vec![8; 4]);
+        for (chunk_idx, chunk) in ds.samples.chunks(EVAL_BATCH).enumerate() {
+            let refs: Vec<&Sample> = chunk.iter().collect();
+            let (mut hidden, batch) = model.embed_batch(&refs);
+            let row_samples: Vec<usize> = (0..chunk.len())
+                .flat_map(|i| std::iter::repeat_n(chunk_idx * EVAL_BATCH + i, batch.seq_len(i)))
+                .collect();
+            for (idx, layer) in model.layers.iter().enumerate() {
+                hidden = layer.forward_no_cache_batch(
+                    &hidden,
+                    batch.bounds(),
+                    idx,
+                    Some((&mut tracker, &row_samples)),
+                );
+            }
+        }
+        let before = expert_fanouts();
+        let profile = model.profile(&ds);
+        // Three batches, and in each the last of the four layers only routes.
+        assert_eq!(expert_fanouts() - before, 3 * (4 - 1));
+        assert_eq!(profile, tracker.finish());
+    }
+
+    #[test]
+    fn recorded_forward_resumes_to_the_same_bits_from_every_layer() {
+        use crate::layer::expert_fanouts;
+        let mut model = tiny_cls_model(29, 4);
+        let samples = [cls_sample(30), cls_sample(31)];
+        let refs: Vec<&Sample> = samples.iter().collect();
+        let layers = model.layers.len();
+        let before = expert_fanouts();
+        let base = model.record_forward(samples.iter());
+        assert_eq!(expert_fanouts() - before, layers);
+        assert!(!base.is_empty());
+        assert_eq!(base.loss().to_bits(), model.batch_loss(&refs).to_bits());
+        // An expert counts as reached exactly when a row was routed to it.
+        for key in model.expert_keys() {
+            let mut touched = model.clone();
+            for w in touched.expert_mut(key).w2.as_mut_slice() {
+                *w += 0.5;
+            }
+            let moved = touched.batch_loss(&refs).to_bits() != base.loss().to_bits();
+            assert!(
+                base.reaches(key) || !moved,
+                "{key:?} moved the loss unreached"
+            );
+        }
+        assert!(model.expert_keys().iter().any(|&k| base.reaches(k)));
+        assert!(model.expert_keys().iter().any(|&k| !base.reaches(k)));
+        assert!(!base.reaches(ExpertKey::new(layers, 0)));
+        // Perturb one expert per layer in turn: resuming at its layer runs
+        // only the layers from there up and returns the full forward's bits.
+        for layer in 0..layers {
+            let key = (0..8)
+                .map(|e| ExpertKey::new(layer, e))
+                .find(|&k| base.reaches(k))
+                .expect("some expert of every layer is routed to");
+            let original = model.expert(key).clone();
+            for w in model.expert_mut(key).w1.as_mut_slice() {
+                *w *= 1.5;
+            }
+            let before = expert_fanouts();
+            let resumed = model.batch_loss_from(&base, layer);
+            assert_eq!(expert_fanouts() - before, layers - layer);
+            assert_eq!(resumed.to_bits(), model.batch_loss(&refs).to_bits());
+            assert_ne!(resumed.to_bits(), base.loss().to_bits());
+            model.expert_mut(key).copy_from(&original);
+        }
+        // No samples: nothing recorded, nothing run.
+        let before = expert_fanouts();
+        let empty = model.record_forward(&samples[..0]);
+        assert_eq!(expert_fanouts() - before, 0);
+        assert!(empty.is_empty());
+        assert_eq!(empty.loss(), 0.0);
+        assert!(!empty.reaches(ExpertKey::new(0, 0)));
     }
 
     #[test]

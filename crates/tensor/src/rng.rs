@@ -6,7 +6,7 @@
 //! [`SeededRng`] so experiments are reproducible bit-for-bit across runs.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// A seeded pseudo-random number generator wrapping [`StdRng`].
 ///
@@ -66,6 +66,16 @@ impl SeededRng {
         let u1 = self.uniform().max(1e-12);
         let u2 = self.uniform();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+    }
+
+    /// Advances the stream past `n` calls of [`SeededRng::normal`] without
+    /// computing them: each normal consumes exactly two uniforms, and a
+    /// caller that would multiply the variates by zero needs only the
+    /// stream position they leave behind.
+    pub fn skip_normals(&mut self, n: usize) {
+        for _ in 0..2 * n {
+            self.inner.next_u64();
+        }
     }
 
     /// Samples a normal variate with the given mean and standard deviation.
@@ -232,6 +242,27 @@ mod tests {
         let var: f32 = samples.iter().map(|x| (x - mean).powi(2)).sum::<f32>() / n as f32;
         assert!(mean.abs() < 0.05, "mean = {mean}");
         assert!((var - 1.0).abs() < 0.1, "var = {var}");
+    }
+
+    #[test]
+    fn skip_normals_leaves_the_stream_where_normal_calls_do() {
+        for seed in [1u64, 42, 0xDEAD_BEEF] {
+            let root = SeededRng::new(seed);
+            for rng in [root.derive(3), root.derive(3).derive(9)] {
+                for n in [0usize, 1, 7, 4192] {
+                    let mut drawn = rng.clone();
+                    for _ in 0..n {
+                        drawn.normal();
+                    }
+                    let mut skipped = rng.clone();
+                    skipped.skip_normals(n);
+                    for _ in 0..4 {
+                        assert_eq!(drawn.normal().to_bits(), skipped.normal().to_bits());
+                        assert_eq!(drawn.below(1000), skipped.below(1000));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
