@@ -670,6 +670,22 @@ mod tests {
         assert_states_equal(&state, &decoded);
     }
 
+    /// The FLUXRUN bytes of `sample_state()`, by length and byte-wise
+    /// FNV-1a digest (written out here so the pin depends on no codec),
+    /// recorded at the parent of the byte-codec migration.
+    #[test]
+    fn run_state_bytes_are_pinned() {
+        let bytes = encode_run_state(&sample_state()).unwrap();
+        let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(
+            (bytes.len(), digest),
+            (674, 0x6621_8ecb_dac4_9e35),
+            "digest {digest:#x}"
+        );
+    }
+
     #[test]
     fn empty_run_state_round_trips() {
         let state = RunState {
