@@ -11,17 +11,15 @@
 //! detected before this module ever parses a byte.
 //!
 //! The format is little-endian and length-prefixed like every other Flux
-//! codec; record counts are bounded by a plausibility cap and byte lengths
-//! by the input that remains, so a damaged blob fails with
-//! [`SnapshotError::Corrupt`] instead of attempting a huge allocation.
-
-use bytes::{BufMut, BytesMut};
+//! format, written and read through the one byte codec
+//! ([`flux_tensor::codec`]): every count and byte length is held against the
+//! input that remains before anything is allocated for it, so a damaged
+//! blob fails with [`SnapshotError::Corrupt`] instead of attempting a huge
+//! allocation.
 
 use flux_fl::{PhaseTimes, RoundCostBreakdown, SnapshotError};
-use flux_moe::checkpoint::{
-    get_f32, get_f64, get_u32, get_u64, get_u8, get_vec, put_f64, put_vec, take,
-};
 use flux_moe::{ActivationProfile, ExpertKey};
+use flux_tensor::codec::{Reader, Truncated, Writer};
 
 use crate::assignment::ExpertUtility;
 use crate::driver::{ExecutionMode, Method, PendingRound, RoundFaults, RoundRecord};
@@ -32,10 +30,6 @@ const MAGIC: &[u8; 8] = b"FLUXRUN1";
 /// after the participant count; no version-1 blob was ever written outside
 /// a test, so anything else is refused as corrupt.
 const VERSION: u32 = 2;
-/// Plausibility cap on every decoded *record* count (records, pids,
-/// experts…). Byte lengths are not counts: the staged aggregator of a small
-/// model is tens of megabytes, and `take` bounds it by the remaining input.
-const MAX_COUNT: u64 = 1_000_000;
 
 /// Everything the checkpoint persists about a run beyond the model shards.
 pub(crate) struct RunState {
@@ -144,188 +138,151 @@ fn corrupt(message: impl Into<String>) -> SnapshotError {
     SnapshotError::Corrupt(message.into())
 }
 
-fn get_count(buf: &mut &[u8], what: &str) -> Result<usize, SnapshotError> {
-    let count = u64::from(get_u32(buf)?);
-    if count > MAX_COUNT {
-        return Err(corrupt(format!("implausible {what} count {count}")));
-    }
-    Ok(count as usize)
+fn put_breakdown(w: &mut Writer, b: &RoundCostBreakdown) {
+    w.put_f64(b.profiling_s);
+    w.put_f64(b.merging_s);
+    w.put_f64(b.assignment_s);
+    w.put_f64(b.fine_tuning_s);
+    w.put_f64(b.offloading_s);
+    w.put_f64(b.communication_s);
 }
 
-/// Writes the `u32` length prefix of a byte field, refusing a length the
-/// prefix cannot hold instead of truncating it.
-fn put_byte_len(buf: &mut BytesMut, len: usize, what: &str) -> Result<(), SnapshotError> {
-    let len = u32::try_from(len).map_err(|_| {
-        SnapshotError::TooLarge(format!(
-            "{what} is {len} bytes, above the format's u32 length prefix"
-        ))
-    })?;
-    buf.put_u32_le(len);
-    Ok(())
-}
-
-fn put_breakdown(buf: &mut BytesMut, b: &RoundCostBreakdown) {
-    put_f64(buf, b.profiling_s);
-    put_f64(buf, b.merging_s);
-    put_f64(buf, b.assignment_s);
-    put_f64(buf, b.fine_tuning_s);
-    put_f64(buf, b.offloading_s);
-    put_f64(buf, b.communication_s);
-}
-
-fn get_breakdown(buf: &mut &[u8]) -> Result<RoundCostBreakdown, SnapshotError> {
+fn get_breakdown(r: &mut Reader<'_>) -> Result<RoundCostBreakdown, Truncated> {
     Ok(RoundCostBreakdown {
-        profiling_s: get_f64(buf)?,
-        merging_s: get_f64(buf)?,
-        assignment_s: get_f64(buf)?,
-        fine_tuning_s: get_f64(buf)?,
-        offloading_s: get_f64(buf)?,
-        communication_s: get_f64(buf)?,
+        profiling_s: r.f64()?,
+        merging_s: r.f64()?,
+        assignment_s: r.f64()?,
+        fine_tuning_s: r.f64()?,
+        offloading_s: r.f64()?,
+        communication_s: r.f64()?,
     })
 }
 
-fn put_pids(buf: &mut BytesMut, pids: &[usize]) {
-    buf.put_u32_le(pids.len() as u32);
-    for &pid in pids {
-        buf.put_u64_le(pid as u64);
+/// Appends a count-prefixed list of ids (participants, sample indices).
+fn put_ids(w: &mut Writer, ids: &[usize]) {
+    w.put_count(ids.len());
+    for &id in ids {
+        w.put_u64(id as u64);
     }
 }
 
-fn get_pids(buf: &mut &[u8]) -> Result<Vec<usize>, SnapshotError> {
-    let count = get_count(buf, "pid")?;
-    let mut pids = Vec::with_capacity(count);
-    for _ in 0..count {
-        pids.push(get_u64(buf)? as usize);
-    }
-    Ok(pids)
+fn get_ids(r: &mut Reader<'_>) -> Result<Vec<usize>, Truncated> {
+    (0..r.count(8)?).map(|_| Ok(r.u64()? as usize)).collect()
 }
 
-fn put_faults(buf: &mut BytesMut, faults: &RoundFaults) {
-    put_pids(buf, &faults.dropped);
-    put_pids(buf, &faults.retried);
-    put_pids(buf, &faults.rejected);
+fn put_faults(w: &mut Writer, faults: &RoundFaults) {
+    put_ids(w, &faults.dropped);
+    put_ids(w, &faults.retried);
+    put_ids(w, &faults.rejected);
 }
 
-fn get_faults(buf: &mut &[u8]) -> Result<RoundFaults, SnapshotError> {
+fn get_faults(r: &mut Reader<'_>) -> Result<RoundFaults, Truncated> {
     Ok(RoundFaults {
-        dropped: get_pids(buf)?,
-        retried: get_pids(buf)?,
-        rejected: get_pids(buf)?,
+        dropped: get_ids(r)?,
+        retried: get_ids(r)?,
+        rejected: get_ids(r)?,
     })
 }
 
-fn put_record(buf: &mut BytesMut, r: &RoundRecord) {
-    buf.put_u64_le(r.round as u64);
-    put_f64(buf, r.elapsed_hours);
-    buf.put_f32_le(r.score);
-    buf.put_f32_le(r.train_loss);
-    put_f64(buf, r.round_seconds);
-    buf.put_u64_le(r.tokens_trained as u64);
-    buf.put_u64_le(r.upload_bytes_dense as u64);
-    buf.put_u64_le(r.upload_bytes_compressed as u64);
-    put_breakdown(buf, &r.breakdown);
-    put_faults(buf, &r.faults);
+fn put_record(w: &mut Writer, r: &RoundRecord) {
+    w.put_u64(r.round as u64);
+    w.put_f64(r.elapsed_hours);
+    w.put_f32(r.score);
+    w.put_f32(r.train_loss);
+    w.put_f64(r.round_seconds);
+    w.put_u64(r.tokens_trained as u64);
+    w.put_u64(r.upload_bytes_dense as u64);
+    w.put_u64(r.upload_bytes_compressed as u64);
+    put_breakdown(w, &r.breakdown);
+    put_faults(w, &r.faults);
 }
 
-fn get_record(buf: &mut &[u8]) -> Result<RoundRecord, SnapshotError> {
+fn get_record(r: &mut Reader<'_>) -> Result<RoundRecord, Truncated> {
     Ok(RoundRecord {
-        round: get_u64(buf)? as usize,
-        elapsed_hours: get_f64(buf)?,
-        score: get_f32(buf)?,
-        train_loss: get_f32(buf)?,
-        round_seconds: get_f64(buf)?,
-        tokens_trained: get_u64(buf)? as usize,
-        upload_bytes_dense: get_u64(buf)? as usize,
-        upload_bytes_compressed: get_u64(buf)? as usize,
-        breakdown: get_breakdown(buf)?,
-        faults: get_faults(buf)?,
+        round: r.u64()? as usize,
+        elapsed_hours: r.f64()?,
+        score: r.f32()?,
+        train_loss: r.f32()?,
+        round_seconds: r.f64()?,
+        tokens_trained: r.u64()? as usize,
+        upload_bytes_dense: r.u64()? as usize,
+        upload_bytes_compressed: r.u64()? as usize,
+        breakdown: get_breakdown(r)?,
+        faults: get_faults(r)?,
     })
 }
 
-fn put_pending(buf: &mut BytesMut, p: &PendingRound) {
-    buf.put_u64_le(p.round as u64);
-    put_f64(buf, p.elapsed_hours);
-    buf.put_f32_le(p.train_loss);
-    put_f64(buf, p.round_seconds);
-    buf.put_u64_le(p.tokens_trained as u64);
-    buf.put_u64_le(p.upload_bytes_dense as u64);
-    buf.put_u64_le(p.upload_bytes_compressed as u64);
-    put_breakdown(buf, &p.breakdown);
-    put_faults(buf, &p.faults);
+fn put_pending(w: &mut Writer, p: &PendingRound) {
+    w.put_u64(p.round as u64);
+    w.put_f64(p.elapsed_hours);
+    w.put_f32(p.train_loss);
+    w.put_f64(p.round_seconds);
+    w.put_u64(p.tokens_trained as u64);
+    w.put_u64(p.upload_bytes_dense as u64);
+    w.put_u64(p.upload_bytes_compressed as u64);
+    put_breakdown(w, &p.breakdown);
+    put_faults(w, &p.faults);
 }
 
-fn get_pending(buf: &mut &[u8]) -> Result<PendingRound, SnapshotError> {
+fn get_pending(r: &mut Reader<'_>) -> Result<PendingRound, Truncated> {
     Ok(PendingRound {
-        round: get_u64(buf)? as usize,
-        elapsed_hours: get_f64(buf)?,
-        train_loss: get_f32(buf)?,
-        round_seconds: get_f64(buf)?,
-        tokens_trained: get_u64(buf)? as usize,
-        upload_bytes_dense: get_u64(buf)? as usize,
-        upload_bytes_compressed: get_u64(buf)? as usize,
-        breakdown: get_breakdown(buf)?,
-        faults: get_faults(buf)?,
+        round: r.u64()? as usize,
+        elapsed_hours: r.f64()?,
+        train_loss: r.f32()?,
+        round_seconds: r.f64()?,
+        tokens_trained: r.u64()? as usize,
+        upload_bytes_dense: r.u64()? as usize,
+        upload_bytes_compressed: r.u64()? as usize,
+        breakdown: get_breakdown(r)?,
+        faults: get_faults(r)?,
     })
 }
 
-fn put_profile(buf: &mut BytesMut, p: &ActivationProfile) {
+fn put_profile(w: &mut Writer, p: &ActivationProfile) {
     let layers = p.frequencies.len();
-    buf.put_u32_le(layers as u32);
+    w.put_count(layers);
     for layer in 0..layers {
-        put_vec(buf, &p.frequencies[layer]);
-        put_vec(buf, &p.attention[layer]);
+        w.put_f32_slice(&p.frequencies[layer]);
+        w.put_f32_slice(&p.attention[layer]);
         let sets = &p.sample_sets[layer];
-        buf.put_u32_le(sets.len() as u32);
+        w.put_count(sets.len());
         for set in sets {
-            buf.put_u32_le(set.len() as u32);
-            for &sample in set {
-                buf.put_u64_le(sample as u64);
-            }
+            put_ids(w, set);
         }
     }
 }
 
-fn get_profile(buf: &mut &[u8]) -> Result<ActivationProfile, SnapshotError> {
-    let layers = get_count(buf, "layer")?;
-    let mut frequencies = Vec::with_capacity(layers);
-    let mut attention = Vec::with_capacity(layers);
-    let mut sample_sets = Vec::with_capacity(layers);
-    for _ in 0..layers {
-        frequencies.push(get_vec(buf)?);
-        attention.push(get_vec(buf)?);
-        let experts = get_count(buf, "sample-set")?;
-        let mut sets = Vec::with_capacity(experts);
-        for _ in 0..experts {
-            let samples = get_count(buf, "sample")?;
-            let mut set = Vec::with_capacity(samples);
-            for _ in 0..samples {
-                set.push(get_u64(buf)? as usize);
-            }
-            sets.push(set);
-        }
-        sample_sets.push(sets);
+fn get_profile(r: &mut Reader<'_>) -> Result<ActivationProfile, Truncated> {
+    let mut profile = ActivationProfile {
+        frequencies: Vec::new(),
+        attention: Vec::new(),
+        sample_sets: Vec::new(),
+    };
+    for _ in 0..r.count(3 * 4)? {
+        profile.frequencies.push(r.f32_slice()?);
+        profile.attention.push(r.f32_slice()?);
+        let sets = (0..r.count(4)?)
+            .map(|_| get_ids(r))
+            .collect::<Result<_, _>>()?;
+        profile.sample_sets.push(sets);
     }
-    Ok(ActivationProfile {
-        frequencies,
-        attention,
-        sample_sets,
-    })
+    Ok(profile)
 }
 
-fn put_opt_profile(buf: &mut BytesMut, p: Option<&ActivationProfile>) {
+fn put_opt_profile(w: &mut Writer, p: Option<&ActivationProfile>) {
     match p {
         Some(profile) => {
-            buf.put_u8(1);
-            put_profile(buf, profile);
+            w.put_u8(1);
+            put_profile(w, profile);
         }
-        None => buf.put_u8(0),
+        None => w.put_u8(0),
     }
 }
 
-fn get_opt_profile(buf: &mut &[u8]) -> Result<Option<ActivationProfile>, SnapshotError> {
-    match get_u8(buf)? {
+fn get_opt_profile(r: &mut Reader<'_>) -> Result<Option<ActivationProfile>, SnapshotError> {
+    match r.u8()? {
         0 => Ok(None),
-        1 => Ok(Some(get_profile(buf)?)),
+        1 => Ok(Some(get_profile(r)?)),
         other => Err(corrupt(format!("unknown profile tag {other}"))),
     }
 }
@@ -337,28 +294,28 @@ fn get_opt_profile(buf: &mut &[u8]) -> Result<Option<ActivationProfile>, Snapsho
 /// Fails with [`SnapshotError::TooLarge`] when the staged aggregator does
 /// not fit its `u32` length prefix.
 pub(crate) fn encode_run_state(state: &RunState) -> Result<Vec<u8>, SnapshotError> {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
+    let mut w = Writer::new();
+    w.put_bytes(MAGIC);
+    w.put_u32(VERSION);
     // Fingerprint.
-    buf.put_u64_le(state.seed);
-    buf.put_u8(method_tag(state.method));
-    buf.put_u8(mode_tag(state.mode));
-    buf.put_u32_le(state.rounds);
-    buf.put_u32_le(state.participants);
+    w.put_u64(state.seed);
+    w.put_u8(method_tag(state.method));
+    w.put_u8(mode_tag(state.mode));
+    w.put_u32(state.rounds);
+    w.put_u32(state.participants);
     match state.cohort_size {
         Some(k) => {
-            buf.put_u8(1);
-            buf.put_u32_le(k);
+            w.put_u8(1);
+            w.put_u32(k);
         }
-        None => buf.put_u8(0),
+        None => w.put_u8(0),
     }
-    buf.put_u32_le(state.aggregation_edges);
+    w.put_u32(state.aggregation_edges);
     // Position and clocks.
-    buf.put_u32_le(state.next_round);
-    put_f64(&mut buf, state.elapsed_s);
+    w.put_u32(state.next_round);
+    w.put_f64(state.elapsed_s);
     put_breakdown(
-        &mut buf,
+        &mut w,
         &RoundCostBreakdown {
             profiling_s: state.phases.profiling_s,
             merging_s: state.phases.merging_s,
@@ -369,46 +326,44 @@ pub(crate) fn encode_run_state(state: &RunState) -> Result<Vec<u8>, SnapshotErro
         },
     );
     // History.
-    buf.put_u32_le(state.records.len() as u32);
+    w.put_count(state.records.len());
     for record in &state.records {
-        put_record(&mut buf, record);
+        put_record(&mut w, record);
     }
     match &state.pending {
         Some(pending) => {
-            buf.put_u8(1);
-            put_pending(&mut buf, pending);
+            w.put_u8(1);
+            put_pending(&mut w, pending);
         }
-        None => buf.put_u8(0),
+        None => w.put_u8(0),
     }
     // Assigner utilities.
-    buf.put_u32_le(state.utilities.len() as u32);
+    w.put_count(state.utilities.len());
     for (pid, utility) in &state.utilities {
-        buf.put_u64_le(*pid as u64);
-        buf.put_u32_le(utility.key.layer as u32);
-        buf.put_u32_le(utility.key.expert as u32);
-        buf.put_f32_le(utility.value);
-        buf.put_u8(u8::from(utility.estimated));
+        w.put_u64(*pid as u64);
+        utility.key.write_to(&mut w);
+        w.put_f32(utility.value);
+        w.put_u8(u8::from(utility.estimated));
     }
     // Profiling pipelines.
-    buf.put_u32_le(state.flux.len() as u32);
+    w.put_count(state.flux.len());
     for (profile, refreshes) in &state.flux {
-        buf.put_u64_le(*refreshes as u64);
-        put_opt_profile(&mut buf, profile.as_ref());
+        w.put_u64(*refreshes as u64);
+        put_opt_profile(&mut w, profile.as_ref());
     }
-    buf.put_u32_le(state.fmes.len() as u32);
+    w.put_count(state.fmes.len());
     for profile in &state.fmes {
-        put_opt_profile(&mut buf, profile.as_ref());
+        put_opt_profile(&mut w, profile.as_ref());
     }
     // Mid-round staged aggregator.
     match &state.aggregator {
         Some(bytes) => {
-            buf.put_u8(1);
-            put_byte_len(&mut buf, bytes.len(), "the staged aggregator")?;
-            buf.put_slice(bytes);
+            w.put_u8(1);
+            w.put_byte_slice(bytes)?;
         }
-        None => buf.put_u8(0),
+        None => w.put_u8(0),
     }
-    Ok(buf.to_vec())
+    Ok(w.into_vec())
 }
 
 /// Decodes a `meta` blob back into a [`RunState`].
@@ -417,30 +372,29 @@ pub(crate) fn encode_run_state(state: &RunState) -> Result<Vec<u8>, SnapshotErro
 ///
 /// Fails with [`SnapshotError::Corrupt`] on a bad magic, unknown version or
 /// any structurally implausible field.
-pub(crate) fn decode_run_state(mut buf: &[u8]) -> Result<RunState, SnapshotError> {
-    let buf = &mut buf;
-    let magic = take(buf, MAGIC.len())?;
-    if magic != MAGIC {
+pub(crate) fn decode_run_state(bytes: &[u8]) -> Result<RunState, SnapshotError> {
+    let r = &mut Reader::new(bytes);
+    if r.take(MAGIC.len())? != MAGIC {
         return Err(corrupt("run-state blob has a bad magic"));
     }
-    let version = get_u32(buf)?;
+    let version = r.u32()?;
     if version != VERSION {
         return Err(corrupt(format!("unsupported run-state version {version}")));
     }
-    let seed = get_u64(buf)?;
-    let method = method_from_tag(get_u8(buf)?)?;
-    let mode = mode_from_tag(get_u8(buf)?)?;
-    let rounds = get_u32(buf)?;
-    let participants = get_u32(buf)?;
-    let cohort_size = match get_u8(buf)? {
+    let seed = r.u64()?;
+    let method = method_from_tag(r.u8()?)?;
+    let mode = mode_from_tag(r.u8()?)?;
+    let rounds = r.u32()?;
+    let participants = r.u32()?;
+    let cohort_size = match r.u8()? {
         0 => None,
-        1 => Some(get_u32(buf)?),
+        1 => Some(r.u32()?),
         other => return Err(corrupt(format!("unknown cohort tag {other}"))),
     };
-    let aggregation_edges = get_u32(buf)?;
-    let next_round = get_u32(buf)?;
-    let elapsed_s = get_f64(buf)?;
-    let phase_breakdown = get_breakdown(buf)?;
+    let aggregation_edges = r.u32()?;
+    let next_round = r.u32()?;
+    let elapsed_s = r.f64()?;
+    let phase_breakdown = get_breakdown(r)?;
     let phases = PhaseTimes {
         profiling_s: phase_breakdown.profiling_s,
         merging_s: phase_breakdown.merging_s,
@@ -449,24 +403,20 @@ pub(crate) fn decode_run_state(mut buf: &[u8]) -> Result<RunState, SnapshotError
         offloading_s: phase_breakdown.offloading_s,
         communication_s: phase_breakdown.communication_s,
     };
-    let record_count = get_count(buf, "record")?;
-    let mut records = Vec::with_capacity(record_count);
-    for _ in 0..record_count {
-        records.push(get_record(buf)?);
-    }
-    let pending = match get_u8(buf)? {
+    let records = (0..r.count(8)?)
+        .map(|_| get_record(r))
+        .collect::<Result<_, _>>()?;
+    let pending = match r.u8()? {
         0 => None,
-        1 => Some(get_pending(buf)?),
+        1 => Some(get_pending(r)?),
         other => return Err(corrupt(format!("unknown pending tag {other}"))),
     };
-    let utility_count = get_count(buf, "utility")?;
-    let mut utilities = Vec::with_capacity(utility_count);
-    for _ in 0..utility_count {
-        let pid = get_u64(buf)? as usize;
-        let layer = get_u32(buf)? as usize;
-        let expert = get_u32(buf)? as usize;
-        let value = get_f32(buf)?;
-        let estimated = match get_u8(buf)? {
+    let mut utilities = Vec::new();
+    for _ in 0..r.count(8 + 4 + 4 + 4 + 1)? {
+        let pid = r.u64()? as usize;
+        let key = ExpertKey::read_from(r)?;
+        let value = r.f32()?;
+        let estimated = match r.u8()? {
             0 => false,
             1 => true,
             other => return Err(corrupt(format!("unknown estimated tag {other}"))),
@@ -474,37 +424,29 @@ pub(crate) fn decode_run_state(mut buf: &[u8]) -> Result<RunState, SnapshotError
         utilities.push((
             pid,
             ExpertUtility {
-                key: ExpertKey { layer, expert },
+                key,
                 value,
                 estimated,
             },
         ));
     }
-    let flux_count = get_count(buf, "flux-state")?;
-    let mut flux = Vec::with_capacity(flux_count);
-    for _ in 0..flux_count {
-        let refreshes = get_u64(buf)? as usize;
-        let profile = get_opt_profile(buf)?;
-        flux.push((profile, refreshes));
+    let mut flux = Vec::new();
+    for _ in 0..r.count(8 + 1)? {
+        let refreshes = r.u64()? as usize;
+        flux.push((get_opt_profile(r)?, refreshes));
     }
-    let fmes_count = get_count(buf, "fmes-profile")?;
-    let mut fmes = Vec::with_capacity(fmes_count);
-    for _ in 0..fmes_count {
-        fmes.push(get_opt_profile(buf)?);
-    }
-    let aggregator = match get_u8(buf)? {
+    let fmes = (0..r.count(1)?)
+        .map(|_| get_opt_profile(r))
+        .collect::<Result<_, _>>()?;
+    let aggregator = match r.u8()? {
         0 => None,
-        1 => {
-            // A byte length, bounded by what is left of the blob.
-            let len = get_u32(buf)? as usize;
-            Some(take(buf, len)?.to_vec())
-        }
+        1 => Some(r.byte_slice()?.to_vec()),
         other => return Err(corrupt(format!("unknown aggregator tag {other}"))),
     };
-    if !buf.is_empty() {
+    if r.remaining() != 0 {
         return Err(corrupt(format!(
             "{} trailing bytes after the run state",
-            buf.len()
+            r.remaining()
         )));
     }
     Ok(RunState {
@@ -713,11 +655,11 @@ mod tests {
     }
 
     #[test]
-    fn staged_aggregator_bytes_are_bounded_by_the_input_not_the_count_cap() {
+    fn staged_aggregator_bytes_are_bounded_by_the_input_not_by_a_count_cap() {
         // A fault-free pipelined round on `MoeConfig::small()` stages 21.5 MB:
-        // far above the record-count cap, and perfectly valid.
+        // perfectly valid, and far above any plausible record count.
         let state = RunState {
-            aggregator: Some(vec![7u8; MAX_COUNT as usize + 1]),
+            aggregator: Some(vec![7u8; 1_000_001]),
             ..sample_state()
         };
         let bytes = encode_run_state(&state).unwrap();
@@ -728,14 +670,41 @@ mod tests {
         assert!(decode_run_state(&bytes[..bytes.len() - 1]).is_err());
     }
 
+    /// Every count a hostile blob can inflate fails as a typed error, not
+    /// as an allocation sized by the lie.
     #[test]
-    fn oversized_byte_fields_are_refused_not_truncated() {
-        let mut buf = BytesMut::new();
-        put_byte_len(&mut buf, u32::MAX as usize, "x").expect("u32::MAX fits");
-        let err = put_byte_len(&mut buf, u32::MAX as usize + 1, "the staged aggregator")
-            .expect_err("one past u32::MAX cannot be written");
-        assert!(matches!(err, SnapshotError::TooLarge(_)), "{err}");
-        assert_eq!(buf.len(), 4, "nothing is written for a refused length");
+    fn inflated_counts_are_refused() {
+        let state = RunState {
+            pending: None,
+            utilities: Vec::new(),
+            flux: Vec::new(),
+            fmes: Vec::new(),
+            aggregator: None,
+            ..sample_state()
+        };
+        let bytes = encode_run_state(&state).unwrap();
+        // magic, version, fingerprint (8+1+1+4+4+5+4), next_round, elapsed,
+        // phases: then the record count.
+        let record_count = 8 + 4 + 27 + 4 + 8 + 6 * 8;
+        assert_eq!(bytes[record_count..record_count + 4], 1u32.to_le_bytes());
+        // The tail is pending tag, three empty counts, aggregator tag.
+        let utility_count = bytes.len() - 1 - 12;
+        for offset in [
+            record_count,
+            utility_count,
+            utility_count + 4,
+            utility_count + 8,
+        ] {
+            let mut hostile = bytes.clone();
+            hostile[offset..offset + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            match decode_run_state(&hostile) {
+                Err(SnapshotError::Corrupt(message)) => {
+                    assert!(message.contains("truncated"), "{message}")
+                }
+                Err(other) => panic!("offset {offset}: expected Corrupt, got {other}"),
+                Ok(_) => panic!("offset {offset}: an inflated count must not decode"),
+            }
+        }
     }
 
     #[test]

@@ -35,6 +35,7 @@ use serde::{Deserialize, Serialize};
 
 use flux_moe::{Expert, ExpertKey, MoeModel};
 use flux_quant::{quantize_row, BitWidth, QuantizedMatrix};
+use flux_tensor::codec::{fold, FNV_OFFSET};
 use flux_tensor::{scratch, Matrix};
 
 use crate::aggregate::ExpertUpdate;
@@ -189,30 +190,6 @@ impl std::error::Error for DecodeError {}
 /// Fixed per-tensor header charged by the simulated wire format (shape,
 /// payload tag, scale bookkeeping).
 const TENSOR_HEADER_BYTES: usize = 8;
-
-/// FNV-1a offset basis (matches `MoeModel::param_checksum`).
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// Byte-wise FNV-1a (the on-disk snapshot checksum).
-pub(crate) fn fnv_bytes(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// One step of the upload checksum: FNV-1a over 64-bit words instead of
-/// bytes — one multiply per word, not per byte. Both the XOR and the
-/// multiplication by the odd prime are bijections of the running hash, so
-/// two uploads that differ in exactly one folded word (any single flipped
-/// bit) always end on different checksums.
-#[inline]
-fn fold(hash: u64, word: u64) -> u64 {
-    (hash ^ word).wrapping_mul(FNV_PRIME)
-}
 
 /// Folds a vector of 32-bit words (`bits` maps an item to its word): the
 /// length first — so a truncated vector can never alias a shorter one —

@@ -1,12 +1,12 @@
-//! Durable per-shard checkpoints of a [`ShardedStore`].
+//! Durable per-shard checkpoints of a [`ShardedStore`] (snapshot format v2).
 //!
 //! A tenant's on-disk checkpoint is a directory of versioned files:
 //!
 //! ```text
 //! <dir>/
 //!   MANIFEST.bin    head of the checkpoint: format version, round epoch,
-//!                   per-file FNV-1a checksums + sizes, an opaque
-//!                   run-state blob, and a trailing self-checksum.
+//!                   per-file checksums + sizes, an opaque run-state blob,
+//!                   and a trailing self-checksum.
 //!                   Rewritten (atomically) on every checkpoint — LAST.
 //!   frozen.bin      full model checkpoint (FLUXMOE1) written once; only
 //!                   its frozen parameters (embedding, attention, gating)
@@ -26,6 +26,15 @@
 //! file. Corruption is *detected and attributed* — [`SnapshotError`] names
 //! the file whose content hash diverged.
 //!
+//! Version 2 kept every file's layout and size and changed what the
+//! manifest records about them: each checksum (and the manifest's own) is
+//! the word-folded [`flux_tensor::codec::checksum`] — one multiply per
+//! eight bytes, where version 1's byte-wise FNV-1a paid one per byte over
+//! megabytes. There is one reader: the manifest's magic and version are
+//! read before its self-checksum is verified, so a directory written by
+//! another version is refused with a [`SnapshotError::Mismatch`] naming
+//! that version rather than misreported as a corrupt manifest.
+//!
 //! The manifest's meta blob is opaque to this module: the driver stores
 //! its serialized round state there (round index, clock, records, and the
 //! mid-round aggregator), making one directory the complete recovery
@@ -35,14 +44,12 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use bytes::{BufMut, BytesMut};
-
-use flux_moe::checkpoint::{self, CheckpointError};
-use flux_moe::ExpertKey;
+use flux_moe::checkpoint::CheckpointError;
+use flux_moe::{Expert, ExpertKey};
+use flux_tensor::codec::{checksum, Reader, TooLong, Truncated, Writer};
 use flux_tensor::Matrix;
 
 use crate::aggregate::{ExpertUpdate, ShardedAggregator, StagedRound};
-use crate::compress::{fnv_bytes, FNV_OFFSET};
 use crate::store::ShardedStore;
 
 /// Magic bytes of a shard file.
@@ -53,8 +60,11 @@ const HEAD_MAGIC: &[u8; 8] = b"FLUXHED1";
 const MANIFEST_MAGIC: &[u8; 8] = b"FLUXMAN1";
 /// Magic bytes of a serialized aggregator staging state.
 const STAGED_MAGIC: &[u8; 8] = b"FLUXAGG1";
-/// On-disk format version.
-const FORMAT_VERSION: u32 = 1;
+/// On-disk format version: 2 records word-folded checksums (see the module
+/// docs); the only version this build reads or writes.
+const FORMAT_VERSION: u32 = 2;
+/// Bytes of one [`FileRecord`] in the manifest.
+const RECORD_BYTES: usize = 24;
 
 /// Manifest file name.
 pub const MANIFEST_FILE: &str = "MANIFEST.bin";
@@ -122,13 +132,26 @@ impl From<CheckpointError> for SnapshotError {
     }
 }
 
+impl From<Truncated> for SnapshotError {
+    fn from(e: Truncated) -> Self {
+        SnapshotError::Corrupt(e.to_string())
+    }
+}
+
+impl From<TooLong> for SnapshotError {
+    fn from(e: TooLong) -> Self {
+        SnapshotError::TooLarge(e.to_string())
+    }
+}
+
 /// What one durable file currently holds, as tracked in memory by the
 /// store (to skip clean shards) and recorded in the manifest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FileRecord {
     /// Store version counter the file was written at.
     pub version: u64,
-    /// FNV-1a checksum of the file content.
+    /// Word-folded checksum of the file content
+    /// ([`flux_tensor::codec::checksum`]).
     pub checksum: u64,
     /// File length in bytes.
     pub len: u64,
@@ -186,11 +209,6 @@ pub struct LoadedSnapshot {
     pub meta: Vec<u8>,
 }
 
-/// FNV-1a checksum of a whole buffer.
-fn content_checksum(data: &[u8]) -> u64 {
-    fnv_bytes(FNV_OFFSET, data)
-}
-
 /// Writes `data` to `path` atomically: temp file in the same directory,
 /// then rename.
 fn write_atomic(path: &Path, data: &[u8]) -> Result<u64, SnapshotError> {
@@ -216,7 +234,7 @@ fn read_file(dir: &Path, name: &str) -> Result<Vec<u8>, SnapshotError> {
 
 /// Verifies a file's content against the manifest's record for it.
 fn verify(name: &str, data: &[u8], record: FileRecord) -> Result<(), SnapshotError> {
-    if data.len() as u64 != record.len || content_checksum(data) != record.checksum {
+    if data.len() as u64 != record.len || checksum(data) != record.checksum {
         return Err(SnapshotError::ChecksumMismatch {
             file: name.to_string(),
         });
@@ -224,166 +242,140 @@ fn verify(name: &str, data: &[u8], record: FileRecord) -> Result<(), SnapshotErr
     Ok(())
 }
 
+/// Writes one content file atomically and returns what the manifest records
+/// about it.
+fn write_recorded(path: &Path, data: &[u8], version: u64) -> Result<FileRecord, SnapshotError> {
+    Ok(FileRecord {
+        version,
+        checksum: checksum(data),
+        len: write_atomic(path, data)?,
+    })
+}
+
 /// Serializes one shard: every expert it owns, sorted by key.
-fn encode_shard(
-    shard: usize,
-    num_shards: usize,
-    experts: &[(ExpertKey, &flux_moe::Expert)],
-) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    buf.put_slice(SHARD_MAGIC);
-    buf.put_u32_le(shard as u32);
-    buf.put_u32_le(num_shards as u32);
-    buf.put_u32_le(experts.len() as u32);
+fn encode_shard(shard: usize, num_shards: usize, experts: &[(ExpertKey, &Expert)]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_bytes(SHARD_MAGIC);
+    w.put_count(shard);
+    w.put_count(num_shards);
+    w.put_count(experts.len());
     for (key, expert) in experts {
-        buf.put_u32_le(key.layer as u32);
-        buf.put_u32_le(key.expert as u32);
-        checkpoint::put_expert(&mut buf, expert);
+        key.write_to(&mut w);
+        expert.write_to(&mut w);
     }
-    buf.freeze().to_vec()
+    w.into_vec()
 }
 
 /// Parses a shard file into its key→expert entries.
 fn decode_shard(
-    name: &str,
-    mut buf: &[u8],
+    data: &[u8],
     expected_shard: usize,
     expected_num_shards: usize,
-) -> Result<Vec<(ExpertKey, flux_moe::Expert)>, SnapshotError> {
-    let buf = &mut buf;
-    let magic = checkpoint::take(buf, SHARD_MAGIC.len())?;
-    if magic != SHARD_MAGIC {
-        return Err(SnapshotError::Corrupt(format!("{name}: bad shard magic")));
+) -> Result<Vec<(ExpertKey, Expert)>, SnapshotError> {
+    let r = &mut Reader::new(data);
+    if r.take(SHARD_MAGIC.len())? != SHARD_MAGIC {
+        return Err(SnapshotError::Corrupt("bad shard magic".into()));
     }
-    let shard = checkpoint::get_u32(buf)? as usize;
-    let num_shards = checkpoint::get_u32(buf)? as usize;
+    let shard = r.u32()? as usize;
+    let num_shards = r.u32()? as usize;
     if shard != expected_shard || num_shards != expected_num_shards {
         return Err(SnapshotError::Mismatch(format!(
-            "{name}: holds shard {shard}/{num_shards}, expected {expected_shard}/{expected_num_shards}"
+            "holds shard {shard}/{num_shards}, expected {expected_shard}/{expected_num_shards}"
         )));
     }
-    let count = checkpoint::get_u32(buf)? as usize;
-    if count > 1_000_000 {
-        return Err(SnapshotError::Corrupt(format!(
-            "{name}: implausible expert count {count}"
-        )));
-    }
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let layer = checkpoint::get_u32(buf)? as usize;
-        let expert_idx = checkpoint::get_u32(buf)? as usize;
-        let expert = checkpoint::get_expert(buf)?;
-        entries.push((ExpertKey::new(layer, expert_idx), expert));
-    }
+    let count = r.count(8 + Expert::MIN_ENCODED_BYTES)?;
+    let entries = (0..count)
+        .map(|_| Ok((ExpertKey::read_from(r)?, Expert::read_from(r)?)))
+        .collect::<Result<_, Truncated>>()?;
     Ok(entries)
 }
 
 /// Serializes the head file.
 fn encode_head(lm_head: &Matrix, cls_head: Option<&Matrix>) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    buf.put_slice(HEAD_MAGIC);
-    checkpoint::put_matrix(&mut buf, lm_head);
-    match cls_head {
-        Some(h) => {
-            buf.put_u8(1);
-            checkpoint::put_matrix(&mut buf, h);
-        }
-        None => buf.put_u8(0),
-    }
-    buf.freeze().to_vec()
+    let mut w = Writer::new();
+    w.put_bytes(HEAD_MAGIC);
+    w.put_matrix(lm_head);
+    w.put_opt_matrix(cls_head);
+    w.into_vec()
 }
 
 /// Parses the head file.
-fn decode_head(mut buf: &[u8]) -> Result<(Matrix, Option<Matrix>), SnapshotError> {
-    let buf = &mut buf;
-    let magic = checkpoint::take(buf, HEAD_MAGIC.len())?;
-    if magic != HEAD_MAGIC {
-        return Err(SnapshotError::Corrupt("head.bin: bad magic".into()));
+fn decode_head(data: &[u8]) -> Result<(Matrix, Option<Matrix>), SnapshotError> {
+    let r = &mut Reader::new(data);
+    if r.take(HEAD_MAGIC.len())? != HEAD_MAGIC {
+        return Err(SnapshotError::Corrupt("bad head magic".into()));
     }
-    let lm_head = checkpoint::get_matrix(buf)?;
-    let cls_head = if checkpoint::get_u8(buf)? == 1 {
-        Some(checkpoint::get_matrix(buf)?)
-    } else {
-        None
-    };
-    Ok((lm_head, cls_head))
+    Ok((r.matrix()?, r.opt_matrix()?))
 }
 
-/// The manifest's parsed content.
-struct Manifest {
+/// The manifest's parsed content; `meta` borrows the caller's blob on the
+/// way out and the file's bytes on the way in.
+struct Manifest<'a> {
     epoch: u64,
     num_shards: usize,
     frozen: FileRecord,
     head: FileRecord,
     shards: Vec<FileRecord>,
-    meta: Vec<u8>,
+    meta: &'a [u8],
 }
 
-fn encode_manifest(m: &Manifest) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MANIFEST_MAGIC);
-    buf.put_u32_le(FORMAT_VERSION);
-    buf.put_u64_le(m.epoch);
-    buf.put_u32_le(m.num_shards as u32);
-    for record in std::iter::once(&m.frozen)
-        .chain(std::iter::once(&m.head))
-        .chain(m.shards.iter())
-    {
-        buf.put_u64_le(record.version);
-        buf.put_u64_le(record.checksum);
-        buf.put_u64_le(record.len);
+fn encode_manifest(m: &Manifest<'_>) -> Result<Vec<u8>, SnapshotError> {
+    let mut w = Writer::new();
+    w.put_bytes(MANIFEST_MAGIC);
+    w.put_u32(FORMAT_VERSION);
+    w.put_u64(m.epoch);
+    w.put_count(m.num_shards);
+    for record in [&m.frozen, &m.head].into_iter().chain(&m.shards) {
+        w.put_u64(record.version);
+        w.put_u64(record.checksum);
+        w.put_u64(record.len);
     }
-    buf.put_u32_le(m.meta.len() as u32);
-    buf.put_slice(&m.meta);
-    let self_checksum = content_checksum(&buf);
-    buf.put_u64_le(self_checksum);
-    buf.freeze().to_vec()
+    w.put_byte_slice(m.meta)?;
+    let self_checksum = checksum(w.as_slice());
+    w.put_u64(self_checksum);
+    Ok(w.into_vec())
 }
 
-fn decode_manifest(data: &[u8]) -> Result<Manifest, SnapshotError> {
-    if data.len() < 8 {
-        return Err(SnapshotError::Corrupt("MANIFEST.bin: truncated".into()));
+fn get_record(r: &mut Reader<'_>) -> Result<FileRecord, Truncated> {
+    Ok(FileRecord {
+        version: r.u64()?,
+        checksum: r.u64()?,
+        len: r.u64()?,
+    })
+}
+
+fn decode_manifest(data: &[u8]) -> Result<Manifest<'_>, SnapshotError> {
+    // Magic and version first: a directory another version wrote is that,
+    // not a manifest that fails a checksum this version defines.
+    let r = &mut Reader::new(data);
+    if r.take(MANIFEST_MAGIC.len())? != MANIFEST_MAGIC {
+        return Err(SnapshotError::Corrupt("bad manifest magic".into()));
     }
-    let (body, tail) = data.split_at(data.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("split_at leaves 8 bytes"));
-    if content_checksum(body) != stored {
+    let version = r.u32()?;
+    if version != FORMAT_VERSION {
+        return Err(SnapshotError::Mismatch(format!(
+            "format version {version}, this build reads {FORMAT_VERSION}"
+        )));
+    }
+    // The trailing self-checksum covers every byte before it.
+    let fields = r.take(r.remaining().saturating_sub(8))?;
+    if r.u64()? != checksum(&data[..data.len() - 8]) {
         return Err(SnapshotError::ChecksumMismatch {
             file: MANIFEST_FILE.to_string(),
         });
     }
-    let buf = &mut &body[..];
-    let magic = checkpoint::take(buf, MANIFEST_MAGIC.len())?;
-    if magic != MANIFEST_MAGIC {
-        return Err(SnapshotError::Corrupt("MANIFEST.bin: bad magic".into()));
+    let r = &mut Reader::new(fields);
+    let epoch = r.u64()?;
+    let num_shards = r.count(RECORD_BYTES)?;
+    if num_shards == 0 {
+        return Err(SnapshotError::Corrupt("no shards recorded".into()));
     }
-    let version = checkpoint::get_u32(buf)?;
-    if version != FORMAT_VERSION {
-        return Err(SnapshotError::Mismatch(format!(
-            "MANIFEST.bin: format version {version}, this build reads {FORMAT_VERSION}"
-        )));
-    }
-    let epoch = checkpoint::get_u64(buf)?;
-    let num_shards = checkpoint::get_u32(buf)? as usize;
-    if num_shards == 0 || num_shards > 65_536 {
-        return Err(SnapshotError::Corrupt(format!(
-            "MANIFEST.bin: implausible shard count {num_shards}"
-        )));
-    }
-    let get_record = |buf: &mut &[u8]| -> Result<FileRecord, SnapshotError> {
-        Ok(FileRecord {
-            version: checkpoint::get_u64(buf)?,
-            checksum: checkpoint::get_u64(buf)?,
-            len: checkpoint::get_u64(buf)?,
-        })
-    };
-    let frozen = get_record(buf)?;
-    let head = get_record(buf)?;
-    let mut shards = Vec::with_capacity(num_shards);
-    for _ in 0..num_shards {
-        shards.push(get_record(buf)?);
-    }
-    let meta_len = checkpoint::get_u32(buf)? as usize;
-    let meta = checkpoint::take(buf, meta_len)?.to_vec();
+    let frozen = get_record(r)?;
+    let head = get_record(r)?;
+    let shards = (0..num_shards)
+        .map(|_| get_record(r))
+        .collect::<Result<_, _>>()?;
+    let meta = r.byte_slice()?;
     Ok(Manifest {
         epoch,
         num_shards,
@@ -392,6 +384,15 @@ fn decode_manifest(data: &[u8]) -> Result<Manifest, SnapshotError> {
         shards,
         meta,
     })
+}
+
+/// Attributes a structural error to the checkpoint file it was found in.
+fn in_file(name: &str, e: impl Into<SnapshotError>) -> SnapshotError {
+    match e.into() {
+        SnapshotError::Corrupt(msg) => SnapshotError::Corrupt(format!("{name}: {msg}")),
+        SnapshotError::Mismatch(msg) => SnapshotError::Mismatch(format!("{name}: {msg}")),
+        other => other,
+    }
 }
 
 impl ShardedStore {
@@ -407,7 +408,9 @@ impl ShardedStore {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapshotError`] on filesystem failure.
+    /// Returns a [`SnapshotError`] on filesystem failure, and
+    /// [`SnapshotError::TooLarge`] (before the manifest is touched) when
+    /// `meta` exceeds the manifest's `u32` length prefix.
     pub fn checkpoint(
         &self,
         dir: impl AsRef<Path>,
@@ -424,14 +427,10 @@ impl ShardedStore {
         // parameter on load.
         let mut frozen_written = false;
         if persist.frozen.is_none() || !dir.join(FROZEN_FILE).exists() {
-            let model = self.snapshot();
-            let data = flux_moe::checkpoint::to_bytes(&model);
-            bytes_written += write_atomic(&dir.join(FROZEN_FILE), &data)?;
-            persist.frozen = Some(FileRecord {
-                version: 0,
-                checksum: content_checksum(&data),
-                len: data.len() as u64,
-            });
+            let data = flux_moe::checkpoint::to_bytes(&self.snapshot());
+            let record = write_recorded(&dir.join(FROZEN_FILE), &data, 0)?;
+            bytes_written += record.len;
+            persist.frozen = Some(record);
             frozen_written = true;
         }
 
@@ -449,17 +448,14 @@ impl ShardedStore {
             }
             let data = {
                 let guard = self.shards[s].read();
-                let mut entries: Vec<(ExpertKey, &flux_moe::Expert)> =
+                let mut entries: Vec<(ExpertKey, &Expert)> =
                     guard.experts.iter().map(|(k, e)| (*k, e)).collect();
                 entries.sort_by_key(|(k, _)| (k.layer, k.expert));
                 encode_shard(s, self.num_shards, &entries)
             };
-            bytes_written += write_atomic(&dir.join(shard_file(s)), &data)?;
-            persist.shards[s] = Some(FileRecord {
-                version,
-                checksum: content_checksum(&data),
-                len: data.len() as u64,
-            });
+            let record = write_recorded(&dir.join(shard_file(s)), &data, version)?;
+            bytes_written += record.len;
+            persist.shards[s] = Some(record);
             shards_written += 1;
         }
 
@@ -473,12 +469,9 @@ impl ShardedStore {
                 let guard = self.head.read();
                 encode_head(&guard.lm_head, guard.cls_head.as_ref())
             };
-            bytes_written += write_atomic(&dir.join(HEAD_FILE), &data)?;
-            persist.head = Some(FileRecord {
-                version: head_version,
-                checksum: content_checksum(&data),
-                len: data.len() as u64,
-            });
+            let record = write_recorded(&dir.join(HEAD_FILE), &data, head_version)?;
+            bytes_written += record.len;
+            persist.head = Some(record);
             head_written = true;
         }
 
@@ -492,9 +485,9 @@ impl ShardedStore {
             shards: (0..self.num_shards)
                 .map(|s| persist.shards[s].expect("every shard flushed or recorded"))
                 .collect(),
-            meta: meta.to_vec(),
+            meta,
         };
-        let data = encode_manifest(&manifest);
+        let data = encode_manifest(&manifest)?;
         bytes_written += write_atomic(&dir.join(MANIFEST_FILE), &data)?;
 
         Ok(CheckpointStats {
@@ -517,18 +510,21 @@ impl ShardedStore {
 /// mismatch or missing content, or describing the structural problem.
 pub fn load_store(dir: impl AsRef<Path>) -> Result<LoadedSnapshot, SnapshotError> {
     let dir = dir.as_ref();
-    let manifest = decode_manifest(&read_file(dir, MANIFEST_FILE)?)?;
+    let manifest_bytes = read_file(dir, MANIFEST_FILE)?;
+    let manifest = decode_manifest(&manifest_bytes).map_err(|e| in_file(MANIFEST_FILE, e))?;
 
     let frozen_bytes = read_file(dir, FROZEN_FILE)?;
     verify(FROZEN_FILE, &frozen_bytes, manifest.frozen)?;
-    let mut model = flux_moe::checkpoint::from_bytes(&frozen_bytes)?;
+    let mut model =
+        flux_moe::checkpoint::from_bytes(&frozen_bytes).map_err(|e| in_file(FROZEN_FILE, e))?;
     let per_layer = model.experts_per_layer();
 
     for s in 0..manifest.num_shards {
         let name = shard_file(s);
         let data = read_file(dir, &name)?;
         verify(&name, &data, manifest.shards[s])?;
-        for (key, expert) in decode_shard(&name, &data, s, manifest.num_shards)? {
+        let entries = decode_shard(&data, s, manifest.num_shards).map_err(|e| in_file(&name, e))?;
+        for (key, expert) in entries {
             let in_range = per_layer.get(key.layer).is_some_and(|&n| key.expert < n);
             if !in_range {
                 return Err(SnapshotError::Corrupt(format!(
@@ -548,7 +544,7 @@ pub fn load_store(dir: impl AsRef<Path>) -> Result<LoadedSnapshot, SnapshotError
 
     let head_bytes = read_file(dir, HEAD_FILE)?;
     verify(HEAD_FILE, &head_bytes, manifest.head)?;
-    let (lm_head, cls_head) = decode_head(&head_bytes)?;
+    let (lm_head, cls_head) = decode_head(&head_bytes).map_err(|e| in_file(HEAD_FILE, e))?;
     if lm_head.shape() != model.lm_head.shape() {
         return Err(SnapshotError::Mismatch(
             "head.bin: generation head shape differs from the frozen model".into(),
@@ -582,7 +578,7 @@ pub fn load_store(dir: impl AsRef<Path>) -> Result<LoadedSnapshot, SnapshotError
     Ok(LoadedSnapshot {
         store,
         epoch: manifest.epoch,
-        meta: manifest.meta,
+        meta: manifest.meta.to_vec(),
     })
 }
 
@@ -591,100 +587,82 @@ pub fn load_store(dir: impl AsRef<Path>) -> Result<LoadedSnapshot, SnapshotError
 /// set that keeps rejecting re-delivered uploads after a restore.
 pub fn encode_staged_aggregator(aggregator: &ShardedAggregator) -> Vec<u8> {
     let state = aggregator.staged_state();
-    let mut buf = BytesMut::new();
-    buf.put_slice(STAGED_MAGIC);
-    buf.put_u32_le(state.shards.len() as u32);
+    let mut w = Writer::new();
+    w.put_bytes(STAGED_MAGIC);
+    w.put_count(state.shards.len());
     for shard in &state.shards {
-        buf.put_u32_le(shard.len() as u32);
+        w.put_count(shard.len());
         for (pid, update) in shard {
-            buf.put_u64_le(*pid as u64);
-            buf.put_u32_le(update.key.layer as u32);
-            buf.put_u32_le(update.key.expert as u32);
-            buf.put_f32_le(update.weight);
-            checkpoint::put_expert(&mut buf, &update.expert);
+            w.put_u64(*pid as u64);
+            update.key.write_to(&mut w);
+            w.put_f32(update.weight);
+            update.expert.write_to(&mut w);
         }
     }
-    buf.put_u32_le(state.heads.len() as u32);
+    w.put_count(state.heads.len());
     for (pid, head, weight) in &state.heads {
-        buf.put_u64_le(*pid as u64);
-        buf.put_f32_le(*weight);
-        checkpoint::put_matrix(&mut buf, head);
+        w.put_u64(*pid as u64);
+        w.put_f32(*weight);
+        w.put_matrix(head);
     }
-    buf.put_u32_le(state.submitted.len() as u32);
+    w.put_count(state.submitted.len());
     for pid in &state.submitted {
-        buf.put_u64_le(*pid as u64);
+        w.put_u64(*pid as u64);
     }
-    buf.freeze().to_vec()
+    w.into_vec()
 }
 
 /// Rebuilds an aggregator from [`encode_staged_aggregator`] output.
 ///
 /// # Errors
 ///
-/// Returns a [`SnapshotError`] when the buffer is truncated or corrupt.
-pub fn decode_staged_aggregator(mut data: &[u8]) -> Result<ShardedAggregator, SnapshotError> {
-    let buf = &mut data;
-    let magic = checkpoint::take(buf, STAGED_MAGIC.len())?;
-    if magic != STAGED_MAGIC {
+/// Returns a [`SnapshotError`] when the buffer is truncated or corrupt; no
+/// count in it can make this allocate more than the buffer holds.
+pub fn decode_staged_aggregator(data: &[u8]) -> Result<ShardedAggregator, SnapshotError> {
+    let r = &mut Reader::new(data);
+    if r.take(STAGED_MAGIC.len())? != STAGED_MAGIC {
         return Err(SnapshotError::Corrupt(
             "staged aggregator: bad magic".into(),
         ));
     }
-    let num_shards = checkpoint::get_u32(buf)? as usize;
-    if num_shards == 0 || num_shards > 65_536 {
-        return Err(SnapshotError::Corrupt(format!(
-            "staged aggregator: implausible shard count {num_shards}"
-        )));
+    // A shard is at least its own count.
+    let num_shards = r.count(4)?;
+    if num_shards == 0 {
+        return Err(SnapshotError::Corrupt(
+            "staged aggregator: no shards".into(),
+        ));
     }
-    let mut shards = Vec::with_capacity(num_shards);
+    let mut shards = Vec::new();
     for _ in 0..num_shards {
-        let count = checkpoint::get_u32(buf)? as usize;
-        if count > 1_000_000 {
-            return Err(SnapshotError::Corrupt(
-                "staged aggregator: implausible staged count".into(),
-            ));
-        }
-        let mut staged = Vec::with_capacity(count);
-        for _ in 0..count {
-            let pid = checkpoint::get_u64(buf)? as usize;
-            let layer = checkpoint::get_u32(buf)? as usize;
-            let expert_idx = checkpoint::get_u32(buf)? as usize;
-            let weight = checkpoint::get_f32(buf)?;
-            let expert = checkpoint::get_expert(buf)?;
-            staged.push((
-                pid,
-                ExpertUpdate {
-                    key: ExpertKey::new(layer, expert_idx),
-                    expert,
-                    weight,
-                },
-            ));
-        }
+        let count = r.count(8 + 8 + 4 + Expert::MIN_ENCODED_BYTES)?;
+        let staged = (0..count)
+            .map(|_| {
+                let pid = r.u64()? as usize;
+                let key = ExpertKey::read_from(r)?;
+                let weight = r.f32()?;
+                let expert = Expert::read_from(r)?;
+                Ok((
+                    pid,
+                    ExpertUpdate {
+                        key,
+                        expert,
+                        weight,
+                    },
+                ))
+            })
+            .collect::<Result<_, Truncated>>()?;
         shards.push(staged);
     }
-    let head_count = checkpoint::get_u32(buf)? as usize;
-    if head_count > 1_000_000 {
-        return Err(SnapshotError::Corrupt(
-            "staged aggregator: implausible head count".into(),
-        ));
-    }
-    let mut heads = Vec::with_capacity(head_count);
-    for _ in 0..head_count {
-        let pid = checkpoint::get_u64(buf)? as usize;
-        let weight = checkpoint::get_f32(buf)?;
-        let head = checkpoint::get_matrix(buf)?;
-        heads.push((pid, head, weight));
-    }
-    let submitted_count = checkpoint::get_u32(buf)? as usize;
-    if submitted_count > 10_000_000 {
-        return Err(SnapshotError::Corrupt(
-            "staged aggregator: implausible submitted count".into(),
-        ));
-    }
-    let mut submitted = Vec::with_capacity(submitted_count);
-    for _ in 0..submitted_count {
-        submitted.push(checkpoint::get_u64(buf)? as usize);
-    }
+    let heads = (0..r.count(8 + 4 + 8)?)
+        .map(|_| {
+            let pid = r.u64()? as usize;
+            let weight = r.f32()?;
+            Ok((pid, r.matrix()?, weight))
+        })
+        .collect::<Result<_, Truncated>>()?;
+    let submitted = (0..r.count(8)?)
+        .map(|_| Ok(r.u64()? as usize))
+        .collect::<Result<_, Truncated>>()?;
     Ok(ShardedAggregator::from_staged(StagedRound {
         shards,
         heads,
@@ -803,6 +781,68 @@ mod tests {
         let err = load_store(&dir).unwrap_err();
         assert!(matches!(err, SnapshotError::ChecksumMismatch { file } if file == MANIFEST_FILE));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_v1_directory_is_refused_by_version_not_as_a_corrupt_manifest() {
+        use flux_tensor::codec::{fnv_bytes, FNV_OFFSET};
+        let dir = temp_dir("v1");
+        let store = ShardedStore::new(tiny_model(8), 2);
+        store.checkpoint(&dir, b"abc").unwrap();
+        // The manifest as version 1 wrote it: version field 1, byte-wise
+        // FNV-1a self-checksum.
+        let path = dir.join(MANIFEST_FILE);
+        let mut v1 = fs::read(&path).unwrap();
+        let body = v1.len() - 8;
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let self_checksum = fnv_bytes(FNV_OFFSET, &v1[..body]);
+        v1[body..].copy_from_slice(&self_checksum.to_le_bytes());
+        fs::write(&path, v1).unwrap();
+        match load_store(&dir).unwrap_err() {
+            SnapshotError::Mismatch(msg) => {
+                assert!(msg.contains("version 1"), "{msg}");
+                assert!(msg.starts_with(MANIFEST_FILE), "{msg}");
+            }
+            other => panic!("expected a version mismatch, got {other}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A shard or staged-aggregator count inflated to `u32::MAX` is a typed
+    /// error: nothing is reserved for entries the input cannot hold.
+    #[test]
+    fn inflated_counts_are_refused_without_allocating() {
+        let model = tiny_model(9);
+        let entries: Vec<(ExpertKey, &Expert)> = model
+            .expert_keys()
+            .into_iter()
+            .take(3)
+            .map(|key| (key, model.expert(key)))
+            .collect();
+        let shard = encode_shard(1, 4, &entries);
+        assert_eq!(decode_shard(&shard, 1, 4).unwrap().len(), 3);
+        let mut hostile = shard.clone();
+        // magic, shard, num_shards, then the count.
+        assert_eq!(hostile[16..20], 3u32.to_le_bytes());
+        hostile[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode_shard(&hostile, 1, 4).unwrap_err();
+        assert!(
+            matches!(&err, SnapshotError::Corrupt(m) if m.contains("truncated")),
+            "{err}"
+        );
+
+        // An empty two-shard aggregator is its magic and five counts.
+        let staged = encode_staged_aggregator(&ShardedAggregator::new(2));
+        assert_eq!(staged.len(), 8 + 5 * 4);
+        for offset in (8..staged.len()).step_by(4) {
+            let mut hostile = staged.clone();
+            hostile[offset..offset + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let err = decode_staged_aggregator(&hostile).expect_err("inflated count");
+            assert!(
+                matches!(&err, SnapshotError::Corrupt(m) if m.contains("truncated")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Property tests for the durable per-shard snapshot format: arbitrary
 //! store states round-trip bit-identically through checkpoint + load, and
-//! damaging any byte of any file is detected and attributed to the file
-//! that failed its checksum.
+//! damaging any byte of any file — a flip, a truncation, appended bytes —
+//! is detected and attributed to the file that was damaged.
 
 use std::path::PathBuf;
 
 use proptest::prelude::*;
 
-use flux_fl::snapshot::{corrupt_file_byte, shard_file, MANIFEST_FILE};
+use flux_fl::snapshot::{corrupt_file_byte, shard_file, FROZEN_FILE, HEAD_FILE, MANIFEST_FILE};
 use flux_fl::{load_store, ExpertUpdate, ShardedStore, SnapshotError};
 use flux_moe::{Expert, ExpertKey, MoeConfig, MoeModel};
 use flux_tensor::{Matrix, SeededRng};
@@ -40,6 +40,17 @@ fn mutate_store(store: &ShardedStore, seed: u64, rounds: usize) {
             rng.uniform_range(0.5, 2.0),
         )];
         store.aggregate(&updates, &heads);
+    }
+}
+
+/// Whether `err` is a typed error that names `file`.
+fn names_file(err: &SnapshotError, file: &str) -> bool {
+    match err {
+        SnapshotError::ChecksumMismatch { file: named } | SnapshotError::Missing(named) => {
+            named == file
+        }
+        SnapshotError::Corrupt(msg) | SnapshotError::Mismatch(msg) => msg.starts_with(file),
+        SnapshotError::Io(_) | SnapshotError::TooLarge(_) => false,
     }
 }
 
@@ -104,6 +115,48 @@ proptest! {
         store.checkpoint(&dir, b"meta").expect("checkpoint succeeds");
         corrupt_file_byte(dir.join(MANIFEST_FILE), offset).expect("damage one byte");
         prop_assert!(load_store(&dir).is_err(), "a damaged manifest must not load");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+proptest! {
+    // Six files × three kinds of damage: enough cases to meet each pair.
+    #![proptest_config(ProptestConfig::with_cases(72))]
+
+    #[test]
+    fn any_damage_to_any_file_is_a_typed_error_naming_it(
+        seed in 0u64..500,
+        which in 0usize..6,
+        damage in 0usize..3,
+        amount in 0u64..100_000,
+    ) {
+        let store = ShardedStore::new(tiny_model(seed), 3);
+        mutate_store(&store, seed ^ 0xF11E, 1);
+        let dir = temp_dir(&format!("damage_{seed}_{which}_{damage}_{amount}"));
+        store.checkpoint(&dir, b"meta").expect("checkpoint succeeds");
+        let file = match which {
+            0 => MANIFEST_FILE.to_string(),
+            1 => FROZEN_FILE.to_string(),
+            2 => HEAD_FILE.to_string(),
+            s => shard_file(s - 3),
+        };
+        let path = dir.join(&file);
+        let mut data = std::fs::read(&path).expect("file exists");
+        match damage {
+            0 => corrupt_file_byte(&path, amount).expect("flip one byte"),
+            1 => {
+                data.truncate(amount as usize % data.len());
+                std::fs::write(&path, &data).expect("truncate");
+            }
+            _ => {
+                data.resize(data.len() + 1 + amount as usize % 16, 0);
+                std::fs::write(&path, &data).expect("append");
+            }
+        }
+        match load_store(&dir) {
+            Err(err) => prop_assert!(names_file(&err, &file), "{} damaged, error: {}", file, err),
+            Ok(_) => prop_assert!(false, "a damaged {} must not load", file),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -5,15 +5,17 @@
 //! read, so this module defines a small self-describing binary format
 //! (little-endian, length-prefixed) that round-trips a [`MoeModel`] —
 //! including models with customized per-layer expert counts and non-identity
-//! routing maps — to and from a byte buffer or file.
+//! routing maps — to and from a byte buffer or file. It is written and
+//! read through the workspace's one byte codec ([`flux_tensor::codec`]);
+//! the encodings of an [`Expert`] and an [`ExpertKey`] are exported as
+//! methods because the per-shard snapshot files and the staged aggregator
+//! are built from the same units.
 
 use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
-use flux_tensor::Matrix;
+use flux_tensor::codec::{Reader, Truncated, Writer};
 
 use crate::attention::Attention;
 use crate::config::MoeConfig;
@@ -21,18 +23,23 @@ use crate::expert::Expert;
 use crate::gating::{Gate, RoutingMap};
 use crate::layer::{MoeLayer, TransformerLayer};
 use crate::model::MoeModel;
+use crate::tracker::ExpertKey;
 
 /// Magic bytes identifying a Flux checkpoint.
 const MAGIC: &[u8; 8] = b"FLUXMOE1";
+/// The least one layer occupies: five matrix headers, `top_k`, the expert
+/// count and the routing-table length.
+const MIN_LAYER_BYTES: usize = 5 * 8 + 3 * 4;
 
 /// Errors produced while reading or writing checkpoints.
 #[derive(Debug)]
 pub enum CheckpointError {
     /// The buffer does not start with the expected magic bytes.
     BadMagic,
-    /// The buffer ended before the structure was complete.
-    Truncated,
-    /// A length or dimension field was implausible.
+    /// The buffer ended before the structure was complete, or a length
+    /// prefix promised more than the buffer holds.
+    Truncated(Truncated),
+    /// A field holds a value the format does not define.
     Corrupt(String),
     /// Underlying filesystem error.
     Io(std::io::Error),
@@ -42,7 +49,7 @@ impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CheckpointError::BadMagic => write!(f, "not a Flux checkpoint (bad magic)"),
-            CheckpointError::Truncated => write!(f, "checkpoint truncated"),
+            CheckpointError::Truncated(e) => write!(f, "checkpoint truncated: {e}"),
             CheckpointError::Corrupt(msg) => write!(f, "corrupt checkpoint: {msg}"),
             CheckpointError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
         }
@@ -57,42 +64,35 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
+impl From<Truncated> for CheckpointError {
+    fn from(e: Truncated) -> Self {
+        CheckpointError::Truncated(e)
+    }
+}
+
 /// Serializes a model into a byte buffer.
-pub fn to_bytes(model: &MoeModel) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    put_config(&mut buf, &model.config);
-    put_matrix(&mut buf, &model.embedding);
-    put_matrix(&mut buf, &model.lm_head);
-    match &model.cls_head {
-        Some(h) => {
-            buf.put_u8(1);
-            put_matrix(&mut buf, h);
-        }
-        None => buf.put_u8(0),
-    }
-    buf.put_u32_le(model.layers.len() as u32);
+pub fn to_bytes(model: &MoeModel) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_bytes(MAGIC);
+    put_config(&mut w, &model.config);
+    w.put_matrix(&model.embedding);
+    w.put_matrix(&model.lm_head);
+    w.put_opt_matrix(model.cls_head.as_ref());
+    w.put_count(model.layers.len());
     for layer in &model.layers {
-        put_matrix(&mut buf, &layer.attention.wq);
-        put_matrix(&mut buf, &layer.attention.wk);
-        put_matrix(&mut buf, &layer.attention.wv);
-        put_matrix(&mut buf, &layer.attention.wo);
-        put_matrix(&mut buf, &layer.moe.gate.weight);
-        buf.put_u32_le(layer.moe.gate.top_k as u32);
-        buf.put_u32_le(layer.moe.experts.len() as u32);
+        w.put_matrix(&layer.attention.wq);
+        w.put_matrix(&layer.attention.wk);
+        w.put_matrix(&layer.attention.wv);
+        w.put_matrix(&layer.attention.wo);
+        w.put_matrix(&layer.moe.gate.weight);
+        w.put_count(layer.moe.gate.top_k);
+        w.put_count(layer.moe.experts.len());
         for expert in &layer.moe.experts {
-            put_matrix(&mut buf, &expert.w1);
-            put_vec(&mut buf, &expert.b1);
-            put_matrix(&mut buf, &expert.w2);
-            put_vec(&mut buf, &expert.b2);
+            expert.write_to(&mut w);
         }
-        let table = layer.moe.routing_map.table();
-        buf.put_u32_le(table.len() as u32);
-        for &t in table {
-            buf.put_u32_le(t as u32);
-        }
+        put_counts(&mut w, layer.moe.routing_map.table());
     }
-    buf.freeze()
+    w.into_vec()
 }
 
 /// Deserializes a model from a byte buffer.
@@ -100,53 +100,30 @@ pub fn to_bytes(model: &MoeModel) -> Bytes {
 /// # Errors
 ///
 /// Returns a [`CheckpointError`] if the buffer is not a valid checkpoint.
-pub fn from_bytes(mut buf: &[u8]) -> Result<MoeModel, CheckpointError> {
-    let magic = take(&mut buf, MAGIC.len())?;
-    if magic != MAGIC {
+/// No length field in it can make this allocate more than the buffer holds.
+pub fn from_bytes(bytes: &[u8]) -> Result<MoeModel, CheckpointError> {
+    let r = &mut Reader::new(bytes);
+    if r.take(MAGIC.len())? != MAGIC {
         return Err(CheckpointError::BadMagic);
     }
-    let config = get_config(&mut buf)?;
-    let embedding = get_matrix(&mut buf)?;
-    let lm_head = get_matrix(&mut buf)?;
-    let has_cls = get_u8(&mut buf)?;
-    let cls_head = if has_cls == 1 {
-        Some(get_matrix(&mut buf)?)
-    } else {
-        None
-    };
-    let num_layers = get_u32(&mut buf)? as usize;
-    if num_layers > 4096 {
-        return Err(CheckpointError::Corrupt(format!(
-            "implausible layer count {num_layers}"
-        )));
-    }
-    let mut layers = Vec::with_capacity(num_layers);
+    let config = get_config(r)?;
+    let embedding = r.matrix()?;
+    let lm_head = r.matrix()?;
+    let cls_head = r.opt_matrix()?;
+    let num_layers = r.count(MIN_LAYER_BYTES)?;
+    let mut layers = Vec::new();
     for _ in 0..num_layers {
-        let wq = get_matrix(&mut buf)?;
-        let wk = get_matrix(&mut buf)?;
-        let wv = get_matrix(&mut buf)?;
-        let wo = get_matrix(&mut buf)?;
-        let gate_weight = get_matrix(&mut buf)?;
-        let top_k = get_u32(&mut buf)? as usize;
-        let num_experts = get_u32(&mut buf)? as usize;
-        if num_experts > 65_536 {
-            return Err(CheckpointError::Corrupt(format!(
-                "implausible expert count {num_experts}"
-            )));
-        }
-        let mut experts = Vec::with_capacity(num_experts);
-        for _ in 0..num_experts {
-            let w1 = get_matrix(&mut buf)?;
-            let b1 = get_vec(&mut buf)?;
-            let w2 = get_matrix(&mut buf)?;
-            let b2 = get_vec(&mut buf)?;
-            experts.push(Expert { w1, b1, w2, b2 });
-        }
-        let table_len = get_u32(&mut buf)? as usize;
-        let mut table = Vec::with_capacity(table_len);
-        for _ in 0..table_len {
-            table.push(get_u32(&mut buf)? as usize);
-        }
+        let wq = r.matrix()?;
+        let wk = r.matrix()?;
+        let wv = r.matrix()?;
+        let wo = r.matrix()?;
+        let gate_weight = r.matrix()?;
+        let top_k = r.u32()? as usize;
+        let num_experts = r.count(Expert::MIN_ENCODED_BYTES)?;
+        let experts = (0..num_experts)
+            .map(|_| Expert::read_from(r))
+            .collect::<Result<Vec<_>, _>>()?;
+        let table = get_counts(r)?;
         let routing_map = if table.is_empty() {
             RoutingMap::identity(num_experts)
         } else {
@@ -193,58 +170,104 @@ pub fn load(path: impl AsRef<Path>) -> Result<MoeModel, CheckpointError> {
     from_bytes(&data)
 }
 
-fn put_config(buf: &mut BytesMut, cfg: &MoeConfig) {
-    let name = cfg.name.as_bytes();
-    buf.put_u32_le(name.len() as u32);
-    buf.put_slice(name);
-    buf.put_u32_le(cfg.vocab_size as u32);
-    buf.put_u32_le(cfg.d_model as u32);
-    buf.put_u32_le(cfg.d_ff as u32);
-    buf.put_u32_le(cfg.num_layers as u32);
-    buf.put_u32_le(cfg.experts_per_layer.len() as u32);
-    for &e in &cfg.experts_per_layer {
-        buf.put_u32_le(e as u32);
+impl Expert {
+    /// The least one encoded expert occupies (two matrix headers, two
+    /// vector prefixes): what a decoder holds a count of experts against
+    /// before allocating for them.
+    pub const MIN_ENCODED_BYTES: usize = 24;
+
+    /// Appends this expert in the checkpoint encoding (two projections
+    /// plus biases) — the unit the per-shard snapshot files and the staged
+    /// aggregator are built from.
+    pub fn write_to(&self, w: &mut Writer) {
+        w.put_matrix(&self.w1);
+        w.put_f32_slice(&self.b1);
+        w.put_matrix(&self.w2);
+        w.put_f32_slice(&self.b2);
     }
-    buf.put_u32_le(cfg.top_k as u32);
-    buf.put_u32_le(cfg.num_heads as u32);
-    match cfg.num_classes {
-        Some(c) => {
-            buf.put_u8(1);
-            buf.put_u32_le(c as u32);
-        }
-        None => buf.put_u8(0),
+
+    /// Reads an expert written by [`Expert::write_to`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Truncated`] when the input ends early or a shape promises
+    /// more values than it holds.
+    pub fn read_from(r: &mut Reader<'_>) -> Result<Self, Truncated> {
+        Ok(Expert {
+            w1: r.matrix()?,
+            b1: r.f32_slice()?,
+            w2: r.matrix()?,
+            b2: r.f32_slice()?,
+        })
     }
-    buf.put_u32_le(cfg.max_seq_len as u32);
-    buf.put_f32_le(cfg.reference_size_gb);
 }
 
-fn get_config(buf: &mut &[u8]) -> Result<MoeConfig, CheckpointError> {
-    let name_len = get_u32(buf)? as usize;
-    if name_len > 1024 {
-        return Err(CheckpointError::Corrupt("model name too long".into()));
+impl ExpertKey {
+    /// Appends this key as two `u32`s (layer, expert).
+    pub fn write_to(self, w: &mut Writer) {
+        w.put_count(self.layer);
+        w.put_count(self.expert);
     }
-    let name_bytes = take(buf, name_len)?;
-    let name = String::from_utf8(name_bytes.to_vec())
+
+    /// Reads a key written by [`ExpertKey::write_to`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Truncated`] when fewer than 8 bytes remain.
+    pub fn read_from(r: &mut Reader<'_>) -> Result<Self, Truncated> {
+        Ok(ExpertKey::new(r.u32()? as usize, r.u32()? as usize))
+    }
+}
+
+/// Appends a count-prefixed list of counts (expert counts, routing table).
+fn put_counts(w: &mut Writer, counts: &[usize]) {
+    w.put_count(counts.len());
+    for &c in counts {
+        w.put_count(c);
+    }
+}
+
+fn get_counts(r: &mut Reader<'_>) -> Result<Vec<usize>, Truncated> {
+    (0..r.count(4)?).map(|_| Ok(r.u32()? as usize)).collect()
+}
+
+fn put_config(w: &mut Writer, cfg: &MoeConfig) {
+    w.put_count(cfg.name.len());
+    w.put_bytes(cfg.name.as_bytes());
+    w.put_count(cfg.vocab_size);
+    w.put_count(cfg.d_model);
+    w.put_count(cfg.d_ff);
+    w.put_count(cfg.num_layers);
+    put_counts(w, &cfg.experts_per_layer);
+    w.put_count(cfg.top_k);
+    w.put_count(cfg.num_heads);
+    match cfg.num_classes {
+        Some(c) => {
+            w.put_u8(1);
+            w.put_count(c);
+        }
+        None => w.put_u8(0),
+    }
+    w.put_count(cfg.max_seq_len);
+    w.put_f32(cfg.reference_size_gb);
+}
+
+fn get_config(r: &mut Reader<'_>) -> Result<MoeConfig, CheckpointError> {
+    let name = String::from_utf8(r.byte_slice()?.to_vec())
         .map_err(|_| CheckpointError::Corrupt("model name is not UTF-8".into()))?;
-    let vocab_size = get_u32(buf)? as usize;
-    let d_model = get_u32(buf)? as usize;
-    let d_ff = get_u32(buf)? as usize;
-    let num_layers = get_u32(buf)? as usize;
-    let epl_len = get_u32(buf)? as usize;
-    let mut experts_per_layer = Vec::with_capacity(epl_len);
-    for _ in 0..epl_len {
-        experts_per_layer.push(get_u32(buf)? as usize);
-    }
-    let top_k = get_u32(buf)? as usize;
-    let num_heads = get_u32(buf)? as usize;
-    let has_classes = get_u8(buf)?;
-    let num_classes = if has_classes == 1 {
-        Some(get_u32(buf)? as usize)
-    } else {
-        None
+    let vocab_size = r.u32()? as usize;
+    let d_model = r.u32()? as usize;
+    let d_ff = r.u32()? as usize;
+    let num_layers = r.u32()? as usize;
+    let experts_per_layer = get_counts(r)?;
+    let top_k = r.u32()? as usize;
+    let num_heads = r.u32()? as usize;
+    let num_classes = match r.u8()? {
+        1 => Some(r.u32()? as usize),
+        _ => None,
     };
-    let max_seq_len = get_u32(buf)? as usize;
-    let reference_size_gb = get_f32(buf)?;
+    let max_seq_len = r.u32()? as usize;
+    let reference_size_gb = r.f32()?;
     Ok(MoeConfig {
         name,
         vocab_size,
@@ -258,163 +281,6 @@ fn get_config(buf: &mut &[u8]) -> Result<MoeConfig, CheckpointError> {
         max_seq_len,
         reference_size_gb,
     })
-}
-
-/// Appends a length-prefixed matrix (rows, cols, row-major f32 data).
-pub fn put_matrix(buf: &mut BytesMut, m: &Matrix) {
-    buf.put_u32_le(m.rows() as u32);
-    buf.put_u32_le(m.cols() as u32);
-    for &x in m.as_slice() {
-        buf.put_f32_le(x);
-    }
-}
-
-/// Reads a matrix written by [`put_matrix`].
-///
-/// # Errors
-///
-/// Returns a [`CheckpointError`] when the buffer is truncated or the shape
-/// is implausible.
-pub fn get_matrix(buf: &mut &[u8]) -> Result<Matrix, CheckpointError> {
-    let rows = get_u32(buf)? as usize;
-    let cols = get_u32(buf)? as usize;
-    if rows.saturating_mul(cols) > 64_000_000 {
-        return Err(CheckpointError::Corrupt(format!(
-            "implausible matrix shape {rows}x{cols}"
-        )));
-    }
-    let mut data = Vec::with_capacity(rows * cols);
-    for _ in 0..rows * cols {
-        data.push(get_f32(buf)?);
-    }
-    Matrix::from_vec(rows, cols, data)
-        .map_err(|e| CheckpointError::Corrupt(format!("matrix rebuild failed: {e}")))
-}
-
-/// Appends a length-prefixed `f32` vector.
-pub fn put_vec(buf: &mut BytesMut, v: &[f32]) {
-    buf.put_u32_le(v.len() as u32);
-    for &x in v {
-        buf.put_f32_le(x);
-    }
-}
-
-/// Reads a vector written by [`put_vec`].
-///
-/// # Errors
-///
-/// Returns a [`CheckpointError`] when the buffer is truncated or the length
-/// is implausible.
-pub fn get_vec(buf: &mut &[u8]) -> Result<Vec<f32>, CheckpointError> {
-    let len = get_u32(buf)? as usize;
-    if len > 64_000_000 {
-        return Err(CheckpointError::Corrupt("implausible vector length".into()));
-    }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(get_f32(buf)?);
-    }
-    Ok(out)
-}
-
-/// Appends one expert (two projections plus biases) to the buffer.
-pub fn put_expert(buf: &mut BytesMut, e: &Expert) {
-    put_matrix(buf, &e.w1);
-    put_vec(buf, &e.b1);
-    put_matrix(buf, &e.w2);
-    put_vec(buf, &e.b2);
-}
-
-/// Reads an expert written by [`put_expert`].
-///
-/// # Errors
-///
-/// Returns a [`CheckpointError`] when the buffer is truncated or corrupt.
-pub fn get_expert(buf: &mut &[u8]) -> Result<Expert, CheckpointError> {
-    let w1 = get_matrix(buf)?;
-    let b1 = get_vec(buf)?;
-    let w2 = get_matrix(buf)?;
-    let b2 = get_vec(buf)?;
-    Ok(Expert { w1, b1, w2, b2 })
-}
-
-/// Splits the next `n` bytes off the front of `buf`.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Truncated`] when fewer than `n` bytes remain.
-pub fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], CheckpointError> {
-    if buf.len() < n {
-        return Err(CheckpointError::Truncated);
-    }
-    let (head, rest) = buf.split_at(n);
-    *buf = rest;
-    Ok(head)
-}
-
-/// Reads one byte.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Truncated`] when the buffer is empty.
-pub fn get_u8(buf: &mut &[u8]) -> Result<u8, CheckpointError> {
-    if buf.remaining() < 1 {
-        return Err(CheckpointError::Truncated);
-    }
-    Ok(buf.get_u8())
-}
-
-/// Reads a little-endian `u32`.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Truncated`] when fewer than 4 bytes remain.
-pub fn get_u32(buf: &mut &[u8]) -> Result<u32, CheckpointError> {
-    if buf.remaining() < 4 {
-        return Err(CheckpointError::Truncated);
-    }
-    Ok(buf.get_u32_le())
-}
-
-/// Reads a little-endian `u64`.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Truncated`] when fewer than 8 bytes remain.
-pub fn get_u64(buf: &mut &[u8]) -> Result<u64, CheckpointError> {
-    if buf.remaining() < 8 {
-        return Err(CheckpointError::Truncated);
-    }
-    Ok(buf.get_u64_le())
-}
-
-/// Reads a little-endian `f32`.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Truncated`] when fewer than 4 bytes remain.
-pub fn get_f32(buf: &mut &[u8]) -> Result<f32, CheckpointError> {
-    if buf.remaining() < 4 {
-        return Err(CheckpointError::Truncated);
-    }
-    Ok(buf.get_f32_le())
-}
-
-/// Reads a little-endian `f64`.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Truncated`] when fewer than 8 bytes remain.
-pub fn get_f64(buf: &mut &[u8]) -> Result<f64, CheckpointError> {
-    if buf.remaining() < 8 {
-        return Err(CheckpointError::Truncated);
-    }
-    Ok(f64::from_bits(buf.get_u64_le()))
-}
-
-/// Appends a little-endian `f64` (bit-exact, via `to_bits`).
-pub fn put_f64(buf: &mut BytesMut, x: f64) {
-    buf.put_u64_le(x.to_bits());
 }
 
 #[cfg(test)]
@@ -479,7 +345,47 @@ mod tests {
         let m = model(3);
         let bytes = to_bytes(&m);
         let err = from_bytes(&bytes[..bytes.len() / 2]).unwrap_err();
-        assert!(matches!(err, CheckpointError::Truncated));
+        assert!(matches!(err, CheckpointError::Truncated(_)));
+    }
+
+    /// Every length field a hostile file can inflate fails as a typed
+    /// error before anything is allocated for it (the routing-table length
+    /// used to abort the process with a 34 GB allocation request).
+    #[test]
+    fn inflated_length_fields_are_refused_without_allocating() {
+        let bytes = to_bytes(&model(5));
+        let mat = |rows: usize, cols: usize| 8 + 4 * rows * cols;
+        // magic, name, four dimensions.
+        let epl_len = 8 + (4 + 8) + 16;
+        // … experts_per_layer, top_k, num_heads, class flag, max_seq_len,
+        // reference size.
+        let embedding = epl_len + (4 + 16) + 8 + 1 + 4 + 4;
+        // … both heads, class flag, layer count, attention, gate, top_k,
+        // expert count, the first expert's w1.
+        let b1_len =
+            embedding + 2 * mat(64, 16) + 1 + 4 + 4 * mat(16, 16) + mat(16, 8) + 8 + mat(16, 32);
+        let table_len = bytes.len() - 4 * 8 - 4;
+        for (what, offset, original, patch) in [
+            ("epl_len", epl_len, 4u32, vec![u32::MAX]),
+            ("rows × cols", embedding, 64, vec![u32::MAX, u32::MAX]),
+            ("rows", embedding, 64, vec![0x4000_0000]),
+            ("vector length", b1_len, 32, vec![u32::MAX]),
+            ("table_len", table_len, 8, vec![u32::MAX]),
+        ] {
+            let mut hostile = bytes.clone();
+            let field = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+            assert_eq!(field(offset), original, "{what}: the offset is the field");
+            for (i, word) in patch.iter().enumerate() {
+                hostile[offset + 4 * i..offset + 4 * i + 4].copy_from_slice(&word.to_le_bytes());
+            }
+            match from_bytes(&hostile) {
+                Err(CheckpointError::Truncated(e)) => {
+                    assert!(e.wanted > e.left && e.left < bytes.len(), "{what}: {e}")
+                }
+                Err(other) => panic!("{what}: expected Truncated, got {other}"),
+                Ok(_) => panic!("{what}: an inflated length must not decode"),
+            }
+        }
     }
 
     #[test]
@@ -502,7 +408,8 @@ mod tests {
     #[test]
     fn error_display_strings() {
         assert!(CheckpointError::BadMagic.to_string().contains("magic"));
-        assert!(CheckpointError::Truncated.to_string().contains("truncated"));
+        let cut = Truncated { wanted: 4, left: 1 };
+        assert!(CheckpointError::from(cut).to_string().contains("truncated"));
         assert!(CheckpointError::Corrupt("x".into())
             .to_string()
             .contains("x"));

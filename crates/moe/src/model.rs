@@ -6,6 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use flux_data::{Dataset, Sample, Task};
 use flux_quant::{BitWidth, QuantizedMatrix};
+use flux_tensor::codec::{fnv_bytes, FNV_OFFSET};
 use flux_tensor::{init, ops, Matrix, SeededRng};
 
 use crate::attention::Attention;
@@ -247,13 +248,8 @@ impl MoeModel {
     /// can touch; the golden-trace and store-interleaving suites compare
     /// runs through this.
     pub fn param_checksum(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |x: f32| {
-            for byte in x.to_bits().to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut hash = FNV_OFFSET;
+        let mut eat = |x: f32| hash = fnv_bytes(hash, &x.to_le_bytes());
         for x in self.embedding.as_slice() {
             eat(*x);
         }

@@ -6,7 +6,9 @@
 //! softmax/layer-norm/activation functions, seeded random initialization,
 //! first-order optimizers, principal component analysis, K-Means clustering
 //! (including the cross-layer "fused" variant used by Flux expert
-//! clustering), and basic statistics helpers.
+//! clustering), and basic statistics helpers. As the lowest crate every
+//! other one sees, it also hosts [`codec`], the one little-endian byte
+//! reader/writer (and the two checksums) behind every on-disk format.
 //!
 //! Everything is deterministic given a seed so that experiments are
 //! reproducible run-to-run.
@@ -24,6 +26,7 @@
 //! assert!((probs.iter().sum::<f32>() - 1.0).abs() < 1e-6);
 //! ```
 
+pub mod codec;
 pub mod error;
 pub mod gram;
 pub mod init;
