@@ -1,8 +1,8 @@
 //! Experiment harness shared by the per-figure binaries.
 //!
 //! Every table and figure of the paper's evaluation has a binary in
-//! `src/bin/` that regenerates it (see `DESIGN.md` for the index). The
-//! binaries print plain-text tables with the same rows/series the paper
+//! `src/bin/` that regenerates it, named after it (`fig10_…`, `table2_…`).
+//! The binaries print plain-text tables with the same rows/series the paper
 //! plots. Because the full paper-scale topologies (32×16 and 28×64 experts)
 //! are slow to train on a single CPU core, every binary honours the
 //! `FLUX_SCALE` environment variable:

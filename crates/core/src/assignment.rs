@@ -13,8 +13,6 @@
 
 use std::collections::{HashMap, HashSet};
 
-use serde::{Deserialize, Serialize};
-
 use flux_data::Sample;
 use flux_moe::{ActivationProfile, ExpertGrad, ExpertKey, MoeModel, RecordedForward};
 use flux_tensor::{stats, SeededRng};
@@ -27,7 +25,7 @@ use flux_tensor::{stats, SeededRng};
 /// move if trained. Both pieces come for free: the sample sets from the
 /// profiling module and the gradients from the previous round's training
 /// (or from forward-only estimation for exploration experts).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExpertUtility {
     /// The expert this utility describes (original/global id).
     pub key: ExpertKey,
@@ -71,7 +69,7 @@ pub fn initial_utilities(profile: &ActivationProfile) -> Vec<ExpertUtility> {
 /// ε is the fraction of the selected experts chosen by utility
 /// (exploitation); the remaining `1 − ε` are random exploration picks. Flux
 /// grows ε over rounds as utility estimates become reliable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DynamicEpsilon {
     /// ε used in the first round.
     pub start: f32,
@@ -109,7 +107,7 @@ impl DynamicEpsilon {
 }
 
 /// The assignment produced for one participant in one round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoleAssignment {
     /// Experts selected for exploitation (highest utility).
     pub exploitation: Vec<ExpertKey>,
@@ -300,7 +298,7 @@ impl RoleAssigner {
 /// used to estimate the gradient direction (simultaneous-perturbation /
 /// zeroth-order estimation, as in BAFFLE and FwdLLM). Only the estimated
 /// *gradient* is produced — parameters are never updated from it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ForwardGradEstimator {
     /// Standard deviation of the parameter perturbations.
     pub sigma: f32,

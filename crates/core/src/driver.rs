@@ -52,7 +52,6 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use threadpool::ThreadPool;
 
 use flux_data::{Dataset, DatasetConfig, DatasetGenerator, DatasetKind, Sample};
@@ -84,7 +83,7 @@ use crate::profiling::{ProfilingConfig, QuantizedModelCache, StaleProfiler};
 const AGGREGATION_S: f64 = 1.0;
 
 /// Federated fine-tuning methods compared in the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// The paper's system.
     Flux,
@@ -119,7 +118,7 @@ impl Method {
 /// round's evaluation rides in the next fan-out, whether the simulated
 /// clock overlaps the aggregation latency, and whether a round's record is
 /// pushed at once or one round later.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
     /// Dispatch, aggregate, evaluate, record, repeat: nothing of round *k*
     /// is still in flight when round *k+1* dispatches.
@@ -131,7 +130,7 @@ pub enum ExecutionMode {
 }
 
 /// Configuration of one federated run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Model topology to fine-tune (scaled preset).
     pub model_config: MoeConfig,
@@ -189,22 +188,13 @@ pub struct RunConfig {
     /// clients, materialized once in round 0. `Some(k)` materializes only
     /// the `k` clients a seeded per-round sampler picks, so
     /// participant-state memory stays O(k) however many clients register.
-    #[serde(default)]
     pub cohort_size: Option<usize>,
     /// Edge aggregators pre-reducing each round's uploads before the root
     /// reduces into the store (`<= 1` = flat aggregation). Edges do
     /// structural work only — shard bucketing, checksum-validated decode,
     /// duplicate rejection — and the root re-sorts by participant id, so
     /// every tree shape produces a bit-identical global model.
-    #[serde(default = "default_aggregation_edges")]
     pub aggregation_edges: usize,
-}
-
-/// Serde default for [`RunConfig::aggregation_edges`]. The vendored serde
-/// stub expands derives to nothing, so rustc cannot see this referenced.
-#[allow(dead_code)]
-fn default_aggregation_edges() -> usize {
-    1
 }
 
 impl RunConfig {
@@ -341,7 +331,7 @@ impl RunConfig {
 
 /// What the delivery layer did to this round's uploads (empty in a
 /// fault-free round).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundFaults {
     /// Participants whose upload never landed (crash, stall-out, deadline
     /// miss, or cut by the quorum); their weight is excluded this round.
@@ -361,7 +351,7 @@ impl RoundFaults {
 }
 
 /// Record of one federated round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundRecord {
     /// Round index (0-based).
     pub round: usize,
@@ -423,11 +413,6 @@ impl RunResult {
     pub fn best_score(&self) -> f32 {
         self.rounds.iter().map(|r| r.score).fold(0.0, f32::max)
     }
-}
-
-/// Per-participant state the Flux method keeps across rounds.
-struct FluxState {
-    profiler: StaleProfiler,
 }
 
 /// What one participant's local round hands back to the server loop.
@@ -918,11 +903,11 @@ impl FederatedRun {
         }
         active.records = state.records;
         active.assigner = RoleAssigner::from_utilities(self.config.epsilon, state.utilities);
-        active.flux_states = state
+        active.flux_profilers = state
             .flux
             .into_iter()
-            .map(|(profile, refreshes)| FluxState {
-                profiler: StaleProfiler::from_parts(self.config.profiling, profile, refreshes),
+            .map(|(profile, refreshes)| {
+                StaleProfiler::from_parts(self.config.profiling, profile, refreshes)
             })
             .collect();
         active.fmes_profiles = state.fmes;
@@ -988,11 +973,7 @@ impl FederatedRun {
         // stable client id and spans the whole registry; only sampled
         // clients ever grow a profile.
         let store = register(&mut || MoeModel::new(model_config.clone(), &mut model_rng));
-        let flux_states: Vec<FluxState> = (0..registry.len())
-            .map(|_| FluxState {
-                profiler: StaleProfiler::new(cfg.profiling),
-            })
-            .collect();
+        let flux_profilers = vec![StaleProfiler::new(cfg.profiling); registry.len()];
         let fmes_profiles: Vec<Option<ActivationProfile>> = vec![None; registry.len()];
         ActiveRun {
             driver: self.clone(),
@@ -1007,7 +988,7 @@ impl FederatedRun {
             phases: PhaseTimes::default(),
             tracker: TimeToAccuracyTracker::new(cfg.metric()),
             assigner: RoleAssigner::new(cfg.epsilon),
-            flux_states,
+            flux_profilers,
             fmes_profiles,
             records: Vec::new(),
             round_rng,
@@ -1033,7 +1014,7 @@ impl FederatedRun {
         gram_cache: &ExpertGramCache,
         round: usize,
         assigner: &RoleAssigner,
-        state: &mut FluxState,
+        profiler: &mut StaleProfiler,
         fmes_profile: &mut Option<ActivationProfile>,
         round_rng: &SeededRng,
     ) -> ParticipantRound {
@@ -1082,7 +1063,8 @@ impl FederatedRun {
                 gram_cache,
                 round,
                 assigner,
-                state,
+                profiler,
+                reference_tokens,
                 &mut participant_rng,
             ),
         }
@@ -1105,14 +1087,13 @@ impl FederatedRun {
         gram_cache: &ExpertGramCache,
         round: usize,
         assigner: &RoleAssigner,
-        state: &mut FluxState,
+        profiler: &mut StaleProfiler,
+        reference_tokens: usize,
         rng: &mut SeededRng,
     ) -> ParticipantRound {
         let cfg = &self.config;
         let config = &global.config;
         let device = &participant.device;
-        let tokens = participant.tokens_per_round();
-        let reference_tokens = tokens.saturating_mul(cfg.reference_token_scale).max(1);
         let width = participant.profile_width;
 
         // Profiling (§4): stale profiles come for free (they were refreshed
@@ -1121,29 +1102,21 @@ impl FederatedRun {
         // critical path.
         let mut profiling_s = 0.0;
         let profile = if cfg.profiling.stale {
-            match state.profiler.stale_profile().cloned() {
+            match profiler.stale_profile().cloned() {
                 Some(stale) => {
-                    state
-                        .profiler
-                        .refresh_cached(global, &participant.train_data, quant_cache);
+                    profiler.refresh_cached(global, &participant.train_data, quant_cache);
                     stale
                 }
                 None => {
                     profiling_s += cost.quantize_time_s(device, config, width)
                         + cost.profile_time_s(device, config, reference_tokens, width);
-                    state.profiler.refresh_blocking_cached(
-                        global,
-                        &participant.train_data,
-                        quant_cache,
-                    )
+                    profiler.refresh_blocking_cached(global, &participant.train_data, quant_cache)
                 }
             }
         } else {
             profiling_s += cost.quantize_time_s(device, config, width)
                 + cost.profile_time_s(device, config, reference_tokens, width);
-            state
-                .profiler
-                .refresh_blocking_cached(global, &participant.train_data, quant_cache)
+            profiler.refresh_blocking_cached(global, &participant.train_data, quant_cache)
         };
 
         // Bootstrap utilities from activation frequencies in the first
@@ -1404,7 +1377,7 @@ pub struct ActiveRun {
     phases: PhaseTimes,
     tracker: TimeToAccuracyTracker,
     assigner: RoleAssigner,
-    flux_states: Vec<FluxState>,
+    flux_profilers: Vec<StaleProfiler>,
     fmes_profiles: Vec<Option<ActivationProfile>>,
     records: Vec<RoundRecord>,
     round_rng: SeededRng,
@@ -1516,9 +1489,9 @@ impl ActiveRun {
             // Round boundary: live state; an aggregator restored but not
             // yet resumed rides along unchanged.
             (None, _) => (
-                self.flux_states
+                self.flux_profilers
                     .iter()
-                    .map(|s| (s.profiler.stale_profile().cloned(), s.profiler.refreshes()))
+                    .map(|p| (p.stale_profile().cloned(), p.refreshes()))
                     .collect(),
                 self.fmes_profiles.clone(),
                 self.restored_aggregator
@@ -1607,9 +1580,9 @@ impl ActiveRun {
         // top-of-round view and replay the fan-out identically on restore.
         self.round_start_capture = Some(RoundCapture {
             flux: self
-                .flux_states
+                .flux_profilers
                 .iter()
-                .map(|s| (s.profiler.stale_profile().cloned(), s.profiler.refreshes()))
+                .map(|p| (p.stale_profile().cloned(), p.refreshes()))
                 .collect(),
             fmes: self.fmes_profiles.clone(),
         });
@@ -1629,15 +1602,13 @@ impl ActiveRun {
         // registry-indexed arrays for the fan-out (cheap moves; blanks hold
         // the seats), and put it back below.
         let profiling_cfg = self.driver.config.profiling;
-        let mut active_flux: Vec<FluxState> = self
+        let mut active_flux: Vec<StaleProfiler> = self
             .fleet
             .iter()
             .map(|p| {
                 std::mem::replace(
-                    &mut self.flux_states[p.id],
-                    FluxState {
-                        profiler: StaleProfiler::new(profiling_cfg),
-                    },
+                    &mut self.flux_profilers[p.id],
+                    StaleProfiler::new(profiling_cfg),
                 )
             })
             .collect();
@@ -1688,7 +1659,7 @@ impl ActiveRun {
             let cost_ref = &self.cost;
             let eval_set_ref = &self.eval_set;
             let mut tasks: Vec<Box<dyn FnOnce() -> TaskOut + Send + '_>> = Vec::new();
-            for ((participant, state), fmes_profile) in self
+            for ((participant, profiler), fmes_profile) in self
                 .fleet
                 .iter()
                 .zip(active_flux.iter_mut())
@@ -1713,7 +1684,7 @@ impl ActiveRun {
                         gram_cache_ref,
                         round,
                         assigner_ref,
-                        state,
+                        profiler,
                         fmes_profile,
                         round_rng,
                     );
@@ -1786,8 +1757,8 @@ impl ActiveRun {
         };
         // Seat the active participants' (now refreshed) profiling state
         // back into the registry-indexed arrays.
-        for ((participant, state), fmes) in self.fleet.iter().zip(active_flux).zip(active_fmes) {
-            self.flux_states[participant.id] = state;
+        for ((participant, profiler), fmes) in self.fleet.iter().zip(active_flux).zip(active_fmes) {
+            self.flux_profilers[participant.id] = profiler;
             self.fmes_profiles[participant.id] = fmes;
         }
         // The round-scoped caches die here; record their ledgers so tests

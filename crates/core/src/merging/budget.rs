@@ -1,11 +1,9 @@
 //! Per-layer merging budgets (Eq. 1).
 
-use serde::{Deserialize, Serialize};
-
 use flux_moe::ActivationProfile;
 
 /// Policy for splitting the non-tuning budget across layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BudgetPolicy {
     /// The paper's adaptive policy (Eq. 1): layer `l` receives a share
     /// proportional to `(L - l + 1) / v_l`, i.e. earlier layers (whose

@@ -11,8 +11,6 @@
 //! which removes the per-layer setup overhead (the 40× speedup of Fig. 16)
 //! without changing the layer-local semantics.
 
-use serde::{Deserialize, Serialize};
-
 use flux_moe::{ExpertKey, MoeModel};
 use flux_tensor::kmeans::KMeans;
 use flux_tensor::pca::scores_from_gram;
@@ -21,7 +19,7 @@ use flux_tensor::{Matrix, SeededRng};
 use super::gram::{ExpertGram, ExpertGramCache};
 
 /// Whether the clustering problems of different layers are fused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusteringMode {
     /// One constrained K-Means over all layers (the Flux design).
     Fused,

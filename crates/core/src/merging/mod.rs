@@ -65,10 +65,8 @@ pub use gram::{ExpertGramCache, GramCacheStats};
 pub use plan::{CompactModelPlan, ExpertSlot};
 pub use strategy::{merge_cluster, MergeStrategy};
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the merging module.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MergingConfig {
     /// How the per-layer budgets are chosen.
     pub budget_policy: BudgetPolicy,

@@ -3,8 +3,6 @@
 
 use std::collections::{HashMap, HashSet};
 
-use serde::{Deserialize, Serialize};
-
 use flux_moe::layer::{MoeLayer, TransformerLayer};
 use flux_moe::{ActivationProfile, Expert, ExpertKey, MoeModel, RoutingMap};
 use flux_tensor::{Matrix, SeededRng};
@@ -16,7 +14,7 @@ use super::strategy::merge_cluster;
 use super::MergingConfig;
 
 /// One expert position in the compact per-participant model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ExpertSlot {
     /// A tuning expert kept at full fidelity.
     Keep {
@@ -53,7 +51,7 @@ impl ExpertSlot {
 
 /// A full plan describing how each layer of the global model is compacted
 /// for one participant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompactModelPlan {
     /// Per-layer expert slots, compact index order.
     pub slots: Vec<Vec<ExpertSlot>>,

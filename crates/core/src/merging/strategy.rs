@@ -1,11 +1,9 @@
 //! Importance-based merging strategies (§5.3, Eq. 2).
 
-use serde::{Deserialize, Serialize};
-
 use flux_moe::{ActivationProfile, Expert, ExpertKey, MoeModel};
 
 /// How the experts of one cluster are combined into a merged expert.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergeStrategy {
     /// Plain parameter averaging (ablation baseline "Avg." of Fig. 17).
     Average,

@@ -11,11 +11,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-
-use serde::{Deserialize, Serialize};
+use std::sync::{Arc, Mutex};
 
 use flux_data::Dataset;
+use flux_fl::sync::lock;
 use flux_moe::{ActivationProfile, MoeModel};
 use flux_quant::BitWidth;
 
@@ -84,15 +83,8 @@ impl QuantizedModelCache {
     }
 }
 
-/// Acquires a mutex, recovering from poisoning: a panic inside
-/// `quantized_copy` leaves the slot `None`, which simply re-quantizes on
-/// the next request.
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Configuration of the local profiling module.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfilingConfig {
     /// Quantization width used for the profiling copy. Weaker devices pick
     /// lower widths (cheaper, less accurate).

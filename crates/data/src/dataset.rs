@@ -1,10 +1,8 @@
 //! Dataset, sample and task definitions.
 
-use serde::{Deserialize, Serialize};
-
 /// The four benchmark datasets the paper evaluates on, as synthetic
 /// analogues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// Dolly-style open instruction following (generation, ROUGE-L 0.5).
     Dolly,
@@ -100,7 +98,7 @@ impl DatasetKind {
 }
 
 /// The supervised target attached to a sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Task {
     /// Generate a continuation; scored with ROUGE-L against the reference.
     Generation {
@@ -117,7 +115,7 @@ pub enum Task {
 }
 
 /// One training or evaluation sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// Input token ids.
     pub tokens: Vec<u32>,
@@ -149,7 +147,7 @@ impl Sample {
 }
 
 /// An in-memory dataset: a list of samples plus its kind and vocabulary size.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     /// Which benchmark this synthesizes.
     pub kind: DatasetKind,

@@ -7,14 +7,12 @@
 //! trained MoE gate routes them to different experts — which is the property
 //! the whole Flux pipeline (profiling, merging, role assignment) exercises.
 
-use serde::{Deserialize, Serialize};
-
 use flux_tensor::SeededRng;
 
 use crate::dataset::{Dataset, DatasetKind, Sample, Task};
 
 /// Configuration for synthesizing one dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DatasetConfig {
     /// Which benchmark to synthesize.
     pub kind: DatasetKind,

@@ -6,14 +6,12 @@
 //! concentrates a topic on a few participants. An IID splitter is provided
 //! for ablations.
 
-use serde::{Deserialize, Serialize};
-
 use flux_tensor::SeededRng;
 
 use crate::dataset::Dataset;
 
 /// Configuration of the non-IID partitioner.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PartitionConfig {
     /// Number of participants to split across.
     pub num_participants: usize,

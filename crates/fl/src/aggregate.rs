@@ -5,16 +5,16 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
 use threadpool::ThreadPool;
 
 use flux_moe::{Expert, ExpertKey, MoeModel};
 use flux_tensor::Matrix;
 
 use crate::compress::{DecodeError, EncodedUpload};
+use crate::sync::lock;
 
 /// One participant's update for a single expert.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExpertUpdate {
     /// Which global (original) expert this update targets.
     pub key: ExpertKey,
@@ -509,15 +509,6 @@ pub(crate) struct StagedRound {
     pub heads: Vec<(usize, Matrix, f32)>,
     /// Participants that have submitted, ascending.
     pub submitted: Vec<usize>,
-}
-
-/// Acquires a mutex, recovering from poisoning: staged vectors are
-/// structurally consistent at every unwind point, so the poison flag
-/// carries no information here.
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -1,14 +1,12 @@
 //! Simulated clock and per-phase time accounting.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cost::RoundCostBreakdown;
 
 /// Accumulated per-phase times over a whole federated run, in seconds.
 ///
 /// This is the data behind the paper's overhead breakdown (Fig. 20) and the
 /// stale-profiling round-time comparison (Fig. 14).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimes {
     /// Quantization + profiling.
     pub profiling_s: f64,
@@ -62,7 +60,7 @@ impl PhaseTimes {
 }
 
 /// Simulated wall clock for one federated run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SimClock {
     elapsed_s: f64,
 }

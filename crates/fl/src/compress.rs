@@ -31,17 +31,16 @@
 //! participant-id-ordered reduction as dense uploads, so compression never
 //! perturbs aggregation order.
 
-use serde::{Deserialize, Serialize};
-
 use flux_moe::{Expert, ExpertKey, MoeModel};
 use flux_quant::{quantize_row, BitWidth, QuantizedMatrix};
 use flux_tensor::codec::{fold, FNV_OFFSET};
+use flux_tensor::rng::{mix64, GOLDEN_GAMMA};
 use flux_tensor::{scratch, Matrix};
 
 use crate::aggregate::ExpertUpdate;
 
 /// Per-run upload compression knob.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum CompressionConfig {
     /// Legacy wire format: full-precision dense tensors, no delta.
     #[default]
@@ -236,17 +235,8 @@ fn magnitude_key(delta: f32) -> u32 {
     delta.to_bits() & 0x7fff_ffff
 }
 
-/// One step of the SplitMix64 generator (drives deterministic corruption).
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Wire payload of one encoded tensor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum DeltaPayload {
     /// Raw f32 values (dense upload; decodes without a base).
     Dense(Vec<f32>),
@@ -275,7 +265,7 @@ enum DeltaPayload {
 }
 
 /// One tensor of an expert upload in its encoded wire form.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EncodedTensor {
     rows: usize,
     cols: usize,
@@ -761,7 +751,7 @@ fn encode_top_k(
 }
 
 /// One participant's update for a single expert in encoded wire form.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EncodedExpertUpdate {
     /// Which global expert this update targets.
     pub key: ExpertKey,
@@ -849,7 +839,7 @@ pub type DecodedUpload = (Vec<ExpertUpdate>, Option<(Matrix, f32)>);
 
 /// One participant's full encoded upload: expert updates plus the optional
 /// task head, sealed with an end-to-end content checksum.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EncodedUpload {
     /// Encoded expert updates.
     pub experts: Vec<EncodedExpertUpdate>,
@@ -966,14 +956,15 @@ impl EncodedUpload {
     /// picks the tensor (experts' `w1, b1, w2, b2` in order, then the
     /// head), the second seeds `damage`. An upload with no tensor gets its
     /// checksum flipped instead.
-    fn damaged(&self, mut state: u64, damage: fn(&mut EncodedTensor, u64)) -> Self {
+    fn damaged(&self, state: u64, damage: fn(&mut EncodedTensor, u64)) -> Self {
         let mut out = self.clone();
         let slots = out.experts.len() * 4 + usize::from(out.head.is_some());
         if slots == 0 {
             out.checksum ^= 1;
             return out;
         }
-        let slot = splitmix(&mut state) as usize % slots;
+        let first = state.wrapping_add(GOLDEN_GAMMA);
+        let slot = mix64(first) as usize % slots;
         let tensor = match out.experts.get_mut(slot / 4) {
             Some(expert) => match slot % 4 {
                 0 => &mut expert.w1,
@@ -983,7 +974,7 @@ impl EncodedUpload {
             },
             None => &mut out.head.as_mut().expect("slot implies head exists").0,
         };
-        damage(tensor, splitmix(&mut state));
+        damage(tensor, mix64(first.wrapping_add(GOLDEN_GAMMA)));
         out
     }
 

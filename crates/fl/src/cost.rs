@@ -16,15 +16,13 @@
 //! * communication grows with participants and with the number of uploaded
 //!   expert updates.
 
-use serde::{Deserialize, Serialize};
-
 use flux_moe::MoeConfig;
 use flux_quant::BitWidth;
 
 use crate::device::DeviceProfile;
 
 /// Cost model for one participant device working on one model family.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostModel {
     /// GPU utilization achieved by dense training kernels (fraction of peak).
     pub compute_efficiency: f64,
@@ -78,7 +76,7 @@ impl Default for CostModel {
 }
 
 /// Per-phase breakdown of one participant's round, in seconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RoundCostBreakdown {
     /// Quantization + profiling forward passes.
     pub profiling_s: f64,

@@ -1,7 +1,5 @@
 //! Participant device profiles and capacity derivation.
 
-use serde::{Deserialize, Serialize};
-
 use flux_moe::MoeConfig;
 use flux_tensor::SeededRng;
 
@@ -10,7 +8,7 @@ use flux_tensor::SeededRng;
 /// The paper targets "consumer-grade GPUs" for participants and uses NVIDIA
 /// L20 (48 GB) servers for its own testbed; the classes below span that
 /// range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceClass {
     /// 8 GB consumer card (e.g. RTX 3050/4060 class).
     Consumer8G,
@@ -56,7 +54,7 @@ impl DeviceClass {
 /// model prices uploads against `uplink_mbps` and snapshot downloads
 /// against `downlink_mbps`, so upload compression buys exactly the
 /// simulated seconds the link actually charges.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkProfile {
     /// Participant → server bandwidth in Mbit/s.
     pub uplink_mbps: f64,
@@ -99,7 +97,7 @@ impl LinkProfile {
 }
 
 /// Hardware description of one participant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Human-readable device name.
     pub name: String,

@@ -14,10 +14,10 @@
 //! run config. The default config is inert: every pre-existing run
 //! executes byte-identically with fault tolerance compiled in.
 
-use serde::{Deserialize, Serialize};
+use flux_tensor::rng::{mix64, GOLDEN_GAMMA};
 
 /// What happens to one delivery attempt of one participant's upload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultKind {
     /// The attempt succeeds (no fault).
     #[default]
@@ -41,12 +41,9 @@ impl FaultKind {
     }
 }
 
-/// One step of the SplitMix64 generator.
+/// The first output of the splitmix64 stream seeded with `state`.
 fn splitmix(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(state.wrapping_add(GOLDEN_GAMMA))
 }
 
 /// Seeded, deterministic failure schedule for a run.
@@ -55,7 +52,7 @@ fn splitmix(state: u64) -> u64 {
 /// in `[0, 1)`, mapped onto the configured probability bands — crash,
 /// then corrupt, then stall. The plan is a pure function: it holds no
 /// mutable state, so checkpoint/restore replays the identical schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the failure schedule.
     pub seed: u64,
@@ -135,7 +132,7 @@ impl FaultPlan {
 ///
 /// The default is inert — infinite deadline, no retries, full quorum — so
 /// runs without faults behave (and price communication) exactly as before.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultToleranceConfig {
     /// Fraction of the round's cohort whose uploads must land before the
     /// round finalizes; later arrivals are dropped from the round.

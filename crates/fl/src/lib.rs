@@ -33,6 +33,7 @@ pub mod participant;
 pub mod server;
 pub mod snapshot;
 pub mod store;
+pub mod sync;
 
 pub use aggregate::{
     fedavg_experts, fedavg_matrices, AggregationTree, ExpertUpdate, ShardedAggregator,

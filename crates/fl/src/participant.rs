@@ -2,8 +2,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use flux_data::{partition_indices_non_iid, Dataset, PartitionConfig, PartitionView};
 use flux_moe::MoeConfig;
 use flux_quant::BitWidth;
@@ -13,7 +11,7 @@ use crate::device::{sample_fleet, DeviceProfile, LinkProfile};
 use crate::fault::FaultKind;
 
 /// One federated participant: a device plus its local (private) data shard.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Participant {
     /// Stable participant id.
     pub id: usize,
@@ -69,7 +67,7 @@ impl Participant {
 /// prove that arrival order and mid-round failures change neither the
 /// aggregate (no deadlock, no double-counted weight) nor the bit-exact
 /// results.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ParticipantBehavior {
     /// Trains and uploads normally.
     #[default]

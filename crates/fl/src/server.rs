@@ -12,12 +12,12 @@
 //! and install goes through the [`ShardedStore`] handle a registration
 //! returns, so a run can never touch another tenant's model by accident.
 
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 use flux_moe::MoeModel;
 
 use crate::store::ShardedStore;
+use crate::sync::{read, write};
 
 /// Default number of expert shards a server partitions each tenant's
 /// storage and aggregation into. Shards bound lock granularity during
@@ -75,7 +75,7 @@ impl ParameterServer {
     /// applies rounds; no other tenant's locks are ever touched through it.
     pub fn register_tenant(&self, global_model: MoeModel) -> Arc<ShardedStore> {
         let store = Arc::new(ShardedStore::new(global_model, self.num_shards));
-        self.tenants.write().push(Arc::clone(&store));
+        write(&self.tenants).push(Arc::clone(&store));
         store
     }
 
@@ -93,7 +93,7 @@ impl ParameterServer {
             self.num_shards,
             "restored store sharding must match the server"
         );
-        self.tenants.write().push(Arc::clone(&store));
+        write(&self.tenants).push(Arc::clone(&store));
         store
     }
 
@@ -103,7 +103,7 @@ impl ParameterServer {
     ///
     /// Panics when no tenant with that index exists.
     pub fn tenant(&self, index: usize) -> Arc<ShardedStore> {
-        Arc::clone(&self.tenants.read()[index])
+        Arc::clone(&read(&self.tenants)[index])
     }
 
     /// Removes a tenant from the registry (matched by store identity),
@@ -113,7 +113,7 @@ impl ParameterServer {
     /// concurrent-run scheduler does this as each job completes. Callers
     /// holding their own `Arc` keep the store alive regardless.
     pub fn deregister_tenant(&self, store: &Arc<ShardedStore>) -> bool {
-        let mut tenants = self.tenants.write();
+        let mut tenants = write(&self.tenants);
         match tenants.iter().position(|t| Arc::ptr_eq(t, store)) {
             Some(index) => {
                 tenants.remove(index);
@@ -125,7 +125,7 @@ impl ParameterServer {
 
     /// Number of registered tenants.
     pub fn num_tenants(&self) -> usize {
-        self.tenants.read().len()
+        read(&self.tenants).len()
     }
 
     /// Number of expert shards per tenant.

@@ -51,6 +51,7 @@ use flux_tensor::Matrix;
 
 use crate::aggregate::{ExpertUpdate, ShardedAggregator, StagedRound};
 use crate::store::ShardedStore;
+use crate::sync::{lock, read};
 
 /// Magic bytes of a shard file.
 const SHARD_MAGIC: &[u8; 8] = b"FLUXSHD1";
@@ -419,7 +420,7 @@ impl ShardedStore {
         let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
         // The persist lock serializes concurrent checkpoints of one store.
-        let mut persist = self.persist.lock();
+        let mut persist = lock(&self.persist);
         let mut bytes_written = 0u64;
 
         // Frozen parameters: written once. Which round's snapshot seeds it
@@ -439,7 +440,7 @@ impl ShardedStore {
         let mut shards_written = 0usize;
         let mut shards_skipped = 0usize;
         for s in 0..self.num_shards {
-            let version = self.shards[s].read().version;
+            let version = read(&self.shards[s]).version;
             let clean = persist.shards[s].is_some_and(|r| r.version == version)
                 && dir.join(shard_file(s)).exists();
             if clean {
@@ -447,7 +448,7 @@ impl ShardedStore {
                 continue;
             }
             let data = {
-                let guard = self.shards[s].read();
+                let guard = read(&self.shards[s]);
                 let mut entries: Vec<(ExpertKey, &Expert)> =
                     guard.experts.iter().map(|(k, e)| (*k, e)).collect();
                 entries.sort_by_key(|(k, _)| (k.layer, k.expert));
@@ -460,13 +461,13 @@ impl ShardedStore {
         }
 
         // The head file, when dirty.
-        let head_version = self.head.read().version;
+        let head_version = read(&self.head).version;
         let mut head_written = false;
         if !(persist.head.is_some_and(|r| r.version == head_version)
             && dir.join(HEAD_FILE).exists())
         {
             let data = {
-                let guard = self.head.read();
+                let guard = read(&self.head);
                 encode_head(&guard.lm_head, guard.cls_head.as_ref())
             };
             let record = write_recorded(&dir.join(HEAD_FILE), &data, head_version)?;

@@ -26,9 +26,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use parking_lot::{Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 use flux_moe::{Expert, ExpertKey, MoeModel};
 use flux_tensor::Matrix;
@@ -36,6 +34,7 @@ use threadpool::ThreadPool;
 
 use crate::aggregate::ShardedAggregator;
 use crate::snapshot::PersistState;
+use crate::sync::{lock, read, write};
 
 /// Which shard owns `key`, for a store or aggregator of `num_shards`
 /// shards. Deterministic, so every arrival order stages identical shard
@@ -180,7 +179,7 @@ impl ShardedStore {
         if experts.is_empty() {
             return;
         }
-        let mut guard = self.shards[shard].write();
+        let mut guard = write(&self.shards[shard]);
         let mut installed = false;
         for (key, expert) in experts {
             if !self.key_in_range(key) || shard_of_key(key, self.num_shards) != shard {
@@ -199,7 +198,7 @@ impl ShardedStore {
     /// has one, generation head otherwise), taking only the head lock.
     /// Shape-mismatched heads are ignored.
     pub fn install_head(&self, head: Matrix) {
-        let mut guard = self.head.write();
+        let mut guard = write(&self.head);
         let target = match &mut guard.cls_head {
             Some(h) => h,
             None => &mut guard.lm_head,
@@ -294,12 +293,12 @@ impl ShardedStore {
     /// `Arc` while later rounds install; the next refresh then copies the
     /// cached model once instead of mutating it under the reader.
     pub fn snapshot(&self) -> Arc<MoeModel> {
-        let mut cache = self.snapshot.lock();
+        let mut cache = lock(&self.snapshot);
         for (s, shard_lock) in self.shards.iter().enumerate() {
-            if shard_lock.read().version == cache.shard_versions[s] {
+            if read(shard_lock).version == cache.shard_versions[s] {
                 continue;
             }
-            let mut shard = shard_lock.write();
+            let mut shard = write(shard_lock);
             let model = Arc::make_mut(&mut cache.model);
             let mut keys = std::mem::take(&mut shard.dirty);
             keys.sort_unstable();
@@ -310,7 +309,7 @@ impl ShardedStore {
             cache.shard_versions[s] = shard.version;
         }
         {
-            let head = self.head.read();
+            let head = read(&self.head);
             if head.version != cache.head_version {
                 let model = Arc::make_mut(&mut cache.model);
                 model.lm_head = head.lm_head.clone();
@@ -340,10 +339,7 @@ impl ShardedStore {
     ///
     /// Panics when `key` is out of range for this store's model.
     pub fn expert(&self, key: ExpertKey) -> Expert {
-        self.shards[shard_of_key(key, self.num_shards)]
-            .read()
-            .experts[&key]
-            .clone()
+        read(&self.shards[shard_of_key(key, self.num_shards)]).experts[&key].clone()
     }
 }
 

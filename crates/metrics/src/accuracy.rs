@@ -1,10 +1,8 @@
 //! Accuracy metrics and per-dataset target values.
 
-use serde::{Deserialize, Serialize};
-
 /// The evaluation metric a dataset uses, together with the paper's target
 /// value for the time-to-accuracy measurements (§8.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TargetMetric {
     /// ROUGE-L with the given target (Dolly uses 0.5).
     RougeL {

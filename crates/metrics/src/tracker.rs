@@ -4,12 +4,10 @@
 //! round; the tracker converts those into the relative-accuracy convergence
 //! curves of Fig. 10/11 and the time-to-accuracy bars of Fig. 12/13.
 
-use serde::{Deserialize, Serialize};
-
 use crate::accuracy::{relative_accuracy, TargetMetric};
 
 /// One point on a convergence curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergencePoint {
     /// Federated round index (0-based).
     pub round: usize,
@@ -22,7 +20,7 @@ pub struct ConvergencePoint {
 }
 
 /// Records per-round scores and answers time-to-accuracy queries.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimeToAccuracyTracker {
     metric: TargetMetric,
     points: Vec<ConvergencePoint>,

@@ -14,8 +14,6 @@
 
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
-
 use flux_tensor::{init, ops, Matrix, SeededRng};
 
 /// Single-head self-attention block.
@@ -31,7 +29,7 @@ use flux_tensor::{init, ops, Matrix, SeededRng};
 /// `wq`/`wk`/`wv` must go through [`Attention::invalidate_fused`]). Attention
 /// weights are frozen during federated fine-tuning, so in practice the cache
 /// is built once per model instance.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Attention {
     /// Query projection `(d_model, d_model)`.
     pub wq: Matrix,
@@ -44,11 +42,7 @@ pub struct Attention {
     /// Lazily built `[Wq | Wk | Wv]` concatenation `(d_model, 3·d_model)`.
     ///
     /// Derived state, never persisted: the binary checkpoint format
-    /// (`checkpoint.rs`) writes only the four projections, and when the
-    /// vendored no-op serde stub is swapped for the real crate this field
-    /// must gain `#[serde(skip)]` (`OnceLock` implements `Default`, which
-    /// is all `skip` needs) — real serde has no `OnceLock` impls and
-    /// serializing a cache would be wrong anyway.
+    /// (`checkpoint.rs`) writes only the four projections.
     fused_qkv: OnceLock<Matrix>,
 }
 

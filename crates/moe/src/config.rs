@@ -1,7 +1,5 @@
 //! Model configurations: scaled presets and the full-scale catalog.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of an MoE transformer.
 ///
 /// Two families of configurations exist:
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 ///   instantiated and trained in the experiments, and
 /// * **catalog entries** ([`ModelCatalogEntry`]) that reproduce the paper's
 ///   Table 1 by parameter accounting only.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MoeConfig {
     /// Human-readable model name.
     pub name: String,
@@ -218,7 +216,7 @@ impl MoeConfig {
 
 /// One row of the paper's Table 1: a real MoE LLM described by its topology
 /// and published parameter count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelCatalogEntry {
     /// Model name as listed in the paper.
     pub name: &'static str,

@@ -1,14 +1,12 @@
 //! Expert feed-forward networks and their gradients.
 
-use serde::{Deserialize, Serialize};
-
 use flux_tensor::{init, ops, simd, Matrix, SeededRng};
 
 /// One expert: a two-layer feed-forward network with GELU activation.
 ///
 /// `y = GELU(x·W1 + b1)·W2 + b2`, with `W1: (d_model, d_ff)` and
 /// `W2: (d_ff, d_model)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Expert {
     /// Input projection.
     pub w1: Matrix,
@@ -40,7 +38,7 @@ pub struct ExpertCache {
 }
 
 /// Gradient of an expert's parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExpertGrad {
     /// Gradient of [`Expert::w1`].
     pub w1: Matrix,

@@ -1,7 +1,5 @@
 //! Gating network and post-merge routing map.
 
-use serde::{Deserialize, Serialize};
-
 use flux_tensor::{init, ops, stats, Matrix, SeededRng};
 
 /// The gating network of one MoE layer.
@@ -9,7 +7,7 @@ use flux_tensor::{init, ops, stats, Matrix, SeededRng};
 /// A single linear projection from the hidden state to per-expert logits.
 /// Routing selects the top-k experts per token and renormalizes their
 /// probabilities, the standard switch/top-k MoE scheme.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gate {
     /// Projection matrix `(d_model, num_experts)`.
     pub weight: Matrix,
@@ -18,7 +16,7 @@ pub struct Gate {
 }
 
 /// Routing decision for one token.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TokenRouting {
     /// Selected expert indices (original, pre-remap ids), highest prob first.
     pub experts: Vec<usize>,
@@ -93,7 +91,7 @@ impl Gate {
 /// the *original* expert ids; the routing map redirects a selected original
 /// expert to the compact model's expert that now serves it. This is the
 /// paper's "gate re-routing" (§7).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutingMap {
     /// `map[original_expert] = compact_expert`.
     map: Vec<usize>,

@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use threadpool::ThreadPool;
 
 use flux_tensor::{ops, Matrix, SeededRng};
@@ -53,7 +52,7 @@ type RoutedGroups = Vec<(usize, Vec<usize>, Vec<f32>)>;
 /// The MoE feed-forward sub-layer: a gate over the *original* expert ids plus
 /// the (possibly merged/compact) expert list and the routing map connecting
 /// the two.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MoeLayer {
     /// Gating network producing logits over the original expert ids.
     pub gate: Gate,
@@ -414,7 +413,7 @@ impl MoeLayer {
 
 /// One transformer block: pre-norm attention followed by a pre-norm MoE FFN,
 /// both with residual connections.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransformerLayer {
     /// Self-attention sub-layer (frozen during federated fine-tuning).
     pub attention: Attention,

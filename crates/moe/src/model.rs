@@ -2,8 +2,6 @@
 
 use std::collections::{HashMap, HashSet};
 
-use serde::{Deserialize, Serialize};
-
 use flux_data::{Dataset, Sample, Task};
 use flux_quant::{BitWidth, QuantizedMatrix};
 use flux_tensor::codec::{fnv_bytes, FNV_OFFSET};
@@ -30,7 +28,7 @@ const EVAL_BATCH: usize = 16;
 /// gating weights stay frozen. All experiments instantiate this type either
 /// as the *global* model held by the parameter server or as a *compact*
 /// per-participant model produced by expert merging.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MoeModel {
     /// Model configuration.
     pub config: MoeConfig,
@@ -124,7 +122,7 @@ pub struct GradientSet {
 }
 
 /// Result of evaluating the model on a dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalResult {
     /// Task score: mean ROUGE-L for generation datasets, accuracy otherwise.
     pub score: f32,

@@ -11,12 +11,10 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use flux_tensor::stats;
 
 /// Identifies one expert in the model by layer and expert index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ExpertKey {
     /// Layer index.
     pub layer: usize,
@@ -32,7 +30,7 @@ impl ExpertKey {
 }
 
 /// Accumulates routing events during forward passes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ActivationTracker {
     experts_per_layer: Vec<usize>,
     /// Tokens routed to each expert.
@@ -134,7 +132,7 @@ impl ActivationTracker {
 }
 
 /// A frozen summary of expert activation over a dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActivationProfile {
     /// `frequencies[layer][expert]`: fraction of the layer's tokens routed to
     /// the expert. With top-k routing the per-layer frequencies sum to ~k.

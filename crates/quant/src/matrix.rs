@@ -1,7 +1,5 @@
 //! Symmetric per-row integer quantization of weight matrices.
 
-use serde::{Deserialize, Serialize};
-
 use flux_tensor::Matrix;
 
 /// Supported quantization bit widths.
@@ -10,7 +8,7 @@ use flux_tensor::Matrix;
 /// and 8-bit. Lower widths shrink memory and compute further but add
 /// rounding error to the gating computation, which shows up as activation-
 /// frequency estimation error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BitWidth {
     /// 2-bit quantization (levels −1, 0, +1 … clamp at ±1 step around zero).
     Int2,
@@ -85,7 +83,7 @@ pub fn quantize_row(values: &[f32], width: BitWidth, out: &mut [i8]) -> f32 {
 /// integers are `round(w / s)` clamped to the representable range. The
 /// original shape is preserved so the matrix can be dequantized or used
 /// directly in [`crate::quantized_matmul`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QuantizedMatrix {
     rows: usize,
     cols: usize,

@@ -9,15 +9,13 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::matrix::Matrix;
 use crate::rng::SeededRng;
 use crate::stats;
 use crate::{Result, TensorError};
 
 /// Distance metric used for assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Distance {
     /// Euclidean (L2) distance.
     Euclidean,
@@ -37,7 +35,7 @@ impl Distance {
 }
 
 /// Result of a K-Means clustering run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KMeansResult {
     /// Cluster index assigned to each input point.
     pub assignments: Vec<usize>,
@@ -62,7 +60,7 @@ impl KMeansResult {
 }
 
 /// K-Means clustering configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KMeans {
     /// Number of clusters.
     pub k: usize,

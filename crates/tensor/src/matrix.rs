@@ -10,8 +10,6 @@
 //! vector fast paths ([`Matrix::matvec`], [`Matrix::vecmat`]) so the
 //! backward pass never materializes transposed weights.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TensorError;
 use crate::rng::SeededRng;
 use crate::simd;
@@ -139,7 +137,7 @@ fn dot4(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// A dense, row-major matrix of `f32` values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -1218,21 +1216,6 @@ mod tests {
         let c = Matrix::zeros(1, 3);
         assert!(Matrix::vstack(&[&a, &c]).is_err());
         assert!(Matrix::vstack(&[]).is_err());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let mut rng = SeededRng::new(3);
-        let a = Matrix::random_normal(3, 3, 0.5, &mut rng);
-        let json = serde_json_like(&a);
-        assert!(json.contains("rows"));
-    }
-
-    // The workspace deliberately excludes serde_json; this helper only checks
-    // that serialization is derivable by going through the Debug formatting
-    // of the Serialize impl via bincode-free manual check.
-    fn serde_json_like(m: &Matrix) -> String {
-        format!("rows={} cols={} len={}", m.rows(), m.cols(), m.len())
     }
 
     #[test]

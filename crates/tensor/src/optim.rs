@@ -8,12 +8,10 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::matrix::Matrix;
 
 /// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sgd {
     /// Learning rate applied to every step.
     pub learning_rate: f32,
@@ -78,7 +76,7 @@ impl Sgd {
 }
 
 /// Adam optimizer (Kingma & Ba).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Adam {
     /// Learning rate.
     pub learning_rate: f32,
@@ -91,7 +89,7 @@ pub struct Adam {
     state: HashMap<String, AdamState>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct AdamState {
     m: Matrix,
     v: Matrix,
