@@ -22,7 +22,7 @@ use std::collections::HashSet;
 
 use flux_data::Sample;
 use flux_fl::{CostModel, ExpertUpdate, Participant, RoundCostBreakdown};
-use flux_moe::{ActivationProfile, ExpertKey, GradientSet, MoeModel};
+use flux_moe::{ActivationProfile, Expert, ExpertKey, GradientSet, MoeModel};
 use flux_quant::{BitWidth, QuantizedMatrix};
 use flux_tensor::{stats, Matrix};
 
@@ -96,25 +96,40 @@ pub fn local_train(
     (total_loss / total_samples.max(1) as f32, last_grads)
 }
 
-/// Extracts expert updates (original ids) from a locally trained model with
-/// an *identity* expert layout (FMD / FMQ, where the compact and original
-/// ids coincide).
-fn full_model_updates(model: &MoeModel, weight: f32) -> Vec<ExpertUpdate> {
-    model
-        .expert_keys()
+/// Turns a locally trained model with an *identity* expert layout (FMD /
+/// FMQ, where the compact and original ids coincide) into its upload: every
+/// expert under its original id, in [`MoeModel::expert_keys`] order, and the
+/// task head. The model is the participant's private copy and is spent
+/// here, so the parameters move — nothing is cloned a second time.
+fn into_full_model_upload(model: MoeModel, weight: f32) -> (Vec<ExpertUpdate>, Matrix) {
+    let MoeModel {
+        layers,
+        lm_head,
+        cls_head,
+        ..
+    } = model;
+    let updates = layers
         .into_iter()
-        .map(|key| ExpertUpdate {
-            key,
-            expert: model.expert(key).clone(),
-            weight,
+        .enumerate()
+        .flat_map(|(layer, l)| {
+            l.moe
+                .experts
+                .into_iter()
+                .enumerate()
+                .map(move |(expert, parameters)| ExpertUpdate {
+                    key: ExpertKey::new(layer, expert),
+                    expert: parameters,
+                    weight,
+                })
         })
-        .collect()
+        .collect();
+    (updates, active_head(lm_head, cls_head))
 }
 
 /// The head matrix a participant uploads (classification head when present,
-/// generation head otherwise).
-fn head_of(model: &MoeModel) -> Matrix {
-    model.active_head().clone()
+/// generation head otherwise), moved out of its spent local model.
+fn active_head(lm_head: Matrix, cls_head: Option<Matrix>) -> Matrix {
+    cls_head.unwrap_or(lm_head)
 }
 
 /// FMD: fine-tune the full model with expert offloading.
@@ -154,9 +169,10 @@ pub fn fmd_local_round(
         ..Default::default()
     };
     let weight = samples.len().max(1) as f32;
+    let (expert_updates, head) = into_full_model_upload(model, weight);
     LocalRoundOutput {
-        expert_updates: full_model_updates(&model, weight),
-        head_update: Some((head_of(&model), weight)),
+        expert_updates,
+        head_update: Some((head, weight)),
         train_loss: loss,
         trained_tokens,
         cost: breakdown,
@@ -214,9 +230,10 @@ pub fn fmq_local_round(
         ..Default::default()
     };
     let weight = samples.len().max(1) as f32;
+    let (expert_updates, head) = into_full_model_upload(model, weight);
     LocalRoundOutput {
-        expert_updates: full_model_updates(&model, weight),
-        head_update: Some((head_of(&model), weight)),
+        expert_updates,
+        head_update: Some((head, weight)),
         train_loss: loss,
         trained_tokens,
         cost: breakdown,
@@ -267,14 +284,28 @@ pub fn fmes_local_round(
     );
     let trained_tokens: usize = samples.iter().map(|s| s.tokens.len()).sum();
 
-    // Upload only the trained experts, remapped to their original ids.
+    // Upload only the trained experts, remapped to their original ids and
+    // moved out of the compact model, which is spent here.
     let weight = samples.len().max(1) as f32;
+    let MoeModel {
+        layers,
+        lm_head,
+        cls_head,
+        ..
+    } = compact;
+    let mut trained: Vec<Vec<Option<Expert>>> = layers
+        .into_iter()
+        .map(|l| l.moe.experts.into_iter().map(Some).collect())
+        .collect();
     let expert_updates = trained_originals
         .iter()
         .filter_map(|original| {
-            key_map.get(original).map(|compact_key| ExpertUpdate {
+            let compact_key = key_map.get(original)?;
+            Some(ExpertUpdate {
                 key: *original,
-                expert: compact.expert(*compact_key).clone(),
+                expert: trained[compact_key.layer][compact_key.expert]
+                    .take()
+                    .expect("the key map sends each original to a compact slot of its own"),
                 weight,
             })
         })
@@ -297,7 +328,7 @@ pub fn fmes_local_round(
     };
     LocalRoundOutput {
         expert_updates,
-        head_update: Some((head_of(&compact), weight)),
+        head_update: Some((active_head(lm_head, cls_head), weight)),
         train_loss: loss,
         trained_tokens,
         cost: breakdown,

@@ -1468,9 +1468,10 @@ impl ActiveRun {
     ///
     /// Fails on I/O errors, and with [`SnapshotError::TooLarge`] before
     /// writing anything when the staged aggregator exceeds the format's
-    /// `u32` length prefix; a partially written file never replaces a
-    /// previous good checkpoint (temp-file + atomic rename, manifest
-    /// last).
+    /// `u32` length prefix; a partially written file is never one the
+    /// previous good checkpoint's manifest references (two generation
+    /// slots per file, the manifest's rename last — see
+    /// `flux_fl::snapshot`).
     pub fn checkpoint(&self, dir: impl AsRef<Path>) -> Result<CheckpointStats, SnapshotError> {
         let (flux, fmes, staged) = match (&self.computed, &self.round_start_capture) {
             // Mid-round: persist the top-of-round profile view plus the

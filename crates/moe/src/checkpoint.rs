@@ -15,7 +15,7 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use flux_tensor::codec::{Reader, Truncated, Writer};
+use flux_tensor::codec::{BadOption, Reader, Truncated, Writer};
 
 use crate::attention::Attention;
 use crate::config::MoeConfig;
@@ -67,6 +67,15 @@ impl From<std::io::Error> for CheckpointError {
 impl From<Truncated> for CheckpointError {
     fn from(e: Truncated) -> Self {
         CheckpointError::Truncated(e)
+    }
+}
+
+impl From<BadOption> for CheckpointError {
+    fn from(e: BadOption) -> Self {
+        match e {
+            BadOption::Truncated(e) => CheckpointError::Truncated(e),
+            unknown => CheckpointError::Corrupt(unknown.to_string()),
+        }
     }
 }
 
@@ -127,8 +136,20 @@ pub fn from_bytes(bytes: &[u8]) -> Result<MoeModel, CheckpointError> {
         let routing_map = if table.is_empty() {
             RoutingMap::identity(num_experts)
         } else {
-            RoutingMap::from_table(table)
+            RoutingMap::try_from_table(table).map_err(CheckpointError::Corrupt)?
         };
+        // A routed token indexes the table by gate output and the expert
+        // list by the table's entry.
+        if routing_map.num_original() != gate_weight.cols()
+            || routing_map.num_compact() != num_experts
+        {
+            return Err(CheckpointError::Corrupt(format!(
+                "routing table maps {} gate outputs onto {} experts, the layer has {} and {num_experts}",
+                routing_map.num_original(),
+                routing_map.num_compact(),
+                gate_weight.cols(),
+            )));
+        }
         layers.push(TransformerLayer {
             attention: Attention::from_parts(wq, wk, wv, wo),
             moe: MoeLayer {
@@ -175,6 +196,16 @@ impl Expert {
     /// vector prefixes): what a decoder holds a count of experts against
     /// before allocating for them.
     pub const MIN_ENCODED_BYTES: usize = 24;
+
+    /// Bytes [`Expert::write_to`] appends for this expert: fixed by its
+    /// shapes, so an encoder can size its buffer before writing.
+    pub fn encoded_len(&self) -> usize {
+        Self::MIN_ENCODED_BYTES
+            + 4 * (self.w1.as_slice().len()
+                + self.b1.len()
+                + self.w2.as_slice().len()
+                + self.b2.len())
+    }
 
     /// Appends this expert in the checkpoint encoding (two projections
     /// plus biases) — the unit the per-shard snapshot files and the staged
@@ -262,9 +293,10 @@ fn get_config(r: &mut Reader<'_>) -> Result<MoeConfig, CheckpointError> {
     let experts_per_layer = get_counts(r)?;
     let top_k = r.u32()? as usize;
     let num_heads = r.u32()? as usize;
-    let num_classes = match r.u8()? {
-        1 => Some(r.u32()? as usize),
-        _ => None,
+    let num_classes = if r.presence()? {
+        Some(r.u32()? as usize)
+    } else {
+        None
     };
     let max_seq_len = r.u32()? as usize;
     let reference_size_gb = r.f32()?;
@@ -384,6 +416,56 @@ mod tests {
                 }
                 Err(other) => panic!("{what}: expected Truncated, got {other}"),
                 Ok(_) => panic!("{what}: an inflated length must not decode"),
+            }
+        }
+    }
+
+    /// A file whose every length is honest can still hold values the format
+    /// does not define. Each is a typed error: the routing table used to
+    /// trip `RoutingMap::from_table`'s assertion — a panic in every restore,
+    /// which decodes `frozen.bin` with this function — and a presence byte
+    /// of `2..=255` used to read as "absent".
+    #[test]
+    fn undefined_values_are_refused_without_panicking() {
+        let bytes = to_bytes(&model(5));
+        let corrupt = |hostile: &[u8], what: &str, needle: &str| match from_bytes(hostile) {
+            Err(CheckpointError::Corrupt(msg)) => assert!(msg.contains(needle), "{what}: {msg}"),
+            Err(other) => panic!("{what}: expected Corrupt, got {other}"),
+            Ok(_) => panic!("{what}: must not decode"),
+        };
+        // The file ends in the last layer's table: a count and 8 entries.
+        let table = bytes.len() - 4 * 8;
+        let entry = |bytes: &[u8], i: usize| {
+            u32::from_le_bytes(bytes[table + 4 * i..table + 4 * i + 4].try_into().unwrap())
+        };
+        assert_eq!((entry(&bytes, 0), entry(&bytes, 7)), (0, 7));
+        for (what, value, needle) in [
+            ("a sparse table", 9u32, "compact expert 7"),
+            ("a table far above its length", u32::MAX, "compact expert 7"),
+            ("a dense table over fewer experts", 0, "onto 7 experts"),
+        ] {
+            let mut hostile = bytes.clone();
+            hostile[table + 4 * 7..].copy_from_slice(&value.to_le_bytes());
+            corrupt(&hostile, what, needle);
+        }
+        let mut shorter = bytes[..bytes.len() - 4].to_vec();
+        shorter[table - 4..table].copy_from_slice(&7u32.to_le_bytes());
+        corrupt(
+            &shorter,
+            "a table shorter than the gate",
+            "maps 7 gate outputs",
+        );
+
+        // magic, name, four dimensions, experts_per_layer, top_k, num_heads:
+        // the class flag; two matrices after the config: the head flag.
+        let class_flag = 8 + (4 + 8) + 16 + (4 + 16) + 8;
+        let head_flag = class_flag + 1 + 4 + 4 + 2 * (8 + 4 * 64 * 16);
+        for (what, flag) in [("class flag", class_flag), ("head flag", head_flag)] {
+            assert_eq!(bytes[flag], 0, "{what}: the offset is the flag");
+            for tag in [2u8, 0x5A, 255] {
+                let mut hostile = bytes.clone();
+                hostile[flag] = tag;
+                corrupt(&hostile, what, &format!("unknown presence tag {tag}"));
             }
         }
     }

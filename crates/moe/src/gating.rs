@@ -113,17 +113,38 @@ impl RoutingMap {
     /// # Panics
     ///
     /// Panics if the table is empty or references a compact id that is not
-    /// dense in `0..num_compact`.
+    /// dense in `0..num_compact`. For a table this program built; one read
+    /// from a file goes through [`RoutingMap::try_from_table`].
     pub fn from_table(map: Vec<usize>) -> Self {
-        assert!(!map.is_empty(), "routing map cannot be empty");
-        let num_compact = map.iter().max().copied().unwrap_or(0) + 1;
-        for compact in 0..num_compact {
-            assert!(
-                map.contains(&compact),
-                "compact expert {compact} has no originals mapped to it"
-            );
+        Self::try_from_table(map).unwrap_or_else(|reason| panic!("{reason}"))
+    }
+
+    /// [`RoutingMap::from_table`] for a table from outside the program.
+    ///
+    /// # Errors
+    ///
+    /// Says why when the table is empty or its compact ids are not dense in
+    /// `0..num_compact`.
+    pub fn try_from_table(map: Vec<usize>) -> Result<Self, String> {
+        let Some(&max) = map.iter().max() else {
+            return Err("routing map cannot be empty".into());
+        };
+        let num_compact = max.saturating_add(1);
+        // Dense ids take at least as many entries as there are ids, so
+        // `seen` is never larger than the input, whatever maximum a hostile
+        // table names: with every flag below set, `max` is below the length.
+        let mut seen = vec![false; num_compact.min(map.len())];
+        for &compact in &map {
+            if let Some(flag) = seen.get_mut(compact) {
+                *flag = true;
+            }
         }
-        Self { map, num_compact }
+        if let Some(missing) = seen.iter().position(|&flag| !flag) {
+            return Err(format!(
+                "compact expert {missing} has no originals mapped to it"
+            ));
+        }
+        Ok(Self { map, num_compact })
     }
 
     /// Number of original experts.
@@ -240,6 +261,18 @@ mod tests {
     fn from_table_rejects_sparse_compacts() {
         // Compact id 1 is skipped.
         RoutingMap::from_table(vec![0, 2, 0]);
+    }
+
+    #[test]
+    fn try_from_table_says_why_instead_of_panicking() {
+        let map = RoutingMap::try_from_table(vec![0, 1, 2, 1]).unwrap();
+        assert_eq!(map, RoutingMap::from_table(vec![0, 1, 2, 1]));
+        let err = RoutingMap::try_from_table(vec![0, 2, 0]).unwrap_err();
+        assert!(err.contains("compact expert 1"), "{err}");
+        // A maximum far above the table's length reserves nothing for it.
+        let err = RoutingMap::try_from_table(vec![0, usize::MAX]).unwrap_err();
+        assert!(err.contains("compact expert 1"), "{err}");
+        assert!(RoutingMap::try_from_table(vec![]).is_err());
     }
 
     #[test]

@@ -108,6 +108,33 @@ impl fmt::Display for TooLong {
 
 impl std::error::Error for TooLong {}
 
+/// An optional field did not decode: the input ended, or its presence byte
+/// is neither `0` (absent) nor `1` (present).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BadOption {
+    /// The presence byte or the value after it is cut short.
+    Truncated(Truncated),
+    /// A presence byte the format does not define.
+    UnknownTag(u8),
+}
+
+impl fmt::Display for BadOption {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BadOption::Truncated(e) => e.fmt(f),
+            BadOption::UnknownTag(tag) => write!(f, "unknown presence tag {tag}"),
+        }
+    }
+}
+
+impl std::error::Error for BadOption {}
+
+impl From<Truncated> for BadOption {
+    fn from(e: Truncated) -> Self {
+        BadOption::Truncated(e)
+    }
+}
+
 /// Append-only little-endian writer over a plain `Vec<u8>`.
 #[derive(Debug, Default)]
 pub struct Writer {
@@ -118,6 +145,15 @@ impl Writer {
     /// An empty writer.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty writer whose buffer already holds `bytes`: for an encoder
+    /// that knows its output's size, one allocation instead of a doubling
+    /// series.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(bytes),
+        }
     }
 
     /// The bytes written so far.
@@ -366,15 +402,33 @@ impl<'a> Reader<'a> {
         Ok(Matrix::from_vec(rows, cols, data).expect("f32s returned rows × cols values"))
     }
 
+    /// Reads the presence byte of an optional field: `0` absent, `1`
+    /// present.
+    ///
+    /// # Errors
+    ///
+    /// [`BadOption::UnknownTag`] on any other byte — a reader that took
+    /// `2..=255` for "absent" would accept a file no writer produces —
+    /// and [`BadOption::Truncated`] at the end of the input.
+    pub fn presence(&mut self) -> Result<bool, BadOption> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(BadOption::UnknownTag(tag)),
+        }
+    }
+
     /// Reads an optional matrix written by [`Writer::put_opt_matrix`].
     ///
     /// # Errors
     ///
-    /// [`Truncated`] when the presence byte or the matrix is cut short.
-    pub fn opt_matrix(&mut self) -> Result<Option<Matrix>, Truncated> {
-        Ok(match self.u8()? {
-            1 => Some(self.matrix()?),
-            _ => None,
+    /// [`BadOption`] when the presence byte is unknown, or it or the matrix
+    /// is cut short.
+    pub fn opt_matrix(&mut self) -> Result<Option<Matrix>, BadOption> {
+        Ok(if self.presence()? {
+            Some(self.matrix()?)
+        } else {
+            None
         })
     }
 }
@@ -444,6 +498,21 @@ mod tests {
         assert_eq!(r.take(3), Ok(&b"end"[..]));
         assert_eq!(r.remaining(), 0);
         assert_eq!(r.u8(), Err(Truncated { wanted: 1, left: 0 }));
+    }
+
+    #[test]
+    fn a_presence_byte_is_zero_or_one() {
+        assert_eq!(Reader::new(&[0]).opt_matrix(), Ok(None));
+        for tag in 2..=u8::MAX {
+            // A complete 0 × 0 matrix follows, so only the tag can be wrong.
+            let bytes = [tag, 0, 0, 0, 0, 0, 0, 0, 0];
+            assert_eq!(
+                Reader::new(&bytes).opt_matrix(),
+                Err(BadOption::UnknownTag(tag))
+            );
+        }
+        let cut = Truncated { wanted: 1, left: 0 };
+        assert_eq!(Reader::new(&[]).presence(), Err(BadOption::Truncated(cut)));
     }
 
     #[test]

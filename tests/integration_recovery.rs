@@ -8,8 +8,14 @@
 //! `FLUX_THREADS` setting (CI re-runs this suite at 1/4/8). Nothing the
 //! checkpoint does not persist may influence the result: dataset, fleet
 //! and RNG chain are rebuilt deterministically from the seed.
+//!
+//! A kill *inside* a checkpoint is part of the invariant: every directory
+//! it can leave restores to the previous checkpoint or the new one — the
+//! run state in the manifest's meta blob with the weights of the same
+//! generation — and replays to the same bits.
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use threadpool::ThreadPool;
@@ -17,7 +23,7 @@ use threadpool::ThreadPool;
 use flux_core::driver::{ExecutionMode, FederatedRun, Method, RunConfig, RunPhase, RunResult};
 use flux_core::scheduler::{JobSpec, SchedulePolicy, Scheduler};
 use flux_data::DatasetKind;
-use flux_fl::snapshot::{corrupt_file_byte, shard_file};
+use flux_fl::snapshot::{corrupt_file_byte, referenced_files, MANIFEST_FILE};
 use flux_fl::{ParameterServer, SnapshotError};
 use flux_moe::MoeConfig;
 
@@ -152,6 +158,137 @@ fn every_method_survives_a_mid_run_kill() {
     }
 }
 
+/// Every file of a checkpoint directory, by name.
+type Files = BTreeMap<String, Vec<u8>>;
+
+fn read_dir(dir: &Path) -> Files {
+    std::fs::read_dir(dir)
+        .expect("the checkpoint directory exists")
+        .map(|entry| {
+            let entry = entry.expect("directory entry");
+            let name = entry.file_name().into_string().expect("ASCII file names");
+            (name, std::fs::read(entry.path()).expect("readable file"))
+        })
+        .collect()
+}
+
+fn write_dir(dir: &Path, files: &Files) {
+    let _ = std::fs::remove_dir_all(dir);
+    std::fs::create_dir_all(dir).expect("scratch directory");
+    for (name, data) in files {
+        std::fs::write(dir.join(name), data).expect("writable scratch file");
+    }
+}
+
+/// The shard and head files the manifest of `dir` references.
+fn live_slot_files(dir: &Path) -> Vec<String> {
+    let live = referenced_files(dir).expect("committed manifest");
+    let mut names = live.shards;
+    names.push(live.head);
+    names
+}
+
+/// A run that checkpoints at every round boundary is killed inside the
+/// checkpoint that follows round `kill_round`, at each state that kill can
+/// leave: the new generation's slot files written up to any point, the
+/// next one torn over whatever its slot held, the manifest not yet renamed
+/// (with or without its temp file) — or renamed. Each directory is rebuilt
+/// from the directory before that checkpoint and the one after it,
+/// restored, and run to the end, checkpointing on (so the torn slots are
+/// overwritten by the writer they were left for).
+fn killed_inside_a_checkpoint_replays_bit_identically(method: Method, seed: u64) {
+    let pool = pool();
+    let run = FederatedRun::new(quick(), seed);
+    let reference = trace_of(&run.run(method));
+    for kill_round in [1, 2] {
+        let dir = temp_dir("torn");
+        let scratch = temp_dir("torn_state");
+        let (before, after, new_files) = {
+            let mut active = run.start(method);
+            for _ in 0..kill_round {
+                active.step_round(&pool);
+                active.checkpoint(&dir).expect("checkpoint succeeds");
+            }
+            let before = read_dir(&dir);
+            let old_live = live_slot_files(&dir);
+            active.step_round(&pool);
+            active.checkpoint(&dir).expect("checkpoint succeeds");
+            let new_files: Vec<String> = live_slot_files(&dir)
+                .into_iter()
+                .filter(|name| !old_live.contains(name))
+                .collect();
+            (before, read_dir(&dir), new_files)
+        };
+        assert!(
+            !new_files.is_empty(),
+            "a round of {} dirties at least one file",
+            method.label()
+        );
+
+        // (what the kill left, the round the restored run re-enters)
+        let mut states: Vec<(String, Files, usize)> = Vec::new();
+        let mut partial = before.clone();
+        for (written, name) in new_files.iter().enumerate() {
+            // `written` files complete; this one torn: its first half over
+            // the older bytes of its slot, length not yet fixed.
+            let complete = &after[name];
+            let mut torn = complete[..complete.len() / 2].to_vec();
+            if let Some(older) = before.get(name) {
+                torn.extend(older.iter().skip(torn.len()));
+            }
+            let mut state = partial.clone();
+            state.insert(name.clone(), torn);
+            states.push((format!("{written} files, {name} torn"), state, kill_round));
+            partial.insert(name.clone(), complete.clone());
+        }
+        states.push((
+            "every file, no manifest".into(),
+            partial.clone(),
+            kill_round,
+        ));
+        partial.insert("MANIFEST.tmp".into(), after[MANIFEST_FILE].clone());
+        states.push(("manifest not renamed".into(), partial, kill_round));
+        states.push(("manifest renamed".into(), after.clone(), kill_round + 1));
+
+        for (what, state, resume_round) in states {
+            let what = format!(
+                "{}, checkpoint after round {kill_round}: {what}",
+                method.label()
+            );
+            write_dir(&scratch, &state);
+            let mut restored = match run.restore(method, &scratch) {
+                Ok(restored) => restored,
+                Err(err) => panic!("{what}: {err}"),
+            };
+            if resume_round < 3 {
+                let resumes = RunPhase::ReadyToStart {
+                    round: resume_round,
+                };
+                assert_eq!(restored.poll(), resumes, "{what}");
+            }
+            while !restored.is_done() {
+                restored.step_round(&pool);
+                restored.checkpoint(&scratch).expect("checkpoint succeeds");
+            }
+            assert_eq!(trace_of(&restored.finish()), reference, "{what}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&scratch);
+    }
+}
+
+#[test]
+fn fmd_killed_inside_a_checkpoint_replays_bit_identically() {
+    killed_inside_a_checkpoint_replays_bit_identically(Method::Fmd, 30);
+}
+
+#[test]
+fn flux_killed_inside_a_checkpoint_replays_bit_identically() {
+    // Stale profiles and assigner utilities ride in the meta blob: the
+    // previous checkpoint's must come back with the previous weights.
+    killed_inside_a_checkpoint_replays_bit_identically(Method::Flux, 31);
+}
+
 #[test]
 fn checkpoints_after_a_quiet_interval_are_incremental() {
     let pool = pool();
@@ -195,14 +332,17 @@ fn corrupted_shard_is_detected_and_named() {
     let mut active = run.start(Method::Flux);
     active.step_round(&pool);
     active.checkpoint(&dir).expect("checkpoint succeeds");
-    corrupt_file_byte(dir.join(shard_file(3)), 17).expect("damage one shard file");
+    // After one round every file sits in its first slot; the manifest says
+    // which file a restore reads for shard 3, whatever slot that is.
+    let shard_3 = referenced_files(&dir).expect("committed manifest").shards[3].clone();
+    corrupt_file_byte(dir.join(&shard_3), 17).expect("damage one shard file");
     let err = match run.restore(Method::Flux, &dir) {
         Err(err) => err,
         Ok(_) => panic!("a damaged shard must fail the restore"),
     };
     match &err {
         SnapshotError::ChecksumMismatch { file } => {
-            assert_eq!(file, &shard_file(3), "the error names the damaged shard")
+            assert_eq!(file, &shard_3, "the error names the damaged shard")
         }
         other => panic!("expected a checksum mismatch, got {other}"),
     }
