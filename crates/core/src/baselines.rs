@@ -18,7 +18,7 @@
 //! The shared [`local_train`] helper is also used by the Flux path in the
 //! driver.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 use flux_data::Sample;
 use flux_fl::{CostModel, ExpertUpdate, Participant, RoundCostBreakdown};
@@ -267,8 +267,13 @@ pub fn fmes_local_round(
     let key_map = plan.tuning_key_map();
 
     // Of the kept experts, only the `tuning_capacity` most frequent are
-    // actually trained.
-    let trained_originals = top_frequency_experts(profile, tuning_capacity.min(capacity));
+    // actually trained. They upload in key order: a hash set's order
+    // changes from process to process, and the staged round a mid-round
+    // checkpoint persists keeps upload order.
+    let trained_originals: BTreeSet<ExpertKey> =
+        top_frequency_experts(profile, tuning_capacity.min(capacity))
+            .into_iter()
+            .collect();
     let tuning_compact: HashSet<ExpertKey> = trained_originals
         .iter()
         .filter_map(|k| key_map.get(k).copied())

@@ -26,6 +26,7 @@ use flux_data::DatasetKind;
 use flux_fl::snapshot::{corrupt_file_byte, referenced_files, MANIFEST_FILE};
 use flux_fl::{ParameterServer, SnapshotError};
 use flux_moe::MoeConfig;
+use flux_tensor::simd::{self, SimdLevel};
 
 fn quick() -> RunConfig {
     RunConfig::quick_demo(MoeConfig::tiny(), DatasetKind::Gsm8k)
@@ -287,6 +288,43 @@ fn flux_killed_inside_a_checkpoint_replays_bit_identically() {
     // Stale profiles and assigner utilities ride in the meta blob: the
     // previous checkpoint's must come back with the previous weights.
     killed_inside_a_checkpoint_replays_bit_identically(Method::Flux, 31);
+}
+
+/// What a checkpoint persists for each method's client state, held to
+/// literals: every method is checkpointed after round 1 and inside round 1
+/// (fan-out done, reduction not), and every file of the eight directories
+/// — name, then bytes — is folded into one FNV-1a digest. One literal per
+/// kernel level (`FLUX_SIMD`); thread counts share it.
+#[test]
+fn checkpoint_directories_of_every_method_are_pinned() {
+    let fnv = |hash: u64, bytes: &[u8]| {
+        bytes.iter().fold(hash, |hash, &b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    let pool = pool();
+    let run = FederatedRun::new(quick(), 32);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for method in Method::all() {
+        for mid_round in [false, true] {
+            let dir = temp_dir("pin");
+            let mut active = run.start(method);
+            active.step_round(&pool);
+            if mid_round {
+                active.start_round(&pool);
+            }
+            active.checkpoint(&dir).expect("checkpoint succeeds");
+            for (name, bytes) in read_dir(&dir) {
+                digest = fnv(fnv(digest, name.as_bytes()), &bytes);
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    let expected = match simd::global_level() {
+        SimdLevel::Avx2 => 0xb4f0_d7e6_bd81_834c,
+        SimdLevel::Scalar => 0x0cc6_4572_90d3_48aa,
+    };
+    assert_eq!(digest, expected, "digest {digest:#x}");
 }
 
 #[test]
