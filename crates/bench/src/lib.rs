@@ -12,6 +12,9 @@
 //! * `standard` — the `small` 8-layer topology with more data; minutes each.
 //! * `full` — the `llama_moe_sim` / `deepseek_moe_sim` presets with the
 //!   paper's layer/expert counts; expect long runtimes.
+//!
+//! Any other non-empty value stops the binary with a message naming these
+//! three.
 
 use std::env;
 
@@ -31,17 +34,16 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from the environment (defaults to [`Scale::Quick`]).
+    /// Reads the scale from the `FLUX_SCALE` environment variable
+    /// (defaults to [`Scale::Quick`] when unset or empty).
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other value than `quick`, `standard` or `full`, naming
+    /// them: a misspelt scale must not silently run the quick one.
     pub fn from_env() -> Scale {
-        match env::var("FLUX_SCALE")
-            .unwrap_or_default()
-            .to_lowercase()
-            .as_str()
-        {
-            "full" => Scale::Full,
-            "standard" => Scale::Standard,
-            _ => Scale::Quick,
-        }
+        parse_scale(&env::var("FLUX_SCALE").unwrap_or_default())
+            .unwrap_or_else(|err| panic!("{err}"))
     }
 
     /// Human-readable label.
@@ -51,6 +53,18 @@ impl Scale {
             Scale::Standard => "standard",
             Scale::Full => "full",
         }
+    }
+}
+
+/// Parses a `FLUX_SCALE` value, case-insensitively; empty means quick.
+fn parse_scale(value: &str) -> Result<Scale, String> {
+    match value.to_lowercase().as_str() {
+        "" | "quick" => Ok(Scale::Quick),
+        "standard" => Ok(Scale::Standard),
+        "full" => Ok(Scale::Full),
+        _ => Err(format!(
+            "FLUX_SCALE={value:?} is not a scale; use quick, standard or full"
+        )),
     }
 }
 
@@ -126,6 +140,18 @@ mod tests {
         // The test environment does not set FLUX_SCALE.
         if env::var("FLUX_SCALE").is_err() {
             assert_eq!(Scale::from_env(), Scale::Quick);
+        }
+    }
+
+    #[test]
+    fn unknown_scales_are_refused_naming_the_accepted_ones() {
+        assert_eq!(parse_scale(""), Ok(Scale::Quick));
+        assert_eq!(parse_scale("quick"), Ok(Scale::Quick));
+        assert_eq!(parse_scale("Standard"), Ok(Scale::Standard));
+        assert_eq!(parse_scale("FULL"), Ok(Scale::Full));
+        let err = parse_scale("paper").expect_err("there is no paper scale");
+        for named in ["\"paper\"", "quick", "standard", "full"] {
+            assert!(err.contains(named), "{err}");
         }
     }
 

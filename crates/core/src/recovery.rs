@@ -22,7 +22,7 @@ use flux_moe::{ActivationProfile, ExpertKey};
 use flux_tensor::codec::{Reader, Truncated, Writer};
 
 use crate::assignment::ExpertUtility;
-use crate::driver::{ExecutionMode, Method, PendingRound, RoundFaults, RoundRecord};
+use crate::driver::{ExecutionMode, Method, RoundFaults, RoundRecord};
 
 const MAGIC: &[u8; 8] = b"FLUXRUN1";
 /// The only version this build reads or writes. Version 2 added the
@@ -31,8 +31,10 @@ const MAGIC: &[u8; 8] = b"FLUXRUN1";
 /// a test, so anything else is refused as corrupt.
 const VERSION: u32 = 2;
 
-/// Everything the checkpoint persists about a run beyond the model shards.
-pub(crate) struct RunState {
+/// What identifies a run to its checkpoints: resuming someone else's
+/// shards would silently diverge instead of failing loudly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Fingerprint {
     pub(crate) seed: u64,
     pub(crate) method: Method,
     pub(crate) mode: ExecutionMode,
@@ -43,11 +45,18 @@ pub(crate) struct RunState {
     pub(crate) cohort_size: Option<u32>,
     /// Edge aggregators pre-reducing each round (`1` = flat aggregation).
     pub(crate) aggregation_edges: u32,
+}
+
+/// Everything the checkpoint persists about a run beyond the model shards.
+pub(crate) struct RunState {
+    pub(crate) fingerprint: Fingerprint,
     pub(crate) next_round: u32,
     pub(crate) elapsed_s: f64,
     pub(crate) phases: PhaseTimes,
     pub(crate) records: Vec<RoundRecord>,
-    pub(crate) pending: Option<PendingRound>,
+    /// A pipelined round still awaiting its evaluation (stored without a
+    /// score).
+    pub(crate) pending: Option<RoundRecord>,
     pub(crate) utilities: Vec<(usize, ExpertUtility)>,
     /// Per-participant Flux profiling state: `(stale profile, refreshes)`.
     pub(crate) flux: Vec<(Option<ActivationProfile>, usize)>,
@@ -59,41 +68,12 @@ pub(crate) struct RunState {
 }
 
 impl RunState {
-    /// Rejects a checkpoint written by a different run: resuming someone
-    /// else's shards would silently diverge instead of failing loudly.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn verify_fingerprint(
-        &self,
-        seed: u64,
-        method: Method,
-        mode: ExecutionMode,
-        rounds: usize,
-        participants: usize,
-        cohort_size: Option<usize>,
-        aggregation_edges: usize,
-    ) -> Result<(), SnapshotError> {
-        if self.seed != seed
-            || self.method != method
-            || self.mode != mode
-            || self.rounds as usize != rounds
-            || self.participants as usize != participants
-            || self.cohort_size.map(|k| k as usize) != cohort_size
-            || self.aggregation_edges as usize != aggregation_edges.max(1)
-        {
+    /// Rejects a checkpoint written by a run other than `run`.
+    pub(crate) fn verify_fingerprint(&self, run: &Fingerprint) -> Result<(), SnapshotError> {
+        if self.fingerprint != *run {
             return Err(SnapshotError::Mismatch(format!(
-                "checkpoint fingerprint (seed {}, {}, {:?}, {} rounds, {} participants, \
-                 cohort {:?}, {} edges) does not match the run (seed {seed}, {}, {mode:?}, \
-                 {rounds} rounds, {participants} participants, cohort {cohort_size:?}, \
-                 {} edges)",
-                self.seed,
-                self.method.label(),
-                self.mode,
-                self.rounds,
-                self.participants,
-                self.cohort_size,
-                self.aggregation_edges,
-                method.label(),
-                aggregation_edges.max(1),
+                "checkpoint fingerprint {:?} does not match the run {run:?}",
+                self.fingerprint
             )));
         }
         Ok(())
@@ -184,10 +164,14 @@ fn get_faults(r: &mut Reader<'_>) -> Result<RoundFaults, Truncated> {
     })
 }
 
-fn put_record(w: &mut Writer, r: &RoundRecord) {
+/// Appends a round record; a pending one (`scored == false`) has no score
+/// yet and writes none.
+fn put_record(w: &mut Writer, r: &RoundRecord, scored: bool) {
     w.put_u64(r.round as u64);
     w.put_f64(r.elapsed_hours);
-    w.put_f32(r.score);
+    if scored {
+        w.put_f32(r.score);
+    }
     w.put_f32(r.train_loss);
     w.put_f64(r.round_seconds);
     w.put_u64(r.tokens_trained as u64);
@@ -197,37 +181,11 @@ fn put_record(w: &mut Writer, r: &RoundRecord) {
     put_faults(w, &r.faults);
 }
 
-fn get_record(r: &mut Reader<'_>) -> Result<RoundRecord, Truncated> {
+fn get_record(r: &mut Reader<'_>, scored: bool) -> Result<RoundRecord, Truncated> {
     Ok(RoundRecord {
         round: r.u64()? as usize,
         elapsed_hours: r.f64()?,
-        score: r.f32()?,
-        train_loss: r.f32()?,
-        round_seconds: r.f64()?,
-        tokens_trained: r.u64()? as usize,
-        upload_bytes_dense: r.u64()? as usize,
-        upload_bytes_compressed: r.u64()? as usize,
-        breakdown: get_breakdown(r)?,
-        faults: get_faults(r)?,
-    })
-}
-
-fn put_pending(w: &mut Writer, p: &PendingRound) {
-    w.put_u64(p.round as u64);
-    w.put_f64(p.elapsed_hours);
-    w.put_f32(p.train_loss);
-    w.put_f64(p.round_seconds);
-    w.put_u64(p.tokens_trained as u64);
-    w.put_u64(p.upload_bytes_dense as u64);
-    w.put_u64(p.upload_bytes_compressed as u64);
-    put_breakdown(w, &p.breakdown);
-    put_faults(w, &p.faults);
-}
-
-fn get_pending(r: &mut Reader<'_>) -> Result<PendingRound, Truncated> {
-    Ok(PendingRound {
-        round: r.u64()? as usize,
-        elapsed_hours: r.f64()?,
+        score: if scored { r.f32()? } else { 0.0 },
         train_loss: r.f32()?,
         round_seconds: r.f64()?,
         tokens_trained: r.u64()? as usize,
@@ -297,20 +255,20 @@ pub(crate) fn encode_run_state(state: &RunState) -> Result<Vec<u8>, SnapshotErro
     let mut w = Writer::new();
     w.put_bytes(MAGIC);
     w.put_u32(VERSION);
-    // Fingerprint.
-    w.put_u64(state.seed);
-    w.put_u8(method_tag(state.method));
-    w.put_u8(mode_tag(state.mode));
-    w.put_u32(state.rounds);
-    w.put_u32(state.participants);
-    match state.cohort_size {
+    let fingerprint = &state.fingerprint;
+    w.put_u64(fingerprint.seed);
+    w.put_u8(method_tag(fingerprint.method));
+    w.put_u8(mode_tag(fingerprint.mode));
+    w.put_u32(fingerprint.rounds);
+    w.put_u32(fingerprint.participants);
+    match fingerprint.cohort_size {
         Some(k) => {
             w.put_u8(1);
             w.put_u32(k);
         }
         None => w.put_u8(0),
     }
-    w.put_u32(state.aggregation_edges);
+    w.put_u32(fingerprint.aggregation_edges);
     // Position and clocks.
     w.put_u32(state.next_round);
     w.put_f64(state.elapsed_s);
@@ -328,12 +286,12 @@ pub(crate) fn encode_run_state(state: &RunState) -> Result<Vec<u8>, SnapshotErro
     // History.
     w.put_count(state.records.len());
     for record in &state.records {
-        put_record(&mut w, record);
+        put_record(&mut w, record, true);
     }
     match &state.pending {
         Some(pending) => {
             w.put_u8(1);
-            put_pending(&mut w, pending);
+            put_record(&mut w, pending, false);
         }
         None => w.put_u8(0),
     }
@@ -381,17 +339,19 @@ pub(crate) fn decode_run_state(bytes: &[u8]) -> Result<RunState, SnapshotError> 
     if version != VERSION {
         return Err(corrupt(format!("unsupported run-state version {version}")));
     }
-    let seed = r.u64()?;
-    let method = method_from_tag(r.u8()?)?;
-    let mode = mode_from_tag(r.u8()?)?;
-    let rounds = r.u32()?;
-    let participants = r.u32()?;
-    let cohort_size = match r.u8()? {
-        0 => None,
-        1 => Some(r.u32()?),
-        other => return Err(corrupt(format!("unknown cohort tag {other}"))),
+    let fingerprint = Fingerprint {
+        seed: r.u64()?,
+        method: method_from_tag(r.u8()?)?,
+        mode: mode_from_tag(r.u8()?)?,
+        rounds: r.u32()?,
+        participants: r.u32()?,
+        cohort_size: match r.u8()? {
+            0 => None,
+            1 => Some(r.u32()?),
+            other => return Err(corrupt(format!("unknown cohort tag {other}"))),
+        },
+        aggregation_edges: r.u32()?,
     };
-    let aggregation_edges = r.u32()?;
     let next_round = r.u32()?;
     let elapsed_s = r.f64()?;
     let phase_breakdown = get_breakdown(r)?;
@@ -404,11 +364,11 @@ pub(crate) fn decode_run_state(bytes: &[u8]) -> Result<RunState, SnapshotError> 
         communication_s: phase_breakdown.communication_s,
     };
     let records = (0..r.count(8)?)
-        .map(|_| get_record(r))
+        .map(|_| get_record(r, true))
         .collect::<Result<_, _>>()?;
     let pending = match r.u8()? {
         0 => None,
-        1 => Some(get_pending(r)?),
+        1 => Some(get_record(r, false)?),
         other => return Err(corrupt(format!("unknown pending tag {other}"))),
     };
     let mut utilities = Vec::new();
@@ -450,13 +410,7 @@ pub(crate) fn decode_run_state(bytes: &[u8]) -> Result<RunState, SnapshotError> 
         )));
     }
     Ok(RunState {
-        seed,
-        method,
-        mode,
-        rounds,
-        participants,
-        cohort_size,
-        aggregation_edges,
+        fingerprint,
         next_round,
         elapsed_s,
         phases,
@@ -481,8 +435,8 @@ mod tests {
         }
     }
 
-    fn sample_state() -> RunState {
-        RunState {
+    fn sample_fingerprint() -> Fingerprint {
+        Fingerprint {
             seed: 42,
             method: Method::Flux,
             mode: ExecutionMode::Pipelined,
@@ -490,6 +444,12 @@ mod tests {
             participants: 2,
             cohort_size: Some(2),
             aggregation_edges: 3,
+        }
+    }
+
+    fn sample_state() -> RunState {
+        RunState {
+            fingerprint: sample_fingerprint(),
             next_round: 3,
             elapsed_s: 1234.5,
             phases: PhaseTimes {
@@ -523,9 +483,10 @@ mod tests {
                     rejected: vec![0, 1],
                 },
             }],
-            pending: Some(PendingRound {
+            pending: Some(RoundRecord {
                 round: 1,
                 elapsed_hours: 0.5,
+                score: 0.0,
                 train_loss: 1.25,
                 round_seconds: 800.0,
                 tokens_trained: 900,
@@ -552,29 +513,12 @@ mod tests {
     }
 
     fn assert_states_equal(a: &RunState, b: &RunState) {
-        assert_eq!(a.seed, b.seed);
-        assert_eq!(a.method, b.method);
-        assert_eq!(a.mode, b.mode);
-        assert_eq!(a.rounds, b.rounds);
-        assert_eq!(a.participants, b.participants);
-        assert_eq!(a.cohort_size, b.cohort_size);
-        assert_eq!(a.aggregation_edges, b.aggregation_edges);
+        assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.next_round, b.next_round);
         assert_eq!(a.elapsed_s, b.elapsed_s);
         assert_eq!(a.phases, b.phases);
         assert_eq!(a.records, b.records);
-        assert_eq!(a.pending.is_some(), b.pending.is_some());
-        if let (Some(x), Some(y)) = (&a.pending, &b.pending) {
-            assert_eq!(x.round, y.round);
-            assert_eq!(x.elapsed_hours, y.elapsed_hours);
-            assert_eq!(x.train_loss, y.train_loss);
-            assert_eq!(x.round_seconds, y.round_seconds);
-            assert_eq!(x.tokens_trained, y.tokens_trained);
-            assert_eq!(x.upload_bytes_dense, y.upload_bytes_dense);
-            assert_eq!(x.upload_bytes_compressed, y.upload_bytes_compressed);
-            assert_eq!(x.breakdown, y.breakdown);
-            assert_eq!(x.faults, y.faults);
-        }
+        assert_eq!(a.pending, b.pending);
         assert_eq!(a.utilities.len(), b.utilities.len());
         for ((pa, ua), (pb, ub)) in a.utilities.iter().zip(b.utilities.iter()) {
             assert_eq!(pa, pb);
@@ -721,27 +665,49 @@ mod tests {
     #[test]
     fn fingerprint_mismatches_are_attributed() {
         let state = sample_state();
-        let ok = |seed, method, mode, rounds, n| {
-            state.verify_fingerprint(seed, method, mode, rounds, n, Some(2), 3)
-        };
-        assert!(ok(42, Method::Flux, ExecutionMode::Pipelined, 5, 2).is_ok());
-        let err = ok(43, Method::Flux, ExecutionMode::Pipelined, 5, 2).expect_err("seed mismatch");
-        assert!(matches!(err, SnapshotError::Mismatch(_)));
-        assert!(ok(42, Method::Fmd, ExecutionMode::Pipelined, 5, 2).is_err());
-        assert!(ok(42, Method::Flux, ExecutionMode::Barriered, 5, 2).is_err());
-        assert!(ok(42, Method::Flux, ExecutionMode::Pipelined, 6, 2).is_err());
-        assert!(ok(42, Method::Flux, ExecutionMode::Pipelined, 5, 3).is_err());
-        // Cohort configuration is part of the fingerprint: resuming a
-        // sampled run with a different K (or tree shape) must fail loudly.
-        assert!(state
-            .verify_fingerprint(42, Method::Flux, ExecutionMode::Pipelined, 5, 2, Some(3), 3)
-            .is_err());
-        assert!(state
-            .verify_fingerprint(42, Method::Flux, ExecutionMode::Pipelined, 5, 2, None, 3)
-            .is_err());
-        assert!(state
-            .verify_fingerprint(42, Method::Flux, ExecutionMode::Pipelined, 5, 2, Some(2), 2)
-            .is_err());
+        let run = sample_fingerprint();
+        assert!(state.verify_fingerprint(&run).is_ok());
+        // Every field is part of the fingerprint — cohort size and tree
+        // shape included: resuming a sampled run with a different K (or
+        // tree shape) must fail loudly, naming both sides.
+        let foreign = [
+            Fingerprint { seed: 43, ..run },
+            Fingerprint {
+                method: Method::Fmd,
+                ..run
+            },
+            Fingerprint {
+                mode: ExecutionMode::Barriered,
+                ..run
+            },
+            Fingerprint { rounds: 6, ..run },
+            Fingerprint {
+                participants: 3,
+                ..run
+            },
+            Fingerprint {
+                cohort_size: Some(3),
+                ..run
+            },
+            Fingerprint {
+                cohort_size: None,
+                ..run
+            },
+            Fingerprint {
+                aggregation_edges: 2,
+                ..run
+            },
+        ];
+        for other in foreign {
+            match state.verify_fingerprint(&other) {
+                Err(SnapshotError::Mismatch(message)) => {
+                    assert!(message.contains(&format!("{run:?}")), "{message}");
+                    assert!(message.contains(&format!("{other:?}")), "{message}");
+                }
+                Err(err) => panic!("{other:?}: expected a mismatch, got {err}"),
+                Ok(()) => panic!("{other:?} must not match {run:?}"),
+            }
+        }
     }
 
     #[test]

@@ -146,16 +146,23 @@ fn mid_round_checkpoint_with_megabytes_staged_restores() {
 
 #[test]
 fn every_method_survives_a_mid_run_kill() {
-    for method in Method::all() {
-        let run = FederatedRun::new(quick(), 23);
-        let reference = trace_of(&run.run(method));
-        let recovered = run_with_kill(&run, method, 1, false);
-        assert_eq!(
-            recovered,
-            reference,
-            "{} must recover bit-identically",
-            method.label()
-        );
+    // Killed at the boundary after round 1, and inside rounds 0 and 1
+    // (fan-out done, reduction not), under both schedules.
+    for mode in [ExecutionMode::Pipelined, ExecutionMode::Barriered] {
+        let run = FederatedRun::new(quick(), 23).with_mode(mode);
+        for method in Method::all() {
+            let reference = trace_of(&run.run(method));
+            for (kill_round, mid_round) in [(1, false), (0, true), (1, true)] {
+                let recovered = run_with_kill(&run, method, kill_round, mid_round);
+                assert_eq!(
+                    recovered,
+                    reference,
+                    "{} ({mode:?}) killed at round {kill_round} (mid-round: {mid_round}) \
+                     must recover bit-identically",
+                    method.label()
+                );
+            }
+        }
     }
 }
 
