@@ -334,6 +334,45 @@ fn checkpoint_directories_of_every_method_are_pinned() {
     assert_eq!(digest, expected, "digest {digest:#x}");
 }
 
+/// What a restored store writes into the directory it came from, held to
+/// literals: every method is checkpointed after round 0, restored from that
+/// directory, stepped through round 1 and checkpointed into the same
+/// directory. The second checkpoint starts from the restored store's
+/// version counters and the manifest's slots, so the folded directory —
+/// both generations of every file, name then bytes — pins which files it
+/// rewrites and where. One literal per kernel level (`FLUX_SIMD`).
+#[test]
+fn restored_lineage_directories_are_pinned() {
+    let fnv = |hash: u64, bytes: &[u8]| {
+        bytes.iter().fold(hash, |hash, &b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    let pool = pool();
+    let run = FederatedRun::new(quick(), 33);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for method in Method::all() {
+        let dir = temp_dir("lineage");
+        {
+            let mut active = run.start(method);
+            active.step_round(&pool);
+            active.checkpoint(&dir).expect("checkpoint succeeds");
+        }
+        let mut restored = run.restore(method, &dir).expect("checkpoint restores");
+        restored.step_round(&pool);
+        restored.checkpoint(&dir).expect("checkpoint succeeds");
+        for (name, bytes) in read_dir(&dir) {
+            digest = fnv(fnv(digest, name.as_bytes()), &bytes);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let expected = match simd::global_level() {
+        SimdLevel::Avx2 => 0x4663_a711_0eec_0e3e,
+        SimdLevel::Scalar => 0x7523_23e8_4f93_b063,
+    };
+    assert_eq!(digest, expected, "digest {digest:#x}");
+}
+
 #[test]
 fn checkpoints_after_a_quiet_interval_are_incremental() {
     let pool = pool();
