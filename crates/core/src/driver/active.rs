@@ -438,10 +438,9 @@ impl ActiveRun {
         // per upload what arrives at all.
         let submit_on_completion = driver.arrival_seed.is_none() && !driver.faults_active();
 
-        // One materialized snapshot per round: participants and the
-        // overlapped evaluation share it through the `Arc`, so aggregation
-        // of *other* tenants (and this tenant's later install) proceeds
-        // without waiting for any reader.
+        // One snapshot per round: participants and the overlapped
+        // evaluation share the store's `Arc`, holding no store lock while
+        // they compute.
         let global = self.store.snapshot();
         let ctx = RoundContext {
             config: &driver.config,
@@ -524,10 +523,10 @@ impl ActiveRun {
     /// Closes the computed round: stages whatever uploads the delivery
     /// layer or the arrival-shuffle knob retained, applies utility reports
     /// and the participant-id-ordered reduction, installs the staged round
-    /// into the tenant store with one `apply_round` (per-shard locks only),
-    /// advances the simulated clock, and records the round (immediately
-    /// when barriered; one round later when pipelined, as the evaluation
-    /// overlaps the next dispatch).
+    /// into the tenant store with one `apply_round` (in place: the round's
+    /// snapshot is released first), advances the simulated clock, and
+    /// records the round (immediately when barriered; one round later when
+    /// pipelined, as the evaluation overlaps the next dispatch).
     ///
     /// # Panics
     ///
@@ -622,7 +621,9 @@ impl ActiveRun {
         // The one door into the global model: whatever staged the uploads
         // (completion order, the delivery layer, the shuffle), the root's
         // pid-ordered finalize reduces them identically for every schedule
-        // and tree shape.
+        // and tree shape. The round's snapshot goes first, so the install
+        // changes the one model in place instead of copying it.
+        drop(snapshot);
         self.store.apply_round(aggregator.collapse(), pool);
 
         let critical = reduction.critical;

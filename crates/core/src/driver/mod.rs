@@ -203,8 +203,8 @@ impl FederatedRun {
         active.finish()
     }
 
-    /// Starts a standalone run: the global model lives in a private
-    /// sharded store (its own single-tenant server, in effect).
+    /// Starts a standalone run: the global model lives in a private store
+    /// (its own single-tenant server, in effect).
     pub fn start(&self, method: Method) -> ActiveRun {
         ActiveRun::new(self, method, |fresh| {
             Arc::new(ShardedStore::new(fresh(), DEFAULT_SHARDS))
@@ -213,8 +213,8 @@ impl FederatedRun {
 
     /// Starts a run as one tenant of a shared multi-tenant
     /// [`ParameterServer`]: its global model is registered as a new tenant,
-    /// so concurrent runs on the same server aggregate under disjoint
-    /// per-shard locks.
+    /// so concurrent runs on the same server aggregate into disjoint
+    /// stores.
     pub fn start_on(&self, method: Method, server: &ParameterServer) -> ActiveRun {
         ActiveRun::new(self, method, |fresh| server.register_tenant(fresh()))
     }

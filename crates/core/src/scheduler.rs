@@ -35,7 +35,7 @@ use std::path::PathBuf;
 
 use threadpool::ThreadPool;
 
-use flux_fl::{ParameterServer, DEFAULT_SHARDS};
+use flux_fl::ParameterServer;
 
 use crate::driver::{ActiveRun, FederatedRun, Method, RunResult};
 
@@ -49,8 +49,8 @@ pub enum SchedulePolicy {
     /// Every runnable job's round executes concurrently: one pool task per
     /// job per tick, each driving its round's fan-out inline on the worker
     /// it lands on. Job-level parallelism replaces participant-level
-    /// parallelism — aggregation of different tenants overlaps instead of
-    /// serializing on a model-wide lock.
+    /// parallelism — aggregation of different tenants overlaps, each into
+    /// its own store.
     #[default]
     Concurrent,
 }
@@ -224,7 +224,6 @@ pub struct ScheduledRun {
 pub struct Scheduler {
     pool: ThreadPool,
     policy: SchedulePolicy,
-    num_shards: usize,
 }
 
 impl Scheduler {
@@ -236,25 +235,14 @@ impl Scheduler {
 
     /// A scheduler on an explicit pool.
     pub fn on_pool(pool: ThreadPool, policy: SchedulePolicy) -> Self {
-        Self {
-            pool,
-            policy,
-            num_shards: DEFAULT_SHARDS,
-        }
-    }
-
-    /// Overrides the per-tenant shard count of the server
-    /// [`Scheduler::run_all`] creates.
-    pub fn with_shards(mut self, num_shards: usize) -> Self {
-        self.num_shards = num_shards.max(1);
-        self
+        Self { pool, policy }
     }
 
     /// Runs every job to completion against a fresh shared multi-tenant
     /// server, interleaving rounds according to the policy. Results come
     /// back in job order.
     pub fn run_all(&self, jobs: Vec<JobSpec>) -> Vec<ScheduledRun> {
-        let server = ParameterServer::empty(self.num_shards);
+        let server = ParameterServer::empty();
         self.run_all_on(&server, jobs)
     }
 
@@ -337,7 +325,7 @@ mod tests {
 
     #[test]
     fn concurrent_policy_shares_one_server_and_evicts_finished_tenants() {
-        let server = ParameterServer::empty(4);
+        let server = ParameterServer::empty();
         let scheduler = Scheduler::on_pool(ThreadPool::new(4), SchedulePolicy::Concurrent);
         let results = scheduler.run_all_on(
             &server,

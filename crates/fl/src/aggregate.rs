@@ -139,9 +139,9 @@ impl ShardedAggregator {
     }
 
     /// Which shard aggregates `key`. Deterministic — and shared with the
-    /// sharded global store ([`crate::store::shard_of_key`]) so shard *i*
-    /// of a round's staged uploads reduces into shard *i* of the store
-    /// under that shard's lock alone.
+    /// store's checkpoints ([`crate::store::shard_of_key`]), so shard *i*
+    /// of a round's staged uploads holds exactly the keys of the
+    /// checkpoint's shard file *i*.
     pub fn shard_of(&self, key: ExpertKey) -> usize {
         crate::store::shard_of_key(key, self.shards.len())
     }
@@ -243,32 +243,16 @@ impl ShardedAggregator {
 
     /// Reduces one shard: its staged updates sorted into participant-id
     /// order, fed through the one-shot FedAvg kernel, draining the shard.
-    /// Public so the sharded store can reduce-and-install shard *i* as one
-    /// task under shard *i*'s lock alone.
-    pub fn finalize_shard(&self, shard: usize) -> HashMap<ExpertKey, Expert> {
+    fn finalize_shard(&self, shard: usize) -> HashMap<ExpertKey, Expert> {
         let mut staged = std::mem::take(&mut *lock(&self.shards[shard]));
         staged.sort_by_key(|(pid, _)| *pid);
         let ordered: Vec<ExpertUpdate> = staged.into_iter().map(|(_, u)| u).collect();
         fedavg_experts(&ordered)
     }
 
-    /// Reduces the staged head updates in participant-id order, draining
-    /// the head slot.
-    pub fn finalize_head(&self) -> Option<Matrix> {
-        let mut heads = std::mem::take(&mut *lock(&self.heads));
-        heads.sort_by_key(|(pid, _, _)| *pid);
-        let ordered: Vec<(Matrix, f32)> = heads.into_iter().map(|(_, m, w)| (m, w)).collect();
-        fedavg_matrices(&ordered)
-    }
-
-    /// Clears the submitted-participant set so the aggregator can stage the
-    /// next round. Called once every shard (and the head) has been reduced.
-    pub fn reset_round(&self) {
-        lock(&self.submitted).clear();
-    }
-
     /// Reduces every shard (and the head slot) into the final FedAvg
-    /// result, draining the staged state.
+    /// result, draining the staged state and clearing the submitted set so
+    /// the aggregator can stage the next round.
     ///
     /// The per-shard reductions fan out to `pool`; shards hold disjoint
     /// keys and each reduces in participant-id order, so the result is
@@ -281,9 +265,11 @@ impl ShardedAggregator {
         for shard_result in pool.run(tasks) {
             experts.extend(shard_result);
         }
-        let head = self.finalize_head();
-        self.reset_round();
-        (experts, head)
+        let mut heads = std::mem::take(&mut *lock(&self.heads));
+        heads.sort_by_key(|(pid, _, _)| *pid);
+        let ordered: Vec<(Matrix, f32)> = heads.into_iter().map(|(_, m, w)| (m, w)).collect();
+        lock(&self.submitted).clear();
+        (experts, fedavg_matrices(&ordered))
     }
 }
 
@@ -298,7 +284,7 @@ impl ShardedAggregator {
 /// parameters: f32 addition is non-associative, so an arithmetic partial
 /// reduce per edge would make the result depend on the edge topology. By
 /// forwarding `(pid, update)` pairs instead, the root's pid-sorted
-/// [`ShardedAggregator::finalize_shard`] restores exactly the flat
+/// [`ShardedAggregator::finalize`] restores exactly the flat
 /// reduction order, which pins the tree **bit-identical** to flat FedAvg
 /// for every edge count, cohort partition and arrival order.
 ///

@@ -17,8 +17,9 @@
 //! * [`aggregate`] implements FedAvg over expert parameters and task heads;
 //! * [`participant::Participant`] bundles a device with its non-IID data
 //!   shard, and [`server::ParameterServer`] is the multi-tenant parameter
-//!   server: one per-shard locked [`store::ShardedStore`] per federated
-//!   job, so concurrent runs aggregate without sharing a single lock.
+//!   server: a registry of [`store::ShardedStore`]s, one per federated job,
+//!   each holding its job's model once, so concurrent runs aggregate into
+//!   disjoint stores.
 //!
 //! Convergence behaviour (rounds to target) comes from really training the
 //! scaled model; this crate only accounts for how long each round takes.

@@ -1,16 +1,11 @@
 //! The multi-tenant parameter server.
 //!
-//! A [`ParameterServer`] hosts any number of *tenants* — independent
-//! federated jobs, each with its own global model held in a per-shard
-//! locked [`ShardedStore`]. Tenants never share mutable state: two
-//! concurrent runs aggregate into disjoint stores, and even within one
-//! tenant a round's per-shard reductions install under per-shard locks, so
-//! nothing serializes on a model-wide write lock anymore (the scaling wall
-//! this type used to have).
-//!
-//! The server itself is only the tenant registry: every read, staged round
-//! and install goes through the [`ShardedStore`] handle a registration
-//! returns, so a run can never touch another tenant's model by accident.
+//! A [`ParameterServer`] is a registry of *tenants*: independent federated
+//! jobs, each with its global model held once in its own [`ShardedStore`].
+//! Tenants never share mutable state, so two concurrent runs aggregate
+//! into disjoint stores. Every read, staged round and install goes through
+//! the [`ShardedStore`] handle a registration returns, so a run can never
+//! touch another tenant's model by accident.
 
 use std::sync::{Arc, RwLock};
 
@@ -19,91 +14,51 @@ use flux_moe::MoeModel;
 use crate::store::ShardedStore;
 use crate::sync::{read, write};
 
-/// Default number of expert shards a server partitions each tenant's
-/// storage and aggregation into. Shards bound lock granularity during
-/// incremental staging, the fan-out width of the parallel finalize, and the
-/// write-lock granularity of the store install; the tiny/small presets have
-/// dozens of experts, so eight shards keeps every shard populated without
-/// contention.
+/// Number of shards a tenant registered from a fresh model reduces its
+/// rounds in: the fan-out width of a round's reduction and the number of
+/// shard files its checkpoints hold. The tiny/small presets have dozens of
+/// experts, so eight shards keeps every shard populated.
 pub const DEFAULT_SHARDS: usize = 8;
 
-/// Central parameter server of the federated system.
+/// Central parameter server of the federated system: the registry of
+/// tenant stores.
 ///
-/// Holds one [`ShardedStore`] per registered tenant; each tenant aggregates
-/// expert updates with FedAvg through its own handle. Aggregation is
-/// *sharded and incremental*: [`ShardedStore::begin_round`] opens a
-/// [`crate::ShardedAggregator`] that participants (or the driver acting for
-/// them) feed as their uploads arrive — from any thread, in any order — and
-/// [`ShardedStore::apply_round`] reduces shard *i* and installs it under
-/// the store's shard-*i* lock alone, so the global model is bit-identical
-/// to the one-shot [`ShardedStore::aggregate`] no matter how updates
-/// arrived and no lock covers the whole model. Interior mutability allows
-/// the participant simulation to run on worker threads while the server
-/// stays shared.
+/// Each tenant aggregates expert updates with FedAvg through its own
+/// handle: [`ShardedStore::begin_round`] opens a [`crate::ShardedAggregator`]
+/// that participants (or the driver acting for them) feed as their uploads
+/// arrive — from any thread, in any order — and
+/// [`ShardedStore::apply_round`] reduces it in participant-id order and
+/// installs the result, bit-identical to the one-shot
+/// [`ShardedStore::aggregate`] however the updates arrived. A store keeps
+/// its own shard count, so one restored from any checkpoint is adopted as
+/// it is.
 #[derive(Debug)]
 pub struct ParameterServer {
-    num_shards: usize,
     tenants: RwLock<Vec<Arc<ShardedStore>>>,
 }
 
 impl ParameterServer {
-    /// Creates a server whose first tenant (index 0) holds `global_model`,
-    /// with [`DEFAULT_SHARDS`] shards.
-    pub fn new(global_model: MoeModel) -> Self {
-        Self::with_shards(global_model, DEFAULT_SHARDS)
-    }
-
-    /// Creates a server with an explicit per-tenant shard count
-    /// (minimum 1).
-    pub fn with_shards(global_model: MoeModel, num_shards: usize) -> Self {
-        let server = Self::empty(num_shards);
-        server.register_tenant(global_model);
-        server
-    }
-
     /// Creates a server with no tenants yet; the concurrent-run scheduler
     /// registers one per job.
-    pub fn empty(num_shards: usize) -> Self {
+    pub fn empty() -> Self {
         Self {
-            num_shards: num_shards.max(1),
             tenants: RwLock::new(Vec::new()),
         }
     }
 
-    /// Registers a new tenant around its initial global model and returns
-    /// its store. The handle is how the tenant's run reads snapshots and
-    /// applies rounds; no other tenant's locks are ever touched through it.
+    /// Registers a new tenant around its initial global model, with
+    /// [`DEFAULT_SHARDS`] shards, and returns its store. The handle is how
+    /// the tenant's run reads snapshots and applies rounds.
     pub fn register_tenant(&self, global_model: MoeModel) -> Arc<ShardedStore> {
-        let store = Arc::new(ShardedStore::new(global_model, self.num_shards));
-        write(&self.tenants).push(Arc::clone(&store));
-        store
+        self.adopt_tenant(Arc::new(ShardedStore::new(global_model, DEFAULT_SHARDS)))
     }
 
-    /// Adopts an existing store — one restored from a durable checkpoint —
-    /// as a tenant, instead of building a fresh one from a model.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the store's shard count differs from the server's: a
-    /// checkpoint taken under one sharding cannot be served under another
-    /// (shard routing would disagree with the on-disk layout).
+    /// Adopts an existing store — one restored from a durable checkpoint,
+    /// whatever its shard count — as a tenant, instead of building a fresh
+    /// one from a model.
     pub fn adopt_tenant(&self, store: Arc<ShardedStore>) -> Arc<ShardedStore> {
-        assert_eq!(
-            store.num_shards(),
-            self.num_shards,
-            "restored store sharding must match the server"
-        );
         write(&self.tenants).push(Arc::clone(&store));
         store
-    }
-
-    /// The store of one tenant by registration index.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no tenant with that index exists.
-    pub fn tenant(&self, index: usize) -> Arc<ShardedStore> {
-        Arc::clone(&read(&self.tenants)[index])
     }
 
     /// Removes a tenant from the registry (matched by store identity),
@@ -127,11 +82,6 @@ impl ParameterServer {
     pub fn num_tenants(&self) -> usize {
         read(&self.tenants).len()
     }
-
-    /// Number of expert shards per tenant.
-    pub fn num_shards(&self) -> usize {
-        self.num_shards
-    }
 }
 
 #[cfg(test)]
@@ -142,14 +92,13 @@ mod tests {
     use flux_tensor::{Matrix, SeededRng};
     use threadpool::ThreadPool;
 
-    fn server() -> ParameterServer {
-        let mut rng = SeededRng::new(1);
-        ParameterServer::new(MoeModel::new(MoeConfig::tiny(), &mut rng))
+    fn model(seed: u64) -> MoeModel {
+        MoeModel::new(MoeConfig::tiny(), &mut SeededRng::new(seed))
     }
 
-    /// The handle of a single-tenant server's only tenant.
+    /// The handle of a freshly registered tenant.
     fn tenant() -> Arc<ShardedStore> {
-        server().tenant(0)
+        ParameterServer::empty().register_tenant(model(1))
     }
 
     #[test]
@@ -221,7 +170,7 @@ mod tests {
         // produce bit-identical global models, whatever the sharding.
         let mut rng = SeededRng::new(9);
         let a = tenant();
-        let b = ParameterServer::with_shards(a.global_model(), 3).tenant(0);
+        let b = ShardedStore::new(a.global_model(), 3);
         let uploads: Vec<(usize, ExpertUpdate, Matrix, f32)> = (0..4)
             .map(|pid| {
                 let e = flux_moe::Expert::new(16, 32, &mut rng);
@@ -261,39 +210,38 @@ mod tests {
     }
 
     #[test]
-    fn server_is_shareable_across_threads() {
-        let server = std::sync::Arc::new(server());
-        let mut handles = Vec::new();
-        for t in 0..4 {
-            let s = server.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut rng = SeededRng::new(t);
-                let e = flux_moe::Expert::new(16, 32, &mut rng);
-                s.tenant(0).aggregate(
-                    &[ExpertUpdate {
-                        key: ExpertKey::new(0, t as usize),
-                        expert: e,
-                        weight: 1.0,
-                    }],
-                    &[],
-                );
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(server.tenant(0).rounds_completed(), 4);
+    fn a_shared_server_serves_tenants_from_many_threads() {
+        let server = Arc::new(ParameterServer::empty());
+        let handles: Vec<_> = (0..4u64)
+            .map(|t| {
+                let server = Arc::clone(&server);
+                std::thread::spawn(move || {
+                    let store = server.register_tenant(model(1));
+                    let mut rng = SeededRng::new(t);
+                    store.aggregate(
+                        &[ExpertUpdate {
+                            key: ExpertKey::new(0, t as usize),
+                            expert: flux_moe::Expert::new(16, 32, &mut rng),
+                            weight: 1.0,
+                        }],
+                        &[],
+                    );
+                    store
+                })
+            })
+            .collect();
+        let stores: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(server.num_tenants(), 4);
+        assert!(stores.iter().all(|s| s.rounds_completed() == 1));
     }
 
     #[test]
     fn tenants_are_isolated() {
-        let server = ParameterServer::empty(4);
+        let server = ParameterServer::empty();
         assert_eq!(server.num_tenants(), 0);
         let mut rng = SeededRng::new(11);
-        let model_a = MoeModel::new(MoeConfig::tiny(), &mut rng);
-        let model_b = MoeModel::new(MoeConfig::tiny(), &mut rng);
-        let a = server.register_tenant(model_a);
-        let b = server.register_tenant(model_b);
+        let a = server.register_tenant(model(11));
+        let b = server.register_tenant(model(12));
         assert_eq!(server.num_tenants(), 2);
         let b_before = b.snapshot().param_checksum();
 
@@ -310,16 +258,12 @@ mod tests {
         assert_eq!(b.snapshot().param_checksum(), b_before);
         assert_eq!(a.rounds_completed(), 1);
         assert_eq!(b.rounds_completed(), 0);
-        // Registration order is the tenant index.
-        assert!(Arc::ptr_eq(&server.tenant(0), &a));
-        assert!(Arc::ptr_eq(&server.tenant(1), &b));
     }
 
     #[test]
     fn deregister_releases_the_tenant() {
-        let server = ParameterServer::empty(4);
-        let mut rng = SeededRng::new(13);
-        let store = server.register_tenant(MoeModel::new(MoeConfig::tiny(), &mut rng));
+        let server = ParameterServer::empty();
+        let store = server.register_tenant(model(13));
         assert_eq!(server.num_tenants(), 1);
         assert!(server.deregister_tenant(&store));
         assert_eq!(server.num_tenants(), 0);
@@ -330,41 +274,54 @@ mod tests {
 
     #[test]
     fn adopt_tenant_registers_a_restored_store() {
-        let server = ParameterServer::empty(4);
-        let mut rng = SeededRng::new(17);
-        let store = Arc::new(ShardedStore::new(
-            MoeModel::new(MoeConfig::tiny(), &mut rng),
-            4,
-        ));
+        let server = ParameterServer::empty();
+        let store = Arc::new(ShardedStore::new(model(17), 4));
         let adopted = server.adopt_tenant(Arc::clone(&store));
         assert!(Arc::ptr_eq(&adopted, &store));
         assert_eq!(server.num_tenants(), 1);
-        assert!(Arc::ptr_eq(&server.tenant(0), &store));
         assert!(server.deregister_tenant(&store));
     }
 
     #[test]
-    #[should_panic(expected = "sharding must match")]
-    fn adopt_tenant_rejects_mismatched_sharding() {
-        let server = ParameterServer::empty(4);
-        let mut rng = SeededRng::new(18);
-        let store = Arc::new(ShardedStore::new(
-            MoeModel::new(MoeConfig::tiny(), &mut rng),
-            2,
-        ));
-        server.adopt_tenant(store);
+    fn an_adopted_store_keeps_its_sharding_and_its_bits() {
+        // A 3-shard store next to a default-sharded tenant applies a round
+        // bit-identically to the same store standing alone.
+        let server = ParameterServer::empty();
+        let initial = model(18);
+        server.register_tenant(initial.clone());
+        let adopted = server.adopt_tenant(Arc::new(ShardedStore::new(initial.clone(), 3)));
+        let standalone = ShardedStore::new(initial, 3);
+        assert_eq!(adopted.num_shards(), 3);
+        let mut rng = SeededRng::new(19);
+        let uploads: Vec<ExpertUpdate> = (0..5)
+            .map(|i| ExpertUpdate {
+                key: ExpertKey::new(i % 4, i),
+                expert: flux_moe::Expert::new(16, 32, &mut rng),
+                weight: i as f32 + 0.5,
+            })
+            .collect();
+        for store in [&*adopted, &standalone] {
+            let aggregator = store.begin_round();
+            aggregator.submit(1, uploads[2..].to_vec(), None);
+            aggregator.submit(0, uploads[..2].to_vec(), None);
+            store.apply_round(&aggregator, &ThreadPool::new(2));
+        }
+        assert_eq!(
+            adopted.snapshot().param_checksum(),
+            standalone.snapshot().param_checksum()
+        );
+        assert_eq!(adopted.rounds_completed(), 1);
     }
 
     #[test]
     fn concurrent_tenant_rounds_do_not_interfere() {
         // Two tenants apply rounds from two threads simultaneously; each
         // must end bit-identical to applying its round alone.
-        let mut rng = SeededRng::new(12);
-        let model = MoeModel::new(MoeConfig::tiny(), &mut rng);
-        let server = std::sync::Arc::new(ParameterServer::empty(4));
+        let initial = model(12);
+        let server = Arc::new(ParameterServer::empty());
         let expected: Vec<u64> = (0..2u64)
             .map(|t| {
-                let solo = ShardedStore::new(model.clone(), 4);
+                let solo = ShardedStore::new(initial.clone(), 4);
                 let agg = solo.begin_round();
                 let mut rng = SeededRng::new(100 + t);
                 agg.submit(
@@ -382,7 +339,7 @@ mod tests {
             .collect();
 
         let stores: Vec<_> = (0..2)
-            .map(|_| server.register_tenant(model.clone()))
+            .map(|_| server.register_tenant(initial.clone()))
             .collect();
         let handles: Vec<_> = stores
             .iter()

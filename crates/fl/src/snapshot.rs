@@ -15,7 +15,7 @@
 //!                   rename); only its frozen parameters (embedding,
 //!                   attention, gating) and config matter — expert/head
 //!                   overlays supersede the rest on load.
-//!   shard_000.a     every expert owned by store shard 0, sorted by key.
+//!   shard_000.a     every expert that routes to shard 0, sorted by key.
 //!   shard_000.b     One of the two is the content the manifest references;
 //!   ...             the other is the previous generation's, or whatever a
 //!   shard_N.a|b     killed checkpoint left there. Rewritten only when the
@@ -86,6 +86,7 @@ use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use flux_moe::checkpoint::CheckpointError;
 use flux_moe::{Expert, ExpertKey};
@@ -93,8 +94,8 @@ use flux_tensor::codec::{checksum, BadOption, Reader, TooLong, Truncated, Writer
 use flux_tensor::Matrix;
 
 use crate::aggregate::{ExpertUpdate, ShardedAggregator, StagedRound};
-use crate::store::ShardedStore;
-use crate::sync::{lock, read};
+use crate::store::{shard_of_key, ShardedStore};
+use crate::sync::lock;
 
 /// Magic bytes of a shard file.
 const SHARD_MAGIC: &[u8; 8] = b"FLUXSHD1";
@@ -300,8 +301,8 @@ pub struct CheckpointStats {
 /// A store loaded back from a checkpoint directory.
 #[derive(Debug)]
 pub struct LoadedSnapshot {
-    /// The restored store (expert shards, heads, round epoch and persist
-    /// bookkeeping all rebuilt).
+    /// The restored store (model, round epoch and persist bookkeeping all
+    /// rebuilt).
     pub store: ShardedStore,
     /// Round epoch recorded in the manifest.
     pub epoch: u64,
@@ -383,6 +384,14 @@ fn decode_shard(
         .map(|_| Ok((ExpertKey::read_from(r)?, Expert::read_from(r)?)))
         .collect::<Result<_, Truncated>>()?;
     Ok(entries)
+}
+
+/// Whether two experts' projections and biases have the same shapes.
+fn same_shape(a: &Expert, b: &Expert) -> bool {
+    a.w1.shape() == b.w1.shape()
+        && a.b1.len() == b.b1.len()
+        && a.w2.shape() == b.w2.shape()
+        && a.b2.len() == b.b2.len()
 }
 
 /// Serializes the head file.
@@ -657,6 +666,15 @@ impl ShardedStore {
         meta: &[u8],
     ) -> Result<CheckpointPlan, SnapshotError> {
         let mut effects = Vec::new();
+        let (model, shard_versions, head_version, epoch) = {
+            let state = lock(&self.state);
+            (
+                Arc::clone(&state.model),
+                state.shard_versions.clone(),
+                state.head_version,
+                state.rounds_completed as u64,
+            )
+        };
 
         // Frozen parameters: written once. Which round's snapshot seeds it
         // is irrelevant — the shard/head files supersede every trainable
@@ -664,7 +682,7 @@ impl ShardedStore {
         let frozen = match on_disk.frozen {
             Some(record) if dir.join(FROZEN_FILE).exists() => record,
             _ => {
-                let data = flux_moe::checkpoint::to_bytes(&self.snapshot());
+                let data = flux_moe::checkpoint::to_bytes(&model);
                 let record = FileRecord::of(&data, 0, Slot::A);
                 effects.push(Effect::Write {
                     name: FROZEN_TEMP.to_string(),
@@ -680,23 +698,23 @@ impl ShardedStore {
         let frozen_written = !effects.is_empty();
 
         // Dirty shards only: skip every shard whose version is already on
-        // disk. O(dirty shards), not O(model).
+        // disk. O(dirty shards), not O(model). Keys come in (layer, expert)
+        // order, so every shard's entries are sorted.
+        let num_shards = self.num_shards();
+        let mut by_shard: Vec<Vec<(ExpertKey, &Expert)>> = vec![Vec::new(); num_shards];
+        for key in model.expert_keys() {
+            by_shard[shard_of_key(key, num_shards)].push((key, model.expert(key)));
+        }
         let mut shards_written = 0usize;
-        let shards: Vec<FileRecord> = (0..self.num_shards)
+        let shards: Vec<FileRecord> = (0..num_shards)
             .map(|s| {
-                let guard = read(&self.shards[s]);
                 let (record, written) = place_file(
                     &mut effects,
                     dir,
                     on_disk.shards[s],
-                    guard.version,
+                    shard_versions[s],
                     |slot| shard_file(s, slot),
-                    || {
-                        let mut entries: Vec<(ExpertKey, &Expert)> =
-                            guard.experts.iter().map(|(k, e)| (*k, e)).collect();
-                        entries.sort_by_key(|(k, _)| (k.layer, k.expert));
-                        encode_shard(s, self.num_shards, &entries)
-                    },
+                    || encode_shard(s, num_shards, &by_shard[s]),
                 );
                 shards_written += usize::from(written);
                 record
@@ -704,21 +722,17 @@ impl ShardedStore {
             .collect();
 
         // The head file, when dirty.
-        let (head, head_written) = {
-            let guard = read(&self.head);
-            place_file(
-                &mut effects,
-                dir,
-                on_disk.head,
-                guard.version,
-                head_file,
-                || encode_head(&guard.lm_head, guard.cls_head.as_ref()),
-            )
-        };
+        let (head, head_written) = place_file(
+            &mut effects,
+            dir,
+            on_disk.head,
+            head_version,
+            head_file,
+            || encode_head(&model.lm_head, model.cls_head.as_ref()),
+        );
 
         // The manifest goes last: it only ever references complete files,
         // and its rename is the commit point.
-        let epoch = self.rounds_completed() as u64;
         let data = encode_manifest(&Manifest {
             epoch,
             frozen,
@@ -747,7 +761,7 @@ impl ShardedStore {
             stats: CheckpointStats {
                 epoch,
                 shards_written,
-                shards_skipped: self.num_shards - shards_written,
+                shards_skipped: num_shards - shards_written,
                 head_written,
                 frozen_written,
                 bytes_written,
@@ -794,9 +808,15 @@ pub fn load_store(dir: impl AsRef<Path>) -> Result<LoadedSnapshot, SnapshotError
                     key.layer, key.expert
                 )));
             }
-            if crate::store::shard_of_key(key, num_shards) != s {
+            if shard_of_key(key, num_shards) != s {
                 return Err(SnapshotError::Corrupt(format!(
                     "{name}: expert key ({}, {}) routed to the wrong shard",
+                    key.layer, key.expert
+                )));
+            }
+            if !same_shape(&expert, model.expert(key)) {
+                return Err(SnapshotError::Mismatch(format!(
+                    "{name}: expert key ({}, {}) differs in shape from the frozen model",
                     key.layer, key.expert
                 )));
             }
@@ -958,7 +978,6 @@ mod tests {
     use super::*;
     use flux_moe::{MoeConfig, MoeModel};
     use flux_tensor::SeededRng;
-    use std::collections::HashMap;
 
     fn tiny_model(seed: u64) -> MoeModel {
         let mut rng = SeededRng::new(seed);
@@ -1001,8 +1020,14 @@ mod tests {
         let shard = crate::store::shard_of_key(key, 4);
         let mut rng = SeededRng::new(3);
         let expert = flux_moe::Expert::new(16, 32, &mut rng);
-        store.install_shard(shard, HashMap::from([(key, expert.clone())]));
-        store.complete_round();
+        store.aggregate(
+            &[ExpertUpdate {
+                key,
+                expert: expert.clone(),
+                weight: 1.0,
+            }],
+            &[],
+        );
 
         let stats = store.checkpoint(&dir, b"round-1").unwrap();
         assert_eq!(stats.epoch, 1);
@@ -1020,7 +1045,7 @@ mod tests {
 
         let loaded = load_store(&dir).unwrap();
         assert_eq!(loaded.epoch, 1);
-        assert_eq!(loaded.store.expert(key), expert);
+        assert_eq!(loaded.store.snapshot().expert(key), &expert);
         assert_eq!(
             loaded.store.snapshot().param_checksum(),
             store.snapshot().param_checksum()
@@ -1110,6 +1135,42 @@ mod tests {
                 SnapshotError::Corrupt(msg) => assert!(msg.contains(needle), "{msg}"),
                 other => panic!("expected Corrupt, got {other}"),
             }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A shard file whose checksum holds but which carries an expert of
+    /// another shape than the frozen model's is refused by file and key,
+    /// not installed to fail the first forward.
+    #[test]
+    fn wrong_shaped_shard_experts_are_refused() {
+        let dir = temp_dir("shape");
+        let store = ShardedStore::new(tiny_model(15), 2);
+        store.checkpoint(&dir, b"").unwrap();
+        let name = shard_file(1, Slot::A);
+        let mut entries = decode_shard(&fs::read(dir.join(&name)).unwrap(), 1, 2).unwrap();
+        let (key, expert) = &mut entries[0];
+        let key = *key;
+        *expert = Expert::new(expert.d_model(), expert.d_ff() + 1, &mut SeededRng::new(16));
+        let borrowed: Vec<(ExpertKey, &Expert)> = entries.iter().map(|(k, e)| (*k, e)).collect();
+        let forged = encode_shard(1, 2, &borrowed);
+        fs::write(dir.join(&name), &forged).unwrap();
+        // Reseal the manifest over the forged shard.
+        let path = dir.join(MANIFEST_FILE);
+        let clean = fs::read(&path).unwrap();
+        let mut manifest = decode_manifest(&clean).unwrap();
+        manifest.shards[1] = FileRecord::of(&forged, manifest.shards[1].version, Slot::A);
+        fs::write(&path, encode_manifest(&manifest).unwrap()).unwrap();
+        match load_store(&dir) {
+            Err(SnapshotError::Mismatch(msg)) => {
+                assert!(msg.starts_with(&name), "{msg}");
+                assert!(
+                    msg.contains(&format!("({}, {})", key.layer, key.expert)),
+                    "{msg}"
+                );
+            }
+            Err(other) => panic!("expected Mismatch, got {other}"),
+            Ok(_) => panic!("a wrong-shaped expert restored"),
         }
         let _ = fs::remove_dir_all(&dir);
     }

@@ -2,8 +2,8 @@
 //!
 //! `std::sync` marks a lock poisoned when a thread panics while holding its
 //! guard, and every later `lock()` / `read()` / `write()` then returns an
-//! error. The workspace's shared state — the store's shards, head and
-//! snapshot cache, a round's staged uploads, the tenant registry, the
+//! error. The workspace's shared state — a store's model and version
+//! counters, a round's staged uploads, the tenant registry, the
 //! profiler's quantized-model slots — goes through the three helpers here,
 //! which hand out the guard regardless. That is correct for this state
 //! because:

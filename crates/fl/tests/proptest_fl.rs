@@ -246,11 +246,9 @@ proptest! {
         let model = tiny_model();
         let expected = sequential_reference(&model, num_shards, rounds);
 
-        let server = ParameterServer::empty(num_shards);
-        let stores = [
-            server.register_tenant(model.clone()),
-            server.register_tenant(model.clone()),
-        ];
+        let server = ParameterServer::empty();
+        let stores = [(); 2]
+            .map(|()| server.adopt_tenant(Arc::new(ShardedStore::new(model.clone(), num_shards))));
         let pool = ThreadPool::new(threads);
         let mut arrival_rng = SeededRng::new(arrival_seed);
         let mut next_round = [0u64; 2];
@@ -284,7 +282,7 @@ proptest! {
     }
 
     /// Two tenants' rounds executed **concurrently from two OS threads**
-    /// against one server (per-shard locks racing for real) still end
+    /// against one server (their stores' locks racing for real) still end
     /// bit-identical to sequential execution.
     #[test]
     fn threaded_tenant_rounds_match_sequential(
@@ -296,11 +294,9 @@ proptest! {
         let model = tiny_model();
         let expected = sequential_reference(&model, num_shards, rounds);
 
-        let server = ParameterServer::empty(num_shards);
-        let stores = [
-            server.register_tenant(model.clone()),
-            server.register_tenant(model.clone()),
-        ];
+        let server = ParameterServer::empty();
+        let stores = [(); 2]
+            .map(|()| server.adopt_tenant(Arc::new(ShardedStore::new(model.clone(), num_shards))));
         let model = Arc::new(model);
         let handles: Vec<_> = stores
             .iter()

@@ -6,7 +6,7 @@
 //! directory a process killed inside a checkpoint can leave behind restores
 //! to exactly the previous checkpoint or exactly the new one.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
@@ -50,23 +50,28 @@ fn mutate_store(store: &ShardedStore, seed: u64, rounds: usize) {
     }
 }
 
-/// Closes a round that rewrote one expert of every shard whose bit is set
-/// in `shards` (and the head, on the bit above them): the next checkpoint
-/// finds exactly those files dirty.
+/// Closes a round that rewrote the layer-0 experts of every shard whose bit
+/// is set in `shards` (and the head, on the bit above them): the next
+/// checkpoint finds exactly those files dirty.
 fn dirty_shards(store: &ShardedStore, shards: usize, rng: &mut SeededRng) {
     let n = store.num_shards();
-    for key in store.global_model().expert_keys() {
-        let shard = shard_of_key(key, n);
-        if shards >> shard & 1 == 1 && key.layer == 0 {
-            let expert = Expert::new(16, 32, rng);
-            store.install_shard(shard, HashMap::from([(key, expert)]));
-        }
-    }
+    let model = store.snapshot();
+    let updates: Vec<ExpertUpdate> = model
+        .expert_keys()
+        .into_iter()
+        .filter(|&key| shards >> shard_of_key(key, n) & 1 == 1 && key.layer == 0)
+        .map(|key| ExpertUpdate {
+            key,
+            expert: Expert::new(16, 32, rng),
+            weight: 1.0,
+        })
+        .collect();
+    let mut heads = Vec::new();
     if shards >> n & 1 == 1 {
-        let (rows, cols) = store.global_model().lm_head.shape();
-        store.install_head(Matrix::random_normal(rows, cols, 1.0, rng));
+        let (rows, cols) = model.lm_head.shape();
+        heads.push((Matrix::random_normal(rows, cols, 1.0, rng), 1.0));
     }
-    store.complete_round();
+    store.aggregate(&updates, &heads);
 }
 
 /// Whether `err` is a typed error that names `file`.

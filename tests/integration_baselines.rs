@@ -25,8 +25,7 @@ fn setup() -> (MoeModel, Vec<Participant>, CostModel) {
 #[test]
 fn fmd_aggregation_changes_the_global_model() {
     let (model, fleet, cost) = setup();
-    let server = ParameterServer::new(model.clone());
-    let store = server.tenant(0);
+    let store = ParameterServer::empty().register_tenant(model.clone());
     let global = store.global_model();
     let mut all_updates = Vec::new();
     let mut heads = Vec::new();

@@ -472,7 +472,7 @@ fn scheduler_resumes_a_tenant_from_its_checkpoint() {
         active.checkpoint(&dir).expect("checkpoint succeeds");
     }
     // Resume it as one tenant among others on a shared server.
-    let server = ParameterServer::empty(flux_fl::DEFAULT_SHARDS);
+    let server = ParameterServer::empty();
     let scheduler = Scheduler::on_pool(pool, SchedulePolicy::RoundRobin);
     let results = scheduler.run_all_on(
         &server,

@@ -119,7 +119,7 @@ fn mixed_workloads_share_the_server_without_interference() {
         .map(|spec| trace_of(&spec.run.run(spec.method)))
         .collect();
 
-    let server = ParameterServer::empty(8);
+    let server = ParameterServer::empty();
     let scheduler = Scheduler::on_pool(ThreadPool::from_env(), SchedulePolicy::Concurrent);
     let results = scheduler.run_all_on(&server, specs());
     // Every finished job deregistered its tenant from the shared server.
