@@ -1,10 +1,14 @@
 //! Cross-crate integration tests of quantization-based profiling.
 
-use flux_core::profiling::{LocalProfiler, ProfilingConfig, StaleProfiler};
+use flux_core::baselines::fmq_local_round;
+use flux_core::profiling::{LocalProfiler, ProfilingConfig, QuantizedModelCache, StaleProfiler};
 use flux_data::{DatasetConfig, DatasetGenerator, DatasetKind};
-use flux_moe::{MoeConfig, MoeModel};
+use flux_fl::{build_fleet, CostModel};
+use flux_moe::{ActivationProfile, MoeConfig, MoeModel};
 use flux_quant::BitWidth;
-use flux_tensor::SeededRng;
+use flux_tensor::codec::{fnv_bytes, FNV_OFFSET};
+use flux_tensor::simd::{self, SimdLevel};
+use flux_tensor::{Matrix, SeededRng};
 
 fn setup(kind: DatasetKind) -> (MoeModel, flux_data::Dataset) {
     let base = MoeConfig::tiny();
@@ -75,4 +79,125 @@ fn stale_profiler_integrates_with_model_updates() {
     // Refreshing tracks the new model.
     stale.refresh(&model, &data);
     assert_eq!(stale.refreshes(), 2);
+}
+
+/// FNV-1a over everything a profile reports: each layer's frequency and
+/// attention bit patterns, then each expert's sample set with its length.
+fn profile_digest(profile: &ActivationProfile) -> u64 {
+    let mut hash = FNV_OFFSET;
+    for layer in 0..profile.num_layers() {
+        for (f, a) in profile.frequencies[layer]
+            .iter()
+            .zip(&profile.attention[layer])
+        {
+            hash = fnv_bytes(hash, &f.to_bits().to_le_bytes());
+            hash = fnv_bytes(hash, &a.to_bits().to_le_bytes());
+        }
+        for set in &profile.sample_sets[layer] {
+            hash = fnv_bytes(hash, &(set.len() as u64).to_le_bytes());
+            for &sample in set {
+                hash = fnv_bytes(hash, &(sample as u64).to_le_bytes());
+            }
+        }
+    }
+    hash
+}
+
+fn matrix_digest(hash: u64, m: &Matrix) -> u64 {
+    m.as_slice()
+        .iter()
+        .fold(hash, |h, x| fnv_bytes(h, &x.to_bits().to_le_bytes()))
+}
+
+/// Quantized profiling and FMQ's quantized starting point, held to literals
+/// recorded before the profiling copy stopped being an `f32` model. The
+/// model has the benchmark's paper shape (32 layers x 16 experts) and the
+/// dataset spans three profiling batches, so a pass that reorders the
+/// tracker's accumulation across batches or layers shows. Every route to a
+/// quantized profile (the copy itself, the profiler, the round's cache)
+/// must land on the one literal of its width. One set per kernel level
+/// (`FLUX_SIMD`); thread counts share it.
+#[test]
+fn quantized_profiles_and_fmq_match_the_recorded_bits() {
+    let mut rng = SeededRng::new(2026);
+    let model = MoeModel::new(MoeConfig::llama_moe_sim(), &mut rng);
+    let data = DatasetGenerator::new(
+        DatasetConfig::for_kind(DatasetKind::Dolly, model.config.vocab_size)
+            .with_num_samples(33)
+            .with_mean_seq_len(8),
+    )
+    .generate(&mut rng);
+    let cache = QuantizedModelCache::new();
+    let digests: Vec<[u64; 3]> = BitWidth::all()
+        .into_iter()
+        .map(|width| {
+            let profiler = LocalProfiler::new(ProfilingConfig {
+                width,
+                stale: false,
+                max_samples: data.len(),
+            });
+            [
+                profile_digest(&model.quantized_copy(width).profile(&data)),
+                profile_digest(&profiler.profile(&model, &data)),
+                profile_digest(&profiler.profile_cached(&model, &data, &cache)),
+            ]
+        })
+        .collect();
+
+    let config = MoeConfig::tiny().with_classes(2);
+    let mut rng = SeededRng::new(5);
+    let global = MoeModel::new(config.clone(), &mut rng);
+    let fleet_data = DatasetGenerator::new(
+        DatasetConfig::for_kind(DatasetKind::Piqa, config.vocab_size)
+            .with_num_samples(24)
+            .with_mean_seq_len(10),
+    )
+    .generate(&mut rng);
+    let fleet = build_fleet(&fleet_data, 2, 0.5, &mut rng);
+    let out = fmq_local_round(
+        &fleet[0],
+        &global,
+        &CostModel::default(),
+        &QuantizedModelCache::new(),
+        50_000,
+        0.02,
+        4,
+    );
+    let mut fmq = fnv_bytes(FNV_OFFSET, &out.train_loss.to_bits().to_le_bytes());
+    for update in &out.expert_updates {
+        fmq = fnv_bytes(fmq, &(update.key.layer as u64).to_le_bytes());
+        fmq = fnv_bytes(fmq, &(update.key.expert as u64).to_le_bytes());
+        fmq = fnv_bytes(fmq, &update.weight.to_bits().to_le_bytes());
+        fmq = matrix_digest(fmq, &update.expert.w1);
+        fmq = matrix_digest(fmq, &update.expert.w2);
+        for x in update.expert.b1.iter().chain(&update.expert.b2) {
+            fmq = fnv_bytes(fmq, &x.to_bits().to_le_bytes());
+        }
+    }
+    let (head, weight) = out.head_update.as_ref().expect("FMQ uploads its head");
+    fmq = fnv_bytes(matrix_digest(fmq, head), &weight.to_bits().to_le_bytes());
+
+    // Int2, Int4, Int8 profile digests, then the FMQ upload digest.
+    let (expected, expected_fmq): ([u64; 3], u64) = match simd::global_level() {
+        SimdLevel::Avx2 => (
+            [
+                0x5898_b00a_1115_c19b,
+                0xe20b_c2fa_f9f1_f37a,
+                0x0861_88ea_224b_0fa0,
+            ],
+            0xe4cb_3a9b_71b2_3057,
+        ),
+        SimdLevel::Scalar => (
+            [
+                0xf618_363d_d36b_4393,
+                0xb53e_3527_e088_0eb2,
+                0x0f37_7540_3dd9_2162,
+            ],
+            0x145d_643c_f2a4_ccc7,
+        ),
+    };
+    for (got, want) in digests.iter().zip(expected) {
+        assert_eq!(got, &[want; 3], "profile digests {digests:#x?}");
+    }
+    assert_eq!(fmq, expected_fmq, "fmq digest {fmq:#x}");
 }
