@@ -186,10 +186,10 @@ pub fn fmd_local_round(
 /// every round injects fresh quantization noise into the global model — the
 /// source of FMQ's unstable convergence in the paper.
 ///
-/// The initial INT4 copy of the downloaded model is identical for every
-/// participant, so it comes from the round's shared
-/// [`QuantizedModelCache`]: one quantization per round, one clone per
-/// participant (each participant then trains its clone privately).
+/// The INT4 model is identical for every participant, so it comes from the
+/// round's shared [`QuantizedModelCache`]: one quantization per round, one
+/// dequantized copy per participant (each participant then trains its copy
+/// privately).
 pub fn fmq_local_round(
     participant: &Participant,
     global: &MoeModel,
@@ -199,7 +199,9 @@ pub fn fmq_local_round(
     learning_rate: f32,
     batch_size: usize,
 ) -> LocalRoundOutput {
-    let mut model = (*quant_cache.get_or_quantize(global, BitWidth::Int4)).clone();
+    let mut model = quant_cache
+        .get_or_quantize(global, BitWidth::Int4)
+        .dequantize();
     let samples = &participant.train_data.samples;
     let (loss, _) = local_train(&mut model, samples, None, learning_rate, batch_size);
     let trained_tokens: usize = samples.iter().map(|s| s.tokens.len()).sum();

@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 
 use flux_data::Dataset;
 use flux_fl::sync::lock;
-use flux_moe::{ActivationProfile, MoeModel};
+use flux_moe::{ActivationProfile, MoeModel, QuantizedMoe};
 use flux_quant::BitWidth;
 
 /// Round-scoped memoization of the quantized profiling model, one entry per
@@ -23,21 +23,29 @@ use flux_quant::BitWidth;
 ///
 /// Every participant used to quantize its own copy of the freshly
 /// downloaded global model before profiling — identical work repeated once
-/// per participant sharing a bit width (the fleet assigns widths by device
-/// class, so most participants share one of two or three widths). The
-/// driver now opens one `QuantizedModelCache` per round and every profiling
-/// (and FMQ fine-tuning) path goes through it: the first participant at a
-/// width quantizes, the rest reuse the identical copy.
+/// per participant sharing a bit width. The driver opens one
+/// `QuantizedModelCache` per round and every profiling (and FMQ
+/// fine-tuning) path goes through it: the first participant at a width
+/// quantizes, the rest reuse the identical [`QuantizedMoe`]. The entry holds
+/// the weights packed at their width (3.2 MB at Int4 for the 32 × 16
+/// paper shape, row scales and `f32` biases included, against 20.5 MB for
+/// the `f32` model); profiling dequantizes one block at a time from it, and
+/// FMQ dequantizes its own trainable copy.
+///
+/// Today every Flux participant profiles at the run's one configured width
+/// (`ProfilingConfig::width`), so a round fills a single entry; the cache is
+/// keyed by width so participants profiling at different widths would each
+/// share theirs.
 ///
 /// The cache must not outlive the round — the global model changes at every
-/// aggregation, and a stale quantized copy would silently profile last
+/// aggregation, and a stale quantized model would silently profile last
 /// round's weights.
 ///
 /// Concurrency: lookups take a short registry lock, then a per-width slot
 /// lock for the duration of the (first) quantization, so two participants
 /// at the *same* width wait on each other instead of duplicating the work,
 /// while different widths quantize concurrently. Quantization is
-/// deterministic, so the memoized copy is bit-identical to the one each
+/// deterministic, so the memoized model is bit-identical to the one each
 /// participant would have built.
 #[derive(Debug, Default)]
 pub struct QuantizedModelCache {
@@ -48,7 +56,7 @@ pub struct QuantizedModelCache {
 
 /// One bit width's memoization slot: locked while the first requester
 /// quantizes so sharers wait instead of duplicating the work.
-type QuantizedSlot = Mutex<Option<Arc<MoeModel>>>;
+type QuantizedSlot = Mutex<Option<Arc<QuantizedMoe>>>;
 
 impl QuantizedModelCache {
     /// Creates an empty cache for one round.
@@ -56,9 +64,9 @@ impl QuantizedModelCache {
         Self::default()
     }
 
-    /// The quantized copy of `model` at `width`: computed on first request,
-    /// shared on every subsequent one.
-    pub fn get_or_quantize(&self, model: &MoeModel, width: BitWidth) -> Arc<MoeModel> {
+    /// `model` quantized at `width`: computed on first request, shared on
+    /// every subsequent one.
+    pub fn get_or_quantize(&self, model: &MoeModel, width: BitWidth) -> Arc<QuantizedMoe> {
         let slot = {
             let mut slots = lock(&self.slots);
             Arc::clone(slots.entry(width).or_default())
@@ -69,7 +77,7 @@ impl QuantizedModelCache {
             return Arc::clone(cached);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let quantized = Arc::new(model.quantized_copy(width));
+        let quantized = Arc::new(QuantizedMoe::quantize(model, width));
         *guard = Some(Arc::clone(&quantized));
         quantized
     }
@@ -138,18 +146,17 @@ impl LocalProfiler {
         &self.config
     }
 
-    /// Profiles `dataset` using a quantized copy of `model`.
+    /// Profiles `dataset` on `model` quantized at the configured width.
     ///
-    /// Only the first `max_samples` samples are used; the quantized copy is
-    /// built fresh from the given model so the profile reflects the latest
-    /// downloaded parameters.
+    /// Only the first `max_samples` samples are used; the model is quantized
+    /// fresh so the profile reflects the latest downloaded parameters.
     pub fn profile(&self, model: &MoeModel, dataset: &Dataset) -> ActivationProfile {
-        let quantized = model.quantized_copy(self.config.width);
+        let quantized = QuantizedMoe::quantize(model, self.config.width);
         let subset = limit_samples(dataset, self.config.max_samples);
         quantized.profile(&subset)
     }
 
-    /// Like [`LocalProfiler::profile`], but the quantized copy comes from
+    /// Like [`LocalProfiler::profile`], but the quantized model comes from
     /// the round's shared [`QuantizedModelCache`]: participants sharing a
     /// bit width quantize the model once between them. Identical results —
     /// quantization is deterministic.
@@ -350,6 +357,25 @@ mod tests {
     }
 
     #[test]
+    fn zero_max_samples_profiles_nothing_without_panicking() {
+        let (model, data) = model_and_data();
+        let profiler = LocalProfiler::new(ProfilingConfig {
+            max_samples: 0,
+            ..ProfilingConfig::default()
+        });
+        let profile = profiler.profile(&model, &data);
+        let nothing = limit_samples(&data, 0);
+        assert!(nothing.is_empty());
+        assert_eq!(
+            profile,
+            model.quantized_copy(BitWidth::Int4).profile(&nothing)
+        );
+        assert!(profile.frequencies.iter().flatten().all(|&f| f == 0.0));
+        let cache = QuantizedModelCache::new();
+        assert_eq!(profiler.profile_cached(&model, &data, &cache), profile);
+    }
+
+    #[test]
     fn quantized_cache_reuses_one_copy_per_width() {
         let (model, data) = model_and_data();
         let cache = QuantizedModelCache::new();
@@ -360,11 +386,8 @@ mod tests {
         let c = cache.get_or_quantize(&model, BitWidth::Int8);
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(cache.stats(), (1, 2)); // one hit, two quantizations
-                                           // The memoized copy is bit-identical to a fresh quantization.
-        assert_eq!(
-            a.param_checksum(),
-            model.quantized_copy(BitWidth::Int4).param_checksum()
-        );
+        assert_eq!(*a, QuantizedMoe::quantize(&model, BitWidth::Int4));
+        assert_eq!(*c, QuantizedMoe::quantize(&model, BitWidth::Int8));
         let _ = data;
     }
 

@@ -424,11 +424,10 @@ impl EncodedTensor {
                     return Err(DecodeError::BadQuantization("non-finite row scale".into()));
                 }
                 let max_level = q.width().max_level();
+                let mut levels = vec![0i8; q.cols()];
                 for row in 0..q.rows() {
-                    if q.levels_row(row)
-                        .iter()
-                        .any(|&l| (l as i32).abs() > max_level)
-                    {
+                    q.levels_row_into(row, &mut levels);
+                    if levels.iter().any(|&l| (l as i32).abs() > max_level) {
                         return Err(DecodeError::BadQuantization(format!(
                             "level overflows {:?}",
                             q.width()
@@ -569,8 +568,10 @@ impl EncodedTensor {
                 hash = fold(hash, 2);
                 hash = fold(hash, q.width().bits() as u64);
                 hash = fold_f32s(hash, q.scales());
+                let mut levels = vec![0i8; q.cols()];
                 for row in 0..q.rows() {
-                    hash = fold_levels(hash, q.levels_row(row));
+                    q.levels_row_into(row, &mut levels);
+                    hash = fold_levels(hash, &levels);
                 }
                 hash
             }
@@ -1560,6 +1561,31 @@ mod tests {
         };
         let err = encoded.decode(&base).unwrap_err();
         assert!(matches!(err, DecodeError::BadQuantization(_)));
+
+        // A packed field holds one level below `-max_level`; a dense
+        // quantized payload carrying it is rejected at every width.
+        for (width, low) in [
+            (BitWidth::Int2, -2),
+            (BitWidth::Int4, -8),
+            (BitWidth::Int8, -128),
+        ] {
+            let encoded = EncodedTensor {
+                rows: 1,
+                cols: 4,
+                payload: DeltaPayload::Quantized(QuantizedMatrix::from_levels(
+                    1,
+                    4,
+                    width,
+                    &[0, 1, low, -1],
+                    vec![0.5],
+                )),
+            };
+            let err = encoded.decode(&base).unwrap_err();
+            assert!(
+                matches!(&err, DecodeError::BadQuantization(m) if m.contains("overflows")),
+                "{width:?}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -162,13 +162,15 @@ pub fn from_bytes(bytes: &[u8]) -> Result<MoeModel, CheckpointError> {
             },
         });
     }
-    Ok(MoeModel {
+    let model = MoeModel {
         config,
         embedding,
         layers,
         lm_head,
         cls_head,
-    })
+    };
+    model.validate(&model.config)?;
+    Ok(model)
 }
 
 /// Writes a model checkpoint to a file.
@@ -189,6 +191,98 @@ pub fn save(model: &MoeModel, path: impl AsRef<Path>) -> Result<(), CheckpointEr
 pub fn load(path: impl AsRef<Path>) -> Result<MoeModel, CheckpointError> {
     let data = fs::read(path)?;
     from_bytes(&data)
+}
+
+impl MoeModel {
+    /// Checks every shape a forward pass relies on against `config`: the
+    /// layer count, the embedding and both heads, and each layer's
+    /// attention projections, gate and expert weights and biases. (Routing
+    /// tables are checked against the gate and the expert list where they
+    /// are decoded.) [`from_bytes`] runs this on every model it decodes, so
+    /// a checkpoint whose shapes disagree with its own configuration is
+    /// refused instead of panicking in a later forward.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CheckpointError::Corrupt`] naming the first part that
+    /// disagrees.
+    pub fn validate(&self, config: &MoeConfig) -> Result<(), CheckpointError> {
+        let corrupt = |msg: String| Err(CheckpointError::Corrupt(msg));
+        let shape = |what: &dyn Fn() -> String, got: (usize, usize), want: (usize, usize)| {
+            if got == want {
+                Ok(())
+            } else {
+                corrupt(format!(
+                    "{} is {}x{}, the config says {}x{}",
+                    what(),
+                    got.0,
+                    got.1,
+                    want.0,
+                    want.1
+                ))
+            }
+        };
+        let (vocab, d, ff) = (config.vocab_size, config.d_model, config.d_ff);
+        if self.layers.len() != config.num_layers {
+            return corrupt(format!(
+                "{} layers, the config says {}",
+                self.layers.len(),
+                config.num_layers
+            ));
+        }
+        if vocab == 0 {
+            return corrupt("the vocabulary is empty".into());
+        }
+        shape(
+            &|| "the embedding".into(),
+            self.embedding.shape(),
+            (vocab, d),
+        )?;
+        shape(
+            &|| "the generation head".into(),
+            self.lm_head.shape(),
+            (d, vocab),
+        )?;
+        match (&self.cls_head, config.num_classes) {
+            (Some(head), Some(classes)) => shape(
+                &|| "the classification head".into(),
+                head.shape(),
+                (d, classes),
+            )?,
+            (None, None) => {}
+            (head, classes) => {
+                return corrupt(format!(
+                    "a classification head is {}, the config says {classes:?} classes",
+                    if head.is_some() { "present" } else { "absent" }
+                ))
+            }
+        }
+        for (l, layer) in self.layers.iter().enumerate() {
+            let attention = &layer.attention;
+            for (name, m) in [
+                ("wq", &attention.wq),
+                ("wk", &attention.wk),
+                ("wv", &attention.wv),
+                ("wo", &attention.wo),
+            ] {
+                shape(&|| format!("layer {l} attention {name}"), m.shape(), (d, d))?;
+            }
+            let gate = &layer.moe.gate.weight;
+            shape(
+                &|| format!("layer {l} gate"),
+                gate.shape(),
+                (d, gate.cols()),
+            )?;
+            for (e, expert) in layer.moe.experts.iter().enumerate() {
+                let what = |part: &str| format!("layer {l} expert {e} {part}");
+                shape(&|| what("w1"), expert.w1.shape(), (d, ff))?;
+                shape(&|| what("b1"), (1, expert.b1.len()), (1, ff))?;
+                shape(&|| what("w2"), expert.w2.shape(), (ff, d))?;
+                shape(&|| what("b2"), (1, expert.b2.len()), (1, d))?;
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Expert {
@@ -318,7 +412,7 @@ fn get_config(r: &mut Reader<'_>) -> Result<MoeConfig, CheckpointError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flux_tensor::SeededRng;
+    use flux_tensor::{Matrix, SeededRng};
 
     fn model(seed: u64) -> MoeModel {
         let mut rng = SeededRng::new(seed);
@@ -468,6 +562,41 @@ mod tests {
                 corrupt(&hostile, what, &format!("unknown presence tag {tag}"));
             }
         }
+    }
+
+    /// Lengths and routing tables can all be honest while the shapes are
+    /// not: an expert whose `w1` is not `(d_model, d_ff)`, or one layer
+    /// fewer than the config names, used to decode and then panic in the
+    /// first forward. Each is a typed error now.
+    #[test]
+    fn shapes_that_disagree_with_the_config_are_refused() {
+        let corrupt =
+            |forged: &MoeModel, what: &str, needle: &str| match from_bytes(&to_bytes(forged)) {
+                Err(CheckpointError::Corrupt(msg)) => {
+                    assert!(msg.contains(needle), "{what}: {msg}")
+                }
+                Err(other) => panic!("{what}: expected Corrupt, got {other}"),
+                Ok(_) => panic!("{what}: must not decode"),
+            };
+        let m = model(6);
+        let (d, ff) = (m.config.d_model, m.config.d_ff);
+        let mut wide = m.clone();
+        wide.layers[1].moe.experts[3].w1 = Matrix::zeros(d, ff + 1);
+        corrupt(&wide, "a wide w1", "layer 1 expert 3 w1 is 16x33");
+        let mut short = m.clone();
+        short.layers[2].moe.experts[0].b2.pop();
+        corrupt(&short, "a short b2", "layer 2 expert 0 b2");
+        let mut fewer = m.clone();
+        fewer.layers.pop();
+        corrupt(&fewer, "a missing layer", "3 layers, the config says 4");
+        let mut narrow = m.clone();
+        narrow.layers[0].attention.wk = Matrix::zeros(d, d - 1);
+        corrupt(&narrow, "a narrow wk", "layer 0 attention wk");
+        let mut headless = MoeModel::new(MoeConfig::tiny().with_classes(3), &mut SeededRng::new(7));
+        headless.cls_head = None;
+        corrupt(&headless, "a missing head", "classification head is absent");
+        // Every model the program builds passes, merged layers included.
+        assert!(m.validate(&m.config).is_ok());
     }
 
     #[test]

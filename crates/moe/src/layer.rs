@@ -222,7 +222,7 @@ impl MoeLayer {
         let mut probs = vec![0.0f32; num_experts];
         let mut top: Vec<usize> = Vec::with_capacity(k);
         let mut slots: Vec<(Vec<usize>, Vec<f32>)> =
-            vec![(Vec::new(), Vec::new()); self.experts.len()];
+            vec![(Vec::new(), Vec::new()); self.routing_map.num_compact()];
         for row in 0..hidden.rows() {
             let logit_row = logits.row(row);
             // Softmax with `ops::softmax_row`'s exact arithmetic.

@@ -22,9 +22,10 @@
 //!   to its merged replacement ([`gating::RoutingMap`]).
 //! * **Expert-only fine-tuning** — backward produces per-expert gradients
 //!   for a caller-selected tuning set, plus task-head gradients.
-//! * **Quantized profiling copies** — [`model::MoeModel::quantized_copy`]
-//!   produces a model whose weights carry INT2/4/8 round-trip error, used by
-//!   Flux's local profiling.
+//! * **Quantized profiling** — [`quantized::QuantizedMoe`] holds every
+//!   weight packed at INT2/4/8 and profiles expert activation one
+//!   dequantized block at a time, so Flux's local profiling never holds an
+//!   `f32` copy of the model.
 
 pub mod attention;
 pub mod batch;
@@ -34,6 +35,7 @@ pub mod expert;
 pub mod gating;
 pub mod layer;
 pub mod model;
+pub mod quantized;
 pub mod tracker;
 
 pub use batch::PackedBatch;
@@ -43,4 +45,5 @@ pub use gating::RoutingMap;
 pub use model::{
     BatchForwardCache, EvalResult, ForwardCache, GradientSet, MoeModel, RecordedForward,
 };
+pub use quantized::QuantizedMoe;
 pub use tracker::{ActivationProfile, ActivationTracker, ExpertKey};

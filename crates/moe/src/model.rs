@@ -3,18 +3,16 @@
 use std::collections::{HashMap, HashSet};
 
 use flux_data::{Dataset, Sample, Task};
-use flux_quant::{BitWidth, QuantizedMatrix};
+use flux_quant::BitWidth;
 use flux_tensor::codec::{fnv_bytes, FNV_OFFSET};
 use flux_tensor::{init, ops, Matrix, SeededRng};
 
-use crate::attention::Attention;
 use crate::batch::PackedBatch;
 use crate::config::MoeConfig;
 use crate::expert::{Expert, ExpertGrad};
-use crate::gating::{Gate, RoutingMap};
-use crate::layer::{
-    MoeLayer, TransformerLayer, TransformerLayerBatchCache, TransformerLayerCache, LN_EPS,
-};
+use crate::gating::RoutingMap;
+use crate::layer::{TransformerLayer, TransformerLayerBatchCache, TransformerLayerCache, LN_EPS};
+use crate::quantized::QuantizedMoe;
 use crate::tracker::{ActivationProfile, ActivationTracker, ExpertKey};
 
 /// Samples evaluated per packed forward pass during [`MoeModel::evaluate`]
@@ -305,88 +303,22 @@ impl MoeModel {
         moe.routing_map = routing_map;
     }
 
-    /// Produces a profiling copy whose weights carry the round-trip error of
-    /// the given quantization width (§4.1). The copy has the same shapes and
-    /// API as the original and is used for forward-only activation profiling.
-    ///
-    /// The copy is assembled from the quantized matrices; only what
-    /// quantization keeps as is (biases, routing maps, the configuration)
-    /// is cloned, so no weight matrix is copied just to be replaced.
+    /// A copy whose weights carry the round-trip error of the given
+    /// quantization width (§4.1): [`QuantizedMoe::quantize`] then
+    /// [`QuantizedMoe::dequantize`], the same shapes and API as the
+    /// original. FMQ fine-tunes this; profiling runs on the
+    /// [`QuantizedMoe`] itself, which never holds the whole `f32` copy.
     pub fn quantized_copy(&self, width: BitWidth) -> MoeModel {
-        let q = |m: &Matrix| QuantizedMatrix::quantize(m, width).dequantize();
-        let layers = self
-            .layers
-            .iter()
-            .map(|layer| TransformerLayer {
-                // A fresh Attention starts with an empty fused-QKV cache,
-                // so no stale [Wq|Wk|Wv] concatenation can survive the
-                // quantization.
-                attention: Attention::from_parts(
-                    q(&layer.attention.wq),
-                    q(&layer.attention.wk),
-                    q(&layer.attention.wv),
-                    q(&layer.attention.wo),
-                ),
-                moe: MoeLayer {
-                    gate: Gate {
-                        weight: q(&layer.moe.gate.weight),
-                        top_k: layer.moe.gate.top_k,
-                    },
-                    experts: layer
-                        .moe
-                        .experts
-                        .iter()
-                        .map(|expert| Expert {
-                            w1: q(&expert.w1),
-                            b1: expert.b1.clone(),
-                            w2: q(&expert.w2),
-                            b2: expert.b2.clone(),
-                        })
-                        .collect(),
-                    routing_map: layer.moe.routing_map.clone(),
-                },
-            })
-            .collect();
-        MoeModel {
-            config: self.config.clone(),
-            embedding: q(&self.embedding),
-            layers,
-            lm_head: q(&self.lm_head),
-            cls_head: self.cls_head.as_ref().map(q),
-        }
-    }
-
-    /// The per-dimension sinusoidal rates. They depend only on the dimension
-    /// index, so both embed paths hoist the `powf` out of the token loop (it
-    /// dominated the embed cost at small d_model).
-    fn positional_rates(&self) -> Vec<f32> {
-        let d = self.config.d_model;
-        (0..d)
-            .map(|i| 1.0 / 10_000f32.powf((2 * (i / 2)) as f32 / d as f32))
-            .collect()
-    }
-
-    /// Embeds one token sequence into `out` starting at `row_offset`, with
-    /// positions counted from the sequence start (not the packed row).
-    fn embed_into(&self, tokens: &[u32], rates: &[f32], out: &mut Matrix, row_offset: usize) {
-        for (pos, &tok) in tokens.iter().enumerate() {
-            let tok = (tok as usize).min(self.config.vocab_size - 1);
-            let row = self.embedding.row(tok);
-            let out_row = out.row_mut(row_offset + pos);
-            out_row.copy_from_slice(row);
-            // Sinusoidal positional encoding.
-            for (i, (value, &rate)) in out_row.iter_mut().zip(rates).enumerate() {
-                let angle = pos as f32 * rate;
-                *value += if i % 2 == 0 { angle.sin() } else { angle.cos() } * 0.1;
-            }
-        }
+        QuantizedMoe::quantize(self, width).dequantize()
     }
 
     /// Embeds a token sequence and adds sinusoidal positional encodings.
     pub fn embed(&self, tokens: &[u32]) -> Matrix {
-        let rates = self.positional_rates();
+        let rates = positional_rates(self.config.d_model);
         let mut out = Matrix::zeros(tokens.len(), self.config.d_model);
-        self.embed_into(tokens, &rates, &mut out, 0);
+        embed_sequence(&self.config, tokens, &rates, &mut out, 0, |tok, row| {
+            row.copy_from_slice(self.embedding.row(tok))
+        });
         out
     }
 
@@ -395,13 +327,9 @@ impl MoeModel {
     /// boundary, so each row is bit-identical to the corresponding row of
     /// [`MoeModel::embed`] over that sample alone.
     pub fn embed_batch(&self, samples: &[&Sample]) -> (Matrix, PackedBatch) {
-        let batch = PackedBatch::from_lengths(samples.iter().map(|s| s.tokens.len()));
-        let rates = self.positional_rates();
-        let mut out = Matrix::zeros(batch.total_tokens(), self.config.d_model);
-        for (sample, &(start, _)) in samples.iter().zip(batch.bounds()) {
-            self.embed_into(&sample.tokens, &rates, &mut out, start);
-        }
-        (out, batch)
+        embed_packed(&self.config, samples, |tok, row| {
+            row.copy_from_slice(self.embedding.row(tok))
+        })
     }
 
     /// Runs the transformer stack over a token sequence.
@@ -1083,46 +1011,166 @@ impl MoeModel {
     /// Runs a forward-only profiling pass over a dataset, recording expert
     /// activation into a fresh tracker and returning the resulting profile.
     ///
-    /// The pass runs batched: samples are packed `EVAL_BATCH` at a time
-    /// and the tracker attributes each packed row to its sample via the
-    /// row→sample map, producing the identical profile the per-sample loop
-    /// produced (row order within each `(layer, expert)` bucket is
-    /// unchanged, so even the f32 attention sums accumulate in the same
-    /// order). Only routing decisions are read, so the pass stops at the
-    /// last layer's: that layer's experts, residual and the final layer
-    /// norm produce a hidden state nobody looks at.
+    /// Samples are packed `EVAL_BATCH` at a time and the pass runs layer by
+    /// layer over all batches; the profile is the one a per-sample pass
+    /// produces, bit for bit. Only routing decisions are read, so the last
+    /// layer only routes. [`QuantizedMoe::profile`] is the same pass over
+    /// one dequantized layer at a time.
     pub fn profile(&self, dataset: &Dataset) -> ActivationProfile {
-        let mut tracker = ActivationTracker::new(
-            (0..self.layers.len())
-                .map(|l| self.layers[l].moe.num_original_experts())
+        let mut pass = ProfilePass::new(
+            dataset,
+            self.layers
+                .iter()
+                .map(|l| l.moe.num_original_experts())
                 .collect(),
+            |samples| self.embed_batch(samples),
         );
-        let Some((last, below)) = self.layers.split_last() else {
-            return tracker.finish();
-        };
-        for (chunk_idx, chunk) in dataset.samples.chunks(EVAL_BATCH).enumerate() {
-            let refs: Vec<&Sample> = chunk.iter().collect();
-            let (mut hidden, batch) = self.embed_batch(&refs);
-            let mut row_samples = Vec::with_capacity(batch.total_tokens());
-            for (i, &(start, end)) in batch.bounds().iter().enumerate() {
-                row_samples.extend(std::iter::repeat_n(chunk_idx * EVAL_BATCH + i, end - start));
-            }
-            for (idx, layer) in below.iter().enumerate() {
-                hidden = layer.forward_no_cache_batch(
-                    &hidden,
-                    batch.bounds(),
-                    idx,
-                    Some((&mut tracker, &row_samples)),
-                );
-            }
-            last.route_batch(
-                &hidden,
-                batch.bounds(),
-                below.len(),
-                Some((&mut tracker, &row_samples)),
-            );
+        for (idx, layer) in self.layers.iter().enumerate() {
+            pass.run_layer(idx, layer);
         }
-        tracker.finish()
+        pass.finish()
+    }
+}
+
+/// The per-dimension sinusoidal rates. They depend only on the dimension
+/// index, so the embed paths hoist the `powf` out of the token loop (it
+/// dominated the embed cost at small d_model).
+fn positional_rates(d_model: usize) -> Vec<f32> {
+    (0..d_model)
+        .map(|i| 1.0 / 10_000f32.powf((2 * (i / 2)) as f32 / d_model as f32))
+        .collect()
+}
+
+/// Embeds one token sequence into `out` starting at `row_offset`, with
+/// positions counted from the sequence start (not the packed row).
+/// `embedding_row(token, row)` writes a token's embedding row; tokens past
+/// the vocabulary are clamped to its last entry.
+fn embed_sequence(
+    config: &MoeConfig,
+    tokens: &[u32],
+    rates: &[f32],
+    out: &mut Matrix,
+    row_offset: usize,
+    embedding_row: impl Fn(usize, &mut [f32]),
+) {
+    for (pos, &tok) in tokens.iter().enumerate() {
+        let tok = (tok as usize).min(config.vocab_size - 1);
+        let out_row = out.row_mut(row_offset + pos);
+        embedding_row(tok, out_row);
+        // Sinusoidal positional encoding.
+        for (i, (value, &rate)) in out_row.iter_mut().zip(rates).enumerate() {
+            let angle = pos as f32 * rate;
+            *value += if i % 2 == 0 { angle.sin() } else { angle.cos() } * 0.1;
+        }
+    }
+}
+
+/// Packs `samples` into one `(total_tokens, d_model)` embedding matrix,
+/// each through [`embed_sequence`] at its offset in the batch.
+pub(crate) fn embed_packed(
+    config: &MoeConfig,
+    samples: &[&Sample],
+    embedding_row: impl Fn(usize, &mut [f32]),
+) -> (Matrix, PackedBatch) {
+    let batch = PackedBatch::from_lengths(samples.iter().map(|s| s.tokens.len()));
+    let rates = positional_rates(config.d_model);
+    let mut out = Matrix::zeros(batch.total_tokens(), config.d_model);
+    for (sample, &(start, _)) in samples.iter().zip(batch.bounds()) {
+        embed_sequence(
+            config,
+            &sample.tokens,
+            &rates,
+            &mut out,
+            start,
+            &embedding_row,
+        );
+    }
+    (out, batch)
+}
+
+/// One activation-profiling pass, run layer-major: every `EVAL_BATCH`
+/// chunk of the dataset is embedded once up front, then each layer takes
+/// all chunks before the next layer starts, so a caller only needs one
+/// layer's weights at hand at a time ([`QuantizedMoe::profile`] dequantizes
+/// them one by one).
+///
+/// The tracker attributes each packed row to its sample through the
+/// chunk's row→sample map. Its buckets are per layer, and each still
+/// accumulates chunk by chunk in dataset order, so the profile is the one a
+/// chunk-by-chunk (or per-sample) pass produces — even the f32 attention
+/// sums add in the same order. Only routing decisions are read, so the
+/// last layer only routes: its experts, residual and the final layer norm
+/// would produce a hidden state nobody looks at.
+pub(crate) struct ProfilePass {
+    tracker: ActivationTracker,
+    layers: usize,
+    chunks: Vec<ProfileChunk>,
+}
+
+/// One `EVAL_BATCH` chunk's packed hidden states between layers.
+struct ProfileChunk {
+    hidden: Matrix,
+    batch: PackedBatch,
+    /// Dataset index of the sample each packed row belongs to.
+    row_samples: Vec<usize>,
+}
+
+impl ProfilePass {
+    /// Embeds `dataset` chunk by chunk through `embed` for a model whose
+    /// layers route over `original_experts[l]` experts each.
+    pub(crate) fn new(
+        dataset: &Dataset,
+        original_experts: Vec<usize>,
+        embed: impl Fn(&[&Sample]) -> (Matrix, PackedBatch),
+    ) -> Self {
+        let chunks = dataset
+            .samples
+            .chunks(EVAL_BATCH)
+            .enumerate()
+            .map(|(chunk_idx, chunk)| {
+                let refs: Vec<&Sample> = chunk.iter().collect();
+                let (hidden, batch) = embed(&refs);
+                let mut row_samples = Vec::with_capacity(batch.total_tokens());
+                for (i, &(start, end)) in batch.bounds().iter().enumerate() {
+                    row_samples
+                        .extend(std::iter::repeat_n(chunk_idx * EVAL_BATCH + i, end - start));
+                }
+                ProfileChunk {
+                    hidden,
+                    batch,
+                    row_samples,
+                }
+            })
+            .collect();
+        Self {
+            layers: original_experts.len(),
+            tracker: ActivationTracker::new(original_experts),
+            chunks,
+        }
+    }
+
+    /// Whether layer `idx` only routes, so its experts are never read.
+    pub(crate) fn routes_only(&self, idx: usize) -> bool {
+        idx + 1 == self.layers
+    }
+
+    /// Pushes every chunk through layer `idx` (layers must come in order).
+    pub(crate) fn run_layer(&mut self, idx: usize, layer: &TransformerLayer) {
+        let routes_only = self.routes_only(idx);
+        for chunk in &mut self.chunks {
+            let bounds = chunk.batch.bounds();
+            let tracking = Some((&mut self.tracker, chunk.row_samples.as_slice()));
+            if routes_only {
+                layer.route_batch(&chunk.hidden, bounds, idx, tracking);
+            } else {
+                chunk.hidden = layer.forward_no_cache_batch(&chunk.hidden, bounds, idx, tracking);
+            }
+        }
+    }
+
+    /// The profile of every layer run so far.
+    pub(crate) fn finish(self) -> ActivationProfile {
+        self.tracker.finish()
     }
 }
 
@@ -1191,7 +1239,9 @@ fn flux_metrics_rouge(candidate: &[u32], reference: &[u32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attention::Attention;
     use flux_data::{DatasetGenerator, DatasetKind};
+    use flux_quant::QuantizedMatrix;
 
     fn tiny_model(seed: u64) -> MoeModel {
         let mut rng = SeededRng::new(seed);

@@ -7,10 +7,11 @@
 //! paper's Fig. 5.
 //!
 //! Nothing in the library calls this today. The profiling path does *not*
-//! run through it: `MoeModel::quantized_copy` dequantizes the whole model
-//! once into an ordinary `f32` `MoeModel`, and profiling is the plain `f32`
-//! forward over that copy — same rounding error, paid at copy time, with
-//! the `f32` GEMM's speed. The only callers are the benchmark's
+//! run through it: `QuantizedMoe::profile` (in `flux-moe`) keeps the model
+//! packed and dequantizes one transformer block at a time into reused `f32`
+//! buffers, then runs the ordinary `f32` forward over them — the same
+//! rounding error, at the `f32` GEMM's speed, with one block's weights in
+//! `f32` at a time. The only callers are the benchmark's
 //! `quant.qmatmul_gops` probe and `crates/quant/tests/proptest_quant.rs`.
 
 use flux_tensor::{Matrix, Result, TensorError};
@@ -37,6 +38,12 @@ pub fn quantized_matmul(x: &Matrix, w: &QuantizedMatrix) -> Result<Matrix> {
     let n = w.cols();
     let mut out = Matrix::zeros(x.rows(), n);
     let scales = w.scales();
+    // The levels of every weight row, unpacked once for all input rows.
+    let mut levels = vec![0i8; w.rows() * n];
+    for k in 0..w.rows() {
+        w.levels_row_into(k, &mut levels[k * n..(k + 1) * n]);
+    }
+    let levels_row = |k: usize| &levels[k * n..(k + 1) * n];
     for i in 0..x.rows() {
         let x_row = x.row(i);
         let out_row = &mut out.as_mut_slice()[i * n..(i + 1) * n];
@@ -51,10 +58,10 @@ pub fn quantized_matmul(x: &Matrix, w: &QuantizedMatrix) -> Result<Matrix> {
                 x_row[k + 2] * scales[k + 2],
                 x_row[k + 3] * scales[k + 3],
             );
-            let l0 = &w.levels_row(k)[..n];
-            let l1 = &w.levels_row(k + 1)[..n];
-            let l2 = &w.levels_row(k + 2)[..n];
-            let l3 = &w.levels_row(k + 3)[..n];
+            let l0 = levels_row(k);
+            let l1 = levels_row(k + 1);
+            let l2 = levels_row(k + 2);
+            let l3 = levels_row(k + 3);
             for j in 0..n {
                 out_row[j] +=
                     c0 * l0[j] as f32 + c1 * l1[j] as f32 + c2 * l2[j] as f32 + c3 * l3[j] as f32;
@@ -63,7 +70,7 @@ pub fn quantized_matmul(x: &Matrix, w: &QuantizedMatrix) -> Result<Matrix> {
         }
         while k < x_row.len() {
             let coeff = x_row[k] * scales[k];
-            for (o, &level) in out_row.iter_mut().zip(w.levels_row(k)) {
+            for (o, &level) in out_row.iter_mut().zip(levels_row(k)) {
                 *o += coeff * level as f32;
             }
             k += 1;

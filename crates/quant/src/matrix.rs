@@ -1,5 +1,7 @@
 //! Symmetric per-row integer quantization of weight matrices.
 
+use std::ops::Range;
+
 use flux_tensor::Matrix;
 
 /// Supported quantization bit widths.
@@ -72,26 +74,47 @@ pub fn quantize_row(values: &[f32], width: BitWidth, out: &mut [i8]) -> f32 {
         1.0
     };
     for (level, &v) in out.iter_mut().zip(values) {
-        *level = (v / scale).round().clamp(-max_level, max_level) as i8;
+        *level = round_level((v / scale).clamp(-max_level, max_level));
     }
     scale
+}
+
+/// `x.round() as i8` for `|x| <= 127` or NaN — half away from zero, NaN to
+/// 0 — in float and integer arithmetic that vectorizes, instead of a call
+/// to the C library's `roundf` per element. Adding `1.5 * 2^23` rounds `x`
+/// to the nearest integer (ties to even) in the sum's low mantissa bits;
+/// `x` minus that integer is exact and tells the ties that must move away
+/// from zero. Checked against `f32::round` on every `f32` bit pattern.
+#[inline(always)]
+fn round_level(x: f32) -> i8 {
+    const MAGIC: f32 = 12_582_912.0;
+    let x = if x.is_nan() { 0.0 } else { x };
+    let shifted = x + MAGIC;
+    let tie_distance = x - (shifted - MAGIC);
+    let nearest = shifted.to_bits() as i32 - MAGIC.to_bits() as i32;
+    let away = (tie_distance == 0.5 && x > 0.0) as i32 - (tie_distance == -0.5 && x < 0.0) as i32;
+    (nearest + away) as i8
 }
 
 /// A weight matrix stored as symmetric per-row quantized integers.
 ///
 /// Each row keeps its own scale `s = max|w| / max_level`, and the stored
 /// integers are `round(w / s)` clamped to the representable range. The
-/// original shape is preserved so the matrix can be dequantized or used
-/// directly in [`crate::quantized_matmul`].
-#[derive(Debug, Clone)]
+/// levels are packed at the width's true size — four to a byte at 2 bits,
+/// two at 4, one at 8 — so the matrix holds exactly the bytes
+/// [`QuantizedMatrix::storage_bytes`] reports. The original shape is
+/// preserved so the matrix can be dequantized or used directly in
+/// [`crate::quantized_matmul`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedMatrix {
     rows: usize,
     cols: usize,
     width: BitWidth,
-    /// Quantized levels, stored widened to i8 for simplicity (the packed
-    /// byte count reported by [`QuantizedMatrix::storage_bytes`] reflects
-    /// the true footprint of a packed representation).
-    levels: Vec<i8>,
+    /// Row-major levels as `bits`-wide two's-complement fields, packed
+    /// contiguously across row boundaries: flat level `i` lives in byte
+    /// `i / per_byte` at bit `(i % per_byte) * bits`. The last byte's
+    /// unused high bits are zero.
+    packed: Vec<u8>,
     /// One scale per row.
     scales: Vec<f32>,
 }
@@ -108,7 +131,43 @@ impl QuantizedMatrix {
             rows,
             cols,
             width,
-            levels,
+            packed: pack_levels(width, &levels),
+            scales,
+        }
+    }
+
+    /// Builds a matrix from row-major levels and one scale per row — the
+    /// inverse of reading every row with [`QuantizedMatrix::levels_row_into`].
+    ///
+    /// A level only has to fit the width's two's-complement field, so
+    /// `-2^(bits-1)` (one below `-max_level`) is accepted: no quantizer
+    /// produces it, and decoders that check levels against
+    /// [`BitWidth::max_level`] must reject it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `levels.len() != rows * cols`, `scales.len() != rows`, or
+    /// a level does not fit in `width.bits()` bits.
+    pub fn from_levels(
+        rows: usize,
+        cols: usize,
+        width: BitWidth,
+        levels: &[i8],
+        scales: Vec<f32>,
+    ) -> Self {
+        assert_eq!(levels.len(), rows * cols, "one level per element");
+        assert_eq!(scales.len(), rows, "one scale per row");
+        let bits = width.bits();
+        let (lo, hi) = (-(1i32 << (bits - 1)), (1i32 << (bits - 1)) - 1);
+        assert!(
+            levels.iter().all(|&l| (lo..=hi).contains(&(l as i32))),
+            "a level does not fit in {bits} bits"
+        );
+        Self {
+            rows,
+            cols,
+            width,
+            packed: pack_levels(width, levels),
             scales,
         }
     }
@@ -116,13 +175,83 @@ impl QuantizedMatrix {
     /// Reconstructs an approximate full-precision matrix.
     pub fn dequantize(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
-        for r in 0..self.rows {
-            let scale = self.scales[r];
-            for c in 0..self.cols {
-                out.set(r, c, self.levels[r * self.cols + c] as f32 * scale);
-            }
-        }
+        self.dequantize_into(&mut out);
         out
+    }
+
+    /// [`QuantizedMatrix::dequantize`] into an existing matrix, reusing its
+    /// buffer when it already has this shape (it is replaced otherwise).
+    /// Every element is exactly `level as f32 * scale`.
+    pub fn dequantize_into(&self, out: &mut Matrix) {
+        if out.shape() != self.shape() {
+            *out = Matrix::zeros(self.rows, self.cols);
+        }
+        self.dequantize_rows(0..self.rows, out.as_mut_slice());
+    }
+
+    /// Dequantizes one row into `out`: `out[c] = level(row, c) as f32 *
+    /// scale(row)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.cols()` or `row` is out of range.
+    pub fn dequantize_row_into(&self, row: usize, out: &mut [f32]) {
+        self.row_start(row, out.len());
+        self.dequantize_rows(row..row + 1, out);
+    }
+
+    /// Dequantizes the rows in `rows` into `out`, which holds exactly their
+    /// values, choosing the width's unpacking once for all of them.
+    fn dequantize_rows(&self, rows: Range<usize>, out: &mut [f32]) {
+        match self.width {
+            BitWidth::Int2 => self.dequantize_rows_with(rows, out, |b| F32_LEVELS_2[b as usize]),
+            BitWidth::Int4 => self.dequantize_rows_with(rows, out, |b| F32_LEVELS_4[b as usize]),
+            BitWidth::Int8 => self.dequantize_rows_with(rows, out, |b| [b as i8 as f32]),
+        }
+    }
+
+    #[inline(always)]
+    fn dequantize_rows_with<const PER: usize>(
+        &self,
+        rows: Range<usize>,
+        out: &mut [f32],
+        expand: impl Fn(u8) -> [f32; PER] + Copy,
+    ) {
+        if self.cols == 0 {
+            return;
+        }
+        for (r, out_row) in rows.zip(out.chunks_exact_mut(self.cols)) {
+            let scale = self.scales[r];
+            unpack(&self.packed, r * self.cols, out_row, expand, |level| {
+                level * scale
+            });
+        }
+    }
+
+    /// Unpacks the integer levels of one row into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.cols()` or `row` is out of range.
+    pub fn levels_row_into(&self, row: usize, out: &mut [i8]) {
+        self.levels_flat_into(self.row_start(row, out.len()), out);
+    }
+
+    /// The `out.len()` levels from flat index `start` on.
+    fn levels_flat_into(&self, start: usize, out: &mut [i8]) {
+        let packed = &self.packed;
+        match self.width {
+            BitWidth::Int2 => unpack(packed, start, out, |b| LEVELS_2[b as usize], |l| l),
+            BitWidth::Int4 => unpack(packed, start, out, |b| LEVELS_4[b as usize], |l| l),
+            BitWidth::Int8 => unpack(packed, start, out, |b| [b as i8], |l| l),
+        }
+    }
+
+    /// Flat index of `row`'s first level, checking a row's output length.
+    fn row_start(&self, row: usize, out_len: usize) -> usize {
+        assert!(row < self.rows, "row {row} out of range");
+        assert_eq!(out_len, self.cols, "one output per column");
+        row * self.cols
     }
 
     /// Number of rows.
@@ -146,16 +275,19 @@ impl QuantizedMatrix {
     }
 
     /// Raw integer level at `(row, col)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(row, col)` is out of range.
     #[inline]
     pub fn level(&self, row: usize, col: usize) -> i8 {
-        self.levels[row * self.cols + col]
-    }
-
-    /// All integer levels of one row (the matmul kernel iterates these as a
-    /// slice rather than paying a bounds check per element).
-    #[inline]
-    pub fn levels_row(&self, row: usize) -> &[i8] {
-        &self.levels[row * self.cols..(row + 1) * self.cols]
+        assert!(
+            row < self.rows && col < self.cols,
+            "({row}, {col}) out of range"
+        );
+        let mut level = [0i8];
+        self.levels_flat_into(row * self.cols + col, &mut level);
+        level[0]
     }
 
     /// Per-row scale factors.
@@ -163,10 +295,126 @@ impl QuantizedMatrix {
         &self.scales
     }
 
-    /// Bytes a packed on-device representation would occupy (levels + scales).
+    /// Bytes the matrix holds: the packed levels plus one f32 scale per row.
     pub fn storage_bytes(&self) -> usize {
-        self.width.storage_bytes(self.levels.len()) + self.scales.len() * 4
+        self.packed.len() + self.scales.len() * 4
     }
+}
+
+/// `table[byte]`: the levels packed in `byte` (slot 0 in the low bits), as
+/// `bits`-wide two's-complement fields sign-extended, for each of the 256
+/// byte values.
+const fn level_table<const PER: usize>() -> [[i8; PER]; 256] {
+    let bits = 8 / PER;
+    let mut table = [[0i8; PER]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut slot = 0;
+        while slot < PER {
+            let field = ((byte >> (slot * bits)) as u8) << (8 - bits);
+            table[byte][slot] = (field as i8) >> (8 - bits);
+            slot += 1;
+        }
+        byte += 1;
+    }
+    table
+}
+
+/// [`level_table`] with every level as `f32`.
+const fn f32_level_table<const PER: usize>() -> [[f32; PER]; 256] {
+    let levels = level_table::<PER>();
+    let mut table = [[0.0f32; PER]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut slot = 0;
+        while slot < PER {
+            table[byte][slot] = levels[byte][slot] as f32;
+            slot += 1;
+        }
+        byte += 1;
+    }
+    table
+}
+
+static LEVELS_2: [[i8; 4]; 256] = level_table();
+static LEVELS_4: [[i8; 2]; 256] = level_table();
+static F32_LEVELS_2: [[f32; 4]; 256] = f32_level_table();
+static F32_LEVELS_4: [[f32; 2]; 256] = f32_level_table();
+
+/// Writes `f(level)` for the `out.len()` levels starting at flat index
+/// `start`, where `expand(byte)` gives the `PER` levels a packed byte holds
+/// (slot 0 in the low bits): slot by slot up to the first byte boundary and
+/// after the last, whole bytes in between.
+#[inline(always)]
+fn unpack<const PER: usize, L: Copy, T>(
+    packed: &[u8],
+    start: usize,
+    out: &mut [T],
+    expand: impl Fn(u8) -> [L; PER],
+    f: impl Fn(L) -> T,
+) {
+    let level = |i: usize| expand(packed[i / PER])[i % PER];
+    let head = (start.next_multiple_of(PER) - start).min(out.len());
+    let body = (out.len() - head) / PER * PER;
+    let (head_out, rest) = out.split_at_mut(head);
+    let (body_out, tail_out) = rest.split_at_mut(body);
+    for (k, o) in head_out.iter_mut().enumerate() {
+        *o = f(level(start + k));
+    }
+    let first = (start + head) / PER;
+    let bytes = &packed[first..first + body / PER];
+    // Two bytes per step: at 4 bits their four outputs go out together.
+    let mut pairs = body_out.chunks_exact_mut(2 * PER);
+    for (group, pair) in (&mut pairs).zip(bytes.chunks_exact(2)) {
+        let (lo, hi) = group.split_at_mut(PER);
+        for (o, l) in lo.iter_mut().zip(expand(pair[0])) {
+            *o = f(l);
+        }
+        for (o, l) in hi.iter_mut().zip(expand(pair[1])) {
+            *o = f(l);
+        }
+    }
+    if let Some(&byte) = bytes.chunks_exact(2).remainder().first() {
+        for (o, l) in pairs.into_remainder().iter_mut().zip(expand(byte)) {
+            *o = f(l);
+        }
+    }
+    let tail_start = start + head + body;
+    for (k, o) in tail_out.iter_mut().enumerate() {
+        *o = f(level(tail_start + k));
+    }
+}
+
+/// Packs levels at `width`: see [`QuantizedMatrix`]'s layout. Each level
+/// is kept to its low `width.bits()` bits.
+fn pack_levels(width: BitWidth, levels: &[i8]) -> Vec<u8> {
+    match width {
+        BitWidth::Int2 => pack::<4>(levels),
+        BitWidth::Int4 => pack::<2>(levels),
+        BitWidth::Int8 => levels.iter().map(|&l| l as u8).collect(),
+    }
+}
+
+/// Packs levels `PER` to a byte (slot 0 in the low bits), each as its low
+/// `8 / PER` bits; the last byte's unused slots stay zero.
+fn pack<const PER: usize>(levels: &[i8]) -> Vec<u8> {
+    let bits = 8 / PER;
+    let mask = (1u8 << bits) - 1;
+    let byte = |group: &[i8]| {
+        let mut byte = 0u8;
+        for (slot, &level) in group.iter().enumerate() {
+            byte |= (level as u8 & mask) << (slot * bits);
+        }
+        byte
+    };
+    let groups = levels.chunks_exact(PER);
+    let tail = groups.remainder();
+    let mut packed = Vec::with_capacity(levels.len().div_ceil(PER));
+    packed.extend(groups.map(byte));
+    if !tail.is_empty() {
+        packed.push(byte(tail));
+    }
+    packed
 }
 
 #[cfg(test)]
@@ -189,6 +437,21 @@ mod tests {
     }
 
     #[test]
+    fn storage_bytes_is_what_the_matrix_holds() {
+        let mut rng = SeededRng::new(7);
+        for (rows, cols) in [(1, 1), (3, 5), (4, 7), (2, 8), (5, 3)] {
+            let w = Matrix::random_normal(rows, cols, 1.0, &mut rng);
+            for width in BitWidth::all() {
+                let q = QuantizedMatrix::quantize(&w, width);
+                assert_eq!(q.packed.len(), width.storage_bytes(rows * cols));
+                assert_eq!(q.packed.capacity(), q.packed.len());
+                assert_eq!(q.scales.len(), rows);
+                assert_eq!(q.storage_bytes(), q.packed.len() + 4 * q.scales.len());
+            }
+        }
+    }
+
+    #[test]
     fn compression_ratio() {
         assert_eq!(BitWidth::Int8.compression_ratio(), 4.0);
         assert_eq!(BitWidth::Int4.compression_ratio(), 8.0);
@@ -205,7 +468,9 @@ mod tests {
                 let mut levels = [0i8; 9];
                 let scale = quantize_row(w.row(r), b, &mut levels);
                 assert_eq!(scale.to_bits(), q.scales()[r].to_bits());
-                assert_eq!(&levels[..], q.levels_row(r));
+                let mut stored = [0i8; 9];
+                q.levels_row_into(r, &mut stored);
+                assert_eq!(levels, stored);
             }
         }
         // Degenerate rows keep a usable scale.
@@ -213,6 +478,22 @@ mod tests {
         let mut levels = [9i8; 2];
         assert_eq!(quantize_row(&[0.0, -0.0], BitWidth::Int4, &mut levels), 1.0);
         assert_eq!(levels, [0, 0]);
+    }
+
+    #[test]
+    fn round_level_is_f32_round() {
+        // Every tie and its neighbours one ulp away, at each level, plus
+        // the special values.
+        let mut xs = vec![f32::NAN, -f32::NAN, 0.0, -0.0, 1e-30, -1e-30];
+        for n in -128..128 {
+            for base in [n as f32, n as f32 + 0.5] {
+                xs.extend([base, base.next_up(), base.next_down()]);
+            }
+        }
+        for x in xs {
+            let x = x.clamp(-127.0, 127.0);
+            assert_eq!(round_level(x), x.round() as i8, "{x:?}");
+        }
     }
 
     #[test]
