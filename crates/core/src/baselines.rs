@@ -18,7 +18,8 @@
 //! The shared [`local_train`] helper is also used by the Flux path in the
 //! driver.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 use flux_data::Sample;
 use flux_fl::{CostModel, ExpertUpdate, Participant, RoundCostBreakdown};
@@ -62,7 +63,8 @@ impl LocalRoundOutput {
 /// Runs local SGD over the samples in mini-batches, restricted to the given
 /// tuning experts (compact ids of `model`). Returns the per-sample mean
 /// loss and the gradient set of the *last* batch (used for utility
-/// computation).
+/// computation). Every other batch's gradients are released once applied,
+/// before the next batch's are computed.
 ///
 /// The reported loss weights every batch by its sample count, so a ragged
 /// final chunk (10 samples at batch size 4 → 4/4/2) contributes its 2
@@ -81,7 +83,9 @@ pub fn local_train(
     let mut total_loss = 0.0;
     let mut total_samples = 0usize;
     let mut last_grads = None;
-    for chunk in samples.chunks(batch_size) {
+    let chunks = samples.chunks(batch_size);
+    let last = chunks.len() - 1;
+    for (i, chunk) in chunks.enumerate() {
         let mut grads = model.batch_gradients(chunk, tuning);
         let scale = 1.0 / grads.samples.max(1) as f32;
         grads.head_grad.scale_in_place(scale);
@@ -91,7 +95,9 @@ pub fn local_train(
         model.apply_gradients(&grads, learning_rate);
         total_loss += grads.loss * grads.samples as f32;
         total_samples += grads.samples;
-        last_grads = Some(grads);
+        if i == last {
+            last_grads = Some(grads);
+        }
     }
     (total_loss / total_samples.max(1) as f32, last_grads)
 }
@@ -99,8 +105,9 @@ pub fn local_train(
 /// Turns a locally trained model with an *identity* expert layout (FMD /
 /// FMQ, where the compact and original ids coincide) into its upload: every
 /// expert under its original id, in [`MoeModel::expert_keys`] order, and the
-/// task head. The model is the participant's private copy and is spent
-/// here, so the parameters move — nothing is cloned a second time.
+/// task head. The model is the participant's copy and is spent here, so
+/// every expert it wrote moves; one it never wrote is still shared with
+/// the global model and is copied once, here.
 fn into_full_model_upload(model: MoeModel, weight: f32) -> (Vec<ExpertUpdate>, Matrix) {
     let MoeModel {
         layers,
@@ -118,9 +125,47 @@ fn into_full_model_upload(model: MoeModel, weight: f32) -> (Vec<ExpertUpdate>, M
                 .enumerate()
                 .map(move |(expert, parameters)| ExpertUpdate {
                     key: ExpertKey::new(layer, expert),
-                    expert: parameters,
+                    expert: Arc::unwrap_or_clone(parameters),
                     weight,
                 })
+        })
+        .collect();
+    (updates, active_head(lm_head, cls_head))
+}
+
+/// Turns a spent compact model into its upload: the compact expert of each
+/// of `originals` that `key_map` keeps, in the order given, under its
+/// original id, and the task head. A trained expert is the model's own
+/// copy and moves; an untouched one is shared with the global model and is
+/// copied once, here.
+pub(crate) fn into_compact_upload<'a>(
+    model: MoeModel,
+    originals: impl IntoIterator<Item = &'a ExpertKey>,
+    key_map: &HashMap<ExpertKey, ExpertKey>,
+    weight: f32,
+) -> (Vec<ExpertUpdate>, Matrix) {
+    let MoeModel {
+        layers,
+        lm_head,
+        cls_head,
+        ..
+    } = model;
+    let mut experts: Vec<Vec<Option<Arc<Expert>>>> = layers
+        .into_iter()
+        .map(|l| l.moe.experts.into_iter().map(Some).collect())
+        .collect();
+    let updates = originals
+        .into_iter()
+        .filter_map(|original| {
+            let compact = key_map.get(original)?;
+            let expert = experts[compact.layer][compact.expert]
+                .take()
+                .expect("the key map sends each original to a compact slot of its own");
+            Some(ExpertUpdate {
+                key: *original,
+                expert: Arc::unwrap_or_clone(expert),
+                weight,
+            })
         })
         .collect();
     (updates, active_head(lm_head, cls_head))
@@ -294,29 +339,7 @@ pub fn fmes_local_round(
     // Upload only the trained experts, remapped to their original ids and
     // moved out of the compact model, which is spent here.
     let weight = samples.len().max(1) as f32;
-    let MoeModel {
-        layers,
-        lm_head,
-        cls_head,
-        ..
-    } = compact;
-    let mut trained: Vec<Vec<Option<Expert>>> = layers
-        .into_iter()
-        .map(|l| l.moe.experts.into_iter().map(Some).collect())
-        .collect();
-    let expert_updates = trained_originals
-        .iter()
-        .filter_map(|original| {
-            let compact_key = key_map.get(original)?;
-            Some(ExpertUpdate {
-                key: *original,
-                expert: trained[compact_key.layer][compact_key.expert]
-                    .take()
-                    .expect("the key map sends each original to a compact slot of its own"),
-                weight,
-            })
-        })
-        .collect();
+    let (expert_updates, head) = into_compact_upload(compact, &trained_originals, &key_map, weight);
 
     let breakdown = RoundCostBreakdown {
         fine_tuning_s: cost.fine_tune_time_s(
@@ -335,7 +358,7 @@ pub fn fmes_local_round(
     };
     LocalRoundOutput {
         expert_updates,
-        head_update: Some((active_head(lm_head, cls_head), weight)),
+        head_update: Some((head, weight)),
         train_loss: loss,
         trained_tokens,
         cost: breakdown,

@@ -7,8 +7,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 
 use flux_data::Sample;
 use flux_fl::{
-    dense_upload_payload_bytes, CostModel, EncodedUpload, ExpertUpdate, Participant,
-    RoundCostBreakdown,
+    dense_upload_payload_bytes, CostModel, EncodedUpload, Participant, RoundCostBreakdown,
 };
 use flux_moe::{ActivationProfile, ExpertKey, MoeModel};
 use flux_tensor::SeededRng;
@@ -18,7 +17,8 @@ use crate::assignment::{
     RoleAssigner,
 };
 use crate::baselines::{
-    fmd_local_round, fmes_local_round, fmq_local_round, local_train, LocalRoundOutput,
+    fmd_local_round, fmes_local_round, fmq_local_round, into_compact_upload, local_train,
+    LocalRoundOutput,
 };
 use crate::merging::{ClusteringMode, CompactModelPlan, ExpertGramCache};
 use crate::profiling::{LocalProfiler, ProfilingConfig, QuantizedModelCache, StaleProfiler};
@@ -363,8 +363,9 @@ impl RoundContext<'_> {
 
         // Utility refresh: true gradients for exploitation experts,
         // forward-only estimates for (a few) exploration experts.
+        // The last batch's gradients are read here and released.
         let mut utilities: Vec<ExpertUtility> = Vec::new();
-        if let Some(grads) = &last_grads {
+        if let Some(grads) = last_grads {
             for (compact_key, grad) in &grads.expert_grads {
                 if let Some(original) = plan.original_of_compact(*compact_key) {
                     utilities.push(expert_utility(
@@ -397,20 +398,11 @@ impl RoundContext<'_> {
             }
         }
 
-        // Upload the exploitation experts' updated parameters.
+        // Upload the exploitation experts' updated parameters, moved out of
+        // the compact model, which is spent here.
         let weight = train_samples.len().max(1) as f32;
-        let expert_updates: Vec<ExpertUpdate> = assignment
-            .exploitation
-            .iter()
-            .filter_map(|original| {
-                key_map.get(original).map(|compact_key| ExpertUpdate {
-                    key: *original,
-                    expert: compact.expert(*compact_key).clone(),
-                    weight,
-                })
-            })
-            .collect();
-        let head = compact.active_head().clone();
+        let (expert_updates, head) =
+            into_compact_upload(compact, &assignment.exploitation, &key_map, weight);
 
         // Cost accounting.
         let train_tokens: usize = train_samples.iter().map(|s| s.tokens.len()).sum();

@@ -2,8 +2,8 @@
 //! re-route the gate.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
-use flux_moe::layer::{MoeLayer, TransformerLayer};
 use flux_moe::{ActivationProfile, Expert, ExpertKey, MoeModel, RoutingMap};
 use flux_tensor::{Matrix, SeededRng};
 
@@ -229,40 +229,29 @@ impl CompactModelPlan {
         }
     }
 
-    /// Materializes the compact model described by this plan.
+    /// Materializes the compact model described by this plan. A kept
+    /// expert is shared with `global` (an `Arc` clone), so the compact
+    /// model owns only its merged and zero experts until it writes a kept
+    /// one, which [`MoeModel::expert_mut`] then copies.
     pub fn apply(&self, global: &MoeModel, profile: &ActivationProfile) -> MoeModel {
-        // Everything but the experts is copied; every layer's experts are
-        // built below, so cloning the global ones first would only be
-        // thrown away.
-        let mut compact = MoeModel {
-            config: global.config.clone(),
-            embedding: global.embedding.clone(),
-            layers: global
-                .layers
-                .iter()
-                .map(|layer| TransformerLayer {
-                    attention: layer.attention.clone(),
-                    moe: MoeLayer {
-                        gate: layer.moe.gate.clone(),
-                        experts: Vec::new(),
-                        routing_map: layer.moe.routing_map.clone(),
-                    },
-                })
-                .collect(),
-            lm_head: global.lm_head.clone(),
-            cls_head: global.cls_head.clone(),
-        };
+        // The clone shares the global experts; every layer's list is
+        // replaced below.
+        let mut compact = global.clone();
         for (layer, layer_slots) in self.slots.iter().enumerate() {
             let mut experts = Vec::with_capacity(layer_slots.len());
             for slot in layer_slots {
                 let expert = match slot {
                     ExpertSlot::Keep { original } => {
-                        global.expert(ExpertKey::new(layer, *original)).clone()
+                        Arc::clone(&global.layers[layer].moe.experts[*original])
                     }
-                    ExpertSlot::Merged { originals } => {
-                        merge_cluster(global, profile, layer, originals, self.config.strategy)
-                    }
-                    ExpertSlot::Zero { .. } => zero_expert(global, layer),
+                    ExpertSlot::Merged { originals } => Arc::new(merge_cluster(
+                        global,
+                        profile,
+                        layer,
+                        originals,
+                        self.config.strategy,
+                    )),
+                    ExpertSlot::Zero { .. } => Arc::new(zero_expert(global, layer)),
                 };
                 experts.push(expert);
             }

@@ -10,6 +10,8 @@
 //! test below holds the other half of the bargain: the work that cannot
 //! matter is really not done.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use flux_core::assignment::ForwardGradEstimator;
@@ -90,15 +92,15 @@ fn model_with_orphan(
         let layer = rng.below(layers);
         let list = &model.layers[layer].moe.experts;
         let merged = Expert::weighted_merge(&[&list[experts - 2], &list[experts - 1]], &[1.0, 3.0]);
-        let mut compact: Vec<Expert> = list[..experts - 2].to_vec();
-        compact.push(merged);
+        let mut compact: Vec<Arc<Expert>> = list[..experts - 2].to_vec();
+        compact.push(Arc::new(merged));
         let mut table: Vec<usize> = (0..experts - 1).collect();
         table.push(experts - 2);
         model.set_layer_experts(layer, compact, RoutingMap::from_table(table));
     }
     let layer = rng.below(layers);
     let orphan = Expert::new(model.config.d_model, model.config.d_ff, &mut rng);
-    model.layers[layer].moe.experts.push(orphan);
+    model.layers[layer].moe.experts.push(Arc::new(orphan));
     let key = ExpertKey::new(layer, model.layers[layer].moe.num_experts() - 1);
     (model, key)
 }

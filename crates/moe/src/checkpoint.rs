@@ -14,6 +14,7 @@
 use std::fmt;
 use std::fs;
 use std::path::Path;
+use std::sync::Arc;
 
 use flux_tensor::codec::{BadOption, Reader, Truncated, Writer};
 
@@ -130,7 +131,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<MoeModel, CheckpointError> {
         let top_k = r.u32()? as usize;
         let num_experts = r.count(Expert::MIN_ENCODED_BYTES)?;
         let experts = (0..num_experts)
-            .map(|_| Expert::read_from(r))
+            .map(|_| Expert::read_from(r).map(Arc::new))
             .collect::<Result<Vec<_>, _>>()?;
         let table = get_counts(r)?;
         let routing_map = if table.is_empty() {
@@ -445,7 +446,7 @@ mod tests {
             &[1.0, 1.0],
         );
         let mut experts = m.layers[2].moe.experts[..6].to_vec();
-        experts.push(merged);
+        experts.push(Arc::new(merged));
         m.set_layer_experts(
             2,
             experts,
@@ -581,10 +582,10 @@ mod tests {
         let m = model(6);
         let (d, ff) = (m.config.d_model, m.config.d_ff);
         let mut wide = m.clone();
-        wide.layers[1].moe.experts[3].w1 = Matrix::zeros(d, ff + 1);
+        wide.layers[1].moe.expert_mut(3).w1 = Matrix::zeros(d, ff + 1);
         corrupt(&wide, "a wide w1", "layer 1 expert 3 w1 is 16x33");
         let mut short = m.clone();
-        short.layers[2].moe.experts[0].b2.pop();
+        short.layers[2].moe.expert_mut(0).b2.pop();
         corrupt(&short, "a short b2", "layer 2 expert 0 b2");
         let mut fewer = m.clone();
         fewer.layers.pop();

@@ -1,6 +1,7 @@
 //! MoE feed-forward layers and full transformer blocks.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use threadpool::ThreadPool;
 
@@ -45,6 +46,14 @@ pub fn expert_fanouts() -> usize {
     EXPERT_FANOUTS.with(|c| c.get())
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Batched block caches built on this thread, so model tests can count
+    /// the layers a training forward keeps instead of measuring memory.
+    pub(crate) static LAYER_CACHES_BUILT: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
+}
+
 /// `(compact expert, token rows, routing weights)` per expert that received
 /// at least one row, in ascending compact-expert order.
 type RoutedGroups = Vec<(usize, Vec<usize>, Vec<f32>)>;
@@ -52,12 +61,21 @@ type RoutedGroups = Vec<(usize, Vec<usize>, Vec<f32>)>;
 /// The MoE feed-forward sub-layer: a gate over the *original* expert ids plus
 /// the (possibly merged/compact) expert list and the routing map connecting
 /// the two.
+///
+/// Experts are copy-on-write: cloning a layer (or a whole
+/// [`MoeModel`](crate::MoeModel)) shares every expert with the original,
+/// and [`MoeLayer::expert_mut`] copies an expert the first time it is
+/// written while shared.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MoeLayer {
     /// Gating network producing logits over the original expert ids.
     pub gate: Gate,
-    /// Experts actually materialized on this device (compact ids).
-    pub experts: Vec<Expert>,
+    /// Experts actually materialized on this device (compact ids), each
+    /// behind an `Arc` that clones of this layer share. Writes go through
+    /// [`MoeLayer::expert_mut`] (`Arc::make_mut`), the only write path, so
+    /// a write never reaches another holder's copy; code that builds an
+    /// expert list wraps each new expert in `Arc::new`.
+    pub experts: Vec<Arc<Expert>>,
     /// Original→compact redirection (identity for a pristine model).
     pub routing_map: RoutingMap,
 }
@@ -94,7 +112,7 @@ impl MoeLayer {
         rng: &mut SeededRng,
     ) -> Self {
         let experts = (0..num_experts)
-            .map(|_| Expert::new(d_model, d_ff, rng))
+            .map(|_| Arc::new(Expert::new(d_model, d_ff, rng)))
             .collect();
         Self {
             gate: Gate::new(d_model, num_experts, top_k, rng),
@@ -106,6 +124,12 @@ impl MoeLayer {
     /// Number of experts materialized (compact count).
     pub fn num_experts(&self) -> usize {
         self.experts.len()
+    }
+
+    /// Mutable access to the compact expert `compact`, copying it first if
+    /// another clone still shares it (`Arc::make_mut`).
+    pub fn expert_mut(&mut self, compact: usize) -> &mut Expert {
+        Arc::make_mut(&mut self.experts[compact])
     }
 
     /// Number of original experts the gate routes over.
@@ -527,6 +551,8 @@ impl TransformerLayer {
         bounds: &[(usize, usize)],
         layer_idx: usize,
     ) -> (Matrix, TransformerLayerBatchCache) {
+        #[cfg(test)]
+        LAYER_CACHES_BUILT.with(|c| c.set(c.get() + 1));
         let attn_in = ops::layer_norm(&input, LN_EPS);
         let (attn_out, attn_cache) = self.attention.forward_batch(&attn_in, bounds);
         let post_attention = input.add(&attn_out).expect("residual shapes match");
@@ -821,11 +847,11 @@ mod tests {
         let loss = |l: &MoeLayer| l.forward(&hidden, 0, &[0.0; 4], None).0.sum();
         let eps = 1e-2;
         let base_w = l.experts[expert_id].w2.get(0, 0);
-        l.experts[expert_id].w2.set(0, 0, base_w + eps);
+        l.expert_mut(expert_id).w2.set(0, 0, base_w + eps);
         let plus = loss(&l);
-        l.experts[expert_id].w2.set(0, 0, base_w - eps);
+        l.expert_mut(expert_id).w2.set(0, 0, base_w - eps);
         let minus = loss(&l);
-        l.experts[expert_id].w2.set(0, 0, base_w);
+        l.expert_mut(expert_id).w2.set(0, 0, base_w);
         let numeric = (plus - minus) / (2.0 * eps);
         let analytic = grad.w2.get(0, 0);
         assert!(
@@ -843,7 +869,7 @@ mod tests {
         let mut l = layer(20);
         let merged = Expert::weighted_merge(&[&l.experts[1], &l.experts[3]], &[1.0, 1.0]);
         l.experts.truncate(3);
-        l.experts[1] = merged;
+        l.experts[1] = Arc::new(merged);
         l.routing_map = RoutingMap::from_table(vec![0, 1, 2, 1]);
         let mut rng = SeededRng::new(21);
         let hidden = Matrix::random_normal(12, 8, 1.5, &mut rng);
@@ -878,7 +904,7 @@ mod tests {
         // Merge experts 2 and 3 into a single expert (compact id 2).
         let merged = Expert::weighted_merge(&[&l.experts[2], &l.experts[3]], &[1.0, 1.0]);
         l.experts.truncate(2);
-        l.experts.push(merged);
+        l.experts.push(Arc::new(merged));
         l.routing_map = RoutingMap::from_table(vec![0, 1, 2, 2]);
         let mut rng = SeededRng::new(9);
         let hidden = Matrix::random_normal(10, 8, 1.0, &mut rng);

@@ -26,6 +26,10 @@
 //!   weight packed at INT2/4/8 and profiles expert activation one
 //!   dequantized block at a time, so Flux's local profiling never holds an
 //!   `f32` copy of the model.
+//! * **Copy-on-write experts** — a layer holds its experts behind `Arc`s, so
+//!   a cloned or compact model shares every expert it has not written
+//!   ([`layer::MoeLayer::experts`]), and training caches only the layers
+//!   its backward reaches ([`model::MoeModel::batch_gradients`]).
 
 pub mod attention;
 pub mod batch;

@@ -1,6 +1,7 @@
 //! The full MoE transformer model.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use flux_data::{Dataset, Sample, Task};
 use flux_quant::BitWidth;
@@ -26,6 +27,13 @@ const EVAL_BATCH: usize = 16;
 /// gating weights stay frozen. All experiments instantiate this type either
 /// as the *global* model held by the parameter server or as a *compact*
 /// per-participant model produced by expert merging.
+///
+/// `Clone` copies the frozen weights and heads but *shares* every expert
+/// (see [`MoeLayer::experts`](crate::layer::MoeLayer::experts)): a clone
+/// owns an expert only once it writes it, through
+/// [`MoeModel::expert_mut`], the only write path (`Arc::make_mut`). A
+/// participant that trains a few experts of its copy of the global model
+/// therefore holds those few, not the whole expert set.
 #[derive(Debug, Clone)]
 pub struct MoeModel {
     /// Model configuration.
@@ -54,6 +62,8 @@ pub struct ForwardCache {
 /// ([`MoeModel::forward_batch`]), consumed by the batched backward.
 #[derive(Debug, Clone)]
 pub struct BatchForwardCache {
+    /// One cache per layer from the first cached layer up (every layer for
+    /// [`MoeModel::forward_batch`]).
     layer_caches: Vec<TransformerLayerBatchCache>,
     /// Packed `(total_tokens, d_model)` hidden states after the final layer
     /// norm.
@@ -193,14 +203,16 @@ impl MoeModel {
         &self.layers[key.layer].moe.experts[key.expert]
     }
 
-    /// Mutable access to an expert by `(layer, compact id)`.
+    /// Mutable access to an expert by `(layer, compact id)`, copying it
+    /// first if another clone of the model still shares it.
     pub fn expert_mut(&mut self, key: ExpertKey) -> &mut Expert {
-        &mut self.layers[key.layer].moe.experts[key.expert]
+        self.layers[key.layer].moe.expert_mut(key.expert)
     }
 
-    /// Replaces an expert's parameters.
+    /// Replaces an expert's parameters (clones that shared the old expert
+    /// keep it).
     pub fn set_expert(&mut self, key: ExpertKey, expert: Expert) {
-        self.layers[key.layer].moe.experts[key.expert] = expert;
+        self.layers[key.layer].moe.experts[key.expert] = Arc::new(expert);
     }
 
     /// All expert keys of the materialized (compact) experts.
@@ -276,16 +288,17 @@ impl MoeModel {
     }
 
     /// Replaces the experts and routing map of one layer (customized MoE
-    /// construction / gate re-routing after merging).
+    /// construction / gate re-routing after merging). Experts may come as
+    /// owned [`Expert`]s or as `Arc`s shared with another model.
     ///
     /// # Panics
     ///
     /// Panics if the routing map's original-expert count differs from the
     /// gate width, or the map references a compact expert that is missing.
-    pub fn set_layer_experts(
+    pub fn set_layer_experts<E: Into<Arc<Expert>>>(
         &mut self,
         layer: usize,
-        experts: Vec<Expert>,
+        experts: Vec<E>,
         routing_map: RoutingMap,
     ) {
         let moe = &mut self.layers[layer].moe;
@@ -299,7 +312,7 @@ impl MoeModel {
             experts.len(),
             "routing map targets must match the expert list"
         );
-        moe.experts = experts;
+        moe.experts = experts.into_iter().map(Into::into).collect();
         moe.routing_map = routing_map;
     }
 
@@ -377,9 +390,21 @@ impl MoeModel {
     /// GEMMs) running once over the whole batch, with tokens grouped by
     /// routed expert across all samples.
     pub fn forward_batch(&self, samples: &[&Sample]) -> BatchForwardCache {
+        self.forward_batch_from(samples, 0)
+    }
+
+    /// [`MoeModel::forward_batch`] keeping backward state only for layers
+    /// `first_cached..`: the layers below run the no-cache forward, which
+    /// computes the same hidden states bit for bit and keeps nothing. A
+    /// backward that stops at `first_cached` reads no cache below it.
+    fn forward_batch_from(&self, samples: &[&Sample], first_cached: usize) -> BatchForwardCache {
         let (mut hidden, batch) = self.embed_batch(samples);
-        let mut layer_caches = Vec::with_capacity(self.layers.len());
+        let mut layer_caches = Vec::with_capacity(self.layers.len().saturating_sub(first_cached));
         for (idx, layer) in self.layers.iter().enumerate() {
+            if idx < first_cached {
+                hidden = layer.forward_no_cache_batch(&hidden, batch.bounds(), idx, None);
+                continue;
+            }
             let (next, cache) = layer.forward_batch(hidden, batch.bounds(), idx);
             layer_caches.push(cache);
             hidden = next;
@@ -680,6 +705,10 @@ impl MoeModel {
     /// ([`MoeModel::batch_gradients_reference`]); accumulated quantities
     /// (expert/head parameter gradients, the mean loss) differ only by
     /// float-summation order, within ~1e-4 relative tolerance at f32.
+    ///
+    /// Only what the backward reads is held: the forward caches no layer
+    /// below the lowest tuned one (none at all for an empty tuning set),
+    /// and each layer's cache is dropped as soon as its backward has run.
     pub fn batch_gradients(
         &self,
         samples: &[Sample],
@@ -698,13 +727,17 @@ impl MoeModel {
             };
         }
         let refs: Vec<&Sample> = samples.iter().collect();
-        let cache = self.forward_batch(&refs);
-        let (loss, grad_final_hidden, head_grad) =
-            self.batch_loss_and_head_grads(&refs, &cache.final_hidden, &cache.batch);
-        let mut grad =
-            ops::layer_norm_backward(&cache.last_block_output, &grad_final_hidden, LN_EPS);
-        let mut expert_grads: HashMap<ExpertKey, ExpertGrad> = HashMap::new();
         let lowest = lowest_tuned_layer(tuning).unwrap_or(self.layers.len());
+        let BatchForwardCache {
+            mut layer_caches,
+            final_hidden,
+            last_block_output,
+            batch,
+        } = self.forward_batch_from(&refs, lowest);
+        let (loss, grad_final_hidden, head_grad) =
+            self.batch_loss_and_head_grads(&refs, &final_hidden, &batch);
+        let mut grad = ops::layer_norm_backward(&last_block_output, &grad_final_hidden, LN_EPS);
+        let mut expert_grads: HashMap<ExpertKey, ExpertGrad> = HashMap::new();
         for (idx, layer) in self.layers.iter().enumerate().skip(lowest).rev() {
             let tuning_for_layer: Option<Vec<usize>> = tuning.map(|set| {
                 set.iter()
@@ -712,9 +745,14 @@ impl MoeModel {
                     .map(|k| k.expert)
                     .collect()
             });
+            // Caches run from `lowest` up, so the last one is this layer's;
+            // it drops at the end of the iteration.
+            let cache = layer_caches
+                .pop()
+                .expect("one cache per layer from the lowest tuned one");
             let (grads, grad_input) = layer.backward_batch(
-                &cache.layer_caches[idx],
-                cache.batch.bounds(),
+                &cache,
+                batch.bounds(),
                 &grad,
                 tuning_for_layer.as_deref(),
                 idx > lowest,
@@ -788,7 +826,7 @@ impl MoeModel {
             if key.layer < self.layers.len()
                 && key.expert < self.layers[key.layer].moe.num_experts()
             {
-                self.layers[key.layer].moe.experts[key.expert].apply_sgd(grad, learning_rate);
+                self.expert_mut(*key).apply_sgd(grad, learning_rate);
             }
         }
         let head = match &mut self.cls_head {
@@ -1357,6 +1395,31 @@ mod tests {
     }
 
     #[test]
+    fn batch_gradients_cache_only_the_layers_their_backward_reaches() {
+        let model = tiny_model(21);
+        let batch = [gen_sample(22), gen_sample(23), gen_sample(24)];
+        let built = || crate::layer::LAYER_CACHES_BUILT.with(std::cell::Cell::get);
+        let cached_by = |tuning: Option<&HashSet<ExpertKey>>| {
+            let before = built();
+            let grads = model.batch_gradients(&batch, tuning);
+            (grads, built() - before)
+        };
+        let (all, cached) = cached_by(None);
+        assert_eq!(cached, model.layers.len());
+        // An empty tuning set trains the head alone: no expert gradient,
+        // and no layer is cached, since no backward runs below the head.
+        let (none, cached) = cached_by(Some(&HashSet::new()));
+        assert_eq!(cached, 0);
+        assert!(none.expert_grads.is_empty());
+        assert_eq!(none.loss.to_bits(), all.loss.to_bits());
+        assert_eq!(none.head_grad, all.head_grad);
+        // Lowest tuned layer 2 of 4: layers 2 and 3 are cached.
+        let upper: HashSet<ExpertKey> = [ExpertKey::new(2, 0), ExpertKey::new(3, 5)].into();
+        let (_, cached) = cached_by(Some(&upper));
+        assert_eq!(cached, 2);
+    }
+
+    #[test]
     fn training_reduces_loss_on_small_classification_task() {
         let mut model = tiny_cls_model(10, 2);
         let mut rng = SeededRng::new(11);
@@ -1424,11 +1487,12 @@ mod tests {
             ],
             &[1.0, 2.0],
         );
-        let mut experts: Vec<Expert> = model.layers[1].moe.experts[..6].to_vec();
-        experts.push(merged);
+        let mut experts: Vec<Arc<Expert>> = model.layers[1].moe.experts[..6].to_vec();
+        experts.push(Arc::new(merged));
         let map = RoutingMap::from_table(vec![0, 1, 2, 3, 4, 5, 6, 6]);
         model.set_layer_experts(1, experts, map);
-        for expert in &mut model.layers[0].moe.experts {
+        for e in 0..model.layers[0].moe.num_experts() {
+            let expert = model.layers[0].moe.expert_mut(e);
             expert.b1.fill(0.25);
             expert.b2.fill(-0.5);
         }
@@ -1446,7 +1510,8 @@ mod tests {
                     q(&layer.attention.wo),
                 );
                 layer.moe.gate.weight = q(&layer.moe.gate.weight);
-                for expert in &mut layer.moe.experts {
+                for e in 0..layer.moe.num_experts() {
+                    let expert = layer.moe.expert_mut(e);
                     expert.w1 = q(&expert.w1);
                     expert.w2 = q(&expert.w2);
                 }
@@ -1617,8 +1682,8 @@ mod tests {
             ],
             &[1.0; 4],
         );
-        let mut experts: Vec<Expert> = model.layers[0].moe.experts[..4].to_vec();
-        experts.push(merged);
+        let mut experts: Vec<Arc<Expert>> = model.layers[0].moe.experts[..4].to_vec();
+        experts.push(Arc::new(merged));
         let map = RoutingMap::from_table(vec![0, 1, 2, 3, 4, 4, 4, 4]);
         model.set_layer_experts(0, experts, map);
         assert_eq!(model.layers[0].moe.num_experts(), 5);

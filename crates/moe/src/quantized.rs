@@ -10,6 +10,8 @@
 //! the values [`QuantizedMoe::dequantize`] produces for the whole model —
 //! so the profile is bit-identical to profiling that `f32` copy.
 
+use std::sync::Arc;
+
 use flux_data::Dataset;
 use flux_quant::{BitWidth, QuantizedMatrix};
 use flux_tensor::Matrix;
@@ -175,8 +177,10 @@ impl QuantizedLayer {
             moe.experts.clear();
             return;
         }
-        moe.experts.resize_with(self.experts.len(), empty_expert);
+        moe.experts
+            .resize_with(self.experts.len(), || Arc::new(empty_expert()));
         for (q, e) in self.experts.iter().zip(&mut moe.experts) {
+            let e = Arc::make_mut(e);
             q.w1.dequantize_into(&mut e.w1);
             e.b1.clone_from(&q.b1);
             q.w2.dequantize_into(&mut e.w2);
