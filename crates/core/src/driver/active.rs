@@ -374,12 +374,6 @@ impl ActiveRun {
         self.poll() == RunPhase::Done
     }
 
-    /// Rounds fully recorded so far (pipelined runs trail by one until
-    /// drained).
-    pub fn rounds_recorded(&self) -> usize {
-        self.records.len()
-    }
-
     /// Convenience: `start_round` + `finish_round`.
     pub fn step_round(&mut self, pool: &ThreadPool) {
         self.start_round(pool);

@@ -839,13 +839,6 @@ impl MoeModel {
         }
     }
 
-    /// Predicts the output for one sample (greedy decoding for generation,
-    /// argmax for classification).
-    pub fn predict(&self, sample: &Sample) -> Prediction {
-        let cache = Self::light_cache(self.forward_no_cache(&sample.tokens, None));
-        self.predict_from_cache(sample, &cache)
-    }
-
     /// Prediction from an existing forward cache (lets evaluation reuse the
     /// forward pass it already ran for the loss).
     fn predict_from_cache(&self, sample: &Sample, cache: &ForwardCache) -> Prediction {

@@ -7,168 +7,33 @@
 //! same run through edge aggregators of any width changes nothing; fault
 //! draws key off stable client ids, so injected faults hit the same
 //! clients no matter how the round executes; and a 10,000-client registry
-//! completes with only the sampled cohort materialized. CI re-runs this
-//! suite at `FLUX_THREADS` 1/4/8.
+//! completes with only the sampled cohort materialized. The equivalences
+//! are the `Sampled`, `SampledTree`, `SampledTreeKill` and `SampledFaults`
+//! groups of the equivalence table (`tests/common/mod.rs`).
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod common;
 
-use threadpool::ThreadPool;
+use flux_core::driver::{ExecutionMode, FederatedRun, Method};
 
-use flux_core::driver::{ExecutionMode, FederatedRun, Method, RunConfig, RunPhase, RunResult};
-use flux_data::DatasetKind;
-use flux_fl::FaultPlan;
-use flux_moe::MoeConfig;
-
-/// 12 registered clients, 4 sampled per round: small enough to finish in
-/// seconds, large enough that every round's cohort is a strict subset.
-fn sampled() -> RunConfig {
-    RunConfig::quick_demo(MoeConfig::tiny(), DatasetKind::Gsm8k)
-        .with_participants(12)
-        .with_cohort(4)
-}
-
-fn pool() -> ThreadPool {
-    ThreadPool::from_env()
-}
-
-/// A unique scratch directory per test (parallel tests, repeated runs).
-fn temp_dir(tag: &str) -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "flux_cohort_{tag}_{}_{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-#[derive(Debug, Clone, PartialEq)]
-struct Trace {
-    rounds: Vec<(f32, f32)>,
-    /// Simulated per-round clock. Identical within one schedule; the two
-    /// schedules legitimately disagree on the timeline (the pipeline hides
-    /// server tails), so cross-schedule comparisons go through
-    /// [`Trace::schedule_invariant`].
-    clock: Vec<f64>,
-    faults: Vec<(Vec<usize>, Vec<usize>, Vec<usize>)>,
-    checksum: u64,
-}
-
-impl Trace {
-    /// The schedule-invariant part: losses, scores, faults and weights —
-    /// everything but the simulated timeline.
-    fn schedule_invariant(&self) -> Trace {
-        Trace {
-            clock: Vec::new(),
-            ..self.clone()
-        }
-    }
-}
-
-fn trace_of(result: &RunResult) -> Trace {
-    Trace {
-        rounds: result
-            .rounds
-            .iter()
-            .map(|r| (r.train_loss, r.score))
-            .collect(),
-        clock: result.rounds.iter().map(|r| r.elapsed_hours).collect(),
-        faults: result
-            .rounds
-            .iter()
-            .map(|r| {
-                (
-                    r.faults.dropped.clone(),
-                    r.faults.retried.clone(),
-                    r.faults.rejected.clone(),
-                )
-            })
-            .collect(),
-        checksum: result.final_model.param_checksum(),
-    }
-}
+use common::{check, pool, quick, reference, sampled, Config, Group, TempDir};
 
 #[test]
 fn sampled_runs_are_pinned_across_threads_schedules_and_arrivals() {
-    let reference = trace_of(
-        &FederatedRun::new(sampled(), 31)
-            .with_threads(1)
-            .run(Method::Flux),
-    );
-    let pipelined: Vec<(&str, FederatedRun)> = vec![
-        (
-            "4 threads",
-            FederatedRun::new(sampled(), 31).with_threads(4),
-        ),
-        (
-            "shuffled arrivals",
-            FederatedRun::new(sampled(), 31)
-                .with_threads(4)
-                .with_shuffled_arrivals(97),
-        ),
-        ("env pool", FederatedRun::new(sampled(), 31)),
-    ];
-    for (label, run) in pipelined {
-        assert_eq!(
-            trace_of(&run.run(Method::Flux)),
-            reference,
-            "sampled run diverged under {label}"
-        );
-    }
-    // The barriered schedule agrees on everything but the simulated
-    // timeline, and is itself thread-invariant clock included.
-    let barriered = trace_of(
-        &FederatedRun::new(sampled(), 31)
-            .with_threads(1)
-            .with_mode(ExecutionMode::Barriered)
-            .run(Method::Flux),
-    );
-    assert_eq!(
-        barriered.schedule_invariant(),
-        reference.schedule_invariant(),
-        "schedules diverged on losses/scores/weights"
-    );
-    assert_eq!(
-        trace_of(
-            &FederatedRun::new(sampled(), 31)
-                .with_threads(4)
-                .with_mode(ExecutionMode::Barriered)
-                .run(Method::Flux)
-        ),
-        barriered,
-        "barriered sampled run diverged across thread counts"
-    );
+    check(Group::Sampled);
 }
 
 /// Edge aggregators pre-reduce structurally, so any tree width yields the
 /// flat result bit-for-bit — for sampled cohorts under both schedules.
 #[test]
 fn tree_aggregation_matches_flat_for_sampled_runs() {
-    for method in [Method::Flux, Method::Fmq] {
-        for mode in [ExecutionMode::Pipelined, ExecutionMode::Barriered] {
-            let flat = trace_of(&FederatedRun::new(sampled(), 32).with_mode(mode).run(method));
-            for edges in [2, 4] {
-                let tree = trace_of(
-                    &FederatedRun::new(sampled().with_aggregation_edges(edges), 32)
-                        .with_mode(mode)
-                        .run(method),
-                );
-                assert_eq!(
-                    tree, flat,
-                    "{edges}-edge tree diverged from flat under {mode:?}"
-                );
-            }
-        }
-    }
+    check(Group::SampledTree);
 }
 
 /// Every round dispatches exactly the sampler's cohort: K materialized
 /// participants, stable ids, identical across separately started runs.
 #[test]
 fn cohorts_are_deterministic_and_materialize_k_of_n() {
-    let pool = pool();
+    let pool = pool(None);
     let run = FederatedRun::new(sampled(), 33);
     let mut active = run.start(Method::Flux);
     assert_eq!(active.registered_clients(), 12);
@@ -199,42 +64,15 @@ fn cohorts_are_deterministic_and_materialize_k_of_n() {
 /// cohort from the seed.
 #[test]
 fn mid_round_kill_of_a_sampled_tree_run_replays_bit_identically() {
-    let pool = pool();
-    let run = FederatedRun::new(sampled().with_aggregation_edges(3), 34);
-    let reference = trace_of(&run.run(Method::Flux));
-    for kill_round in [0, 1] {
-        let dir = temp_dir("kill");
-        {
-            let mut active = run.start(Method::Flux);
-            for _ in 0..kill_round {
-                active.step_round(&pool);
-            }
-            active.start_round(&pool);
-            assert_eq!(active.poll(), RunPhase::ReadyToFinish { round: kill_round });
-            active.checkpoint(&dir).expect("checkpoint succeeds");
-            // The process "crashes" here: the live run is dropped.
-        }
-        let mut restored = run
-            .restore(Method::Flux, &dir)
-            .expect("checkpoint restores");
-        while !restored.is_done() {
-            restored.step_round(&pool);
-        }
-        assert_eq!(
-            trace_of(&restored.finish()),
-            reference,
-            "mid-round kill at round {kill_round} must replay bit-identically"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    check(Group::SampledTreeKill);
 }
 
 /// Resuming a sampled run under a different cohort size or tree shape is
 /// refused: both are part of the checkpoint fingerprint.
 #[test]
 fn restore_rejects_mismatched_cohort_configuration() {
-    let pool = pool();
-    let dir = temp_dir("fingerprint");
+    let pool = pool(None);
+    let dir = TempDir::new("fingerprint");
     let run = FederatedRun::new(sampled().with_aggregation_edges(2), 35);
     let mut active = run.start(Method::Flux);
     active.step_round(&pool);
@@ -249,60 +87,37 @@ fn restore_rejects_mismatched_cohort_configuration() {
         wrong_edges.restore(Method::Flux, &dir).is_err(),
         "a different tree width must not resume this checkpoint"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Fault draws are pure in the **stable client id**, so under sampling the
-/// same clients fault no matter the thread count or schedule, and every
-/// faulted id is a member of that round's cohort.
+/// same clients fault no matter the thread count or schedule (the table's
+/// rows), and every faulted id is a member of that round's cohort.
 #[test]
 fn fault_injection_under_sampling_keys_off_stable_client_ids() {
-    let config = || sampled().with_fault_plan(FaultPlan::new(77).with_crashes(0.35));
-    let reference = trace_of(
-        &FederatedRun::new(config(), 36)
-            .with_threads(1)
-            .run(Method::Flux),
+    let reference = reference(
+        Config::SampledFaulty,
+        Method::Flux,
+        ExecutionMode::Pipelined,
     );
     assert!(
         reference
-            .faults
+            .rounds
             .iter()
-            .any(|(dropped, _, _)| !dropped.is_empty()),
+            .any(|r| !r.faults.dropped.is_empty()),
         "the plan must actually drop someone for this test to bite"
     );
     // Dropped ids are stable client ids drawn from the round's cohort.
-    let probe = FederatedRun::new(config(), 36).start(Method::Flux);
-    for (round, (dropped, _, _)) in reference.faults.iter().enumerate() {
+    let probe = Config::SampledFaulty.run().start(Method::Flux);
+    for (round, record) in reference.rounds.iter().enumerate() {
         let cohort = probe.cohort_of(round);
-        for id in dropped {
+        for id in &record.faults.dropped {
             assert!(
                 cohort.contains(id),
                 "round {round} dropped non-cohort id {id}"
             );
         }
     }
-    assert_eq!(
-        trace_of(
-            &FederatedRun::new(config(), 36)
-                .with_threads(4)
-                .run(Method::Flux)
-        ),
-        reference,
-        "fault schedule diverged under 4 threads"
-    );
-    // The barriered schedule must hit the identical clients (it keeps its
-    // own timeline, hence the schedule-invariant comparison).
-    assert_eq!(
-        trace_of(
-            &FederatedRun::new(config(), 36)
-                .with_threads(4)
-                .with_mode(ExecutionMode::Barriered)
-                .run(Method::Flux)
-        )
-        .schedule_invariant(),
-        reference.schedule_invariant(),
-        "fault schedule diverged under the barriered schedule"
-    );
+    check(Group::SampledFaults);
 }
 
 /// The scale target: 10,000 registered clients, 4 sampled per round. The
@@ -310,8 +125,8 @@ fn fault_injection_under_sampling_keys_off_stable_client_ids() {
 /// O(K), and the run completes.
 #[test]
 fn ten_thousand_registered_clients_run_with_cohort_sized_state() {
-    let pool = pool();
-    let config = RunConfig::quick_demo(MoeConfig::tiny(), DatasetKind::Gsm8k)
+    let pool = pool(None);
+    let config = quick()
         .with_participants(10_000)
         .with_cohort(4)
         .with_rounds(2);

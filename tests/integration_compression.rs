@@ -1,131 +1,49 @@
-//! Golden-trace suite for the upload-compression layer.
-//!
-//! The dense-upload run is the reference semantics. Lossless delta
-//! encoding (XOR bit patterns against the round-start snapshot) must
-//! reproduce its per-round losses, per-round scores, and final global
-//! weights **bit-identically** — across thread counts, both execution
-//! schedules, and shuffled arrival orders — while shipping strictly fewer
-//! bytes. Lossy modes (int8/int4 quantized deltas, top-k sparsification)
-//! trade accuracy for bytes; their scores are pinned within tolerance of
-//! the dense run and their byte counts must shrink monotonically with the
-//! configured width and sparsity.
-//!
-//! CI runs this suite under `FLUX_THREADS` 1/4/8, so the default-pool runs
-//! exercise every pool width.
+//! The upload-compression layer. Lossless delta encoding (XOR bit
+//! patterns against the round-start snapshot) reproduces the dense run
+//! bit for bit — across thread counts, schedules, arrival orders and the
+//! scheduler — while shipping fewer bytes; lossy modes (int8/int4
+//! quantized deltas, top-k sparsification) are pure functions of upload and
+//! snapshot, so they hold their own bits the same way. Those are the
+//! `Wire`, `LosslessArrivals`, `Lossy` and `CompressedScheduled` groups of
+//! the equivalence table (`tests/common/mod.rs`). This suite adds what only
+//! compression has: lossy scores within tolerance of the dense run, bytes
+//! that shrink with width and sparsity, and the slow-uplink speedup.
 
-use flux_core::driver::{ExecutionMode, FederatedRun, Method, RunConfig, RunResult};
-use flux_core::scheduler::{JobSpec, SchedulePolicy, Scheduler};
-use flux_data::DatasetKind;
+mod common;
+
+use common::{check, quick, reference, trace_of, Config, Group, Trace, SEED};
+use flux_core::driver::{ExecutionMode, FederatedRun, Method};
 use flux_fl::{CompressionConfig, LinkProfile};
-use flux_moe::MoeConfig;
 use flux_quant::BitWidth;
-use threadpool::ThreadPool;
-
-fn quick() -> RunConfig {
-    RunConfig::quick_demo(MoeConfig::tiny(), DatasetKind::Gsm8k)
-}
-
-/// The golden trace of one run: (train_loss, score) per round plus the
-/// final weight checksum.
-#[derive(Debug, Clone, PartialEq)]
-struct Trace {
-    rounds: Vec<(f32, f32)>,
-    checksum: u64,
-}
-
-fn trace_of(result: &RunResult) -> Trace {
-    Trace {
-        rounds: result
-            .rounds
-            .iter()
-            .map(|r| (r.train_loss, r.score))
-            .collect(),
-        checksum: result.final_model.param_checksum(),
-    }
-}
 
 #[test]
 fn lossless_delta_is_bit_identical_to_dense_uploads() {
-    // Reference: dense uploads, barriered, fully sequential.
-    let dense = FederatedRun::new(quick(), 404)
-        .with_mode(ExecutionMode::Barriered)
-        .with_threads(1)
-        .run(Method::Flux);
-    let golden = trace_of(&dense);
-    assert_eq!(golden.rounds.len(), 3);
-
-    // Lossless compression must not change a single bit, whatever the
-    // schedule or thread count. The default-pool run (no with_threads)
-    // sizes its pool from FLUX_THREADS, which the CI legs sweep over 1/4/8.
-    let configs: Vec<FederatedRun> = vec![
-        FederatedRun::new(
-            quick().with_compression(CompressionConfig::LosslessDelta),
-            404,
-        ),
-        FederatedRun::new(
-            quick().with_compression(CompressionConfig::LosslessDelta),
-            404,
-        )
-        .with_mode(ExecutionMode::Barriered),
-        FederatedRun::new(
-            quick().with_compression(CompressionConfig::LosslessDelta),
-            404,
-        )
-        .with_threads(1),
-        FederatedRun::new(
-            quick().with_compression(CompressionConfig::LosslessDelta),
-            404,
-        )
-        .with_threads(4),
-    ];
-    for (i, run) in configs.into_iter().enumerate() {
-        let compressed = run.run(Method::Flux);
-        assert_eq!(
-            golden,
-            trace_of(&compressed),
-            "lossless variant {i} diverged from the dense golden trace"
-        );
-        // ...while actually compressing: every round ships fewer bytes.
-        assert!(
-            compressed.upload_bytes_compressed < compressed.upload_bytes_dense,
-            "variant {i}: encoded {} >= dense {}",
-            compressed.upload_bytes_compressed,
-            compressed.upload_bytes_dense
-        );
-        assert_eq!(compressed.upload_bytes_dense, dense.upload_bytes_dense);
-    }
+    check(Group::Wire);
 }
 
 #[test]
 fn lossless_delta_survives_shuffled_arrival_orders() {
-    let golden = trace_of(
-        &FederatedRun::new(
-            quick().with_compression(CompressionConfig::LosslessDelta),
-            404,
-        )
-        .with_threads(1)
-        .run(Method::Flux),
-    );
-    for arrival_seed in [1u64, 2, 3] {
-        let shuffled = trace_of(
-            &FederatedRun::new(
-                quick().with_compression(CompressionConfig::LosslessDelta),
-                404,
-            )
-            .with_threads(4)
-            .with_shuffled_arrivals(arrival_seed)
-            .run(Method::Flux),
-        );
-        assert_eq!(
-            golden, shuffled,
-            "arrival seed {arrival_seed} changed the compressed trace"
-        );
-    }
+    check(Group::LosslessArrivals);
+}
+
+/// A Flux run at the table's seed with `compression`; the three configs
+/// the table runs come from its shared references.
+fn flux_with(compression: CompressionConfig) -> Trace {
+    let config = match compression {
+        CompressionConfig::Dense => Config::Quick,
+        CompressionConfig::LosslessDelta => Config::Lossless,
+        lossy if lossy == Config::Lossy.config().compression => Config::Lossy,
+        other => {
+            let run = FederatedRun::new(quick().with_compression(other), SEED);
+            return trace_of(&run.run(Method::Flux));
+        }
+    };
+    reference(config, Method::Flux, ExecutionMode::Pipelined)
 }
 
 #[test]
 fn lossy_modes_stay_within_tolerance_of_the_dense_run() {
-    let dense = FederatedRun::new(quick(), 404).run(Method::Flux);
+    let dense = flux_with(CompressionConfig::Dense);
     for (label, config) in [
         ("int8", CompressionConfig::quantized(BitWidth::Int8)),
         ("int4", CompressionConfig::quantized(BitWidth::Int4)),
@@ -134,22 +52,18 @@ fn lossy_modes_stay_within_tolerance_of_the_dense_run() {
             CompressionConfig::quantized_sparse(BitWidth::Int4, 0.25),
         ),
     ] {
-        let lossy = FederatedRun::new(quick().with_compression(config), 404).run(Method::Flux);
+        let lossy = flux_with(config);
         assert_eq!(lossy.rounds.len(), dense.rounds.len());
-        for (d, l) in dense.rounds.iter().zip(lossy.rounds.iter()) {
+        for (round, (d, l)) in dense.rounds.iter().zip(&lossy.rounds).enumerate() {
+            let (d_score, l_score) = (f32::from_bits(d.score_bits), f32::from_bits(l.score_bits));
+            let (d_loss, l_loss) = (f32::from_bits(d.loss_bits), f32::from_bits(l.loss_bits));
             assert!(
-                (d.score - l.score).abs() <= 0.15,
-                "{label} round {}: score {} vs dense {}",
-                d.round,
-                l.score,
-                d.score
+                (d_score - l_score).abs() <= 0.15,
+                "{label} round {round}: score {l_score} vs dense {d_score}"
             );
             assert!(
-                (d.train_loss - l.train_loss).abs() <= 0.25,
-                "{label} round {}: loss {} vs dense {}",
-                d.round,
-                l.train_loss,
-                d.train_loss
+                (d_loss - l_loss).abs() <= 0.25,
+                "{label} round {round}: loss {l_loss} vs dense {d_loss}"
             );
         }
     }
@@ -157,34 +71,17 @@ fn lossy_modes_stay_within_tolerance_of_the_dense_run() {
 
 #[test]
 fn lossy_runs_are_bit_identical_across_thread_counts_and_arrivals() {
-    // Lossy ≠ nondeterministic: the quantized/sparsified payload is a pure
-    // function of the upload and the snapshot, so the whole run stays
-    // bit-identical across pool widths and arrival orders.
-    let config = CompressionConfig::quantized_sparse(BitWidth::Int4, 0.25);
-    let reference = FederatedRun::new(quick().with_compression(config), 404)
-        .with_threads(1)
-        .run(Method::Flux);
-    let golden = trace_of(&reference);
-    for threads in [2usize, 4] {
-        let threaded = FederatedRun::new(quick().with_compression(config), 404)
-            .with_threads(threads)
-            .run(Method::Flux);
-        assert_eq!(golden, trace_of(&threaded), "threads {threads} diverged");
-        assert_eq!(reference.rounds, threaded.rounds);
-    }
-    let shuffled = FederatedRun::new(quick().with_compression(config), 404)
-        .with_threads(4)
-        .with_shuffled_arrivals(7)
-        .run(Method::Flux);
-    assert_eq!(golden, trace_of(&shuffled), "shuffled arrivals diverged");
+    check(Group::Lossy);
 }
 
 #[test]
 fn encoded_bytes_shrink_with_width_and_sparsity() {
-    let bytes_of = |config: CompressionConfig| {
-        FederatedRun::new(quick().with_compression(config), 404)
-            .run(Method::Flux)
-            .upload_bytes_compressed
+    let bytes_of = |config| -> usize {
+        flux_with(config)
+            .rounds
+            .iter()
+            .map(|r| r.upload_bytes_encoded)
+            .sum()
     };
     let dense = bytes_of(CompressionConfig::Dense);
     let lossless = bytes_of(CompressionConfig::LosslessDelta);
@@ -220,33 +117,5 @@ fn compression_cuts_simulated_communication_on_a_slow_uplink() {
 
 #[test]
 fn compression_threads_through_the_scheduler() {
-    // A compressed job stepped through the multi-run scheduler must equal
-    // the same run executed standalone — JobSpec carries the full
-    // RunConfig, compression knob included.
-    let config = quick().with_compression(CompressionConfig::LosslessDelta);
-    let standalone = trace_of(
-        &FederatedRun::new(config.clone(), 404)
-            .with_threads(2)
-            .run(Method::Flux),
-    );
-    let scheduler = Scheduler::on_pool(ThreadPool::new(2), SchedulePolicy::Concurrent);
-    let mut results = scheduler.run_all(vec![
-        JobSpec::new(
-            "compressed",
-            FederatedRun::new(config, 404).with_threads(2),
-            Method::Flux,
-        ),
-        JobSpec::new(
-            "dense-neighbor",
-            FederatedRun::new(quick(), 405).with_threads(2),
-            Method::Fmd,
-        ),
-    ]);
-    let scheduled = results.remove(0);
-    assert_eq!(scheduled.name, "compressed");
-    assert_eq!(
-        standalone,
-        trace_of(&scheduled.result),
-        "scheduler interleaving changed the compressed run"
-    );
+    check(Group::CompressedScheduled);
 }

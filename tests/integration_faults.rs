@@ -3,40 +3,20 @@
 //! Uploads can crash, arrive bit-flipped or truncated, or stall past the
 //! delivery window — scripted per participant with one-shot
 //! [`ParticipantBehavior`] incidents or drawn from a seeded
-//! [`FaultPlan`]. The server must *degrade*, never panic: damaged
+//! `FaultPlan`. The server must *degrade*, never panic: damaged
 //! payloads are rejected by the checksum-validated decode, transient
 //! failures are retried within the round deadline, and rounds finalize on
 //! a quorum. Every fault draw is a pure function of the seeds, so faulty
-//! runs stay bit-identical across thread counts and schedules (CI re-runs
-//! this suite at `FLUX_THREADS` 1/4/8).
+//! runs stay bit-identical across thread counts, schedules and a mid-round
+//! kill, and a retried fault leaves the clean run's aggregate — the
+//! `RetriedCorruption`, `RetriedStall`, `FaultPlan` and `FaultyKill`
+//! groups of the equivalence table (`tests/common/mod.rs`).
 
-use flux_core::driver::{ExecutionMode, FederatedRun, Method, RunConfig, RunResult};
-use flux_data::DatasetKind;
-use flux_fl::{CompressionConfig, FaultPlan, FaultToleranceConfig, ParticipantBehavior};
-use flux_moe::MoeConfig;
+mod common;
 
-fn quick() -> RunConfig {
-    RunConfig::quick_demo(MoeConfig::tiny(), DatasetKind::Gsm8k)
-}
-
-#[derive(Debug, Clone, PartialEq)]
-struct Trace {
-    rounds: Vec<(f32, f32)>,
-    checksum: u64,
-}
-
-/// Losses, scores and the final weight checksum — the schedule-independent
-/// part of a result (simulated round times differ between schedules).
-fn trace_of(result: &RunResult) -> Trace {
-    Trace {
-        rounds: result
-            .rounds
-            .iter()
-            .map(|r| (r.train_loss, r.score))
-            .collect(),
-        checksum: result.final_model.param_checksum(),
-    }
-}
+use common::{check, quick, reference, Config, Group};
+use flux_core::driver::{ExecutionMode, FederatedRun, Method};
+use flux_fl::{CompressionConfig, FaultToleranceConfig, ParticipantBehavior};
 
 #[test]
 fn corrupt_upload_is_rejected_not_panicking() {
@@ -60,48 +40,25 @@ fn corrupt_upload_is_rejected_not_panicking() {
 
 #[test]
 fn transient_corruption_recovers_with_a_retry() {
-    let clean = FederatedRun::new(quick(), 32).run(Method::Flux);
-    let result = FederatedRun::new(
-        quick().with_fault_tolerance(
-            FaultToleranceConfig::default()
-                .with_retries(1, 30.0)
-                .with_deadline(1e9),
-        ),
-        32,
-    )
-    .with_behavior(0, ParticipantBehavior::CorruptAt { round: 1 })
-    .run(Method::Flux);
-    let faulty = &result.rounds[1].faults;
+    // The retried upload leaves the clean aggregate (the table's row); the
+    // ledger shows the rejected attempt and the retry that landed.
+    let faulty = &check(Group::RetriedCorruption)[0].rounds[1].faults;
     assert_eq!(faulty.rejected, vec![0]);
     assert_eq!(faulty.retried, vec![0], "the second attempt lands");
     assert!(faulty.dropped.is_empty());
-    assert_eq!(
-        trace_of(&result),
-        trace_of(&clean),
-        "a retried upload leaves the aggregate unchanged"
-    );
 }
 
 #[test]
 fn stalled_upload_drops_without_retry_and_lands_with_one() {
-    let clean = FederatedRun::new(quick(), 33).run(Method::Flux);
     let no_retry = FederatedRun::new(quick(), 33)
         .with_behavior(2, ParticipantBehavior::StallAt { round: 0 })
         .run(Method::Flux);
     assert_eq!(no_retry.rounds[0].faults.dropped, vec![2]);
-    let with_retry = FederatedRun::new(
-        quick().with_fault_tolerance(FaultToleranceConfig::default().with_retries(1, 15.0)),
-        33,
-    )
-    .with_behavior(2, ParticipantBehavior::StallAt { round: 0 })
-    .run(Method::Flux);
-    assert_eq!(with_retry.rounds[0].faults.retried, vec![2]);
-    assert!(with_retry.rounds[0].faults.dropped.is_empty());
-    assert_eq!(
-        trace_of(&with_retry),
-        trace_of(&clean),
-        "the retried stall recovers the clean aggregate"
-    );
+    // With one retry the stall recovers the clean aggregate (the table's
+    // row) and the ledger shows the retry.
+    let with_retry = &check(Group::RetriedStall)[0].rounds[0].faults;
+    assert_eq!(with_retry.retried, vec![2]);
+    assert!(with_retry.dropped.is_empty());
 }
 
 #[test]
@@ -138,64 +95,17 @@ fn quorum_finalizes_rounds_on_the_earliest_arrivals() {
 
 #[test]
 fn fault_plan_runs_are_deterministic_across_schedules() {
-    let config = quick()
-        .with_fault_plan(FaultPlan::new(9).with_crashes(0.2).with_corruption(0.2))
-        .with_fault_tolerance(
-            FaultToleranceConfig::default()
-                .with_retries(2, 10.0)
-                .with_deadline(1e9),
-        );
-    let pipelined = FederatedRun::new(config.clone(), 36).run(Method::Flux);
-    let again = FederatedRun::new(config.clone(), 36).run(Method::Flux);
-    assert_eq!(
-        pipelined.rounds, again.rounds,
-        "identical seeds draw identical faults"
-    );
-    let barriered = FederatedRun::new(config, 36)
-        .with_mode(ExecutionMode::Barriered)
-        .run(Method::Flux);
-    assert_eq!(trace_of(&pipelined), trace_of(&barriered));
-    let faults: Vec<_> = pipelined.rounds.iter().map(|r| &r.faults).collect();
-    let barriered_faults: Vec<_> = barriered.rounds.iter().map(|r| &r.faults).collect();
-    assert_eq!(faults, barriered_faults);
+    // Identical seeds draw identical faults across thread counts and both
+    // schedules: the ledger is part of every trace the table compares.
+    check(Group::FaultPlan);
+    let faulty = reference(Config::Faulty, Method::Flux, ExecutionMode::Pipelined);
     assert!(
-        pipelined.rounds.iter().any(|r| !r.faults.is_clean()),
+        faulty.rounds.iter().any(|r| !r.faults.is_clean()),
         "the plan's rates must actually fire at these seeds"
     );
 }
 
 #[test]
 fn mid_round_recovery_under_faults_is_bit_identical() {
-    use std::path::PathBuf;
-    use threadpool::ThreadPool;
-
-    let dir: PathBuf =
-        std::env::temp_dir().join(format!("flux_faulty_recovery_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let run = FederatedRun::new(
-        quick()
-            .with_fault_plan(FaultPlan::new(5).with_corruption(0.3))
-            .with_fault_tolerance(FaultToleranceConfig::default().with_retries(1, 5.0)),
-        37,
-    );
-    let reference = run.run(Method::Flux);
-    let pool = ThreadPool::from_env();
-    {
-        let mut active = run.start(Method::Flux);
-        active.step_round(&pool);
-        active.start_round(&pool);
-        active.checkpoint(&dir).expect("mid-round checkpoint");
-        // Crash: the in-flight round is dropped with the process.
-    }
-    let mut restored = run.restore(Method::Flux, &dir).expect("restore succeeds");
-    while !restored.is_done() {
-        restored.step_round(&pool);
-    }
-    let recovered = restored.finish();
-    assert_eq!(recovered.rounds, reference.rounds);
-    assert_eq!(
-        recovered.final_model.param_checksum(),
-        reference.final_model.param_checksum()
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    check(Group::FaultyKill);
 }

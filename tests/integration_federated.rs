@@ -1,18 +1,19 @@
 //! Cross-crate integration tests of the full federated pipeline,
-//! including straggler and mid-run dropout scenarios.
+//! including straggler and mid-run dropout scenarios. That a rerun, a
+//! straggler and a dropout's schedule change no bit is the `Rerun`,
+//! `Straggler` and `StragglerUnderDropout` groups of the equivalence table
+//! (`tests/common/mod.rs`).
 
-use flux_core::driver::{ExecutionMode, FederatedRun, Method, RunConfig};
+mod common;
+
+use flux_core::driver::{ExecutionMode, FederatedRun, Method};
 use flux_data::DatasetKind;
-use flux_fl::ParticipantBehavior;
-use flux_moe::MoeConfig;
 
-fn quick(dataset: DatasetKind) -> RunConfig {
-    RunConfig::quick_demo(MoeConfig::tiny(), dataset)
-}
+use common::{check, quick, quick_on, reference, Config, Group};
 
 #[test]
 fn flux_end_to_end_produces_monotone_clock_and_scores() {
-    let result = FederatedRun::new(quick(DatasetKind::Gsm8k), 101).run(Method::Flux);
+    let result = FederatedRun::new(quick(), 101).run(Method::Flux);
     assert_eq!(result.rounds.len(), 3);
     // The simulated clock must advance strictly.
     for pair in result.rounds.windows(2) {
@@ -29,7 +30,7 @@ fn flux_end_to_end_produces_monotone_clock_and_scores() {
 
 #[test]
 fn flux_round_time_beats_fmd_and_fmq() {
-    let run = FederatedRun::new(quick(DatasetKind::Piqa), 102);
+    let run = FederatedRun::new(quick_on(DatasetKind::Piqa), 102);
     let flux: f64 = run
         .run(Method::Flux)
         .rounds
@@ -61,7 +62,7 @@ fn flux_round_time_beats_fmd_and_fmq() {
 #[test]
 fn generation_and_classification_datasets_both_run() {
     for dataset in [DatasetKind::Dolly, DatasetKind::Mmlu] {
-        let result = FederatedRun::new(quick(dataset), 103).run(Method::Flux);
+        let result = FederatedRun::new(quick_on(dataset), 103).run(Method::Flux);
         assert_eq!(result.rounds.len(), 3);
         assert!(result.final_score >= 0.0 && result.final_score <= 1.2);
     }
@@ -69,19 +70,13 @@ fn generation_and_classification_datasets_both_run() {
 
 #[test]
 fn runs_are_reproducible_across_invocations() {
-    let a = FederatedRun::new(quick(DatasetKind::Gsm8k), 202).run(Method::Fmes);
-    let b = FederatedRun::new(quick(DatasetKind::Gsm8k), 202).run(Method::Fmes);
-    assert_eq!(a.rounds.len(), b.rounds.len());
-    for (x, y) in a.rounds.iter().zip(b.rounds.iter()) {
-        assert_eq!(x.score, y.score);
-        assert_eq!(x.round_seconds, y.round_seconds);
-    }
+    check(Group::Rerun);
 }
 
 #[test]
 fn different_seeds_change_the_run() {
-    let a = FederatedRun::new(quick(DatasetKind::Gsm8k), 1).run(Method::Flux);
-    let b = FederatedRun::new(quick(DatasetKind::Gsm8k), 2).run(Method::Flux);
+    let a = FederatedRun::new(quick(), 1).run(Method::Flux);
+    let b = FederatedRun::new(quick(), 2).run(Method::Flux);
     let same = a
         .rounds
         .iter()
@@ -93,99 +88,44 @@ fn different_seeds_change_the_run() {
 
 #[test]
 fn straggler_changes_arrival_order_but_not_results() {
-    // A participant that returns late (wall-clock stall before its upload)
-    // lands at the back of the pipeline's arrival order. The run must
-    // neither deadlock (the test completing is the proof) nor change a
-    // single bit of the outcome.
-    let reference = FederatedRun::new(quick(DatasetKind::Gsm8k), 77)
-        .with_threads(4)
-        .run(Method::Flux);
-    let with_straggler = FederatedRun::new(quick(DatasetKind::Gsm8k), 77)
-        .with_threads(4)
-        .with_behavior(0, ParticipantBehavior::Straggler { delay_ms: 30 })
-        .run(Method::Flux);
-    assert_eq!(reference.rounds, with_straggler.rounds);
-    assert_eq!(
-        reference.final_model.lm_head,
-        with_straggler.final_model.lm_head
-    );
+    // A participant that returns late lands at the back of the arrival
+    // order: the run must neither deadlock nor change a single bit.
+    check(Group::Straggler);
 }
 
 #[test]
 fn dropout_participant_is_excluded_once_not_double_counted() {
-    // Participant 2 drops out from round 1 on: the pipelined and barriered
-    // schedules must agree exactly on how its absence is handled — its
-    // weight leaves the aggregate (and the loss mean) in both, so neither
-    // schedule can be dropping it twice or keeping a stale copy.
-    let behavior = ParticipantBehavior::DropoutAt { round: 1 };
-    let pipelined = FederatedRun::new(quick(DatasetKind::Gsm8k), 78)
-        .with_threads(4)
-        .with_behavior(2, behavior)
-        .run(Method::Flux);
-    let barriered = FederatedRun::new(quick(DatasetKind::Gsm8k), 78)
-        .with_mode(ExecutionMode::Barriered)
-        .with_threads(1)
-        .with_behavior(2, behavior)
-        .run(Method::Flux);
-    // Schedules agree on everything but the simulated timeline (the
-    // pipeline hides non-final aggregation tails).
-    assert_eq!(pipelined.rounds.len(), barriered.rounds.len());
-    for (p, b) in pipelined.rounds.iter().zip(barriered.rounds.iter()) {
-        assert_eq!(p.score, b.score, "round {} score diverged", p.round);
-        assert_eq!(
-            p.train_loss, b.train_loss,
-            "round {} loss diverged",
-            p.round
-        );
-        assert_eq!(p.tokens_trained, b.tokens_trained);
-        assert_eq!(p.breakdown, b.breakdown);
-    }
-    assert_eq!(pipelined.final_model.lm_head, barriered.final_model.lm_head);
-    for key in pipelined.final_model.expert_keys() {
-        assert_eq!(
-            pipelined.final_model.expert(key),
-            barriered.final_model.expert(key),
-            "{key:?} diverged between schedules under dropout"
-        );
-    }
-
-    // The dropout must actually bite: before the dropout round the run is
-    // identical to a healthy one, afterwards it diverges.
-    let healthy = FederatedRun::new(quick(DatasetKind::Gsm8k), 78).run(Method::Flux);
-    assert_eq!(healthy.rounds[0], pipelined.rounds[0]);
-    assert!(
-        healthy.rounds[1..] != pipelined.rounds[1..]
-            || healthy.final_model.lm_head != pipelined.final_model.lm_head,
+    // Participant 2 drops out from round 1 on (both schedules agree on how:
+    // the table's row). The dropout must actually bite: before the dropout
+    // round the run is identical to a healthy one, afterwards its weight
+    // leaves the aggregate.
+    let run = |config| reference(config, Method::Flux, ExecutionMode::Pipelined);
+    let (healthy, dropout) = (run(Config::Quick), run(Config::Dropout));
+    assert_eq!(healthy.rounds[0], dropout.rounds[0]);
+    assert_ne!(
+        healthy.rounds[1].tokens_trained,
+        dropout.rounds[1].tokens_trained
+    );
+    assert_ne!(
+        healthy.param_checksum, dropout.param_checksum,
         "dropping a participant must change the aggregate"
     );
 }
 
 #[test]
 fn straggler_and_dropout_combined_complete_under_pipeline() {
-    // Worst case both at once, threaded: a late participant plus a
-    // mid-run dropout must still terminate (no deadlock) with a full set
-    // of records, and stay deterministic across repetitions.
-    let run = || {
-        FederatedRun::new(quick(DatasetKind::Piqa), 79)
-            .with_threads(4)
-            .with_behavior(1, ParticipantBehavior::Straggler { delay_ms: 20 })
-            .with_behavior(3, ParticipantBehavior::DropoutAt { round: 2 })
-            .run(Method::Flux)
-    };
-    let a = run();
-    let b = run();
-    assert_eq!(a.rounds.len(), 3);
-    assert_eq!(a.rounds, b.rounds);
+    // Worst case both at once, threaded: a late participant plus a mid-run
+    // dropout must still terminate with a full set of records, the same
+    // under both schedules.
+    check(Group::StragglerUnderDropout);
 }
 
 #[test]
 fn more_participants_do_not_slow_down_rounds() {
     // With the same total dataset, more participants means less local data
     // each, so the critical-path round time must not grow.
-    let few =
-        FederatedRun::new(quick(DatasetKind::Gsm8k).with_participants(2), 7).run(Method::Flux);
-    let many =
-        FederatedRun::new(quick(DatasetKind::Gsm8k).with_participants(8), 7).run(Method::Flux);
+    let few = FederatedRun::new(quick().with_participants(2), 7).run(Method::Flux);
+    let many = FederatedRun::new(quick().with_participants(8), 7).run(Method::Flux);
     let mean = |r: &flux_core::driver::RunResult| {
         r.rounds.iter().map(|x| x.round_seconds).sum::<f64>() / r.rounds.len() as f64
     };

@@ -5,8 +5,8 @@
 //! the final evaluation score of every method in the
 //! paper's comparison must be identical whether the whole federated run
 //! executes on scalar or on the best vectorized kernels. CI additionally
-//! sweeps `FLUX_SIMD=0/1` over the golden-trace suites, which pins the full
-//! per-round traces bit-identically for each fixed level.
+//! sweeps `FLUX_SIMD=0/1` over the equivalence table (`tests/common/mod.rs`),
+//! which pins the full per-round traces bit-identically for each fixed level.
 //!
 //! Merging adds one per-level contract of its own: at *every* level the plan
 //! built on the round's shared expert Gram matrix equals the plan built

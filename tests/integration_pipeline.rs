@@ -1,115 +1,27 @@
-//! Golden-trace determinism suite for the async round pipeline.
-//!
-//! The barriered fork-join schedule is the reference semantics; the
-//! pipelined schedule (incremental sharded aggregation, overlapped server
-//! tail) must reproduce its per-round losses, per-round scores, and final
-//! global weights **bit-identically** for every thread count and every
-//! update-arrival order. The trace is recorded fresh from the barriered
-//! path at `FLUX_THREADS=1`-equivalent settings, so this suite needs no
-//! checked-in fixture and survives intentional model changes — it only
-//! pins that the two schedules and all interleavings agree with each
-//! other.
+//! The async round pipeline: the barriered fork-join schedule is the
+//! reference semantics, and the pipelined schedule must reproduce it for
+//! every thread count and arrival order — the `Threads`, `Arrivals` and
+//! `Schedule` groups of the equivalence table (`tests/common/mod.rs`). The
+//! two schedules differ only in the simulated timeline.
 
-use flux_core::driver::{ExecutionMode, FederatedRun, Method, RunConfig, RunResult};
-use flux_data::DatasetKind;
-use flux_moe::MoeConfig;
+mod common;
 
-fn quick() -> RunConfig {
-    RunConfig::quick_demo(MoeConfig::tiny(), DatasetKind::Gsm8k)
-}
-
-/// The golden trace of one run: (train_loss, score) per round plus the
-/// final weight checksum.
-#[derive(Debug, Clone, PartialEq)]
-struct Trace {
-    rounds: Vec<(f32, f32)>,
-    checksum: u64,
-}
-
-fn trace_of(result: &RunResult) -> Trace {
-    Trace {
-        rounds: result
-            .rounds
-            .iter()
-            .map(|r| (r.train_loss, r.score))
-            .collect(),
-        checksum: result.final_model.param_checksum(),
-    }
-}
+use common::{check, reference, Config, Group};
+use flux_core::driver::{ExecutionMode, Method};
 
 #[test]
 fn golden_trace_pipeline_is_bit_identical_across_threads() {
-    // Record the golden trace with the barriered reference schedule, fully
-    // sequential.
-    let golden = trace_of(
-        &FederatedRun::new(quick(), 404)
-            .with_mode(ExecutionMode::Barriered)
-            .with_threads(1)
-            .run(Method::Flux),
-    );
-    assert_eq!(golden.rounds.len(), 3);
-
-    // The async pipeline must reproduce it at every thread count.
-    for threads in [1usize, 2, 4] {
-        let pipelined = trace_of(
-            &FederatedRun::new(quick(), 404)
-                .with_threads(threads)
-                .run(Method::Flux),
-        );
-        assert_eq!(
-            golden, pipelined,
-            "pipelined FLUX_THREADS={threads} diverged from the barriered golden trace"
-        );
-    }
+    check(Group::Threads);
 }
 
 #[test]
 fn golden_trace_survives_shuffled_update_arrival_orders() {
-    let golden = trace_of(
-        &FederatedRun::new(quick(), 404)
-            .with_mode(ExecutionMode::Barriered)
-            .with_threads(1)
-            .run(Method::Flux),
-    );
-    // Deterministically replayed shuffled arrival orders, sequential and
-    // threaded: the sharded aggregator's participant-id-ordered reduction
-    // must make arrival order unobservable.
-    for arrival_seed in [1u64, 2, 3] {
-        for threads in [1usize, 4] {
-            let shuffled = trace_of(
-                &FederatedRun::new(quick(), 404)
-                    .with_threads(threads)
-                    .with_shuffled_arrivals(arrival_seed)
-                    .run(Method::Flux),
-            );
-            assert_eq!(
-                golden, shuffled,
-                "arrival seed {arrival_seed} (threads {threads}) changed the trace"
-            );
-        }
-    }
+    check(Group::Arrivals);
 }
 
 #[test]
 fn golden_trace_holds_for_the_baseline_methods_too() {
-    // The pipeline is method-agnostic: pin one cheap baseline as well so a
-    // regression in the shared round plumbing (rather than the Flux local
-    // round) cannot hide.
-    for method in [Method::Fmd, Method::Fmes] {
-        let golden = trace_of(
-            &FederatedRun::new(quick(), 405)
-                .with_mode(ExecutionMode::Barriered)
-                .with_threads(1)
-                .run(method),
-        );
-        let pipelined = trace_of(&FederatedRun::new(quick(), 405).with_threads(2).run(method));
-        assert_eq!(
-            golden,
-            pipelined,
-            "{} pipelined trace diverged from barriered",
-            method.label()
-        );
-    }
+    check(Group::Schedule);
 }
 
 #[test]
@@ -117,12 +29,11 @@ fn pipeline_hides_non_final_aggregation_latency_in_simulated_time() {
     // The schedules agree on losses/scores/weights but not on the
     // timeline: the pipeline's simulated clock hides the server tail of
     // every round but the last behind the next dispatch.
-    let barriered = FederatedRun::new(quick(), 404)
-        .with_mode(ExecutionMode::Barriered)
-        .run(Method::Flux);
-    let pipelined = FederatedRun::new(quick(), 404).run(Method::Flux);
-    let b_end = barriered.rounds.last().unwrap().elapsed_hours;
-    let p_end = pipelined.rounds.last().unwrap().elapsed_hours;
+    let end = |mode| {
+        let trace = reference(Config::Quick, Method::Flux, mode);
+        trace.rounds.last().expect("three rounds").elapsed_hours
+    };
+    let (b_end, p_end) = (end(ExecutionMode::Barriered), end(ExecutionMode::Pipelined));
     assert!(
         p_end < b_end,
         "pipelined timeline {p_end} h must undercut barriered {b_end} h"
