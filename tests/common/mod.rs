@@ -11,14 +11,14 @@
 //!
 //! Each row belongs to a [`Group`], the test that runs it through
 //! [`check`]; that test lives in the suite of the subsystem it exercises.
-//! `tests/equivalence.rs` fails when an [`Axis`] has no row. A reference is
+//! The [`Axis`] values a row covers follow from what it runs, and
+//! `tests/equivalence.rs` fails when an axis has no row. A reference is
 //! computed once per test binary and shared by every row (and every test)
 //! that compares against it.
 //!
 //! `FLUX_SIMD` is the one axis no row can vary: the kernel level is
-//! process-global. CI sweeps it over the test binaries instead, and the
-//! [`Axis::Simd`] rows check that the process runs at the level the
-//! environment names and that a rerun there reproduces the reference.
+//! process-global. CI sweeps it over the test binaries instead; the
+//! [`Axis::Simd`] rows are plain reruns, so that sweep has rows of its own.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -33,11 +33,11 @@ use flux_core::scheduler::{JobSpec, SchedulePolicy, Scheduler};
 use flux_data::DatasetKind;
 use flux_fl::snapshot::{referenced_files, MANIFEST_FILE};
 use flux_fl::{
-    CompressionConfig, FaultPlan, FaultToleranceConfig, ParticipantBehavior, RoundCostBreakdown,
+    CompressionConfig, FaultPlan, FaultToleranceConfig, ParameterServer, ParticipantBehavior,
+    RoundCostBreakdown,
 };
 use flux_moe::MoeConfig;
 use flux_quant::BitWidth;
-use flux_tensor::simd::{self, SimdLevel};
 
 /// The seed every table row runs at.
 pub const SEED: u64 = 404;
@@ -355,6 +355,9 @@ pub enum Config {
     /// [`Config::Quick`] under a seeded crash and corruption plan, with
     /// retries and no deadline.
     Faulty,
+    /// [`Config::Quick`] under a seeded corruption-only plan, one retry and
+    /// the default deadline.
+    SeededCorruption,
     /// [`Config::Quick`] where participant 0's round-1 upload arrives
     /// corrupted once and one retry is allowed.
     RetriedCorruption,
@@ -363,6 +366,9 @@ pub enum Config {
     RetriedStall,
     /// [`Config::Quick`] where participant 2 drops out from round 1 on.
     Dropout,
+    /// [`Config::Piqa`] where participant 3 drops out in round 2, the final
+    /// round, whose aggregation the pipeline cannot hide.
+    FinalDropout,
     Sampled,
     /// [`Config::Sampled`] under a seeded crash plan.
     SampledFaulty,
@@ -372,7 +378,7 @@ impl Config {
     pub fn config(self) -> RunConfig {
         match self {
             Config::Quick | Config::Dropout => quick(),
-            Config::Piqa => quick_on(DatasetKind::Piqa),
+            Config::Piqa | Config::FinalDropout => quick_on(DatasetKind::Piqa),
             Config::Lossless => quick().with_compression(CompressionConfig::LosslessDelta),
             Config::Lossy => {
                 quick().with_compression(CompressionConfig::quantized_sparse(BitWidth::Int4, 0.25))
@@ -384,6 +390,9 @@ impl Config {
                         .with_retries(2, 10.0)
                         .with_deadline(1e9),
                 ),
+            Config::SeededCorruption => quick()
+                .with_fault_plan(FaultPlan::new(5).with_corruption(0.3))
+                .with_fault_tolerance(FaultToleranceConfig::default().with_retries(1, 5.0)),
             Config::RetriedCorruption => quick().with_fault_tolerance(
                 FaultToleranceConfig::default()
                     .with_retries(1, 30.0)
@@ -408,6 +417,9 @@ impl Config {
             }
             Config::RetriedStall => run.with_behavior(2, ParticipantBehavior::StallAt { round: 0 }),
             Config::Dropout => run.with_behavior(2, ParticipantBehavior::DropoutAt { round: 1 }),
+            Config::FinalDropout => {
+                run.with_behavior(3, ParticipantBehavior::DropoutAt { round: 2 })
+            }
             _ => run,
         }
     }
@@ -442,10 +454,25 @@ pub fn reference(config: Config, method: Method, mode: ExecutionMode) -> Trace {
         .clone()
 }
 
-/// What a row's run varies. Orthogonal to the row's config.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Axis {
-    /// Participant fan-out width 1/2/4/8, or the `FLUX_THREADS` pool.
+/// Declares [`Axis`] together with [`Axis::ALL`], so the list cannot miss
+/// a variant.
+macro_rules! axes {
+    ($($(#[$doc:meta])* $axis:ident,)*) => {
+        /// What the contract holds a run's bits invariant under. A row's
+        /// axes follow from what it runs ([`Row::covers`]).
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub enum Axis {
+            $($(#[$doc])* $axis,)*
+        }
+
+        impl Axis {
+            pub const ALL: &'static [Axis] = &[$(Axis::$axis,)*];
+        }
+    };
+}
+
+axes! {
+    /// Participant fan-out width 2/4/8, or the `FLUX_THREADS` pool.
     Threads,
     /// Pipelined against barriered, compared without the clock.
     Schedule,
@@ -454,8 +481,8 @@ pub enum Axis {
     /// Lossless delta uploads against the dense run, compared
     /// [`Trace::wire_invariant`].
     Wire,
-    /// Lossy uploads: not the dense run's bits, but their own, held by the
-    /// other axes' rows on [`Config::Lossy`].
+    /// Lossy uploads: not the dense run's bits, but their own, held by rows
+    /// of the other axes on a lossy config.
     Lossy,
     /// Edge aggregators of width 2–5 against flat aggregation.
     Tree,
@@ -473,7 +500,8 @@ pub enum Axis {
     Retry,
     /// Stepped by hand through `poll` instead of `run`.
     Poll,
-    /// Rerun at the kernel level `FLUX_SIMD` selects.
+    /// Rerun at the kernel level `FLUX_SIMD` selects. The level is
+    /// process-global, so CI sweeps it over the test binaries.
     Simd,
 }
 
@@ -487,15 +515,34 @@ pub enum Drive {
     /// Killed, restored and replayed.
     Kill(Kill),
     /// One of two jobs on the scheduler; the co-tenant is an FMD run on
-    /// PIQA, barriered, arriving a tick late with a straggler.
+    /// PIQA, barriered, arriving a tick late with a straggler, and is held
+    /// to its own reference too.
     Scheduled(SchedulePolicy),
     /// Killed after round 1, then resumed as a scheduler tenant beside the
     /// same co-tenant.
     Resumed(SchedulePolicy),
 }
 
+/// Which reference a row's trace is compared with, and on which fields.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Compare {
+    /// Its config's reference under the row's schedule, every field.
+    Own,
+    /// Its config's barriered reference, [`Trace::schedule_invariant`].
+    Schedule,
+    /// The dense run's reference, [`Trace::wire_invariant`].
+    Wire,
+    /// The clean run's reference, wire-invariant and without the fault
+    /// ledger: the retry shows there and costs a retransmission and its
+    /// backoff, but the weights, losses and scores are the clean run's.
+    Retry,
+    /// As [`Compare::Own`]: a plain rerun at the kernel level `FLUX_SIMD`
+    /// selects, which CI sweeps.
+    Simd,
+}
+
 /// How a row's run executes, relative to its reference: the pipelined
-/// schedule on one thread, run to the end.
+/// schedule on one thread, run to the end, compared on every field.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Variant {
     /// Participant fan-out width; `None` sizes it from `FLUX_THREADS`.
@@ -506,6 +553,7 @@ pub struct Variant {
     /// `(participant, delay_ms)`.
     pub straggler: Option<(usize, u64)>,
     pub drive: Drive,
+    pub compare: Compare,
 }
 
 pub const PIPELINED: Variant = Variant {
@@ -515,6 +563,7 @@ pub const PIPELINED: Variant = Variant {
     edges: 0,
     straggler: None,
     drive: Drive::Run,
+    compare: Compare::Own,
 };
 
 pub const BARRIERED: Variant = Variant {
@@ -545,16 +594,23 @@ impl Variant {
     fn drive(self, drive: Drive) -> Self {
         Self { drive, ..self }
     }
+    fn kill(self, kill: Kill) -> Self {
+        self.drive(Drive::Kill(kill))
+    }
+    fn scheduled(self, policy: SchedulePolicy) -> Self {
+        self.drive(Drive::Scheduled(policy))
+    }
+    fn compare(self, compare: Compare) -> Self {
+        Self { compare, ..self }
+    }
 }
 
 /// One row of the contract: `method` on `config`, executed as `variant`,
-/// equals the reference run its `axis` names (of `config` itself, but the
-/// dense and the clean run for [`Axis::Wire`] and [`Axis::Retry`]) under
-/// the projection the axis calls for. `group` is the test that runs it.
+/// equals the reference its [`Compare`] names. `group` is the test that
+/// runs it.
 #[derive(Debug, Clone, Copy)]
 pub struct Row {
     pub group: Group,
-    pub axis: Axis,
     pub method: Method,
     pub config: Config,
     pub variant: Variant,
@@ -588,151 +644,187 @@ pub enum Group {
     Interleaved,
     Poll,
     Straggler,
+    Dropout,
     StragglerUnderDropout,
     Rerun,
 }
 
 /// The table. A comment above each group names the test that runs it.
 pub fn table() -> Vec<Row> {
-    use Axis as A;
+    use Compare::{Retry, Schedule, Simd, Wire};
     use Config as C;
     use Group as G;
     use Kill::{Boundary, InsideCheckpoint, MidRound};
     use Method::{Flux, Fmd, Fmes, Fmq};
     use SchedulePolicy::{Concurrent, RoundRobin};
-    let r = |group, axis, config, method, variant| Row {
+    let r = |group, config, method, variant| Row {
         group,
-        axis,
         method,
         config,
         variant,
     };
     let (p, b) = (PIPELINED, BARRIERED);
     let (e, eb) = (p.env_pool(), b.env_pool());
-    let kill = |variant: Variant, kill| variant.drive(Drive::Kill(kill));
-    let sched = |variant: Variant, policy| variant.drive(Drive::Scheduled(policy));
     #[rustfmt::skip]
-    let rows = vec![
+    let mut rows = vec![
         // integration_pipeline::golden_trace_pipeline_is_bit_identical_across_threads
-        r(G::Threads,                  A::Threads,   C::Quick,             Flux, p.threads(2)),
-        r(G::Threads,                  A::Threads,   C::Quick,             Flux, p.threads(4)),
-        r(G::Threads,                  A::Threads,   C::Quick,             Flux, e),
-        r(G::Threads,                  A::Threads,   C::Quick,             Flux, b.threads(4)),
-        r(G::Threads,                  A::Threads,   C::Quick,             Fmd,  p.threads(4)),
-        r(G::Threads,                  A::Threads,   C::Quick,             Fmq,  p.threads(4)),
-        r(G::Threads,                  A::Threads,   C::Quick,             Fmes, p.threads(8)),
+        r(G::Threads,                  C::Quick,             Flux, p.threads(2)),
+        r(G::Threads,                  C::Quick,             Flux, p.threads(4)),
+        r(G::Threads,                  C::Quick,             Flux, e),
+        r(G::Threads,                  C::Quick,             Flux, b.threads(4)),
+        r(G::Threads,                  C::Quick,             Fmd,  p.threads(4)),
+        r(G::Threads,                  C::Quick,             Fmq,  p.threads(4)),
+        r(G::Threads,                  C::Quick,             Fmes, p.threads(8)),
         // integration_pipeline::golden_trace_survives_shuffled_update_arrival_orders
-        r(G::Arrivals,                 A::Arrivals,  C::Quick,             Flux, p.shuffled(1)),
-        r(G::Arrivals,                 A::Arrivals,  C::Quick,             Flux, p.threads(4).shuffled(2)),
-        r(G::Arrivals,                 A::Arrivals,  C::Quick,             Flux, e.shuffled(3)),
-        r(G::Arrivals,                 A::Arrivals,  C::Quick,             Fmd,  p.threads(4).shuffled(1)),
+        r(G::Arrivals,                 C::Quick,             Flux, p.shuffled(1)),
+        r(G::Arrivals,                 C::Quick,             Flux, p.shuffled(2)),
+        r(G::Arrivals,                 C::Quick,             Flux, p.shuffled(3)),
+        r(G::Arrivals,                 C::Quick,             Flux, p.threads(4).shuffled(1)),
+        r(G::Arrivals,                 C::Quick,             Flux, p.threads(4).shuffled(2)),
+        r(G::Arrivals,                 C::Quick,             Flux, p.threads(4).shuffled(3)),
+        r(G::Arrivals,                 C::Quick,             Fmd,  p.threads(4).shuffled(1)),
         // integration_pipeline::golden_trace_holds_for_the_baseline_methods_too
-        r(G::Schedule,                 A::Schedule,  C::Quick,             Flux, p),
-        r(G::Schedule,                 A::Schedule,  C::Quick,             Fmd,  p),
-        r(G::Schedule,                 A::Schedule,  C::Quick,             Fmq,  p),
-        r(G::Schedule,                 A::Schedule,  C::Quick,             Fmes, p),
+        r(G::Schedule,                 C::Quick,             Flux, p.compare(Schedule)),
+        r(G::Schedule,                 C::Quick,             Fmd,  p.compare(Schedule)),
+        r(G::Schedule,                 C::Quick,             Fmq,  p.compare(Schedule)),
+        r(G::Schedule,                 C::Quick,             Fmes, p.compare(Schedule)),
         // integration_compression::lossless_delta_is_bit_identical_to_dense_uploads
-        r(G::Wire,                     A::Wire,      C::Lossless,          Flux, p),
-        r(G::Wire,                     A::Wire,      C::Lossless,          Flux, p.threads(4)),
-        r(G::Wire,                     A::Wire,      C::Lossless,          Flux, e),
-        r(G::Wire,                     A::Wire,      C::Lossless,          Flux, eb),
-        r(G::Wire,                     A::Wire,      C::Lossless,          Fmd,  p.threads(4)),
+        r(G::Wire,                     C::Lossless,          Flux, p.compare(Wire)),
+        r(G::Wire,                     C::Lossless,          Flux, p.threads(4).compare(Wire)),
+        r(G::Wire,                     C::Lossless,          Flux, e.compare(Wire)),
+        r(G::Wire,                     C::Lossless,          Flux, eb.compare(Wire)),
+        r(G::Wire,                     C::Lossless,          Fmd,  p.threads(4).compare(Wire)),
         // integration_compression::lossless_delta_survives_shuffled_arrival_orders
-        r(G::LosslessArrivals,         A::Arrivals,  C::Lossless,          Flux, p.threads(4).shuffled(1)),
-        r(G::LosslessArrivals,         A::Arrivals,  C::Lossless,          Flux, p.threads(4).shuffled(2)),
-        r(G::LosslessArrivals,         A::Arrivals,  C::Lossless,          Flux, e.shuffled(3)),
+        r(G::LosslessArrivals,         C::Lossless,          Flux, p.threads(4).shuffled(1)),
+        r(G::LosslessArrivals,         C::Lossless,          Flux, p.threads(4).shuffled(2)),
+        r(G::LosslessArrivals,         C::Lossless,          Flux, e.shuffled(3)),
         // integration_compression::lossy_runs_are_bit_identical_across_thread_counts_and_arrivals
-        r(G::Lossy,                    A::Lossy,     C::Lossy,             Flux, p.threads(2)),
-        r(G::Lossy,                    A::Lossy,     C::Lossy,             Flux, p.threads(4)),
-        r(G::Lossy,                    A::Lossy,     C::Lossy,             Flux, p.threads(4).shuffled(7)),
-        r(G::Lossy,                    A::Lossy,     C::Lossy,             Flux, b.threads(4)),
+        r(G::Lossy,                    C::Lossy,             Flux, p.threads(2)),
+        r(G::Lossy,                    C::Lossy,             Flux, p.threads(4)),
+        r(G::Lossy,                    C::Lossy,             Flux, p.threads(4).shuffled(7)),
+        r(G::Lossy,                    C::Lossy,             Flux, b.threads(4)),
         // integration_compression::compression_threads_through_the_scheduler
-        r(G::CompressedScheduled,      A::Scheduler, C::Lossless,          Flux, sched(p.threads(2), Concurrent)),
+        r(G::CompressedScheduled,      C::Lossless,          Flux, p.threads(2).scheduled(Concurrent)),
         // integration_faults::transient_corruption_recovers_with_a_retry
-        r(G::RetriedCorruption,        A::Retry,     C::RetriedCorruption, Flux, e),
+        r(G::RetriedCorruption,        C::RetriedCorruption, Flux, e.compare(Retry)),
         // integration_faults::stalled_upload_drops_without_retry_and_lands_with_one
-        r(G::RetriedStall,             A::Retry,     C::RetriedStall,      Flux, e),
+        r(G::RetriedStall,             C::RetriedStall,      Flux, e.compare(Retry)),
         // integration_faults::fault_plan_runs_are_deterministic_across_schedules
-        r(G::FaultPlan,                A::Schedule,  C::Faulty,            Flux, p),
-        r(G::FaultPlan,                A::Threads,   C::Faulty,            Flux, p.threads(4)),
-        r(G::FaultPlan,                A::Threads,   C::Faulty,            Flux, eb),
+        r(G::FaultPlan,                C::Faulty,            Flux, p.compare(Schedule)),
+        r(G::FaultPlan,                C::Faulty,            Flux, p.threads(4)),
+        r(G::FaultPlan,                C::Faulty,            Flux, eb),
         // integration_faults::mid_round_recovery_under_faults_is_bit_identical
-        r(G::FaultyKill,               A::Kill,      C::Faulty,            Flux, kill(e, MidRound(1))),
+        r(G::FaultyKill,               C::SeededCorruption,  Flux, e.kill(MidRound(1))),
+        r(G::FaultyKill,               C::Faulty,            Flux, e.kill(MidRound(1))),
         // integration_recovery::kill_at_round_boundary_replays_bit_identically
-        r(G::KillAtBoundary,           A::Kill,      C::Quick,             Flux, kill(e, Boundary(1))),
-        r(G::KillAtBoundary,           A::Kill,      C::Quick,             Flux, kill(e, Boundary(2))),
+        r(G::KillAtBoundary,           C::Quick,             Flux, e.kill(Boundary(1))),
+        r(G::KillAtBoundary,           C::Quick,             Flux, e.kill(Boundary(2))),
+        r(G::KillAtBoundary,           C::Quick,             Flux, eb.kill(Boundary(1))),
         // integration_recovery::kill_mid_round_replays_bit_identically
-        r(G::KillMidRound,             A::Kill,      C::Quick,             Flux, kill(e, MidRound(0))),
-        r(G::KillMidRound,             A::Kill,      C::Quick,             Flux, kill(e, MidRound(1))),
-        r(G::KillMidRound,             A::Kill,      C::Quick,             Flux, kill(eb, MidRound(0))),
-        r(G::KillMidRound,             A::Kill,      C::Quick,             Flux, kill(eb, MidRound(1))),
-        // integration_recovery::every_method_survives_a_mid_run_kill
-        r(G::KillEveryMethod,          A::Kill,      C::Quick,             Fmd,  kill(e, Boundary(1))),
-        r(G::KillEveryMethod,          A::Kill,      C::Quick,             Fmd,  kill(e, MidRound(0))),
-        r(G::KillEveryMethod,          A::Kill,      C::Quick,             Fmd,  kill(eb, MidRound(1))),
-        r(G::KillEveryMethod,          A::Kill,      C::Quick,             Fmq,  kill(e, Boundary(1))),
-        r(G::KillEveryMethod,          A::Kill,      C::Quick,             Fmq,  kill(e, MidRound(1))),
-        r(G::KillEveryMethod,          A::Kill,      C::Quick,             Fmq,  kill(eb, MidRound(0))),
-        r(G::KillEveryMethod,          A::Kill,      C::Quick,             Fmes, kill(e, Boundary(1))),
-        r(G::KillEveryMethod,          A::Kill,      C::Quick,             Fmes, kill(e, MidRound(0))),
-        r(G::KillEveryMethod,          A::Kill,      C::Quick,             Fmes, kill(eb, MidRound(1))),
+        r(G::KillMidRound,             C::Quick,             Flux, e.kill(MidRound(0))),
+        r(G::KillMidRound,             C::Quick,             Flux, e.kill(MidRound(1))),
+        r(G::KillMidRound,             C::Quick,             Flux, eb.kill(MidRound(0))),
+        r(G::KillMidRound,             C::Quick,             Flux, eb.kill(MidRound(1))),
         // integration_recovery::fmd_killed_inside_a_checkpoint_replays_bit_identically
-        r(G::KillInsideCheckpointFmd,  A::Kill,      C::Quick,             Fmd,  kill(e, InsideCheckpoint(1))),
-        r(G::KillInsideCheckpointFmd,  A::Kill,      C::Quick,             Fmd,  kill(e, InsideCheckpoint(2))),
+        r(G::KillInsideCheckpointFmd,  C::Quick,             Fmd,  e.kill(InsideCheckpoint(1))),
+        r(G::KillInsideCheckpointFmd,  C::Quick,             Fmd,  e.kill(InsideCheckpoint(2))),
         // integration_recovery::flux_killed_inside_a_checkpoint_replays_bit_identically
-        r(G::KillInsideCheckpointFlux, A::Kill,      C::Quick,             Flux, kill(e, InsideCheckpoint(1))),
-        r(G::KillInsideCheckpointFlux, A::Kill,      C::Quick,             Flux, kill(e, InsideCheckpoint(2))),
+        r(G::KillInsideCheckpointFlux, C::Quick,             Flux, e.kill(InsideCheckpoint(1))),
+        r(G::KillInsideCheckpointFlux, C::Quick,             Flux, e.kill(InsideCheckpoint(2))),
         // integration_recovery::scheduler_resumes_a_tenant_from_its_checkpoint
-        r(G::ResumedTenant,            A::Scheduler, C::Quick,             Fmes, e.drive(Drive::Resumed(RoundRobin))),
+        r(G::ResumedTenant,            C::Quick,             Fmes, e.drive(Drive::Resumed(RoundRobin))),
         // integration_cohort::sampled_runs_are_pinned_across_threads_schedules_and_arrivals
-        r(G::Sampled,                  A::Cohort,    C::Sampled,           Flux, p.threads(4)),
-        r(G::Sampled,                  A::Cohort,    C::Sampled,           Flux, p.threads(4).shuffled(97)),
-        r(G::Sampled,                  A::Cohort,    C::Sampled,           Flux, e),
-        r(G::Sampled,                  A::Cohort,    C::Sampled,           Flux, b.threads(4)),
-        r(G::Sampled,                  A::Schedule,  C::Sampled,           Flux, p),
+        r(G::Sampled,                  C::Sampled,           Flux, p.threads(4)),
+        r(G::Sampled,                  C::Sampled,           Flux, p.threads(4).shuffled(97)),
+        r(G::Sampled,                  C::Sampled,           Flux, e),
+        r(G::Sampled,                  C::Sampled,           Flux, b.threads(4)),
+        r(G::Sampled,                  C::Sampled,           Flux, p.compare(Schedule)),
         // integration_cohort::fault_injection_under_sampling_keys_off_stable_client_ids
-        r(G::SampledFaults,            A::Cohort,    C::SampledFaulty,     Flux, p.threads(4)),
-        r(G::SampledFaults,            A::Schedule,  C::SampledFaulty,     Flux, p),
+        r(G::SampledFaults,            C::SampledFaulty,     Flux, p.threads(4)),
+        r(G::SampledFaults,            C::SampledFaulty,     Flux, p.compare(Schedule)),
         // equivalence::edge_aggregators_reproduce_flat_aggregation
-        r(G::Tree,                     A::Tree,      C::Quick,             Flux, e.edges(2)),
-        r(G::Tree,                     A::Tree,      C::Quick,             Flux, e.edges(3)),
-        r(G::Tree,                     A::Tree,      C::Quick,             Flux, e.edges(5)),
-        r(G::Tree,                     A::Tree,      C::Quick,             Flux, eb.edges(3)),
+        r(G::Tree,                     C::Quick,             Flux, e.edges(2)),
+        r(G::Tree,                     C::Quick,             Flux, e.edges(3)),
+        r(G::Tree,                     C::Quick,             Flux, e.edges(5)),
+        r(G::Tree,                     C::Quick,             Flux, eb.edges(3)),
         // integration_cohort::tree_aggregation_matches_flat_for_sampled_runs
-        r(G::SampledTree,              A::Tree,      C::Sampled,           Flux, e.edges(2)),
-        r(G::SampledTree,              A::Tree,      C::Sampled,           Flux, eb.edges(4)),
-        r(G::SampledTree,              A::Tree,      C::Sampled,           Fmq,  e.edges(4)),
-        r(G::SampledTree,              A::Tree,      C::Sampled,           Fmq,  eb.edges(2)),
+        r(G::SampledTree,              C::Sampled,           Flux, e.edges(2)),
+        r(G::SampledTree,              C::Sampled,           Flux, e.edges(4)),
+        r(G::SampledTree,              C::Sampled,           Flux, eb.edges(2)),
+        r(G::SampledTree,              C::Sampled,           Flux, eb.edges(4)),
+        r(G::SampledTree,              C::Sampled,           Fmq,  e.edges(2)),
+        r(G::SampledTree,              C::Sampled,           Fmq,  e.edges(4)),
+        r(G::SampledTree,              C::Sampled,           Fmq,  eb.edges(2)),
+        r(G::SampledTree,              C::Sampled,           Fmq,  eb.edges(4)),
         // integration_cohort::mid_round_kill_of_a_sampled_tree_run_replays_bit_identically
-        r(G::SampledTreeKill,          A::Kill,      C::Sampled,           Flux, kill(e.edges(3), MidRound(0))),
-        r(G::SampledTreeKill,          A::Kill,      C::Sampled,           Flux, kill(e.edges(3), MidRound(1))),
+        r(G::SampledTreeKill,          C::Sampled,           Flux, e.edges(3).kill(MidRound(0))),
+        r(G::SampledTreeKill,          C::Sampled,           Flux, e.edges(3).kill(MidRound(1))),
         // integration_scheduler::interleaved_runs_match_solo_traces_across_threads_and_policies
-        r(G::Interleaved,              A::Scheduler, C::Quick,             Flux, sched(p, RoundRobin)),
-        r(G::Interleaved,              A::Scheduler, C::Quick,             Flux, sched(p.threads(4), Concurrent)),
-        r(G::Interleaved,              A::Scheduler, C::Quick,             Fmd,  sched(p.threads(8), Concurrent)),
-        r(G::Interleaved,              A::Scheduler, C::Quick,             Fmq,  sched(p.threads(4), RoundRobin)),
-        r(G::Interleaved,              A::Scheduler, C::Quick,             Fmes, sched(e, Concurrent)),
+        // (every method shares the scheduler in mixed_workloads_share_the_server_without_interference)
+        r(G::Interleaved,              C::Quick,             Flux, p.scheduled(RoundRobin)),
+        r(G::Interleaved,              C::Quick,             Flux, p.scheduled(Concurrent)),
+        r(G::Interleaved,              C::Quick,             Flux, p.threads(4).scheduled(RoundRobin)),
+        r(G::Interleaved,              C::Quick,             Flux, p.threads(4).scheduled(Concurrent)),
+        r(G::Interleaved,              C::Quick,             Flux, p.threads(8).scheduled(RoundRobin)),
+        r(G::Interleaved,              C::Quick,             Flux, p.threads(8).scheduled(Concurrent)),
         // integration_scheduler::state_machine_poll_sequence_matches_run
-        r(G::Poll,                     A::Poll,      C::Quick,             Fmes, e.drive(Drive::Poll)),
-        r(G::Poll,                     A::Poll,      C::Quick,             Flux, p.threads(2).drive(Drive::Poll)),
+        r(G::Poll,                     C::Quick,             Fmes, e.drive(Drive::Poll)),
+        r(G::Poll,                     C::Quick,             Flux, p.threads(2).drive(Drive::Poll)),
         // integration_federated::straggler_changes_arrival_order_but_not_results
-        r(G::Straggler,                A::Straggler, C::Quick,             Flux, p.threads(4).straggler(0, 30)),
-        r(G::Straggler,                A::Straggler, C::Quick,             Fmd,  b.threads(2).straggler(1, 20)),
+        r(G::Straggler,                C::Quick,             Flux, p.threads(4).straggler(0, 30)),
+        r(G::Straggler,                C::Quick,             Fmd,  b.threads(2).straggler(1, 20)),
+        // integration_federated::dropout_participant_is_excluded_once_not_double_counted
+        r(G::Dropout,                  C::Dropout,           Flux, p.threads(4).compare(Schedule)),
         // integration_federated::straggler_and_dropout_combined_complete_under_pipeline
-        r(G::StragglerUnderDropout,    A::Straggler, C::Dropout,           Flux, p.threads(4).straggler(1, 20)),
-        r(G::StragglerUnderDropout,    A::Schedule,  C::Dropout,           Flux, p),
+        r(G::StragglerUnderDropout,    C::FinalDropout,      Flux, p.threads(4).straggler(1, 20)),
+        r(G::StragglerUnderDropout,    C::FinalDropout,      Flux, p.compare(Schedule)),
         // integration_federated::runs_are_reproducible_across_invocations
-        r(G::Rerun,                    A::Simd,      C::Quick,             Flux, e),
-        r(G::Rerun,                    A::Simd,      C::Quick,             Fmes, e),
+        r(G::Rerun,                    C::Quick,             Flux, e.compare(Simd)),
+        r(G::Rerun,                    C::Quick,             Fmes, e.compare(Simd)),
     ];
+    // integration_recovery::every_method_survives_a_mid_run_kill: the
+    // baselines under both schedules at three kills (Flux's six are the
+    // kill_at_round_boundary and kill_mid_round rows)
+    for method in [Fmd, Fmq, Fmes] {
+        for variant in [e, eb] {
+            for at in [Boundary(1), MidRound(0), MidRound(1)] {
+                rows.push(r(G::KillEveryMethod, C::Quick, method, variant.kill(at)));
+            }
+        }
+    }
     rows
 }
 
 impl Row {
+    /// Whether this row's run varies `axis`. Every axis has a rule, read
+    /// off what the row runs; only the projections are named by its
+    /// [`Compare`].
+    pub fn covers(&self, axis: Axis) -> bool {
+        let v = self.variant;
+        let config = self.config.config();
+        match axis {
+            Axis::Threads => v.threads != Some(1),
+            Axis::Schedule => v.compare == Compare::Schedule,
+            Axis::Arrivals => v.arrivals.is_some(),
+            Axis::Wire => v.compare == Compare::Wire,
+            Axis::Lossy => matches!(config.compression, CompressionConfig::LossyDelta { .. }),
+            Axis::Tree => v.edges > 1,
+            Axis::Cohort => config
+                .cohort_size
+                .is_some_and(|k| k < config.num_participants),
+            Axis::Kill => matches!(v.drive, Drive::Kill(_)),
+            Axis::Scheduler => matches!(v.drive, Drive::Scheduled(_) | Drive::Resumed(_)),
+            Axis::Straggler => v.straggler.is_some(),
+            Axis::Retry => v.compare == Compare::Retry,
+            Axis::Poll => v.drive == Drive::Poll,
+            Axis::Simd => v.compare == Compare::Simd,
+        }
+    }
+
     /// The config whose reference run this row is held to.
     fn against(&self) -> Config {
-        match self.axis {
-            Axis::Wire | Axis::Retry => Config::Quick,
+        match self.variant.compare {
+            Compare::Wire | Compare::Retry => Config::Quick,
             _ => self.config,
         }
     }
@@ -741,7 +833,11 @@ impl Row {
     /// a checkpoint can leave.
     pub fn traces(&self) -> Vec<(String, Trace)> {
         let v = self.variant;
-        if v == PIPELINED || v == BARRIERED {
+        let executes = Variant {
+            compare: Compare::Own,
+            ..v
+        };
+        if executes == PIPELINED || executes == BARRIERED {
             // The row's run is a reference run: share it.
             let trace = reference(self.config, self.method, v.mode);
             return vec![(format!("{:?}", v.mode), trace)];
@@ -786,40 +882,31 @@ impl Row {
 
     /// The reference this row is held to, under the row's projection.
     fn expected(&self) -> Trace {
-        let reference_mode = match self.axis {
-            Axis::Schedule => ExecutionMode::Barriered,
+        let reference_mode = match self.variant.compare {
+            Compare::Schedule => ExecutionMode::Barriered,
             _ => self.variant.mode,
         };
         self.project(&reference(self.against(), self.method, reference_mode))
     }
 
     fn project(&self, trace: &Trace) -> Trace {
-        match self.axis {
-            Axis::Schedule => trace.schedule_invariant(),
-            Axis::Wire => trace.wire_invariant(),
-            // The retry shows in the ledger and costs a retransmission and
-            // its backoff; the weights, losses and scores are the clean run's.
-            Axis::Retry => {
+        match self.variant.compare {
+            Compare::Own | Compare::Simd => trace.clone(),
+            Compare::Schedule => trace.schedule_invariant(),
+            Compare::Wire => trace.wire_invariant(),
+            Compare::Retry => {
                 let mut trace = trace.wire_invariant();
                 for round in &mut trace.rounds {
                     round.faults = RoundFaults::default();
                 }
                 trace
             }
-            _ => trace.clone(),
         }
     }
 
     /// Runs the row and asserts it reproduces its reference; returns the
     /// traces it ran.
     pub fn check(&self) -> Vec<Trace> {
-        if self.axis == Axis::Simd {
-            let expected = match std::env::var("FLUX_SIMD").as_deref() {
-                Ok("0") | Ok("scalar") => SimdLevel::Scalar,
-                _ => simd::detect_best(),
-            };
-            assert_eq!(simd::global_level(), expected, "the level FLUX_SIMD names");
-        }
         let expected = self.expected();
         assert_eq!(expected.rounds.len(), self.against().config().rounds);
         self.traces()
@@ -844,7 +931,13 @@ pub fn check(group: Group) -> Vec<Trace> {
         .filter(|row| row.group == group)
         .collect();
     assert!(!rows.is_empty(), "{group:?} has no rows");
-    rows.iter().flat_map(Row::check).collect()
+    for row in &rows {
+        let varies = Axis::ALL.iter().any(|&axis| row.covers(axis));
+        assert!(varies, "{row:?} varies no axis: it is its own reference");
+    }
+    // Rows are independent: run them side by side.
+    let checks: Vec<_> = rows.iter().map(|row| move || row.check()).collect();
+    pool(None).run(checks).into_iter().flatten().collect()
 }
 
 /// Drives `run` by hand through `poll` on `pool`.
@@ -869,8 +962,9 @@ fn polled(run: &FederatedRun, method: Method, pool: &ThreadPool) -> RunResult {
     active.finish()
 }
 
-/// Runs `run` as one of two scheduler jobs (resumed from `resume` if
-/// given) and returns its result.
+/// Runs `run` as one of two tenants of a fresh server (resumed from
+/// `resume` if given), checks the co-tenant against its own reference and
+/// that both deregister, and returns `run`'s result.
 fn scheduled(
     run: FederatedRun,
     method: Method,
@@ -882,14 +976,24 @@ fn scheduled(
     if let Some(dir) = resume {
         job = job.with_resume(dir);
     }
+    let mode = ExecutionMode::Barriered;
     let co_tenant = Config::Piqa
         .run()
-        .with_mode(ExecutionMode::Barriered)
+        .with_mode(mode)
         .with_behavior(1, ParticipantBehavior::Straggler { delay_ms: 15 });
-    let mut results = Scheduler::on_pool(pool, policy).run_all(vec![
-        job,
-        JobSpec::new("co-tenant", co_tenant, Method::Fmd).with_arrival(1),
-    ]);
-    assert_eq!(results[1].result.rounds.len(), 3);
+    let server = ParameterServer::empty();
+    let mut results = Scheduler::on_pool(pool, policy).run_all_on(
+        &server,
+        vec![
+            job,
+            JobSpec::new("co-tenant", co_tenant, Method::Fmd).with_arrival(1),
+        ],
+    );
+    assert_eq!(server.num_tenants(), 0, "finished tenants deregister");
+    assert_eq!(
+        trace_of(&results[1].result),
+        reference(Config::Piqa, Method::Fmd, mode),
+        "the co-tenant diverged from its reference ({policy:?})"
+    );
     results.swap_remove(0).result
 }

@@ -1,8 +1,8 @@
 //! Cross-crate integration tests of the full federated pipeline,
 //! including straggler and mid-run dropout scenarios. That a rerun, a
 //! straggler and a dropout's schedule change no bit is the `Rerun`,
-//! `Straggler` and `StragglerUnderDropout` groups of the equivalence table
-//! (`tests/common/mod.rs`).
+//! `Straggler`, `Dropout` and `StragglerUnderDropout` groups of the
+//! equivalence table (`tests/common/mod.rs`).
 
 mod common;
 
@@ -95,10 +95,13 @@ fn straggler_changes_arrival_order_but_not_results() {
 
 #[test]
 fn dropout_participant_is_excluded_once_not_double_counted() {
-    // Participant 2 drops out from round 1 on (both schedules agree on how:
-    // the table's row). The dropout must actually bite: before the dropout
-    // round the run is identical to a healthy one, afterwards its weight
-    // leaves the aggregate.
+    // Participant 2 drops out from round 1 on: the pipelined and barriered
+    // schedules must agree exactly on how its absence is handled, so
+    // neither can be dropping it twice or keeping a stale copy.
+    check(Group::Dropout);
+    // The dropout must actually bite: before the dropout round the run is
+    // identical to a healthy one, afterwards its weight leaves the
+    // aggregate.
     let run = |config| reference(config, Method::Flux, ExecutionMode::Pipelined);
     let (healthy, dropout) = (run(Config::Quick), run(Config::Dropout));
     assert_eq!(healthy.rounds[0], dropout.rounds[0]);
@@ -114,9 +117,10 @@ fn dropout_participant_is_excluded_once_not_double_counted() {
 
 #[test]
 fn straggler_and_dropout_combined_complete_under_pipeline() {
-    // Worst case both at once, threaded: a late participant plus a mid-run
-    // dropout must still terminate with a full set of records, the same
-    // under both schedules.
+    // Worst case both at once, threaded: a late participant plus a dropout
+    // in the final round, whose aggregation the pipeline cannot hide, must
+    // still terminate with a full set of records, the same under both
+    // schedules.
     check(Group::StragglerUnderDropout);
 }
 
