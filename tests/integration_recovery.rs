@@ -15,12 +15,12 @@ mod common;
 
 use flux_core::driver::{FederatedRun, Method, RunConfig};
 use flux_data::DatasetKind;
-use flux_fl::snapshot::{corrupt_file_byte, referenced_files};
+use flux_fl::snapshot::{corrupt_file_byte, referenced_files, MANIFEST_FILE};
 use flux_fl::SnapshotError;
 use flux_moe::MoeConfig;
 use flux_tensor::simd::{self, SimdLevel};
 
-use common::{check, killed, pool, quick, read_dir, trace_of, Group, Kill, TempDir};
+use common::{check, killed, pool, quick, read_dir, trace_of, Files, Group, Kill, TempDir};
 
 #[test]
 fn kill_at_round_boundary_replays_bit_identically() {
@@ -70,21 +70,40 @@ fn flux_killed_inside_a_checkpoint_replays_bit_identically() {
     check(Group::KillInsideCheckpointFlux);
 }
 
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Folds a checkpoint directory — every file's name, then its bytes — into
+/// two digests: one over every file but the manifest, one over the
+/// manifest alone (it carries the FLUXRUN run state).
+fn fold_dir(digests: &mut (u64, u64), files: &Files) {
+    for (name, bytes) in files {
+        let digest = if name == MANIFEST_FILE {
+            &mut digests.1
+        } else {
+            &mut digests.0
+        };
+        *digest = fnv(fnv(*digest, name.as_bytes()), bytes);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// What a checkpoint persists for each method's client state, held to
 /// literals: every method is checkpointed after round 1 and inside round 1
-/// (fan-out done, reduction not), and every file of the eight directories
-/// — name, then bytes — is folded into one FNV-1a digest. One literal per
-/// kernel level (`FLUX_SIMD`); thread counts share it.
+/// (fan-out done, reduction not), and the eight directories are folded
+/// into one digest over the model files and one over the manifests. One
+/// pair of literals per kernel level (`FLUX_SIMD`); thread counts share
+/// them.
 #[test]
 fn checkpoint_directories_of_every_method_are_pinned() {
-    let fnv = |hash: u64, bytes: &[u8]| {
-        bytes.iter().fold(hash, |hash, &b| {
-            (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    };
     let pool = pool(None);
     let run = FederatedRun::new(quick(), 32);
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digests = (FNV_OFFSET, FNV_OFFSET);
     for method in Method::all() {
         for mid_round in [false, true] {
             let dir = TempDir::new("pin");
@@ -94,16 +113,19 @@ fn checkpoint_directories_of_every_method_are_pinned() {
                 active.start_round(&pool);
             }
             active.checkpoint(&dir).expect("checkpoint succeeds");
-            for (name, bytes) in read_dir(&dir) {
-                digest = fnv(fnv(digest, name.as_bytes()), &bytes);
-            }
+            fold_dir(&mut digests, &read_dir(&dir));
         }
     }
-    let expected = match simd::global_level() {
-        SimdLevel::Avx2 => 0xb4f0_d7e6_bd81_834c,
-        SimdLevel::Scalar => 0x0cc6_4572_90d3_48aa,
+    let files = match simd::global_level() {
+        SimdLevel::Avx2 => 0x8f1c_8ddb_1813_f021,
+        SimdLevel::Scalar => 0x8e64_89e5_47b6_c889,
     };
-    assert_eq!(digest, expected, "digest {digest:#x}");
+    let manifests = match simd::global_level() {
+        SimdLevel::Avx2 => 0x6e2a_a545_6b30_2cce,
+        SimdLevel::Scalar => 0xc695_3bb8_c97e_0eaa,
+    };
+    assert_eq!(digests.0, files, "files digest {:#x}", digests.0);
+    assert_eq!(digests.1, manifests, "manifest digest {:#x}", digests.1);
 }
 
 /// What a restored store writes into the directory it came from, held to
@@ -112,17 +134,13 @@ fn checkpoint_directories_of_every_method_are_pinned() {
 /// directory. The second checkpoint starts from the restored store's
 /// version counters and the manifest's slots, so the folded directory —
 /// both generations of every file, name then bytes — pins which files it
-/// rewrites and where. One literal per kernel level (`FLUX_SIMD`).
+/// rewrites and where. One pair of literals (model files, manifests) per
+/// kernel level (`FLUX_SIMD`).
 #[test]
 fn restored_lineage_directories_are_pinned() {
-    let fnv = |hash: u64, bytes: &[u8]| {
-        bytes.iter().fold(hash, |hash, &b| {
-            (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    };
     let pool = pool(None);
     let run = FederatedRun::new(quick(), 33);
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digests = (FNV_OFFSET, FNV_OFFSET);
     for method in Method::all() {
         let dir = TempDir::new("lineage");
         {
@@ -133,15 +151,18 @@ fn restored_lineage_directories_are_pinned() {
         let mut restored = run.restore(method, &dir).expect("checkpoint restores");
         restored.step_round(&pool);
         restored.checkpoint(&dir).expect("checkpoint succeeds");
-        for (name, bytes) in read_dir(&dir) {
-            digest = fnv(fnv(digest, name.as_bytes()), &bytes);
-        }
+        fold_dir(&mut digests, &read_dir(&dir));
     }
-    let expected = match simd::global_level() {
-        SimdLevel::Avx2 => 0x4663_a711_0eec_0e3e,
-        SimdLevel::Scalar => 0x7523_23e8_4f93_b063,
+    let files = match simd::global_level() {
+        SimdLevel::Avx2 => 0xf6f9_c454_29c3_c960,
+        SimdLevel::Scalar => 0xd1ad_b2c7_1091_b51d,
     };
-    assert_eq!(digest, expected, "digest {digest:#x}");
+    let manifests = match simd::global_level() {
+        SimdLevel::Avx2 => 0x708d_c78d_2513_83e3,
+        SimdLevel::Scalar => 0x1597_7fc3_7a3a_e547,
+    };
+    assert_eq!(digests.0, files, "files digest {:#x}", digests.0);
+    assert_eq!(digests.1, manifests, "manifest digest {:#x}", digests.1);
 }
 
 #[test]
