@@ -315,8 +315,8 @@ pub fn fmes_local_round(
 
     // Of the kept experts, only the `tuning_capacity` most frequent are
     // actually trained. They upload in key order: a hash set's order
-    // changes from process to process, and the staged round a mid-round
-    // checkpoint persists keeps upload order.
+    // changes from process to process, and an upload's wire bytes keep
+    // upload order.
     let trained_originals: BTreeSet<ExpertKey> =
         top_frequency_experts(profile, tuning_capacity.min(capacity))
             .into_iter()

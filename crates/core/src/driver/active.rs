@@ -8,9 +8,8 @@ use threadpool::ThreadPool;
 
 use flux_data::{Dataset, DatasetConfig, DatasetGenerator};
 use flux_fl::{
-    decode_staged_aggregator, encode_staged_aggregator, AggregationTree, CheckpointStats,
-    CostModel, FleetSpec, Participant, PhaseTimes, RoundCostBreakdown, ShardedAggregator,
-    ShardedStore, SimClock, SnapshotError,
+    AggregationTree, CheckpointStats, CostModel, FleetSpec, Participant, PhaseTimes,
+    RoundCostBreakdown, ShardedStore, SimClock, SnapshotError,
 };
 use flux_metrics::TimeToAccuracyTracker;
 use flux_moe::{EvalResult, MoeModel};
@@ -134,10 +133,6 @@ pub struct ActiveRun {
     pending: Option<RoundRecord>,
     next_round: usize,
     computed: Option<ComputedRound>,
-    /// A staged aggregator recovered from a mid-round checkpoint; the next
-    /// `start_round` resumes it (as the tree's root) instead of opening a
-    /// fresh one.
-    restored_aggregator: Option<ShardedAggregator>,
     /// Per-round `(hits, misses)` of the round-scoped
     /// [`QuantizedModelCache`]: misses count actual quantizations, so each
     /// entry proves the cache was fresh that round and deduplicated within
@@ -217,7 +212,6 @@ impl ActiveRun {
             pending: None,
             next_round: 0,
             computed: None,
-            restored_aggregator: None,
             cache_stats: Vec::new(),
             last_gram_stats: GramCacheStats::default(),
         }
@@ -244,10 +238,6 @@ impl ActiveRun {
         self.client_states = ClientStates::from_lists(cfg.profiling, state.flux, state.fmes);
         self.pending = state.pending;
         self.next_round = state.next_round as usize;
-        self.restored_aggregator = match state.aggregator {
-            Some(bytes) => Some(decode_staged_aggregator(&bytes)?),
-            None => None,
-        };
         Ok(())
     }
 
@@ -302,41 +292,23 @@ impl ActiveRun {
     /// Writes a durable checkpoint of this run into `dir`: the store's
     /// versioned per-shard snapshot (dirty shards only after the first
     /// write) plus the run state needed to resume — round index, clock,
-    /// per-round records, assigner utilities, client states, and,
-    /// mid-round, the staged aggregator with the set of participants
-    /// already reduced into it.
+    /// per-round records, assigner utilities and client states.
     ///
-    /// Valid at any [`RunPhase`]. A checkpoint taken between `start_round`
-    /// and `finish_round` persists the *top-of-round* state — the live
-    /// state, since only `finish_round` changes it: on restore the round's
-    /// fan-out replays deterministically, the restored aggregator rejects
-    /// duplicate re-submissions of already-staged pids, and the run
+    /// Valid at any [`RunPhase`], and always the *top-of-round* state: only
+    /// `finish_round` changes run state, so a checkpoint taken between
+    /// `start_round` and `finish_round` writes the same directory as one
+    /// taken just before `start_round`. What the round has staged is not
+    /// persisted: on restore the round's fan-out replays deterministically,
+    /// every participant recomputes its upload bit for bit, and the run
     /// continues to results bit-identical to an uninterrupted one.
     ///
     /// # Errors
     ///
-    /// Fails on I/O errors, and with [`SnapshotError::TooLarge`] before
-    /// writing anything when the staged aggregator exceeds the format's
-    /// `u32` length prefix; a partially written file is never one the
+    /// Fails on I/O errors; a partially written file is never one the
     /// previous good checkpoint's manifest references (two generation
     /// slots per file, the manifest's rename last — see
     /// `flux_fl::snapshot`).
     pub fn checkpoint(&self, dir: impl AsRef<Path>) -> Result<CheckpointStats, SnapshotError> {
-        let staged = match &self.computed {
-            // Mid-round: the staged aggregator, edges flattened into one
-            // non-draining merged view (collapse is result-transparent, so
-            // restore can rebuild a flat root whatever tree shape staged the
-            // uploads); restore replays the fan-out.
-            Some(computed) => Some(encode_staged_aggregator(
-                &computed.aggregator.merged_snapshot(),
-            )),
-            // Round boundary: an aggregator restored but not yet resumed
-            // rides along unchanged.
-            None => self
-                .restored_aggregator
-                .as_ref()
-                .map(encode_staged_aggregator),
-        };
         let (flux, fmes) = self.client_states.to_lists(self.registry.len());
         let meta = encode_run_state(&RunState {
             fingerprint: self.driver.fingerprint(self.method),
@@ -348,8 +320,7 @@ impl ActiveRun {
             utilities: self.assigner.export_utilities(),
             flux,
             fmes,
-            aggregator: staged,
-        })?;
+        });
         self.store.checkpoint(dir.as_ref(), &meta)
     }
 
@@ -415,15 +386,8 @@ impl ActiveRun {
                 .collect();
         }
         let driver = &self.driver;
-        // A mid-round restore resumes the staged aggregator recovered from
-        // the checkpoint as the tree's root; its already-staged pids reject
-        // this fan-out's duplicate re-submissions at whatever edge they
-        // route through.
-        let root = self
-            .restored_aggregator
-            .take()
-            .unwrap_or_else(|| self.store.begin_round());
-        let aggregator = AggregationTree::new(root, driver.config.aggregation_edges);
+        let aggregator =
+            AggregationTree::new(self.store.begin_round(), driver.config.aggregation_edges);
         // Uploads stream into the aggregator the moment each participant
         // finishes — unless the arrival shuffle knob is on, in which case
         // they are replayed in a seeded order during finish_round (either

@@ -22,7 +22,8 @@ pub(super) enum RoundUpload {
 }
 
 /// Stages one upload into the aggregator, decoding encoded payloads
-/// against the round-start snapshot `base`.
+/// against the round-start snapshot `base`. Every path calls it once per
+/// participant and round, so the upload always stages.
 ///
 /// # Panics
 ///
@@ -35,13 +36,17 @@ pub(super) fn submit_upload(
     participant_id: usize,
     upload: RoundUpload,
     base: &MoeModel,
-) -> bool {
-    match upload {
+) {
+    let staged = match upload {
         RoundUpload::Dense(updates, head) => aggregator.submit(participant_id, updates, head),
         RoundUpload::Encoded(encoded) => aggregator
             .submit_encoded(participant_id, &encoded, base)
             .expect("a driver-produced upload decodes against its round-start snapshot"),
-    }
+    };
+    debug_assert!(
+        staged,
+        "participant {participant_id} staged twice in one round"
+    );
 }
 
 /// Puts one retained upload into the damaged wire form a corrupting
@@ -134,10 +139,7 @@ pub(super) fn simulate_deliveries(
                     // validated decode must reject it without staging
                     // anything and without panicking.
                     let verdict = aggregator.submit_encoded(pid, &damaged, base);
-                    debug_assert!(
-                        verdict.is_err() || verdict == Ok(false),
-                        "a damaged upload must never stage"
-                    );
+                    debug_assert!(verdict.is_err(), "a damaged upload must never stage");
                     was_rejected = true;
                 }
                 FaultKind::Stall => {}
@@ -177,8 +179,6 @@ pub(super) fn simulate_deliveries(
             faults.dropped.push(pid);
             continue;
         }
-        // A pid already staged by a restored mid-round aggregator rejects
-        // the duplicate here; the delivery still counts.
         submit_upload(aggregator, pid, upload, base);
         landed_extra_s[slot] = Some(f64::from(attempt) * ft.retry_backoff_s);
     }

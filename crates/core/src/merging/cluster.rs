@@ -36,11 +36,6 @@ pub struct ExpertClusters {
 }
 
 impl ExpertClusters {
-    /// Total number of clusters across layers.
-    pub fn total_clusters(&self) -> usize {
-        self.clusters.iter().map(|layer| layer.len()).sum()
-    }
-
     /// All experts covered by the clustering, as keys.
     pub fn covered_experts(&self) -> Vec<ExpertKey> {
         let mut keys = Vec::new();
@@ -384,7 +379,6 @@ mod tests {
             &mut rng,
         );
         assert_eq!(clusters.clusters[0].len(), 2);
-        assert_eq!(clusters.total_clusters(), 2);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! the model itself through the store's versioned per-shard snapshot
 //! (`flux_fl::snapshot`); everything *else* a run needs to resume — the
 //! fingerprint identifying which run this is, the round index, the
-//! simulated clock, per-round records, the assigner's utility tables, the
-//! stale-profiling pipelines and (mid-round) the staged aggregator — rides
-//! in the snapshot manifest's opaque `meta` blob, encoded here. The
+//! simulated clock, per-round records, the assigner's utility tables and
+//! the stale-profiling pipelines — rides in the snapshot manifest's opaque
+//! `meta` blob, encoded here. It is always the top-of-round state: a round
+//! in flight is replayed on restore, never persisted. The
 //! manifest's trailing self-checksum covers the blob, so corruption is
 //! detected before this module ever parses a byte.
 //!
@@ -27,9 +28,10 @@ use crate::driver::{ExecutionMode, Method, RoundFaults, RoundRecord};
 const MAGIC: &[u8; 8] = b"FLUXRUN1";
 /// The only version this build reads or writes. Version 2 added the
 /// cohort-sampling fingerprint (cohort size and edge aggregator count)
-/// after the participant count; no version-1 blob was ever written outside
-/// a test, so anything else is refused as corrupt.
-const VERSION: u32 = 2;
+/// after the participant count; version 3 dropped the trailing mid-round
+/// staged-aggregator tag. No version-1 blob was ever written outside a
+/// test, so anything else is refused as corrupt.
+const VERSION: u32 = 3;
 
 /// What identifies a run to its checkpoints: resuming someone else's
 /// shards would silently diverge instead of failing loudly.
@@ -62,9 +64,6 @@ pub(crate) struct RunState {
     pub(crate) flux: Vec<(Option<ActivationProfile>, usize)>,
     /// Per-participant FMES activation profiles.
     pub(crate) fmes: Vec<Option<ActivationProfile>>,
-    /// Mid-round only: the staged aggregator's wire form
-    /// (`flux_fl::encode_staged_aggregator`).
-    pub(crate) aggregator: Option<Vec<u8>>,
 }
 
 impl RunState {
@@ -246,12 +245,7 @@ fn get_opt_profile(r: &mut Reader<'_>) -> Result<Option<ActivationProfile>, Snap
 }
 
 /// Encodes a run's resumable state into the snapshot-manifest `meta` blob.
-///
-/// # Errors
-///
-/// Fails with [`SnapshotError::TooLarge`] when the staged aggregator does
-/// not fit its `u32` length prefix.
-pub(crate) fn encode_run_state(state: &RunState) -> Result<Vec<u8>, SnapshotError> {
+pub(crate) fn encode_run_state(state: &RunState) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_bytes(MAGIC);
     w.put_u32(VERSION);
@@ -313,15 +307,7 @@ pub(crate) fn encode_run_state(state: &RunState) -> Result<Vec<u8>, SnapshotErro
     for profile in &state.fmes {
         put_opt_profile(&mut w, profile.as_ref());
     }
-    // Mid-round staged aggregator.
-    match &state.aggregator {
-        Some(bytes) => {
-            w.put_u8(1);
-            w.put_byte_slice(bytes)?;
-        }
-        None => w.put_u8(0),
-    }
-    Ok(w.into_vec())
+    w.into_vec()
 }
 
 /// Decodes a `meta` blob back into a [`RunState`].
@@ -398,11 +384,6 @@ pub(crate) fn decode_run_state(bytes: &[u8]) -> Result<RunState, SnapshotError> 
     let fmes = (0..r.count(1)?)
         .map(|_| get_opt_profile(r))
         .collect::<Result<_, _>>()?;
-    let aggregator = match r.u8()? {
-        0 => None,
-        1 => Some(r.byte_slice()?.to_vec()),
-        other => return Err(corrupt(format!("unknown aggregator tag {other}"))),
-    };
     if r.remaining() != 0 {
         return Err(corrupt(format!(
             "{} trailing bytes after the run state",
@@ -419,7 +400,6 @@ pub(crate) fn decode_run_state(bytes: &[u8]) -> Result<RunState, SnapshotError> 
         utilities,
         flux,
         fmes,
-        aggregator,
     })
 }
 
@@ -508,7 +488,6 @@ mod tests {
             )],
             flux: vec![(Some(sample_profile()), 4), (None, 0)],
             fmes: vec![None, Some(sample_profile())],
-            aggregator: Some(vec![1, 2, 3, 4]),
         }
     }
 
@@ -545,29 +524,29 @@ mod tests {
         for (x, y) in a.fmes.iter().zip(b.fmes.iter()) {
             assert!(profile_eq(x, y));
         }
-        assert_eq!(a.aggregator, b.aggregator);
     }
 
     #[test]
     fn run_state_round_trips() {
         let state = sample_state();
-        let bytes = encode_run_state(&state).unwrap();
+        let bytes = encode_run_state(&state);
         let decoded = decode_run_state(&bytes).expect("clean blob decodes");
         assert_states_equal(&state, &decoded);
     }
 
     /// The FLUXRUN bytes of `sample_state()`, by length and byte-wise
     /// FNV-1a digest (written out here so the pin depends on no codec),
-    /// recorded at the parent of the byte-codec migration.
+    /// re-recorded at version 3: the version-2 bytes recorded at the parent
+    /// of the byte-codec migration, minus the staged-aggregator tag.
     #[test]
     fn run_state_bytes_are_pinned() {
-        let bytes = encode_run_state(&sample_state()).unwrap();
+        let bytes = encode_run_state(&sample_state());
         let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &b| {
             (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         });
         assert_eq!(
             (bytes.len(), digest),
-            (674, 0x6621_8ecb_dac4_9e35),
+            (665, 0xc7ab_8d6d_7309_5775),
             "digest {digest:#x}"
         );
     }
@@ -580,10 +559,9 @@ mod tests {
             utilities: Vec::new(),
             flux: Vec::new(),
             fmes: Vec::new(),
-            aggregator: None,
             ..sample_state()
         };
-        let bytes = encode_run_state(&state).unwrap();
+        let bytes = encode_run_state(&state);
         let decoded = decode_run_state(&bytes).expect("clean blob decodes");
         assert_states_equal(&state, &decoded);
     }
@@ -591,27 +569,11 @@ mod tests {
     #[test]
     fn bad_magic_and_truncation_are_rejected() {
         let state = sample_state();
-        let mut bytes = encode_run_state(&state).unwrap();
+        let mut bytes = encode_run_state(&state);
         assert!(decode_run_state(&bytes[..bytes.len() - 1]).is_err());
         bytes[0] ^= 0xFF;
         assert!(decode_run_state(&bytes).is_err());
         assert!(decode_run_state(b"short").is_err());
-    }
-
-    #[test]
-    fn staged_aggregator_bytes_are_bounded_by_the_input_not_by_a_count_cap() {
-        // A fault-free pipelined round on `MoeConfig::small()` stages 21.5 MB:
-        // perfectly valid, and far above any plausible record count.
-        let state = RunState {
-            aggregator: Some(vec![7u8; 1_000_001]),
-            ..sample_state()
-        };
-        let bytes = encode_run_state(&state).unwrap();
-        let decoded = decode_run_state(&bytes).expect("a large staged aggregator decodes");
-        assert_eq!(decoded.aggregator, state.aggregator);
-        // A length prefix promising more than the blob holds is still
-        // refused before any allocation.
-        assert!(decode_run_state(&bytes[..bytes.len() - 1]).is_err());
     }
 
     /// Every count a hostile blob can inflate fails as a typed error, not
@@ -623,16 +585,15 @@ mod tests {
             utilities: Vec::new(),
             flux: Vec::new(),
             fmes: Vec::new(),
-            aggregator: None,
             ..sample_state()
         };
-        let bytes = encode_run_state(&state).unwrap();
+        let bytes = encode_run_state(&state);
         // magic, version, fingerprint (8+1+1+4+4+5+4), next_round, elapsed,
         // phases: then the record count.
         let record_count = 8 + 4 + 27 + 4 + 8 + 6 * 8;
         assert_eq!(bytes[record_count..record_count + 4], 1u32.to_le_bytes());
-        // The tail is pending tag, three empty counts, aggregator tag.
-        let utility_count = bytes.len() - 1 - 12;
+        // The tail is pending tag and three empty counts.
+        let utility_count = bytes.len() - 12;
         for offset in [
             record_count,
             utility_count,
@@ -653,7 +614,7 @@ mod tests {
 
     #[test]
     fn trailing_garbage_is_rejected() {
-        let mut bytes = encode_run_state(&sample_state()).unwrap();
+        let mut bytes = encode_run_state(&sample_state());
         bytes.push(0);
         let err = match decode_run_state(&bytes) {
             Err(err) => err,
@@ -712,24 +673,28 @@ mod tests {
 
     #[test]
     fn unsupported_versions_are_rejected() {
-        // Re-encode sample_state() as a version-1 blob by hand: identical
-        // layout minus the cohort fields. No build writes that layout any
-        // more, and none reads it.
-        let v2 = encode_run_state(&sample_state()).unwrap();
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(&v2[..MAGIC.len()]);
+        // Re-encode sample_state() in the older layouts by hand. No build
+        // writes them any more, and none reads them.
+        let v3 = encode_run_state(&sample_state());
+        let version_at = MAGIC.len()..MAGIC.len() + 4;
+        // Version 2: the current layout plus a trailing staged-aggregator
+        // tag (0 = none).
+        let mut v2 = v3.clone();
+        v2[version_at.clone()].copy_from_slice(&2u32.to_le_bytes());
+        v2.push(0);
+        // Version 1: version 2 minus the cohort fields. seed(8) + method(1)
+        // + mode(1) + rounds(4) + participants(4), then skip the cohort
+        // tag+value (5 bytes for Some) and edges (4 bytes).
+        let fp_end = version_at.end + 18;
+        let mut v1 = v2[..version_at.start].to_vec();
         v1.extend_from_slice(&1u32.to_le_bytes());
-        // seed(8) + method(1) + mode(1) + rounds(4) + participants(4).
-        let fp_start = MAGIC.len() + 4;
-        let fp_end = fp_start + 18;
-        v1.extend_from_slice(&v2[fp_start..fp_end]);
-        // Skip cohort tag+value (5 bytes for Some) and edges (4 bytes).
+        v1.extend_from_slice(&v2[version_at.end..fp_end]);
         v1.extend_from_slice(&v2[fp_end + 9..]);
         // A blob from a newer build: the current layout under the next
         // version number.
-        let mut newer = v2.clone();
-        newer[MAGIC.len()..fp_start].copy_from_slice(&(VERSION + 1).to_le_bytes());
-        for (blob, version) in [(v1, 1), (newer, VERSION + 1)] {
+        let mut newer = v3.clone();
+        newer[version_at].copy_from_slice(&(VERSION + 1).to_le_bytes());
+        for (blob, version) in [(v1, 1), (v2, 2), (newer, VERSION + 1)] {
             match decode_run_state(&blob) {
                 Err(SnapshotError::Corrupt(message)) => {
                     assert_eq!(message, format!("unsupported run-state version {version}"))

@@ -32,4 +32,4 @@ pub use partition::{
     partition_iid, partition_indices_iid, partition_indices_non_iid, partition_non_iid,
     PartitionConfig,
 };
-pub use stream::{MapStream, PartitionView, SampleStream, TakeStream};
+pub use stream::{PartitionView, SampleStream};

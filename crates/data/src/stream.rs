@@ -1,4 +1,4 @@
-//! Streaming access to datasets: cursors, lazy partition views, transforms.
+//! Streaming access to datasets: cursors and lazy partition views.
 //!
 //! The eager [`Dataset`] materializes every sample up front, which is fine
 //! for one corpus but not for a 10k-participant fleet where each client owns
@@ -8,8 +8,6 @@
 //! one participant's shard is just an index list, so per-participant memory
 //! is O(batch) plus the indices instead of a full clone of the shard.
 //!
-//! Composable transforms ([`SampleStream::take_samples`],
-//! [`SampleStream::map_samples`]) wrap any stream, and
 //! [`SampleStream::materialize`] collapses a stream back into an eager
 //! [`Dataset`] — bit-identical to [`Dataset::subset`] for an unshuffled
 //! view, which is what keeps the lazy fleet path equivalent to the old
@@ -49,27 +47,6 @@ pub trait SampleStream {
 
     /// Permutes the visit order and rewinds. Deterministic in `rng`.
     fn shuffle(&mut self, rng: &mut SeededRng);
-
-    /// Restricts the stream to the first `n` samples of each pass.
-    fn take_samples(self, n: usize) -> TakeStream<Self>
-    where
-        Self: Sized,
-    {
-        TakeStream {
-            inner: self,
-            limit: n,
-            taken: 0,
-        }
-    }
-
-    /// Applies `f` to every yielded sample.
-    fn map_samples<F>(self, f: F) -> MapStream<Self, F>
-    where
-        Self: Sized,
-        F: FnMut(Sample) -> Sample,
-    {
-        MapStream { inner: self, f }
-    }
 
     /// Collects one full pass into an eager [`Dataset`] and rewinds.
     ///
@@ -171,84 +148,6 @@ impl SampleStream for PartitionView {
     }
 }
 
-/// Stream adapter limiting each pass to the first `n` samples.
-#[derive(Debug, Clone)]
-pub struct TakeStream<S> {
-    inner: S,
-    limit: usize,
-    taken: usize,
-}
-
-impl<S: SampleStream> SampleStream for TakeStream<S> {
-    fn kind(&self) -> DatasetKind {
-        self.inner.kind()
-    }
-
-    fn vocab_size(&self) -> usize {
-        self.inner.vocab_size()
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len().min(self.limit)
-    }
-
-    fn next_sample(&mut self) -> Option<Sample> {
-        if self.taken >= self.limit {
-            return None;
-        }
-        let s = self.inner.next_sample()?;
-        self.taken += 1;
-        Some(s)
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-        self.taken = 0;
-    }
-
-    fn shuffle(&mut self, rng: &mut SeededRng) {
-        self.inner.shuffle(rng);
-        self.taken = 0;
-    }
-}
-
-/// Stream adapter applying a function to every yielded sample.
-#[derive(Debug, Clone)]
-pub struct MapStream<S, F> {
-    inner: S,
-    f: F,
-}
-
-impl<S, F> SampleStream for MapStream<S, F>
-where
-    S: SampleStream,
-    F: FnMut(Sample) -> Sample,
-{
-    fn kind(&self) -> DatasetKind {
-        self.inner.kind()
-    }
-
-    fn vocab_size(&self) -> usize {
-        self.inner.vocab_size()
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn next_sample(&mut self) -> Option<Sample> {
-        self.inner.next_sample().map(&mut self.f)
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-
-    fn shuffle(&mut self, rng: &mut SeededRng) {
-        self.inner.shuffle(rng);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,33 +223,6 @@ mod tests {
         assert_eq!(sorted, original);
         // The backing corpus is untouched.
         assert_eq!(corpus(4).samples, ds.samples);
-    }
-
-    #[test]
-    fn take_limits_each_pass() {
-        let ds = corpus(5);
-        let mut s = PartitionView::full(Arc::clone(&ds)).take_samples(3);
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.materialize().samples, ds.samples[..3].to_vec());
-        // Reset restores the budget.
-        s.reset();
-        let mut count = 0;
-        while s.next_sample().is_some() {
-            count += 1;
-        }
-        assert_eq!(count, 3);
-    }
-
-    #[test]
-    fn map_transforms_every_sample() {
-        let ds = corpus(6);
-        let mut s = PartitionView::full(Arc::clone(&ds)).map_samples(|mut sample: Sample| {
-            sample.tokens.truncate(1);
-            sample
-        });
-        let out = s.materialize();
-        assert_eq!(out.len(), ds.len());
-        assert!(out.samples.iter().all(|s| s.tokens.len() <= 1));
     }
 
     #[test]

@@ -205,42 +205,6 @@ impl ShardedAggregator {
         lock(&self.submitted).contains(&participant_id)
     }
 
-    /// A canonical copy of the staged round state for checkpointing:
-    /// per-shard updates and head entries sorted by participant id, plus
-    /// the submitted-pid set (ascending). Staging order is unobservable —
-    /// finalization sorts by pid anyway — so the sorted form restores to a
-    /// bit-identical round.
-    pub(crate) fn staged_state(&self) -> StagedRound {
-        let shards = self
-            .shards
-            .iter()
-            .map(|shard| {
-                let mut staged = lock(shard).clone();
-                staged.sort_by_key(|(pid, _)| *pid);
-                staged
-            })
-            .collect();
-        let mut heads = lock(&self.heads).clone();
-        heads.sort_by_key(|(pid, _, _)| *pid);
-        let submitted = lock(&self.submitted).iter().copied().collect();
-        StagedRound {
-            shards,
-            heads,
-            submitted,
-        }
-    }
-
-    /// Rebuilds an aggregator from a checkpointed [`StagedRound`]. The
-    /// restored submitted-pid set keeps rejecting re-delivered uploads
-    /// exactly as the pre-crash aggregator did.
-    pub(crate) fn from_staged(state: StagedRound) -> Self {
-        Self {
-            shards: state.shards.into_iter().map(Mutex::new).collect(),
-            heads: Mutex::new(state.heads),
-            submitted: Mutex::new(state.submitted.into_iter().collect()),
-        }
-    }
-
     /// Reduces one shard: its staged updates sorted into participant-id
     /// order, fed through the one-shot FedAvg kernel, draining the shard.
     fn finalize_shard(&self, shard: usize) -> HashMap<ExpertKey, Expert> {
@@ -350,9 +314,9 @@ impl AggregationTree {
     }
 
     /// Stages an upload at an explicit edge — the hook for arbitrary
-    /// (ragged) cohort partitions. A pid already accepted at the root
-    /// (e.g. restored from a mid-round checkpoint) or at any edge is
-    /// rejected, preserving the flat duplicate discipline across levels.
+    /// (ragged) cohort partitions. A pid already accepted at the root or
+    /// at any edge is rejected, preserving the flat duplicate discipline
+    /// across levels.
     pub fn submit_to_edge(
         &self,
         edge: usize,
@@ -414,87 +378,38 @@ impl AggregationTree {
 
     /// Drains every edge's pre-bucketed slices into the root, in edge
     /// order, and returns the root ready to finalize. Pids the root has
-    /// already accepted are filtered (first acceptance wins), so a restored
-    /// checkpoint's uploads are never double-counted. Safe to call more
+    /// already accepted are filtered (first acceptance wins), so a pid
+    /// staged at two levels is never double-counted. Safe to call more
     /// than once — drained edges contribute nothing the second time.
     pub fn collapse(&self) -> &ShardedAggregator {
+        let root = &self.root;
         for edge in &self.edges {
-            Self::transfer(edge, &self.root, true);
-        }
-        &self.root
-    }
-
-    /// A non-draining snapshot of the whole tree's staged state as one flat
-    /// aggregator — what mid-round checkpoints persist. Collapsing edges is
-    /// result-transparent (the root re-sorts by pid), so restoring this
-    /// snapshot replays bit-identically regardless of the original edge
-    /// topology.
-    pub fn merged_snapshot(&self) -> ShardedAggregator {
-        let merged = ShardedAggregator::from_staged(self.root.staged_state());
-        for edge in &self.edges {
-            Self::transfer(edge, &merged, false);
-        }
-        merged
-    }
-
-    /// Moves (or copies, when `drain` is false) one edge's staged entries
-    /// into `target`, admitting only pids `target` has not yet accepted.
-    fn transfer(edge: &ShardedAggregator, target: &ShardedAggregator, drain: bool) {
-        debug_assert_eq!(edge.num_shards(), target.num_shards());
-        let staged = if drain {
-            StagedRound {
-                shards: edge
-                    .shards
-                    .iter()
-                    .map(|s| std::mem::take(&mut *lock(s)))
-                    .collect(),
-                heads: std::mem::take(&mut *lock(&edge.heads)),
-                submitted: std::mem::take(&mut *lock(&edge.submitted))
+            debug_assert_eq!(edge.num_shards(), root.num_shards());
+            let staged = std::mem::take(&mut *lock(&edge.submitted));
+            let accepted: BTreeSet<usize> = {
+                let mut submitted = lock(&root.submitted);
+                staged
                     .into_iter()
-                    .collect(),
+                    .filter(|&pid| submitted.insert(pid))
+                    .collect()
+            };
+            for (shard, target) in edge.shards.iter().zip(&root.shards) {
+                let entries = std::mem::take(&mut *lock(shard));
+                lock(target).extend(
+                    entries
+                        .into_iter()
+                        .filter(|(pid, _)| accepted.contains(pid)),
+                );
             }
-        } else {
-            edge.staged_state()
-        };
-        let accepted: BTreeSet<usize> = {
-            let mut submitted = lock(&target.submitted);
-            staged
-                .submitted
-                .iter()
-                .copied()
-                .filter(|&pid| submitted.insert(pid))
-                .collect()
-        };
-        for (shard_idx, entries) in staged.shards.into_iter().enumerate() {
-            if entries.is_empty() {
-                continue;
-            }
-            lock(&target.shards[shard_idx]).extend(
-                entries
+            let heads = std::mem::take(&mut *lock(&edge.heads));
+            lock(&root.heads).extend(
+                heads
                     .into_iter()
-                    .filter(|(pid, _)| accepted.contains(pid)),
+                    .filter(|(pid, _, _)| accepted.contains(pid)),
             );
         }
-        lock(&target.heads).extend(
-            staged
-                .heads
-                .into_iter()
-                .filter(|(pid, _, _)| accepted.contains(pid)),
-        );
+        root
     }
-}
-
-/// The staged state of an in-flight aggregation round in canonical
-/// (participant-id-sorted) form, as captured by
-/// [`ShardedAggregator::staged_state`] for mid-round checkpoints.
-#[derive(Debug, Clone)]
-pub(crate) struct StagedRound {
-    /// Per-shard staged `(pid, update)` pairs, sorted by pid.
-    pub shards: Vec<Vec<(usize, ExpertUpdate)>>,
-    /// Staged `(pid, head, weight)` entries, sorted by pid.
-    pub heads: Vec<(usize, Matrix, f32)>,
-    /// Participants that have submitted, ascending.
-    pub submitted: Vec<usize>,
 }
 
 #[cfg(test)]
@@ -869,27 +784,6 @@ mod tests {
     }
 
     #[test]
-    fn staged_state_round_trips_and_keeps_rejecting_duplicates() {
-        let pool = ThreadPool::new(1);
-        let pids = [3usize, 0, 4];
-        let reference = one_shot(&pids);
-        let agg = ShardedAggregator::new(4);
-        for &pid in &pids {
-            let (u, h) = upload(pid);
-            assert!(agg.submit(pid, u, h));
-        }
-        let restored = ShardedAggregator::from_staged(agg.staged_state());
-        // The reduced-pid set survives: a re-delivered upload after the
-        // restore is still rejected exactly once.
-        let (u, h) = upload(3);
-        assert!(!restored.submit(3, u, h));
-        assert_eq!(restored.submitted_participants(), 3);
-        let (experts, head) = restored.finalize(&pool);
-        assert_expert_maps_identical(&experts, &reference.0);
-        assert_eq!(head, reference.1);
-    }
-
-    #[test]
     fn tree_reduce_is_bit_identical_to_flat_for_every_edge_count() {
         let pool = ThreadPool::new(2);
         let pids = [0usize, 1, 2, 3, 4, 5, 6];
@@ -928,8 +822,8 @@ mod tests {
 
     #[test]
     fn tree_filters_pids_already_accepted_at_the_root() {
-        // A mid-round restore leaves accepted pids at the root; an edge
-        // replaying the same pid must not double-count it at collapse.
+        // A root handed to the tree with pids already staged; an edge
+        // staging the same pid must not double-count it at collapse.
         let pool = ThreadPool::new(1);
         let root = ShardedAggregator::new(4);
         let (u, h) = upload(2);
@@ -943,27 +837,6 @@ mod tests {
         // ...but the collapse admits pid 2 only once.
         let (experts, head) = tree.collapse().finalize(&pool);
         let reference = one_shot(&[2, 3]);
-        assert_expert_maps_identical(&experts, &reference.0);
-        assert_eq!(head, reference.1);
-    }
-
-    #[test]
-    fn merged_snapshot_restores_bit_identically_without_draining() {
-        let pool = ThreadPool::new(1);
-        let pids = [4usize, 1, 6, 0];
-        let reference = one_shot(&pids);
-        let tree = AggregationTree::new(ShardedAggregator::new(4), 3);
-        for &pid in &pids {
-            let (u, h) = upload(pid);
-            assert!(tree.submit(pid, u, h));
-        }
-        // Checkpoint: flatten the tree without disturbing it.
-        let snapshot = ShardedAggregator::from_staged(tree.merged_snapshot().staged_state());
-        let (experts, head) = snapshot.finalize(&pool);
-        assert_expert_maps_identical(&experts, &reference.0);
-        assert_eq!(head, reference.1);
-        // The live tree still collapses to the same answer.
-        let (experts, head) = tree.collapse().finalize(&pool);
         assert_expert_maps_identical(&experts, &reference.0);
         assert_eq!(head, reference.1);
     }

@@ -91,17 +91,6 @@ impl CompressionConfig {
     pub fn is_dense(&self) -> bool {
         matches!(self, CompressionConfig::Dense)
     }
-
-    /// Whether decoding reproduces the dense upload bit-identically.
-    pub fn is_lossless(&self) -> bool {
-        match self {
-            CompressionConfig::Dense | CompressionConfig::LosslessDelta => true,
-            CompressionConfig::LossyDelta {
-                quantization,
-                top_k_fraction,
-            } => quantization.is_none() && *top_k_fraction >= 1.0,
-        }
-    }
 }
 
 /// Why an encoded payload failed to decode.
@@ -1397,7 +1386,6 @@ mod tests {
             quantization: None,
             top_k_fraction: 1.0,
         };
-        assert!(cfg.is_lossless());
         let decoded = EncodedTensor::encode(&new, &base, cfg)
             .decode(&base)
             .unwrap();

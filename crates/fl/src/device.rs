@@ -141,12 +141,6 @@ impl DeviceProfile {
         }
     }
 
-    /// Overrides the per-round compute deadline.
-    pub fn with_round_deadline(mut self, seconds: f64) -> Self {
-        self.round_deadline_s = seconds;
-        self
-    }
-
     /// Overrides the last-mile link profile.
     pub fn with_link(mut self, link: LinkProfile) -> Self {
         self.link = link;
@@ -308,10 +302,14 @@ mod tests {
     #[test]
     fn longer_deadline_allows_more_tuning() {
         let cfg = MoeConfig::llama_moe_sim();
-        let short = DeviceClass::Consumer12G.profile().with_round_deadline(30.0);
-        let long = DeviceClass::Consumer12G
-            .profile()
-            .with_round_deadline(600.0);
+        let short = DeviceProfile {
+            round_deadline_s: 30.0,
+            ..DeviceClass::Consumer12G.profile()
+        };
+        let long = DeviceProfile {
+            round_deadline_s: 600.0,
+            ..DeviceClass::Consumer12G.profile()
+        };
         assert!(long.tuning_capacity(&cfg, 5000) >= short.tuning_capacity(&cfg, 5000));
     }
 

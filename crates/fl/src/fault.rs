@@ -33,13 +33,7 @@ pub enum FaultKind {
     Stall,
 }
 
-impl FaultKind {
-    /// Whether a later attempt can succeed (crashes are terminal for the
-    /// round; corruption and stalls are transient link failures).
-    pub fn is_transient(self) -> bool {
-        matches!(self, FaultKind::Corrupt | FaultKind::Stall)
-    }
-}
+impl FaultKind {}
 
 /// The first output of the splitmix64 stream seeded with `state`.
 fn splitmix(state: u64) -> u64 {
@@ -265,14 +259,6 @@ mod tests {
             })
             .count();
         assert!(recovered > 0);
-    }
-
-    #[test]
-    fn transient_classification() {
-        assert!(FaultKind::Corrupt.is_transient());
-        assert!(FaultKind::Stall.is_transient());
-        assert!(!FaultKind::Crash.is_transient());
-        assert!(!FaultKind::None.is_transient());
     }
 
     #[test]

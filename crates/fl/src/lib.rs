@@ -49,8 +49,5 @@ pub use device::{DeviceClass, DeviceProfile, LinkProfile};
 pub use fault::{FaultKind, FaultPlan, FaultToleranceConfig};
 pub use participant::{build_fleet, ClientSpec, FleetSpec, Participant, ParticipantBehavior};
 pub use server::{ParameterServer, DEFAULT_SHARDS};
-pub use snapshot::{
-    decode_staged_aggregator, encode_staged_aggregator, load_store, CheckpointStats,
-    LoadedSnapshot, SnapshotError,
-};
+pub use snapshot::{load_store, CheckpointStats, LoadedSnapshot, SnapshotError};
 pub use store::{shard_of_key, ShardedStore};

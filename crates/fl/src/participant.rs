@@ -36,13 +36,6 @@ impl Participant {
         self.device.tuning_capacity(config, self.tokens_per_round())
     }
 
-    /// Non-tuning budget `B_non_i = B_i − B_tune_i`.
-    pub fn non_tuning_capacity(&self, config: &MoeConfig) -> usize {
-        self.expert_capacity(config)
-            .saturating_sub(self.tuning_capacity(config))
-            .max(1)
-    }
-
     /// Tokens processed in one local round (all local samples, one epoch).
     pub fn tokens_per_round(&self) -> usize {
         self.train_data
@@ -166,12 +159,7 @@ pub struct ClientSpec {
     indices: Arc<Vec<usize>>,
 }
 
-impl ClientSpec {
-    /// The corpus rows of this client's shard.
-    pub fn shard_indices(&self) -> &[usize] {
-        &self.indices
-    }
-}
+impl ClientSpec {}
 
 /// Lightweight registry of N federated clients over one shared corpus.
 ///
@@ -341,11 +329,7 @@ mod tests {
         let fleet = build_fleet(&ds, 8, 0.5, &mut rng);
         for p in &fleet {
             let b = p.expert_capacity(&cfg);
-            let bt = p.tuning_capacity(&cfg);
-            let bn = p.non_tuning_capacity(&cfg);
-            assert!(bt <= b);
-            assert!(bn >= 1);
-            assert!(bt + bn >= b.min(bt + bn), "budgets must cover the device");
+            assert!(p.tuning_capacity(&cfg) <= b);
         }
     }
 
@@ -449,7 +433,7 @@ mod tests {
         let b = FleetSpec::build(Arc::new(ds.clone()), n, 0.5, &mut SeededRng::new(23));
         assert_eq!(a.len(), n);
         for id in [0, 1, ds.len(), n - 1] {
-            assert_eq!(a.client(id).shard_indices(), b.client(id).shard_indices());
+            assert_eq!(a.client(id).indices, b.client(id).indices);
             let p = a.materialize(id);
             assert_eq!(p.id, id);
             assert_eq!(p.num_samples(), 2);

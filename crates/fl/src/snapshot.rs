@@ -78,9 +78,9 @@
 //! version rather than misreported as a corrupt manifest.
 //!
 //! The manifest's meta blob is opaque to this module: the driver stores
-//! its serialized round state there (round index, clock, records, and the
-//! mid-round aggregator), making one directory the complete recovery
-//! point for a run.
+//! its serialized top-of-round state there (round index, clock, records,
+//! client states), making one directory the complete recovery point for a
+//! run.
 
 use std::fmt;
 use std::fs;
@@ -93,7 +93,6 @@ use flux_moe::{Expert, ExpertKey};
 use flux_tensor::codec::{checksum, BadOption, Reader, TooLong, Truncated, Writer};
 use flux_tensor::Matrix;
 
-use crate::aggregate::{ExpertUpdate, ShardedAggregator, StagedRound};
 use crate::store::{shard_of_key, ShardedStore};
 use crate::sync::lock;
 
@@ -103,8 +102,6 @@ const SHARD_MAGIC: &[u8; 8] = b"FLUXSHD1";
 const HEAD_MAGIC: &[u8; 8] = b"FLUXHED1";
 /// Magic bytes of the manifest.
 const MANIFEST_MAGIC: &[u8; 8] = b"FLUXMAN1";
-/// Magic bytes of a serialized aggregator staging state.
-const STAGED_MAGIC: &[u8; 8] = b"FLUXAGG1";
 /// On-disk format version: 3 keeps two generation slots of every mutable
 /// file and records the live one (see the module docs); the only version
 /// this build reads or writes.
@@ -204,10 +201,7 @@ impl From<std::io::Error> for SnapshotError {
 
 impl From<CheckpointError> for SnapshotError {
     fn from(e: CheckpointError) -> Self {
-        match e {
-            CheckpointError::Io(io) => SnapshotError::Io(io),
-            other => SnapshotError::Corrupt(other.to_string()),
-        }
+        SnapshotError::Corrupt(e.to_string())
     }
 }
 
@@ -865,94 +859,6 @@ pub fn load_store(dir: impl AsRef<Path>) -> Result<LoadedSnapshot, SnapshotError
     })
 }
 
-/// Serializes the staged (mid-round) state of an aggregator: per-shard
-/// `(pid, update)` pairs, staged heads, and the submitted-pid set — the
-/// set that keeps rejecting re-delivered uploads after a restore.
-pub fn encode_staged_aggregator(aggregator: &ShardedAggregator) -> Vec<u8> {
-    let state = aggregator.staged_state();
-    let mut w = Writer::new();
-    w.put_bytes(STAGED_MAGIC);
-    w.put_count(state.shards.len());
-    for shard in &state.shards {
-        w.put_count(shard.len());
-        for (pid, update) in shard {
-            w.put_u64(*pid as u64);
-            update.key.write_to(&mut w);
-            w.put_f32(update.weight);
-            update.expert.write_to(&mut w);
-        }
-    }
-    w.put_count(state.heads.len());
-    for (pid, head, weight) in &state.heads {
-        w.put_u64(*pid as u64);
-        w.put_f32(*weight);
-        w.put_matrix(head);
-    }
-    w.put_count(state.submitted.len());
-    for pid in &state.submitted {
-        w.put_u64(*pid as u64);
-    }
-    w.into_vec()
-}
-
-/// Rebuilds an aggregator from [`encode_staged_aggregator`] output.
-///
-/// # Errors
-///
-/// Returns a [`SnapshotError`] when the buffer is truncated or corrupt; no
-/// count in it can make this allocate more than the buffer holds.
-pub fn decode_staged_aggregator(data: &[u8]) -> Result<ShardedAggregator, SnapshotError> {
-    let r = &mut Reader::new(data);
-    if r.take(STAGED_MAGIC.len())? != STAGED_MAGIC {
-        return Err(SnapshotError::Corrupt(
-            "staged aggregator: bad magic".into(),
-        ));
-    }
-    // A shard is at least its own count.
-    let num_shards = r.count(4)?;
-    if num_shards == 0 {
-        return Err(SnapshotError::Corrupt(
-            "staged aggregator: no shards".into(),
-        ));
-    }
-    let mut shards = Vec::new();
-    for _ in 0..num_shards {
-        let count = r.count(8 + 8 + 4 + Expert::MIN_ENCODED_BYTES)?;
-        let staged = (0..count)
-            .map(|_| {
-                let pid = r.u64()? as usize;
-                let key = ExpertKey::read_from(r)?;
-                let weight = r.f32()?;
-                let expert = Expert::read_from(r)?;
-                Ok((
-                    pid,
-                    ExpertUpdate {
-                        key,
-                        expert,
-                        weight,
-                    },
-                ))
-            })
-            .collect::<Result<_, Truncated>>()?;
-        shards.push(staged);
-    }
-    let heads = (0..r.count(8 + 4 + 8)?)
-        .map(|_| {
-            let pid = r.u64()? as usize;
-            let weight = r.f32()?;
-            Ok((pid, r.matrix()?, weight))
-        })
-        .collect::<Result<_, Truncated>>()?;
-    let submitted = (0..r.count(8)?)
-        .map(|_| Ok(r.u64()? as usize))
-        .collect::<Result<_, Truncated>>()?;
-    Ok(ShardedAggregator::from_staged(StagedRound {
-        shards,
-        heads,
-        submitted,
-    }))
-}
-
 /// Deterministically corrupts one byte of `path` (for tests and the fault
 /// harness): byte at `offset % len` gets XORed with a nonzero mask.
 ///
@@ -976,6 +882,7 @@ pub fn corrupt_file_byte(path: impl AsRef<Path>, offset: u64) -> Result<(), Snap
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::ExpertUpdate;
     use flux_moe::{MoeConfig, MoeModel};
     use flux_tensor::SeededRng;
 
@@ -1342,8 +1249,8 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A shard or staged-aggregator count inflated to `u32::MAX` is a typed
-    /// error: nothing is reserved for entries the input cannot hold.
+    /// A shard's entry count inflated to `u32::MAX` is a typed error:
+    /// nothing is reserved for entries the input cannot hold.
     #[test]
     fn inflated_counts_are_refused_without_allocating() {
         let model = tiny_model(9);
@@ -1364,19 +1271,6 @@ mod tests {
             matches!(&err, SnapshotError::Corrupt(m) if m.contains("truncated")),
             "{err}"
         );
-
-        // An empty two-shard aggregator is its magic and five counts.
-        let staged = encode_staged_aggregator(&ShardedAggregator::new(2));
-        assert_eq!(staged.len(), 8 + 5 * 4);
-        for offset in (8..staged.len()).step_by(4) {
-            let mut hostile = staged.clone();
-            hostile[offset..offset + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-            let err = decode_staged_aggregator(&hostile).expect_err("inflated count");
-            assert!(
-                matches!(&err, SnapshotError::Corrupt(m) if m.contains("truncated")),
-                "{err}"
-            );
-        }
     }
 
     /// The head file's presence byte is 0 or 1, as FLUXRUN's tags are.
@@ -1407,48 +1301,5 @@ mod tests {
         let err = load_store(&dir).unwrap_err();
         assert!(matches!(err, SnapshotError::Missing(f) if f == shard_file(1, Slot::A)));
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn staged_aggregator_round_trips() {
-        let store = ShardedStore::new(tiny_model(7), 4);
-        let agg = store.begin_round();
-        let model = store.snapshot();
-        let keys = model.expert_keys();
-        for pid in [4usize, 1, 2] {
-            let updates: Vec<ExpertUpdate> = keys
-                .iter()
-                .take(3)
-                .map(|&key| ExpertUpdate {
-                    key,
-                    expert: model.expert(key).clone(),
-                    weight: 1.0 + pid as f32,
-                })
-                .collect();
-            let head = Some((model.lm_head.clone(), pid as f32 + 0.5));
-            assert!(agg.submit(pid, updates, head));
-        }
-        let restored = decode_staged_aggregator(&encode_staged_aggregator(&agg)).unwrap();
-        assert_eq!(restored.num_shards(), 4);
-        assert_eq!(restored.submitted_participants(), 3);
-        // The submitted set survives: duplicates still rejected.
-        assert!(!restored.submit(2, Vec::new(), None));
-        // And both aggregators finalize to identical results.
-        let pool = threadpool::ThreadPool::new(2);
-        let (ea, ha) = agg.finalize(&pool);
-        let (eb, hb) = restored.finalize(&pool);
-        assert_eq!(ea.len(), eb.len());
-        for (k, e) in &ea {
-            assert_eq!(e.w1, eb[k].w1);
-            assert_eq!(e.b2, eb[k].b2);
-        }
-        assert_eq!(ha, hb);
-    }
-
-    #[test]
-    fn staged_aggregator_rejects_garbage() {
-        assert!(decode_staged_aggregator(b"not an aggregator").is_err());
-        let data = encode_staged_aggregator(&ShardedAggregator::new(2));
-        assert!(decode_staged_aggregator(&data[..data.len() / 2]).is_err());
     }
 }

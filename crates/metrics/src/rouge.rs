@@ -25,16 +25,6 @@ pub fn rouge_l(candidate: &[u32], reference: &[u32]) -> f32 {
     2.0 * precision * recall / (precision + recall)
 }
 
-/// Mean ROUGE-L over a batch of (candidate, reference) pairs.
-///
-/// Returns 0 for an empty batch.
-pub fn mean_rouge_l(pairs: &[(Vec<u32>, Vec<u32>)]) -> f32 {
-    if pairs.is_empty() {
-        return 0.0;
-    }
-    pairs.iter().map(|(c, r)| rouge_l(c, r)).sum::<f32>() / pairs.len() as f32
-}
-
 /// Length of the longest common subsequence, O(n·m) dynamic programming with
 /// a rolling row.
 fn lcs_length(a: &[u32], b: &[u32]) -> usize {
@@ -100,16 +90,6 @@ mod tests {
         let x = vec![1, 2, 3, 4, 5, 6];
         let y = vec![2, 4, 6, 8];
         assert!((rouge_l(&x, &y) - rouge_l(&y, &x)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn mean_rouge_l_averages() {
-        let pairs = vec![
-            (vec![1, 2, 3], vec![1, 2, 3]),
-            (vec![1, 2, 3], vec![7, 8, 9]),
-        ];
-        assert!((mean_rouge_l(&pairs) - 0.5).abs() < 1e-6);
-        assert_eq!(mean_rouge_l(&[]), 0.0);
     }
 
     #[test]

@@ -64,14 +64,6 @@ impl TimeToAccuracyTracker {
             .map(|p| p.elapsed_hours)
     }
 
-    /// Rounds until the target was first reached, if ever.
-    pub fn rounds_to_target(&self) -> Option<usize> {
-        self.points
-            .iter()
-            .find(|p| p.score >= self.metric.target())
-            .map(|p| p.round)
-    }
-
     /// Best (maximum) raw score observed so far; 0 when empty.
     pub fn best_score(&self) -> f32 {
         self.points.iter().map(|p| p.score).fold(0.0, f32::max)
@@ -114,7 +106,6 @@ mod tests {
         let t = TimeToAccuracyTracker::new(TargetMetric::RougeL { target: 0.5 });
         assert!(t.points().is_empty());
         assert_eq!(t.time_to_target_hours(), None);
-        assert_eq!(t.rounds_to_target(), None);
         assert_eq!(t.best_score(), 0.0);
         assert_eq!(t.final_score(), None);
         assert_eq!(t.total_hours(), 0.0);
@@ -124,7 +115,6 @@ mod tests {
     fn records_and_finds_target_crossing() {
         let t = tracker_with_scores(&[0.2, 0.5, 0.81, 0.85]);
         assert_eq!(t.points().len(), 4);
-        assert_eq!(t.rounds_to_target(), Some(2));
         assert_eq!(t.time_to_target_hours(), Some(1.0));
     }
 

@@ -5,15 +5,12 @@
 //! read, so this module defines a small self-describing binary format
 //! (little-endian, length-prefixed) that round-trips a [`MoeModel`] —
 //! including models with customized per-layer expert counts and non-identity
-//! routing maps — to and from a byte buffer or file. It is written and
-//! read through the workspace's one byte codec ([`flux_tensor::codec`]);
-//! the encodings of an [`Expert`] and an [`ExpertKey`] are exported as
-//! methods because the per-shard snapshot files and the staged aggregator
-//! are built from the same units.
+//! routing maps — to and from a byte buffer. It is written and read
+//! through the workspace's one byte codec ([`flux_tensor::codec`]); the
+//! encodings of an [`Expert`] and an [`ExpertKey`] are exported as methods
+//! because the per-shard snapshot files are built from the same units.
 
 use std::fmt;
-use std::fs;
-use std::path::Path;
 use std::sync::Arc;
 
 use flux_tensor::codec::{BadOption, Reader, Truncated, Writer};
@@ -42,8 +39,6 @@ pub enum CheckpointError {
     Truncated(Truncated),
     /// A field holds a value the format does not define.
     Corrupt(String),
-    /// Underlying filesystem error.
-    Io(std::io::Error),
 }
 
 impl fmt::Display for CheckpointError {
@@ -52,18 +47,11 @@ impl fmt::Display for CheckpointError {
             CheckpointError::BadMagic => write!(f, "not a Flux checkpoint (bad magic)"),
             CheckpointError::Truncated(e) => write!(f, "checkpoint truncated: {e}"),
             CheckpointError::Corrupt(msg) => write!(f, "corrupt checkpoint: {msg}"),
-            CheckpointError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
         }
     }
 }
 
 impl std::error::Error for CheckpointError {}
-
-impl From<std::io::Error> for CheckpointError {
-    fn from(e: std::io::Error) -> Self {
-        CheckpointError::Io(e)
-    }
-}
 
 impl From<Truncated> for CheckpointError {
     fn from(e: Truncated) -> Self {
@@ -172,26 +160,6 @@ pub fn from_bytes(bytes: &[u8]) -> Result<MoeModel, CheckpointError> {
     };
     model.validate(&model.config)?;
     Ok(model)
-}
-
-/// Writes a model checkpoint to a file.
-///
-/// # Errors
-///
-/// Returns a [`CheckpointError::Io`] when the file cannot be written.
-pub fn save(model: &MoeModel, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-    fs::write(path, to_bytes(model))?;
-    Ok(())
-}
-
-/// Reads a model checkpoint from a file.
-///
-/// # Errors
-///
-/// Returns a [`CheckpointError`] when the file cannot be read or parsed.
-pub fn load(path: impl AsRef<Path>) -> Result<MoeModel, CheckpointError> {
-    let data = fs::read(path)?;
-    from_bytes(&data)
 }
 
 impl MoeModel {
@@ -303,8 +271,7 @@ impl Expert {
     }
 
     /// Appends this expert in the checkpoint encoding (two projections
-    /// plus biases) — the unit the per-shard snapshot files and the staged
-    /// aggregator are built from.
+    /// plus biases) — the unit the per-shard snapshot files are built from.
     pub fn write_to(&self, w: &mut Writer) {
         w.put_matrix(&self.w1);
         w.put_f32_slice(&self.b1);
@@ -598,23 +565,6 @@ mod tests {
         corrupt(&headless, "a missing head", "classification head is absent");
         // Every model the program builds passes, merged layers included.
         assert!(m.validate(&m.config).is_ok());
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let m = model(4);
-        let dir = std::env::temp_dir();
-        let path = dir.join("flux_checkpoint_test.bin");
-        save(&m, &path).unwrap();
-        let restored = load(&path).unwrap();
-        assert_eq!(restored.embedding, m.embedding);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn load_missing_file_is_io_error() {
-        let err = load("/nonexistent/flux/checkpoint.bin").unwrap_err();
-        assert!(matches!(err, CheckpointError::Io(_)));
     }
 
     #[test]

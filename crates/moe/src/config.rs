@@ -203,11 +203,6 @@ impl MoeConfig {
         expert_params as f32 / self.total_params() as f32
     }
 
-    /// FP32 size in bytes of the whole model.
-    pub fn model_bytes(&self) -> usize {
-        self.total_params() * 4
-    }
-
     /// FP32 size in bytes of a single expert.
     pub fn expert_bytes(&self) -> usize {
         self.params_per_expert() * 4
@@ -358,7 +353,6 @@ mod tests {
     #[test]
     fn byte_accounting() {
         let cfg = MoeConfig::tiny();
-        assert_eq!(cfg.model_bytes(), cfg.total_params() * 4);
         assert_eq!(cfg.expert_bytes(), cfg.params_per_expert() * 4);
     }
 }

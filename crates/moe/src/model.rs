@@ -4,9 +4,10 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use flux_data::{Dataset, Sample, Task};
+use flux_metrics::rouge_l;
 use flux_quant::BitWidth;
 use flux_tensor::codec::{fnv_bytes, FNV_OFFSET};
-use flux_tensor::{init, ops, Matrix, SeededRng};
+use flux_tensor::{init, ops, stats, Matrix, SeededRng};
 
 use crate::batch::PackedBatch;
 use crate::config::MoeConfig;
@@ -138,15 +139,6 @@ pub struct EvalResult {
     pub loss: f32,
     /// Number of samples evaluated.
     pub samples: usize,
-}
-
-/// A model prediction for a single sample.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Prediction {
-    /// Generated continuation token ids (generation datasets).
-    Tokens(Vec<u32>),
-    /// Predicted class (classification datasets).
-    Class(usize),
 }
 
 impl MoeModel {
@@ -427,17 +419,6 @@ impl MoeModel {
             hidden = layer.forward_no_cache_batch(&hidden, batch.bounds(), idx, None);
         }
         (ops::layer_norm(&hidden, LN_EPS), batch)
-    }
-
-    /// Wraps a loss-only forward result in a [`ForwardCache`] whose
-    /// backward-only fields are empty (the loss/prediction paths read only
-    /// `final_hidden`).
-    fn light_cache(final_hidden: Matrix) -> ForwardCache {
-        ForwardCache {
-            layer_caches: Vec::new(),
-            final_hidden,
-            last_block_output: Matrix::zeros(0, 0),
-        }
     }
 
     /// Computes the loss and the gradient of the head logits for a sample.
@@ -839,39 +820,6 @@ impl MoeModel {
         }
     }
 
-    /// Prediction from an existing forward cache (lets evaluation reuse the
-    /// forward pass it already ran for the loss).
-    fn predict_from_cache(&self, sample: &Sample, cache: &ForwardCache) -> Prediction {
-        match &sample.task {
-            Task::Generation { reference } => {
-                let seq = cache.final_hidden.rows();
-                let r = reference.len().min(seq);
-                let rows: Vec<usize> = (seq - r..seq).collect();
-                let logits = cache.final_hidden.select_rows(&rows).matmul(&self.lm_head);
-                let tokens = (0..logits.rows())
-                    .map(|i| flux_tensor::stats::argmax(logits.row(i)).unwrap_or(0) as u32)
-                    .collect();
-                Prediction::Tokens(tokens)
-            }
-            Task::Classification { .. } => {
-                let head = self
-                    .cls_head
-                    .as_ref()
-                    .expect("classification sample requires a classification head");
-                let seq = cache.final_hidden.rows() as f32;
-                let pooled: Vec<f32> = cache
-                    .final_hidden
-                    .sum_rows()
-                    .iter()
-                    .map(|x| x / seq)
-                    .collect();
-                let pooled = Matrix::from_vec(1, self.config.d_model, pooled).expect("shape");
-                let logits = pooled.matmul(head);
-                Prediction::Class(flux_tensor::stats::argmax(logits.row(0)).unwrap_or(0))
-            }
-        }
-    }
-
     /// Loss of one sample (forward only — no parameter or input gradients).
     pub fn sample_loss(&self, sample: &Sample) -> f32 {
         let final_hidden = self.forward_no_cache(&sample.tokens, None);
@@ -961,6 +909,15 @@ impl MoeModel {
     /// loss halves of the [`MoeModel::loss_and_head_grads`] branches without
     /// the head/hidden gradient matmuls those also pay.
     fn head_loss(&self, sample: &Sample, final_hidden: &Matrix) -> f32 {
+        let (logits, targets) = self.head_logits(sample, final_hidden);
+        ops::cross_entropy_loss(&logits, &targets)
+    }
+
+    /// The head's logits for one sample and the targets its loss scores
+    /// them against: for generation, the last `|reference|` rows through
+    /// the LM head against the reference tokens; for classification, the
+    /// mean-pooled row through the classification head against the label.
+    fn head_logits(&self, sample: &Sample, final_hidden: &Matrix) -> (Matrix, Vec<usize>) {
         match &sample.task {
             Task::Generation { reference } => {
                 let seq = final_hidden.rows();
@@ -968,12 +925,11 @@ impl MoeModel {
                 let tail_start = seq - r;
                 let rows: Vec<usize> = (tail_start..seq).collect();
                 let tail_hidden = final_hidden.select_rows(&rows);
-                let logits = tail_hidden.matmul(&self.lm_head);
-                let targets: Vec<usize> = reference[reference.len() - r..]
+                let targets = reference[reference.len() - r..]
                     .iter()
                     .map(|&t| (t as usize).min(self.config.vocab_size - 1))
                     .collect();
-                ops::cross_entropy_loss(&logits, &targets)
+                (tail_hidden.matmul(&self.lm_head), targets)
             }
             Task::Classification { label, .. } => {
                 let head = self
@@ -984,8 +940,7 @@ impl MoeModel {
                 let pooled_vec: Vec<f32> =
                     final_hidden.sum_rows().iter().map(|x| x / seq).collect();
                 let pooled = Matrix::from_vec(1, self.config.d_model, pooled_vec).expect("shape");
-                let logits = pooled.matmul(head);
-                ops::cross_entropy_loss(&logits, &[*label])
+                (pooled.matmul(head), vec![*label])
             }
         }
     }
@@ -1008,19 +963,25 @@ impl MoeModel {
             let refs: Vec<&Sample> = chunk.iter().collect();
             let (final_hidden, batch) = self.forward_no_cache_batch(&refs);
             for (sample, &(start, end)) in chunk.iter().zip(batch.bounds()) {
-                let cache = Self::light_cache(final_hidden.copy_rows(start, end));
-                loss_sum += self.head_loss(sample, &cache.final_hidden);
-                match (&sample.task, self.predict_from_cache(sample, &cache)) {
-                    (Task::Generation { reference }, Prediction::Tokens(pred)) => {
-                        score_sum += flux_metrics_rouge(&pred, reference);
+                let (logits, targets) =
+                    self.head_logits(sample, &final_hidden.copy_rows(start, end));
+                loss_sum += ops::cross_entropy_loss(&logits, &targets);
+                score_sum += match &sample.task {
+                    Task::Generation { reference } => {
+                        let tokens: Vec<u32> = (0..logits.rows())
+                            .map(|i| stats::argmax(logits.row(i)).unwrap_or(0) as u32)
+                            .collect();
+                        rouge_l(&tokens, reference)
                     }
-                    (Task::Classification { label, .. }, Prediction::Class(pred))
-                        if pred == *label =>
-                    {
-                        score_sum += 1.0;
+                    Task::Classification { label, .. } => {
+                        let predicted = stats::argmax(logits.row(0)).unwrap_or(0);
+                        if predicted == *label {
+                            1.0
+                        } else {
+                            0.0
+                        }
                     }
-                    _ => {}
-                }
+                };
             }
         }
         let n = dataset.len() as f32;
@@ -1236,35 +1197,6 @@ fn lowest_tuned_layer(tuning: Option<&HashSet<ExpertKey>>) -> Option<usize> {
         None => Some(0),
         Some(set) => set.iter().map(|k| k.layer).min(),
     }
-}
-
-/// Local ROUGE-L used by evaluation (duplicated from `flux-metrics` to keep
-/// the dependency graph acyclic: `flux-metrics` stays independent of the
-/// model crates).
-fn flux_metrics_rouge(candidate: &[u32], reference: &[u32]) -> f32 {
-    if candidate.is_empty() || reference.is_empty() {
-        return 0.0;
-    }
-    let mut prev = vec![0usize; reference.len() + 1];
-    let mut cur = vec![0usize; reference.len() + 1];
-    for &ai in candidate {
-        for (j, &bj) in reference.iter().enumerate() {
-            cur[j + 1] = if ai == bj {
-                prev[j] + 1
-            } else {
-                prev[j + 1].max(cur[j])
-            };
-        }
-        std::mem::swap(&mut prev, &mut cur);
-        cur.fill(0);
-    }
-    let lcs = prev[reference.len()] as f32;
-    if lcs == 0.0 {
-        return 0.0;
-    }
-    let p = lcs / candidate.len() as f32;
-    let r = lcs / reference.len() as f32;
-    2.0 * p * r / (p + r)
 }
 
 #[cfg(test)]

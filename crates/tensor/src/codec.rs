@@ -1,10 +1,9 @@
 //! The one little-endian byte codec behind every Flux on-disk format.
 //!
 //! Model checkpoints (`FLUXMOE1`), the per-shard snapshot files and their
-//! manifest, the run-state blob (`FLUXRUN1`) and the staged-aggregator blob
-//! (`FLUXAGG1`) are all written through [`Writer`] and read through
-//! [`Reader`]; the two checksums those formats and the upload path use live
-//! here as well.
+//! manifest, and the run-state blob (`FLUXRUN1`) are all written through
+//! [`Writer`] and read through [`Reader`]; the two checksums those formats
+//! and the upload path use live here as well.
 //!
 //! The reader is the single place that meets bytes from outside the
 //! program, so it carries the two guarantees every decoder needs: every
@@ -227,8 +226,7 @@ impl Writer {
     /// # Errors
     ///
     /// Refuses (writing nothing) a field longer than the `u32` prefix can
-    /// say — a staged aggregator is tens of megabytes on a small model, so
-    /// unlike a count this bound is one correct use can approach.
+    /// say.
     pub fn put_byte_slice(&mut self, bytes: &[u8]) -> Result<(), TooLong> {
         self.put_u32(byte_len_prefix(bytes.len())?);
         self.put_bytes(bytes);

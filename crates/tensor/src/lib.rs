@@ -4,7 +4,7 @@
 //! dense linear algebra that the scaled-down reproduction needs: a
 //! row-major `f32` [`Matrix`], element-wise and reduction operations,
 //! softmax/layer-norm/activation functions, seeded random initialization,
-//! first-order optimizers, principal component analysis, K-Means clustering
+//! principal component analysis, K-Means clustering
 //! (including the cross-layer "fused" variant used by Flux expert
 //! clustering), and basic statistics helpers. As the lowest crate every
 //! other one sees, it also hosts [`codec`], the one little-endian byte
@@ -33,7 +33,6 @@ pub mod init;
 pub mod kmeans;
 pub mod matrix;
 pub mod ops;
-pub mod optim;
 pub mod pca;
 pub mod rng;
 pub mod scratch;

@@ -302,22 +302,6 @@ impl Matrix {
         self.data[row * self.cols + col] = value;
     }
 
-    /// Checked element access.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] when indices exceed the shape.
-    pub fn try_get(&self, row: usize, col: usize) -> Result<f32> {
-        if row >= self.rows || col >= self.cols {
-            return Err(TensorError::IndexOutOfBounds {
-                row,
-                col,
-                shape: self.shape(),
-            });
-        }
-        Ok(self.get(row, col))
-    }
-
     /// Immutable view of one row.
     #[inline]
     pub fn row(&self, row: usize) -> &[f32] {
@@ -1026,16 +1010,6 @@ mod tests {
     fn from_vec_validates_length() {
         assert!(Matrix::from_vec(2, 2, vec![1.0; 3]).is_err());
         assert!(Matrix::from_vec(2, 2, vec![1.0; 4]).is_ok());
-    }
-
-    #[test]
-    fn try_get_bounds() {
-        let a = Matrix::zeros(2, 2);
-        assert!(a.try_get(1, 1).is_ok());
-        assert!(matches!(
-            a.try_get(2, 0),
-            Err(TensorError::IndexOutOfBounds { .. })
-        ));
     }
 
     #[test]

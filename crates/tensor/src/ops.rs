@@ -181,23 +181,6 @@ pub fn gelu_grad_scalar(x: f32) -> f32 {
     0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + THREE_A * x * x)
 }
 
-/// ReLU activation applied element-wise.
-pub fn relu(x: &Matrix) -> Matrix {
-    x.map(|v| v.max(0.0))
-}
-
-/// Derivative of ReLU given the forward input and the upstream gradient.
-pub fn relu_backward(x: &Matrix, grad: &Matrix) -> Matrix {
-    debug_assert_eq!(x.shape(), grad.shape());
-    let mut out = grad.clone();
-    for (o, &xi) in out.as_mut_slice().iter_mut().zip(x.as_slice()) {
-        if xi <= 0.0 {
-            *o = 0.0;
-        }
-    }
-    out
-}
-
 /// Per-row layer normalization (no learned affine parameters).
 ///
 /// Each row is shifted to zero mean and scaled to unit variance. `eps`
@@ -284,19 +267,6 @@ pub fn cross_entropy_loss(logits: &Matrix, targets: &[usize]) -> f32 {
         total_loss += -(probs[target].max(1e-12)).ln();
     }
     total_loss / n as f32
-}
-
-/// Clips the Frobenius norm of a gradient matrix to `max_norm`.
-///
-/// Returns the scaling factor applied (1.0 when no clipping occurred).
-pub fn clip_grad_norm(grad: &mut Matrix, max_norm: f32) -> f32 {
-    let norm = grad.frobenius_norm();
-    if norm <= max_norm || norm == 0.0 {
-        return 1.0;
-    }
-    let scale = max_norm / norm;
-    grad.scale_in_place(scale);
-    scale
 }
 
 #[cfg(test)]
@@ -432,14 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn relu_and_backward() {
-        let x = Matrix::from_rows(&[vec![-1.0, 2.0]]);
-        assert_eq!(relu(&x).as_slice(), &[0.0, 2.0]);
-        let g = Matrix::from_rows(&[vec![5.0, 5.0]]);
-        assert_eq!(relu_backward(&x, &g).as_slice(), &[0.0, 5.0]);
-    }
-
-    #[test]
     fn layer_norm_zero_mean_unit_var() {
         let mut rng = SeededRng::new(4);
         let x = Matrix::random_normal(3, 16, 2.0, &mut rng);
@@ -515,18 +477,5 @@ mod tests {
             let numeric = (lp - lm) / (2.0 * eps);
             assert!(close(grad.get(0, c), numeric, 1e-2));
         }
-    }
-
-    #[test]
-    fn clip_grad_norm_respects_threshold() {
-        let mut g = Matrix::filled(2, 2, 10.0);
-        let norm_before = g.frobenius_norm();
-        assert!(norm_before > 1.0);
-        let scale = clip_grad_norm(&mut g, 1.0);
-        assert!(scale < 1.0);
-        assert!(close(g.frobenius_norm(), 1.0, 1e-5));
-        // A small gradient is untouched.
-        let mut small = Matrix::filled(1, 1, 0.1);
-        assert_eq!(clip_grad_norm(&mut small, 1.0), 1.0);
     }
 }

@@ -133,36 +133,6 @@ pub fn percentile(samples: &[f32], pct: f32) -> f32 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-/// Mean absolute relative error between an estimate and ground truth, in
-/// percent. Entries whose ground truth is ~0 are compared absolutely.
-///
-/// This is the metric behind the paper's "estimation error of activation
-/// frequency" (Fig. 5, Fig. 14).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn mean_relative_error_pct(estimate: &[f32], truth: &[f32]) -> f32 {
-    assert_eq!(
-        estimate.len(),
-        truth.len(),
-        "relative error length mismatch"
-    );
-    if estimate.is_empty() {
-        return 0.0;
-    }
-    let mut total = 0.0;
-    for (&e, &t) in estimate.iter().zip(truth.iter()) {
-        let err = if t.abs() > 1e-6 {
-            ((e - t) / t).abs()
-        } else {
-            (e - t).abs()
-        };
-        total += err;
-    }
-    100.0 * total / estimate.len() as f32
-}
-
 /// Argmax index; `None` for an empty slice.
 pub fn argmax(values: &[f32]) -> Option<usize> {
     values
@@ -257,16 +227,6 @@ mod tests {
         assert_eq!(percentile(&s, 50.0), 30.0);
         assert_eq!(percentile(&s, 100.0), 50.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
-    }
-
-    #[test]
-    fn relative_error_pct() {
-        let est = [1.1, 0.9];
-        let truth = [1.0, 1.0];
-        let err = mean_relative_error_pct(&est, &truth);
-        assert!((err - 10.0).abs() < 1e-3);
-        // Zero truth entries fall back to absolute error.
-        assert!((mean_relative_error_pct(&[0.2], &[0.0]) - 20.0).abs() < 1e-3);
     }
 
     #[test]

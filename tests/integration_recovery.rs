@@ -13,7 +13,7 @@
 
 mod common;
 
-use flux_core::driver::{FederatedRun, Method, RunConfig};
+use flux_core::driver::{ExecutionMode, FederatedRun, Method, RunConfig};
 use flux_data::DatasetKind;
 use flux_fl::snapshot::{corrupt_file_byte, referenced_files, MANIFEST_FILE};
 use flux_fl::SnapshotError;
@@ -30,20 +30,18 @@ fn kill_at_round_boundary_replays_bit_identically() {
 #[test]
 fn kill_mid_round_replays_bit_identically() {
     // Under either schedule the fan-out has already staged its uploads when
-    // the kill lands, so the checkpoint carries them and the replayed
-    // fan-out's re-submissions are rejected as duplicates.
+    // the kill lands. The checkpoint keeps none of them: it is the
+    // top-of-round state, and the replayed fan-out recomputes every upload.
     check(Group::KillMidRound);
 }
 
 #[test]
 fn mid_round_checkpoint_with_megabytes_staged_restores() {
-    // Regression: the staged aggregator's byte length was bounded by the
-    // record-count cap (1 000 000), so the mid-round checkpoint of a
-    // fault-free pipelined run whose uploads had already streamed into the
-    // aggregator — megabytes on `MoeConfig::small()`, where FMD uploads
-    // every expert — was written fine and then refused by `restore` as
-    // corrupt. The run must restore and finish on the uninterrupted run's
-    // weights.
+    // A fault-free pipelined round on `MoeConfig::small()` has streamed
+    // megabytes of uploads into its aggregator by the time the kill lands
+    // (FMD uploads every expert). The checkpoint keeps none of them: the
+    // run must restore, replay the round and finish on the uninterrupted
+    // run's weights.
     let config = RunConfig::quick_demo(MoeConfig::small(), DatasetKind::Gsm8k).with_rounds(2);
     let run = FederatedRun::new(config, 24);
     let reference = trace_of(&run.run(Method::Fmd));
@@ -94,26 +92,38 @@ fn fold_dir(digests: &mut (u64, u64), files: &Files) {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// What a checkpoint persists for each method's client state, held to
-/// literals: every method is checkpointed after round 1 and inside round 1
-/// (fan-out done, reduction not), and the eight directories are folded
-/// into one digest over the model files and one over the manifests. One
-/// pair of literals per kernel level (`FLUX_SIMD`); thread counts share
-/// them.
+/// literals: every method is checkpointed at the top of round 1 and inside
+/// round 1 (fan-out done, reduction not), and the eight pipelined
+/// directories are folded into one digest over the model files and one
+/// over the manifests. One pair of literals per kernel level
+/// (`FLUX_SIMD`); thread counts share them. Under both schedules the
+/// mid-round directory is the top-of-round one, byte for byte: a
+/// checkpoint keeps nothing a replayed fan-out recomputes.
 #[test]
 fn checkpoint_directories_of_every_method_are_pinned() {
     let pool = pool(None);
-    let run = FederatedRun::new(quick(), 32);
     let mut digests = (FNV_OFFSET, FNV_OFFSET);
     for method in Method::all() {
-        for mid_round in [false, true] {
-            let dir = TempDir::new("pin");
-            let mut active = run.start(method);
-            active.step_round(&pool);
-            if mid_round {
-                active.start_round(&pool);
+        for mode in [ExecutionMode::Pipelined, ExecutionMode::Barriered] {
+            let run = FederatedRun::new(quick(), 32).with_mode(mode);
+            let [boundary, mid_round] = [false, true].map(|mid_round| {
+                let dir = TempDir::new("pin");
+                let mut active = run.start(method);
+                active.step_round(&pool);
+                if mid_round {
+                    active.start_round(&pool);
+                }
+                active.checkpoint(&dir).expect("checkpoint succeeds");
+                read_dir(&dir)
+            });
+            assert!(
+                mid_round == boundary,
+                "{method:?} {mode:?}: the mid-round directory differs from the top-of-round one"
+            );
+            if mode == ExecutionMode::Pipelined {
+                fold_dir(&mut digests, &boundary);
+                fold_dir(&mut digests, &mid_round);
             }
-            active.checkpoint(&dir).expect("checkpoint succeeds");
-            fold_dir(&mut digests, &read_dir(&dir));
         }
     }
     let files = match simd::global_level() {
@@ -121,8 +131,8 @@ fn checkpoint_directories_of_every_method_are_pinned() {
         SimdLevel::Scalar => 0x8e64_89e5_47b6_c889,
     };
     let manifests = match simd::global_level() {
-        SimdLevel::Avx2 => 0x6e2a_a545_6b30_2cce,
-        SimdLevel::Scalar => 0xc695_3bb8_c97e_0eaa,
+        SimdLevel::Avx2 => 0x582f_b0ee_9fb6_0c1d,
+        SimdLevel::Scalar => 0x8f20_de72_50a5_ae31,
     };
     assert_eq!(digests.0, files, "files digest {:#x}", digests.0);
     assert_eq!(digests.1, manifests, "manifest digest {:#x}", digests.1);
@@ -158,8 +168,8 @@ fn restored_lineage_directories_are_pinned() {
         SimdLevel::Scalar => 0xd1ad_b2c7_1091_b51d,
     };
     let manifests = match simd::global_level() {
-        SimdLevel::Avx2 => 0x708d_c78d_2513_83e3,
-        SimdLevel::Scalar => 0x1597_7fc3_7a3a_e547,
+        SimdLevel::Avx2 => 0xfa32_fc4a_57b6_7208,
+        SimdLevel::Scalar => 0x26e4_b9f1_14c7_a32f,
     };
     assert_eq!(digests.0, files, "files digest {:#x}", digests.0);
     assert_eq!(digests.1, manifests, "manifest digest {:#x}", digests.1);
