@@ -24,7 +24,7 @@ use flux_moe::{Expert, ExpertKey, MoeModel};
 use flux_tensor::gram::accumulate_panel;
 use threadpool::ThreadPool;
 
-/// Rows per panel: a multiple of every GEMM tile height (4 and 6), tall
+/// Rows per panel: a multiple of every GEMM tile height (4, 6 and 12), tall
 /// enough that staging a depth block of the panel's columns is a few
 /// percent of the multiply-adds it feeds, short enough that 128 experts
 /// still split into three panels for two or more workers.

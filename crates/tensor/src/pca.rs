@@ -28,6 +28,7 @@
 use crate::gram::gram_f64;
 use crate::matrix::Matrix;
 use crate::rng::SeededRng;
+use crate::simd::{self, dot_f64};
 use crate::{Result, TensorError};
 
 /// Result of fitting PCA on a data matrix.
@@ -291,14 +292,14 @@ fn top_eigenpairs(a: &[f64], n: usize, k: usize, rng: &mut SeededRng) -> Eigen {
                 // `v` already lies in the null space of the deflated matrix.
                 break;
             }
-            let alignment = dot(&w, v).abs();
+            let alignment = dot_f64(&w, v).abs();
             v.copy_from_slice(&w);
             if 1.0 - alignment < ALIGNMENT_TOLERANCE {
                 break;
             }
         }
         symmetric_matvec(a, v, &mut w);
-        *value = dot(v, &w).max(0.0);
+        *value = dot_f64(v, &w).max(0.0);
     }
     // An unconverged early component can come out slightly smaller than a
     // later one; report them in the order PCA promises.
@@ -314,17 +315,19 @@ fn top_eigenpairs(a: &[f64], n: usize, k: usize, rng: &mut SeededRng) -> Eigen {
     }
 }
 
-/// `out = A·v` for symmetric row-major `A`.
+/// `out = A·v` for symmetric row-major `A`, every entry the [`dot_f64`] of
+/// its row and `v`. It runs through the dispatch table
+/// ([`simd::Kernels::matvec`]): where the AVX2 level has `avx512f`, four rows
+/// per pass with each row's eight accumulators in one zmm register; else one
+/// `dot_f64` per row. Both give the same bits at every level.
 fn symmetric_matvec(a: &[f64], v: &[f64], out: &mut [f64]) {
-    for (o, row) in out.iter_mut().zip(a.chunks_exact(v.len())) {
-        *o = dot(row, v);
-    }
+    (simd::active().matvec)(a, v, out);
 }
 
 /// Removes from `v` its components along the orthonormal rows of `basis`.
 fn project_out(v: &mut [f64], basis: &[f64], n: usize) {
     for b in basis.chunks_exact(n) {
-        let along = dot(v, b);
+        let along = dot_f64(v, b);
         for (x, &bi) in v.iter_mut().zip(b) {
             *x -= along * bi;
         }
@@ -334,7 +337,7 @@ fn project_out(v: &mut [f64], basis: &[f64], n: usize) {
 /// Scales `v` to unit length; leaves it untouched and returns `false` when
 /// its norm does not exceed `floor`.
 fn normalize(v: &mut [f64], floor: f64) -> bool {
-    let norm = dot(v, v).sqrt();
+    let norm = dot_f64(v, v).sqrt();
     if norm <= floor {
         return false;
     }
@@ -342,22 +345,6 @@ fn normalize(v: &mut [f64], floor: f64) -> bool {
         *x /= norm;
     }
     true
-}
-
-/// Dot product with eight independent accumulators in a fixed association
-/// order (deterministic, and wide enough to hide the add latency).
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f64; 8];
-    let (a8, a_tail) = a.split_at(a.len() - a.len() % 8);
-    let (b8, b_tail) = b.split_at(a8.len());
-    for (ca, cb) in a8.chunks_exact(8).zip(b8.chunks_exact(8)) {
-        for l in 0..8 {
-            acc[l] += ca[l] * cb[l];
-        }
-    }
-    let tail: f64 = a_tail.iter().zip(b_tail).map(|(x, y)| x * y).sum();
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
 }
 
 #[cfg(test)]

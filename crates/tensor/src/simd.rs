@@ -11,6 +11,13 @@
 //! | `1` / `auto` / _unset_ | best level the CPU supports (AVX2+FMA, else scalar) |
 //! | `avx2`           | force AVX2+FMA (panics if unsupported)             |
 //!
+//! A level is its arithmetic, not its register width: `1` and `avx2` mean
+//! the AVX2 level's bits, computed 16 lanes wide where the CPU also has
+//! `avx512f` (CPUID read once, then cached). There the level's table runs
+//! its GEMM tile and the `f64` matrix-vector product of the PCA eigen-solver
+//! ([`Kernels::matvec`]) in zmm registers; the element-wise kernels keep
+//! their 256-bit bodies. There is no separate setting for it.
+//!
 //! # Determinism contract
 //!
 //! Every kernel variant is **individually deterministic**: for a fixed
@@ -30,12 +37,16 @@
 //!   the depth), which is *more* accurate than the scalar grouping but not
 //!   bit-equal to it; scalar-vs-AVX2 agreement is pinned by tolerance
 //!   proptests (≤1e-5 relative) and end-to-end score-equality tests.
-//!   Column tails (`n mod 8`) run the same FMA chain under a lane mask, so
-//!   tail columns round exactly like full vectors and nothing outside the
-//!   `n` columns is read or written.
-//! - **Element-wise kernels are bitwise level-independent.** AXPY, the SPSA
-//!   perturbation and the GELU family deliberately avoid FMA and replicate
-//!   the scalar association, so they are bit-identical at every level.
+//!   Column tails (`n mod 8`, `n mod 16` in zmm registers) run the same FMA
+//!   chain under a lane mask, so tail columns round exactly like full
+//!   vectors and nothing outside the `n` columns is read or written. The
+//!   256-bit and the 512-bit tile of the AVX2 level are bit-identical: each
+//!   lane is one element's chain, whatever the width of the register
+//!   holding it.
+//! - **Element-wise kernels and the `f64` matvec are bitwise
+//!   level-independent.** AXPY, the SPSA perturbation, the GELU family and
+//!   [`Kernels::matvec`] deliberately avoid FMA and replicate the scalar
+//!   association, so they are bit-identical at every level.
 //!
 //! The active level is process-global ([`global_level`], resolved lazily
 //! from the environment); tests and benches compare variants in-process via
@@ -60,6 +71,8 @@
 //! touch (see [`TileKernel`]); the `unsafe` bodies rely on that alone.
 
 use std::sync::atomic::{AtomicU8, Ordering};
+#[cfg(target_arch = "x86_64")]
+use std::sync::OnceLock;
 
 /// Register-tile height of the scalar GEMM microkernel. Each level
 /// publishes its own height via [`Kernels::mr`]; the drivers in `matrix.rs`
@@ -72,12 +85,19 @@ const MR4: usize = 4;
 /// load-bound.
 const MR6: usize = 6;
 
+/// Register-tile height of the AVX2 level's 512-bit GEMM body: twelve rows ×
+/// 32 columns keep 24 accumulators + 2 `B` vectors + 1 broadcast live (27
+/// of the 32 zmm registers), 24 FMAs per 14 loads.
+const MR12: usize = 12;
+
 /// A SIMD instruction-set level with a complete kernel set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
     /// Pinned scalar reference kernels (the pre-dispatch behavior).
     Scalar = 0,
-    /// AVX2+FMA 256-bit kernels (tolerance-equivalent to scalar).
+    /// AVX2+FMA kernels (tolerance-equivalent to scalar). On an `avx512f`
+    /// host the GEMM tile and the `f64` matvec run 512 bits wide, with the
+    /// same bits.
     Avx2 = 1,
 }
 
@@ -253,14 +273,21 @@ pub type GradKernel = fn(x: &[f32], grad: &[f32], out: &mut [f32]);
 /// `out = f'(x, y) ⊙ grad` reusing the cached forward output `y`.
 pub type GradCachedKernel = fn(x: &[f32], y: &[f32], grad: &[f32], out: &mut [f32]);
 
+/// `out = A·v` in `f64` for row-major `A` of `out.len()` rows of `v.len()`
+/// columns. Each entry is the dot product of its row and `v` in one fixed
+/// association: eight lane sums over the first `len − len mod 8` terms,
+/// added pairwise, then the remaining terms' left-to-right sum.
+pub type MatvecKernel = fn(a: &[f64], v: &[f64], out: &mut [f64]);
+
 /// The complete kernel set of one SIMD level.
 pub struct Kernels {
     /// Level these kernels implement.
     pub level: SimdLevel,
     /// Register-tile height of [`Kernels::tile`]: the most output rows the
-    /// tile kernel accumulates at once. Row counts only group work — they
+    /// tile kernel accumulates at once — 4 for scalar, 6 for AVX2, 12 for
+    /// the AVX2 level's 512-bit body. Row counts only group work — they
     /// never change any element's accumulation order — so differing heights
-    /// per level cannot break a level's internal determinism.
+    /// per level or per host cannot break a level's determinism.
     pub mr: usize,
     /// GEMM register-tile kernel over `1..=mr` rows of in-place operands.
     pub tile: TileKernel,
@@ -274,6 +301,9 @@ pub struct Kernels {
     pub gelu_grad: GradKernel,
     /// Cached-output GELU backward (bit-identical across levels).
     pub gelu_grad_cached: GradCachedKernel,
+    /// `f64` matrix-vector product of the PCA eigen-solver (bit-identical
+    /// across levels).
+    pub matvec: MatvecKernel,
 }
 
 /// The kernel table for the current thread's [`active_level`].
@@ -287,10 +317,28 @@ pub fn kernels_for(level: SimdLevel) -> &'static Kernels {
     match level {
         SimdLevel::Scalar => &SCALAR_KERNELS,
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => &AVX2_KERNELS,
+        SimdLevel::Avx2 => avx2_table(),
         #[cfg(not(target_arch = "x86_64"))]
         _ => &SCALAR_KERNELS,
     }
+}
+
+/// The AVX2 level's table for this host, chosen from CPUID once: the 512-bit
+/// bodies where `avx512f` is present too, the 256-bit ones where only
+/// avx2+fma are, scalar otherwise. Every `unsafe` body behind the first two
+/// relies on this being the only way to reach them.
+#[cfg(target_arch = "x86_64")]
+fn avx2_table() -> &'static Kernels {
+    static TABLE: OnceLock<&'static Kernels> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        if !is_supported(SimdLevel::Avx2) {
+            &SCALAR_KERNELS
+        } else if std::arch::is_x86_feature_detected!("avx512f") {
+            &AVX512_KERNELS
+        } else {
+            &AVX2_KERNELS
+        }
+    })
 }
 
 static SCALAR_KERNELS: Kernels = Kernels {
@@ -302,6 +350,7 @@ static SCALAR_KERNELS: Kernels = Kernels {
     gelu: gelu_scalar_slice,
     gelu_grad: gelu_grad_scalar_slice,
     gelu_grad_cached: gelu_grad_cached_scalar_slice,
+    matvec: matvec_scalar,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -314,6 +363,17 @@ static AVX2_KERNELS: Kernels = Kernels {
     gelu: gelu_avx2_dispatch,
     gelu_grad: gelu_grad_avx2_dispatch,
     gelu_grad_cached: gelu_grad_cached_avx2_dispatch,
+    matvec: matvec_scalar,
+};
+
+/// The AVX2 level on an `avx512f` host: same arithmetic, zmm registers for
+/// the GEMM tile and the matvec, the 256-bit element-wise bodies.
+#[cfg(target_arch = "x86_64")]
+static AVX512_KERNELS: Kernels = Kernels {
+    mr: MR12,
+    tile: tile_avx512_dispatch,
+    matvec: matvec_avx512_dispatch,
+    ..AVX2_KERNELS
 };
 
 // ---------------------------------------------------------------------------
@@ -435,15 +495,15 @@ fn tile_scalar(
 }
 
 fn axpy_scalar(dst: &mut [f32], src: &[f32], scale: f32) {
-    debug_assert_eq!(dst.len(), src.len());
+    assert_eq!(dst.len(), src.len(), "axpy operand lengths");
     for (a, &b) in dst.iter_mut().zip(src) {
         *a += scale * b;
     }
 }
 
 fn perturb_scalar(dst: &mut [f32], base: &[f32], dir: &[f32], scale: f32) {
-    debug_assert_eq!(dst.len(), base.len());
-    debug_assert_eq!(dst.len(), dir.len());
+    assert_eq!(dst.len(), base.len(), "perturb operand lengths");
+    assert_eq!(dst.len(), dir.len(), "perturb operand lengths");
     for ((o, &b), &d) in dst.iter_mut().zip(base).zip(dir) {
         *o = b + scale * d;
     }
@@ -456,17 +516,17 @@ fn gelu_scalar_slice(data: &mut [f32]) {
 }
 
 fn gelu_grad_scalar_slice(x: &[f32], grad: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(x.len(), grad.len());
-    debug_assert_eq!(x.len(), out.len());
+    assert_eq!(x.len(), grad.len(), "gelu_grad operand lengths");
+    assert_eq!(x.len(), out.len(), "gelu_grad operand lengths");
     for (o, (&xi, &gi)) in out.iter_mut().zip(x.iter().zip(grad)) {
         *o = crate::ops::gelu_grad_scalar(xi) * gi;
     }
 }
 
 fn gelu_grad_cached_scalar_slice(x: &[f32], y: &[f32], grad: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    debug_assert_eq!(x.len(), grad.len());
-    debug_assert_eq!(x.len(), out.len());
+    assert_eq!(x.len(), y.len(), "gelu_grad_cached operand lengths");
+    assert_eq!(x.len(), grad.len(), "gelu_grad_cached operand lengths");
+    assert_eq!(x.len(), out.len(), "gelu_grad_cached operand lengths");
     for (o, ((&xi, &yi), &gi)) in out.iter_mut().zip(x.iter().zip(y).zip(grad)) {
         let d = if xi.abs() > CACHED_GRAD_CUTOFF {
             let t = (2.0 * yi / xi - 1.0).clamp(-1.0, 1.0);
@@ -477,6 +537,37 @@ fn gelu_grad_cached_scalar_slice(x: &[f32], y: &[f32], grad: &[f32], out: &mut [
         };
         *o = d * gi;
     }
+}
+
+/// `out = A·v`, one [`dot_f64`] per row: the body of [`Kernels::matvec`]
+/// wherever there is no 512-bit one.
+fn matvec_scalar(a: &[f64], v: &[f64], out: &mut [f64]) {
+    assert_eq!(a.len(), out.len() * v.len(), "matvec operand lengths");
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = dot_f64(&a[i * v.len()..][..v.len()], v);
+    }
+}
+
+/// Dot product with eight independent accumulators in a fixed association
+/// order (deterministic, and wide enough to hide the add latency).
+pub(crate) fn dot_f64(a: &[f64], b: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    let body = a.len() - a.len() % 8;
+    let mut acc = [0.0f64; 8];
+    for (ca, cb) in a[..body].chunks_exact(8).zip(b[..body].chunks_exact(8)) {
+        for l in 0..8 {
+            acc[l] += ca[l] * cb[l];
+        }
+    }
+    reduce8(acc, &a[body..], &b[body..])
+}
+
+/// How [`dot_f64`] ends, shared with the 512-bit matvec: the `len mod 8`
+/// tail summed left to right, the eight lane sums added pairwise, then the
+/// tail.
+fn reduce8(acc: [f64; 8], a_tail: &[f64], b_tail: &[f64]) -> f64 {
+    let tail: f64 = a_tail.iter().zip(b_tail).map(|(x, y)| x * y).sum();
+    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
 }
 
 /// `sqrt(2/π)`, the tanh-GELU constant (must match `ops::gelu_scalar`).
@@ -561,15 +652,15 @@ fn tile_avx2_dispatch(
 
 #[cfg(target_arch = "x86_64")]
 fn axpy_avx2_dispatch(dst: &mut [f32], src: &[f32], scale: f32) {
-    debug_assert_eq!(dst.len(), src.len());
+    assert_eq!(dst.len(), src.len(), "axpy operand lengths");
     // SAFETY: avx2 detected before this table is selected.
     unsafe { x86::axpy_avx2(dst, src, scale) }
 }
 
 #[cfg(target_arch = "x86_64")]
 fn perturb_avx2_dispatch(dst: &mut [f32], base: &[f32], dir: &[f32], scale: f32) {
-    debug_assert_eq!(dst.len(), base.len());
-    debug_assert_eq!(dst.len(), dir.len());
+    assert_eq!(dst.len(), base.len(), "perturb operand lengths");
+    assert_eq!(dst.len(), dir.len(), "perturb operand lengths");
     // SAFETY: avx2 detected before this table is selected.
     unsafe { x86::perturb_avx2(dst, base, dir, scale) }
 }
@@ -582,19 +673,82 @@ fn gelu_avx2_dispatch(data: &mut [f32]) {
 
 #[cfg(target_arch = "x86_64")]
 fn gelu_grad_avx2_dispatch(x: &[f32], grad: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(x.len(), grad.len());
-    debug_assert_eq!(x.len(), out.len());
+    assert_eq!(x.len(), grad.len(), "gelu_grad operand lengths");
+    assert_eq!(x.len(), out.len(), "gelu_grad operand lengths");
     // SAFETY: avx2 detected before this table is selected.
     unsafe { x86::gelu_grad_avx2(x, grad, out) }
 }
 
 #[cfg(target_arch = "x86_64")]
 fn gelu_grad_cached_avx2_dispatch(x: &[f32], y: &[f32], grad: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    debug_assert_eq!(x.len(), grad.len());
-    debug_assert_eq!(x.len(), out.len());
+    assert_eq!(x.len(), y.len(), "gelu_grad_cached operand lengths");
+    assert_eq!(x.len(), grad.len(), "gelu_grad_cached operand lengths");
+    assert_eq!(x.len(), out.len(), "gelu_grad_cached operand lengths");
     // SAFETY: avx2 detected before this table is selected.
     unsafe { x86::gelu_grad_cached_avx2(x, y, grad, out) }
+}
+
+/// The safe face of the AVX2 level's 512-bit tile, and the one place its
+/// `# Safety` conditions are established.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+fn tile_avx512_dispatch(
+    rows: usize,
+    a: &[f32],
+    rs: usize,
+    ds: usize,
+    kc: usize,
+    b: &[f32],
+    ldb: usize,
+    n: usize,
+    out: &mut [f32],
+    ldc: usize,
+) {
+    if !tile_in_bounds(
+        MR12,
+        rows,
+        a.len(),
+        rs,
+        ds,
+        kc,
+        b.len(),
+        ldb,
+        n,
+        out.len(),
+        ldc,
+    ) {
+        return;
+    }
+    let (a, b, out) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+    // SAFETY: `avx2_table` hands out this table only after CPUID showed
+    // avx512f besides avx2+fma. `tile_in_bounds` returned `true`, so
+    // `1 ≤ rows ≤ 12`, every `a[r·rs + p·ds]`, `b[p·ldb + j]` and
+    // `out[r·ldc + j]` with `r < rows`, `p < kc`, `j < n` lies inside its
+    // slice, and output rows are disjoint.
+    unsafe {
+        match rows {
+            1 => x86::tile_avx512::<1>(a, rs, ds, kc, b, ldb, n, out, ldc),
+            2 => x86::tile_avx512::<2>(a, rs, ds, kc, b, ldb, n, out, ldc),
+            3 => x86::tile_avx512::<3>(a, rs, ds, kc, b, ldb, n, out, ldc),
+            4 => x86::tile_avx512::<4>(a, rs, ds, kc, b, ldb, n, out, ldc),
+            5 => x86::tile_avx512::<5>(a, rs, ds, kc, b, ldb, n, out, ldc),
+            6 => x86::tile_avx512::<6>(a, rs, ds, kc, b, ldb, n, out, ldc),
+            7 => x86::tile_avx512::<7>(a, rs, ds, kc, b, ldb, n, out, ldc),
+            8 => x86::tile_avx512::<8>(a, rs, ds, kc, b, ldb, n, out, ldc),
+            9 => x86::tile_avx512::<9>(a, rs, ds, kc, b, ldb, n, out, ldc),
+            10 => x86::tile_avx512::<10>(a, rs, ds, kc, b, ldb, n, out, ldc),
+            11 => x86::tile_avx512::<11>(a, rs, ds, kc, b, ldb, n, out, ldc),
+            _ => x86::tile_avx512::<MR12>(a, rs, ds, kc, b, ldb, n, out, ldc),
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+fn matvec_avx512_dispatch(a: &[f64], v: &[f64], out: &mut [f64]) {
+    assert_eq!(a.len(), out.len() * v.len(), "matvec operand lengths");
+    // SAFETY: `avx2_table` hands out this table only after CPUID showed
+    // avx512f; the body reads `a` and `v` through checked slices.
+    unsafe { x86::matvec_avx512(a, v, out) }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -719,6 +873,145 @@ mod x86 {
                 } else {
                     _mm256_storeu_ps(at, lane);
                 }
+            }
+        }
+    }
+
+    // -- AVX-512 GEMM: the same chains, sixteen lanes per register ----------
+
+    /// The AVX2 level's tile in zmm registers: per element
+    /// `acc = fma(A[r][p], B[p][j], acc)` sequentially over the depth,
+    /// starting from the value already in `out` — [`tile_avx2`]'s chain
+    /// exactly, so the two bodies agree bit for bit at every height, width
+    /// and stride.
+    ///
+    /// Columns go 32 at a time; what is left (`n mod 32`) is one more pass
+    /// of one or two vectors whose last vector is masked to the `n mod 16`
+    /// columns it covers (all 16 when that is zero). At `R = 12` the
+    /// 32-column pass keeps 24 accumulators, 2 `B` vectors and 1 broadcast
+    /// live (27 zmm registers).
+    ///
+    /// # Safety
+    ///
+    /// Needs avx512f, `R ≥ 1`, and — for every `r < R`, `p < kc`, `j < n` —
+    /// `a.add(r·rs + p·ds)`, `b.add(p·ldb + j)` readable and
+    /// `out.add(r·ldc + j)` readable and writable, with the `R` output rows
+    /// disjoint. [`super::tile_avx512_dispatch`] establishes all of it.
+    // SAFETY: callers establish the conditions above from `tile_in_bounds`
+    // and the avx512f CPUID check behind `avx2_table`.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn tile_avx512<const R: usize>(
+        a: *const f32,
+        rs: usize,
+        ds: usize,
+        kc: usize,
+        b: *const f32,
+        ldb: usize,
+        n: usize,
+        out: *mut f32,
+        ldc: usize,
+    ) {
+        let mut j = 0;
+        while j + 32 <= n {
+            cols16::<R, 2>(a, rs, ds, kc, b.add(j), ldb, out.add(j), ldc, u16::MAX);
+            j += 32;
+        }
+        let (b, out) = (b.add(j), out.add(j));
+        let last: __mmask16 = u16::MAX >> ((16 - n % 16) % 16);
+        match n - j {
+            0 => {}
+            1..=16 => cols16::<R, 1>(a, rs, ds, kc, b, ldb, out, ldc, last),
+            _ => cols16::<R, 2>(a, rs, ds, kc, b, ldb, out, ldc, last),
+        }
+    }
+
+    /// One column pass of [`tile_avx512`]: `R` rows × `V` vectors of 16
+    /// lanes from column 0 of `b` / `out` (the caller offsets both), the
+    /// last vector's lanes limited to `last`; masked-off lanes are neither
+    /// read nor written. Same safety conditions, over the columns it covers.
+    // SAFETY: only `tile_avx512` calls this, under its conditions, which
+    // rest on `tile_in_bounds` and the avx512f CPUID check.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn cols16<const R: usize, const V: usize>(
+        a: *const f32,
+        rs: usize,
+        ds: usize,
+        kc: usize,
+        b: *const f32,
+        ldb: usize,
+        out: *mut f32,
+        ldc: usize,
+        last: __mmask16,
+    ) {
+        let mask = |v: usize| if v + 1 == V { last } else { u16::MAX };
+        let mut acc = [[_mm512_setzero_ps(); V]; R];
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (v, lane) in row.iter_mut().enumerate() {
+                *lane = _mm512_maskz_loadu_ps(mask(v), out.add(r * ldc + 16 * v));
+            }
+        }
+        for p in 0..kc {
+            let bp = b.add(p * ldb);
+            let mut bv = [_mm512_setzero_ps(); V];
+            for (v, lane) in bv.iter_mut().enumerate() {
+                *lane = _mm512_maskz_loadu_ps(mask(v), bp.add(16 * v));
+            }
+            let ap = a.add(p * ds);
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = _mm512_set1_ps(*ap.add(r * rs));
+                for (lane, &bv) in row.iter_mut().zip(&bv) {
+                    *lane = _mm512_fmadd_ps(av, bv, *lane);
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (v, &lane) in row.iter().enumerate() {
+                _mm512_mask_storeu_ps(out.add(r * ldc + 16 * v), mask(v), lane);
+            }
+        }
+    }
+
+    // -- AVX-512 f64 matvec: dot_f64's lanes, four rows per pass -------------
+
+    /// `out = A·v` with each row's eight [`super::dot_f64`] accumulators in
+    /// one zmm register, four rows per pass, so every load of `v` feeds four
+    /// rows. Each lane is a separate multiply and add (no FMA), and the lane
+    /// sums and the `len mod 8` tail end in `dot_f64`'s own
+    /// [`super::reduce8`], so every entry is `dot_f64(row, v)` bit for bit.
+    /// A last pass of fewer than four rows repeats its last row in the
+    /// spare slots and stores only the real ones.
+    ///
+    /// # Safety
+    ///
+    /// Needs avx512f. `a` is read through checked row slices of `v.len()`
+    /// elements, so a short `a` panics.
+    // SAFETY: callers establish avx512f from the CPUID check behind
+    // `avx2_table`; every load lies inside a checked slice.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn matvec_avx512(a: &[f64], v: &[f64], out: &mut [f64]) {
+        let n = v.len();
+        let body = n - n % 8;
+        for (pass, group) in out.chunks_mut(4).enumerate() {
+            let last = group.len() - 1;
+            let rows: [&[f64]; 4] =
+                std::array::from_fn(|r| &a[(4 * pass + r.min(last)) * n..][..n]);
+            let mut acc = [_mm512_setzero_pd(); 4];
+            let mut i = 0;
+            while i < body {
+                let x = _mm512_loadu_pd(v.as_ptr().add(i));
+                for (acc, row) in acc.iter_mut().zip(&rows) {
+                    let prod = _mm512_mul_pd(_mm512_loadu_pd(row.as_ptr().add(i)), x);
+                    *acc = _mm512_add_pd(*acc, prod);
+                }
+                i += 8;
+            }
+            for ((o, &acc), row) in group.iter_mut().zip(&acc).zip(&rows) {
+                let mut lanes = [0.0f64; 8];
+                _mm512_storeu_pd(lanes.as_mut_ptr(), acc);
+                *o = super::reduce8(lanes, &row[body..], &v[body..]);
             }
         }
     }
@@ -954,11 +1247,36 @@ mod tests {
         (0..len).map(|_| rng.normal_with(0.0, 1.5)).collect()
     }
 
-    /// Runs a row-major GEMM through a level's tile the way `matrix.rs`
+    /// Every kernel table this host can run, by name: scalar, and the AVX2
+    /// level's 256-bit and 512-bit bodies.
+    fn tables() -> Vec<(&'static str, &'static Kernels)> {
+        let mut tables = vec![("scalar", &SCALAR_KERNELS)];
+        #[cfg(target_arch = "x86_64")]
+        if is_supported(SimdLevel::Avx2) {
+            tables.push(("avx2 256-bit", &AVX2_KERNELS));
+            if let Some(wide) = wide_table() {
+                tables.push(("avx2 512-bit", wide));
+            }
+        }
+        tables
+    }
+
+    /// The AVX2 level's 512-bit table, or `None` (saying why) on a host
+    /// that cannot run it.
+    #[cfg(target_arch = "x86_64")]
+    fn wide_table() -> Option<&'static Kernels> {
+        if is_supported(SimdLevel::Avx2) && std::arch::is_x86_feature_detected!("avx512f") {
+            Some(&AVX512_KERNELS)
+        } else {
+            println!("no avx512f on this host: the 512-bit bodies are not exercised");
+            None
+        }
+    }
+
+    /// Runs a row-major GEMM through a table's tile the way `matrix.rs`
     /// drives it: `kern.mr`-row tiles, the last one of whatever height is
     /// left.
-    fn run_gemm(level: SimdLevel, m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
-        let kern = kernels_for(level);
+    fn run_gemm(kern: &Kernels, m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
         let mut out = vec![0.0f32; m * n];
         let mut i0 = 0;
         while i0 < m {
@@ -1004,8 +1322,8 @@ mod tests {
         ] {
             let a = sample(m * k, 3000 + (m * 31 + k * 7 + n) as u64);
             let b = sample(k * n, 4000 + (m + k + n) as u64);
-            let scalar = run_gemm(SimdLevel::Scalar, m, k, n, &a, &b);
-            let avx2 = run_gemm(SimdLevel::Avx2, m, k, n, &a, &b);
+            let scalar = run_gemm(kernels_for(SimdLevel::Scalar), m, k, n, &a, &b);
+            let avx2 = run_gemm(kernels_for(SimdLevel::Avx2), m, k, n, &a, &b);
             for (i, (&s, &v)) in scalar.iter().zip(&avx2).enumerate() {
                 let tol = 1e-5 * s.abs().max(1.0) * k as f32;
                 assert!((s - v).abs() <= tol, "({m},{k},{n}) elem {i}: {s} vs {v}");
@@ -1019,37 +1337,113 @@ mod tests {
         // on the height of the tile it was computed in. (The stride,
         // partial-height and masked-tail generalisation of this pin lives
         // in `tests/proptest_tensor.rs`.)
-        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
-            if !is_supported(level) {
-                continue;
-            }
-            // m covers ≥2 full tiles of either height (4 or 6) plus a
-            // remainder row; n covers the 16-wide and the masked column
-            // paths of the AVX2 tile.
-            let (m, k, n) = (13usize, 19usize, 26usize);
+        for (name, kern) in tables() {
+            // m covers ≥2 full tiles of every height (4, 6 and 12) plus a
+            // remainder row; n covers the full-width and the masked column
+            // paths of both wide tiles.
+            let (m, k, n) = (25usize, 19usize, 45usize);
             let a = sample(m * k, 71);
             let b = sample(k * n, 72);
-            let tiled = run_gemm(level, m, k, n, &a, &b);
-            let kern = kernels_for(level);
+            let tiled = run_gemm(kern, m, k, n, &a, &b);
             let mut by_rows = vec![0.0f32; m * n];
             for i in 0..m {
                 (kern.tile)(1, &a[i * k..], 0, 1, k, &b, n, n, &mut by_rows[i * n..], n);
             }
-            assert_eq!(tiled, by_rows, "{level:?}");
+            assert_eq!(tiled, by_rows, "{name}");
+        }
+    }
+
+    /// The 512-bit tile is the AVX2 level's arithmetic at twice the width:
+    /// on the same operands it leaves the same bits as the 256-bit tile
+    /// (driven in six-row slices), at every height, every column tail of
+    /// either width, every depth of a block, both strides of `A`, from a
+    /// pre-filled `out`, and writes nothing past column `n` or the last row.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn wide_tile_matches_the_256_bit_tile_bit_for_bit() {
+        let Some(wide) = wide_table() else { return };
+        let narrow = &AVX2_KERNELS;
+        let canary = f32::from_bits(0x7fc0_0bad);
+        let mut rng = SeededRng::new(35);
+        let mut case = 0usize;
+        for rows in 1..=wide.mr {
+            // 1..=80 takes every `n mod 16` and `n mod 32` tail.
+            for n in 1..=80usize {
+                // 37 is odd, so `kc` takes every value in 1..=128 as the
+                // cases go round.
+                let kc = 1 + case * 37 % 128;
+                case += 1;
+                for transposed in [false, true] {
+                    let (rs, ds, a_len) = if transposed {
+                        (1, rows + 3, kc * (rows + 3))
+                    } else {
+                        (kc + 3, 1, rows * (kc + 3))
+                    };
+                    let a: Vec<f32> = (0..a_len).map(|_| rng.normal()).collect();
+                    let ldb = n + 5;
+                    let b: Vec<f32> = (0..kc * ldb).map(|_| rng.normal()).collect();
+                    let ldc = n + 3;
+                    let mut init = vec![canary; (rows + 1) * ldc];
+                    for row in init.chunks_mut(ldc).take(rows) {
+                        row[..n].iter_mut().for_each(|o| *o = rng.normal());
+                    }
+                    let mut want = init.clone();
+                    for r0 in (0..rows).step_by(narrow.mr) {
+                        let height = narrow.mr.min(rows - r0);
+                        let (a, out) = (&a[r0 * rs..], &mut want[r0 * ldc..]);
+                        (narrow.tile)(height, a, rs, ds, kc, &b, ldb, n, out, ldc);
+                    }
+                    let mut got = init;
+                    (wide.tile)(rows, &a, rs, ds, kc, &b, ldb, n, &mut got, ldc);
+                    for (at, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                        let (r, j) = (at / ldc, at % ldc);
+                        let what =
+                            format!("({r},{j}) of {rows}x{kc}x{n}, transposed A {transposed}");
+                        if r >= rows || j >= n {
+                            assert_eq!(g.to_bits(), canary.to_bits(), "wrote {what}");
+                        }
+                        assert_eq!(g.to_bits(), w.to_bits(), "{what}: {g} vs {w}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every table's matvec is [`dot_f64`] row by row, bit for bit: the
+    /// 512-bit body's four-row passes (with a partial last pass) and its
+    /// `len mod 8` tails included.
+    #[test]
+    fn matvec_is_dot_f64_row_by_row_in_every_table() {
+        let mut rng = SeededRng::new(36);
+        for (name, kern) in tables() {
+            for n in 1..=70usize {
+                for rows in 1..=9usize {
+                    let a: Vec<f64> = (0..rows * n).map(|_| f64::from(rng.normal())).collect();
+                    let v: Vec<f64> = (0..n).map(|_| f64::from(rng.normal()) * 1e3).collect();
+                    let mut out = vec![f64::NAN; rows];
+                    (kern.matvec)(&a, &v, &mut out);
+                    for (r, &got) in out.iter().enumerate() {
+                        let want = dot_f64(&a[r * n..][..n], &v);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{name} row {r} of {rows}, n {n}"
+                        );
+                    }
+                }
+            }
         }
     }
 
     #[test]
     fn tile_rejects_operands_it_would_overrun() {
-        // The bounds are the safe wrapper's job at both levels, in release
-        // builds too: the AVX2 body trusts them.
-        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
-            if !is_supported(level) {
-                continue;
-            }
-            let tile = kernels_for(level).tile;
+        // The bounds are the safe wrapper's job in every table, in release
+        // builds too: the SIMD bodies trust them.
+        for (name, kern) in tables() {
+            let (tile, mr) = (kern.tile, kern.mr);
             // (what, rows, a.len(), rs, ds, kc, b.len(), ldb, n, out.len(), ldc):
-            // a 2×6 · 6×2 product whose exact fit is 12 / 12 / 8 elements.
+            // a 2×6 · 6×2 product whose exact fit is 12 / 12 / 8 elements,
+            // and an `(mr + 1)`-row column whose operands would fit.
             let overruns = [
                 ("A one short", 2, 11, 6, 1, 6, 12, 2, 2, 8, 6),
                 ("B one short", 2, 12, 6, 1, 6, 11, 2, 2, 8, 6),
@@ -1057,15 +1451,15 @@ mod tests {
                 ("overlapping output rows", 2, 12, 6, 1, 6, 12, 2, 2, 8, 1),
                 (
                     "more rows than the kernel has",
-                    7,
-                    12,
+                    mr + 1,
+                    mr + 1,
                     1,
                     1,
                     1,
-                    12,
                     1,
                     1,
-                    12,
+                    1,
+                    mr + 1,
                     1,
                 ),
                 (
@@ -1098,13 +1492,68 @@ mod tests {
                         ldc,
                     );
                 });
-                assert!(caught.is_err(), "{level:?}: {what} went unnoticed");
+                assert!(caught.is_err(), "{name}: {what} went unnoticed");
             }
             let (a, b) = (vec![1.0f32; 12], vec![1.0f32; 12]);
-            // The exact fit is accepted, and an empty tile touches nothing.
+            // The exact fits are accepted, and an empty tile touches nothing.
             tile(2, &a, 6, 1, 6, &b, 2, 2, &mut [0.0f32; 8], 6);
+            tile(
+                mr,
+                &vec![1.0; mr],
+                1,
+                1,
+                1,
+                &[1.0],
+                1,
+                1,
+                &mut vec![0.0; mr],
+                1,
+            );
             tile(0, &[], 0, 0, 5, &[], 0, 5, &mut [], 0);
             tile(1, &[], 0, 0, 0, &[], 0, 5, &mut [], 0);
+        }
+    }
+
+    /// The element-wise entries and the matvec check their operand lengths
+    /// in every table, in release builds too: the SIMD bodies index every
+    /// operand by the first one's length.
+    #[test]
+    fn kernels_reject_mismatched_lengths() {
+        type Case = (&'static str, fn(&Kernels));
+        let cases: [Case; 9] = [
+            ("axpy, short src", |k| {
+                (k.axpy)(&mut [0.0; 16], &[1.0; 4], 1.0)
+            }),
+            ("axpy, long src", |k| {
+                (k.axpy)(&mut [0.0; 4], &[1.0; 16], 1.0)
+            }),
+            ("perturb, short base", |k| {
+                (k.perturb)(&mut [0.0; 16], &[1.0; 4], &[1.0; 16], 1.0)
+            }),
+            ("perturb, short dir", |k| {
+                (k.perturb)(&mut [0.0; 16], &[1.0; 16], &[1.0; 4], 1.0)
+            }),
+            ("gelu_grad, short grad", |k| {
+                (k.gelu_grad)(&[1.0; 16], &[1.0; 4], &mut [0.0; 16])
+            }),
+            ("gelu_grad, short out", |k| {
+                (k.gelu_grad)(&[1.0; 16], &[1.0; 16], &mut [0.0; 4])
+            }),
+            ("gelu_grad_cached, short y", |k| {
+                (k.gelu_grad_cached)(&[1.0; 16], &[1.0; 4], &[1.0; 16], &mut [0.0; 16])
+            }),
+            ("gelu_grad_cached, short grad", |k| {
+                (k.gelu_grad_cached)(&[1.0; 16], &[1.0; 16], &[1.0; 4], &mut [0.0; 16])
+            }),
+            ("matvec, short A", |k| {
+                (k.matvec)(&[1.0; 15], &[1.0; 4], &mut [0.0; 4])
+            }),
+        ];
+        for (name, kern) in tables() {
+            for (what, call) in cases {
+                let caught = std::panic::catch_unwind(|| call(kern));
+                assert!(caught.is_err(), "{name}: {what} went unnoticed");
+            }
         }
     }
 
