@@ -102,8 +102,7 @@ pub struct RunConfig {
     /// bytes.
     pub compression: CompressionConfig,
     /// Overrides every participant's last-mile link (3G/4G/WiFi presets or
-    /// custom). `None` keeps each device's default symmetric link at its
-    /// `network_mbps`.
+    /// custom). `None` keeps each device's own link.
     pub link: Option<LinkProfile>,
     /// Seeded random fault injection across the fleet (`None` disables it;
     /// one-shot incidents can still be scripted per participant with

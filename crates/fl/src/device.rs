@@ -63,7 +63,7 @@ pub struct LinkProfile {
 }
 
 impl LinkProfile {
-    /// A symmetric link (legacy behavior: one `network_mbps` both ways).
+    /// A symmetric link: the same bandwidth both ways.
     pub fn symmetric(mbps: f64) -> Self {
         Self {
             uplink_mbps: mbps,
@@ -107,11 +107,9 @@ pub struct DeviceProfile {
     pub compute_tflops: f64,
     /// Host↔GPU (PCIe) bandwidth in GB/s, the offloading bottleneck.
     pub pcie_gbps: f64,
-    /// Network bandwidth to the parameter server in Mbit/s (the symmetric
-    /// legacy figure; `link` carries the asymmetric up/down split).
-    pub network_mbps: f64,
-    /// Asymmetric last-mile link. Defaults to a symmetric link at
-    /// `network_mbps`, which reproduces the legacy cost model exactly.
+    /// Last-mile link to the parameter server. [`DeviceProfile::new`]
+    /// makes it symmetric at the bandwidth it is given;
+    /// [`DeviceProfile::with_link`] sets an asymmetric one.
     pub link: LinkProfile,
     /// Fraction of GPU memory usable for expert parameters after activations,
     /// optimizer state and the frozen backbone are accounted for.
@@ -121,7 +119,8 @@ pub struct DeviceProfile {
 }
 
 impl DeviceProfile {
-    /// Creates a profile; utilization and deadline get sensible defaults.
+    /// Creates a profile with a symmetric link of `network_mbps` Mbit/s;
+    /// utilization and deadline get sensible defaults.
     pub fn new(
         name: &str,
         gpu_memory_gb: f64,
@@ -134,7 +133,6 @@ impl DeviceProfile {
             gpu_memory_gb,
             compute_tflops,
             pcie_gbps,
-            network_mbps,
             link: LinkProfile::symmetric(network_mbps),
             memory_utilization: 0.6,
             round_deadline_s: 120.0,
@@ -315,11 +313,12 @@ mod tests {
 
     #[test]
     fn default_link_is_symmetric_at_network_mbps() {
+        let p = DeviceProfile::new("probe", 12.0, 10.0, 16.0, 42.5);
+        assert_eq!(p.link, LinkProfile::symmetric(42.5));
+        assert_eq!((p.link.uplink_mbps, p.link.downlink_mbps), (42.5, 42.5));
         for class in DeviceClass::all() {
-            let p = class.profile();
-            assert_eq!(p.link, LinkProfile::symmetric(p.network_mbps));
-            assert_eq!(p.link.uplink_mbps, p.network_mbps);
-            assert_eq!(p.link.downlink_mbps, p.network_mbps);
+            let link = class.profile().link;
+            assert_eq!(link, LinkProfile::symmetric(link.uplink_mbps));
         }
     }
 
@@ -343,8 +342,14 @@ mod tests {
         let base = DeviceClass::Consumer12G.profile();
         let cellular = base.clone().with_link(LinkProfile::three_g());
         assert_eq!(cellular.link, LinkProfile::three_g());
-        assert_eq!(cellular.network_mbps, base.network_mbps);
-        assert_eq!(cellular.compute_tflops, base.compute_tflops);
+        assert_ne!(cellular.link, base.link);
+        assert_eq!(
+            DeviceProfile {
+                link: base.link,
+                ..cellular
+            },
+            base
+        );
     }
 
     #[test]

@@ -159,8 +159,6 @@ pub struct ClientSpec {
     indices: Arc<Vec<usize>>,
 }
 
-impl ClientSpec {}
-
 /// Lightweight registry of N federated clients over one shared corpus.
 ///
 /// Registration stores per client only a device profile and a shard index

@@ -85,8 +85,8 @@ pub fn softmax_backward_row_into(probs: &[f32], grad: &[f32], out: &mut [f32]) {
 }
 
 /// GELU activation (tanh approximation), applied element-wise through the
-/// dispatched SIMD kernel (bit-identical across kernel levels — the vector
-/// implementation replicates [`gelu_scalar`]'s operation order exactly).
+/// dispatched kernel (bit-identical across kernel levels: every level runs
+/// the loop over [`gelu_scalar`], compiled for its instruction set).
 pub fn gelu(x: &Matrix) -> Matrix {
     let mut out = x.clone();
     gelu_in_place(&mut out);
@@ -114,8 +114,12 @@ pub fn matmul_bias_gelu(x: &Matrix, w: &Matrix, bias: &[f32]) -> Result<Matrix> 
 }
 
 /// Derivative of the GELU activation with respect to its input.
+///
+/// # Panics
+///
+/// Panics if `x` and `grad` differ in shape.
 pub fn gelu_backward(x: &Matrix, grad: &Matrix) -> Matrix {
-    debug_assert_eq!(x.shape(), grad.shape());
+    assert_eq!(x.shape(), grad.shape(), "gelu_backward operand shapes");
     let mut out = Matrix::zeros(x.rows(), x.cols());
     (simd::active().gelu_grad)(x.as_slice(), grad.as_slice(), out.as_mut_slice());
     out
@@ -131,10 +135,16 @@ pub fn gelu_backward(x: &Matrix, grad: &Matrix) -> Matrix {
 /// everywhere else the recovered `t` matches the recomputed value to a few
 /// ulps, well inside the noise of the f32 gradient itself.
 ///
-/// Shapes must satisfy `x.shape() == y.shape() == grad.shape()`.
+/// # Panics
+///
+/// Panics unless `x.shape() == y.shape() == grad.shape()`.
 pub fn gelu_backward_cached(x: &Matrix, y: &Matrix, grad: &Matrix) -> Matrix {
-    debug_assert_eq!(x.shape(), y.shape());
-    debug_assert_eq!(x.shape(), grad.shape());
+    assert_eq!(x.shape(), y.shape(), "gelu_backward_cached operand shapes");
+    assert_eq!(
+        x.shape(),
+        grad.shape(),
+        "gelu_backward_cached operand shapes"
+    );
     let mut out = Matrix::zeros(x.rows(), x.cols());
     (simd::active().gelu_grad_cached)(
         x.as_slice(),
@@ -145,40 +155,69 @@ pub fn gelu_backward_cached(x: &Matrix, y: &Matrix, grad: &Matrix) -> Matrix {
     out
 }
 
+/// `sqrt(2/π)`, the scale of the tanh-GELU argument.
+const GELU_C: f32 = 0.797_884_6;
+/// The cubic coefficient of the tanh-GELU argument.
+const GELU_A: f32 = 0.044715;
+/// `3 · GELU_A`, folded at f32 precision: the derivative's cubic term.
+const GELU_3A: f32 = 3.0 * GELU_A;
+/// Below this |x| the cached-output gradient recovery is ill-conditioned
+/// and [`gelu_grad_cached_scalar`] recomputes the tanh instead.
+const CACHED_GRAD_CUTOFF: f32 = 1e-3;
+
 /// Fast `tanh`: the degree-7/6 continued-fraction rational approximation,
 /// saturating to ±1 beyond |x| ≥ 4.97 (where `1 − tanh(x) < 1.4e-4`).
 /// Absolute error stays below ~2e-6 inside the rational range — well under
 /// the f32 noise of the surrounding GEMMs — while avoiding the libm `tanh`
 /// call that dominated the expert forward pass at small model widths
 /// (tens of thousands of activations per layer against tiny matmuls).
+///
+/// The saturation is a select after the rational, not an early return, so
+/// loops over it vectorise; NaN fails the comparison and stays NaN.
 #[inline]
 pub fn fast_tanh(x: f32) -> f32 {
-    if x.abs() >= 4.97 {
-        return if x > 0.0 { 1.0 } else { -1.0 };
-    }
     let x2 = x * x;
     let p = x * (135_135.0 + x2 * (17_325.0 + x2 * (378.0 + x2)));
     let q = 135_135.0 + x2 * (62_370.0 + x2 * (3_150.0 + x2 * 28.0));
-    p / q
+    if x.abs() >= 4.97 {
+        1.0f32.copysign(x)
+    } else {
+        p / q
+    }
 }
 
 /// GELU for a single scalar (tanh approximation, [`fast_tanh`] inside).
+#[inline]
 pub fn gelu_scalar(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + fast_tanh(C * (x + 0.044715 * x * x * x)))
+    0.5 * x * (1.0 + fast_tanh(GELU_C * (x + GELU_A * x * x * x)))
 }
 
 /// Derivative of [`gelu_scalar`].
+#[inline]
 pub fn gelu_grad_scalar(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    // Pre-folded `3 · 0.044715` so the SIMD kernels can splat the exact
-    // same f32 constant the compiler folds here.
-    const THREE_A: f32 = 3.0 * 0.044715;
     let x3 = x * x * x;
-    let inner = C * (x + 0.044715 * x3);
-    let t = fast_tanh(inner);
+    grad_from_tanh(x, fast_tanh(GELU_C * (x + GELU_A * x3)))
+}
+
+/// Derivative of [`gelu_scalar`] at `x` from its output `y = gelu_scalar(x)`
+/// (the formula behind [`gelu_backward_cached`]): `t = 2y/x − 1`, clamped
+/// to `[−1, 1]`, replaces the tanh, except for |x| ≤ 1e-3, where
+/// [`gelu_grad_scalar`] recomputes it.
+#[inline]
+pub(crate) fn gelu_grad_cached_scalar(x: f32, y: f32) -> f32 {
+    if x.abs() > CACHED_GRAD_CUTOFF {
+        grad_from_tanh(x, (2.0 * y / x - 1.0).clamp(-1.0, 1.0))
+    } else {
+        gelu_grad_scalar(x)
+    }
+}
+
+/// The GELU derivative at `x` given `t = tanh(C·(x + A·x³))`:
+/// `0.5·(1 + t) + 0.5·x·(1 − t²)·C·(1 + 3A·x²)`, left to right.
+#[inline]
+fn grad_from_tanh(x: f32, t: f32) -> f32 {
     let sech2 = 1.0 - t * t;
-    0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + THREE_A * x * x)
+    0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + GELU_3A * x * x)
 }
 
 /// Per-row layer normalization (no learned affine parameters).
@@ -399,6 +438,21 @@ mod tests {
                 "cached {a} vs recomputed {b}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "gelu_backward operand shapes")]
+    fn gelu_backward_rejects_a_grad_of_another_shape() {
+        // Same length, different rows: the kernel's length check alone
+        // would let it through.
+        gelu_backward(&Matrix::zeros(2, 3), &Matrix::zeros(3, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "gelu_backward_cached operand shapes")]
+    fn gelu_backward_cached_rejects_a_grad_of_another_shape() {
+        let x = Matrix::zeros(2, 3);
+        gelu_backward_cached(&x, &x, &Matrix::zeros(3, 2));
     }
 
     #[test]

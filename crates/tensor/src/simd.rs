@@ -15,8 +15,8 @@
 //! the AVX2 level's bits, computed 16 lanes wide where the CPU also has
 //! `avx512f` (CPUID read once, then cached). There the level's table runs
 //! its GEMM tile and the `f64` matrix-vector product of the PCA eigen-solver
-//! ([`Kernels::matvec`]) in zmm registers; the element-wise kernels keep
-//! their 256-bit bodies. There is no separate setting for it.
+//! ([`Kernels::matvec`]) in zmm registers; its element-wise entries are the
+//! 256-bit table's. There is no separate setting for it.
 //!
 //! # Determinism contract
 //!
@@ -44,9 +44,13 @@
 //!   lane is one element's chain, whatever the width of the register
 //!   holding it.
 //! - **Element-wise kernels and the `f64` matvec are bitwise
-//!   level-independent.** AXPY, the SPSA perturbation, the GELU family and
-//!   [`Kernels::matvec`] deliberately avoid FMA and replicate the scalar
-//!   association, so they are bit-identical at every level.
+//!   level-independent.** AXPY, the SPSA perturbation and the GELU family
+//!   are one source compiled per level: the AVX2 table runs the scalar
+//!   table's loops inside `avx2`-enabled functions, where the compiler
+//!   vectorises them. Each element is the same scalar expression at every
+//!   width, and Rust never contracts a multiply and an add into an FMA, so
+//!   they are bit-identical at every level. [`Kernels::matvec`] keeps a
+//!   512-bit body that avoids FMA and replicates the scalar association.
 //!
 //! The active level is process-global ([`global_level`], resolved lazily
 //! from the environment); tests and benches compare variants in-process via
@@ -367,7 +371,7 @@ static AVX2_KERNELS: Kernels = Kernels {
 };
 
 /// The AVX2 level on an `avx512f` host: same arithmetic, zmm registers for
-/// the GEMM tile and the matvec, the 256-bit element-wise bodies.
+/// the GEMM tile and the matvec, the 256-bit table's element-wise entries.
 #[cfg(target_arch = "x86_64")]
 static AVX512_KERNELS: Kernels = Kernels {
     mr: MR12,
@@ -494,6 +498,14 @@ fn tile_scalar(
     }
 }
 
+// The element-wise loops are written once, here: the scalar table runs
+// them as they are, and the AVX2 table runs each compiled inside an
+// `avx2`-enabled function (see `axpy_avx2_dispatch`), which vectorises the
+// same operations eight lanes wide. Each element's arithmetic is one scalar
+// expression, evaluated alike at every width (Rust never contracts a
+// multiply and an add into an FMA), so every level gives the same bits.
+
+#[inline(always)]
 fn axpy_scalar(dst: &mut [f32], src: &[f32], scale: f32) {
     assert_eq!(dst.len(), src.len(), "axpy operand lengths");
     for (a, &b) in dst.iter_mut().zip(src) {
@@ -501,6 +513,7 @@ fn axpy_scalar(dst: &mut [f32], src: &[f32], scale: f32) {
     }
 }
 
+#[inline(always)]
 fn perturb_scalar(dst: &mut [f32], base: &[f32], dir: &[f32], scale: f32) {
     assert_eq!(dst.len(), base.len(), "perturb operand lengths");
     assert_eq!(dst.len(), dir.len(), "perturb operand lengths");
@@ -509,12 +522,14 @@ fn perturb_scalar(dst: &mut [f32], base: &[f32], dir: &[f32], scale: f32) {
     }
 }
 
+#[inline(always)]
 fn gelu_scalar_slice(data: &mut [f32]) {
     for v in data {
         *v = crate::ops::gelu_scalar(*v);
     }
 }
 
+#[inline(always)]
 fn gelu_grad_scalar_slice(x: &[f32], grad: &[f32], out: &mut [f32]) {
     assert_eq!(x.len(), grad.len(), "gelu_grad operand lengths");
     assert_eq!(x.len(), out.len(), "gelu_grad operand lengths");
@@ -523,19 +538,13 @@ fn gelu_grad_scalar_slice(x: &[f32], grad: &[f32], out: &mut [f32]) {
     }
 }
 
+#[inline(always)]
 fn gelu_grad_cached_scalar_slice(x: &[f32], y: &[f32], grad: &[f32], out: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "gelu_grad_cached operand lengths");
     assert_eq!(x.len(), grad.len(), "gelu_grad_cached operand lengths");
     assert_eq!(x.len(), out.len(), "gelu_grad_cached operand lengths");
     for (o, ((&xi, &yi), &gi)) in out.iter_mut().zip(x.iter().zip(y).zip(grad)) {
-        let d = if xi.abs() > CACHED_GRAD_CUTOFF {
-            let t = (2.0 * yi / xi - 1.0).clamp(-1.0, 1.0);
-            let sech2 = 1.0 - t * t;
-            0.5 * (1.0 + t) + 0.5 * xi * sech2 * GELU_C * (1.0 + GELU_3A * xi * xi)
-        } else {
-            crate::ops::gelu_grad_scalar(xi)
-        };
-        *o = d * gi;
+        *o = crate::ops::gelu_grad_cached_scalar(xi, yi) * gi;
     }
 }
 
@@ -569,17 +578,6 @@ fn reduce8(acc: [f64; 8], a_tail: &[f64], b_tail: &[f64]) -> f64 {
     let tail: f64 = a_tail.iter().zip(b_tail).map(|(x, y)| x * y).sum();
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
 }
-
-/// `sqrt(2/π)`, the tanh-GELU constant (must match `ops::gelu_scalar`).
-const GELU_C: f32 = 0.797_884_6;
-/// The cubic coefficient of the tanh-GELU argument.
-const GELU_A: f32 = 0.044715;
-/// `3 · 0.044715` pre-folded at f32 precision, exactly as LLVM folds the
-/// `3.0 * 0.044715` constant product in the scalar gradient formula.
-const GELU_3A: f32 = 3.0 * 0.044715;
-/// Below this |x| the cached-output gradient recovery is ill-conditioned
-/// and the exact recompute path is used instead.
-const CACHED_GRAD_CUTOFF: f32 = 1e-3;
 
 // ---------------------------------------------------------------------------
 // x86-64 kernels.
@@ -652,40 +650,52 @@ fn tile_avx2_dispatch(
 
 #[cfg(target_arch = "x86_64")]
 fn axpy_avx2_dispatch(dst: &mut [f32], src: &[f32], scale: f32) {
-    assert_eq!(dst.len(), src.len(), "axpy operand lengths");
-    // SAFETY: avx2 detected before this table is selected.
-    unsafe { x86::axpy_avx2(dst, src, scale) }
+    #[target_feature(enable = "avx2")]
+    fn avx2(dst: &mut [f32], src: &[f32], scale: f32) {
+        axpy_scalar(dst, src, scale)
+    }
+    // SAFETY: `avx2_table` hands out this table only after CPUID showed avx2.
+    unsafe { avx2(dst, src, scale) }
 }
 
 #[cfg(target_arch = "x86_64")]
 fn perturb_avx2_dispatch(dst: &mut [f32], base: &[f32], dir: &[f32], scale: f32) {
-    assert_eq!(dst.len(), base.len(), "perturb operand lengths");
-    assert_eq!(dst.len(), dir.len(), "perturb operand lengths");
-    // SAFETY: avx2 detected before this table is selected.
-    unsafe { x86::perturb_avx2(dst, base, dir, scale) }
+    #[target_feature(enable = "avx2")]
+    fn avx2(dst: &mut [f32], base: &[f32], dir: &[f32], scale: f32) {
+        perturb_scalar(dst, base, dir, scale)
+    }
+    // SAFETY: `avx2_table` hands out this table only after CPUID showed avx2.
+    unsafe { avx2(dst, base, dir, scale) }
 }
 
 #[cfg(target_arch = "x86_64")]
 fn gelu_avx2_dispatch(data: &mut [f32]) {
-    // SAFETY: avx2 detected before this table is selected.
-    unsafe { x86::gelu_avx2(data) }
+    #[target_feature(enable = "avx2")]
+    fn avx2(data: &mut [f32]) {
+        gelu_scalar_slice(data)
+    }
+    // SAFETY: `avx2_table` hands out this table only after CPUID showed avx2.
+    unsafe { avx2(data) }
 }
 
 #[cfg(target_arch = "x86_64")]
 fn gelu_grad_avx2_dispatch(x: &[f32], grad: &[f32], out: &mut [f32]) {
-    assert_eq!(x.len(), grad.len(), "gelu_grad operand lengths");
-    assert_eq!(x.len(), out.len(), "gelu_grad operand lengths");
-    // SAFETY: avx2 detected before this table is selected.
-    unsafe { x86::gelu_grad_avx2(x, grad, out) }
+    #[target_feature(enable = "avx2")]
+    fn avx2(x: &[f32], grad: &[f32], out: &mut [f32]) {
+        gelu_grad_scalar_slice(x, grad, out)
+    }
+    // SAFETY: `avx2_table` hands out this table only after CPUID showed avx2.
+    unsafe { avx2(x, grad, out) }
 }
 
 #[cfg(target_arch = "x86_64")]
 fn gelu_grad_cached_avx2_dispatch(x: &[f32], y: &[f32], grad: &[f32], out: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "gelu_grad_cached operand lengths");
-    assert_eq!(x.len(), grad.len(), "gelu_grad_cached operand lengths");
-    assert_eq!(x.len(), out.len(), "gelu_grad_cached operand lengths");
-    // SAFETY: avx2 detected before this table is selected.
-    unsafe { x86::gelu_grad_cached_avx2(x, y, grad, out) }
+    #[target_feature(enable = "avx2")]
+    fn avx2(x: &[f32], y: &[f32], grad: &[f32], out: &mut [f32]) {
+        gelu_grad_cached_scalar_slice(x, y, grad, out)
+    }
+    // SAFETY: `avx2_table` hands out this table only after CPUID showed avx2.
+    unsafe { avx2(x, y, grad, out) }
 }
 
 /// The safe face of the AVX2 level's 512-bit tile, and the one place its
@@ -758,7 +768,6 @@ mod x86 {
     //! the detection invariant.
     #![allow(clippy::missing_safety_doc)]
 
-    use super::{CACHED_GRAD_CUTOFF, GELU_3A, GELU_A, GELU_C};
     use core::arch::x86_64::*;
 
     // -- AVX2+FMA GEMM: sequential depth-ordered FMA chains -----------------
@@ -1013,226 +1022,6 @@ mod x86 {
                 _mm512_storeu_pd(lanes.as_mut_ptr(), acc);
                 *o = super::reduce8(lanes, &row[body..], &v[body..]);
             }
-        }
-    }
-
-    // -- AVX2 element-wise kernels: bit-identical to scalar -----------------
-    //
-    // These deliberately use separate multiply/add intrinsics (never FMA) in
-    // the scalar formulas' exact association, so every level produces the
-    // same bits. Only "avx2" is enabled (not "fma") as a belt-and-braces
-    // guard against contraction.
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy_avx2(dst: &mut [f32], src: &[f32], scale: f32) {
-        let n = dst.len();
-        let dp = dst.as_mut_ptr();
-        let sp = src.as_ptr();
-        let sv = _mm256_set1_ps(scale);
-        let mut i = 0;
-        while i + 8 <= n {
-            let d = _mm256_loadu_ps(dp.add(i));
-            let s = _mm256_loadu_ps(sp.add(i));
-            _mm256_storeu_ps(dp.add(i), _mm256_add_ps(d, _mm256_mul_ps(sv, s)));
-            i += 8;
-        }
-        while i < n {
-            *dp.add(i) += scale * *sp.add(i);
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn perturb_avx2(dst: &mut [f32], base: &[f32], dir: &[f32], scale: f32) {
-        let n = dst.len();
-        let dp = dst.as_mut_ptr();
-        let bp = base.as_ptr();
-        let rp = dir.as_ptr();
-        let sv = _mm256_set1_ps(scale);
-        let mut i = 0;
-        while i + 8 <= n {
-            let b = _mm256_loadu_ps(bp.add(i));
-            let d = _mm256_loadu_ps(rp.add(i));
-            _mm256_storeu_ps(dp.add(i), _mm256_add_ps(b, _mm256_mul_ps(sv, d)));
-            i += 8;
-        }
-        while i < n {
-            *dp.add(i) = *bp.add(i) + scale * *rp.add(i);
-            i += 1;
-        }
-    }
-
-    /// Vector `fast_tanh`: the exact operation sequence of
-    /// [`crate::ops::fast_tanh`] (same rational, same Horner association,
-    /// same ±1 saturation at |x| ≥ 4.97), eight lanes at a time.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn tanh8(x: __m256) -> __m256 {
-        let x2 = _mm256_mul_ps(x, x);
-        let p = _mm256_mul_ps(
-            x,
-            _mm256_add_ps(
-                _mm256_set1_ps(135_135.0),
-                _mm256_mul_ps(
-                    x2,
-                    _mm256_add_ps(
-                        _mm256_set1_ps(17_325.0),
-                        _mm256_mul_ps(x2, _mm256_add_ps(_mm256_set1_ps(378.0), x2)),
-                    ),
-                ),
-            ),
-        );
-        let q = _mm256_add_ps(
-            _mm256_set1_ps(135_135.0),
-            _mm256_mul_ps(
-                x2,
-                _mm256_add_ps(
-                    _mm256_set1_ps(62_370.0),
-                    _mm256_mul_ps(
-                        x2,
-                        _mm256_add_ps(
-                            _mm256_set1_ps(3_150.0),
-                            _mm256_mul_ps(x2, _mm256_set1_ps(28.0)),
-                        ),
-                    ),
-                ),
-            ),
-        );
-        let rational = _mm256_div_ps(p, q);
-        // Saturation: |x| ≥ 4.97 → sign(x) · 1.0 (matching the scalar
-        // branch `if x > 0.0 { 1.0 } else { -1.0 }` for all such x).
-        let sign_mask = _mm256_set1_ps(-0.0);
-        let absx = _mm256_andnot_ps(sign_mask, x);
-        let saturate = _mm256_cmp_ps::<_CMP_GE_OQ>(absx, _mm256_set1_ps(4.97));
-        let signed_one = _mm256_or_ps(_mm256_and_ps(sign_mask, x), _mm256_set1_ps(1.0));
-        _mm256_blendv_ps(rational, signed_one, saturate)
-    }
-
-    /// Vector GELU forward: `(0.5·x) · (1 + tanh(C · (x + ((A·x)·x)·x)))`,
-    /// the exact association of [`crate::ops::gelu_scalar`].
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn gelu8(x: __m256) -> __m256 {
-        let ax = _mm256_mul_ps(_mm256_set1_ps(GELU_A), x);
-        let x3 = _mm256_mul_ps(_mm256_mul_ps(ax, x), x);
-        let u = _mm256_mul_ps(_mm256_set1_ps(GELU_C), _mm256_add_ps(x, x3));
-        let t = tanh8(u);
-        _mm256_mul_ps(
-            _mm256_mul_ps(_mm256_set1_ps(0.5), x),
-            _mm256_add_ps(_mm256_set1_ps(1.0), t),
-        )
-    }
-
-    /// Vector GELU derivative, the exact association of
-    /// [`crate::ops::gelu_grad_scalar`].
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn gelu_grad8(x: __m256) -> __m256 {
-        // x3 = (x·x)·x; inner = C · (x + A·x3).
-        let x3 = _mm256_mul_ps(_mm256_mul_ps(x, x), x);
-        let inner = _mm256_mul_ps(
-            _mm256_set1_ps(GELU_C),
-            _mm256_add_ps(x, _mm256_mul_ps(_mm256_set1_ps(GELU_A), x3)),
-        );
-        let t = tanh8(inner);
-        let sech2 = _mm256_sub_ps(_mm256_set1_ps(1.0), _mm256_mul_ps(t, t));
-        grad_from_t(x, t, sech2)
-    }
-
-    /// `0.5·(1+t) + ((((0.5·x)·sech²)·C) · (1 + ((3A·x)·x)))` — the shared
-    /// tail of both gradient formulas, in the scalar association.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn grad_from_t(x: __m256, t: __m256, sech2: __m256) -> __m256 {
-        let one = _mm256_set1_ps(1.0);
-        let half = _mm256_set1_ps(0.5);
-        let term1 = _mm256_mul_ps(half, _mm256_add_ps(one, t));
-        let coeff = _mm256_mul_ps(
-            _mm256_mul_ps(_mm256_mul_ps(half, x), sech2),
-            _mm256_set1_ps(GELU_C),
-        );
-        let paren = _mm256_add_ps(
-            one,
-            _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(GELU_3A), x), x),
-        );
-        _mm256_add_ps(term1, _mm256_mul_ps(coeff, paren))
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gelu_avx2(data: &mut [f32]) {
-        let n = data.len();
-        let dp = data.as_mut_ptr();
-        let mut i = 0;
-        while i + 8 <= n {
-            _mm256_storeu_ps(dp.add(i), gelu8(_mm256_loadu_ps(dp.add(i))));
-            i += 8;
-        }
-        while i < n {
-            *dp.add(i) = crate::ops::gelu_scalar(*dp.add(i));
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gelu_grad_avx2(x: &[f32], grad: &[f32], out: &mut [f32]) {
-        let n = x.len();
-        let xp = x.as_ptr();
-        let gp = grad.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut i = 0;
-        while i + 8 <= n {
-            let d = gelu_grad8(_mm256_loadu_ps(xp.add(i)));
-            _mm256_storeu_ps(op.add(i), _mm256_mul_ps(d, _mm256_loadu_ps(gp.add(i))));
-            i += 8;
-        }
-        while i < n {
-            *op.add(i) = crate::ops::gelu_grad_scalar(*xp.add(i)) * *gp.add(i);
-            i += 1;
-        }
-    }
-
-    /// Cached-output GELU backward: both the recovered-tanh formula and the
-    /// exact recompute are evaluated for all lanes and blended on
-    /// `|x| > 1e-3`, matching the scalar branch lane-for-lane. The division
-    /// by near-zero `x` in masked-out lanes produces inf/NaN that the blend
-    /// discards (IEEE divisions do not trap).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gelu_grad_cached_avx2(x: &[f32], y: &[f32], grad: &[f32], out: &mut [f32]) {
-        let n = x.len();
-        let xp = x.as_ptr();
-        let yp = y.as_ptr();
-        let gp = grad.as_ptr();
-        let op = out.as_mut_ptr();
-        let one = _mm256_set1_ps(1.0);
-        let sign_mask = _mm256_set1_ps(-0.0);
-        let mut i = 0;
-        while i + 8 <= n {
-            let xv = _mm256_loadu_ps(xp.add(i));
-            let yv = _mm256_loadu_ps(yp.add(i));
-            // t = clamp(2y/x − 1, −1, 1).
-            let ratio = _mm256_div_ps(_mm256_mul_ps(_mm256_set1_ps(2.0), yv), xv);
-            let t_raw = _mm256_sub_ps(ratio, one);
-            let t = _mm256_min_ps(_mm256_max_ps(t_raw, _mm256_set1_ps(-1.0)), one);
-            let sech2 = _mm256_sub_ps(one, _mm256_mul_ps(t, t));
-            let d_cached = grad_from_t(xv, t, sech2);
-            let d_exact = gelu_grad8(xv);
-            let absx = _mm256_andnot_ps(sign_mask, xv);
-            let use_cached = _mm256_cmp_ps::<_CMP_GT_OQ>(absx, _mm256_set1_ps(CACHED_GRAD_CUTOFF));
-            let d = _mm256_blendv_ps(d_exact, d_cached, use_cached);
-            _mm256_storeu_ps(op.add(i), _mm256_mul_ps(d, _mm256_loadu_ps(gp.add(i))));
-            i += 8;
-        }
-        while i < n {
-            let xi = *xp.add(i);
-            let d = if xi.abs() > CACHED_GRAD_CUTOFF {
-                let t = (2.0 * *yp.add(i) / xi - 1.0).clamp(-1.0, 1.0);
-                let sech2 = 1.0 - t * t;
-                0.5 * (1.0 + t) + 0.5 * xi * sech2 * GELU_C * (1.0 + GELU_3A * xi * xi)
-            } else {
-                crate::ops::gelu_grad_scalar(xi)
-            };
-            *op.add(i) = d * *gp.add(i);
-            i += 1;
         }
     }
 }
@@ -1557,55 +1346,47 @@ mod tests {
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
+    /// The element-wise entries of every table, the 256-bit one included
+    /// (an `avx512f` host reaches it only here), leave the scalar table's
+    /// bits. `tests/elementwise_bits_pin.rs` holds those bits to literals.
     #[test]
     fn elementwise_kernels_are_bit_identical_across_levels() {
-        if !is_supported(SimdLevel::Avx2) {
-            return;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let scalar = &SCALAR_KERNELS;
+        for (name, kern) in tables() {
+            // Every body length with every tail of a 256-bit and a 512-bit
+            // register.
+            for n in [0, 1, 7, 8, 9, 15, 16, 17, 31, 103] {
+                let x = sample(n, 11);
+                let y = sample(n, 12);
+                let g = sample(n, 13);
+                let run = |kern: &Kernels| {
+                    let mut axpy = x.clone();
+                    (kern.axpy)(&mut axpy, &y, 0.37);
+                    let mut perturb = vec![0.0; n];
+                    (kern.perturb)(&mut perturb, &x, &y, -1.25);
+                    let mut gelu = x.clone();
+                    (kern.gelu)(&mut gelu);
+                    let mut grad = vec![0.0; n];
+                    (kern.gelu_grad)(&x, &g, &mut grad);
+                    // The cached backward reads the true forward output; a
+                    // tiny `x` takes the recompute path.
+                    let mut xs = x.clone();
+                    if let Some(v) = xs.get_mut(n / 2) {
+                        *v = 1e-4;
+                    }
+                    let mut ys = xs.clone();
+                    (scalar.gelu)(&mut ys);
+                    let mut cached = vec![0.0; n];
+                    (kern.gelu_grad_cached)(&xs, &ys, &g, &mut cached);
+                    [axpy, perturb, gelu, grad, cached].map(|v| bits(&v))
+                };
+                let what = ["axpy", "perturb", "gelu", "gelu_grad", "gelu_grad_cached"];
+                for ((got, want), what) in run(kern).iter().zip(run(scalar)).zip(what) {
+                    assert_eq!(got, &want, "{name} {what}, n {n}");
+                }
+            }
         }
-        let n = 103; // odd length exercises the tails
-        let x = sample(n, 11);
-        let y = sample(n, 12);
-        let g = sample(n, 13);
-        let scalar = kernels_for(SimdLevel::Scalar);
-        let avx2 = kernels_for(SimdLevel::Avx2);
-
-        let mut a1 = x.clone();
-        let mut a2 = x.clone();
-        (scalar.axpy)(&mut a1, &y, 0.37);
-        (avx2.axpy)(&mut a2, &y, 0.37);
-        assert_eq!(a1, a2, "axpy");
-
-        let mut p1 = vec![0.0; n];
-        let mut p2 = vec![0.0; n];
-        (scalar.perturb)(&mut p1, &x, &y, -1.25);
-        (avx2.perturb)(&mut p2, &x, &y, -1.25);
-        assert_eq!(p1, p2, "perturb");
-
-        let mut g1 = x.clone();
-        let mut g2 = x.clone();
-        (scalar.gelu)(&mut g1);
-        (avx2.gelu)(&mut g2);
-        assert_eq!(g1, g2, "gelu forward");
-
-        let mut d1 = vec![0.0; n];
-        let mut d2 = vec![0.0; n];
-        (scalar.gelu_grad)(&x, &g, &mut d1);
-        (avx2.gelu_grad)(&x, &g, &mut d2);
-        assert_eq!(d1, d2, "gelu grad");
-
-        // Cached backward: y must be the true forward output (g1 above),
-        // plus a tiny-x element to hit the fallback lane.
-        let mut xs = x.clone();
-        xs[5] = 1e-4;
-        xs[50] = 0.0;
-        let mut ys = xs.clone();
-        (scalar.gelu)(&mut ys);
-        let mut c1 = vec![0.0; n];
-        let mut c2 = vec![0.0; n];
-        (scalar.gelu_grad_cached)(&xs, &ys, &g, &mut c1);
-        (avx2.gelu_grad_cached)(&xs, &ys, &g, &mut c2);
-        assert_eq!(c1, c2, "gelu grad cached");
     }
 
     #[test]
