@@ -1195,6 +1195,69 @@ mod tests {
         }
     }
 
+    /// Every AVX2-level tile this host runs (256-bit always, 512-bit where
+    /// avx512f is present) leaves, bit for bit, what the scalar chain
+    /// `acc = a.mul_add(b, acc)` leaves, taken over the depth in order from
+    /// the value already in `out`: at every height, every column tail of
+    /// either width, every depth of a block and both strides of `A`, and it
+    /// writes nothing past column `n` or the last row.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_tiles_are_the_sequential_mul_add_chain_bit_for_bit() {
+        if !is_supported(SimdLevel::Avx2) {
+            return;
+        }
+        let mut kernels = vec![("avx2 256-bit", &AVX2_KERNELS)];
+        kernels.extend(wide_table().map(|wide| ("avx2 512-bit", wide)));
+        let canary = f32::from_bits(0x7fc0_0bad);
+        let mut rng = SeededRng::new(39);
+        for (name, kern) in kernels {
+            let mut case = 0usize;
+            for rows in 1..=kern.mr {
+                for n in 1..=80usize {
+                    // 53 is odd, so `kc` takes every value in 1..=128 as
+                    // the cases go round.
+                    let kc = 1 + case * 53 % 128;
+                    case += 1;
+                    for transposed in [false, true] {
+                        let (rs, ds, a_len) = if transposed {
+                            (1, rows + 2, kc * (rows + 2))
+                        } else {
+                            (kc + 2, 1, rows * (kc + 2))
+                        };
+                        let a: Vec<f32> = (0..a_len).map(|_| rng.normal()).collect();
+                        let ldb = n + 7;
+                        let b: Vec<f32> = (0..kc * ldb).map(|_| rng.normal()).collect();
+                        let ldc = n + 1;
+                        let mut got = vec![canary; (rows + 1) * ldc];
+                        for row in got.chunks_mut(ldc).take(rows) {
+                            row[..n].iter_mut().for_each(|o| *o = rng.normal());
+                        }
+                        let mut want = got.clone();
+                        for (r, row) in want.chunks_mut(ldc).take(rows).enumerate() {
+                            for (j, o) in row[..n].iter_mut().enumerate() {
+                                for p in 0..kc {
+                                    *o = a[r * rs + p * ds].mul_add(b[p * ldb + j], *o);
+                                }
+                            }
+                        }
+                        (kern.tile)(rows, &a, rs, ds, kc, &b, ldb, n, &mut got, ldc);
+                        for (at, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                            let (r, j) = (at / ldc, at % ldc);
+                            let what = format!(
+                                "{name} ({r},{j}) of {rows}x{kc}x{n}, transposed A {transposed}"
+                            );
+                            if r >= rows || j >= n {
+                                assert_eq!(g.to_bits(), canary.to_bits(), "wrote {what}");
+                            }
+                            assert_eq!(g.to_bits(), w.to_bits(), "{what}: {g} vs {w}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Every table's matvec is [`dot_f64`] row by row, bit for bit: the
     /// 512-bit body's four-row passes (with a partial last pass) and its
     /// `len mod 8` tails included.
