@@ -16,7 +16,8 @@
 //! `avx512f` (CPUID read once, then cached). There the level's table runs
 //! its GEMM tile and the `f64` matrix-vector product of the PCA eigen-solver
 //! ([`Kernels::matvec`]) in zmm registers; its element-wise entries are the
-//! 256-bit table's. There is no separate setting for it.
+//! 256-bit table's. There is no separate setting for it. The tile is one
+//! source, stamped at both register widths.
 //!
 //! # Determinism contract
 //!
@@ -40,13 +41,14 @@
 //!   Column tails (`n mod 8`, `n mod 16` in zmm registers) run the same FMA
 //!   chain under a lane mask, so tail columns round exactly like full
 //!   vectors and nothing outside the `n` columns is read or written. The
-//!   256-bit and the 512-bit tile of the AVX2 level are bit-identical: each
-//!   lane is one element's chain, whatever the width of the register
-//!   holding it.
+//!   256-bit and the 512-bit tile of the AVX2 level are one body written
+//!   over a width's lane count, types and intrinsics, so they are
+//!   bit-identical: each lane is one element's chain, whatever the width of
+//!   the register holding it.
 //! - **Element-wise kernels and the `f64` matvec are bitwise
 //!   level-independent.** AXPY, the SPSA perturbation and the GELU family
 //!   are one source compiled per level: the AVX2 table runs the scalar
-//!   table's loops inside `avx2`-enabled functions, where the compiler
+//!   table's loops inside one `avx2`-enabled function, where the compiler
 //!   vectorises them. Each element is the same scalar expression at every
 //!   width, and Rust never contracts a multiply and an add into an FMA, so
 //!   they are bit-identical at every level. [`Kernels::matvec`] keeps a
@@ -361,12 +363,37 @@ static SCALAR_KERNELS: Kernels = Kernels {
 static AVX2_KERNELS: Kernels = Kernels {
     level: SimdLevel::Avx2,
     mr: MR6,
-    tile: tile_avx2_dispatch,
-    axpy: axpy_avx2_dispatch,
-    perturb: perturb_avx2_dispatch,
-    gelu: gelu_avx2_dispatch,
-    gelu_grad: gelu_grad_avx2_dispatch,
-    gelu_grad_cached: gelu_grad_cached_avx2_dispatch,
+    tile: tile_avx2_level::<false>,
+    axpy: |dst, src, scale| {
+        in_avx2(
+            #[inline(always)]
+            || axpy_scalar(dst, src, scale),
+        )
+    },
+    perturb: |dst, base, dir, scale| {
+        in_avx2(
+            #[inline(always)]
+            || perturb_scalar(dst, base, dir, scale),
+        )
+    },
+    gelu: |data| {
+        in_avx2(
+            #[inline(always)]
+            || gelu_scalar_slice(data),
+        )
+    },
+    gelu_grad: |x, grad, out| {
+        in_avx2(
+            #[inline(always)]
+            || gelu_grad_scalar_slice(x, grad, out),
+        )
+    },
+    gelu_grad_cached: |x, y, grad, out| {
+        in_avx2(
+            #[inline(always)]
+            || gelu_grad_cached_scalar_slice(x, y, grad, out),
+        )
+    },
     matvec: matvec_scalar,
 };
 
@@ -375,7 +402,7 @@ static AVX2_KERNELS: Kernels = Kernels {
 #[cfg(target_arch = "x86_64")]
 static AVX512_KERNELS: Kernels = Kernels {
     mr: MR12,
-    tile: tile_avx512_dispatch,
+    tile: tile_avx2_level::<true>,
     matvec: matvec_avx512_dispatch,
     ..AVX2_KERNELS
 };
@@ -401,19 +428,20 @@ fn span(steps: usize, stride: usize, width: usize) -> Option<usize> {
 fn tile_in_bounds(
     mr: usize,
     rows: usize,
-    a_len: usize,
+    a: &[f32],
     rs: usize,
     ds: usize,
     kc: usize,
-    b_len: usize,
+    b: &[f32],
     ldb: usize,
     n: usize,
-    out_len: usize,
+    out: &[f32],
     ldc: usize,
 ) -> bool {
     if rows == 0 || n == 0 || kc == 0 {
         return false;
     }
+    let (a_len, b_len, out_len) = (a.len(), b.len(), out.len());
     assert!(rows <= mr, "tile of {rows} rows on an {mr}-row kernel");
     let a_end = span(rows, rs, 0).and_then(|r| span(kc, ds, 1)?.checked_add(r));
     assert!(
@@ -455,19 +483,7 @@ fn tile_scalar(
     out: &mut [f32],
     ldc: usize,
 ) {
-    if !tile_in_bounds(
-        MR4,
-        rows,
-        a.len(),
-        rs,
-        ds,
-        kc,
-        b.len(),
-        ldb,
-        n,
-        out.len(),
-        ldc,
-    ) {
+    if !tile_in_bounds(MR4, rows, a, rs, ds, kc, b, ldb, n, out, ldc) {
         return;
     }
     let mut p = 0;
@@ -499,8 +515,8 @@ fn tile_scalar(
 }
 
 // The element-wise loops of every level: the scalar table runs them as they
-// are, the AVX2 table compiles each for avx2 (`axpy_avx2_dispatch` and its
-// siblings). `#[inline(always)]` puts the loop inside that compilation.
+// are, the AVX2 table compiles each for avx2 (through `in_avx2`).
+// `#[inline(always)]` puts the loop inside that compilation.
 
 #[inline(always)]
 fn axpy_scalar(dst: &mut [f32], src: &[f32], scale: f32) {
@@ -580,16 +596,12 @@ fn reduce8(acc: [f64; 8], a_tail: &[f64], b_tail: &[f64]) -> f64 {
 // x86-64 kernels.
 // ---------------------------------------------------------------------------
 
-/// Lane masks of the AVX2 column tail: `TAIL_MASKS[8 - lanes..][..8]` has
-/// its first `lanes` lanes set (all ones) and the rest clear.
-#[cfg(target_arch = "x86_64")]
-static TAIL_MASKS: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
-
-/// The safe face of the AVX2 tile, and the one place its `# Safety`
-/// conditions are established (the bodies in [`x86`] only restate them).
+/// The safe face of the AVX2 level's tile at either register width (zmm
+/// when `WIDE`, else ymm), and the one place the `# Safety` conditions of
+/// the bodies in [`x86`] are established.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
-fn tile_avx2_dispatch(
+fn tile_avx2_level<const WIDE: bool>(
     rows: usize,
     a: &[f32],
     rs: usize,
@@ -601,153 +613,37 @@ fn tile_avx2_dispatch(
     out: &mut [f32],
     ldc: usize,
 ) {
-    if !tile_in_bounds(
-        MR6,
-        rows,
-        a.len(),
-        rs,
-        ds,
-        kc,
-        b.len(),
-        ldb,
-        n,
-        out.len(),
-        ldc,
-    ) {
-        return;
-    }
-    let lanes = n % 8;
-    let mask: &[i32; 8] = TAIL_MASKS[8 - lanes..][..8]
-        .try_into()
-        .expect("eight mask lanes");
-    debug_assert!(
-        mask.iter()
-            .enumerate()
-            .all(|(lane, &m)| m == if lane < lanes { -1 } else { 0 }),
-        "tail mask must cover exactly n mod 8 = {lanes} lanes"
-    );
-    let (a, b, out) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-    // SAFETY: the AVX2 table is only selected after `is_x86_feature_detected!`
-    // confirmed avx2+fma (see `is_supported`). `tile_in_bounds` returned
-    // `true`, so `1 ≤ rows ≤ 6`, every `a[r·rs + p·ds]`, `b[p·ldb + j]` and
-    // `out[r·ldc + j]` with `r < rows`, `p < kc`, `j < n` lies inside its
-    // slice, and output rows are disjoint; `mask` has exactly the first
-    // `n mod 8` lanes set, so the masked tail touches columns `< n` only.
-    unsafe {
-        match rows {
-            1 => x86::tile_avx2::<1>(a, rs, ds, kc, b, ldb, n, out, ldc, mask),
-            2 => x86::tile_avx2::<2>(a, rs, ds, kc, b, ldb, n, out, ldc, mask),
-            3 => x86::tile_avx2::<3>(a, rs, ds, kc, b, ldb, n, out, ldc, mask),
-            4 => x86::tile_avx2::<4>(a, rs, ds, kc, b, ldb, n, out, ldc, mask),
-            5 => x86::tile_avx2::<5>(a, rs, ds, kc, b, ldb, n, out, ldc, mask),
-            _ => x86::tile_avx2::<MR6>(a, rs, ds, kc, b, ldb, n, out, ldc, mask),
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn axpy_avx2_dispatch(dst: &mut [f32], src: &[f32], scale: f32) {
-    #[target_feature(enable = "avx2")]
-    fn avx2(dst: &mut [f32], src: &[f32], scale: f32) {
-        axpy_scalar(dst, src, scale)
-    }
-    // SAFETY: `avx2_table` hands out this table only after CPUID showed avx2.
-    unsafe { avx2(dst, src, scale) }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn perturb_avx2_dispatch(dst: &mut [f32], base: &[f32], dir: &[f32], scale: f32) {
-    #[target_feature(enable = "avx2")]
-    fn avx2(dst: &mut [f32], base: &[f32], dir: &[f32], scale: f32) {
-        perturb_scalar(dst, base, dir, scale)
-    }
-    // SAFETY: `avx2_table` hands out this table only after CPUID showed avx2.
-    unsafe { avx2(dst, base, dir, scale) }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn gelu_avx2_dispatch(data: &mut [f32]) {
-    #[target_feature(enable = "avx2")]
-    fn avx2(data: &mut [f32]) {
-        gelu_scalar_slice(data)
-    }
-    // SAFETY: `avx2_table` hands out this table only after CPUID showed avx2.
-    unsafe { avx2(data) }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn gelu_grad_avx2_dispatch(x: &[f32], grad: &[f32], out: &mut [f32]) {
-    #[target_feature(enable = "avx2")]
-    fn avx2(x: &[f32], grad: &[f32], out: &mut [f32]) {
-        gelu_grad_scalar_slice(x, grad, out)
-    }
-    // SAFETY: `avx2_table` hands out this table only after CPUID showed avx2.
-    unsafe { avx2(x, grad, out) }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn gelu_grad_cached_avx2_dispatch(x: &[f32], y: &[f32], grad: &[f32], out: &mut [f32]) {
-    #[target_feature(enable = "avx2")]
-    fn avx2(x: &[f32], y: &[f32], grad: &[f32], out: &mut [f32]) {
-        gelu_grad_cached_scalar_slice(x, y, grad, out)
-    }
-    // SAFETY: `avx2_table` hands out this table only after CPUID showed avx2.
-    unsafe { avx2(x, y, grad, out) }
-}
-
-/// The safe face of the AVX2 level's 512-bit tile, and the one place its
-/// `# Safety` conditions are established.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-fn tile_avx512_dispatch(
-    rows: usize,
-    a: &[f32],
-    rs: usize,
-    ds: usize,
-    kc: usize,
-    b: &[f32],
-    ldb: usize,
-    n: usize,
-    out: &mut [f32],
-    ldc: usize,
-) {
-    if !tile_in_bounds(
-        MR12,
-        rows,
-        a.len(),
-        rs,
-        ds,
-        kc,
-        b.len(),
-        ldb,
-        n,
-        out.len(),
-        ldc,
-    ) {
+    let tiles: &[x86::Tile] = if WIDE {
+        &x86::zmm::TILES
+    } else {
+        &x86::ymm::TILES
+    };
+    let mr = tiles.len();
+    if !tile_in_bounds(mr, rows, a, rs, ds, kc, b, ldb, n, out, ldc) {
         return;
     }
     let (a, b, out) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-    // SAFETY: `avx2_table` hands out this table only after CPUID showed
-    // avx512f besides avx2+fma. `tile_in_bounds` returned `true`, so
-    // `1 ≤ rows ≤ 12`, every `a[r·rs + p·ds]`, `b[p·ldb + j]` and
-    // `out[r·ldc + j]` with `r < rows`, `p < kc`, `j < n` lies inside its
-    // slice, and output rows are disjoint.
-    unsafe {
-        match rows {
-            1 => x86::tile_avx512::<1>(a, rs, ds, kc, b, ldb, n, out, ldc),
-            2 => x86::tile_avx512::<2>(a, rs, ds, kc, b, ldb, n, out, ldc),
-            3 => x86::tile_avx512::<3>(a, rs, ds, kc, b, ldb, n, out, ldc),
-            4 => x86::tile_avx512::<4>(a, rs, ds, kc, b, ldb, n, out, ldc),
-            5 => x86::tile_avx512::<5>(a, rs, ds, kc, b, ldb, n, out, ldc),
-            6 => x86::tile_avx512::<6>(a, rs, ds, kc, b, ldb, n, out, ldc),
-            7 => x86::tile_avx512::<7>(a, rs, ds, kc, b, ldb, n, out, ldc),
-            8 => x86::tile_avx512::<8>(a, rs, ds, kc, b, ldb, n, out, ldc),
-            9 => x86::tile_avx512::<9>(a, rs, ds, kc, b, ldb, n, out, ldc),
-            10 => x86::tile_avx512::<10>(a, rs, ds, kc, b, ldb, n, out, ldc),
-            11 => x86::tile_avx512::<11>(a, rs, ds, kc, b, ldb, n, out, ldc),
-            _ => x86::tile_avx512::<MR12>(a, rs, ds, kc, b, ldb, n, out, ldc),
-        }
+    // SAFETY: `avx2_table` hands out the table holding this entry only after
+    // CPUID showed avx2+fma, and avx512f as well for the `WIDE` one.
+    // `tile_in_bounds` returned `true` for this width's height, so
+    // `tiles[rows − 1]` is the body of exactly `rows` rows, every
+    // `a[r·rs + p·ds]`, `b[p·ldb + j]` and `out[r·ldc + j]` with `r < rows`,
+    // `p < kc`, `j < n` lies inside its slice, and output rows are disjoint.
+    unsafe { tiles[rows - 1](a, rs, ds, kc, b, ldb, n, out, ldc) }
+}
+
+/// Runs `f` inside an avx2-enabled function. The AVX2 table's element-wise
+/// entries are the scalar table's loops run through here: inlined into
+/// this compilation, they are vectorised 8 lanes wide.
+#[cfg(target_arch = "x86_64")]
+fn in_avx2(f: impl FnOnce()) {
+    #[target_feature(enable = "avx2")]
+    fn avx2(f: impl FnOnce()) {
+        f()
     }
+    // SAFETY: only entries of the AVX2 level's tables call this, and
+    // `avx2_table` hands those out only after CPUID showed avx2.
+    unsafe { avx2(f) }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -760,224 +656,193 @@ fn matvec_avx512_dispatch(a: &[f64], v: &[f64], out: &mut [f64]) {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! The `std::arch` kernel bodies. Everything here is `unsafe fn` with a
-    //! `#[target_feature]` attribute; the safe dispatch wrappers above hold
-    //! the detection invariant.
+    //! The `std::arch` kernel bodies: the AVX2 level's GEMM tile, written
+    //! once in `tile_at_width!` and stamped at both register widths
+    //! ([`ymm`], [`zmm`]), and the 512-bit `f64` matvec. Each is an `unsafe
+    //! fn` with a `#[target_feature]` attribute; the safe wrappers above hold
+    //! the detection invariant and the bounds.
     #![allow(clippy::missing_safety_doc)]
 
+    use super::{MR12, MR6};
     use core::arch::x86_64::*;
 
-    // -- AVX2+FMA GEMM: sequential depth-ordered FMA chains -----------------
+    /// A tile body of one height, on raw pointers: `(a, rs, ds, kc, b, ldb,
+    /// n, out, ldc)` as in [`super::TileKernel`].
+    pub type Tile =
+        unsafe fn(*const f32, usize, usize, usize, *const f32, usize, usize, *mut f32, usize);
 
-    /// AVX2 tile of `R` rows: per element, `acc = fma(A[r][p], B[p][j], acc)`
+    /// Stamps the AVX2 level's tile at one register width as module
+    /// `$width`: `TILES[R − 1]` is the body of `R` rows for every height in
+    /// `$heights` (`1..=mr`). The width supplies its lane count, vector and
+    /// mask types and the eight intrinsics the body is written in, each as a
+    /// named expression over the names in parentheses; the tail mask has the
+    /// first `l < lanes` lanes set.
+    ///
+    /// Per element the body is `acc = fma(A[r][p], B[p][j], acc)`
     /// sequentially over the depth, starting from the value already in
-    /// `out` — at every height and in every column path, so a row computed
-    /// alone is bitwise equal to the same row inside a taller tile.
-    ///
-    /// Columns go 16 at a time; what is left (`n mod 16`) is one more pass of
-    /// one or two vectors whose last vector is lane-masked when `n mod 8 ≠ 0`.
-    /// At `R = 6` the 16-column pass keeps 12 accumulators, 2 `B` vectors
-    /// and 1 broadcast live (15 ymm registers) and issues 12 FMAs per 8
-    /// loads, so it is bound by FMA throughput; a four-row tile at the same
-    /// width issues 8 FMAs per 6 loads and stalls on the load ports instead.
-    ///
-    /// # Safety
-    ///
-    /// Needs avx2+fma, `R ≥ 1`, and — for every `r < R`, `p < kc`, `j < n` —
-    /// `a.add(r·rs + p·ds)`, `b.add(p·ldb + j)` readable and
-    /// `out.add(r·ldc + j)` readable and writable, with the `R` output rows
-    /// disjoint. `mask` must have exactly its first `n mod 8` lanes set.
-    /// [`super::tile_avx2_dispatch`] establishes all of it.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn tile_avx2<const R: usize>(
-        a: *const f32,
-        rs: usize,
-        ds: usize,
-        kc: usize,
-        b: *const f32,
-        ldb: usize,
-        n: usize,
-        out: *mut f32,
-        ldc: usize,
-        mask: &[i32; 8],
-    ) {
-        let mask = _mm256_loadu_si256(mask.as_ptr().cast());
-        let mut j = 0;
-        while j + 16 <= n {
-            cols::<R, 2, false>(a, rs, ds, kc, b.add(j), ldb, out.add(j), ldc, mask);
-            j += 16;
-        }
-        let (b, out) = (b.add(j), out.add(j));
-        match n - j {
-            0 => {}
-            8 => cols::<R, 1, false>(a, rs, ds, kc, b, ldb, out, ldc, mask),
-            1..=7 => cols::<R, 1, true>(a, rs, ds, kc, b, ldb, out, ldc, mask),
-            _ => cols::<R, 2, true>(a, rs, ds, kc, b, ldb, out, ldc, mask),
-        }
-    }
-
-    /// Loads vector `v` of `V` at `ptr`; the last one under `mask` when
-    /// `MASKED` (masked-off lanes read as zero and are not accessed).
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn load<const V: usize, const MASKED: bool>(
-        ptr: *const f32,
-        v: usize,
-        mask: __m256i,
-    ) -> __m256 {
-        if MASKED && v + 1 == V {
-            _mm256_maskload_ps(ptr.add(8 * v), mask)
-        } else {
-            _mm256_loadu_ps(ptr.add(8 * v))
-        }
-    }
-
-    /// One column pass of [`tile_avx2`]: `R` rows × `V` vectors starting at
-    /// column 0 of `b` / `out` (the caller offsets both), the last vector
-    /// under `mask` when `MASKED`. Same safety conditions, over the
-    /// `8·V` columns (`8·(V−1) + n mod 8` when masked) it covers.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[inline]
-    unsafe fn cols<const R: usize, const V: usize, const MASKED: bool>(
-        a: *const f32,
-        rs: usize,
-        ds: usize,
-        kc: usize,
-        b: *const f32,
-        ldb: usize,
-        out: *mut f32,
-        ldc: usize,
-        mask: __m256i,
-    ) {
-        let mut acc = [[_mm256_setzero_ps(); V]; R];
-        for (r, row) in acc.iter_mut().enumerate() {
-            for (v, lane) in row.iter_mut().enumerate() {
-                *lane = load::<V, MASKED>(out.add(r * ldc), v, mask);
-            }
-        }
-        for p in 0..kc {
-            let bp = b.add(p * ldb);
-            let mut bv = [_mm256_setzero_ps(); V];
-            for (v, lane) in bv.iter_mut().enumerate() {
-                *lane = load::<V, MASKED>(bp, v, mask);
-            }
-            let ap = a.add(p * ds);
-            for (r, row) in acc.iter_mut().enumerate() {
-                let av = _mm256_broadcast_ss(&*ap.add(r * rs));
-                for (lane, &bv) in row.iter_mut().zip(&bv) {
-                    *lane = _mm256_fmadd_ps(av, bv, *lane);
-                }
-            }
-        }
-        for (r, row) in acc.iter().enumerate() {
-            for (v, &lane) in row.iter().enumerate() {
-                let at = out.add(r * ldc + 8 * v);
-                if MASKED && v + 1 == V {
-                    _mm256_maskstore_ps(at, mask, lane);
-                } else {
-                    _mm256_storeu_ps(at, lane);
-                }
-            }
-        }
-    }
-
-    // -- AVX-512 GEMM: the same chains, sixteen lanes per register ----------
-
-    /// The AVX2 level's tile in zmm registers: per element
-    /// `acc = fma(A[r][p], B[p][j], acc)` sequentially over the depth,
-    /// starting from the value already in `out` — [`tile_avx2`]'s chain
-    /// exactly, so the two bodies agree bit for bit at every height, width
-    /// and stride.
-    ///
-    /// Columns go 32 at a time; what is left (`n mod 32`) is one more pass
-    /// of one or two vectors whose last vector is masked to the `n mod 16`
-    /// columns it covers (all 16 when that is zero). At `R = 12` the
-    /// 32-column pass keeps 24 accumulators, 2 `B` vectors and 1 broadcast
-    /// live (27 zmm registers).
+    /// `out`, at every height, width and column path — so a row computed
+    /// alone equals the same row inside a taller tile, and the two widths
+    /// agree bit for bit. Columns go two vectors at a time; what is left is
+    /// one more pass of one or two vectors, the last masked to the columns
+    /// it covers when `n` is not a whole number of vectors (masked-off
+    /// lanes are neither read nor written). Two vectors per row at the
+    /// widest height keep `2·mr` accumulators, 2 `B` vectors and 1
+    /// broadcast live: 15 of 16 ymm registers at 6 rows, 27 of 32 zmm ones
+    /// at 12, where the tile is bound by FMA throughput, not loads.
     ///
     /// # Safety
     ///
-    /// Needs avx512f, `R ≥ 1`, and — for every `r < R`, `p < kc`, `j < n` —
-    /// `a.add(r·rs + p·ds)`, `b.add(p·ldb + j)` readable and
-    /// `out.add(r·ldc + j)` readable and writable, with the `R` output rows
-    /// disjoint. [`super::tile_avx512_dispatch`] establishes all of it.
-    // SAFETY: callers establish the conditions above from `tile_in_bounds`
-    // and the avx512f CPUID check behind `avx2_table`.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn tile_avx512<const R: usize>(
-        a: *const f32,
-        rs: usize,
-        ds: usize,
-        kc: usize,
-        b: *const f32,
-        ldb: usize,
-        n: usize,
-        out: *mut f32,
-        ldc: usize,
-    ) {
-        let mut j = 0;
-        while j + 32 <= n {
-            cols16::<R, 2>(a, rs, ds, kc, b.add(j), ldb, out.add(j), ldc, u16::MAX);
-            j += 32;
-        }
-        let (b, out) = (b.add(j), out.add(j));
-        let last: __mmask16 = u16::MAX >> ((16 - n % 16) % 16);
-        match n - j {
-            0 => {}
-            1..=16 => cols16::<R, 1>(a, rs, ds, kc, b, ldb, out, ldc, last),
-            _ => cols16::<R, 2>(a, rs, ds, kc, b, ldb, out, ldc, last),
-        }
-    }
+    /// A body needs its width's target features and, for every `r < R`,
+    /// `p < kc`, `j < n`, `a.add(r·rs + p·ds)` and `b.add(p·ldb + j)`
+    /// readable and `out.add(r·ldc + j)` readable and writable, with the `R`
+    /// output rows disjoint. [`super::tile_avx2_level`] establishes all of
+    /// it.
+    macro_rules! tile_at_width {
+        (
+            $width:ident, $($feature:literal),+: $lanes:literal lanes,
+                vector $vec:ty, mask $mask:ty, heights [$($h:literal)+] = $mr:ident;
+            zero: $zero:expr,
+            splat($sx:ident): $splat:expr,
+            fma($fx:ident, $fy:ident, $facc:ident): $fma:expr,
+            load($lp:ident): $load:expr,
+            masked_load($mlp:ident, $mlm:ident): $masked_load:expr,
+            store($sp:ident, $sv:ident): $store:expr,
+            masked_store($msp:ident, $msm:ident, $msv:ident): $masked_store:expr,
+            tail_mask($tl:ident): $tail_mask:expr,
+        ) => {
+            pub mod $width {
+                use super::*;
 
-    /// One column pass of [`tile_avx512`]: `R` rows × `V` vectors of 16
-    /// lanes from column 0 of `b` / `out` (the caller offsets both), the
-    /// last vector's lanes limited to `last`; masked-off lanes are neither
-    /// read nor written. Same safety conditions, over the columns it covers.
-    // SAFETY: only `tile_avx512` calls this, under its conditions, which
-    // rest on `tile_in_bounds` and the avx512f CPUID check.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn cols16<const R: usize, const V: usize>(
-        a: *const f32,
-        rs: usize,
-        ds: usize,
-        kc: usize,
-        b: *const f32,
-        ldb: usize,
-        out: *mut f32,
-        ldc: usize,
-        last: __mmask16,
-    ) {
-        let mask = |v: usize| if v + 1 == V { last } else { u16::MAX };
-        let mut acc = [[_mm512_setzero_ps(); V]; R];
-        for (r, row) in acc.iter_mut().enumerate() {
-            for (v, lane) in row.iter_mut().enumerate() {
-                *lane = _mm512_maskz_loadu_ps(mask(v), out.add(r * ldc + 16 * v));
-            }
-        }
-        for p in 0..kc {
-            let bp = b.add(p * ldb);
-            let mut bv = [_mm512_setzero_ps(); V];
-            for (v, lane) in bv.iter_mut().enumerate() {
-                *lane = _mm512_maskz_loadu_ps(mask(v), bp.add(16 * v));
-            }
-            let ap = a.add(p * ds);
-            for (r, row) in acc.iter_mut().enumerate() {
-                let av = _mm512_set1_ps(*ap.add(r * rs));
-                for (lane, &bv) in row.iter_mut().zip(&bv) {
-                    *lane = _mm512_fmadd_ps(av, bv, *lane);
+                const LANES: usize = $lanes;
+
+                /// The tile body of each height, by `rows − 1`.
+                pub static TILES: [Tile; $mr] = [$(tile::<$h>),+];
+
+                #[allow(clippy::too_many_arguments)]
+                #[target_feature($(enable = $feature),+)]
+                unsafe fn tile<const R: usize>(
+                    a: *const f32,
+                    rs: usize,
+                    ds: usize,
+                    kc: usize,
+                    b: *const f32,
+                    ldb: usize,
+                    n: usize,
+                    out: *mut f32,
+                    ldc: usize,
+                ) {
+                    let mask: $mask = {
+                        let $tl = n % LANES;
+                        $tail_mask
+                    };
+                    let mut j = 0;
+                    while j + 2 * LANES <= n {
+                        cols::<R, 2, false>(a, rs, ds, kc, b.add(j), ldb, out.add(j), ldc, mask);
+                        j += 2 * LANES;
+                    }
+                    let (b, out) = (b.add(j), out.add(j));
+                    match n - j {
+                        0 => {}
+                        LANES => cols::<R, 1, false>(a, rs, ds, kc, b, ldb, out, ldc, mask),
+                        left if left < LANES => {
+                            cols::<R, 1, true>(a, rs, ds, kc, b, ldb, out, ldc, mask)
+                        }
+                        _ => cols::<R, 2, true>(a, rs, ds, kc, b, ldb, out, ldc, mask),
+                    }
+                }
+
+                /// One column pass of [`tile`]: `R` rows × `V` vectors from
+                /// column 0 of `b` / `out` (the caller offsets both), the
+                /// last vector under `mask` when `MASKED`.
+                #[allow(clippy::too_many_arguments)]
+                #[target_feature($(enable = $feature),+)]
+                #[inline]
+                unsafe fn cols<const R: usize, const V: usize, const MASKED: bool>(
+                    a: *const f32,
+                    rs: usize,
+                    ds: usize,
+                    kc: usize,
+                    b: *const f32,
+                    ldb: usize,
+                    out: *mut f32,
+                    ldc: usize,
+                    mask: $mask,
+                ) {
+                    let load = |ptr: *const f32, v: usize| -> $vec {
+                        if MASKED && v + 1 == V {
+                            let ($mlp, $mlm) = (ptr.add(LANES * v), mask);
+                            $masked_load
+                        } else {
+                            let $lp = ptr.add(LANES * v);
+                            $load
+                        }
+                    };
+                    let mut acc: [[$vec; V]; R] = [[$zero; V]; R];
+                    for (r, row) in acc.iter_mut().enumerate() {
+                        for (v, lane) in row.iter_mut().enumerate() {
+                            *lane = load(out.add(r * ldc), v);
+                        }
+                    }
+                    for p in 0..kc {
+                        let bp = b.add(p * ldb);
+                        let mut bv: [$vec; V] = [$zero; V];
+                        for (v, lane) in bv.iter_mut().enumerate() {
+                            *lane = load(bp, v);
+                        }
+                        let ap = a.add(p * ds);
+                        for (r, row) in acc.iter_mut().enumerate() {
+                            let $sx = *ap.add(r * rs);
+                            let av = $splat;
+                            for (lane, &bv) in row.iter_mut().zip(&bv) {
+                                let ($fx, $fy, $facc) = (av, bv, *lane);
+                                *lane = $fma;
+                            }
+                        }
+                    }
+                    for (r, row) in acc.iter().enumerate() {
+                        for (v, &lane) in row.iter().enumerate() {
+                            let at = out.add(r * ldc + LANES * v);
+                            if MASKED && v + 1 == V {
+                                let ($msp, $msm, $msv) = (at, mask, lane);
+                                $masked_store
+                            } else {
+                                let ($sp, $sv) = (at, lane);
+                                $store
+                            }
+                        }
+                    }
                 }
             }
-        }
-        for (r, row) in acc.iter().enumerate() {
-            for (v, &lane) in row.iter().enumerate() {
-                _mm512_mask_storeu_ps(out.add(r * ldc + 16 * v), mask(v), lane);
-            }
-        }
+        };
+    }
+
+    tile_at_width! {
+        ymm, "avx2", "fma": 8 lanes,
+            vector __m256, mask __m256i, heights [1 2 3 4 5 6] = MR6;
+        zero: _mm256_setzero_ps(),
+        splat(x): _mm256_set1_ps(x),
+        fma(x, y, acc): _mm256_fmadd_ps(x, y, acc),
+        load(p): _mm256_loadu_ps(p),
+        masked_load(p, m): _mm256_maskload_ps(p, m),
+        store(p, v): _mm256_storeu_ps(p, v),
+        masked_store(p, m, v): _mm256_maskstore_ps(p, m, v),
+        tail_mask(l): _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(l as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        ),
+    }
+
+    tile_at_width! {
+        zmm, "avx512f": 16 lanes,
+            vector __m512, mask __mmask16, heights [1 2 3 4 5 6 7 8 9 10 11 12] = MR12;
+        zero: _mm512_setzero_ps(),
+        splat(x): _mm512_set1_ps(x),
+        fma(x, y, acc): _mm512_fmadd_ps(x, y, acc),
+        load(p): _mm512_loadu_ps(p),
+        masked_load(p, m): _mm512_maskz_loadu_ps(m, p),
+        store(p, v): _mm512_storeu_ps(p, v),
+        masked_store(p, m, v): _mm512_mask_storeu_ps(p, m, v),
+        tail_mask(l): (1u16 << l) - 1,
     }
 
     // -- AVX-512 f64 matvec: dot_f64's lanes, four rows per pass -------------
