@@ -672,8 +672,8 @@ mod x86 {
         unsafe fn(*const f32, usize, usize, usize, *const f32, usize, usize, *mut f32, usize);
 
     /// Stamps the AVX2 level's tile at one register width as module
-    /// `$width`: `TILES[R − 1]` is the body of `R` rows for every height in
-    /// `$heights` (`1..=mr`). The width supplies its lane count, vector and
+    /// `$width`: `TILES[R − 1]` is the body of `R` rows for every listed
+    /// height (`1..=mr`). The width supplies its lane count, vector and
     /// mask types and the eight intrinsics the body is written in, each as a
     /// named expression over the names in parentheses; the tail mask has the
     /// first `l < lanes` lanes set.
