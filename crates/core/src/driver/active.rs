@@ -615,13 +615,6 @@ impl ActiveRun {
             breakdown: critical,
             faults: round_faults,
         };
-        // The round is closed. The scratch arena trims back to its
-        // steady-state high-water mark here so a one-off wide round (e.g. a
-        // fault replay decoding every retained upload) does not pin its
-        // peak footprint for the rest of the run. The arena is thread-local;
-        // worker threads converge on their own high-water via depth-0
-        // coalescing, so only the driver thread needs the explicit reset.
-        flux_tensor::scratch::reset_round();
         if pipelined {
             self.pending = Some(this_round);
         } else {

@@ -661,7 +661,7 @@ fn scatter_add(
 /// The sparse payload of `new − base` keeping `k = ⌈fraction·n⌉` entries:
 /// selection and tie rule as documented on [`EncodedTensor::encode`].
 ///
-/// Delta, key copy and surviving values live in one arena scope; the only
+/// Delta, key copy and surviving values live in one scratch scope; the only
 /// allocations are the payload vectors, sized exactly.
 fn encode_top_k(
     new: &[f32],
@@ -673,7 +673,7 @@ fn encode_top_k(
     let k = ((n as f64) * fraction as f64).ceil() as usize;
     scratch::with(2 * n, |buf| {
         // `keys` holds each delta's magnitude key as the f32 of the same
-        // bit pattern (the arena serves f32s), read back with `to_bits`:
+        // bit pattern (scratch is an f32 buffer), read back with `to_bits`:
         // it is never compared as a float. The selection permutes it; the
         // emit pass then reuses it for the surviving values.
         let (delta, keys) = buf.split_at_mut(n);

@@ -33,8 +33,6 @@ pub enum FaultKind {
     Stall,
 }
 
-impl FaultKind {}
-
 /// The first output of the splitmix64 stream seeded with `state`.
 fn splitmix(state: u64) -> u64 {
     mix64(state.wrapping_add(GOLDEN_GAMMA))

@@ -214,14 +214,6 @@ impl Attention {
         (output, AttentionCache { q, k, v, probs })
     }
 
-    /// Forward pass without a cache; also returns the per-token received
-    /// attention (the profiling path needs the scores but not gradients).
-    /// Numerically identical to [`Attention::forward`].
-    pub fn forward_no_cache(&self, input: &Matrix) -> (Matrix, Vec<f32>) {
-        let (out, cache) = self.forward(input);
-        (out, cache.received_attention())
-    }
-
     /// Batched forward pass over a packed `(total_tokens, d_model)` input.
     ///
     /// The Q/K/V/output projections run as single wide GEMMs over the whole
@@ -384,17 +376,6 @@ mod tests {
         // Column means of a row-stochastic matrix sum to 1 across columns.
         let total: f32 = received.iter().sum();
         assert!((total - 1.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn no_cache_matches_cached_forward() {
-        let mut rng = SeededRng::new(4);
-        let attn = Attention::new(8, &mut rng);
-        let x = Matrix::random_normal(4, 8, 1.0, &mut rng);
-        let (a, cache) = attn.forward(&x);
-        let (b, received) = attn.forward_no_cache(&x);
-        assert_eq!(a, b);
-        assert_eq!(received, cache.received_attention());
     }
 
     #[test]

@@ -207,9 +207,9 @@ impl MoeLayer {
 
     /// Routes every token and groups the routed rows by compact expert —
     /// the shared front half of [`MoeLayer::forward`] and
-    /// [`MoeLayer::forward_no_cache`], including tracker recording. The
-    /// ordered map fixes the expert iteration (and hence float
-    /// accumulation) order, which keeps runs bit-identical across
+    /// [`TransformerLayer::forward_no_cache_batch`], including tracker
+    /// recording. The ordered map fixes the expert iteration (and hence
+    /// float accumulation) order, which keeps runs bit-identical across
     /// processes and thread counts.
     ///
     /// Routing reuses per-token buffers instead of building
@@ -308,21 +308,6 @@ impl MoeLayer {
             .filter(|(_, (rows, _))| !rows.is_empty())
             .map(|(compact, (rows, weights))| (compact, rows, weights))
             .collect()
-    }
-
-    /// Forward pass that keeps no backward cache (inference, profiling and
-    /// loss-probe paths). Routing, tracking and output are identical to
-    /// [`MoeLayer::forward`]; the expert activations are simply not
-    /// retained, which removes the cache clones from every loss-only call.
-    pub fn forward_no_cache(
-        &self,
-        hidden: &Matrix,
-        layer_idx: usize,
-        received_attention: &[f32],
-        tracker: Option<&mut ActivationTracker>,
-    ) -> Matrix {
-        let groups = self.route_and_group(hidden, layer_idx, received_attention, tracker, None);
-        self.run_routed(hidden, groups)
     }
 
     /// The back half of the no-cache forward: every routed expert runs on
@@ -510,25 +495,6 @@ impl TransformerLayer {
                 received_attention: received,
             },
         )
-    }
-
-    /// Forward pass that keeps no backward cache (see
-    /// [`MoeLayer::forward_no_cache`]). Numerically identical to
-    /// [`TransformerLayer::forward`].
-    pub fn forward_no_cache(
-        &self,
-        input: &Matrix,
-        layer_idx: usize,
-        tracker: Option<&mut ActivationTracker>,
-    ) -> Matrix {
-        let attn_in = ops::layer_norm(input, LN_EPS);
-        let (attn_out, received) = self.attention.forward_no_cache(&attn_in);
-        let post_attention = input.add(&attn_out).expect("residual shapes match");
-        let moe_in = ops::layer_norm(&post_attention, LN_EPS);
-        let moe_out = self
-            .moe
-            .forward_no_cache(&moe_in, layer_idx, &received, tracker);
-        post_attention.add(&moe_out).expect("residual shapes match")
     }
 
     /// Batched forward pass over a packed `(total_tokens, d_model)` batch.

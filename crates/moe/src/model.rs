@@ -358,23 +358,6 @@ impl MoeModel {
         }
     }
 
-    /// Forward pass that keeps no backward state: only the final hidden
-    /// states (after the last layer norm) are produced. Numerically
-    /// identical to [`MoeModel::forward`], but every per-layer cache clone
-    /// is skipped — the per-sample path for predictions and loss-only
-    /// calls.
-    pub fn forward_no_cache(
-        &self,
-        tokens: &[u32],
-        mut tracker: Option<&mut ActivationTracker>,
-    ) -> Matrix {
-        let mut hidden = self.embed(tokens);
-        for (idx, layer) in self.layers.iter().enumerate() {
-            hidden = layer.forward_no_cache(&hidden, idx, tracker.as_deref_mut());
-        }
-        ops::layer_norm(&hidden, LN_EPS)
-    }
-
     /// Runs the transformer stack over a packed mini-batch (see
     /// [`MoeModel::embed_batch`]). Per-token hidden states are bit-identical
     /// to running [`MoeModel::forward`] on each sample alone; the speedup
@@ -410,8 +393,9 @@ impl MoeModel {
         }
     }
 
-    /// Packed batched forward keeping no backward state — the batched
-    /// analogue of [`MoeModel::forward_no_cache`], used by evaluation.
+    /// Packed batched forward keeping no backward state, used by
+    /// evaluation: per-token final hidden states bit-identical to
+    /// [`MoeModel::forward`]'s on each sample alone.
     /// Returns the packed final hidden states and the batch layout.
     pub fn forward_no_cache_batch(&self, samples: &[&Sample]) -> (Matrix, PackedBatch) {
         let (mut hidden, batch) = self.embed_batch(samples);
@@ -822,7 +806,7 @@ impl MoeModel {
 
     /// Loss of one sample (forward only — no parameter or input gradients).
     pub fn sample_loss(&self, sample: &Sample) -> f32 {
-        let final_hidden = self.forward_no_cache(&sample.tokens, None);
+        let final_hidden = self.forward(&sample.tokens, None).final_hidden;
         self.head_loss(sample, &final_hidden)
     }
 
@@ -995,7 +979,7 @@ impl MoeModel {
     /// Mean-pooled final hidden state of a sample, used as the "final token
     /// embeddings" in the paper's output-error measurements (Fig. 8).
     pub fn final_embedding(&self, sample: &Sample) -> Vec<f32> {
-        let final_hidden = self.forward_no_cache(&sample.tokens, None);
+        let final_hidden = self.forward(&sample.tokens, None).final_hidden;
         let seq = final_hidden.rows() as f32;
         final_hidden.sum_rows().iter().map(|x| x / seq).collect()
     }

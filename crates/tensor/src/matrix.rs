@@ -520,8 +520,8 @@ impl Matrix {
         }
         // Per-element dot products (the obvious formulation) are scalar
         // ILP-bound and ran ~5× slower than the blocked kernel at a few
-        // hundred columns. Instead, transpose `other` once into scratch —
-        // one cheap pass — and reuse the vectorizing blocked kernel.
+        // hundred columns. Instead, transpose `other` once into the thread's
+        // scratch buffer — one cheap pass — and reuse the blocked kernel.
         scratch::with(k * n, |bt| {
             transpose_into(&other.data, n, k, bt);
             gemm_strided(m, k, n, &self.data, k, 1, bt, n, &mut out.data, n);
@@ -603,8 +603,9 @@ impl Matrix {
             if len == 0 || d == 0 {
                 continue;
             }
-            // Transpose the B block once into scratch (as matmul_transb
-            // does), then run the strided kernel straight on the row slices.
+            // Transpose the B block once into the scratch buffer (as
+            // matmul_transb does), then run the strided kernel straight on
+            // the row slices.
             scratch::with(d * len, |bt| {
                 transpose_into(&other.data[start * d..], len, d, bt);
                 gemm_strided(

@@ -485,42 +485,42 @@ proptest! {
     }
 }
 
-/// Determinism pin for the arena-backed scratch: the same matmul computed
-/// on a cold thread (fresh arena) and on a warm thread whose arena was
-/// fragmented, coalesced and round-reset by unrelated work must be
-/// bit-identical — scratch state can never leak into results. This is the
+/// Determinism pin for the thread-local scratch buffer: the three kernels
+/// in this crate that stage through [`flux_tensor::scratch::with`] —
+/// `matmul_transb`, `block_diag_matmul_transb` and
+/// `gram::accumulate_panel` — give the same bits on a cold thread (empty
+/// buffer) and on a warm thread whose buffer a larger earlier scope left
+/// full of `7.0`: scratch state can never leak into results. This is the
 /// unit-level twin of the golden-trace suites, which pin the same property
 /// end to end across `FLUX_THREADS` 1/4/8.
 #[test]
-fn warm_arena_matmul_is_bit_identical_to_cold() {
-    fn product() -> Vec<f32> {
+fn warm_scratch_kernels_are_bit_identical_to_cold() {
+    fn products() -> Vec<u32> {
         let mut rng = SeededRng::new(99);
         let a = Matrix::random_normal(17, 230, 0.4, &mut rng);
-        let b = Matrix::random_normal(230, 13, 0.4, &mut rng);
-        a.try_matmul(&b).unwrap().as_slice().to_vec()
+        let b = Matrix::random_normal(13, 230, 0.4, &mut rng);
+        let mut out = a.matmul_transb(&b).unwrap().as_slice().to_vec();
+        let q = Matrix::random_normal(19, 24, 0.4, &mut rng);
+        let k = Matrix::random_normal(19, 24, 0.4, &mut rng);
+        let scores = q.block_diag_matmul_transb(&k, &[(0, 7), (7, 7), (7, 19)], 12);
+        out.extend_from_slice(scores.as_slice());
+        let x = Matrix::random_normal(9, 300, 0.4, &mut rng);
+        let rows: Vec<&[f32]> = (0..x.rows()).map(|r| x.row(r)).collect();
+        let mut panel = vec![0.0; 6 * rows.len()];
+        flux_tensor::gram::accumulate_panel(&rows, 3, &mut panel);
+        out.extend_from_slice(&panel);
+        out.iter().map(|v| v.to_bits()).collect()
     }
-    let cold = std::thread::spawn(product).join().unwrap();
+    let cold = std::thread::spawn(products).join().unwrap();
     let warm = std::thread::spawn(|| {
-        // Dirty and fragment the arena.
-        for i in 1..6 {
-            flux_tensor::scratch::with(i * 10_000, |s| s.fill(7.0));
-        }
-        let first = product();
-        flux_tensor::scratch::reset_round();
-        let again = product();
-        assert_eq!(
-            first.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            again.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "reset_round changed matmul results"
-        );
-        first
+        flux_tensor::scratch::with(100_000, |s| s.fill(7.0));
+        products()
     })
     .join()
     .unwrap();
     assert_eq!(
-        cold.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        warm.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        "arena warmth changed matmul results"
+        cold, warm,
+        "a dirty warm scratch buffer changed kernel results"
     );
 }
 

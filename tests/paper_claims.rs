@@ -9,9 +9,8 @@
 //! cells with a margin.
 //!
 //! A claim that quick scale does not reproduce is a finding: its test is
-//! `#[ignore]`d with the numbers measured, not deleted or weakened. A claim
-//! whose runs do not fit the tier-1 time budget is `#[ignore]`d saying so;
-//! `cargo test --release --test paper_claims -- --ignored` runs both kinds.
+//! `#[ignore]`d with the numbers measured, not deleted or weakened;
+//! `cargo test --release --test paper_claims -- --ignored` runs them.
 
 use flux_bench::{figures, Family, Scale, Table, EXPERIMENT_SEED};
 use flux_data::DatasetKind;
@@ -48,7 +47,6 @@ fn first_to_target(contender: Option<f64>, rivals: &[Option<f64>]) -> bool {
 /// Fig. 5: quantized profiling's estimation error does not grow with the
 /// bit width. Rule: every seed, every dataset.
 #[test]
-#[ignore = "over the tier-1 time budget (~23 s in debug); reproduced in release: error falls with bit width on every seed and dataset"]
 fn fig05_profiling_error_falls_with_bit_width() {
     for seed in SEEDS {
         let table = &figures::quant_profiling_error(QUICK, seed)[0];
@@ -248,7 +246,6 @@ fn fig19_dynamic_epsilon_reaches_the_target_no_later_than_fixed_values() {
 /// simulated time than the fine-tuning they serve. Rule: every seed and
 /// dataset.
 #[test]
-#[ignore = "over the tier-1 time budget (12 Flux runs, ~50 s in debug); reproduced in release: the three phases take under 0.5 % of simulated time on every seed and dataset"]
 fn fig20_flux_phases_cost_less_than_fine_tuning() {
     for seed in SEEDS {
         let table = &figures::overhead_breakdown(QUICK, seed)[0];
@@ -287,7 +284,6 @@ fn fig11_flux_converges_first_on_deepseek_moe() {
 /// FMQ and FMES at every fleet size. Rule: majority plus margin, see
 /// [`assert_flux_first_share`].
 #[test]
-#[ignore = "over the tier-1 time budget (96 federated runs); reproduced in release: Flux first in 17 of 24 cells (needs 15)"]
 fn fig12_flux_reaches_the_target_first_at_every_fleet_size_on_llama_moe() {
     assert_flux_first_share(&scalability_cells(Family::Llama));
 }
