@@ -618,7 +618,7 @@ impl ActiveRun {
         if pipelined {
             self.pending = Some(this_round);
         } else {
-            let eval = self.store.with_global(|m| m.evaluate(&self.eval_set));
+            let eval = pool.install(|| self.store.with_global(|m| m.evaluate(&self.eval_set)));
             self.record(this_round, eval.score);
         }
         self.next_round = round + 1;
@@ -641,7 +641,10 @@ impl ActiveRun {
     pub fn finish(mut self) -> RunResult {
         assert!(self.is_done(), "finish called before every round executed");
         if let Some(last) = self.pending.take() {
-            let eval = self.store.with_global(|m| m.evaluate(&self.eval_set));
+            let eval = self
+                .driver
+                .pool()
+                .install(|| self.store.with_global(|m| m.evaluate(&self.eval_set)));
             self.record(last, eval.score);
         }
         let final_score = self.records.last().map(|r| r.score).unwrap_or(0.0);

@@ -267,21 +267,29 @@ impl RoundContext<'_> {
             .round_rng
             .derive((round * 1000 + participant.id) as u64);
 
-        // Profiling (§4): every round profiles the snapshot it received,
-        // and that profile is the client's next stale one. A stale profile
+        // Profiling (§4): a round profiles the snapshot it received, and
+        // that profile is the client's next stale one. A stale profile
         // comes for free (it was refreshed during the previous round's
         // aggregation window); a cold start or the non-stale ablation uses
         // the fresh one and pays quantization + profiling on the critical
-        // path.
-        let fresh = LocalProfiler::new(cfg.profiling).profile_cached(
-            global,
-            &participant.train_data,
-            &self.quant_cache,
-        );
-        let (profile, profiling_s) = match stale.and_then(StaleProfiler::stale_profile) {
-            Some(stale_profile) if cfg.profiling.stale => (stale_profile, 0.0),
-            _ => (
-                &fresh,
+        // path. The run's last round has no next round to read a refresh,
+        // so a client that profiles stale keeps its state there instead.
+        let stale_profile = stale
+            .and_then(StaleProfiler::stale_profile)
+            .filter(|_| cfg.profiling.stale);
+        let fresh = (stale_profile.is_none() || round + 1 < cfg.rounds).then(|| {
+            LocalProfiler::new(cfg.profiling).profile_cached(
+                global,
+                &participant.train_data,
+                &self.quant_cache,
+            )
+        });
+        let (profile, profiling_s) = match stale_profile {
+            Some(stale_profile) => (stale_profile, 0.0),
+            None => (
+                fresh
+                    .as_ref()
+                    .expect("a round without a stale profile profiles"),
                 cost.quantize_time_s(device, config, width)
                     + cost.profile_time_s(device, config, reference_tokens, width),
             ),
@@ -437,7 +445,13 @@ impl RoundContext<'_> {
             communication_s: cost.communication_time_s(device, config, expert_updates.len().max(1)),
         };
         let refreshes = stale.map_or(0, StaleProfiler::refreshes) + 1;
-        let refreshed = StaleProfiler::from_parts(cfg.profiling, Some(fresh), refreshes);
+        let refreshed = fresh.map(|fresh| {
+            ClientState::Flux(StaleProfiler::from_parts(
+                cfg.profiling,
+                Some(fresh),
+                refreshes,
+            ))
+        });
         ParticipantRound {
             bootstrap_utilities,
             reported_utilities: utilities,
@@ -449,7 +463,7 @@ impl RoundContext<'_> {
                     trained_tokens: train_tokens,
                     cost: breakdown,
                 },
-                Some(ClientState::Flux(refreshed)),
+                refreshed,
             )
         }
     }

@@ -119,13 +119,12 @@ impl FederatedRun {
     ///
     /// Participant-local rounds run concurrently on a pool sized from the
     /// `FLUX_THREADS` environment variable (default: available
-    /// parallelism), in the [`ExecutionMode::Pipelined`] schedule. That
-    /// width bounds the participant fan-out only: nested fan-outs inside a
-    /// local round (e.g. the per-expert batches of a heavy MoE layer) size
-    /// themselves from `FLUX_THREADS` / host parallelism on their own, so
-    /// only `FLUX_THREADS=1` runs everything on the calling thread. Results
-    /// are reduced in participant-id order, so neither the thread count nor
-    /// the schedule ever changes the output.
+    /// parallelism), in the [`ExecutionMode::Pipelined`] schedule. Nested
+    /// fan-outs — model initialization at set-up, the per-expert batches
+    /// of a heavy MoE layer, the expert Gram fill — inherit the width of
+    /// the region they run in (see [`threadpool::ThreadPool::from_env`]).
+    /// Results are reduced in participant-id order, so neither the thread
+    /// count nor the schedule ever changes the output.
     pub fn new(config: RunConfig, seed: u64) -> Self {
         Self {
             config,
@@ -137,15 +136,24 @@ impl FederatedRun {
         }
     }
 
-    /// Overrides the width of the participant fan-out, taking precedence
-    /// over the `FLUX_THREADS` environment variable there. Nested fan-outs
-    /// are not reached by this override and keep following `FLUX_THREADS` /
-    /// host parallelism (see [`FederatedRun::new`]): `with_threads(1)`
-    /// serialises participants, not every kernel. Results are bit-identical
-    /// either way.
+    /// Overrides the run's width, taking precedence over the `FLUX_THREADS`
+    /// environment variable: [`FederatedRun::run`] fans participants out
+    /// that wide, and set-up ([`FederatedRun::start`],
+    /// [`FederatedRun::start_on`]) and [`ActiveRun::finish`] run at it, so
+    /// every nested fan-out below them follows it too; `with_threads(1)`
+    /// runs everything on the calling thread. The rounds of an
+    /// [`ActiveRun`] run at the width of the pool they are handed. Results
+    /// are bit-identical either way.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
+    }
+
+    /// A pool of the run's width ([`FederatedRun::with_threads`], else
+    /// `FLUX_THREADS` / host parallelism).
+    pub(super) fn pool(&self) -> ThreadPool {
+        self.threads
+            .map_or_else(ThreadPool::from_env, ThreadPool::new)
     }
 
     /// Overrides the round schedule (default: [`ExecutionMode::Pipelined`]).
@@ -194,10 +202,7 @@ impl FederatedRun {
     /// Executes the full federated fine-tuning process with one method:
     /// the convenience loop over the resumable state machine.
     pub fn run(&self, method: Method) -> RunResult {
-        let pool = match self.threads {
-            Some(threads) => ThreadPool::new(threads),
-            None => ThreadPool::from_env(),
-        };
+        let pool = self.pool();
         let mut active = self.start(method);
         while !active.is_done() {
             active.step_round(&pool);
@@ -208,8 +213,10 @@ impl FederatedRun {
     /// Starts a standalone run: the global model lives in a private store
     /// (its own single-tenant server, in effect).
     pub fn start(&self, method: Method) -> ActiveRun {
-        ActiveRun::new(self, method, |fresh| {
-            Arc::new(ShardedStore::new(fresh(), DEFAULT_SHARDS))
+        self.pool().install(|| {
+            ActiveRun::new(self, method, |fresh| {
+                Arc::new(ShardedStore::new(fresh(), DEFAULT_SHARDS))
+            })
         })
     }
 
@@ -218,7 +225,8 @@ impl FederatedRun {
     /// so concurrent runs on the same server aggregate into disjoint
     /// stores.
     pub fn start_on(&self, method: Method, server: &ParameterServer) -> ActiveRun {
-        ActiveRun::new(self, method, |fresh| server.register_tenant(fresh()))
+        self.pool()
+            .install(|| ActiveRun::new(self, method, |fresh| server.register_tenant(fresh())))
     }
 
     /// Restores a standalone run from a durable checkpoint directory
@@ -301,6 +309,7 @@ mod tests {
     use super::active::AGGREGATION_S;
     use super::*;
     use crate::merging::GramCacheStats;
+    use crate::profiling::ProfilingConfig;
 
     fn quick_config() -> RunConfig {
         RunConfig::quick_demo(MoeConfig::tiny(), DatasetKind::Gsm8k)
@@ -398,23 +407,30 @@ mod tests {
         assert_eq!(result.final_model.lm_head, again.final_model.lm_head);
     }
 
+    /// Runs Flux to the end on six participants and returns the per-round
+    /// quantized-cache ledger.
+    fn quant_cache_ledger(config: RunConfig) -> Vec<(usize, usize)> {
+        let pool = ThreadPool::new(2);
+        let mut active = FederatedRun::new(config.with_participants(6), 41).start(Method::Flux);
+        while !active.is_done() {
+            active.step_round(&pool);
+        }
+        active.quant_cache_stats().to_vec()
+    }
+
     #[test]
     fn quantized_cache_is_fresh_per_round_and_deduplicated_within_it() {
         // Every Flux participant profiles through the round's shared cache
         // at the configured width, so each round must quantize exactly once
         // (one distinct width) and serve every other request from memory.
-        // A nonzero miss count in *every* round is the regression guard
-        // against reusing a cache (and thus a stale quantized model) across
-        // rounds.
-        let config = quick_config().with_participants(6);
-        let pool = ThreadPool::new(2);
-        let mut active = FederatedRun::new(config, 41).start(Method::Flux);
-        while !active.is_done() {
-            active.step_round(&pool);
-        }
-        let stats = active.quant_cache_stats().to_vec();
+        // A nonzero miss count in *every* round but the last is the
+        // regression guard against reusing a cache (and thus a stale
+        // quantized model) across rounds. The last round profiles nothing:
+        // each client holds a stale profile, and no later round would read
+        // a refresh.
+        let stats = quant_cache_ledger(quick_config());
         assert_eq!(stats.len(), 3, "one ledger entry per round");
-        for (round, &(hits, misses)) in stats.iter().enumerate() {
+        for (round, &(hits, misses)) in stats[..2].iter().enumerate() {
             assert_eq!(
                 misses, 1,
                 "round {round} must quantize exactly once per bit width"
@@ -425,6 +441,19 @@ mod tests {
                 "round {round}: every participant profiles through the cache"
             );
         }
+        assert_eq!(stats[2], (0, 0), "the last round builds no quantized copy");
+    }
+
+    #[test]
+    fn non_stale_profiling_profiles_every_round_including_the_last() {
+        // The `stale = false` ablation profiles fresh on the critical path,
+        // so its last round still needs the quantized copy.
+        let profiling = ProfilingConfig {
+            stale: false,
+            ..ProfilingConfig::default()
+        };
+        let stats = quant_cache_ledger(quick_config().with_profiling(profiling));
+        assert_eq!(stats, vec![(5, 1); 3]);
     }
 
     #[test]

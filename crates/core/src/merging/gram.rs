@@ -99,8 +99,9 @@ impl ExpertGram {
             }
         };
         if self.claimed.load(Ordering::Relaxed) < self.panels.len() {
-            // A nested region: idle workers join, and without any the
-            // caller runs every claim loop itself.
+            // A nested region at the enclosing region's width: idle
+            // workers join, and without any the caller runs every claim
+            // loop itself.
             let pool = ThreadPool::from_env();
             pool.run(vec![claim; pool.threads()]);
         }

@@ -1035,6 +1035,50 @@ mod tests {
     }
 
     #[test]
+    fn warm_scratch_top_k_is_bit_identical_to_cold() {
+        // `encode_top_k` stages deltas and keys in `scratch::with`, which
+        // lends the buffer as the thread's last scope left it, so its first
+        // pass must write both halves before anything reads them. A thread
+        // whose buffer is full of 7.0 or NaN must encode what a cold one
+        // does; a stale key or delta would move the selection or a value.
+        fn decoded() -> Vec<u32> {
+            let base = random_matrix(5, 24, 40);
+            let mut new = perturbed(&base, 6);
+            // Exact zeros and ties at the threshold, as well as noise.
+            new.as_mut_slice()[..40].copy_from_slice(&base.as_slice()[..40]);
+            let configs = [
+                CompressionConfig::sparse(0.1),
+                CompressionConfig::quantized_sparse(BitWidth::Int8, 0.25),
+            ];
+            configs
+                .into_iter()
+                .flat_map(|config| {
+                    let encoded = EncodedTensor::encode(&new, &base, config);
+                    let decoded = encoded.decode(&base).unwrap();
+                    decoded
+                        .as_slice()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>()
+                })
+                .collect()
+        }
+        let cold = std::thread::spawn(decoded).join().unwrap();
+        for poison in [7.0, f32::NAN] {
+            let warm = std::thread::spawn(move || {
+                scratch::with(100_000, |s| s.fill(poison));
+                decoded()
+            })
+            .join()
+            .unwrap();
+            assert_eq!(
+                cold, warm,
+                "a scratch buffer full of {poison} changed an upload"
+            );
+        }
+    }
+
+    #[test]
     fn xor_delta_round_trips_bit_identically() {
         let base = random_matrix(1, 6, 9);
         let mut new = perturbed(&base, 2);

@@ -21,9 +21,9 @@ pub const LN_EPS: f32 = 1e-5;
 /// sequential); above it, expert batches are embarrassingly parallel.
 const EXPERT_PARALLEL_FLOP_THRESHOLD: usize = 1 << 21;
 
-/// Pool used for per-expert fan-out: the shared `FLUX_THREADS`-sized pool
-/// when the routed work is heavy enough, otherwise an inline single-thread
-/// pool. Results are always reduced in ascending compact-expert order, so
+/// Pool used for per-expert fan-out: the enclosing region's width
+/// ([`ThreadPool::from_env`]) when the routed work is heavy enough,
+/// otherwise an inline single-thread pool. Results are always reduced in ascending compact-expert order, so
 /// the choice affects wall time only — never the output bits.
 fn expert_pool(routed_rows: usize, d_model: usize, d_ff: usize, experts_used: usize) -> ThreadPool {
     let flops = 4 * routed_rows * d_model * d_ff;

@@ -8,6 +8,7 @@ use flux_metrics::rouge_l;
 use flux_quant::BitWidth;
 use flux_tensor::codec::{fnv_bytes, FNV_OFFSET};
 use flux_tensor::{init, ops, stats, Matrix, SeededRng};
+use threadpool::ThreadPool;
 
 use crate::batch::PackedBatch;
 use crate::config::MoeConfig;
@@ -143,19 +144,30 @@ pub struct EvalResult {
 
 impl MoeModel {
     /// Creates a freshly initialized model.
+    ///
+    /// The weights are the draws of one sequential pass over `rng` —
+    /// embedding, then each layer's attention, experts and gate, then the
+    /// heads — and `rng` is left where that pass leaves it. The stream is
+    /// counter-addressed ([`SeededRng::advance`]), so every layer starts at
+    /// its own offset into it and builds as a task on
+    /// [`ThreadPool::from_env`], the enclosing region's width; the
+    /// embedding and heads (a fraction of a percent of the draws at paper
+    /// shape) are drawn on the caller.
     pub fn new(config: MoeConfig, rng: &mut SeededRng) -> Self {
         let embedding = init::embedding(config.vocab_size, config.d_model, rng);
-        let layers = (0..config.num_layers)
+        let (d, d_ff, top_k) = (config.d_model, config.d_ff, config.top_k);
+        let layer_tasks: Vec<_> = (0..config.num_layers)
             .map(|l| {
-                TransformerLayer::new(
-                    config.d_model,
-                    config.d_ff,
-                    config.experts_in_layer(l),
-                    config.top_k,
-                    rng,
-                )
+                let experts = config.experts_in_layer(l);
+                let mut stream = rng.clone();
+                // Attention's four uniform `d × d` projections (one draw a
+                // weight), every expert's two normal `d × d_ff` ones (two a
+                // weight), then the uniform gate.
+                rng.advance((4 * d * d + experts * 4 * d * d_ff + d * experts) as u64);
+                move || TransformerLayer::new(d, d_ff, experts, top_k, &mut stream)
             })
             .collect();
+        let layers = ThreadPool::from_env().run(layer_tasks);
         let lm_head = init::xavier_uniform(config.d_model, config.vocab_size, rng);
         let cls_head = config
             .num_classes

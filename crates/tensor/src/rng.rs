@@ -10,6 +10,14 @@
 //! the reproduction needs. It is NOT cryptographically secure. Its stream
 //! is the determinism contract of every golden trace in the workspace and
 //! is held to literals by `tests/rng_stream_pin.rs`.
+//!
+//! The stream is counter-addressed: after `n` draws the state is
+//! `seed + n·γ` (wrapping), and each draw is a pure function of its state.
+//! So [`SeededRng::advance`] jumps any number of draws in O(1), and a
+//! consumer that knows how many draws each piece of its work takes can
+//! hand every piece a generator at its own offset and run the pieces in
+//! any order, on any thread, with the bits of one sequential pass — model
+//! initialization does exactly that.
 
 /// The splitmix64 increment (2^64 / golden ratio): successive states of a
 /// stream differ by it.
@@ -92,14 +100,21 @@ impl SeededRng {
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
     }
 
+    /// Advances the stream past `draws` 64-bit draws in O(1), leaving it
+    /// exactly where `draws` calls of [`SeededRng::uniform`] would: the
+    /// state is a counter, so the jump is one multiply-add (modulo 2^64,
+    /// like the steps it stands for).
+    #[inline]
+    pub fn advance(&mut self, draws: u64) {
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA.wrapping_mul(draws));
+    }
+
     /// Advances the stream past `n` calls of [`SeededRng::normal`] without
     /// computing them: each normal consumes exactly two uniforms, and a
     /// caller that would multiply the variates by zero needs only the
     /// stream position they leave behind.
     pub fn skip_normals(&mut self, n: usize) {
-        for _ in 0..2 * n {
-            self.next_u64();
-        }
+        self.advance((n as u64).wrapping_mul(2));
     }
 
     /// Samples a normal variate with the given mean and standard deviation.

@@ -3,9 +3,9 @@
 //! A few kernels stage a short-lived buffer every call: the `B`-side
 //! transposes of `matmul_transb` / `block_diag_matmul_transb`, the Gram
 //! slab and the upload codec's key scratch. None of them opens a scope
-//! inside its own, so [`with`] lends each the zeroed front of one
-//! per-thread `Vec`, which grows only when a scope asks for more than it
-//! has ever held; after that no scope touches the allocator. A scope
+//! inside its own, so [`with`] lends each the front of one per-thread
+//! `Vec`, which grows only when a scope asks for more than it has ever
+//! held; after that no scope touches the allocator or fills memory. A scope
 //! opened while another is live gets a fresh allocation of its own.
 //! What escapes a scope (every [`Matrix`](crate::Matrix) a kernel returns)
 //! is an ordinary owned allocation.
@@ -55,11 +55,18 @@ fn count(hit: bool) {
     STATS.set(s);
 }
 
-/// Runs `f` with a zero-filled scratch slice of `len` elements: the front
-/// of the thread's warm buffer, grown first if it is shorter than `len`.
-/// A scope opened inside another gets a fresh `vec![0.0; len]` instead.
-/// The slice is valid exactly for the duration of `f`; a panic in `f`
-/// releases the buffer like a return does.
+/// Runs `f` with a scratch slice of `len` elements: the front of the
+/// thread's warm buffer, grown first if it is shorter than `len`. A scope
+/// opened inside another gets a fresh allocation instead. The slice is
+/// valid exactly for the duration of `f`; a panic in `f` releases the
+/// buffer like a return does.
+///
+/// **Write before read.** The slice holds whatever an earlier scope left
+/// there: `f` must write every element before it reads it. Every caller
+/// does (a transpose, a panel fill, a delta pass), and tests in flux-tensor
+/// (`warm_scratch_kernels_are_bit_identical_to_cold`) and flux-fl
+/// (`warm_scratch_top_k_is_bit_identical_to_cold`) hold them to it with a
+/// buffer poisoned by NaN.
 pub fn with<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     BUFFER.with(|buffer| {
         let Ok(mut buf) = buffer.try_borrow_mut() else {
@@ -70,9 +77,7 @@ pub fn with<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
         if buf.len() < len {
             *buf = vec![0.0; len];
         }
-        let slice = &mut buf[..len];
-        slice.fill(0.0);
-        f(slice)
+        f(&mut buf[..len])
     })
 }
 
@@ -87,16 +92,14 @@ mod tests {
     }
 
     #[test]
-    fn warm_reuse_counts_a_hit() {
+    fn warm_reuse_counts_a_hit_and_fills_nothing() {
         on_fresh_thread(|| {
             with(64, |s| s.fill(5.0));
             reset_stats();
             // Same size and a smaller one: both served from the warm buffer,
-            // zeroed although the last scope left it full of 5.0.
-            with(64, |s| assert!(s.iter().all(|&x| x == 0.0)));
-            with(10, |s| {
-                assert!(s.len() == 10 && s.iter().all(|&x| x == 0.0))
-            });
+            // as the last scope left it (write before read is the caller's).
+            with(64, |s| assert!(s.iter().all(|&x| x == 5.0)));
+            with(10, |s| assert_eq!(s.len(), 10));
             let s = stats();
             assert_eq!((s.arena_hits, s.arena_misses, s.misses), (2, 0, 0));
         });
@@ -107,9 +110,7 @@ mod tests {
         on_fresh_thread(|| {
             with(16, |_| {});
             with(16, |_| {});
-            with(1000, |s| {
-                assert!(s.len() == 1000 && s.iter().all(|&x| x == 0.0))
-            });
+            with(1000, |s| assert_eq!(s.len(), 1000));
             with(1000, |_| {});
             let s = stats();
             assert_eq!(s.arena_misses, 2, "the first scope and the growth allocate");
@@ -118,14 +119,13 @@ mod tests {
     }
 
     #[test]
-    fn nested_scope_gets_a_disjoint_zeroed_slice() {
+    fn nested_scope_gets_a_disjoint_slice() {
         on_fresh_thread(|| {
             with(64, |_| {}); // warm, larger than both scopes below
             reset_stats();
             with(32, |outer| {
                 outer.fill(1.0);
                 let inner_sum = with(32, |inner| {
-                    assert!(inner.iter().all(|&x| x == 0.0), "nested scope is zeroed");
                     inner.fill(2.0);
                     inner.iter().sum::<f32>()
                 });
@@ -152,7 +152,7 @@ mod tests {
                 });
             });
             reset_stats();
-            with(256, |s| assert!(s.iter().all(|&x| x == 0.0)));
+            with(256, |s| assert_eq!(s.len(), 256));
             assert_eq!(
                 stats().arena_hits,
                 1,

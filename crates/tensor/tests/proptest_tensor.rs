@@ -489,8 +489,10 @@ proptest! {
 /// in this crate that stage through [`flux_tensor::scratch::with`] —
 /// `matmul_transb`, `block_diag_matmul_transb` and
 /// `gram::accumulate_panel` — give the same bits on a cold thread (empty
-/// buffer) and on a warm thread whose buffer a larger earlier scope left
-/// full of `7.0`: scratch state can never leak into results. This is the
+/// buffer) and on warm threads whose buffer a larger earlier scope left
+/// full of `7.0`, or of NaN: `scratch::with` hands the buffer out unfilled,
+/// so this is what holds each kernel to writing every scratch element
+/// before reading it (a NaN read would reach the result). This is the
 /// unit-level twin of the golden-trace suites, which pin the same property
 /// end to end across `FLUX_THREADS` 1/4/8.
 #[test]
@@ -512,16 +514,18 @@ fn warm_scratch_kernels_are_bit_identical_to_cold() {
         out.iter().map(|v| v.to_bits()).collect()
     }
     let cold = std::thread::spawn(products).join().unwrap();
-    let warm = std::thread::spawn(|| {
-        flux_tensor::scratch::with(100_000, |s| s.fill(7.0));
-        products()
-    })
-    .join()
-    .unwrap();
-    assert_eq!(
-        cold, warm,
-        "a dirty warm scratch buffer changed kernel results"
-    );
+    for poison in [7.0, f32::NAN] {
+        let warm = std::thread::spawn(move || {
+            flux_tensor::scratch::with(100_000, |s| s.fill(poison));
+            products()
+        })
+        .join()
+        .unwrap();
+        assert_eq!(
+            cold, warm,
+            "a scratch buffer left full of {poison} changed kernel results"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -917,5 +921,65 @@ proptest! {
         prop_assert_eq!(bits(&indexed.centroids), bits(&centroids));
         // Same number of draws taken from the stream.
         prop_assert_eq!(indexed_rng.below(1 << 30), scan_rng.below(1 << 30));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The counter-addressed RNG stream.
+// ---------------------------------------------------------------------------
+
+/// The next `n` draws of `rng`, as bits.
+fn next_draws(rng: &mut SeededRng, n: usize) -> Vec<u32> {
+    (0..n).map(|_| rng.uniform().to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `advance(n)` leaves a stream exactly where `n` single draws do,
+    /// `n = 0` included (every fourth case).
+    #[test]
+    fn advance_is_n_single_steps(
+        seed in 0u64..u64::MAX,
+        stream in 0u64..8,
+        n in 0u64..3000,
+        zero in 0usize..4,
+    ) {
+        let n = if zero == 0 { 0 } else { n };
+        let start = SeededRng::new(seed).derive(stream);
+        let mut stepped = start.clone();
+        for _ in 0..n {
+            stepped.uniform();
+        }
+        let mut jumped = start;
+        jumped.advance(n);
+        prop_assert_eq!(next_draws(&mut stepped, 5), next_draws(&mut jumped, 5));
+    }
+
+    /// Near `u64::MAX` the jump wraps as `n` single steps would: `2^64`
+    /// steps bring the counter back, so `advance(u64::MAX - k)` followed by
+    /// `k + 1` single draws is the stream it started from. Jumps compose
+    /// modulo `2^64`, wherever they land.
+    #[test]
+    fn advance_near_u64_max_wraps_like_single_steps(
+        seed in 0u64..u64::MAX,
+        k in 0u64..64,
+        a in 0u64..u64::MAX,
+        b in 0u64..u64::MAX,
+    ) {
+        let start = SeededRng::new(seed);
+        let mut round_trip = start.clone();
+        round_trip.advance(u64::MAX - k);
+        for _ in 0..=k {
+            round_trip.uniform();
+        }
+        prop_assert_eq!(next_draws(&mut round_trip, 5), next_draws(&mut start.clone(), 5));
+
+        let mut two_jumps = start.clone();
+        two_jumps.advance(u64::MAX - a);
+        two_jumps.advance(b);
+        let mut one_jump = start;
+        one_jump.advance((u64::MAX - a).wrapping_add(b));
+        prop_assert_eq!(next_draws(&mut two_jumps, 5), next_draws(&mut one_jump, 5));
     }
 }
