@@ -22,7 +22,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use flux_data::Sample;
-use flux_fl::{CostModel, ExpertUpdate, Participant, RoundCostBreakdown};
+use flux_fl::{CostModel, ExpertUpdate, Participant, RoundCostBreakdown, SharedExpertUpdate};
 use flux_moe::{ActivationProfile, Expert, ExpertKey, GradientSet, MoeModel};
 use flux_quant::{BitWidth, QuantizedMatrix};
 use flux_tensor::{stats, Matrix};
@@ -33,8 +33,10 @@ use crate::profiling::QuantizedModelCache;
 /// Result of one participant-local round, independent of the method.
 #[derive(Debug, Clone)]
 pub struct LocalRoundOutput {
-    /// Fine-tuned expert parameters keyed by *original* (global) expert ids.
-    pub expert_updates: Vec<ExpertUpdate>,
+    /// Fine-tuned expert parameters keyed by *original* (global) expert ids,
+    /// in the trained model's own `Arc`s: an expert no token reached is
+    /// still the round-start snapshot's.
+    pub expert_updates: Vec<SharedExpertUpdate>,
     /// Updated task head and its aggregation weight.
     pub head_update: Option<(Matrix, f32)>,
     /// Mean training loss over the local batches.
@@ -52,7 +54,7 @@ impl LocalRoundOutput {
     /// place. The pipelined driver stages the payload into the server's
     /// sharded aggregator the moment a participant finishes, while the
     /// participant-id-ordered reduction still consumes the rest.
-    pub fn take_upload(&mut self) -> (Vec<ExpertUpdate>, Option<(Matrix, f32)>) {
+    pub fn take_upload(&mut self) -> (Vec<SharedExpertUpdate>, Option<(Matrix, f32)>) {
         (
             std::mem::take(&mut self.expert_updates),
             self.head_update.take(),
@@ -106,9 +108,9 @@ pub fn local_train(
 /// FMQ, where the compact and original ids coincide) into its upload: every
 /// expert under its original id, in [`MoeModel::expert_keys`] order, and the
 /// task head. The model is the participant's copy and is spent here, so
-/// every expert it wrote moves; one it never wrote is still shared with
-/// the global model and is copied once, here.
-fn into_full_model_upload(model: MoeModel, weight: f32) -> (Vec<ExpertUpdate>, Matrix) {
+/// every expert moves in its `Arc`: one it wrote is its own, one it never
+/// wrote is still the global model's, shared, never copied.
+fn into_full_model_upload(model: MoeModel, weight: f32) -> (Vec<SharedExpertUpdate>, Matrix) {
     let MoeModel {
         layers,
         lm_head,
@@ -125,7 +127,7 @@ fn into_full_model_upload(model: MoeModel, weight: f32) -> (Vec<ExpertUpdate>, M
                 .enumerate()
                 .map(move |(expert, parameters)| ExpertUpdate {
                     key: ExpertKey::new(layer, expert),
-                    expert: Arc::unwrap_or_clone(parameters),
+                    expert: parameters,
                     weight,
                 })
         })
@@ -135,15 +137,15 @@ fn into_full_model_upload(model: MoeModel, weight: f32) -> (Vec<ExpertUpdate>, M
 
 /// Turns a spent compact model into its upload: the compact expert of each
 /// of `originals` that `key_map` keeps, in the order given, under its
-/// original id, and the task head. A trained expert is the model's own
-/// copy and moves; an untouched one is shared with the global model and is
-/// copied once, here.
+/// original id, and the task head. Every uploaded expert moves in its
+/// `Arc`: a trained one is the model's own, an untouched one is still the
+/// global model's, shared, never copied.
 pub(crate) fn into_compact_upload<'a>(
     model: MoeModel,
     originals: impl IntoIterator<Item = &'a ExpertKey>,
     key_map: &HashMap<ExpertKey, ExpertKey>,
     weight: f32,
-) -> (Vec<ExpertUpdate>, Matrix) {
+) -> (Vec<SharedExpertUpdate>, Matrix) {
     let MoeModel {
         layers,
         lm_head,
@@ -163,7 +165,7 @@ pub(crate) fn into_compact_upload<'a>(
                 .expect("the key map sends each original to a compact slot of its own");
             Some(ExpertUpdate {
                 key: *original,
-                expert: Arc::unwrap_or_clone(expert),
+                expert,
                 weight,
             })
         })

@@ -3,8 +3,8 @@
 //! seeded shuffle.
 
 use flux_fl::{
-    AggregationTree, CompressionConfig, EncodedUpload, ExpertUpdate, FaultKind, FaultPlan,
-    Participant,
+    AggregationTree, CompressionConfig, EncodedUpload, FaultKind, FaultPlan, Participant,
+    SharedExpertUpdate,
 };
 use flux_moe::MoeModel;
 use flux_tensor::{Matrix, SeededRng};
@@ -14,8 +14,9 @@ use super::{FederatedRun, RoundFaults};
 
 /// One participant's upload in the form it crossed the (simulated) wire.
 pub(super) enum RoundUpload {
-    /// Legacy full-precision payload.
-    Dense(Vec<ExpertUpdate>, Option<(Matrix, f32)>),
+    /// Legacy full-precision payload, in the local round's shared experts:
+    /// a retained upload holds no copy of an expert it did not write.
+    Dense(Vec<SharedExpertUpdate>, Option<(Matrix, f32)>),
     /// Delta-encoded payload; decodes against the round-start snapshot at
     /// the aggregator staging layer.
     Encoded(EncodedUpload),

@@ -1,9 +1,18 @@
 //! FedAvg aggregation of expert parameters and task heads: one-shot
 //! kernels plus the shard-wise incremental [`ShardedAggregator`] the async
 //! round pipeline feeds as participant updates arrive.
+//!
+//! Staged experts are `Arc<Expert>`s. An upload that holds its experts
+//! shared stages them as they are, so an expert the participant never
+//! wrote stays the round-start snapshot's own `Arc` from the local round
+//! to FedAvg and is never copied; an owned expert is wrapped with
+//! `Arc::new`, which copies nothing either. [`ShardedAggregator::finalize`]
+//! drains every staged `Arc` before the store installs the result, so the
+//! install changes the model in place.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use threadpool::ThreadPool;
 
@@ -13,16 +22,46 @@ use flux_tensor::Matrix;
 use crate::compress::{DecodeError, EncodedUpload};
 use crate::sync::lock;
 
-/// One participant's update for a single expert.
+/// One participant's update for a single expert. `E` is how the update
+/// holds the parameters: owned (an [`Expert`], the default) or shared (an
+/// `Arc<Expert>`, see [`SharedExpertUpdate`]).
 #[derive(Debug, Clone)]
-pub struct ExpertUpdate {
+pub struct ExpertUpdate<E = Expert> {
     /// Which global (original) expert this update targets.
     pub key: ExpertKey,
     /// The updated expert parameters after local fine-tuning.
-    pub expert: Expert,
+    pub expert: E,
     /// Aggregation weight (the paper uses FedAvg, weighting by the number of
     /// local samples/tokens that contributed).
     pub weight: f32,
+}
+
+/// An update that shares its parameters: what a local round uploads and
+/// what the aggregator stages.
+pub type SharedExpertUpdate = ExpertUpdate<Arc<Expert>>;
+
+impl<E: Into<Arc<Expert>>> ExpertUpdate<E> {
+    /// The same update holding its parameters shared: an owned expert is
+    /// wrapped with `Arc::new`, a shared one stays itself. Copies nothing.
+    pub fn into_shared(self) -> SharedExpertUpdate {
+        ExpertUpdate {
+            key: self.key,
+            expert: self.expert.into(),
+            weight: self.weight,
+        }
+    }
+}
+
+impl SharedExpertUpdate {
+    /// The same update holding its parameters owned: moved out when this
+    /// update is their only holder, copied otherwise.
+    pub fn into_owned(self) -> ExpertUpdate {
+        ExpertUpdate {
+            key: self.key,
+            expert: Arc::unwrap_or_clone(self.expert),
+            weight: self.weight,
+        }
+    }
 }
 
 /// Aggregates expert updates with FedAvg.
@@ -31,13 +70,19 @@ pub struct ExpertUpdate {
 /// experts no participant updated are absent from the result (the server
 /// keeps its previous parameters for those).
 pub fn fedavg_experts(updates: &[ExpertUpdate]) -> HashMap<ExpertKey, Expert> {
-    let mut grouped: HashMap<ExpertKey, Vec<&ExpertUpdate>> = HashMap::new();
+    fedavg(updates)
+}
+
+/// [`fedavg_experts`] over updates that hold their parameters either way:
+/// the staged path's kernel, the same arithmetic in the same order.
+fn fedavg<E: Borrow<Expert>>(updates: &[ExpertUpdate<E>]) -> HashMap<ExpertKey, Expert> {
+    let mut grouped: HashMap<ExpertKey, Vec<&ExpertUpdate<E>>> = HashMap::new();
     for update in updates {
         grouped.entry(update.key).or_default().push(update);
     }
     let mut out = HashMap::new();
     for (key, group) in grouped {
-        let experts: Vec<&Expert> = group.iter().map(|u| &u.expert).collect();
+        let experts: Vec<&Expert> = group.iter().map(|u| u.expert.borrow()).collect();
         let weights: Vec<f32> = group.iter().map(|u| u.weight.max(0.0)).collect();
         let total: f32 = weights.iter().sum();
         let weights = if total > 0.0 {
@@ -101,7 +146,8 @@ pub fn fedavg_matrices(updates: &[(Matrix, f32)]) -> Option<Matrix> {
 ///
 /// * [`ShardedAggregator::submit`] *stages* an upload: every expert update
 ///   is routed to its shard (a deterministic function of the expert key)
-///   and appended under the submitting participant's id. Staging is cheap,
+///   and appended, as an `Arc<Expert>`, under the submitting participant's
+///   id. Staging copies no parameters, is cheap,
 ///   lock-per-shard, and safe from any thread in any order. A participant
 ///   id can only be staged once — a retransmitting straggler cannot
 ///   double-count its weight.
@@ -111,11 +157,12 @@ pub fn fedavg_matrices(updates: &[(Matrix, f32)]) -> Option<Matrix> {
 ///   partition the expert-key space, so they can reduce concurrently; the
 ///   per-key weighted sums run in participant-id order regardless of how
 ///   updates arrived, which keeps the result *bit-identical* to the
-///   one-shot aggregation of the same uploads in participant-id order.
+///   one-shot aggregation of the same uploads in participant-id order. It
+///   drains every staged `Arc`, so none outlives the reduction.
 #[derive(Debug)]
 pub struct ShardedAggregator {
     /// Expert updates staged per shard as `(participant_id, update)`.
-    shards: Vec<Mutex<Vec<(usize, ExpertUpdate)>>>,
+    shards: Vec<Mutex<Vec<(usize, SharedExpertUpdate)>>>,
     /// Head updates staged as `(participant_id, head, weight)`.
     heads: Mutex<Vec<(usize, Matrix, f32)>>,
     /// Participants that have already submitted this round.
@@ -149,10 +196,12 @@ impl ShardedAggregator {
     /// Stages one participant's upload. Returns `false` (ignoring the
     /// upload) when this participant already submitted this round, which
     /// makes duplicate transmissions idempotent instead of double-counted.
-    pub fn submit(
+    /// Owned and shared updates both stage without a copy (see
+    /// [`ExpertUpdate::into_shared`]).
+    pub fn submit<E: Into<Arc<Expert>>>(
         &self,
         participant_id: usize,
-        expert_updates: Vec<ExpertUpdate>,
+        expert_updates: Vec<ExpertUpdate<E>>,
         head_update: Option<(Matrix, f32)>,
     ) -> bool {
         if !lock(&self.submitted).insert(participant_id) {
@@ -160,7 +209,7 @@ impl ShardedAggregator {
         }
         for update in expert_updates {
             let shard = self.shard_of(update.key);
-            lock(&self.shards[shard]).push((participant_id, update));
+            lock(&self.shards[shard]).push((participant_id, update.into_shared()));
         }
         if let Some((head, weight)) = head_update {
             lock(&self.heads).push((participant_id, head, weight));
@@ -172,9 +221,10 @@ impl ShardedAggregator {
     /// decoded against the round-start snapshot `base` right here at the
     /// staging layer, so the decoded updates reduce under the same
     /// per-shard locks and participant-id-ordered reduction as dense
-    /// uploads — compression never perturbs aggregation order. Duplicate
-    /// submissions are rejected (`Ok(false)`) before the (non-trivial)
-    /// decode work.
+    /// uploads — compression never perturbs aggregation order. An expert
+    /// the upload left unchanged stages as `base`'s own `Arc` (see
+    /// [`EncodedUpload::decode_shared`]). Duplicate submissions are rejected
+    /// (`Ok(false)`) before the (non-trivial) decode work.
     ///
     /// # Errors
     ///
@@ -191,7 +241,7 @@ impl ShardedAggregator {
         if lock(&self.submitted).contains(&participant_id) {
             return Ok(false);
         }
-        let (expert_updates, head_update) = upload.decode(base)?;
+        let (expert_updates, head_update) = upload.decode_shared(base)?;
         Ok(self.submit(participant_id, expert_updates, head_update))
     }
 
@@ -205,13 +255,30 @@ impl ShardedAggregator {
         lock(&self.submitted).contains(&participant_id)
     }
 
+    /// Parameter bytes of the staged experts that nothing else holds: the
+    /// copies this round's uploads cost the server on top of the models
+    /// that are alive anyway. An expert the upload shares with the
+    /// round-start snapshot (or any other live model) counts nothing.
+    pub fn staged_owned_bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|shard| {
+                lock(shard)
+                    .iter()
+                    .filter(|(_, update)| Arc::strong_count(&update.expert) == 1)
+                    .map(|(_, update)| update.expert.num_params() * 4)
+                    .sum::<usize>()
+            })
+            .sum()
+    }
+
     /// Reduces one shard: its staged updates sorted into participant-id
     /// order, fed through the one-shot FedAvg kernel, draining the shard.
     fn finalize_shard(&self, shard: usize) -> HashMap<ExpertKey, Expert> {
         let mut staged = std::mem::take(&mut *lock(&self.shards[shard]));
         staged.sort_by_key(|(pid, _)| *pid);
-        let ordered: Vec<ExpertUpdate> = staged.into_iter().map(|(_, u)| u).collect();
-        fedavg_experts(&ordered)
+        let ordered: Vec<SharedExpertUpdate> = staged.into_iter().map(|(_, u)| u).collect();
+        fedavg(&ordered)
     }
 
     /// Reduces every shard (and the head slot) into the final FedAvg
@@ -299,10 +366,10 @@ impl AggregationTree {
 
     /// Stages one participant's upload at its edge (or the root when flat).
     /// Duplicate pids are rejected exactly as in the flat aggregator.
-    pub fn submit(
+    pub fn submit<E: Into<Arc<Expert>>>(
         &self,
         participant_id: usize,
-        expert_updates: Vec<ExpertUpdate>,
+        expert_updates: Vec<ExpertUpdate<E>>,
         head_update: Option<(Matrix, f32)>,
     ) -> bool {
         match self.edge_of(participant_id) {
@@ -317,11 +384,11 @@ impl AggregationTree {
     /// (ragged) cohort partitions. A pid already accepted at the root or
     /// at any edge is rejected, preserving the flat duplicate discipline
     /// across levels.
-    pub fn submit_to_edge(
+    pub fn submit_to_edge<E: Into<Arc<Expert>>>(
         &self,
         edge: usize,
         participant_id: usize,
-        expert_updates: Vec<ExpertUpdate>,
+        expert_updates: Vec<ExpertUpdate<E>>,
         head_update: Option<(Matrix, f32)>,
     ) -> bool {
         if self.edges.is_empty() {
@@ -864,6 +931,91 @@ mod tests {
         let (experts_tree, head_tree) = tree.collapse().finalize(&pool);
         assert_expert_maps_identical(&experts_flat, &experts_tree);
         assert_eq!(head_flat, head_tree);
+    }
+
+    /// An upload that shares `model`'s experts at `untouched` and ships
+    /// perturbed owned copies at `trained`.
+    fn shared_upload(
+        model: &MoeModel,
+        untouched: &[ExpertKey],
+        trained: &[ExpertKey],
+    ) -> Vec<SharedExpertUpdate> {
+        let shared = untouched.iter().map(|&key| ExpertUpdate {
+            key,
+            expert: Arc::clone(model.shared_expert(key)),
+            weight: 2.0,
+        });
+        let owned = trained.iter().map(|&key| {
+            let mut expert = model.expert(key).clone();
+            expert.w1.as_mut_slice()[3] += 0.5;
+            ExpertUpdate {
+                key,
+                expert: Arc::new(expert),
+                weight: 1.0,
+            }
+        });
+        shared.chain(owned).collect()
+    }
+
+    #[test]
+    fn an_all_empty_top_k_upload_stages_the_base_arc() {
+        use crate::compress::{CompressionConfig, EncodedUpload};
+        use flux_quant::BitWidth;
+        let mut rng = SeededRng::new(21);
+        let model = MoeModel::new(flux_moe::MoeConfig::tiny(), &mut rng);
+        let (untouched, trained) = (ExpertKey::new(0, 2), ExpertKey::new(1, 4));
+        let updates = shared_upload(&model, &[untouched], &[trained]);
+        for config in [
+            CompressionConfig::sparse(0.25),
+            CompressionConfig::quantized_sparse(BitWidth::Int4, 0.25),
+            CompressionConfig::quantized_sparse(BitWidth::Int8, 0.0),
+        ] {
+            let encoded = EncodedUpload::encode(&updates, None, &model, config);
+            let (owned, _) = encoded.decode(&model).unwrap();
+            let agg = ShardedAggregator::new(3);
+            assert!(agg.submit_encoded(7, &encoded, &model).unwrap());
+            let staged = lock(&agg.shards[agg.shard_of(untouched)]);
+            let (_, update) = staged.iter().find(|(_, u)| u.key == untouched).unwrap();
+            assert!(
+                Arc::ptr_eq(&update.expert, model.shared_expert(untouched)),
+                "{config:?}: the unchanged expert was decoded into a copy"
+            );
+            assert_eq!(*update.expert, owned[0].expert, "{config:?}");
+            assert_eq!(*update.expert, *model.expert(untouched), "{config:?}");
+            drop(staged);
+            let staged = lock(&agg.shards[agg.shard_of(trained)]);
+            let (_, update) = staged.iter().find(|(_, u)| u.key == trained).unwrap();
+            // At a fraction of 0 the trained expert ships nothing either
+            // and decodes to the base, which it then shares.
+            let ships = owned[1].expert != *model.expert(trained);
+            assert_eq!(Arc::strong_count(&update.expert) == 1, ships, "{config:?}");
+            assert_eq!(*update.expert, owned[1].expert, "{config:?}");
+        }
+    }
+
+    #[test]
+    fn staged_owned_bytes_count_only_what_no_one_else_holds() {
+        let mut rng = SeededRng::new(22);
+        let model = MoeModel::new(flux_moe::MoeConfig::tiny(), &mut rng);
+        let keys = model.expert_keys();
+        let expert_bytes = model.expert(keys[0]).num_params() * 4;
+        let agg = ShardedAggregator::new(4);
+        let updates = shared_upload(&model, &keys[..5], &keys[5..7]);
+        assert!(agg.submit(0, updates, None));
+        assert_eq!(agg.staged_owned_bytes(), 2 * expert_bytes);
+        // Owned updates stage through `Arc::new` and count in full.
+        let owned = vec![ExpertUpdate {
+            key: keys[0],
+            expert: model.expert(keys[0]).clone(),
+            weight: 1.0,
+        }];
+        assert!(agg.submit(1, owned, None));
+        assert_eq!(agg.staged_owned_bytes(), 3 * expert_bytes);
+        let _ = agg.finalize(&ThreadPool::new(1));
+        assert_eq!(agg.staged_owned_bytes(), 0);
+        for key in keys {
+            assert_eq!(Arc::strong_count(model.shared_expert(key)), 1);
+        }
     }
 
     #[test]

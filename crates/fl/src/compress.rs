@@ -31,13 +31,16 @@
 //! participant-id-ordered reduction as dense uploads, so compression never
 //! perturbs aggregation order.
 
+use std::borrow::Borrow;
+use std::sync::Arc;
+
 use flux_moe::{Expert, ExpertKey, MoeModel};
 use flux_quant::{quantize_row, BitWidth, QuantizedMatrix};
 use flux_tensor::codec::{fold, FNV_OFFSET};
 use flux_tensor::rng::{mix64, GOLDEN_GAMMA};
 use flux_tensor::{scratch, Matrix};
 
-use crate::aggregate::ExpertUpdate;
+use crate::aggregate::{ExpertUpdate, SharedExpertUpdate};
 
 /// Per-run upload compression knob.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -304,6 +307,12 @@ impl EncodedTensor {
                     let delta_matrix = Matrix::from_vec(rows, cols, delta)
                         .expect("encoded tensor shape is consistent");
                     DeltaPayload::Quantized(QuantizedMatrix::quantize(&delta_matrix, width))
+                } else if std::ptr::eq(new, base) {
+                    // `new` is `base` itself (an upload sharing the
+                    // snapshot's expert), so every delta is zero and none
+                    // ships: the payload the selection below would reach,
+                    // without its pass.
+                    top_k_payload(Vec::new(), &[], quantization)
                 } else {
                     encode_top_k(new, base, frac, quantization)
                 }
@@ -337,6 +346,13 @@ impl EncodedTensor {
     /// rank as the largest magnitudes and ship like any other value.
     /// Rejecting such poisoned values is the staging layer's job (the
     /// aggregation tree's `submit_encoded`), not the encoder's.
+    ///
+    /// When `new` and `base` are the same tensor in memory (an upload that
+    /// shares the snapshot's expert), a sparsifying config emits the empty
+    /// payload without scanning: the bytes and checksum of the scan's
+    /// result for any finite tensor. (A base holding a NaN or infinite
+    /// weight, which only a diverged model has, would make the scan ship
+    /// `x − x = NaN` there; the shortcut ships nothing.)
     pub fn encode(new: &Matrix, base: &Matrix, config: CompressionConfig) -> Self {
         let (rows, cols) = new.shape();
         Self::encode_slices(new.as_slice(), base.as_slice(), rows, cols, config)
@@ -356,6 +372,22 @@ impl EncodedTensor {
     /// payload is a delta).
     pub fn needs_base(&self) -> bool {
         !matches!(self.payload, DeltaPayload::Dense(_))
+    }
+
+    /// Whether this is a sparse payload that ships no entry, valid against
+    /// a base of `shape`: its decode would rebuild that base bit for bit.
+    fn is_empty_delta_for(&self, shape: (usize, usize)) -> bool {
+        (self.rows, self.cols) == shape
+            && match &self.payload {
+                DeltaPayload::Sparse { indices, values } => indices.is_empty() && values.is_empty(),
+                DeltaPayload::SparseQuantized {
+                    indices,
+                    levels,
+                    scale,
+                    ..
+                } => indices.is_empty() && levels.is_empty() && scale.is_finite(),
+                _ => false,
+            }
     }
 
     /// Decodes against `base`, returning the reconstructed flat values.
@@ -689,55 +721,64 @@ fn encode_top_k(
             nonzero += usize::from(magnitude != 0);
         }
         let kept = k.min(nonzero);
+        if kept == 0 {
+            return top_k_payload(Vec::new(), &[], quantization);
+        }
         // Entries above `threshold` all ship; of those equal to it, the
         // first `ties` in index order.
-        let (threshold, mut ties) = match k {
-            // Nothing ships: no key reaches the threshold.
-            0 => (u32::MAX, 0),
+        let (threshold, mut ties) = if k >= nonzero {
             // Every non-zero entry ships; the zero keys tie at 0 and stay.
-            _ if k >= nonzero => (0, 0),
-            _ => {
-                let (above, kth, _) =
-                    keys.select_nth_unstable_by_key(k - 1, |key| std::cmp::Reverse(key.to_bits()));
-                let threshold = kth.to_bits();
-                let above = above.iter().filter(|key| key.to_bits() > threshold).count();
-                (threshold, k - above)
-            }
+            (0, 0)
+        } else {
+            let (above, kth, _) =
+                keys.select_nth_unstable_by_key(k - 1, |key| std::cmp::Reverse(key.to_bits()));
+            let threshold = kth.to_bits();
+            let above = above.iter().filter(|key| key.to_bits() > threshold).count();
+            (threshold, k - above)
         };
-        let mut indices = Vec::with_capacity(kept);
-        for (i, &d) in delta.iter().enumerate() {
+        // Branch-free emit: every entry is written at `cursor`, which moves
+        // on only past a survivor. Values go to `keys`, indices (as f32 bit
+        // patterns) to `delta`; `cursor <= i`, so no write reaches an entry
+        // still to be read.
+        let mut cursor = 0usize;
+        for i in 0..n {
+            let d = delta[i];
             let magnitude = magnitude_key(d);
-            if magnitude < threshold {
-                continue;
-            }
-            if magnitude == threshold {
-                if ties == 0 {
-                    continue;
-                }
-                ties -= 1;
-            }
-            keys[indices.len()] = d;
-            indices.push(i as u32);
+            let tie = (magnitude == threshold) & (ties > 0);
+            ties -= usize::from(tie);
+            keys[cursor] = d;
+            delta[cursor] = f32::from_bits(i as u32);
+            cursor += usize::from((magnitude > threshold) | tie);
         }
-        debug_assert_eq!(indices.len(), kept);
-        let values = &keys[..kept];
-        match quantization {
-            None => DeltaPayload::Sparse {
-                indices,
-                values: values.to_vec(),
-            },
-            Some(width) => {
-                let mut levels = vec![0i8; kept];
-                let scale = quantize_row(values, width, &mut levels);
-                DeltaPayload::SparseQuantized {
-                    indices,
-                    levels,
-                    scale,
-                    width,
-                }
-            }
-        }
+        debug_assert_eq!(cursor, kept);
+        let indices = delta[..kept].iter().map(|i| i.to_bits()).collect();
+        top_k_payload(indices, &keys[..kept], quantization)
     })
+}
+
+/// The sparse payload of the surviving `values` at `indices`: raw, or
+/// quantized against one shared scale.
+fn top_k_payload(
+    indices: Vec<u32>,
+    values: &[f32],
+    quantization: Option<BitWidth>,
+) -> DeltaPayload {
+    match quantization {
+        None => DeltaPayload::Sparse {
+            indices,
+            values: values.to_vec(),
+        },
+        Some(width) => {
+            let mut levels = vec![0i8; values.len()];
+            let scale = quantize_row(values, width, &mut levels);
+            DeltaPayload::SparseQuantized {
+                indices,
+                levels,
+                scale,
+                width,
+            }
+        }
+    }
 }
 
 /// One participant's update for a single expert in encoded wire form.
@@ -774,6 +815,25 @@ impl EncodedExpertUpdate {
             b2: EncodedTensor::encode_vec(&new.b2, &base.b2, config),
             weight,
         }
+    }
+
+    /// Decodes against the base expert's `Arc`, and shares it when every
+    /// tensor is an empty sparse payload (what top-k ships for an expert
+    /// the participant never wrote): that decode would rebuild the base
+    /// bit for bit, so it is skipped.
+    fn decode_shared(&self, base: &Arc<Expert>) -> Result<SharedExpertUpdate, DecodeError> {
+        let unchanged = self.w1.is_empty_delta_for(base.w1.shape())
+            && self.b1.is_empty_delta_for((1, base.b1.len()))
+            && self.w2.is_empty_delta_for(base.w2.shape())
+            && self.b2.is_empty_delta_for((1, base.b2.len()));
+        if unchanged {
+            return Ok(ExpertUpdate {
+                key: self.key,
+                expert: Arc::clone(base),
+                weight: self.weight,
+            });
+        }
+        self.decode(base).map(ExpertUpdate::into_shared)
     }
 
     /// Decodes against the base expert.
@@ -823,9 +883,10 @@ impl EncodedExpertUpdate {
     }
 }
 
-/// What [`EncodedUpload::decode`] yields: the expert updates plus the
+/// What [`EncodedUpload::decode`] (owned experts) and
+/// [`EncodedUpload::decode_shared`] yield: the expert updates plus the
 /// optional `(head, weight)` pair.
-pub type DecodedUpload = (Vec<ExpertUpdate>, Option<(Matrix, f32)>);
+pub type DecodedUpload<E = Expert> = (Vec<ExpertUpdate<E>>, Option<(Matrix, f32)>);
 
 /// One participant's full encoded upload: expert updates plus the optional
 /// task head, sealed with an end-to-end content checksum.
@@ -847,9 +908,10 @@ impl EncodedUpload {
     ///
     /// Every update key must exist in `base` (participants derive their
     /// keys from the snapshot they downloaded, so this holds by
-    /// construction).
-    pub fn encode(
-        updates: &[ExpertUpdate],
+    /// construction). An update that shares `base`'s own expert encodes
+    /// without a scan under top-k (see [`EncodedTensor::encode`]).
+    pub fn encode<E: Borrow<Expert>>(
+        updates: &[ExpertUpdate<E>],
         head: Option<&(Matrix, f32)>,
         base: &MoeModel,
         config: CompressionConfig,
@@ -857,7 +919,8 @@ impl EncodedUpload {
         let experts = updates
             .iter()
             .map(|u| {
-                EncodedExpertUpdate::encode(u.key, &u.expert, base.expert(u.key), u.weight, config)
+                let new = u.expert.borrow();
+                EncodedExpertUpdate::encode(u.key, new, base.expert(u.key), u.weight, config)
             })
             .collect();
         let head = head.map(|(matrix, weight)| {
@@ -916,6 +979,22 @@ impl EncodedUpload {
     /// malformed tensor payload. The upload is rejected as a unit — a
     /// partially-decoded upload never reaches the aggregator.
     pub fn decode(&self, base: &MoeModel) -> Result<DecodedUpload, DecodeError> {
+        let (updates, head) = self.decode_shared(base)?;
+        let updates = updates.into_iter().map(ExpertUpdate::into_owned).collect();
+        Ok((updates, head))
+    }
+
+    /// [`EncodedUpload::decode`] into shared experts, the form staging
+    /// takes: an expert whose four tensors ship no entry is `base`'s own
+    /// `Arc`, not a decoded copy of it.
+    ///
+    /// # Errors
+    ///
+    /// The same as [`EncodedUpload::decode`].
+    pub fn decode_shared(
+        &self,
+        base: &MoeModel,
+    ) -> Result<DecodedUpload<Arc<Expert>>, DecodeError> {
         let actual = self.content_checksum();
         if actual != self.checksum {
             return Err(DecodeError::ChecksumMismatch {
@@ -932,7 +1011,7 @@ impl EncodedUpload {
             if !in_range {
                 return Err(DecodeError::KeyOutOfRange { key: encoded.key });
             }
-            updates.push(encoded.decode(base.expert(encoded.key))?);
+            updates.push(encoded.decode_shared(base.shared_expert(encoded.key))?);
         }
         let head = match &self.head {
             Some((tensor, weight)) => Some((tensor.decode(base.active_head())?, *weight)),
@@ -1008,8 +1087,11 @@ impl EncodedUpload {
 
 /// Bytes a dense (uncompressed) upload payload occupies on the wire: 4 per
 /// f32 across every expert tensor plus the optional head.
-pub fn dense_upload_payload_bytes(updates: &[ExpertUpdate], head: Option<&(Matrix, f32)>) -> usize {
-    let params: usize = updates.iter().map(|u| u.expert.num_params()).sum();
+pub fn dense_upload_payload_bytes<E: Borrow<Expert>>(
+    updates: &[ExpertUpdate<E>],
+    head: Option<&(Matrix, f32)>,
+) -> usize {
+    let params: usize = updates.iter().map(|u| u.expert.borrow().num_params()).sum();
     let head_params = head.map(|(m, _)| m.len()).unwrap_or(0);
     (params + head_params) * 4
 }
@@ -1640,6 +1722,53 @@ mod tests {
         assert_eq!(decoded.expert.b2, new.b2);
         assert!(encoded.encoded_bytes() < encoded.dense_bytes());
         assert_eq!(encoded.dense_bytes(), new.num_params() * 4);
+    }
+
+    /// An update that shares the base's own expert encodes to the same
+    /// bytes and checksum as one holding an owned clone of it, under every
+    /// config: the top-k shortcut emits exactly what the scan finds.
+    #[test]
+    fn a_base_shared_update_encodes_like_an_owned_clone() {
+        let mut rng = SeededRng::new(29);
+        let model = MoeModel::new(flux_moe::MoeConfig::tiny(), &mut rng);
+        let keys = model.expert_keys();
+        let head = (model.active_head().clone(), 2.0);
+        let shared: Vec<SharedExpertUpdate> = keys[..3]
+            .iter()
+            .map(|&key| ExpertUpdate {
+                key,
+                expert: Arc::clone(model.shared_expert(key)),
+                weight: 2.0,
+            })
+            .collect();
+        let owned: Vec<ExpertUpdate> = shared
+            .iter()
+            .cloned()
+            .map(ExpertUpdate::into_owned)
+            .collect();
+        for config in [
+            CompressionConfig::Dense,
+            CompressionConfig::LosslessDelta,
+            CompressionConfig::quantized(BitWidth::Int8),
+            CompressionConfig::quantized(BitWidth::Int4),
+            CompressionConfig::quantized(BitWidth::Int2),
+            CompressionConfig::sparse(0.0),
+            CompressionConfig::sparse(0.25),
+            CompressionConfig::sparse(1.0),
+            CompressionConfig::quantized_sparse(BitWidth::Int8, 0.1),
+            CompressionConfig::quantized_sparse(BitWidth::Int4, 0.25),
+            CompressionConfig::quantized_sparse(BitWidth::Int2, 0.0),
+        ] {
+            let from_shared = EncodedUpload::encode(&shared, Some(&head), &model, config);
+            let from_owned = EncodedUpload::encode(&owned, Some(&head), &model, config);
+            assert_eq!(
+                from_shared.encoded_bytes(),
+                from_owned.encoded_bytes(),
+                "{config:?}"
+            );
+            assert_eq!(from_shared.checksum, from_owned.checksum, "{config:?}");
+            assert_eq!(from_shared.content_checksum(), from_shared.checksum);
+        }
     }
 
     #[test]

@@ -38,6 +38,7 @@ pub mod sync;
 
 pub use aggregate::{
     fedavg_experts, fedavg_matrices, AggregationTree, ExpertUpdate, ShardedAggregator,
+    SharedExpertUpdate,
 };
 pub use clock::{PhaseTimes, SimClock};
 pub use compress::{

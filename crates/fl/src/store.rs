@@ -337,6 +337,52 @@ mod tests {
         assert_eq!(sharded.rounds_completed(), 1);
     }
 
+    /// Staged experts that share the snapshot's `Arc`s are drained before
+    /// the install: afterwards no staged `Arc` is alive, the replaced
+    /// experts are freed, and the install changed the one model in place.
+    #[test]
+    fn apply_round_drains_shared_staging_and_installs_in_place() {
+        let store = store();
+        let snapshot = store.snapshot();
+        let (shared_key, owned_key) = (ExpertKey::new(0, 1), ExpertKey::new(2, 3));
+        let untouched = ExpertKey::new(1, 0);
+        let mut owned = snapshot.expert(owned_key).clone();
+        owned.b1[0] += 1.0;
+        let aggregator = store.begin_round();
+        assert!(aggregator.submit(
+            0,
+            vec![
+                ExpertUpdate {
+                    key: shared_key,
+                    expert: Arc::clone(snapshot.shared_expert(shared_key)),
+                    weight: 2.0,
+                },
+                ExpertUpdate {
+                    key: owned_key,
+                    expert: Arc::new(owned),
+                    weight: 1.0,
+                },
+            ],
+            None,
+        ));
+        assert_eq!(Arc::strong_count(snapshot.shared_expert(shared_key)), 2);
+        let replaced = Arc::downgrade(snapshot.shared_expert(shared_key));
+        let model = Arc::as_ptr(&snapshot);
+        drop(snapshot);
+
+        store.apply_round(&aggregator, &ThreadPool::new(2));
+        assert_eq!(
+            replaced.strong_count(),
+            0,
+            "a staged Arc outlived the round"
+        );
+        let after = store.snapshot();
+        assert_eq!(Arc::as_ptr(&after), model, "the install copied the model");
+        for key in [shared_key, owned_key, untouched] {
+            assert_eq!(Arc::strong_count(after.shared_expert(key)), 1, "{key:?}");
+        }
+    }
+
     #[test]
     fn concurrent_rounds_lose_no_update() {
         // Two threads install different experts at once; the snapshot

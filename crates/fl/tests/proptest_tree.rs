@@ -4,15 +4,18 @@
 //! group assignment, shard count, arrival order and reduce-pool width —
 //! and, for uploads in wire form under every compression scheme, the model
 //! the staged round installs must be bit-identical to the one-shot
-//! [`ShardedStore::aggregate`] reference over the decoded uploads.
+//! [`ShardedStore::aggregate`] reference over the decoded uploads. Uploads
+//! that share the round-start snapshot's experts reduce exactly like owned
+//! clones of them.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use flux_fl::{
-    AggregationTree, CompressionConfig, EncodedUpload, ExpertUpdate, ShardedAggregator,
-    ShardedStore,
+    fedavg_experts, AggregationTree, CompressionConfig, EncodedUpload, ExpertUpdate,
+    ShardedAggregator, ShardedStore, SharedExpertUpdate,
 };
 use flux_moe::{Expert, ExpertKey, MoeConfig, MoeModel};
 use flux_quant::BitWidth;
@@ -76,6 +79,44 @@ fn make_model_uploads(base: &MoeModel, seed: u64, num_participants: usize) -> Ve
                 (m, rng.uniform_range(0.5, 4.0))
             });
             (pid, updates, head)
+        })
+        .collect()
+}
+
+/// Uploads a participant of `base` could ship in shared form: `base`'s own
+/// `Arc` for the first expert (which no participant wrote), then 0–2 more
+/// experts under keys of the model, each either `base`'s own `Arc` or a
+/// freshly drawn one the participant owns.
+fn make_shared_uploads(
+    base: &MoeModel,
+    seed: u64,
+    num_participants: usize,
+) -> Vec<(usize, Vec<SharedExpertUpdate>)> {
+    let mut rng = SeededRng::new(seed);
+    let keys = base.expert_keys();
+    (0..num_participants)
+        .map(|pid| {
+            let untouched = ExpertUpdate {
+                key: keys[0],
+                expert: Arc::clone(base.shared_expert(keys[0])),
+                weight: rng.uniform_range(0.5, 4.0),
+            };
+            let others = (0..rng.range(0, 3))
+                .map(|_| {
+                    let key = keys[rng.below(keys.len())];
+                    let expert = if rng.chance(0.5) {
+                        Arc::clone(base.shared_expert(key))
+                    } else {
+                        Arc::new(Expert::new(base.config.d_model, base.config.d_ff, &mut rng))
+                    };
+                    ExpertUpdate {
+                        key,
+                        expert,
+                        weight: rng.uniform_range(0.5, 4.0),
+                    }
+                })
+                .collect::<Vec<_>>();
+            (pid, std::iter::once(untouched).chain(others).collect())
         })
         .collect()
 }
@@ -200,6 +241,43 @@ proptest! {
                 "{:?} over {} edges diverged from the one-shot reference", config, num_edges
             );
             prop_assert_ne!(staged.snapshot().param_checksum(), base.param_checksum());
+        }
+    }
+
+    /// Uploads mixing base-shared and owned experts, staged over any edge
+    /// count in any arrival order, reduce bit for bit to [`fedavg_experts`]
+    /// over owned clones in pid order. A shared expert is averaged like
+    /// any other: the first expert, which every participant uploads as the
+    /// snapshot's own `Arc`, still goes through FedAvg's arithmetic (and
+    /// its rounding). Staging shares the bits; it does not skip the
+    /// reduction.
+    #[test]
+    fn base_shared_experts_reduce_like_owned_clones(
+        seed in 0u64..10_000,
+        num_edges in 0usize..9,
+        num_shards in 1usize..9,
+        num_participants in 1usize..10,
+        threads in 1usize..4,
+    ) {
+        let base = MoeModel::new(MoeConfig::tiny(), &mut SeededRng::new(seed));
+        let uploads = make_shared_uploads(&base, seed ^ 0x5A4E, num_participants);
+        let owned: Vec<ExpertUpdate> = uploads
+            .iter()
+            .flat_map(|(_, updates)| updates.iter().cloned().map(ExpertUpdate::into_owned))
+            .collect();
+        let reference = (fedavg_experts(&owned), None);
+
+        let mut arrivals = uploads.clone();
+        SeededRng::new(seed ^ 0xA77).shuffle(&mut arrivals);
+        let tree = AggregationTree::new(ShardedAggregator::new(num_shards), num_edges);
+        for (pid, updates) in arrivals {
+            prop_assert!(tree.submit(pid, updates, None));
+        }
+        drop(uploads);
+        let collapsed = tree.collapse().finalize(&ThreadPool::new(threads));
+        assert_bit_identical(collapsed, &reference, "shared and owned");
+        for key in base.expert_keys() {
+            prop_assert_eq!(Arc::strong_count(base.shared_expert(key)), 1);
         }
     }
 

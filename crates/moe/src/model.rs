@@ -207,6 +207,12 @@ impl MoeModel {
         &self.layers[key.layer].moe.experts[key.expert]
     }
 
+    /// The `Arc` that holds an expert, for a caller that shares it instead
+    /// of copying it.
+    pub fn shared_expert(&self, key: ExpertKey) -> &Arc<Expert> {
+        &self.layers[key.layer].moe.experts[key.expert]
+    }
+
     /// Mutable access to an expert by `(layer, compact id)`, copying it
     /// first if another clone of the model still shares it.
     pub fn expert_mut(&mut self, key: ExpertKey) -> &mut Expert {

@@ -4,7 +4,7 @@
 use flux_core::baselines::{fmd_local_round, fmes_local_round, fmq_local_round};
 use flux_core::profiling::QuantizedModelCache;
 use flux_data::{DatasetConfig, DatasetGenerator, DatasetKind};
-use flux_fl::{build_fleet, CostModel, ParameterServer, Participant};
+use flux_fl::{build_fleet, CostModel, ExpertUpdate, ParameterServer, Participant};
 use flux_moe::{MoeConfig, MoeModel};
 use flux_tensor::SeededRng;
 
@@ -31,7 +31,7 @@ fn fmd_aggregation_changes_the_global_model() {
     let mut heads = Vec::new();
     for p in &fleet {
         let out = fmd_local_round(p, &global, &cost, 50_000, 0.05, 4);
-        all_updates.extend(out.expert_updates);
+        all_updates.extend(out.expert_updates.into_iter().map(ExpertUpdate::into_owned));
         if let Some(h) = out.head_update {
             heads.push(h);
         }

@@ -6,7 +6,8 @@
 //! expert it touches. These tests hold both halves: nothing a round's
 //! participants do reaches the round's snapshot, and a Flux compact model
 //! owns privately only its merged and zero experts plus the experts it
-//! trained or probed.
+//! trained or probed. An upload carries the trained model's own `Arc`s to
+//! the server, so staging a round holds no copy of an expert nobody wrote.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -14,11 +15,11 @@ use std::sync::Arc;
 use flux_core::assignment::{
     initial_utilities, DynamicEpsilon, ExpertUtility, ForwardGradEstimator, RoleAssigner,
 };
-use flux_core::baselines::local_train;
+use flux_core::baselines::{fmd_local_round, local_train};
 use flux_core::driver::{FederatedRun, Method, RunConfig};
 use flux_core::merging::{CompactModelPlan, ExpertSlot, MergingConfig};
 use flux_data::{DatasetConfig, DatasetGenerator, DatasetKind, Sample};
-use flux_fl::build_fleet;
+use flux_fl::{build_fleet, CostModel, ShardedStore};
 use flux_moe::{ExpertKey, MoeConfig, MoeModel};
 use flux_tensor::SeededRng;
 use threadpool::ThreadPool;
@@ -245,4 +246,46 @@ fn a_paper_shape_compact_model_owns_only_what_it_writes() {
         assignment.exploration.len().min(4),
         plan.total_compact_experts(),
     );
+}
+
+/// Staged-bytes accounting for one tiny FMD round: every participant
+/// uploads all 32 experts, and the ones no token reached are the
+/// snapshot's own `Arc`s. So the round stages exactly (uploaded −
+/// untouched) experts of its own, and no expert that was written came
+/// back bit-identical to the snapshot's (sharing is found at the source,
+/// with nothing left for a byte compare to find).
+#[test]
+fn an_fmd_round_stages_only_the_experts_its_participants_wrote() {
+    let mut rng = SeededRng::new(42);
+    let model = MoeModel::new(MoeConfig::tiny().with_classes(4), &mut rng);
+    let data = DatasetGenerator::new(
+        DatasetConfig::for_kind(DatasetKind::Mmlu, 64)
+            .with_num_samples(12)
+            .with_mean_seq_len(6),
+    )
+    .generate(&mut rng);
+    let fleet = build_fleet(&data, 3, 0.5, &mut rng);
+    let store = ShardedStore::new(model, 4);
+    let global = store.snapshot();
+    let expert_bytes = global.expert(ExpertKey::new(0, 0)).num_params() * 4;
+    let aggregator = store.begin_round();
+    let (mut uploaded, mut untouched, mut identical) = (0, 0, 0);
+    for participant in &fleet {
+        let out = fmd_local_round(participant, &global, &CostModel::default(), 10_000, 0.05, 4);
+        for update in &out.expert_updates {
+            let base = global.shared_expert(update.key);
+            untouched += usize::from(Arc::ptr_eq(&update.expert, base));
+            identical += usize::from(*update.expert == **base);
+        }
+        uploaded += out.expert_updates.len();
+        assert!(aggregator.submit(participant.id, out.expert_updates, out.head_update));
+    }
+    assert_eq!((uploaded, untouched, identical), (96, 57, 57));
+    assert_eq!(
+        aggregator.staged_owned_bytes(),
+        (uploaded - untouched) * expert_bytes
+    );
+    drop(global);
+    store.apply_round(&aggregator, &ThreadPool::new(2));
+    assert_eq!(aggregator.staged_owned_bytes(), 0);
 }
