@@ -67,16 +67,6 @@ impl PartialEq for Attention {
     }
 }
 
-/// Forward-pass cache needed by [`Attention::backward`].
-#[derive(Debug, Clone)]
-pub struct AttentionCache {
-    q: Matrix,
-    k: Matrix,
-    v: Matrix,
-    /// Row-softmaxed attention matrix `(seq, seq)`.
-    probs: Matrix,
-}
-
 /// Forward-pass cache of [`Attention::forward_batch`]: packed projections
 /// plus the padded block-diagonal attention matrix (attention never crosses
 /// sample boundaries, so sample `i`'s `(seqᵢ, seqᵢ)` block occupies the
@@ -96,8 +86,7 @@ pub struct AttentionBatchCache {
 
 impl AttentionBatchCache {
     /// Average attention received by each token, concatenated across the
-    /// batch (per-sample column means, like
-    /// [`AttentionCache::received_attention`]).
+    /// batch: the column means of each sample's `(seqᵢ, seqᵢ)` block.
     pub fn received_attention(&self) -> Vec<f32> {
         let total: usize = self.bounds.iter().map(|&(s, e)| e - s).sum();
         let mut received = Vec::with_capacity(total);
@@ -115,27 +104,6 @@ impl AttentionBatchCache {
             for x in segment {
                 *x /= seq as f32;
             }
-        }
-        received
-    }
-}
-
-impl AttentionCache {
-    /// Average attention received by each token (column means of the
-    /// attention matrix). Length equals the sequence length.
-    pub fn received_attention(&self) -> Vec<f32> {
-        let seq = self.probs.rows();
-        if seq == 0 {
-            return Vec::new();
-        }
-        let mut received = vec![0.0f32; seq];
-        for r in 0..seq {
-            for (c, x) in received.iter_mut().enumerate() {
-                *x += self.probs.get(r, c);
-            }
-        }
-        for x in &mut received {
-            *x /= seq as f32;
         }
         received
     }
@@ -201,19 +169,6 @@ impl Attention {
         self.wq.len() + self.wk.len() + self.wv.len() + self.wo.len()
     }
 
-    /// Forward pass over a `(seq, d_model)` input.
-    pub fn forward(&self, input: &Matrix) -> (Matrix, AttentionCache) {
-        let d = self.d_model() as f32;
-        let (q, k, v) = self.project_qkv(input);
-        // Q·Kᵀ via the fused-transpose kernel: no transposed copy of K.
-        let mut scores = q.matmul_transb(&k).expect("q/k widths match");
-        scores.scale_in_place(1.0 / d.sqrt());
-        let probs = ops::softmax_rows(&scores);
-        let mixed = probs.matmul(&v);
-        let output = mixed.matmul(&self.wo);
-        (output, AttentionCache { q, k, v, probs })
-    }
-
     /// Batched forward pass over a packed `(total_tokens, d_model)` input.
     ///
     /// The Q/K/V/output projections run as single wide GEMMs over the whole
@@ -226,8 +181,10 @@ impl Attention {
     /// row, and the context GEMM writes straight into the packed mixed
     /// buffer. No per-sample `copy_rows`/`paste_rows` staging remains.
     /// Because the strided kernels perform the same per-element operations
-    /// as the dense ones, every token's output is bit-identical to running
-    /// [`Attention::forward`] on that sample alone.
+    /// as the dense ones, every token's output is bit-identical to dense
+    /// single-sample attention, `softmax(Q·Kᵀ/√d)·V·Wo` over that sample
+    /// alone — and so to this call on a batch of one
+    /// (`tests/batched_equivalence.rs` holds it to such a dense oracle).
     pub fn forward_batch(
         &self,
         input: &Matrix,
@@ -262,7 +219,9 @@ impl Attention {
     /// projection backward GEMMs run packed and the score/softmax backward
     /// stages run as block-diagonal GEMMs over the padded probs matrix — no
     /// per-sample `copy_rows`/`paste_rows` staging. Per-token gradients are
-    /// bit-identical to [`Attention::backward`] over each sample alone.
+    /// bit-identical to the dense single-sample backward over each sample
+    /// alone. Attention weights are frozen, so only the gradient with
+    /// respect to the input is computed.
     pub fn backward_batch(
         &self,
         cache: &AttentionBatchCache,
@@ -303,39 +262,6 @@ impl Attention {
         grad_input.add_scaled(&from_v, 1.0).expect("same shape");
         grad_input
     }
-
-    /// Backward pass returning the gradient with respect to the input.
-    ///
-    /// Attention weights are frozen, so their gradients are not computed.
-    pub fn backward(&self, cache: &AttentionCache, grad_output: &Matrix) -> Matrix {
-        let d = self.d_model() as f32;
-        let scale = 1.0 / d.sqrt();
-        // output = mixed · Wo.
-        let grad_mixed = grad_output.matmul_transb(&self.wo).expect("widths match");
-        // mixed = probs · V.
-        let grad_probs = grad_mixed.matmul_transb(&cache.v).expect("widths match");
-        let grad_v = cache.probs.matmul_transa(&grad_mixed).expect("rows match");
-        // probs = softmax(scores) row-wise.
-        let mut grad_scores = Matrix::zeros(cache.probs.rows(), cache.probs.cols());
-        for r in 0..cache.probs.rows() {
-            ops::softmax_backward_row_into(
-                cache.probs.row(r),
-                grad_probs.row(r),
-                grad_scores.row_mut(r),
-            );
-        }
-        grad_scores.scale_in_place(scale);
-        // scores = Q · Kᵀ (scaled).
-        let grad_q = grad_scores.matmul(&cache.k);
-        let grad_k = grad_scores.matmul_transa(&cache.q).expect("rows match");
-        // Q = X·Wq, K = X·Wk, V = X·Wv.
-        let mut grad_input = grad_q.matmul_transb(&self.wq).expect("widths match");
-        let from_k = grad_k.matmul_transb(&self.wk).expect("widths match");
-        grad_input.add_scaled(&from_k, 1.0).expect("same shape");
-        let from_v = grad_v.matmul_transb(&self.wv).expect("widths match");
-        grad_input.add_scaled(&from_v, 1.0).expect("same shape");
-        grad_input
-    }
 }
 
 #[cfg(test)]
@@ -343,12 +269,17 @@ mod tests {
     use super::*;
     use flux_tensor::SeededRng;
 
+    /// Forward over one `(seq, d_model)` sample: a batch of one.
+    fn forward_one(attn: &Attention, x: &Matrix) -> (Matrix, AttentionBatchCache) {
+        attn.forward_batch(x, &[(0, x.rows())])
+    }
+
     #[test]
     fn forward_shapes() {
         let mut rng = SeededRng::new(1);
         let attn = Attention::new(16, &mut rng);
         let x = Matrix::random_normal(6, 16, 1.0, &mut rng);
-        let (y, cache) = attn.forward(&x);
+        let (y, cache) = forward_one(&attn, &x);
         assert_eq!(y.shape(), (6, 16));
         assert_eq!(cache.probs.shape(), (6, 6));
     }
@@ -358,7 +289,7 @@ mod tests {
         let mut rng = SeededRng::new(2);
         let attn = Attention::new(8, &mut rng);
         let x = Matrix::random_normal(5, 8, 1.0, &mut rng);
-        let (_, cache) = attn.forward(&x);
+        let (_, cache) = forward_one(&attn, &x);
         for r in 0..5 {
             let sum: f32 = cache.probs.row(r).iter().sum();
             assert!((sum - 1.0).abs() < 1e-4);
@@ -370,7 +301,7 @@ mod tests {
         let mut rng = SeededRng::new(3);
         let attn = Attention::new(8, &mut rng);
         let x = Matrix::random_normal(7, 8, 1.0, &mut rng);
-        let (_, cache) = attn.forward(&x);
+        let (_, cache) = forward_one(&attn, &x);
         let received = cache.received_attention();
         assert_eq!(received.len(), 7);
         // Column means of a row-stochastic matrix sum to 1 across columns.
@@ -383,11 +314,11 @@ mod tests {
         let mut rng = SeededRng::new(5);
         let attn = Attention::new(6, &mut rng);
         let x = Matrix::random_normal(3, 6, 0.5, &mut rng);
-        let (_, cache) = attn.forward(&x);
+        let (_, cache) = forward_one(&attn, &x);
         // Loss = sum of outputs.
         let grad_out = Matrix::filled(3, 6, 1.0);
-        let grad_input = attn.backward(&cache, &grad_out);
-        let loss = |m: &Matrix| attn.forward(m).0.sum();
+        let grad_input = attn.backward_batch(&cache, &[(0, 3)], &grad_out);
+        let loss = |m: &Matrix| forward_one(&attn, m).0.sum();
         let eps = 1e-2;
         for &(r, c) in &[(0usize, 0usize), (1, 3), (2, 5)] {
             let mut plus = x.clone();
@@ -416,7 +347,7 @@ mod tests {
         assert_eq!(v, x.matmul(&attn.wv));
         // The cache is built exactly once and reused.
         let fused_ptr = attn.fused_qkv() as *const Matrix;
-        let _ = attn.forward(&x);
+        let _ = forward_one(&attn, &x);
         assert_eq!(attn.fused_qkv() as *const Matrix, fused_ptr);
     }
 
@@ -425,15 +356,15 @@ mod tests {
         let mut rng = SeededRng::new(22);
         let mut attn = Attention::new(8, &mut rng);
         let x = Matrix::random_normal(3, 8, 1.0, &mut rng);
-        let (before, _) = attn.forward(&x); // populates the cache
+        let (before, _) = forward_one(&attn, &x); // populates the cache
         let cloned = attn.clone();
         assert!(cloned.fused_qkv.get().is_none(), "clone inherited cache");
-        assert_eq!(cloned.forward(&x).0, before);
+        assert_eq!(forward_one(&cloned, &x).0, before);
         // In-place mutation + invalidate: the next forward must see the new
         // weights instead of the stale fused concatenation.
         attn.wq = Matrix::zeros(8, 8);
         attn.invalidate_fused();
-        let (after, _) = attn.forward(&x);
+        let (after, _) = forward_one(&attn, &x);
         assert_ne!(after, before);
         let reference = Attention::from_parts(
             attn.wq.clone(),
@@ -441,7 +372,7 @@ mod tests {
             attn.wv.clone(),
             attn.wo.clone(),
         );
-        assert_eq!(reference.forward(&x).0, after);
+        assert_eq!(forward_one(&reference, &x).0, after);
     }
 
     #[test]
@@ -449,42 +380,5 @@ mod tests {
         let mut rng = SeededRng::new(6);
         let attn = Attention::new(16, &mut rng);
         assert_eq!(attn.num_params(), 4 * 16 * 16);
-    }
-
-    #[test]
-    fn batched_forward_matches_per_sample_bitwise() {
-        let mut rng = SeededRng::new(7);
-        let attn = Attention::new(8, &mut rng);
-        let a = Matrix::random_normal(5, 8, 1.0, &mut rng);
-        let b = Matrix::random_normal(3, 8, 1.0, &mut rng);
-        let packed = Matrix::vstack(&[&a, &b]).unwrap();
-        let bounds = [(0usize, 5usize), (5, 8)];
-        let (out, cache) = attn.forward_batch(&packed, &bounds);
-        let (out_a, cache_a) = attn.forward(&a);
-        let (out_b, cache_b) = attn.forward(&b);
-        assert_eq!(out.copy_rows(0, 5), out_a);
-        assert_eq!(out.copy_rows(5, 8), out_b);
-        let mut received = cache_a.received_attention();
-        received.extend(cache_b.received_attention());
-        assert_eq!(cache.received_attention(), received);
-    }
-
-    #[test]
-    fn batched_backward_matches_per_sample_bitwise() {
-        let mut rng = SeededRng::new(8);
-        let attn = Attention::new(8, &mut rng);
-        let a = Matrix::random_normal(4, 8, 1.0, &mut rng);
-        let b = Matrix::random_normal(6, 8, 1.0, &mut rng);
-        let packed = Matrix::vstack(&[&a, &b]).unwrap();
-        let bounds = [(0usize, 4usize), (4, 10)];
-        let grad = Matrix::random_normal(10, 8, 1.0, &mut rng);
-        let (_, batch_cache) = attn.forward_batch(&packed, &bounds);
-        let grad_in = attn.backward_batch(&batch_cache, &bounds, &grad);
-        let (_, cache_a) = attn.forward(&a);
-        let (_, cache_b) = attn.forward(&b);
-        let grad_a = attn.backward(&cache_a, &grad.copy_rows(0, 4));
-        let grad_b = attn.backward(&cache_b, &grad.copy_rows(4, 10));
-        assert_eq!(grad_in.copy_rows(0, 4), grad_a);
-        assert_eq!(grad_in.copy_rows(4, 10), grad_b);
     }
 }

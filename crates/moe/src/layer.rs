@@ -7,7 +7,7 @@ use threadpool::ThreadPool;
 
 use flux_tensor::{ops, Matrix, SeededRng};
 
-use crate::attention::{Attention, AttentionBatchCache, AttentionCache};
+use crate::attention::{Attention, AttentionBatchCache};
 use crate::expert::{Expert, ExpertCache, ExpertGrad};
 use crate::gating::{Gate, RoutingMap};
 use crate::tracker::ActivationTracker;
@@ -57,6 +57,10 @@ thread_local! {
 /// `(compact expert, token rows, routing weights)` per expert that received
 /// at least one row, in ascending compact-expert order.
 type RoutedGroups = Vec<(usize, Vec<usize>, Vec<f32>)>;
+
+/// What a tracked routing pass records against: the tracker, the average
+/// attention each packed row received, and the sample each row belongs to.
+type Tracking<'a> = (&'a mut ActivationTracker, &'a [f32], &'a [usize]);
 
 /// The MoE feed-forward sub-layer: a gate over the *original* expert ids plus
 /// the (possibly merged/compact) expert list and the routing map connecting
@@ -147,20 +151,13 @@ impl MoeLayer {
         self.experts.first().map(|e| e.d_ff()).unwrap_or(0)
     }
 
-    /// Forward pass over `(seq, d_model)` hidden states.
-    ///
-    /// `received_attention` carries the per-token attention scores from the
-    /// attention sub-layer (used only for tracking). When a tracker is
-    /// given, routing events are recorded against it under `layer_idx`.
-    pub fn forward(
-        &self,
-        hidden: &Matrix,
-        layer_idx: usize,
-        received_attention: &[f32],
-        tracker: Option<&mut ActivationTracker>,
-    ) -> (Matrix, MoeLayerCache) {
+    /// Forward pass over `(rows, d_model)` hidden states, keeping the
+    /// per-expert caches the backward pass reads. Nothing is tracked here:
+    /// activation profiling runs on the no-cache batched forward
+    /// ([`TransformerLayer::forward_no_cache_batch`]).
+    pub fn forward(&self, hidden: &Matrix, layer_idx: usize) -> (Matrix, MoeLayerCache) {
         let seq = hidden.rows();
-        let groups = self.route_and_group(hidden, layer_idx, received_attention, tracker, None);
+        let groups = self.route_and_group(hidden, layer_idx, None);
         EXPERT_FANOUTS.with(|c| c.set(c.get() + 1));
         // Run each used expert on its token batch — fanned out to worker
         // threads when the routed work warrants it — then scatter results
@@ -224,9 +221,10 @@ impl MoeLayer {
     /// into a compact-indexed slot table rather than a tree map, removing
     /// the per-token-per-expert map lookups.
     ///
-    /// `row_samples`, when given, maps each packed row to its sample id so
-    /// a tracker attributes routed tokens correctly inside a multi-sample
-    /// batch (the batched profiling path).
+    /// `tracking`, when given, records every routing decision under
+    /// `layer_idx`: the row→sample map attributes routed tokens to their
+    /// sample inside a multi-sample batch, and each routed token carries
+    /// the attention its row received.
     ///
     /// Returns `(compact_expert, token_rows, routing_weights)` triples in
     /// ascending compact-expert order — the fixed iteration (and float
@@ -236,9 +234,7 @@ impl MoeLayer {
         &self,
         hidden: &Matrix,
         layer_idx: usize,
-        received_attention: &[f32],
-        mut tracker: Option<&mut ActivationTracker>,
-        row_samples: Option<&[usize]>,
+        mut tracking: Option<Tracking<'_>>,
     ) -> RoutedGroups {
         let num_experts = self.gate.num_experts();
         let k = self.gate.top_k.min(num_experts);
@@ -280,10 +276,8 @@ impl MoeLayer {
                 top.push(best.expect("k <= num_experts"));
             }
             let mass: f32 = top.iter().map(|&i| probs[i]).sum();
-            if let Some(t) = tracker.as_deref_mut() {
-                if let Some(rows) = row_samples {
-                    t.begin_sample(rows[row]);
-                }
+            if let Some((t, _, row_samples)) = tracking.as_mut() {
+                t.begin_sample(row_samples[row]);
                 t.record_layer_token(layer_idx);
             }
             for &original in &top {
@@ -296,7 +290,7 @@ impl MoeLayer {
                 let entry = &mut slots[compact];
                 entry.0.push(row);
                 entry.1.push(weight);
-                if let Some(t) = tracker.as_deref_mut() {
+                if let Some((t, received_attention, _)) = tracking.as_mut() {
                     let att = received_attention.get(row).copied().unwrap_or(0.0);
                     t.record(layer_idx, original, att);
                 }
@@ -430,24 +424,11 @@ pub struct TransformerLayer {
     pub moe: MoeLayer,
 }
 
-/// Forward cache of one transformer block.
-#[derive(Debug, Clone)]
-pub struct TransformerLayerCache {
-    input: Matrix,
-    attn_cache: AttentionCache,
-    post_attention: Matrix,
-    moe_cache: MoeLayerCache,
-    /// Per-token attention received, exposed for importance tracking.
-    pub received_attention: Vec<f32>,
-}
-
-/// Forward cache of one transformer block over a packed multi-sample batch.
-///
-/// Identical to [`TransformerLayerCache`] except that the attention cache
-/// holds per-sample score blocks and no received-attention vector is kept
-/// (that signal only feeds activation trackers, which the batched training
-/// path never carries); the MoE cache is row-generic and is shared between
-/// both paths.
+/// Forward cache of one transformer block over a packed multi-sample batch:
+/// the block input, the attention cache (per-sample score blocks), the
+/// post-attention residual stream and the MoE cache. No received-attention
+/// vector is kept: that signal only feeds activation trackers, which the
+/// training path never carries.
 #[derive(Debug, Clone)]
 pub struct TransformerLayerBatchCache {
     input: Matrix,
@@ -469,32 +450,6 @@ impl TransformerLayer {
             attention: Attention::new(d_model, rng),
             moe: MoeLayer::new(d_model, d_ff, num_experts, top_k, rng),
         }
-    }
-
-    /// Forward pass over `(seq, d_model)` hidden states.
-    pub fn forward(
-        &self,
-        input: &Matrix,
-        layer_idx: usize,
-        tracker: Option<&mut ActivationTracker>,
-    ) -> (Matrix, TransformerLayerCache) {
-        let attn_in = ops::layer_norm(input, LN_EPS);
-        let (attn_out, attn_cache) = self.attention.forward(&attn_in);
-        let received = attn_cache.received_attention();
-        let post_attention = input.add(&attn_out).expect("residual shapes match");
-        let moe_in = ops::layer_norm(&post_attention, LN_EPS);
-        let (moe_out, moe_cache) = self.moe.forward(&moe_in, layer_idx, &received, tracker);
-        let output = post_attention.add(&moe_out).expect("residual shapes match");
-        (
-            output,
-            TransformerLayerCache {
-                input: input.clone(),
-                attn_cache,
-                post_attention,
-                moe_cache,
-                received_attention: received,
-            },
-        )
     }
 
     /// Batched forward pass over a packed `(total_tokens, d_model)` batch.
@@ -523,7 +478,7 @@ impl TransformerLayer {
         let (attn_out, attn_cache) = self.attention.forward_batch(&attn_in, bounds);
         let post_attention = input.add(&attn_out).expect("residual shapes match");
         let moe_in = ops::layer_norm(&post_attention, LN_EPS);
-        let (moe_out, moe_cache) = self.moe.forward(&moe_in, layer_idx, &[], None);
+        let (moe_out, moe_cache) = self.moe.forward(&moe_in, layer_idx);
         let output = post_attention.add(&moe_out).expect("residual shapes match");
         (
             output,
@@ -585,16 +540,15 @@ impl TransformerLayer {
         let post_attention = input.add(&attn_out).expect("residual shapes match");
         let moe_in = ops::layer_norm(&post_attention, LN_EPS);
         let groups = match tracking {
-            Some((tracker, row_samples)) => self.moe.route_and_group(
-                &moe_in,
-                layer_idx,
-                &attn_cache.received_attention(),
-                Some(tracker),
-                Some(row_samples),
-            ),
-            None => self
-                .moe
-                .route_and_group(&moe_in, layer_idx, &[], None, None),
+            Some((tracker, row_samples)) => {
+                let received = attn_cache.received_attention();
+                self.moe.route_and_group(
+                    &moe_in,
+                    layer_idx,
+                    Some((tracker, &received, row_samples)),
+                )
+            }
+            None => self.moe.route_and_group(&moe_in, layer_idx, None),
         };
         (post_attention, moe_in, groups)
     }
@@ -611,9 +565,14 @@ impl TransformerLayer {
         post_attention.add(&moe_out).expect("residual shapes match")
     }
 
-    /// Batched backward pass mirroring [`TransformerLayer::backward`]; the
-    /// MoE backward is row-generic and shared, only the attention backward
-    /// walks the per-sample blocks.
+    /// Backward pass over a packed batch, returning expert gradients (for
+    /// the selected tuning experts) and, when `want_input` is set, the
+    /// gradient with respect to the block input. The MoE backward is
+    /// row-generic; only the attention backward walks the per-sample
+    /// blocks. The block's own parameters besides the experts (attention,
+    /// gate) are frozen, so without `want_input` — the lowest tuned layer,
+    /// below which nothing is trainable — the attention and layer-norm
+    /// backwards are not run at all.
     pub fn backward_batch(
         &self,
         cache: &TransformerLayerBatchCache,
@@ -646,44 +605,6 @@ impl TransformerLayer {
             .expect("same shape");
         (expert_grads, Some(grad_input))
     }
-
-    /// Backward pass returning expert gradients (for the selected tuning
-    /// experts) and, when `want_input` is set, the gradient with respect to
-    /// the block input. The block's own parameters besides the experts
-    /// (attention, gate) are frozen, so without `want_input` — the lowest
-    /// tuned layer, below which nothing is trainable — the attention and
-    /// layer-norm backwards are not run at all.
-    pub fn backward(
-        &self,
-        cache: &TransformerLayerCache,
-        grad_output: &Matrix,
-        tuning_experts: Option<&[usize]>,
-        want_input: bool,
-    ) -> (HashMap<usize, ExpertGrad>, Option<Matrix>) {
-        // output = post_attention + moe(ln(post_attention)).
-        let (expert_grads, grad_moe_in) =
-            self.moe
-                .backward(&cache.moe_cache, grad_output, tuning_experts, want_input);
-        // Nothing trainable lies below: no reader for the input gradient.
-        let Some(grad_moe_in) = grad_moe_in else {
-            return (expert_grads, None);
-        };
-        let mut grad_post_attention = grad_output.clone();
-        let grad_from_moe = ops::layer_norm_backward(&cache.post_attention, &grad_moe_in, LN_EPS);
-        grad_post_attention
-            .add_scaled(&grad_from_moe, 1.0)
-            .expect("same shape");
-        // post_attention = input + attention(ln(input)).
-        let grad_attn_in = self
-            .attention
-            .backward(&cache.attn_cache, &grad_post_attention);
-        let mut grad_input = grad_post_attention;
-        let grad_from_attention = ops::layer_norm_backward(&cache.input, &grad_attn_in, LN_EPS);
-        grad_input
-            .add_scaled(&grad_from_attention, 1.0)
-            .expect("same shape");
-        (expert_grads, Some(grad_input))
-    }
 }
 
 #[cfg(test)]
@@ -700,10 +621,7 @@ mod tests {
         let l = layer(1);
         let mut rng = SeededRng::new(2);
         let hidden = Matrix::random_normal(6, 8, 1.0, &mut rng);
-        let mut tracker = ActivationTracker::new(vec![4]);
-        tracker.begin_sample(0);
-        let received = vec![0.1; 6];
-        let (out, cache) = l.forward(&hidden, 0, &received, Some(&mut tracker));
+        let (out, cache) = l.forward(&hidden, 0);
         assert_eq!(out.shape(), (6, 8));
         // Every token contributed top_k routed rows across the expert batches.
         let routed_rows: usize = cache
@@ -712,10 +630,28 @@ mod tests {
             .map(|b| b.token_rows.len())
             .sum();
         assert_eq!(routed_rows, 6 * 2);
+        // Tracking runs on the no-cache forward, attributing each packed
+        // row to its sample through the row map.
+        let block = TransformerLayer {
+            attention: Attention::new(8, &mut rng),
+            moe: l,
+        };
+        let mut tracker = ActivationTracker::new(vec![4]);
+        let row_samples = [0, 0, 1, 1, 1, 1];
+        block.forward_no_cache_batch(
+            &hidden,
+            &[(0, 2), (2, 6)],
+            0,
+            Some((&mut tracker, &row_samples)),
+        );
         let profile = tracker.finish();
         // With top-2 routing, per-layer frequencies sum to ~2.
         let total: f32 = profile.frequencies[0].iter().sum();
         assert!((total - 2.0).abs() < 1e-4, "total = {total}");
+        let mut seen: Vec<usize> = profile.sample_sets[0].concat();
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen, [0, 1]);
     }
 
     #[test]
@@ -723,7 +659,7 @@ mod tests {
         let l = layer(3);
         let mut rng = SeededRng::new(4);
         let hidden = Matrix::random_normal(5, 8, 1.0, &mut rng);
-        let (_, cache) = l.forward(&hidden, 0, &[0.0; 5], None);
+        let (_, cache) = l.forward(&hidden, 0);
         let grad_out = Matrix::filled(5, 8, 1.0);
         let (grads, grad_in) = l.backward(&cache, &grad_out, None, true);
         assert_eq!(grad_in.expect("input gradient asked for").shape(), (5, 8));
@@ -740,7 +676,7 @@ mod tests {
         let l = layer(5);
         let mut rng = SeededRng::new(6);
         let hidden = Matrix::random_normal(8, 8, 1.0, &mut rng);
-        let (_, cache) = l.forward(&hidden, 0, &[0.0; 8], None);
+        let (_, cache) = l.forward(&hidden, 0);
         let grad_out = Matrix::filled(8, 8, 1.0);
         let (all, _) = l.backward(&cache, &grad_out, None, true);
         let only_zero = [0usize];
@@ -755,7 +691,7 @@ mod tests {
         let l = layer(30);
         let mut rng = SeededRng::new(31);
         let hidden = Matrix::random_normal(9, 8, 1.0, &mut rng);
-        let (_, cache) = l.forward(&hidden, 0, &[0.0; 9], None);
+        let (_, cache) = l.forward(&hidden, 0);
         let grad_out = Matrix::random_normal(9, 8, 1.0, &mut rng);
         let routed: Vec<usize> = cache.expert_batches.keys().copied().collect();
         assert!(routed.len() >= 2, "the seed must route to several experts");
@@ -806,11 +742,11 @@ mod tests {
         let mut rng = SeededRng::new(7);
         let mut l = MoeLayer::new(6, 12, 3, 1, &mut rng);
         let hidden = Matrix::random_normal(4, 6, 1.0, &mut rng);
-        let (_, cache) = l.forward(&hidden, 0, &[0.0; 4], None);
+        let (_, cache) = l.forward(&hidden, 0);
         let grad_out = Matrix::filled(4, 6, 1.0);
         let (grads, _) = l.backward(&cache, &grad_out, None, true);
         let (&expert_id, grad) = grads.iter().next().unwrap();
-        let loss = |l: &MoeLayer| l.forward(&hidden, 0, &[0.0; 4], None).0.sum();
+        let loss = |l: &MoeLayer| l.forward(&hidden, 0).0.sum();
         let eps = 1e-2;
         let base_w = l.experts[expert_id].w2.get(0, 0);
         l.expert_mut(expert_id).w2.set(0, 0, base_w + eps);
@@ -839,7 +775,7 @@ mod tests {
         l.routing_map = RoutingMap::from_table(vec![0, 1, 2, 1]);
         let mut rng = SeededRng::new(21);
         let hidden = Matrix::random_normal(12, 8, 1.5, &mut rng);
-        let (_, cache) = l.forward(&hidden, 0, &[0.0; 12], None);
+        let (_, cache) = l.forward(&hidden, 0);
         // Rebuild the expected per-expert groups from the reference path.
         let mut expected: std::collections::BTreeMap<usize, (Vec<usize>, Vec<f32>)> =
             std::collections::BTreeMap::new();
@@ -874,7 +810,7 @@ mod tests {
         l.routing_map = RoutingMap::from_table(vec![0, 1, 2, 2]);
         let mut rng = SeededRng::new(9);
         let hidden = Matrix::random_normal(10, 8, 1.0, &mut rng);
-        let (out, cache) = l.forward(&hidden, 0, &[0.0; 10], None);
+        let (out, cache) = l.forward(&hidden, 0);
         assert_eq!(out.shape(), (10, 8));
         // No batch may reference a compact expert >= 3.
         assert!(cache.expert_batches.keys().all(|&c| c < 3));
@@ -885,16 +821,17 @@ mod tests {
         let mut rng = SeededRng::new(10);
         let block = TransformerLayer::new(8, 16, 4, 2, &mut rng);
         let x = Matrix::random_normal(5, 8, 1.0, &mut rng);
-        let (y, cache) = block.forward(&x, 0, None);
+        let bounds = [(0, 5)];
+        let (y, cache) = block.forward_batch(x, &bounds, 0);
         assert_eq!(y.shape(), (5, 8));
-        assert_eq!(cache.received_attention.len(), 5);
+        assert_eq!(cache.attn_cache.received_attention().len(), 5);
         let grad_out = Matrix::filled(5, 8, 1.0);
-        let (grads, grad_in) = block.backward(&cache, &grad_out, None, true);
+        let (grads, grad_in) = block.backward_batch(&cache, &bounds, &grad_out, None, true);
         assert_eq!(grad_in.expect("input gradient asked for").shape(), (5, 8));
         assert!(!grads.is_empty());
         // Below the lowest tuned layer nothing is trainable: same expert
         // gradients, no input gradient.
-        let (lowest, none) = block.backward(&cache, &grad_out, None, false);
+        let (lowest, none) = block.backward_batch(&cache, &bounds, &grad_out, None, false);
         assert_eq!(lowest, grads);
         assert!(none.is_none());
     }
@@ -905,8 +842,10 @@ mod tests {
         let mut rng = SeededRng::new(11);
         let block = TransformerLayer::new(8, 16, 4, 2, &mut rng);
         let x = Matrix::random_normal(4, 8, 1.0, &mut rng);
-        let (_, cache) = block.forward(&x, 0, None);
-        let (_, grad_in) = block.backward(&cache, &Matrix::filled(4, 8, 1.0), None, true);
+        let bounds = [(0, 4)];
+        let (_, cache) = block.forward_batch(x, &bounds, 0);
+        let grad_out = Matrix::filled(4, 8, 1.0);
+        let (_, grad_in) = block.backward_batch(&cache, &bounds, &grad_out, None, true);
         assert!(grad_in.expect("input gradient asked for").frobenius_norm() > 0.0);
     }
 }

@@ -46,8 +46,6 @@ pub use batch::PackedBatch;
 pub use config::{ModelCatalogEntry, MoeConfig};
 pub use expert::{Expert, ExpertGrad};
 pub use gating::RoutingMap;
-pub use model::{
-    BatchForwardCache, EvalResult, ForwardCache, GradientSet, MoeModel, RecordedForward,
-};
+pub use model::{BatchForwardCache, EvalResult, GradientSet, MoeModel, RecordedForward};
 pub use quantized::QuantizedMoe;
 pub use tracker::{ActivationProfile, ActivationTracker, ExpertKey};

@@ -14,7 +14,7 @@ use crate::batch::PackedBatch;
 use crate::config::MoeConfig;
 use crate::expert::{Expert, ExpertGrad};
 use crate::gating::RoutingMap;
-use crate::layer::{TransformerLayer, TransformerLayerBatchCache, TransformerLayerCache, LN_EPS};
+use crate::layer::{TransformerLayer, TransformerLayerBatchCache, LN_EPS};
 use crate::quantized::QuantizedMoe;
 use crate::tracker::{ActivationProfile, ActivationTracker, ExpertKey};
 
@@ -48,16 +48,6 @@ pub struct MoeModel {
     pub lm_head: Matrix,
     /// Classification head `(d_model, num_classes)` when configured.
     pub cls_head: Option<Matrix>,
-}
-
-/// Cache produced by a full forward pass, consumed by the backward pass.
-#[derive(Debug, Clone)]
-pub struct ForwardCache {
-    layer_caches: Vec<TransformerLayerCache>,
-    /// Hidden states entering the head (after the final layer norm).
-    pub final_hidden: Matrix,
-    /// Output of the last transformer block (before the final layer norm).
-    last_block_output: Matrix,
 }
 
 /// Cache produced by a packed multi-sample forward pass
@@ -335,53 +325,22 @@ impl MoeModel {
         QuantizedMoe::quantize(self, width).dequantize()
     }
 
-    /// Embeds a token sequence and adds sinusoidal positional encodings.
-    pub fn embed(&self, tokens: &[u32]) -> Matrix {
-        let rates = positional_rates(self.config.d_model);
-        let mut out = Matrix::zeros(tokens.len(), self.config.d_model);
-        embed_sequence(&self.config, tokens, &rates, &mut out, 0, |tok, row| {
-            row.copy_from_slice(self.embedding.row(tok))
-        });
-        out
-    }
-
     /// Embeds every sample of a mini-batch into one packed
-    /// `(total_tokens, d_model)` matrix. Positions restart at every sample
-    /// boundary, so each row is bit-identical to the corresponding row of
-    /// [`MoeModel::embed`] over that sample alone.
+    /// `(total_tokens, d_model)` matrix with sinusoidal positional
+    /// encodings added. Positions restart at every sample boundary, so a
+    /// sample's rows are the same bits whatever else the batch holds.
     pub fn embed_batch(&self, samples: &[&Sample]) -> (Matrix, PackedBatch) {
         embed_packed(&self.config, samples, |tok, row| {
             row.copy_from_slice(self.embedding.row(tok))
         })
     }
 
-    /// Runs the transformer stack over a token sequence.
-    pub fn forward(
-        &self,
-        tokens: &[u32],
-        mut tracker: Option<&mut ActivationTracker>,
-    ) -> ForwardCache {
-        let mut hidden = self.embed(tokens);
-        let mut layer_caches = Vec::with_capacity(self.layers.len());
-        for (idx, layer) in self.layers.iter().enumerate() {
-            let (next, cache) = layer.forward(&hidden, idx, tracker.as_deref_mut());
-            layer_caches.push(cache);
-            hidden = next;
-        }
-        let final_hidden = ops::layer_norm(&hidden, LN_EPS);
-        ForwardCache {
-            layer_caches,
-            final_hidden,
-            last_block_output: hidden,
-        }
-    }
-
     /// Runs the transformer stack over a packed mini-batch (see
     /// [`MoeModel::embed_batch`]). Per-token hidden states are bit-identical
-    /// to running [`MoeModel::forward`] on each sample alone; the speedup
-    /// comes from every row-parallel stage (projections, gating, expert
-    /// GEMMs) running once over the whole batch, with tokens grouped by
-    /// routed expert across all samples.
+    /// to running each sample alone, as a batch of one; the speedup comes
+    /// from every row-parallel stage (projections, gating, expert GEMMs)
+    /// running once over the whole batch, with tokens grouped by routed
+    /// expert across all samples.
     pub fn forward_batch(&self, samples: &[&Sample]) -> BatchForwardCache {
         self.forward_batch_from(samples, 0)
     }
@@ -412,8 +371,9 @@ impl MoeModel {
     }
 
     /// Packed batched forward keeping no backward state, used by
-    /// evaluation: per-token final hidden states bit-identical to
-    /// [`MoeModel::forward`]'s on each sample alone.
+    /// evaluation and [`MoeModel::final_embedding`]: per-token final hidden
+    /// states bit-identical to [`MoeModel::forward_batch`]'s, and to each
+    /// sample's run alone as a batch of one.
     /// Returns the packed final hidden states and the batch layout.
     pub fn forward_no_cache_batch(&self, samples: &[&Sample]) -> (Matrix, PackedBatch) {
         let (mut hidden, batch) = self.embed_batch(samples);
@@ -423,119 +383,12 @@ impl MoeModel {
         (ops::layer_norm(&hidden, LN_EPS), batch)
     }
 
-    /// Computes the loss and the gradient of the head logits for a sample.
-    ///
-    /// Returns `(loss, grad_final_hidden, head_grad)`.
-    fn loss_and_head_grads(&self, sample: &Sample, cache: &ForwardCache) -> (f32, Matrix, Matrix) {
-        match &sample.task {
-            Task::Generation { reference } => {
-                let seq = cache.final_hidden.rows();
-                let r = reference.len().min(seq);
-                let tail_start = seq - r;
-                let rows: Vec<usize> = (tail_start..seq).collect();
-                let tail_hidden = cache.final_hidden.select_rows(&rows);
-                let logits = tail_hidden.matmul(&self.lm_head);
-                let targets: Vec<usize> = reference[reference.len() - r..]
-                    .iter()
-                    .map(|&t| (t as usize).min(self.config.vocab_size - 1))
-                    .collect();
-                let (loss, grad_logits) = ops::cross_entropy(&logits, &targets);
-                let head_grad = tail_hidden.matmul_transa(&grad_logits).expect("row counts");
-                let grad_tail = grad_logits
-                    .matmul_transb(&self.lm_head)
-                    .expect("col counts");
-                let mut grad_hidden =
-                    Matrix::zeros(cache.final_hidden.rows(), cache.final_hidden.cols());
-                for (slot, &row) in rows.iter().enumerate() {
-                    grad_hidden
-                        .row_mut(row)
-                        .copy_from_slice(grad_tail.row(slot));
-                }
-                (loss, grad_hidden, head_grad)
-            }
-            Task::Classification { label, .. } => {
-                let head = self
-                    .cls_head
-                    .as_ref()
-                    .expect("classification sample requires a classification head");
-                let seq = cache.final_hidden.rows() as f32;
-                let pooled_vec: Vec<f32> = cache
-                    .final_hidden
-                    .sum_rows()
-                    .iter()
-                    .map(|x| x / seq)
-                    .collect();
-                let pooled = Matrix::from_vec(1, self.config.d_model, pooled_vec).expect("shape");
-                let logits = pooled.matmul(head);
-                let (loss, grad_logits) = ops::cross_entropy(&logits, &[*label]);
-                let head_grad = pooled.matmul_transa(&grad_logits).expect("row counts");
-                let grad_pooled = grad_logits.matmul_transb(head).expect("col counts");
-                // Mean-pool backward: every position receives grad/seq.
-                let mut grad_hidden =
-                    Matrix::zeros(cache.final_hidden.rows(), cache.final_hidden.cols());
-                for r in 0..cache.final_hidden.rows() {
-                    for (o, &g) in grad_hidden.row_mut(r).iter_mut().zip(grad_pooled.row(0)) {
-                        *o = g / seq;
-                    }
-                }
-                (loss, grad_hidden, head_grad)
-            }
-        }
-    }
-
-    /// Forward + backward over one sample.
-    ///
-    /// `tuning` restricts which `(layer, compact expert)` pairs get parameter
-    /// gradients; `None` collects gradients for every activated expert. The
-    /// backward pass propagates input gradients down to the lowest layer
-    /// that holds a tuning expert and stops there: embeddings, attention and
-    /// gates are frozen, so nothing trainable lies below it.
-    pub fn sample_gradients(
-        &self,
-        sample: &Sample,
-        tuning: Option<&HashSet<ExpertKey>>,
-    ) -> GradientSet {
-        let cache = self.forward(&sample.tokens, None);
-        let (loss, grad_final_hidden, head_grad) = self.loss_and_head_grads(sample, &cache);
-        // Final layer norm backward.
-        let mut grad =
-            ops::layer_norm_backward(&cache.last_block_output, &grad_final_hidden, LN_EPS);
-        let mut expert_grads: HashMap<ExpertKey, ExpertGrad> = HashMap::new();
-        let lowest = lowest_tuned_layer(tuning).unwrap_or(self.layers.len());
-        for (idx, layer) in self.layers.iter().enumerate().skip(lowest).rev() {
-            let tuning_for_layer: Option<Vec<usize>> = tuning.map(|set| {
-                set.iter()
-                    .filter(|k| k.layer == idx)
-                    .map(|k| k.expert)
-                    .collect()
-            });
-            let (grads, grad_input) = layer.backward(
-                &cache.layer_caches[idx],
-                &grad,
-                tuning_for_layer.as_deref(),
-                idx > lowest,
-            );
-            for (compact, g) in grads {
-                expert_grads.insert(ExpertKey::new(idx, compact), g);
-            }
-            if let Some(grad_input) = grad_input {
-                grad = grad_input;
-            }
-        }
-        GradientSet {
-            expert_grads,
-            head_grad,
-            loss,
-            samples: 1,
-        }
-    }
-
     /// Batched loss + head gradients over a packed batch.
     ///
     /// Returns `(mean_loss, grad_final_hidden, head_grad)` where the loss is
     /// the mean of per-sample losses, `grad_final_hidden` is packed like
     /// `final_hidden`, and `head_grad` is the *sum* of per-sample head
-    /// gradients (matching what merging per-sample [`GradientSet`]s
+    /// gradients (matching what merging one-sample [`GradientSet`]s
     /// accumulates; callers average by sample count). Generation samples'
     /// tail logits run as one GEMM against the LM head; classification
     /// samples pool per segment and share one GEMM against the class head.
@@ -558,8 +411,8 @@ impl MoeModel {
 
         // Generation samples: gather every reference-tail row across the
         // batch. `row_div[i]` is the tail length of the row's sample, so the
-        // per-row gradient carries the same 1/r scaling the per-sample
-        // cross-entropy applied.
+        // per-row gradient carries the 1/r scaling `ops::cross_entropy`
+        // applies over one sample's r rows.
         let mut tail_rows: Vec<usize> = Vec::new();
         let mut targets: Vec<usize> = Vec::new();
         let mut row_div: Vec<f32> = Vec::new();
@@ -589,7 +442,8 @@ impl MoeModel {
             while row < logits.rows() {
                 // Rows of one sample share a divisor; its loss is the mean
                 // of its rows' raw losses, accumulated per sample so the
-                // value matches the per-sample cross-entropy bit for bit.
+                // value matches `ops::cross_entropy` over that sample's
+                // rows bit for bit.
                 let div = row_div[row];
                 let mut sample_raw = 0.0f32;
                 let sample_end = row + div as usize;
@@ -684,10 +538,11 @@ impl MoeModel {
     /// expert across the whole batch (one wide GEMM per expert instead of
     /// one skinny matmul per sample), and parameter gradients accumulate
     /// batch-wise inside the kernels. Per-token activations and input
-    /// gradients are bit-identical to the per-sample reference
-    /// ([`MoeModel::batch_gradients_reference`]); accumulated quantities
-    /// (expert/head parameter gradients, the mean loss) differ only by
-    /// float-summation order, within ~1e-4 relative tolerance at f32.
+    /// gradients are bit-identical to running each sample as a batch of
+    /// one; accumulated quantities (expert/head parameter gradients, the
+    /// mean loss) differ from [`GradientSet::merge`]-ing those one-sample
+    /// sets in order only by float-summation order, within ~1e-4 relative
+    /// tolerance at f32 (`tests/batched_equivalence.rs`).
     ///
     /// Only what the backward reads is held: the forward caches no layer
     /// below the lowest tuned one (none at all for an empty tuning set),
@@ -755,32 +610,6 @@ impl MoeModel {
         }
     }
 
-    /// The per-sample reference implementation of
-    /// [`MoeModel::batch_gradients`]: one forward/backward per sample,
-    /// merged sequentially. Kept as the ground truth the batched path is
-    /// equivalence-tested against.
-    pub fn batch_gradients_reference(
-        &self,
-        samples: &[Sample],
-        tuning: Option<&HashSet<ExpertKey>>,
-    ) -> GradientSet {
-        let head_shape = match &self.cls_head {
-            Some(h) => h.shape(),
-            None => self.lm_head.shape(),
-        };
-        let mut total = GradientSet {
-            expert_grads: HashMap::new(),
-            head_grad: Matrix::zeros(head_shape.0, head_shape.1),
-            loss: 0.0,
-            samples: 0,
-        };
-        for sample in samples {
-            let g = self.sample_gradients(sample, tuning);
-            total.merge(g);
-        }
-        total
-    }
-
     /// One local SGD step on a batch: accumulates gradients, averages them,
     /// and updates the tuning experts plus the task head. Returns the mean
     /// loss.
@@ -822,15 +651,9 @@ impl MoeModel {
         }
     }
 
-    /// Loss of one sample (forward only — no parameter or input gradients).
-    pub fn sample_loss(&self, sample: &Sample) -> f32 {
-        let final_hidden = self.forward(&sample.tokens, None).final_hidden;
-        self.head_loss(sample, &final_hidden)
-    }
-
     /// Mean per-sample loss over a mini-batch, with one packed forward pass
-    /// (no parameter or input gradients). The batched analogue of averaging
-    /// [`MoeModel::sample_loss`] over the samples.
+    /// (no parameter or input gradients): bit-identical to averaging
+    /// `batch_loss(&[sample])` over the samples in order.
     pub fn batch_loss(&self, samples: &[&Sample]) -> f32 {
         if samples.is_empty() {
             return 0.0;
@@ -907,9 +730,8 @@ impl MoeModel {
         sum / samples.len() as f32
     }
 
-    /// Head loss from the final hidden states, with no gradient work: the
-    /// loss halves of the [`MoeModel::loss_and_head_grads`] branches without
-    /// the head/hidden gradient matmuls those also pay.
+    /// Head loss of one sample from its final hidden states, with no
+    /// gradient work: no head or hidden-state gradient matmuls.
     fn head_loss(&self, sample: &Sample, final_hidden: &Matrix) -> f32 {
         let (logits, targets) = self.head_logits(sample, final_hidden);
         ops::cross_entropy_loss(&logits, &targets)
@@ -960,7 +782,7 @@ impl MoeModel {
         let mut score_sum = 0.0;
         let mut loss_sum = 0.0;
         // Packed batched forward per chunk; per-sample scoring reads each
-        // sample's row block (bit-identical to the per-sample forward).
+        // sample's row block (bit-identical to a batch of one).
         for chunk in dataset.samples.chunks(EVAL_BATCH) {
             let refs: Vec<&Sample> = chunk.iter().collect();
             let (final_hidden, batch) = self.forward_no_cache_batch(&refs);
@@ -995,9 +817,11 @@ impl MoeModel {
     }
 
     /// Mean-pooled final hidden state of a sample, used as the "final token
-    /// embeddings" in the paper's output-error measurements (Fig. 8).
+    /// embeddings" in the paper's output-error measurements (Fig. 8): the
+    /// no-cache forward on a batch of one. An empty sample pools no rows,
+    /// so every entry is NaN.
     pub fn final_embedding(&self, sample: &Sample) -> Vec<f32> {
-        let final_hidden = self.forward(&sample.tokens, None).final_hidden;
+        let (final_hidden, _) = self.forward_no_cache_batch(&[sample]);
         let seq = final_hidden.rows() as f32;
         final_hidden.sum_rows().iter().map(|x| x / seq).collect()
     }
@@ -1027,7 +851,7 @@ impl MoeModel {
 }
 
 /// The per-dimension sinusoidal rates. They depend only on the dimension
-/// index, so the embed paths hoist the `powf` out of the token loop (it
+/// index, so [`embed_packed`] hoists the `powf` out of the token loop (it
 /// dominated the embed cost at small d_model).
 fn positional_rates(d_model: usize) -> Vec<f32> {
     (0..d_model)
@@ -1035,32 +859,11 @@ fn positional_rates(d_model: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Embeds one token sequence into `out` starting at `row_offset`, with
-/// positions counted from the sequence start (not the packed row).
-/// `embedding_row(token, row)` writes a token's embedding row; tokens past
-/// the vocabulary are clamped to its last entry.
-fn embed_sequence(
-    config: &MoeConfig,
-    tokens: &[u32],
-    rates: &[f32],
-    out: &mut Matrix,
-    row_offset: usize,
-    embedding_row: impl Fn(usize, &mut [f32]),
-) {
-    for (pos, &tok) in tokens.iter().enumerate() {
-        let tok = (tok as usize).min(config.vocab_size - 1);
-        let out_row = out.row_mut(row_offset + pos);
-        embedding_row(tok, out_row);
-        // Sinusoidal positional encoding.
-        for (i, (value, &rate)) in out_row.iter_mut().zip(rates).enumerate() {
-            let angle = pos as f32 * rate;
-            *value += if i % 2 == 0 { angle.sin() } else { angle.cos() } * 0.1;
-        }
-    }
-}
-
 /// Packs `samples` into one `(total_tokens, d_model)` embedding matrix,
-/// each through [`embed_sequence`] at its offset in the batch.
+/// each at its offset in the batch with positions counted from the
+/// sample's start (not the packed row). `embedding_row(token, row)` writes
+/// a token's embedding row; tokens past the vocabulary are clamped to its
+/// last entry.
 pub(crate) fn embed_packed(
     config: &MoeConfig,
     samples: &[&Sample],
@@ -1070,14 +873,16 @@ pub(crate) fn embed_packed(
     let rates = positional_rates(config.d_model);
     let mut out = Matrix::zeros(batch.total_tokens(), config.d_model);
     for (sample, &(start, _)) in samples.iter().zip(batch.bounds()) {
-        embed_sequence(
-            config,
-            &sample.tokens,
-            &rates,
-            &mut out,
-            start,
-            &embedding_row,
-        );
+        for (pos, &tok) in sample.tokens.iter().enumerate() {
+            let tok = (tok as usize).min(config.vocab_size - 1);
+            let out_row = out.row_mut(start + pos);
+            embedding_row(tok, out_row);
+            // Sinusoidal positional encoding.
+            for (i, (value, &rate)) in out_row.iter_mut().zip(&rates).enumerate() {
+                let angle = pos as f32 * rate;
+                *value += if i % 2 == 0 { angle.sin() } else { angle.cos() } * 0.1;
+            }
+        }
     }
     (out, batch)
 }
@@ -1229,6 +1034,26 @@ mod tests {
         DatasetGenerator::new(cfg).generate_sample(1, &mut rng)
     }
 
+    /// The packed final hidden states of `tokens` run alone.
+    fn final_hidden(model: &MoeModel, tokens: &[u32]) -> Matrix {
+        let sample = Sample {
+            tokens: tokens.to_vec(),
+            topic: 0,
+            task: Task::Generation { reference: vec![1] },
+        };
+        model.forward_no_cache_batch(&[&sample]).0
+    }
+
+    /// Gradients of one sample: [`MoeModel::batch_gradients`] on a batch
+    /// of one.
+    fn gradients_of_one(
+        model: &MoeModel,
+        sample: &Sample,
+        tuning: Option<&HashSet<ExpertKey>>,
+    ) -> GradientSet {
+        model.batch_gradients(std::slice::from_ref(sample), tuning)
+    }
+
     #[test]
     fn model_construction_and_param_count() {
         let model = tiny_model(1);
@@ -1240,23 +1065,23 @@ mod tests {
     #[test]
     fn forward_produces_final_hidden() {
         let model = tiny_model(2);
-        let cache = model.forward(&[1, 2, 3, 4, 5], None);
-        assert_eq!(cache.final_hidden.shape(), (5, 16));
-        assert!(cache.final_hidden.as_slice().iter().all(|x| x.is_finite()));
+        let hidden = final_hidden(&model, &[1, 2, 3, 4, 5]);
+        assert_eq!(hidden.shape(), (5, 16));
+        assert!(hidden.as_slice().iter().all(|x| x.is_finite()));
     }
 
     #[test]
     fn out_of_vocab_tokens_are_clamped() {
         let model = tiny_model(3);
-        let cache = model.forward(&[9999, 0, 63], None);
-        assert_eq!(cache.final_hidden.rows(), 3);
+        let hidden = final_hidden(&model, &[9999, 0, 63]);
+        assert_eq!(hidden.rows(), 3);
     }
 
     #[test]
     fn generation_gradients_have_expected_shapes() {
         let model = tiny_model(4);
         let sample = gen_sample(5);
-        let grads = model.sample_gradients(&sample, None);
+        let grads = gradients_of_one(&model, &sample, None);
         assert!(grads.loss > 0.0);
         assert!(!grads.expert_grads.is_empty());
         assert_eq!(grads.head_grad.shape(), (16, 64));
@@ -1266,7 +1091,7 @@ mod tests {
     fn classification_gradients_have_expected_shapes() {
         let model = tiny_cls_model(6, 2);
         let sample = cls_sample(7);
-        let grads = model.sample_gradients(&sample, None);
+        let grads = gradients_of_one(&model, &sample, None);
         assert!(grads.loss > 0.0);
         assert_eq!(grads.head_grad.shape(), (16, 2));
     }
@@ -1275,11 +1100,11 @@ mod tests {
     fn tuning_set_limits_expert_gradients() {
         let model = tiny_model(8);
         let sample = gen_sample(9);
-        let all = model.sample_gradients(&sample, None);
+        let all = gradients_of_one(&model, &sample, None);
         let mut tuning = HashSet::new();
         tuning.insert(ExpertKey::new(0, 0));
         tuning.insert(ExpertKey::new(1, 1));
-        let restricted = model.sample_gradients(&sample, Some(&tuning));
+        let restricted = gradients_of_one(&model, &sample, Some(&tuning));
         assert!(restricted.expert_grads.len() <= 2);
         assert!(restricted.expert_grads.keys().all(|k| tuning.contains(k)));
         assert!(all.expert_grads.len() >= restricted.expert_grads.len());
@@ -1300,9 +1125,13 @@ mod tests {
             (
                 &tuning,
                 &all,
-                model.sample_gradients(&sample, Some(&tuning)),
+                gradients_of_one(&model, &sample, Some(&tuning)),
             ),
-            (&upper, &all, model.sample_gradients(&sample, Some(&upper))),
+            (
+                &upper,
+                &all,
+                gradients_of_one(&model, &sample, Some(&upper)),
+            ),
             (
                 &upper,
                 &all_batched,
@@ -1316,9 +1145,81 @@ mod tests {
                 assert_eq!(grad, &full.expert_grads[key], "{key:?}");
             }
         }
-        let none = model.sample_gradients(&sample, Some(&HashSet::new()));
+        let none = gradients_of_one(&model, &sample, Some(&HashSet::new()));
         assert!(none.expert_grads.is_empty());
         assert_eq!(none.head_grad, all.head_grad);
+    }
+
+    #[test]
+    fn gradients_of_one_sample_match_central_differences_of_the_loss() {
+        // An oracle that shares nothing with the backward pass: nudge one
+        // parameter both ways, rerun the loss-only forward, and compare the
+        // slope with the gradient. Each check takes the largest entries of
+        // the analytic gradient, so a vanishing gradient cannot pass.
+        //
+        // The backward holds routing weights constant (the gate is frozen
+        // and its probabilities are not differentiated), so an expert's
+        // gradient is exact only where no routing weight above it moves:
+        // in the last layer, or under top-1 routing, whose renormalized
+        // weight is always 1. The top-2 models check a last-layer expert,
+        // the top-1 models one in layer 0, whose gradient comes back
+        // through every attention and MoE backward above it.
+        const EPS: f32 = 1e-2;
+        fn largest(grad: &[f32], n: usize) -> Vec<usize> {
+            let mut idx: Vec<usize> = (0..grad.len()).collect();
+            idx.sort_by(|&a, &b| grad[b].abs().total_cmp(&grad[a].abs()));
+            idx.truncate(n);
+            idx
+        }
+        let model = |classes: Option<usize>, top_k: usize, seed: u64| {
+            let mut config = MoeConfig::tiny();
+            config.num_classes = classes;
+            config.top_k = top_k;
+            MoeModel::new(config, &mut SeededRng::new(seed))
+        };
+        // A nudge that flips a top-k choice above the nudged parameter
+        // makes the loss jump, and no slope means anything across it; at
+        // these seeds no choice flips.
+        let cases = [
+            (model(None, 2, 31), gen_sample(32), 3),
+            (model(Some(3), 2, 33), cls_sample(34), 3),
+            (model(None, 1, 31), gen_sample(32), 0),
+            (model(Some(3), 1, 33), cls_sample(34), 0),
+        ];
+        for (model, sample, layer) in cases {
+            let grads = gradients_of_one(&model, &sample, None);
+            let slope = |nudge: &dyn Fn(&mut MoeModel, f32)| {
+                let mut plus = model.clone();
+                nudge(&mut plus, EPS);
+                let mut minus = model.clone();
+                nudge(&mut minus, -EPS);
+                (plus.batch_loss(&[&sample]) - minus.batch_loss(&[&sample])) / (2.0 * EPS)
+            };
+            let check = |what: String, analytic: f32, numeric: f32| {
+                assert!(
+                    (numeric - analytic).abs() <= 1e-2 * analytic.abs() + 2e-4,
+                    "{what}: numeric {numeric} analytic {analytic}"
+                );
+            };
+            for i in largest(grads.head_grad.as_slice(), 3) {
+                let numeric = slope(&|m, d| m.active_head_mut().as_mut_slice()[i] += d);
+                check(format!("head[{i}]"), grads.head_grad.as_slice()[i], numeric);
+            }
+            let (&key, expert) = grads
+                .expert_grads
+                .iter()
+                .filter(|(k, _)| k.layer == layer)
+                .max_by(|a, b| a.1.w1.frobenius_norm().total_cmp(&b.1.w1.frobenius_norm()))
+                .expect("the layer routes to some expert");
+            for i in largest(expert.w1.as_slice(), 3) {
+                let numeric = slope(&|m, d| m.expert_mut(key).w1.as_mut_slice()[i] += d);
+                check(format!("{key:?} w1[{i}]"), expert.w1.as_slice()[i], numeric);
+            }
+            for i in largest(&expert.b2, 2) {
+                let numeric = slope(&|m, d| m.expert_mut(key).b2[i] += d);
+                check(format!("{key:?} b2[{i}]"), expert.b2[i], numeric);
+            }
+        }
     }
 
     #[test]
@@ -1615,8 +1516,7 @@ mod tests {
         model.set_layer_experts(0, experts, map);
         assert_eq!(model.layers[0].moe.num_experts(), 5);
         // Forward still works.
-        let cache = model.forward(&[1, 2, 3], None);
-        assert_eq!(cache.final_hidden.rows(), 3);
+        assert_eq!(final_hidden(&model, &[1, 2, 3]).rows(), 3);
     }
 
     #[test]
@@ -1634,7 +1534,7 @@ mod tests {
         let s2 = gen_sample(23);
         let batch = model.batch_gradients(&[s1.clone(), s2.clone()], None);
         assert_eq!(batch.samples, 2);
-        let single = model.sample_gradients(&s1, None);
+        let single = gradients_of_one(&model, &s1, None);
         assert!(batch.expert_grads.len() >= single.expert_grads.len());
     }
 

@@ -1,12 +1,17 @@
-//! Batched-vs-per-sample training equivalence.
+//! Packed-batch equivalence: a batch behaves as its samples run one by one.
 //!
-//! The batched path (`MoeModel::batch_gradients`) packs all samples of a
-//! mini-batch into one activation matrix per layer. Per-token activations
-//! are bit-identical to the per-sample reference because every row-parallel
-//! kernel's accumulation order is independent of the operand's row count;
-//! accumulated parameter gradients differ only by float-summation order.
-//! These tests pin both properties across batch sizes 1, the paper's 16,
-//! and a ragged batch of mixed sequence lengths.
+//! The model has one forward/backward path, the packed batch
+//! (`MoeModel::batch_gradients` packs all samples of a mini-batch into one
+//! activation matrix per layer); a single sample is a batch of one. The
+//! references here are therefore that path on batches of one, merged in
+//! order — which still tests packing — and, for attention, a dense
+//! single-sample forward/backward built in this file from the public
+//! projections and ops, an oracle independent of the block-diagonal
+//! kernels. Per-token activations are bit-identical to the references
+//! because every row-parallel kernel's accumulation order is independent
+//! of the operand's row count; accumulated parameter gradients differ only
+//! by float-summation order. These tests pin both properties across batch
+//! sizes 1, the paper's 16, and a ragged batch of mixed sequence lengths.
 
 use std::collections::HashSet;
 
@@ -14,11 +19,88 @@ use flux_data::{DatasetConfig, DatasetGenerator, DatasetKind, Sample};
 use flux_moe::attention::Attention;
 use flux_moe::{ExpertKey, GradientSet, MoeConfig, MoeModel};
 use flux_tensor::simd::{self, SimdLevel};
-use flux_tensor::{Matrix, SeededRng};
+use flux_tensor::{ops, Matrix, SeededRng};
 
 /// Documented tolerance of the batched path: accumulated f32 gradients may
 /// differ from the sequential reference by summation order only.
 const REL_TOL: f32 = 1e-4;
+
+/// The sequential reference for `MoeModel::batch_gradients`: the same path
+/// on one batch of one per sample, merged in order.
+fn batch_gradients_reference(
+    model: &MoeModel,
+    samples: &[Sample],
+    tuning: Option<&HashSet<ExpertKey>>,
+) -> GradientSet {
+    let (rows, cols) = model.active_head().shape();
+    let mut total = GradientSet {
+        expert_grads: Default::default(),
+        head_grad: Matrix::zeros(rows, cols),
+        loss: 0.0,
+        samples: 0,
+    };
+    for sample in samples {
+        total.merge(model.batch_gradients(std::slice::from_ref(sample), tuning));
+    }
+    total
+}
+
+/// Dense single-sample attention, `softmax(Q·Kᵀ/√d)·V·Wo` with its
+/// backward: the oracle the packed block-diagonal path must reproduce bit
+/// for bit. Built from public items only, with the ops the block-diagonal
+/// kernels stand in for (`X·Wq`, `X·Wk`, `X·Wv` are bit-identical to the
+/// fused QKV GEMM, per `fused_qkv_matches_three_matmuls`).
+struct DenseAttention {
+    q: Matrix,
+    k: Matrix,
+    v: Matrix,
+    /// Row-softmaxed `(seq, seq)` attention.
+    probs: Matrix,
+}
+
+impl DenseAttention {
+    fn forward(attn: &Attention, x: &Matrix) -> (Matrix, Self) {
+        let (q, k, v) = (x.matmul(&attn.wq), x.matmul(&attn.wk), x.matmul(&attn.wv));
+        let mut scores = q.matmul_transb(&k).unwrap();
+        scores.scale_in_place(1.0 / (attn.d_model() as f32).sqrt());
+        let probs = ops::softmax_rows(&scores);
+        let output = probs.matmul(&v).matmul(&attn.wo);
+        (output, Self { q, k, v, probs })
+    }
+
+    /// Column means of the attention matrix.
+    fn received_attention(&self) -> Vec<f32> {
+        let seq = self.probs.rows();
+        let mut received = vec![0.0f32; seq];
+        for r in 0..seq {
+            for (x, &p) in received.iter_mut().zip(self.probs.row(r)) {
+                *x += p;
+            }
+        }
+        received.iter().map(|x| x / seq as f32).collect()
+    }
+
+    /// Gradient with respect to the input (the weights are frozen).
+    fn backward(&self, attn: &Attention, grad_output: &Matrix) -> Matrix {
+        let grad_mixed = grad_output.matmul_transb(&attn.wo).unwrap();
+        let grad_probs = grad_mixed.matmul_transb(&self.v).unwrap();
+        let grad_v = self.probs.matmul_transa(&grad_mixed).unwrap();
+        let mut grad_scores = Matrix::zeros(self.probs.rows(), self.probs.cols());
+        for r in 0..self.probs.rows() {
+            let (p, g) = (self.probs.row(r), grad_probs.row(r));
+            ops::softmax_backward_row_into(p, g, grad_scores.row_mut(r));
+        }
+        grad_scores.scale_in_place(1.0 / (attn.d_model() as f32).sqrt());
+        let grad_q = grad_scores.matmul(&self.k);
+        let grad_k = grad_scores.matmul_transa(&self.q).unwrap();
+        let mut grad_input = grad_q.matmul_transb(&attn.wq).unwrap();
+        let from_k = grad_k.matmul_transb(&attn.wk).unwrap();
+        grad_input.add_scaled(&from_k, 1.0).unwrap();
+        let from_v = grad_v.matmul_transb(&attn.wv).unwrap();
+        grad_input.add_scaled(&from_v, 1.0).unwrap();
+        grad_input
+    }
+}
 
 fn gen_model(seed: u64) -> MoeModel {
     let mut rng = SeededRng::new(seed);
@@ -87,7 +169,7 @@ fn assert_gradients_equivalent(batched: &GradientSet, reference: &GradientSet) {
 
 fn check_equivalence(model: &MoeModel, samples: &[Sample], tuning: Option<&HashSet<ExpertKey>>) {
     let batched = model.batch_gradients(samples, tuning);
-    let reference = model.batch_gradients_reference(samples, tuning);
+    let reference = batch_gradients_reference(model, samples, tuning);
     assert_gradients_equivalent(&batched, &reference);
 }
 
@@ -144,20 +226,20 @@ fn batched_forward_is_bit_identical_to_per_sample() {
     let refs: Vec<&Sample> = samples.iter().collect();
     let cache = model.forward_batch(&refs);
     for (sample, &(start, end)) in samples.iter().zip(cache.batch.bounds()) {
-        let single = model.forward(&sample.tokens, None);
+        let single = model.forward_batch(&[sample]);
         let segment = cache.final_hidden.copy_rows(start, end);
         assert_eq!(
             segment.as_slice(),
             single.final_hidden.as_slice(),
-            "packed final hidden must match the per-sample forward bitwise"
+            "packed final hidden must match the sample's batch of one bitwise"
         );
     }
 }
 
 /// The fused block-diagonal attention (one padded GEMM per stage over the
 /// packed batch) must be bit-identical to running each sample through the
-/// per-sample [`Attention::forward`]/[`Attention::backward`] alone — at every
-/// SIMD dispatch level, over ragged bounds including length-1 samples.
+/// dense [`DenseAttention`] alone — at every SIMD dispatch level, over
+/// ragged bounds including length-1 samples.
 #[test]
 fn block_diag_attention_matches_per_sample_at_every_level() {
     let levels: Vec<SimdLevel> = [SimdLevel::Scalar, SimdLevel::Avx2]
@@ -187,13 +269,13 @@ fn block_diag_attention_matches_per_sample_at_every_level() {
             let (out, cache) = attn.forward_batch(&packed, &bounds);
             let grad_in = attn.backward_batch(&cache, &bounds, &grad);
             for (sample, &(start, end)) in samples.iter().zip(&bounds) {
-                let (out_s, cache_s) = attn.forward(sample);
+                let (out_s, cache_s) = DenseAttention::forward(&attn, sample);
                 assert_eq!(
                     out.copy_rows(start, end).as_slice(),
                     out_s.as_slice(),
                     "forward diverged at {level:?} bounds {start}..{end}"
                 );
-                let grad_s = attn.backward(&cache_s, &grad.copy_rows(start, end));
+                let grad_s = cache_s.backward(&attn, &grad.copy_rows(start, end));
                 assert_eq!(
                     grad_in.copy_rows(start, end).as_slice(),
                     grad_s.as_slice(),
@@ -205,13 +287,50 @@ fn block_diag_attention_matches_per_sample_at_every_level() {
 }
 
 #[test]
+fn batched_forward_matches_per_sample_bitwise() {
+    let mut rng = SeededRng::new(7);
+    let attn = Attention::new(8, &mut rng);
+    let a = Matrix::random_normal(5, 8, 1.0, &mut rng);
+    let b = Matrix::random_normal(3, 8, 1.0, &mut rng);
+    let packed = Matrix::vstack(&[&a, &b]).unwrap();
+    let bounds = [(0usize, 5usize), (5, 8)];
+    let (out, cache) = attn.forward_batch(&packed, &bounds);
+    let (out_a, cache_a) = DenseAttention::forward(&attn, &a);
+    let (out_b, cache_b) = DenseAttention::forward(&attn, &b);
+    assert_eq!(out.copy_rows(0, 5), out_a);
+    assert_eq!(out.copy_rows(5, 8), out_b);
+    let mut received = cache_a.received_attention();
+    received.extend(cache_b.received_attention());
+    assert_eq!(cache.received_attention(), received);
+}
+
+#[test]
+fn batched_backward_matches_per_sample_bitwise() {
+    let mut rng = SeededRng::new(8);
+    let attn = Attention::new(8, &mut rng);
+    let a = Matrix::random_normal(4, 8, 1.0, &mut rng);
+    let b = Matrix::random_normal(6, 8, 1.0, &mut rng);
+    let packed = Matrix::vstack(&[&a, &b]).unwrap();
+    let bounds = [(0usize, 4usize), (4, 10)];
+    let grad = Matrix::random_normal(10, 8, 1.0, &mut rng);
+    let (_, batch_cache) = attn.forward_batch(&packed, &bounds);
+    let grad_in = attn.backward_batch(&batch_cache, &bounds, &grad);
+    let (_, cache_a) = DenseAttention::forward(&attn, &a);
+    let (_, cache_b) = DenseAttention::forward(&attn, &b);
+    let grad_a = cache_a.backward(&attn, &grad.copy_rows(0, 4));
+    let grad_b = cache_b.backward(&attn, &grad.copy_rows(4, 10));
+    assert_eq!(grad_in.copy_rows(0, 4), grad_a);
+    assert_eq!(grad_in.copy_rows(4, 10), grad_b);
+}
+
+#[test]
 fn batch_loss_matches_mean_sample_loss() {
     let model = cls_model(13, 4);
     let samples = cls_samples(14, 7);
     let refs: Vec<&Sample> = samples.iter().collect();
     let batched = model.batch_loss(&refs);
     let mean: f32 =
-        samples.iter().map(|s| model.sample_loss(s)).sum::<f32>() / samples.len() as f32;
+        samples.iter().map(|s| model.batch_loss(&[s])).sum::<f32>() / samples.len() as f32;
     assert_eq!(batched, mean, "batched loss probe diverged");
     assert_eq!(model.batch_loss(&[]), 0.0);
 }
