@@ -8,10 +8,16 @@
 //! meant to keep training's arithmetic keeps every literal; one meant to
 //! move it re-records them and says so. There is one set per kernel level
 //! (`FLUX_SIMD`); thread counts share it.
+//!
+//! The task heads are held the same way, on small generation and
+//! classification models: `evaluate`'s score and loss on a generation and
+//! a classification dataset, `batch_loss` (the loss the SPSA probes
+//! difference) over a generation, a classification and a mixed batch, and
+//! `batch_gradients` digests of a classification and a mixed batch.
 
 use std::collections::HashSet;
 
-use flux_data::{DatasetConfig, DatasetGenerator, DatasetKind};
+use flux_data::{Dataset, DatasetConfig, DatasetGenerator, DatasetKind, Sample};
 use flux_moe::{ExpertKey, GradientSet, MoeConfig, MoeModel};
 use flux_tensor::codec::{fnv_bytes, FNV_OFFSET};
 use flux_tensor::simd::{self, SimdLevel};
@@ -113,6 +119,128 @@ fn batch_gradients_match_the_recorded_bits() {
             0x51b2_ed75_b3a1_5072,
             0x1de6_6500_c980_9c95,
         ],
+    };
+    assert_eq!(actual, recorded, "actual: {actual:#x?}");
+}
+
+/// The head literals below share one fixture: a generation model and a
+/// classification model of the small preset, with a Dolly and a PIQA set
+/// of 20 generated samples each (two evaluation chunks), and a mixed batch
+/// that alternates their samples, classification first. The generation set
+/// ends with a one-token and an empty sample (an empty sample scores no
+/// row); the classification set with a one-token one.
+struct Heads {
+    gen_model: MoeModel,
+    cls_model: MoeModel,
+    gen: Vec<Sample>,
+    cls: Vec<Sample>,
+    mixed: Vec<Sample>,
+}
+
+fn heads() -> Heads {
+    let mut rng = SeededRng::new(2044);
+    let gen_model = MoeModel::new(MoeConfig::small(), &mut rng);
+    let cls_model = MoeModel::new(MoeConfig::small().with_classes(3), &mut rng);
+    let mut generate = |kind| {
+        DatasetGenerator::new(
+            DatasetConfig::for_kind(kind, gen_model.config.vocab_size)
+                .with_num_samples(20)
+                .with_mean_seq_len(9),
+        )
+        .generate(&mut rng)
+        .samples
+    };
+    let mut gen = generate(DatasetKind::Dolly);
+    let mut cls = generate(DatasetKind::Piqa);
+    let mixed = cls
+        .iter()
+        .zip(&gen)
+        .take(8)
+        .flat_map(|(c, g)| [c.clone(), g.clone()])
+        .collect();
+    for tokens in [vec![3], vec![]] {
+        gen.push(Sample {
+            tokens,
+            topic: 0,
+            task: gen[0].task.clone(),
+        });
+    }
+    cls.push(Sample {
+        tokens: vec![5],
+        topic: 0,
+        task: cls[0].task.clone(),
+    });
+    Heads {
+        gen_model,
+        cls_model,
+        gen,
+        cls,
+        mixed,
+    }
+}
+
+fn dataset(kind: DatasetKind, model: &MoeModel, samples: &[Sample]) -> Dataset {
+    Dataset {
+        kind,
+        vocab_size: model.config.vocab_size,
+        samples: samples.to_vec(),
+    }
+}
+
+#[test]
+fn evaluation_matches_the_recorded_bits() {
+    let h = heads();
+    let gen = h
+        .gen_model
+        .evaluate(&dataset(DatasetKind::Dolly, &h.gen_model, &h.gen));
+    let cls = h
+        .cls_model
+        .evaluate(&dataset(DatasetKind::Piqa, &h.cls_model, &h.cls));
+    assert_eq!((gen.samples, cls.samples), (22, 21));
+    let actual = [gen.score, gen.loss, cls.score, cls.loss].map(f32::to_bits);
+
+    // Generation score and loss, classification score and loss.
+    let recorded: [u32; 4] = match simd::global_level() {
+        SimdLevel::Avx2 => [0x3c14_f20a, 0x409a_3738, 0x3f06_1862, 0x3f82_693e],
+        SimdLevel::Scalar => [0x3c14_f20a, 0x409a_3738, 0x3f06_1862, 0x3f82_693e],
+    };
+    assert_eq!(actual, recorded, "actual: {actual:#x?}");
+}
+
+#[test]
+fn batch_losses_match_the_recorded_bits() {
+    let h = heads();
+    fn refs(samples: &[Sample]) -> Vec<&Sample> {
+        samples.iter().take(16).collect()
+    }
+    let actual = [
+        h.gen_model.batch_loss(&refs(&h.gen)),
+        h.cls_model.batch_loss(&refs(&h.cls)),
+        h.cls_model.batch_loss(&refs(&h.mixed)),
+    ]
+    .map(f32::to_bits);
+
+    // Generation batch, classification batch, mixed batch.
+    let recorded: [u32; 3] = match simd::global_level() {
+        SimdLevel::Avx2 => [0x40a2_a9d8, 0x3f40_3a80, 0x403a_fc61],
+        SimdLevel::Scalar => [0x40a2_a9d8, 0x3f40_3a7e, 0x403a_fc60],
+    };
+    assert_eq!(actual, recorded, "actual: {actual:#x?}");
+}
+
+#[test]
+fn classification_and_mixed_batch_gradients_match_the_recorded_bits() {
+    let h = heads();
+    let actual = [&h.cls[..16], &h.mixed[..]].map(|batch| {
+        let grads = h.cls_model.batch_gradients(batch, None);
+        assert_eq!(grads.samples, 16);
+        digest(&grads)
+    });
+
+    // Classification batch, mixed batch.
+    let recorded: [u64; 2] = match simd::global_level() {
+        SimdLevel::Avx2 => [0xb7ed_f3f1_7d23_c8af, 0x4e7a_6351_2de9_8e1e],
+        SimdLevel::Scalar => [0x6ad8_5c61_eec3_7b3b, 0xeacf_0395_cd74_e8a8],
     };
     assert_eq!(actual, recorded, "actual: {actual:#x?}");
 }
