@@ -58,6 +58,10 @@ thread_local! {
 /// at least one row, in ascending compact-expert order.
 type RoutedGroups = Vec<(usize, Vec<usize>, Vec<f32>)>;
 
+/// A routed group after its expert ran: `(compact expert, token rows,
+/// routing weights, what the expert's forward kept besides its output)`.
+type RanGroup<T> = (usize, Vec<usize>, Vec<f32>, T);
+
 /// What a tracked routing pass records against: the tracker, the average
 /// attention each packed row received, and the sample each row belongs to.
 type Tracking<'a> = (&'a mut ActivationTracker, &'a [f32], &'a [usize]);
@@ -156,43 +160,20 @@ impl MoeLayer {
     /// activation profiling runs on the no-cache batched forward
     /// ([`TransformerLayer::forward_no_cache_batch`]).
     pub fn forward(&self, hidden: &Matrix, layer_idx: usize) -> (Matrix, MoeLayerCache) {
-        let seq = hidden.rows();
         let groups = self.route_and_group(hidden, layer_idx, None);
-        EXPERT_FANOUTS.with(|c| c.set(c.get() + 1));
-        // Run each used expert on its token batch — fanned out to worker
-        // threads when the routed work warrants it — then scatter results
-        // sequentially in ascending expert order.
-        let routed_rows: usize = groups.iter().map(|(_, rows, _)| rows.len()).sum();
-        let pool = expert_pool(routed_rows, self.d_model(), self.d_ff(), groups.len());
-        let tasks: Vec<_> = groups
+        let (output, ran) =
+            self.run_experts(hidden, groups, |expert, input| expert.forward_owned(input));
+        let expert_batches = ran
             .into_iter()
-            .map(|(compact, rows, weights)| {
-                let experts = &self.experts;
-                move || {
-                    let batch_input = hidden.select_rows(&rows);
-                    let (batch_output, cache) = experts[compact].forward_owned(batch_input);
-                    (compact, rows, weights, batch_output, cache)
-                }
-            })
-            .collect();
-        let mut output = Matrix::zeros(seq, hidden.cols());
-        let mut expert_batches = HashMap::new();
-        for (compact, rows, weights, batch_output, cache) in pool.run(tasks) {
-            for (slot, (&row, &w)) in rows.iter().zip(weights.iter()).enumerate() {
-                let out_row = output.row_mut(row);
-                for (o, &v) in out_row.iter_mut().zip(batch_output.row(slot)) {
-                    *o += w * v;
-                }
-            }
-            expert_batches.insert(
-                compact,
-                ExpertBatch {
-                    token_rows: rows,
+            .map(|(compact, token_rows, weights, cache)| {
+                let batch = ExpertBatch {
+                    token_rows,
                     weights,
                     cache,
-                },
-            );
-        }
+                };
+                (compact, batch)
+            })
+            .collect();
         (
             output,
             MoeLayerCache {
@@ -244,20 +225,8 @@ impl MoeLayer {
         let mut slots: Vec<(Vec<usize>, Vec<f32>)> =
             vec![(Vec::new(), Vec::new()); self.routing_map.num_compact()];
         for row in 0..hidden.rows() {
-            let logit_row = logits.row(row);
-            // Softmax with `ops::softmax_row`'s exact arithmetic.
-            let max = logit_row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            for (p, &x) in probs.iter_mut().zip(logit_row) {
-                *p = (x - max).exp();
-            }
-            let sum: f32 = probs.iter().sum();
-            if sum <= 0.0 || !sum.is_finite() {
-                probs.fill(1.0 / num_experts as f32);
-            } else {
-                for p in &mut probs {
-                    *p /= sum;
-                }
-            }
+            probs.copy_from_slice(logits.row(row));
+            ops::softmax_row_in_place(&mut probs);
             // Stable top-k selection: the same picks, in the same order, as
             // a stable descending sort (`stats::top_k_indices`) — greatest
             // probability wins, the earlier index wins ties.
@@ -304,34 +273,44 @@ impl MoeLayer {
             .collect()
     }
 
-    /// The back half of the no-cache forward: every routed expert runs on
-    /// its rows and the weighted outputs scatter back in ascending expert
-    /// order.
-    fn run_routed(&self, hidden: &Matrix, groups: RoutedGroups) -> Matrix {
+    /// The back half of every forward: `run` takes each routed expert and
+    /// its gathered rows — fanned out to worker threads when the routed
+    /// work warrants it — and the weighted outputs scatter back in
+    /// ascending expert order. Returns the scattered output and, per
+    /// group in that order, its rows, weights and what `run` kept besides
+    /// the output.
+    fn run_experts<T: Send>(
+        &self,
+        hidden: &Matrix,
+        groups: RoutedGroups,
+        run: impl Fn(&Expert, Matrix) -> (Matrix, T) + Sync,
+    ) -> (Matrix, Vec<RanGroup<T>>) {
         EXPERT_FANOUTS.with(|c| c.set(c.get() + 1));
         let routed_rows: usize = groups.iter().map(|(_, rows, _)| rows.len()).sum();
         let pool = expert_pool(routed_rows, self.d_model(), self.d_ff(), groups.len());
+        let run = &run;
         let tasks: Vec<_> = groups
             .into_iter()
             .map(|(compact, rows, weights)| {
-                let experts = &self.experts;
+                let expert: &Expert = &self.experts[compact];
                 move || {
-                    let batch_input = hidden.select_rows(&rows);
-                    let batch_output = experts[compact].forward_no_cache(&batch_input);
-                    (rows, weights, batch_output)
+                    let (batch_output, kept) = run(expert, hidden.select_rows(&rows));
+                    (compact, rows, weights, batch_output, kept)
                 }
             })
             .collect();
         let mut output = Matrix::zeros(hidden.rows(), hidden.cols());
-        for (rows, weights, batch_output) in pool.run(tasks) {
+        let mut ran = Vec::with_capacity(tasks.len());
+        for (compact, rows, weights, batch_output, kept) in pool.run(tasks) {
             for (slot, (&row, &w)) in rows.iter().zip(weights.iter()).enumerate() {
                 let out_row = output.row_mut(row);
                 for (o, &v) in out_row.iter_mut().zip(batch_output.row(slot)) {
                     *o += w * v;
                 }
             }
+            ran.push((compact, rows, weights, kept));
         }
-        output
+        (output, ran)
     }
 
     /// Backward pass.
@@ -561,7 +540,9 @@ impl TransformerLayer {
         moe_in: &Matrix,
         groups: RoutedGroups,
     ) -> Matrix {
-        let moe_out = self.moe.run_routed(moe_in, groups);
+        let (moe_out, _) = self.moe.run_experts(moe_in, groups, |expert, input| {
+            (expert.forward_no_cache(&input), ())
+        });
         post_attention.add(&moe_out).expect("residual shapes match")
     }
 

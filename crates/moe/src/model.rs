@@ -1,6 +1,7 @@
 //! The full MoE transformer model.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 use flux_data::{Dataset, Sample, Task};
@@ -376,159 +377,67 @@ impl MoeModel {
     /// sample's run alone as a batch of one.
     /// Returns the packed final hidden states and the batch layout.
     pub fn forward_no_cache_batch(&self, samples: &[&Sample]) -> (Matrix, PackedBatch) {
-        let (mut hidden, batch) = self.embed_batch(samples);
-        for (idx, layer) in self.layers.iter().enumerate() {
-            hidden = layer.forward_no_cache_batch(&hidden, batch.bounds(), idx, None);
-        }
-        (ops::layer_norm(&hidden, LN_EPS), batch)
+        let (hidden, batch) = self.embed_batch(samples);
+        (self.final_hidden_from(&hidden, batch.bounds(), 0), batch)
     }
 
-    /// Batched loss + head gradients over a packed batch.
-    ///
-    /// Returns `(mean_loss, grad_final_hidden, head_grad)` where the loss is
-    /// the mean of per-sample losses, `grad_final_hidden` is packed like
-    /// `final_hidden`, and `head_grad` is the *sum* of per-sample head
-    /// gradients (matching what merging one-sample [`GradientSet`]s
-    /// accumulates; callers average by sample count). Generation samples'
-    /// tail logits run as one GEMM against the LM head; classification
-    /// samples pool per segment and share one GEMM against the class head.
-    /// Head-gradient contributions whose shape differs from the active head
-    /// (a generation sample in a classification model) are dropped, exactly
-    /// as [`GradientSet::merge`] drops them.
-    fn batch_loss_and_head_grads(
+    /// The no-cache forward from layer `first` up, over that layer's packed
+    /// `input`: layers `first..`, then the final layer norm.
+    fn final_hidden_from(&self, input: &Matrix, bounds: &[(usize, usize)], first: usize) -> Matrix {
+        let mut hidden: Option<Matrix> = None;
+        for (idx, layer) in self.layers.iter().enumerate().skip(first) {
+            let current = hidden.as_ref().unwrap_or(input);
+            hidden = Some(layer.forward_no_cache_batch(current, bounds, idx, None));
+        }
+        ops::layer_norm(hidden.as_ref().unwrap_or(input), LN_EPS)
+    }
+
+    /// The task heads over a packed batch's final hidden states, one GEMM
+    /// per head: each generation sample's reference-tail rows through the
+    /// LM head, each classification sample's mean-pooled row through the
+    /// class head, every logits row scored by [`softmax_ce_row`]. A
+    /// sample's loss is the mean of its rows' (0 for an empty tail); a GEMM
+    /// row does not depend on how many rows share the call, so it does not
+    /// depend on the rest of the batch. With `train`, also
+    /// `(grad_final_hidden, head_grad)`, `head_grad` the *sum* over samples
+    /// (callers average by sample count).
+    fn head_pass(
         &self,
         samples: &[&Sample],
         final_hidden: &Matrix,
         batch: &PackedBatch,
-    ) -> (f32, Matrix, Matrix) {
-        let head_shape = match &self.cls_head {
-            Some(h) => h.shape(),
-            None => self.lm_head.shape(),
-        };
-        let mut head_grad = Matrix::zeros(head_shape.0, head_shape.1);
-        let mut grad_hidden = Matrix::zeros(final_hidden.rows(), final_hidden.cols());
-        let mut loss_sum = 0.0f32;
-
-        // Generation samples: gather every reference-tail row across the
-        // batch. `row_div[i]` is the tail length of the row's sample, so the
-        // per-row gradient carries the 1/r scaling `ops::cross_entropy`
-        // applies over one sample's r rows.
-        let mut tail_rows: Vec<usize> = Vec::new();
-        let mut targets: Vec<usize> = Vec::new();
-        let mut row_div: Vec<f32> = Vec::new();
-        // Classification samples, by batch index.
-        let mut cls_samples: Vec<usize> = Vec::new();
-        for (i, sample) in samples.iter().enumerate() {
-            let (start, end) = batch.bounds()[i];
+        train: bool,
+    ) -> HeadPass {
+        let (mut lm, mut cls) = (HeadRows::default(), HeadRows::default());
+        for (i, (sample, &(start, end))) in samples.iter().zip(batch.bounds()).enumerate() {
             match &sample.task {
                 Task::Generation { reference } => {
-                    let seq = end - start;
-                    let r = reference.len().min(seq);
-                    for (slot, &t) in reference[reference.len() - r..].iter().enumerate() {
-                        tail_rows.push(end - r + slot);
-                        targets.push((t as usize).min(self.config.vocab_size - 1));
-                        row_div.push(r as f32);
+                    let r = reference.len().min(end - start);
+                    for (row, &t) in (end - r..end).zip(&reference[reference.len() - r..]) {
+                        let target = (t as usize).min(self.config.vocab_size - 1);
+                        lm.push(final_hidden.row(row), (target, i, r, row..row + 1));
                     }
                 }
-                Task::Classification { .. } => cls_samples.push(i),
-            }
-        }
-
-        if !tail_rows.is_empty() {
-            let tail_hidden = final_hidden.select_rows(&tail_rows);
-            let logits = tail_hidden.matmul(&self.lm_head);
-            let mut grad_logits = Matrix::zeros(logits.rows(), logits.cols());
-            let mut row = 0;
-            while row < logits.rows() {
-                // Rows of one sample share a divisor; its loss is the mean
-                // of its rows' raw losses, accumulated per sample so the
-                // value matches `ops::cross_entropy` over that sample's
-                // rows bit for bit.
-                let div = row_div[row];
-                let mut sample_raw = 0.0f32;
-                let sample_end = row + div as usize;
-                while row < sample_end {
-                    let probs = ops::softmax_row(logits.row(row));
-                    sample_raw += -(probs[targets[row]].max(1e-12)).ln();
-                    let g = grad_logits.row_mut(row);
-                    for (c, &p) in probs.iter().enumerate() {
-                        g[c] = (p - if c == targets[row] { 1.0 } else { 0.0 }) / div;
-                    }
-                    row += 1;
-                }
-                loss_sum += sample_raw / div;
-            }
-            let head_contrib = tail_hidden.matmul_transa(&grad_logits).expect("row counts");
-            if head_contrib.shape() == head_grad.shape() {
-                head_grad
-                    .add_scaled(&head_contrib, 1.0)
-                    .expect("same shape");
-            }
-            let grad_tail = grad_logits
-                .matmul_transb(&self.lm_head)
-                .expect("col counts");
-            for (slot, &row) in tail_rows.iter().enumerate() {
-                grad_hidden
-                    .row_mut(row)
-                    .copy_from_slice(grad_tail.row(slot));
-            }
-        }
-
-        if !cls_samples.is_empty() {
-            let head = self
-                .cls_head
-                .as_ref()
-                .expect("classification sample requires a classification head");
-            let mut pooled = Matrix::zeros(cls_samples.len(), self.config.d_model);
-            let mut labels = Vec::with_capacity(cls_samples.len());
-            for (slot, &i) in cls_samples.iter().enumerate() {
-                let (start, end) = batch.bounds()[i];
-                let seq = (end - start) as f32;
-                let row = pooled.row_mut(slot);
-                for r in start..end {
-                    for (o, &v) in row.iter_mut().zip(final_hidden.row(r)) {
-                        *o += v;
-                    }
-                }
-                for o in row.iter_mut() {
-                    *o /= seq;
-                }
-                match &samples[i].task {
-                    Task::Classification { label, .. } => labels.push(*label),
-                    Task::Generation { .. } => unreachable!("partitioned above"),
-                }
-            }
-            let logits = pooled.matmul(head);
-            let mut grad_logits = Matrix::zeros(logits.rows(), logits.cols());
-            for (slot, &label) in labels.iter().enumerate() {
-                let probs = ops::softmax_row(logits.row(slot));
-                loss_sum += -(probs[label].max(1e-12)).ln();
-                let g = grad_logits.row_mut(slot);
-                for (c, &p) in probs.iter().enumerate() {
-                    g[c] = p - if c == label { 1.0 } else { 0.0 };
-                }
-            }
-            let head_contrib = pooled.matmul_transa(&grad_logits).expect("row counts");
-            if head_contrib.shape() == head_grad.shape() {
-                head_grad
-                    .add_scaled(&head_contrib, 1.0)
-                    .expect("same shape");
-            }
-            let grad_pooled = grad_logits.matmul_transb(head).expect("col counts");
-            // Mean-pool backward: every position receives grad/seq.
-            for (slot, &i) in cls_samples.iter().enumerate() {
-                let (start, end) = batch.bounds()[i];
-                let seq = (end - start) as f32;
-                for r in start..end {
-                    for (o, &g) in grad_hidden.row_mut(r).iter_mut().zip(grad_pooled.row(slot)) {
-                        *o = g / seq;
-                    }
+                Task::Classification { label, .. } => {
+                    let pooled = mean_pool(final_hidden, start..end);
+                    cls.push(&pooled, (*label, i, 1, start..end));
                 }
             }
         }
-
-        let mean_loss = loss_sum / samples.len().max(1) as f32;
-        (mean_loss, grad_hidden, head_grad)
+        let mut pass = HeadPass {
+            samples: vec![(0.0, Vec::new()); samples.len()],
+            grads: train.then(|| {
+                let (rows, cols) = self.active_head().shape();
+                let grad_hidden = Matrix::zeros(final_hidden.rows(), final_hidden.cols());
+                (grad_hidden, Matrix::zeros(rows, cols))
+            }),
+        };
+        lm.score(Some(&self.lm_head), &mut pass);
+        cls.score(self.cls_head.as_ref(), &mut pass);
+        for (loss, predicted) in &mut pass.samples {
+            *loss /= predicted.len().max(1) as f32;
+        }
+        pass
     }
 
     /// Forward + backward over a batch of samples, accumulating gradients.
@@ -542,7 +451,10 @@ impl MoeModel {
     /// one; accumulated quantities (expert/head parameter gradients, the
     /// mean loss) differ from [`GradientSet::merge`]-ing those one-sample
     /// sets in order only by float-summation order, within ~1e-4 relative
-    /// tolerance at f32 (`tests/batched_equivalence.rs`).
+    /// tolerance at f32 (`tests/batched_equivalence.rs`). The loss and the
+    /// head gradient come from the head pass the loss probes and
+    /// evaluation score with; the mean loss sums the per-sample losses in
+    /// sample order, so it is [`MoeModel::batch_loss`]'s bits.
     ///
     /// Only what the backward reads is held: the forward caches no layer
     /// below the lowest tuned one (none at all for an empty tuning set),
@@ -552,14 +464,11 @@ impl MoeModel {
         samples: &[Sample],
         tuning: Option<&HashSet<ExpertKey>>,
     ) -> GradientSet {
-        let head_shape = match &self.cls_head {
-            Some(h) => h.shape(),
-            None => self.lm_head.shape(),
-        };
         if samples.is_empty() {
+            let (rows, cols) = self.active_head().shape();
             return GradientSet {
                 expert_grads: HashMap::new(),
-                head_grad: Matrix::zeros(head_shape.0, head_shape.1),
+                head_grad: Matrix::zeros(rows, cols),
                 loss: 0.0,
                 samples: 0,
             };
@@ -572,8 +481,9 @@ impl MoeModel {
             last_block_output,
             batch,
         } = self.forward_batch_from(&refs, lowest);
-        let (loss, grad_final_hidden, head_grad) =
-            self.batch_loss_and_head_grads(&refs, &final_hidden, &batch);
+        let head = self.head_pass(&refs, &final_hidden, &batch, true);
+        let loss = head.mean_loss();
+        let (grad_final_hidden, head_grad) = head.grads.expect("a training pass");
         let mut grad = ops::layer_norm_backward(&last_block_output, &grad_final_hidden, LN_EPS);
         let mut expert_grads: HashMap<ExpertKey, ExpertGrad> = HashMap::new();
         for (idx, layer) in self.layers.iter().enumerate().skip(lowest).rev() {
@@ -641,10 +551,7 @@ impl MoeModel {
                 self.expert_mut(*key).apply_sgd(grad, learning_rate);
             }
         }
-        let head = match &mut self.cls_head {
-            Some(h) => h,
-            None => &mut self.lm_head,
-        };
+        let head = self.active_head_mut();
         if head.shape() == grads.head_grad.shape() {
             head.add_scaled(&grads.head_grad, -learning_rate)
                 .expect("head gradient shape");
@@ -652,8 +559,10 @@ impl MoeModel {
     }
 
     /// Mean per-sample loss over a mini-batch, with one packed forward pass
-    /// (no parameter or input gradients): bit-identical to averaging
-    /// `batch_loss(&[sample])` over the samples in order.
+    /// and one head pass (no parameter or input gradients): the loss
+    /// [`MoeModel::batch_gradients`] reports on the same samples, and
+    /// bit-identical to averaging `batch_loss(&[sample])` over the samples
+    /// in order, whatever mix of tasks the batch holds.
     pub fn batch_loss(&self, samples: &[&Sample]) -> f32 {
         if samples.is_empty() {
             return 0.0;
@@ -698,6 +607,9 @@ impl MoeModel {
     /// below. With the model unchanged below `layer` since the record was
     /// taken, these are the calls a full forward makes from that layer up,
     /// on the same inputs: the result is the full forward's, bit for bit.
+    /// The forward-gradient estimator differences these probes, so an
+    /// explored expert is ranked by the loss training descends: both end
+    /// in the same head pass.
     ///
     /// # Panics
     ///
@@ -706,9 +618,9 @@ impl MoeModel {
         self.loss_from_layer(&base.samples, &base.batch, &base.layer_inputs[layer], layer)
     }
 
-    /// The tail every loss-only batched forward shares: layers `layer..`
-    /// over the packed `input` of `layer`, the final layer norm, and the
-    /// mean of the per-sample head losses.
+    /// The tail every loss probe shares: layers `layer..` over the packed
+    /// `input` of `layer`, the final layer norm, and the mean of the
+    /// per-sample head losses.
     fn loss_from_layer(
         &self,
         samples: &[&Sample],
@@ -716,99 +628,37 @@ impl MoeModel {
         input: &Matrix,
         layer: usize,
     ) -> f32 {
-        let mut hidden: Option<Matrix> = None;
-        for (idx, block) in self.layers.iter().enumerate().skip(layer) {
-            let current = hidden.as_ref().unwrap_or(input);
-            hidden = Some(block.forward_no_cache_batch(current, batch.bounds(), idx, None));
-        }
-        let final_hidden = ops::layer_norm(hidden.as_ref().unwrap_or(input), LN_EPS);
-        let mut sum = 0.0;
-        for (sample, &(start, end)) in samples.iter().zip(batch.bounds()) {
-            let segment = final_hidden.copy_rows(start, end);
-            sum += self.head_loss(sample, &segment);
-        }
-        sum / samples.len() as f32
-    }
-
-    /// Head loss of one sample from its final hidden states, with no
-    /// gradient work: no head or hidden-state gradient matmuls.
-    fn head_loss(&self, sample: &Sample, final_hidden: &Matrix) -> f32 {
-        let (logits, targets) = self.head_logits(sample, final_hidden);
-        ops::cross_entropy_loss(&logits, &targets)
-    }
-
-    /// The head's logits for one sample and the targets its loss scores
-    /// them against: for generation, the last `|reference|` rows through
-    /// the LM head against the reference tokens; for classification, the
-    /// mean-pooled row through the classification head against the label.
-    fn head_logits(&self, sample: &Sample, final_hidden: &Matrix) -> (Matrix, Vec<usize>) {
-        match &sample.task {
-            Task::Generation { reference } => {
-                let seq = final_hidden.rows();
-                let r = reference.len().min(seq);
-                let tail_start = seq - r;
-                let rows: Vec<usize> = (tail_start..seq).collect();
-                let tail_hidden = final_hidden.select_rows(&rows);
-                let targets = reference[reference.len() - r..]
-                    .iter()
-                    .map(|&t| (t as usize).min(self.config.vocab_size - 1))
-                    .collect();
-                (tail_hidden.matmul(&self.lm_head), targets)
-            }
-            Task::Classification { label, .. } => {
-                let head = self
-                    .cls_head
-                    .as_ref()
-                    .expect("classification sample requires a classification head");
-                let seq = final_hidden.rows() as f32;
-                let pooled_vec: Vec<f32> =
-                    final_hidden.sum_rows().iter().map(|x| x / seq).collect();
-                let pooled = Matrix::from_vec(1, self.config.d_model, pooled_vec).expect("shape");
-                (pooled.matmul(head), vec![*label])
-            }
-        }
+        let final_hidden = self.final_hidden_from(input, batch.bounds(), layer);
+        self.head_pass(samples, &final_hidden, batch, false)
+            .mean_loss()
     }
 
     /// Evaluates the model on a dataset: mean ROUGE-L for generation, exact
-    /// match accuracy for classification, plus the mean loss.
+    /// match accuracy for classification, plus the mean loss. Each
+    /// `EVAL_BATCH` chunk runs one packed forward and one head pass, which
+    /// scores by argmax over the same logits rows the loss reads (the
+    /// generated tokens of a generation sample's tail, the predicted class
+    /// of a pooled row), so a sample scores what it scores alone.
     pub fn evaluate(&self, dataset: &Dataset) -> EvalResult {
-        if dataset.is_empty() {
-            return EvalResult {
-                score: 0.0,
-                loss: 0.0,
-                samples: 0,
-            };
-        }
         let mut score_sum = 0.0;
         let mut loss_sum = 0.0;
-        // Packed batched forward per chunk; per-sample scoring reads each
-        // sample's row block (bit-identical to a batch of one).
         for chunk in dataset.samples.chunks(EVAL_BATCH) {
             let refs: Vec<&Sample> = chunk.iter().collect();
             let (final_hidden, batch) = self.forward_no_cache_batch(&refs);
-            for (sample, &(start, end)) in chunk.iter().zip(batch.bounds()) {
-                let (logits, targets) =
-                    self.head_logits(sample, &final_hidden.copy_rows(start, end));
-                loss_sum += ops::cross_entropy_loss(&logits, &targets);
+            let head = self.head_pass(&refs, &final_hidden, &batch, false);
+            for (sample, (loss, predicted)) in chunk.iter().zip(head.samples) {
+                loss_sum += loss;
                 score_sum += match &sample.task {
                     Task::Generation { reference } => {
-                        let tokens: Vec<u32> = (0..logits.rows())
-                            .map(|i| stats::argmax(logits.row(i)).unwrap_or(0) as u32)
-                            .collect();
+                        let tokens: Vec<u32> = predicted.iter().map(|&t| t as u32).collect();
                         rouge_l(&tokens, reference)
                     }
-                    Task::Classification { label, .. } => {
-                        let predicted = stats::argmax(logits.row(0)).unwrap_or(0);
-                        if predicted == *label {
-                            1.0
-                        } else {
-                            0.0
-                        }
-                    }
+                    Task::Classification { label, .. } => f32::from(predicted == [*label]),
                 };
             }
         }
-        let n = dataset.len() as f32;
+        // An empty dataset scores 0 with loss 0.
+        let n = dataset.len().max(1) as f32;
         EvalResult {
             score: score_sum / n,
             loss: loss_sum / n,
@@ -822,8 +672,7 @@ impl MoeModel {
     /// so every entry is NaN.
     pub fn final_embedding(&self, sample: &Sample) -> Vec<f32> {
         let (final_hidden, _) = self.forward_no_cache_batch(&[sample]);
-        let seq = final_hidden.rows() as f32;
-        final_hidden.sum_rows().iter().map(|x| x / seq).collect()
+        mean_pool(&final_hidden, 0..final_hidden.rows())
     }
 
     /// Runs a forward-only profiling pass over a dataset, recording expert
@@ -848,6 +697,114 @@ impl MoeModel {
         }
         pass.finish()
     }
+}
+
+/// What one [`MoeModel::head_pass`] produced.
+struct HeadPass {
+    /// Per sample, in sample order: its loss, and the argmax class of each
+    /// row it was scored on (its generated tail, or its predicted label).
+    samples: Vec<(f32, Vec<usize>)>,
+    /// `(grad_final_hidden, head_grad)` of a training pass.
+    grads: Option<(Matrix, Matrix)>,
+}
+
+impl HeadPass {
+    /// Mean of the per-sample losses, summed in sample order.
+    fn mean_loss(&self) -> f32 {
+        let sum = self
+            .samples
+            .iter()
+            .fold(0.0f32, |sum, (loss, _)| sum + loss);
+        sum / self.samples.len().max(1) as f32
+    }
+}
+
+/// The rows one head scores in a [`MoeModel::head_pass`].
+#[derive(Default)]
+struct HeadRows {
+    /// The rows gathered from the packed final hidden states, flat.
+    input: Vec<f32>,
+    /// Per row: its target class, its sample, the number of rows its
+    /// sample's loss averages, and the packed rows it pools.
+    rows: Vec<(usize, usize, usize, Range<usize>)>,
+}
+
+impl HeadRows {
+    fn push(&mut self, input: &[f32], row: (usize, usize, usize, Range<usize>)) {
+        self.input.extend_from_slice(input);
+        self.rows.push(row);
+    }
+
+    /// Scores the rows through `head` in one GEMM (reading no head when
+    /// there are none) into their samples' entries of `pass`. A training
+    /// pass also backpropagates: into `head_grad` when the shapes match
+    /// (not for a generation sample in a classification model, as
+    /// [`GradientSet::merge`] drops a head gradient of the wrong shape),
+    /// and into every packed row a row pools, divided by their count.
+    fn score(self, head: Option<&Matrix>, pass: &mut HeadPass) {
+        if self.rows.is_empty() {
+            return;
+        }
+        let head = head.expect("classification sample requires a classification head");
+        let input = Matrix::from_vec(self.rows.len(), head.rows(), self.input).expect("row width");
+        let logits = input.matmul(head);
+        let mut grad_logits = pass
+            .grads
+            .as_ref()
+            .map(|_| Matrix::zeros(logits.rows(), logits.cols()));
+        for (r, &(target, i, div, _)) in self.rows.iter().enumerate() {
+            let grad = grad_logits.as_mut().map(|g| (g.row_mut(r), div as f32));
+            let (loss, predicted) = &mut pass.samples[i];
+            *loss += softmax_ce_row(logits.row(r), target, grad);
+            predicted.push(stats::argmax(logits.row(r)).unwrap_or(0));
+        }
+        if let (Some((grad_hidden, head_grad)), Some(grad_logits)) = (&mut pass.grads, grad_logits)
+        {
+            if head.shape() == head_grad.shape() {
+                let contrib = input.matmul_transa(&grad_logits).expect("row counts");
+                head_grad.add_scaled(&contrib, 1.0).expect("same shape");
+            }
+            let grad_input = grad_logits.matmul_transb(head).expect("col counts");
+            for (r, (_, _, _, pooled)) in self.rows.iter().enumerate() {
+                let seq = pooled.len() as f32;
+                for row in pooled.clone() {
+                    for (o, &g) in grad_hidden.row_mut(row).iter_mut().zip(grad_input.row(r)) {
+                        *o = g / seq;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Softmax cross-entropy of one logits row against class `target`, the one
+/// definition training, the loss probes and evaluation share: returns
+/// `-ln p[target]` and, given `(grad, div)`, writes the logits gradient
+/// `(p - onehot(target)) / div`, `div` being the number of rows the
+/// sample's loss averages.
+fn softmax_ce_row(logits: &[f32], target: usize, grad: Option<(&mut [f32], f32)>) -> f32 {
+    let probs = ops::softmax_row(logits);
+    if let Some((grad, div)) = grad {
+        for (c, (g, &p)) in grad.iter_mut().zip(&probs).enumerate() {
+            *g = (p - if c == target { 1.0 } else { 0.0 }) / div;
+        }
+    }
+    -(probs[target].max(1e-12)).ln()
+}
+
+/// Mean of `rows` of `hidden`: summed in order, then divided by their
+/// count (all NaN for no rows).
+fn mean_pool(hidden: &Matrix, rows: Range<usize>) -> Vec<f32> {
+    let seq = rows.len() as f32;
+    let mut pooled = vec![0.0f32; hidden.cols()];
+    for r in rows {
+        pooled
+            .iter_mut()
+            .zip(hidden.row(r))
+            .for_each(|(o, &v)| *o += v);
+    }
+    pooled.iter_mut().for_each(|o| *o /= seq);
+    pooled
 }
 
 /// The per-dimension sinusoidal rates. They depend only on the dimension
@@ -1218,6 +1175,46 @@ mod tests {
             for i in largest(&expert.b2, 2) {
                 let numeric = slope(&|m, d| m.expert_mut(key).b2[i] += d);
                 check(format!("{key:?} b2[{i}]"), expert.b2[i], numeric);
+            }
+        }
+    }
+
+    #[test]
+    fn softmax_ce_row_is_the_cross_entropy_of_the_softmax() {
+        let loss = |logits: &[f32], target| softmax_ce_row(logits, target, None);
+        // A confident right answer costs almost nothing; uniform logits
+        // cost ln k.
+        assert!(loss(&[10.0, -10.0], 0) < 1e-3);
+        assert!(loss(&[-10.0, 10.0], 1) < 1e-3);
+        assert!((loss(&[0.0; 4], 2) - 4f32.ln()).abs() < 1e-4);
+        // The gradient is the loss's slope, divided by the sample's row
+        // count.
+        let logits = [0.2, -0.4, 0.9];
+        for div in [1.0, 3.0] {
+            let mut grad = [0.0; 3];
+            softmax_ce_row(&logits, 2, Some((&mut grad, div)));
+            for c in 0..3 {
+                let (mut plus, mut minus) = (logits, logits);
+                plus[c] += 1e-3;
+                minus[c] -= 1e-3;
+                let numeric = (loss(&plus, 2) - loss(&minus, 2)) / 2e-3 / div;
+                assert!(
+                    (grad[c] - numeric).abs() < 1e-2,
+                    "{c}: {} vs {numeric}",
+                    grad[c]
+                );
+            }
+        }
+        // Over random rows: the loss is never negative, and a gradient row
+        // (softmax minus one-hot) sums to about zero.
+        for seed in 0..200 {
+            let mut rng = SeededRng::new(seed);
+            let logits = Matrix::random_normal(4, 6, 2.0, &mut rng);
+            for r in 0..4 {
+                let mut grad = [0.0; 6];
+                let target = rng.below(6);
+                assert!(softmax_ce_row(logits.row(r), target, Some((&mut grad, 1.0))) >= 0.0);
+                assert!(grad.iter().sum::<f32>().abs() < 1e-4);
             }
         }
     }

@@ -325,14 +325,76 @@ fn batched_backward_matches_per_sample_bitwise() {
 
 #[test]
 fn batch_loss_matches_mean_sample_loss() {
+    // A classification model scores generation samples through its LM
+    // head, so one model takes all three batches; the mixed one alternates
+    // the tasks.
     let model = cls_model(13, 4);
-    let samples = cls_samples(14, 7);
-    let refs: Vec<&Sample> = samples.iter().collect();
-    let batched = model.batch_loss(&refs);
-    let mean: f32 =
-        samples.iter().map(|s| model.batch_loss(&[s])).sum::<f32>() / samples.len() as f32;
-    assert_eq!(batched, mean, "batched loss probe diverged");
+    let cls = cls_samples(14, 7);
+    let gen = gen_samples(15, 6);
+    let mixed: Vec<Sample> = cls
+        .iter()
+        .zip(&gen)
+        .flat_map(|(c, g)| [c.clone(), g.clone()])
+        .collect();
+    for samples in [&cls, &gen, &mixed] {
+        let refs: Vec<&Sample> = samples.iter().collect();
+        let batched = model.batch_loss(&refs);
+        let mean: f32 =
+            samples.iter().map(|s| model.batch_loss(&[s])).sum::<f32>() / samples.len() as f32;
+        assert_eq!(batched, mean, "batched loss probe diverged");
+        // Training reports the loss the probes measure.
+        let trained = model.batch_gradients(samples, None).loss;
+        assert_eq!(
+            trained.to_bits(),
+            batched.to_bits(),
+            "training loss diverged"
+        );
+    }
     assert_eq!(model.batch_loss(&[]), 0.0);
+}
+
+#[test]
+fn evaluation_matches_the_mean_of_one_sample_evaluations() {
+    // Ragged, more than one evaluation chunk, and a one-token sample (the
+    // generation one also an empty sample, whose tail scores no row).
+    let mut gen = gen_samples(17, 20);
+    let mut cls = cls_samples(18, 20);
+    let push = |samples: &mut Vec<Sample>, tokens: Vec<u32>| {
+        let task = samples[0].task.clone();
+        samples.push(Sample {
+            tokens,
+            topic: 0,
+            task,
+        });
+    };
+    push(&mut gen, vec![]);
+    push(&mut gen, vec![4]);
+    push(&mut cls, vec![5]);
+    for (model, kind, samples) in [
+        (gen_model(19), DatasetKind::Dolly, gen),
+        (cls_model(20, 2), DatasetKind::Piqa, cls),
+    ] {
+        let dataset = |samples: Vec<Sample>| flux_data::Dataset {
+            kind,
+            vocab_size: 64,
+            samples,
+        };
+        let whole = model.evaluate(&dataset(samples.clone()));
+        let (mut score, mut loss) = (0.0f32, 0.0f32);
+        for sample in &samples {
+            let one = model.evaluate(&dataset(vec![sample.clone()]));
+            score += one.score;
+            loss += one.loss;
+        }
+        let n = samples.len() as f32;
+        assert_eq!(whole.samples, samples.len());
+        assert_eq!(
+            whole.score.to_bits(),
+            (score / n).to_bits(),
+            "{kind:?} score"
+        );
+        assert_eq!(whole.loss.to_bits(), (loss / n).to_bits(), "{kind:?} loss");
+    }
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Neural-network primitive operations.
 //!
-//! Softmax, activation functions, layer normalization and cross-entropy, in
-//! both the row-vector form used by the gating network and the matrix form
-//! used by the transformer layers. Backward-pass helpers return gradients in
+//! Softmax, activation functions and layer normalization, in both the
+//! row-vector form used by the gating network and the matrix form used by
+//! the transformer layers. Backward-pass helpers return gradients in
 //! the same layout as their forward inputs.
 
 use crate::matrix::Matrix;
@@ -14,23 +14,16 @@ use crate::Result;
 /// Returns a probability vector summing to 1. An empty input returns an
 /// empty vector.
 pub fn softmax_row(logits: &[f32]) -> Vec<f32> {
-    if logits.is_empty() {
-        return Vec::new();
-    }
-    let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = logits.iter().map(|&x| (x - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    if sum <= 0.0 || !sum.is_finite() {
-        return vec![1.0 / logits.len() as f32; logits.len()];
-    }
-    exps.into_iter().map(|e| e / sum).collect()
+    let mut probs = logits.to_vec();
+    softmax_row_in_place(&mut probs);
+    probs
 }
 
-/// Allocation-free softmax over a row slice, bit-identical to
-/// [`softmax_row`] (same max-shift, same `exp`, same division, same uniform
-/// fallback on a non-finite or non-positive sum). The fused block-diagonal
-/// attention applies this to the leading `len` columns of each padded
-/// scores row.
+/// [`softmax_row`] without the allocation, over a row slice: max-shift,
+/// `exp`, division by the sum, and a uniform row when the sum is not finite
+/// and positive. The fused block-diagonal attention applies this to the
+/// leading `len` columns of each padded scores row, and MoE routing to
+/// each token's gate logits.
 pub fn softmax_row_in_place(row: &mut [f32]) {
     if row.is_empty() {
         return;
@@ -54,10 +47,9 @@ pub fn softmax_row_in_place(row: &mut [f32]) {
 
 /// Softmax applied independently to every row of a matrix.
 pub fn softmax_rows(logits: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(logits.rows(), logits.cols());
-    for r in 0..logits.rows() {
-        let probs = softmax_row(logits.row(r));
-        out.row_mut(r).copy_from_slice(&probs);
+    let mut out = logits.clone();
+    for r in 0..out.rows() {
+        softmax_row_in_place(out.row_mut(r));
     }
     out
 }
@@ -65,13 +57,9 @@ pub fn softmax_rows(logits: &Matrix) -> Matrix {
 /// Jacobian-vector product of softmax: given the softmax output `p` and an
 /// upstream gradient `grad`, returns the gradient with respect to the logits.
 pub fn softmax_backward_row(probs: &[f32], grad: &[f32]) -> Vec<f32> {
-    debug_assert_eq!(probs.len(), grad.len());
-    let dot: f32 = probs.iter().zip(grad.iter()).map(|(p, g)| p * g).sum();
-    probs
-        .iter()
-        .zip(grad.iter())
-        .map(|(p, g)| p * (g - dot))
-        .collect()
+    let mut out = vec![0.0; probs.len()];
+    softmax_backward_row_into(probs, grad, &mut out);
+    out
 }
 
 /// Allocation-free variant of [`softmax_backward_row`] writing into `out`.
@@ -263,51 +251,6 @@ pub fn layer_norm_backward(x: &Matrix, grad_y: &Matrix, eps: f32) -> Matrix {
     out
 }
 
-/// Cross-entropy loss between per-row class logits and integer targets.
-///
-/// Returns `(mean_loss, grad_logits)` where the gradient is with respect to
-/// the logits (softmax folded in), averaged over rows.
-///
-/// # Panics
-///
-/// Panics if `targets.len() != logits.rows()` or a target index is out of
-/// range for the number of classes.
-pub fn cross_entropy(logits: &Matrix, targets: &[usize]) -> (f32, Matrix) {
-    assert_eq!(logits.rows(), targets.len(), "one target per logits row");
-    let n = logits.rows().max(1);
-    let mut grad = Matrix::zeros(logits.rows(), logits.cols());
-    let mut total_loss = 0.0;
-    for (r, &target) in targets.iter().enumerate() {
-        assert!(target < logits.cols(), "target class out of range");
-        let probs = softmax_row(logits.row(r));
-        total_loss += -(probs[target].max(1e-12)).ln();
-        let grad_row = grad.row_mut(r);
-        for (c, &p) in probs.iter().enumerate() {
-            grad_row[c] = (p - if c == target { 1.0 } else { 0.0 }) / n as f32;
-        }
-    }
-    (total_loss / n as f32, grad)
-}
-
-/// Loss-only variant of [`cross_entropy`]: no gradient matrix is built
-/// (loss probes such as SPSA evaluations discard the gradients).
-///
-/// # Panics
-///
-/// Panics if `targets.len() != logits.rows()` or a target index is out of
-/// range for the number of classes.
-pub fn cross_entropy_loss(logits: &Matrix, targets: &[usize]) -> f32 {
-    assert_eq!(logits.rows(), targets.len(), "one target per logits row");
-    let n = logits.rows().max(1);
-    let mut total_loss = 0.0;
-    for (r, &target) in targets.iter().enumerate() {
-        assert!(target < logits.cols(), "target class out of range");
-        let probs = softmax_row(logits.row(r));
-        total_loss += -(probs[target].max(1e-12)).ln();
-    }
-    total_loss / n as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,7 +280,21 @@ mod tests {
     }
 
     #[test]
-    fn softmax_row_in_place_is_bit_identical_to_allocating() {
+    fn softmax_row_is_the_shifted_exp_over_its_sum_bit_for_bit() {
+        // The allocating softmax this module once carried beside the
+        // in-place one, as the reference.
+        fn reference(logits: &[f32]) -> Vec<f32> {
+            if logits.is_empty() {
+                return Vec::new();
+            }
+            let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            let exps: Vec<f32> = logits.iter().map(|&x| (x - max).exp()).collect();
+            let sum: f32 = exps.iter().sum();
+            if sum <= 0.0 || !sum.is_finite() {
+                return vec![1.0 / logits.len() as f32; logits.len()];
+            }
+            exps.into_iter().map(|e| e / sum).collect()
+        }
         let cases: Vec<Vec<f32>> = vec![
             vec![1.0, 2.0, 3.0, 4.0],
             vec![1000.0, 1000.0],
@@ -346,10 +303,10 @@ mod tests {
             vec![],
         ];
         for case in cases {
-            let reference = softmax_row(&case);
             let mut inplace = case.clone();
             softmax_row_in_place(&mut inplace);
-            assert_eq!(inplace, reference, "input {case:?}");
+            assert_eq!(inplace, reference(&case), "input {case:?}");
+            assert_eq!(softmax_row(&case), reference(&case), "input {case:?}");
         }
     }
 
@@ -498,38 +455,6 @@ mod tests {
                     analytic.get(r, c)
                 );
             }
-        }
-    }
-
-    #[test]
-    fn cross_entropy_perfect_prediction_small_loss() {
-        let logits = Matrix::from_rows(&[vec![10.0, -10.0], vec![-10.0, 10.0]]);
-        let (loss, _grad) = cross_entropy(&logits, &[0, 1]);
-        assert!(loss < 1e-3);
-    }
-
-    #[test]
-    fn cross_entropy_uniform_is_log_k() {
-        let logits = Matrix::zeros(1, 4);
-        let (loss, _grad) = cross_entropy(&logits, &[2]);
-        assert!(close(loss, (4.0f32).ln(), 1e-4));
-    }
-
-    #[test]
-    fn cross_entropy_gradient_matches_finite_difference() {
-        let logits = Matrix::from_rows(&[vec![0.2, -0.4, 0.9]]);
-        let targets = [2usize];
-        let (_, grad) = cross_entropy(&logits, &targets);
-        let eps = 1e-3;
-        for c in 0..3 {
-            let mut plus = logits.clone();
-            plus.set(0, c, plus.get(0, c) + eps);
-            let mut minus = logits.clone();
-            minus.set(0, c, minus.get(0, c) - eps);
-            let (lp, _) = cross_entropy(&plus, &targets);
-            let (lm, _) = cross_entropy(&minus, &targets);
-            let numeric = (lp - lm) / (2.0 * eps);
-            assert!(close(grad.get(0, c), numeric, 1e-2));
         }
     }
 }
