@@ -9,7 +9,7 @@ use threadpool::ThreadPool;
 use flux_data::{Dataset, DatasetConfig, DatasetGenerator};
 use flux_fl::{
     AggregationTree, CheckpointStats, CostModel, FleetSpec, Participant, PhaseTimes,
-    RoundCostBreakdown, ShardedStore, SimClock, SnapshotError,
+    RoundCostBreakdown, ShardedStore, SimClock, SnapshotError, DEFAULT_SHARDS,
 };
 use flux_metrics::TimeToAccuracyTracker;
 use flux_moe::{EvalResult, MoeModel};
@@ -83,9 +83,9 @@ struct ComputedRound {
 
 /// The resumable state of one federated run.
 ///
-/// Produced by [`FederatedRun::start`] / [`FederatedRun::start_on`], it
-/// owns everything a run accumulates across rounds (fleet, store handle,
-/// clock, tracker, assigner state) and advances one round at a time:
+/// Produced by [`FederatedRun::start`] / [`FederatedRun::restore`], it
+/// owns everything a run accumulates across rounds (fleet, global-model
+/// store, clock, tracker, assigner state) and advances one round at a time:
 ///
 /// ```text
 /// ReadyToStart(r) --start_round--> ReadyToFinish(r) --finish_round--> ReadyToStart(r+1) | Done
@@ -99,8 +99,8 @@ struct ComputedRound {
 /// the [`crate::scheduler::Scheduler`] interleave rounds from many runs on
 /// one pool; a run stepped to completion produces results bit-identical to
 /// [`FederatedRun::run`] executed alone, whatever is interleaved between
-/// its rounds — every source of state is owned by the run or keyed by its
-/// tenant store.
+/// its rounds — every source of state, its global model's store included,
+/// is owned by the run.
 pub struct ActiveRun {
     driver: FederatedRun,
     method: Method,
@@ -143,15 +143,15 @@ pub struct ActiveRun {
 }
 
 impl ActiveRun {
-    /// Shared setup: synthesizes the dataset, partitions the fleet, takes
-    /// the global model's store from `register`, and returns the resumable
-    /// run state positioned before round 0. `register` is handed the random
-    /// initialisation of the global model as a thunk, so the model is only
-    /// built when a fresh store is wanted (a restore brings its own).
+    /// Shared setup: synthesizes the dataset, partitions the fleet, and
+    /// returns the resumable run state positioned before round 0. `store`
+    /// is a restored global model; `None` initializes a fresh one with
+    /// [`DEFAULT_SHARDS`] shards (a restore brings its own, so the random
+    /// initialisation is only drawn when it is used).
     pub(super) fn new(
         driver: &FederatedRun,
         method: Method,
-        register: impl FnOnce(&mut dyn FnMut() -> MoeModel) -> Arc<ShardedStore>,
+        store: Option<Arc<ShardedStore>>,
     ) -> ActiveRun {
         let cfg = &driver.config;
         let root = SeededRng::new(driver.seed);
@@ -192,7 +192,10 @@ impl ActiveRun {
             driver.seed,
         );
 
-        let store = register(&mut || MoeModel::new(model_config.clone(), &mut model_rng));
+        let store = store.unwrap_or_else(|| {
+            let fresh = MoeModel::new(model_config.clone(), &mut model_rng);
+            Arc::new(ShardedStore::new(fresh, DEFAULT_SHARDS))
+        });
         ActiveRun {
             driver: driver.clone(),
             method,
@@ -246,7 +249,7 @@ impl ActiveRun {
         self.method
     }
 
-    /// The tenant store holding this run's global model.
+    /// The store holding this run's global model.
     pub fn store(&self) -> &Arc<ShardedStore> {
         &self.store
     }
@@ -481,7 +484,7 @@ impl ActiveRun {
     /// Closes the computed round: stages whatever uploads the delivery
     /// layer or the arrival-shuffle knob retained, applies utility reports
     /// and the participant-id-ordered reduction, installs the staged round
-    /// into the tenant store with one `apply_round` (in place: the round's
+    /// into the run's store with one `apply_round` (in place: the round's
     /// snapshot is released first), advances the simulated clock, and
     /// records the round (immediately when barriered; one round later when
     /// pipelined, as the evaluation overlaps the next dispatch).
@@ -618,7 +621,7 @@ impl ActiveRun {
         if pipelined {
             self.pending = Some(this_round);
         } else {
-            let eval = pool.install(|| self.store.with_global(|m| m.evaluate(&self.eval_set)));
+            let eval = pool.install(|| self.store.snapshot().evaluate(&self.eval_set));
             self.record(this_round, eval.score);
         }
         self.next_round = round + 1;
@@ -644,7 +647,7 @@ impl ActiveRun {
             let eval = self
                 .driver
                 .pool()
-                .install(|| self.store.with_global(|m| m.evaluate(&self.eval_set)));
+                .install(|| self.store.snapshot().evaluate(&self.eval_set));
             self.record(last, eval.score);
         }
         let final_score = self.records.last().map(|r| r.score).unwrap_or(0.0);

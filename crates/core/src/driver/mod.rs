@@ -2,7 +2,7 @@
 //!
 //! [`FederatedRun`] wires the substrate together: it synthesizes the
 //! dataset, partitions it non-IID across a heterogeneous device fleet,
-//! initializes the global MoE model on the parameter server, and then runs
+//! initializes the global MoE model in the run's own store, and then runs
 //! federated rounds with one of the four [`Method`]s (Flux or a baseline).
 //! Convergence comes from really training the scaled model; per-round time
 //! comes from the `flux-fl` cost model; both feed the
@@ -73,11 +73,11 @@
 //! # Resumable execution
 //!
 //! [`FederatedRun::run`] is a convenience loop over a resumable state
-//! machine: [`FederatedRun::start`] (or [`FederatedRun::start_on`] to join
-//! a shared multi-tenant [`ParameterServer`]) yields an [`ActiveRun`] that
-//! advances one round at a time through
-//! [`ActiveRun::start_round`] → [`ActiveRun::finish_round`] (query with
-//! [`ActiveRun::poll`], drain with [`ActiveRun::finish`]). The
+//! machine: [`FederatedRun::start`] (or [`FederatedRun::restore`] from a
+//! checkpoint) yields an [`ActiveRun`] that owns the run's global model in
+//! its own [`flux_fl::ShardedStore`] and advances one round at a time
+//! through [`ActiveRun::start_round`] → [`ActiveRun::finish_round`] (query
+//! with [`ActiveRun::poll`], drain with [`ActiveRun::finish`]). The
 //! concurrent-run [`crate::scheduler::Scheduler`] interleaves rounds from
 //! many independent runs on one worker pool this way instead of blocking
 //! inside a single run's loop.
@@ -93,10 +93,7 @@ use std::sync::Arc;
 
 use threadpool::ThreadPool;
 
-use flux_fl::{
-    load_store, FaultToleranceConfig, ParameterServer, ParticipantBehavior, ShardedStore,
-    SnapshotError, DEFAULT_SHARDS,
-};
+use flux_fl::{load_store, FaultToleranceConfig, ParticipantBehavior, SnapshotError};
 
 pub use active::{ActiveRun, RunPhase};
 pub use config::{ExecutionMode, Method, RoundFaults, RoundRecord, RunConfig, RunResult};
@@ -138,10 +135,10 @@ impl FederatedRun {
 
     /// Overrides the run's width, taking precedence over the `FLUX_THREADS`
     /// environment variable: [`FederatedRun::run`] fans participants out
-    /// that wide, and set-up ([`FederatedRun::start`],
-    /// [`FederatedRun::start_on`]) and [`ActiveRun::finish`] run at it, so
-    /// every nested fan-out below them follows it too; `with_threads(1)`
-    /// runs everything on the calling thread. The rounds of an
+    /// that wide, and set-up ([`FederatedRun::start`]) and
+    /// [`ActiveRun::finish`] run at it, so every nested fan-out below them
+    /// follows it too; `with_threads(1)` runs everything on the calling
+    /// thread. The rounds of an
     /// [`ActiveRun`] run at the width of the pool they are handed. Results
     /// are bit-identical either way.
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -210,28 +207,15 @@ impl FederatedRun {
         active.finish()
     }
 
-    /// Starts a standalone run: the global model lives in a private store
-    /// (its own single-tenant server, in effect).
+    /// Starts a run: its global model is freshly initialized into a store
+    /// the run owns.
     pub fn start(&self, method: Method) -> ActiveRun {
-        self.pool().install(|| {
-            ActiveRun::new(self, method, |fresh| {
-                Arc::new(ShardedStore::new(fresh(), DEFAULT_SHARDS))
-            })
-        })
+        self.pool().install(|| ActiveRun::new(self, method, None))
     }
 
-    /// Starts a run as one tenant of a shared multi-tenant
-    /// [`ParameterServer`]: its global model is registered as a new tenant,
-    /// so concurrent runs on the same server aggregate into disjoint
-    /// stores.
-    pub fn start_on(&self, method: Method, server: &ParameterServer) -> ActiveRun {
-        self.pool()
-            .install(|| ActiveRun::new(self, method, |fresh| server.register_tenant(fresh())))
-    }
-
-    /// Restores a standalone run from a durable checkpoint directory
-    /// (written by [`ActiveRun::checkpoint`]) and returns it positioned to
-    /// re-enter its next round.
+    /// Restores a run from a durable checkpoint directory (written by
+    /// [`ActiveRun::checkpoint`]) and returns it positioned to re-enter its
+    /// next round.
     ///
     /// The checkpoint's fingerprint (seed, method, schedule, round and
     /// fleet shape) must match this run; everything the checkpoint does not
@@ -249,40 +233,15 @@ impl FederatedRun {
         method: Method,
         dir: impl AsRef<Path>,
     ) -> Result<ActiveRun, SnapshotError> {
-        self.restore_with(method, dir, |store| store)
-    }
-
-    /// Like [`FederatedRun::restore`], but the restored store joins a
-    /// shared multi-tenant [`ParameterServer`] as a tenant.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`FederatedRun::restore`].
-    pub fn restore_on(
-        &self,
-        method: Method,
-        server: &ParameterServer,
-        dir: impl AsRef<Path>,
-    ) -> Result<ActiveRun, SnapshotError> {
-        self.restore_with(method, dir, |store| server.adopt_tenant(store))
-    }
-
-    fn restore_with(
-        &self,
-        method: Method,
-        dir: impl AsRef<Path>,
-        adopt: impl FnOnce(Arc<ShardedStore>) -> Arc<ShardedStore>,
-    ) -> Result<ActiveRun, SnapshotError> {
         let loaded = load_store(dir.as_ref())?;
         let state = decode_run_state(&loaded.meta)?;
         state.verify_fingerprint(&self.fingerprint(method))?;
-        let restored = Arc::new(loaded.store);
         // Deterministic rebuild of everything the checkpoint does not
         // carry (dataset, fleet, eval set, RNG chain). The restored store
         // takes the place of a freshly initialized model, which is therefore
         // never built: its draws come from a stream of their own, so no
         // other draw moves.
-        let mut active = ActiveRun::new(self, method, move |_fresh| adopt(restored));
+        let mut active = ActiveRun::new(self, method, Some(Arc::new(loaded.store)));
         active.resume(state)?;
         Ok(active)
     }

@@ -30,8 +30,8 @@
 //!   ([`driver::ActiveRun`]).
 //! * **The concurrent-run scheduler** — [`scheduler`] multiplexes many
 //!   independent runs (mixed methods, datasets, arrival times, straggler
-//!   profiles) onto one worker pool and one multi-tenant parameter server,
-//!   with per-run results bit-identical to running each job alone.
+//!   profiles), each owning its global model's store, onto one worker
+//!   pool, with per-run results bit-identical to running each job alone.
 //!
 //! # Examples
 //!

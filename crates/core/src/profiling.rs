@@ -229,7 +229,7 @@ impl StaleProfiler {
 
     /// The profile available for use this round (stale), if any. The first
     /// round has no stale profile and must call
-    /// [`StaleProfiler::refresh_blocking`] instead.
+    /// [`StaleProfiler::refresh_blocking_cached`] instead.
     pub fn stale_profile(&self) -> Option<&ActivationProfile> {
         self.current.as_ref()
     }
@@ -239,48 +239,21 @@ impl StaleProfiler {
         self.refreshes
     }
 
-    /// Refreshes the profile from the given model/data; in the real system
-    /// this runs concurrently with server aggregation, so its cost is not on
-    /// the participant's critical path (the driver accounts for it that way).
-    pub fn refresh(&mut self, model: &MoeModel, dataset: &Dataset) {
-        self.current = Some(self.profiler.profile(model, dataset));
-        self.refreshes += 1;
-    }
-
-    /// [`StaleProfiler::refresh`] through the round's shared
-    /// [`QuantizedModelCache`]: the quantized copy is built once per bit
-    /// width per round instead of once per participant.
-    pub fn refresh_cached(
-        &mut self,
-        model: &MoeModel,
-        dataset: &Dataset,
-        cache: &QuantizedModelCache,
-    ) {
-        self.current = Some(self.profiler.profile_cached(model, dataset, cache));
-        self.refreshes += 1;
-    }
-
-    /// Profiles synchronously and returns the result (used in round 0, when
-    /// no stale profile exists yet, and by the non-stale ablation).
-    pub fn refresh_blocking(&mut self, model: &MoeModel, dataset: &Dataset) -> ActivationProfile {
-        self.refresh(model, dataset);
-        self.current
-            .clone()
-            .expect("refresh just populated the profile")
-    }
-
-    /// [`StaleProfiler::refresh_blocking`] through the round's shared
-    /// [`QuantizedModelCache`].
+    /// Profiles `model` on `dataset` synchronously, keeps the result as the
+    /// next round's stale profile, and returns it. The quantized copy comes
+    /// from the round's shared [`QuantizedModelCache`], so it is built once
+    /// per bit width per round instead of once per participant; a cache
+    /// serves one model, so profiling a newer model takes a fresh cache.
     pub fn refresh_blocking_cached(
         &mut self,
         model: &MoeModel,
         dataset: &Dataset,
         cache: &QuantizedModelCache,
     ) -> ActivationProfile {
-        self.refresh_cached(model, dataset, cache);
-        self.current
-            .clone()
-            .expect("refresh just populated the profile")
+        let profile = self.profiler.profile_cached(model, dataset, cache);
+        self.current = Some(profile.clone());
+        self.refreshes += 1;
+        profile
     }
 }
 
@@ -406,26 +379,11 @@ mod tests {
     }
 
     #[test]
-    fn cached_stale_refresh_matches_uncached() {
-        let (model, data) = model_and_data();
-        let cache = QuantizedModelCache::new();
-        let mut cached = StaleProfiler::new(ProfilingConfig::default());
-        let mut plain = StaleProfiler::new(ProfilingConfig::default());
-        let a = cached.refresh_blocking_cached(&model, &data, &cache);
-        let b = plain.refresh_blocking(&model, &data);
-        assert_eq!(a, b);
-        cached.refresh_cached(&model, &data, &cache);
-        plain.refresh(&model, &data);
-        assert_eq!(cached.stale_profile(), plain.stale_profile());
-        assert_eq!(cached.refreshes(), 2);
-    }
-
-    #[test]
     fn stale_profiler_lags_one_round_behind() {
         let (model, data) = model_and_data();
         let mut stale = StaleProfiler::new(ProfilingConfig::default());
         assert!(stale.stale_profile().is_none());
-        let first = stale.refresh_blocking(&model, &data);
+        let first = stale.refresh_blocking_cached(&model, &data, &QuantizedModelCache::new());
         assert_eq!(stale.refreshes(), 1);
         // The stale profile now equals the first profile even if the model
         // changes afterwards.
@@ -433,7 +391,7 @@ mod tests {
         let newer_model = MoeModel::new(MoeConfig::tiny().with_classes(8), &mut rng);
         let stale_view = stale.stale_profile().unwrap().clone();
         assert_eq!(stale_view, first);
-        stale.refresh(&newer_model, &data);
+        stale.refresh_blocking_cached(&newer_model, &data, &QuantizedModelCache::new());
         assert_eq!(stale.refreshes(), 2);
         assert_ne!(stale.stale_profile().unwrap(), &first);
     }

@@ -1,14 +1,12 @@
-//! Concurrent-run scheduler: many federated jobs, one server, one pool.
+//! Concurrent-run scheduler: many federated jobs, one pool.
 //!
-//! The paper's parameter server is a *service*: fleets of devices from many
-//! simultaneous fine-tuning jobs upload into it. The [`Scheduler`] models
-//! that multi-tenant shape end to end. It owns a set of [`RunHandle`]s —
-//! each an independent [`FederatedRun`] with its own method, dataset
-//! partition, participant fleet, execution mode, simulated clock, and
-//! per-run straggler/dropout behaviors — registers each as a tenant of one
-//! shared multi-tenant [`ParameterServer`], and multiplexes their rounds
-//! onto one shared persistent worker pool through the driver's resumable
-//! state machine ([`ActiveRun::start_round`] / [`ActiveRun::finish_round`])
+//! The [`Scheduler`] serves many simultaneous fine-tuning jobs from one
+//! process. It owns a set of [`RunHandle`]s — each an independent
+//! [`FederatedRun`] with its own method, dataset partition, participant
+//! fleet, execution mode, simulated clock, per-run straggler/dropout
+//! behaviors and global-model store — and multiplexes their rounds onto
+//! one shared persistent worker pool through the driver's resumable state
+//! machine ([`ActiveRun::start_round`] / [`ActiveRun::finish_round`])
 //! instead of blocking inside any single run's loop.
 //!
 //! Jobs may arrive staggered ([`JobSpec::with_arrival`]): a job joins the
@@ -27,15 +25,13 @@
 //! Every run's trace (per-round losses, scores, final weight checksum) is
 //! **bit-identical to executing that run alone**, under both policies, for
 //! every thread count and every interleaving: each run owns its RNG chain
-//! and reduction order, its tenant store shares no mutable state with other
-//! tenants, and the compute kernels are thread-count-invariant.
+//! and reduction order, its store shares no mutable state with other
+//! runs, and the compute kernels are thread-count-invariant.
 //! `tests/integration_scheduler.rs` pins this under `FLUX_THREADS` 1/4/8.
 
 use std::path::PathBuf;
 
 use threadpool::ThreadPool;
-
-use flux_fl::ParameterServer;
 
 use crate::driver::{ActiveRun, FederatedRun, Method, RunResult};
 
@@ -49,7 +45,7 @@ pub enum SchedulePolicy {
     /// Every runnable job's round executes concurrently: one pool task per
     /// job per tick, each driving its round's fan-out inline on the worker
     /// it lands on. Job-level parallelism replaces participant-level
-    /// parallelism — aggregation of different tenants overlaps, each into
+    /// parallelism — aggregation of different jobs overlaps, each into
     /// its own store.
     #[default]
     Concurrent,
@@ -68,8 +64,7 @@ pub struct JobSpec {
     /// start). One tick ≈ one interleaved round slot.
     pub arrival_tick: usize,
     /// Resume the job from a durable checkpoint directory instead of
-    /// starting it fresh (the restored store joins the scheduler's server
-    /// as a tenant).
+    /// starting it fresh.
     pub resume_from: Option<PathBuf>,
 }
 
@@ -132,14 +127,14 @@ impl RunHandle {
         }
     }
 
-    /// Registers the job as a tenant and activates it once its arrival
-    /// tick is reached — fresh, or resumed from its checkpoint directory.
+    /// Activates the job once its arrival tick is reached — fresh, or
+    /// resumed from its checkpoint directory.
     ///
     /// # Panics
     ///
     /// Panics when a [`JobSpec::with_resume`] checkpoint fails to load: a
     /// job scripted to resume has no sensible fresh-start fallback.
-    fn activate_if_arrived(&mut self, tick: usize, server: &ParameterServer) {
+    fn activate_if_arrived(&mut self, tick: usize) {
         if tick < self.arrival_tick {
             return;
         }
@@ -152,9 +147,9 @@ impl RunHandle {
             self.started_tick = Some(tick);
             let active = match &self.resume_from {
                 Some(dir) => run
-                    .restore_on(method, server, dir)
+                    .restore(method, dir)
                     .unwrap_or_else(|err| panic!("job {:?} failed to resume: {err}", self.name)),
-                None => run.start_on(method, server),
+                None => run.start(method),
             };
             self.state = HandleState::Active(Box::new(active));
         }
@@ -169,10 +164,8 @@ impl RunHandle {
     }
 
     /// Advances an active job by one round; a job whose rounds are all
-    /// executed drains its pipeline, deregisters its tenant from the
-    /// shared server (so a long-lived server does not accumulate finished
-    /// jobs' models), and finishes.
-    fn tick(&mut self, tick: usize, pool: &ThreadPool, server: &ParameterServer) {
+    /// executed drains its pipeline and finishes, dropping its store.
+    fn tick(&mut self, tick: usize, pool: &ThreadPool) {
         let HandleState::Active(mut active) =
             std::mem::replace(&mut self.state, HandleState::Moving)
         else {
@@ -183,7 +176,6 @@ impl RunHandle {
         }
         if active.is_done() {
             self.finished_tick = Some(tick);
-            server.deregister_tenant(active.store());
             self.state = HandleState::Finished(Box::new(active.finish()));
         } else {
             self.state = HandleState::Active(active);
@@ -211,7 +203,7 @@ pub struct ScheduledRun {
     pub name: String,
     /// Tick the job was eligible from.
     pub arrival_tick: usize,
-    /// Tick the job was registered and started.
+    /// Tick the job was started.
     pub started_tick: usize,
     /// Tick the job's last round (and pipeline drain) completed.
     pub finished_tick: usize,
@@ -219,53 +211,38 @@ pub struct ScheduledRun {
     pub result: RunResult,
 }
 
-/// Multiplexes many federated runs onto one worker pool and one
-/// multi-tenant parameter server.
+/// Multiplexes many federated runs onto one worker pool.
 pub struct Scheduler {
     pool: ThreadPool,
     policy: SchedulePolicy,
 }
 
 impl Scheduler {
-    /// A scheduler on a pool sized from `FLUX_THREADS` (default policy:
-    /// [`SchedulePolicy::Concurrent`]).
-    pub fn from_env(policy: SchedulePolicy) -> Self {
-        Self::on_pool(ThreadPool::from_env(), policy)
-    }
-
     /// A scheduler on an explicit pool.
     pub fn on_pool(pool: ThreadPool, policy: SchedulePolicy) -> Self {
         Self { pool, policy }
     }
 
-    /// Runs every job to completion against a fresh shared multi-tenant
-    /// server, interleaving rounds according to the policy. Results come
-    /// back in job order.
+    /// Runs every job to completion, interleaving rounds according to the
+    /// policy. Results come back in job order.
     pub fn run_all(&self, jobs: Vec<JobSpec>) -> Vec<ScheduledRun> {
-        let server = ParameterServer::empty();
-        self.run_all_on(&server, jobs)
-    }
-
-    /// Like [`Scheduler::run_all`], but tenants register on the caller's
-    /// server (which may already host other tenants).
-    pub fn run_all_on(&self, server: &ParameterServer, jobs: Vec<JobSpec>) -> Vec<ScheduledRun> {
         let mut handles: Vec<RunHandle> = jobs.into_iter().map(RunHandle::new).collect();
         let mut tick = 0usize;
         while !handles.iter().all(RunHandle::is_finished) {
             for handle in handles.iter_mut() {
-                handle.activate_if_arrived(tick, server);
+                handle.activate_if_arrived(tick);
             }
             match self.policy {
                 SchedulePolicy::RoundRobin => {
                     for handle in handles.iter_mut().filter(|h| h.is_active()) {
-                        handle.tick(tick, &self.pool, server);
+                        handle.tick(tick, &self.pool);
                     }
                 }
                 SchedulePolicy::Concurrent => {
                     let pool = &self.pool;
                     pool.scope(|scope| {
                         for handle in handles.iter_mut().filter(|h| h.is_active()) {
-                            scope.spawn(move || handle.tick(tick, pool, server));
+                            scope.spawn(move || handle.tick(tick, pool));
                         }
                     });
                 }
@@ -324,30 +301,23 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_policy_shares_one_server_and_evicts_finished_tenants() {
-        let server = ParameterServer::empty();
+    fn concurrent_policy_runs_every_job_to_completion() {
         let scheduler = Scheduler::on_pool(ThreadPool::new(4), SchedulePolicy::Concurrent);
-        let results = scheduler.run_all_on(
-            &server,
-            vec![
-                JobSpec::new("a", quick(11), Method::Fmes),
-                JobSpec::new("b", quick(12), Method::Fmd),
-            ],
-        );
+        let results = scheduler.run_all(vec![
+            JobSpec::new("a", quick(11), Method::Fmes),
+            JobSpec::new("b", quick(12), Method::Fmd),
+        ]);
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].name, "a");
         assert_eq!(results[1].result.method, Method::Fmd);
         assert!(results.iter().all(|r| r.result.rounds.len() == 3));
-        // Finished jobs deregistered their tenants: a long-lived server
-        // does not accumulate completed jobs' models.
-        assert_eq!(server.num_tenants(), 0);
     }
 
     #[test]
     fn sampled_cohort_jobs_match_their_standalone_twin() {
         // A job registering 10 clients and sampling 3 per round, reduced
         // through 2 edge aggregators, scheduled next to an ordinary job on
-        // one shared server: trace bit-identical to running it alone.
+        // one pool: trace bit-identical to running it alone.
         let sampled = |seed| {
             FederatedRun::new(
                 RunConfig::quick_demo(MoeConfig::tiny(), DatasetKind::Gsm8k)

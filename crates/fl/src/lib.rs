@@ -16,10 +16,9 @@
 //!   time-to-accuracy numbers);
 //! * [`aggregate`] implements FedAvg over expert parameters and task heads;
 //! * [`participant::Participant`] bundles a device with its non-IID data
-//!   shard, and [`server::ParameterServer`] is the multi-tenant parameter
-//!   server: a registry of [`store::ShardedStore`]s, one per federated job,
-//!   each holding its job's model once, so concurrent runs aggregate into
-//!   disjoint stores.
+//!   shard, and [`store::ShardedStore`] is the server side of one federated
+//!   job: its global model, held once. Every run owns its own store, so
+//!   concurrent runs aggregate into disjoint stores.
 //!
 //! Convergence behaviour (rounds to target) comes from really training the
 //! scaled model; this crate only accounts for how long each round takes.
@@ -31,7 +30,6 @@ pub mod cost;
 pub mod device;
 pub mod fault;
 pub mod participant;
-pub mod server;
 pub mod snapshot;
 pub mod store;
 pub mod sync;
@@ -49,6 +47,5 @@ pub use cost::{CostModel, RoundCostBreakdown};
 pub use device::{DeviceClass, DeviceProfile, LinkProfile};
 pub use fault::{FaultKind, FaultPlan, FaultToleranceConfig};
 pub use participant::{build_fleet, ClientSpec, FleetSpec, Participant, ParticipantBehavior};
-pub use server::{ParameterServer, DEFAULT_SHARDS};
 pub use snapshot::{load_store, CheckpointStats, LoadedSnapshot, SnapshotError};
-pub use store::{shard_of_key, ShardedStore};
+pub use store::{shard_of_key, ShardedStore, DEFAULT_SHARDS};

@@ -1,4 +1,7 @@
-//! One tenant's global model, held once.
+//! One federated job's global model, held once.
+//!
+//! Every run owns one [`ShardedStore`]; concurrent runs (the scheduler's
+//! tenants) hold disjoint stores and share no mutable state.
 //!
 //! A [`ShardedStore`] keeps the model once, as an `Arc<MoeModel>` behind
 //! one lock:
@@ -29,6 +32,13 @@ use threadpool::ThreadPool;
 use crate::aggregate::ShardedAggregator;
 use crate::snapshot::PersistState;
 use crate::sync::lock;
+
+/// Number of shards a run's store reduces its rounds in when it starts
+/// from a fresh model: the fan-out width of a round's reduction and the
+/// number of shard files its checkpoints hold. The tiny/small presets have
+/// dozens of experts, so eight shards keeps every shard populated. A store
+/// restored from a checkpoint keeps the shard count it was written with.
+pub const DEFAULT_SHARDS: usize = 8;
 
 /// Which shard owns `key`, for a store or aggregator of `num_shards`
 /// shards. Deterministic, so every arrival order stages identical shard
@@ -79,8 +89,15 @@ impl State {
     }
 }
 
-/// One tenant's global model (one tenant of the multi-tenant
-/// [`crate::ParameterServer`]).
+/// One federated job's global model, owned by its run.
+///
+/// A round aggregates expert updates with FedAvg through the store:
+/// [`ShardedStore::begin_round`] opens a [`ShardedAggregator`] that
+/// participants (or the driver acting for them) feed as their uploads
+/// arrive — from any thread, in any order — and
+/// [`ShardedStore::apply_round`] reduces it in participant-id order and
+/// installs the result, bit-identical to the one-shot
+/// [`ShardedStore::aggregate`] however the updates arrived.
 #[derive(Debug)]
 pub struct ShardedStore {
     num_shards: usize,
@@ -181,12 +198,6 @@ impl ShardedStore {
     /// model once instead of changing it under them.
     pub fn snapshot(&self) -> Arc<MoeModel> {
         Arc::clone(&lock(&self.state).model)
-    }
-
-    /// Runs `f` against the current global model. No store lock is held
-    /// while `f` runs — it borrows the snapshot `Arc`.
-    pub fn with_global<R>(&self, f: impl FnOnce(&MoeModel) -> R) -> R {
-        f(&self.snapshot())
     }
 
     /// A full copy of the current global model (what a participant
@@ -335,6 +346,47 @@ mod tests {
             sharded.snapshot().param_checksum()
         );
         assert_eq!(sharded.rounds_completed(), 1);
+    }
+
+    #[test]
+    fn incremental_round_matches_one_shot_aggregate() {
+        // The same uploads, heads included, through (a) the one-shot
+        // `aggregate` reference and (b) begin_round/submit-in-reverse-order/
+        // apply_round must produce bit-identical global models, whatever
+        // the sharding.
+        let mut rng = SeededRng::new(9);
+        let a = ShardedStore::new(model(), DEFAULT_SHARDS);
+        let b = ShardedStore::new(model(), 3);
+        let head_shape = a.snapshot().lm_head.shape();
+        let uploads: Vec<(usize, ExpertUpdate, Matrix, f32)> = (0..4)
+            .map(|pid| {
+                let head = Matrix::filled(head_shape.0, head_shape.1, pid as f32 * 0.1);
+                let update = ExpertUpdate {
+                    key: ExpertKey::new(0, pid),
+                    expert: Expert::new(16, 32, &mut rng),
+                    weight: pid as f32 + 1.0,
+                };
+                (pid, update, head, pid as f32 + 1.0)
+            })
+            .collect();
+
+        let expert_updates: Vec<ExpertUpdate> =
+            uploads.iter().map(|(_, u, _, _)| u.clone()).collect();
+        let head_updates: Vec<(Matrix, f32)> =
+            uploads.iter().map(|(_, _, h, w)| (h.clone(), *w)).collect();
+        a.aggregate(&expert_updates, &head_updates);
+
+        let aggregator = b.begin_round();
+        for (pid, update, head, weight) in uploads.iter().rev() {
+            assert!(aggregator.submit(*pid, vec![update.clone()], Some((head.clone(), *weight))));
+        }
+        b.apply_round(&aggregator, &ThreadPool::new(4));
+
+        let (ma, mb) = (a.snapshot(), b.snapshot());
+        assert_eq!(ma.lm_head, mb.lm_head);
+        for key in ma.expert_keys() {
+            assert_eq!(ma.expert(key), mb.expert(key), "{key:?} diverged");
+        }
     }
 
     /// Staged experts that share the snapshot's `Arc`s are drained before

@@ -1,6 +1,6 @@
 //! Property-based tests for the federated substrate: FedAvg invariants,
-//! sharded incremental aggregation vs the one-shot kernels, the per-shard
-//! locked store under concurrent multi-tenant rounds, device budgets, and
+//! sharded incremental aggregation vs the one-shot kernels, two tenants'
+//! stores under interleaved and concurrent rounds, device budgets, and
 //! cost-model monotonicity.
 
 use std::sync::Arc;
@@ -8,8 +8,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use flux_fl::{
-    fedavg_experts, fedavg_matrices, CostModel, DeviceClass, ExpertUpdate, ParameterServer,
-    ShardedAggregator, ShardedStore,
+    fedavg_experts, fedavg_matrices, CostModel, DeviceClass, ExpertUpdate, ShardedAggregator,
+    ShardedStore,
 };
 use flux_moe::{Expert, ExpertKey, MoeConfig, MoeModel};
 use flux_tensor::{Matrix, SeededRng};
@@ -229,7 +229,7 @@ proptest! {
     }
 
     /// Any *logical* interleaving of two concurrent runs' rounds against
-    /// one multi-tenant server — tenant A and B's `apply_round` calls
+    /// two stores built from one model — tenant A and B's `apply_round` calls
     /// merged in an arbitrary order, uploads arriving in arbitrary order,
     /// any shard count, any reduce-pool width — yields final per-tenant
     /// checksums bit-identical to executing each tenant's rounds alone,
@@ -246,9 +246,7 @@ proptest! {
         let model = tiny_model();
         let expected = sequential_reference(&model, num_shards, rounds);
 
-        let server = ParameterServer::empty();
-        let stores = [(); 2]
-            .map(|()| server.adopt_tenant(Arc::new(ShardedStore::new(model.clone(), num_shards))));
+        let stores = [(); 2].map(|()| ShardedStore::new(model.clone(), num_shards));
         let pool = ThreadPool::new(threads);
         let mut arrival_rng = SeededRng::new(arrival_seed);
         let mut next_round = [0u64; 2];
@@ -282,7 +280,7 @@ proptest! {
     }
 
     /// Two tenants' rounds executed **concurrently from two OS threads**
-    /// against one server (their stores' locks racing for real) still end
+    /// (their stores' locks racing for real) still end
     /// bit-identical to sequential execution.
     #[test]
     fn threaded_tenant_rounds_match_sequential(
@@ -294,9 +292,7 @@ proptest! {
         let model = tiny_model();
         let expected = sequential_reference(&model, num_shards, rounds);
 
-        let server = ParameterServer::empty();
-        let stores = [(); 2]
-            .map(|()| server.adopt_tenant(Arc::new(ShardedStore::new(model.clone(), num_shards))));
+        let stores = [(); 2].map(|()| Arc::new(ShardedStore::new(model.clone(), num_shards)));
         let model = Arc::new(model);
         let handles: Vec<_> = stores
             .iter()

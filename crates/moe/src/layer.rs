@@ -91,9 +91,10 @@ pub struct MoeLayer {
 /// Per-layer forward cache needed for the backward pass.
 #[derive(Debug, Clone)]
 pub struct MoeLayerCache {
-    /// For each compact expert used: the rows (token indices), routing
-    /// weights, and the expert's forward cache.
-    pub expert_batches: HashMap<usize, ExpertBatch>,
+    /// For each compact expert used, in ascending compact-expert order: the
+    /// rows (token indices), routing weights, and the expert's forward
+    /// cache. The backward accumulates in this order.
+    pub expert_batches: Vec<(usize, ExpertBatch)>,
     /// Shape of the MoE sub-layer input (the backward pass only needs the
     /// dimensions; the per-expert caches hold the routed activations).
     pub input_shape: (usize, usize),
@@ -329,18 +330,17 @@ impl MoeLayer {
         tuning_experts: Option<&[usize]>,
         want_input: bool,
     ) -> (HashMap<usize, ExpertGrad>, Option<Matrix>) {
-        // Ascending expert order, mirroring the forward pass: deterministic
-        // float accumulation and a stable parallel reduction order.
-        let mut batches: Vec<(usize, &ExpertBatch, bool)> = cache
+        // The forward's ascending expert order: deterministic float
+        // accumulation and a stable parallel reduction order.
+        let batches: Vec<(usize, &ExpertBatch, bool)> = cache
             .expert_batches
             .iter()
-            .map(|(&compact, batch)| {
-                let tuned = tuning_experts.is_none_or(|set| set.contains(&compact));
-                (compact, batch, tuned)
+            .map(|(compact, batch)| {
+                let tuned = tuning_experts.is_none_or(|set| set.contains(compact));
+                (*compact, batch, tuned)
             })
             .filter(|&(_, _, tuned)| tuned || want_input)
             .collect();
-        batches.sort_unstable_by_key(|&(compact, _, _)| compact);
         let routed_rows: usize = batches.iter().map(|(_, b, _)| b.token_rows.len()).sum();
         let pool = expert_pool(routed_rows, self.d_model(), self.d_ff(), batches.len());
         let tasks: Vec<_> = batches
@@ -607,10 +607,21 @@ mod tests {
         // Every token contributed top_k routed rows across the expert batches.
         let routed_rows: usize = cache
             .expert_batches
-            .values()
-            .map(|b| b.token_rows.len())
+            .iter()
+            .map(|(_, b)| b.token_rows.len())
             .sum();
         assert_eq!(routed_rows, 6 * 2);
+        // The backward accumulates in the cache's order: strictly ascending
+        // compact experts, each listed once.
+        assert!(
+            cache.expert_batches.windows(2).all(|w| w[0].0 < w[1].0),
+            "expert batches out of order: {:?}",
+            cache
+                .expert_batches
+                .iter()
+                .map(|(c, _)| c)
+                .collect::<Vec<_>>()
+        );
         // Tracking runs on the no-cache forward, attributing each packed
         // row to its sample through the row map.
         let block = TransformerLayer {
@@ -674,7 +685,7 @@ mod tests {
         let hidden = Matrix::random_normal(9, 8, 1.0, &mut rng);
         let (_, cache) = l.forward(&hidden, 0);
         let grad_out = Matrix::random_normal(9, 8, 1.0, &mut rng);
-        let routed: Vec<usize> = cache.expert_batches.keys().copied().collect();
+        let routed: Vec<usize> = cache.expert_batches.iter().map(|(c, _)| *c).collect();
         assert!(routed.len() >= 2, "the seed must route to several experts");
         // One parameter-gradient computation per routed expert, counted on
         // this thread (the tiny layer never fans out).
@@ -774,8 +785,10 @@ mod tests {
             expected.len(),
             "expert coverage diverged"
         );
-        for (compact, (rows, weights)) in &expected {
-            let batch = &cache.expert_batches[compact];
+        for ((compact, (rows, weights)), (cached, batch)) in
+            expected.iter().zip(&cache.expert_batches)
+        {
+            assert_eq!(cached, compact, "expert order diverged");
             assert_eq!(&batch.token_rows, rows, "rows of expert {compact}");
             assert_eq!(&batch.weights, weights, "weights of expert {compact}");
         }
@@ -794,7 +807,7 @@ mod tests {
         let (out, cache) = l.forward(&hidden, 0);
         assert_eq!(out.shape(), (10, 8));
         // No batch may reference a compact expert >= 3.
-        assert!(cache.expert_batches.keys().all(|&c| c < 3));
+        assert!(cache.expert_batches.iter().all(|&(c, _)| c < 3));
     }
 
     #[test]

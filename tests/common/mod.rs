@@ -33,8 +33,7 @@ use flux_core::scheduler::{JobSpec, SchedulePolicy, Scheduler};
 use flux_data::DatasetKind;
 use flux_fl::snapshot::{referenced_files, MANIFEST_FILE};
 use flux_fl::{
-    CompressionConfig, FaultPlan, FaultToleranceConfig, ParameterServer, ParticipantBehavior,
-    RoundCostBreakdown,
+    CompressionConfig, FaultPlan, FaultToleranceConfig, ParticipantBehavior, RoundCostBreakdown,
 };
 use flux_moe::MoeConfig;
 use flux_quant::BitWidth;
@@ -962,9 +961,9 @@ fn polled(run: &FederatedRun, method: Method, pool: &ThreadPool) -> RunResult {
     active.finish()
 }
 
-/// Runs `run` as one of two tenants of a fresh server (resumed from
-/// `resume` if given), checks the co-tenant against its own reference and
-/// that both deregister, and returns `run`'s result.
+/// Runs `run` as one of two jobs of a fresh scheduler (resumed from
+/// `resume` if given), checks the co-tenant against its own reference, and
+/// returns `run`'s result.
 fn scheduled(
     run: FederatedRun,
     method: Method,
@@ -981,15 +980,10 @@ fn scheduled(
         .run()
         .with_mode(mode)
         .with_behavior(1, ParticipantBehavior::Straggler { delay_ms: 15 });
-    let server = ParameterServer::empty();
-    let mut results = Scheduler::on_pool(pool, policy).run_all_on(
-        &server,
-        vec![
-            job,
-            JobSpec::new("co-tenant", co_tenant, Method::Fmd).with_arrival(1),
-        ],
-    );
-    assert_eq!(server.num_tenants(), 0, "finished tenants deregister");
+    let mut results = Scheduler::on_pool(pool, policy).run_all(vec![
+        job,
+        JobSpec::new("co-tenant", co_tenant, Method::Fmd).with_arrival(1),
+    ]);
     assert_eq!(
         trace_of(&results[1].result),
         reference(Config::Piqa, Method::Fmd, mode),

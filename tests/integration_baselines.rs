@@ -1,10 +1,10 @@
 //! Cross-crate integration tests of the baseline methods against a real
-//! fleet and parameter server.
+//! fleet and global-model store.
 
 use flux_core::baselines::{fmd_local_round, fmes_local_round, fmq_local_round};
 use flux_core::profiling::QuantizedModelCache;
 use flux_data::{DatasetConfig, DatasetGenerator, DatasetKind};
-use flux_fl::{build_fleet, CostModel, ExpertUpdate, ParameterServer, Participant};
+use flux_fl::{build_fleet, CostModel, ExpertUpdate, Participant, ShardedStore, DEFAULT_SHARDS};
 use flux_moe::{MoeConfig, MoeModel};
 use flux_tensor::SeededRng;
 
@@ -25,7 +25,7 @@ fn setup() -> (MoeModel, Vec<Participant>, CostModel) {
 #[test]
 fn fmd_aggregation_changes_the_global_model() {
     let (model, fleet, cost) = setup();
-    let store = ParameterServer::empty().register_tenant(model.clone());
+    let store = ShardedStore::new(model.clone(), DEFAULT_SHARDS);
     let global = store.global_model();
     let mut all_updates = Vec::new();
     let mut heads = Vec::new();

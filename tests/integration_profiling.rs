@@ -69,7 +69,7 @@ fn profile_exposes_per_expert_sample_sets() {
 fn stale_profiler_integrates_with_model_updates() {
     let (mut model, data) = setup(DatasetKind::Gsm8k);
     let mut stale = StaleProfiler::new(ProfilingConfig::default().with_width(BitWidth::Int4));
-    let first = stale.refresh_blocking(&model, &data);
+    let first = stale.refresh_blocking_cached(&model, &data, &QuantizedModelCache::new());
     // One round of training shifts activations only slightly; the stale
     // profile is still a usable estimate of the new ground truth.
     model.train_step(&data.samples[..8], None, 0.02);
@@ -77,7 +77,7 @@ fn stale_profiler_integrates_with_model_updates() {
     let stale_error = first.estimation_error_pct(&truth);
     assert!(stale_error < 60.0, "stale error {stale_error}% too large");
     // Refreshing tracks the new model.
-    stale.refresh(&model, &data);
+    stale.refresh_blocking_cached(&model, &data, &QuantizedModelCache::new());
     assert_eq!(stale.refreshes(), 2);
 }
 

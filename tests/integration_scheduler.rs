@@ -1,17 +1,17 @@
-//! The concurrent-run scheduler: many federated jobs execute against one
-//! multi-tenant parameter server and one worker pool, and whatever it
+//! The concurrent-run scheduler: many federated jobs, each owning its
+//! global model's store, execute on one worker pool, and whatever it
 //! interleaves — round-robin or concurrent rounds, staggered arrivals,
 //! mixed methods and datasets, straggling co-tenants — every job's trace
 //! equals running it alone. The interleavings and the hand-driven `poll`
 //! loop are the `Interleaved` and `Poll` groups of the equivalence table
 //! (`tests/common/mod.rs`); this suite adds what only the scheduler has:
-//! tenants that deregister, and the ticks jobs start and finish at.
+//! the most heterogeneous job mix, and the ticks jobs start and finish at.
 
 mod common;
 
 use flux_core::driver::{ExecutionMode, Method};
 use flux_core::scheduler::{JobSpec, SchedulePolicy, Scheduler};
-use flux_fl::{ParameterServer, ParticipantBehavior};
+use flux_fl::ParticipantBehavior;
 use threadpool::ThreadPool;
 
 use common::{check, reference, trace_of, Config, Group};
@@ -24,15 +24,13 @@ fn interleaved_runs_match_solo_traces_across_threads_and_policies() {
 #[test]
 fn mixed_workloads_share_the_server_without_interference() {
     // Four jobs, four methods, two datasets, one of them barriered — the
-    // most heterogeneous schedule the driver supports — on a caller-owned
-    // server, which every finished job leaves again.
+    // most heterogeneous schedule the driver supports — on one pool.
     let jobs = [
         (Config::Quick, Method::Flux, ExecutionMode::Pipelined),
         (Config::Piqa, Method::Fmd, ExecutionMode::Pipelined),
         (Config::Quick, Method::Fmq, ExecutionMode::Barriered),
         (Config::Piqa, Method::Fmes, ExecutionMode::Pipelined),
     ];
-    let server = ParameterServer::empty();
     let scheduler = Scheduler::on_pool(ThreadPool::from_env(), SchedulePolicy::Concurrent);
     let specs = jobs
         .iter()
@@ -40,8 +38,7 @@ fn mixed_workloads_share_the_server_without_interference() {
             JobSpec::new(method.label(), config.run().with_mode(mode), method)
         })
         .collect();
-    let results = scheduler.run_all_on(&server, specs);
-    assert_eq!(server.num_tenants(), 0);
+    let results = scheduler.run_all(specs);
     for (scheduled, (config, method, mode)) in results.iter().zip(jobs) {
         assert_eq!(
             trace_of(&scheduled.result),
