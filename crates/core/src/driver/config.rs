@@ -96,10 +96,11 @@ pub struct RunConfig {
     /// real ones).
     pub reference_token_scale: usize,
     /// How participant uploads are encoded on the wire.
-    /// [`CompressionConfig::Dense`] (the default) reproduces the legacy
-    /// full-precision uploads bit-for-bit; `LosslessDelta` compresses
-    /// without changing any result; `LossyDelta` trades accuracy for
-    /// bytes.
+    /// [`CompressionConfig::Dense`] (the default) stages the legacy
+    /// full-precision uploads unencoded; `LosslessDelta` compresses
+    /// without changing any result; `LossyDelta` (built with
+    /// [`CompressionConfig::quantized_sparse`]) ships the top-k fraction
+    /// of each delta, quantized, and trades accuracy for bytes.
     pub compression: CompressionConfig,
     /// Overrides every participant's last-mile link (3G/4G/WiFi presets or
     /// custom). `None` keeps each device's own link.

@@ -782,7 +782,7 @@ mod tests {
 
     #[test]
     fn encoded_lossless_submission_matches_dense_submission_bitwise() {
-        use crate::compress::{CompressionConfig, EncodedUpload};
+        use crate::compress::{dense_upload_payload_bytes, CompressionConfig, EncodedUpload};
         let pool = ThreadPool::new(1);
         let (model, updates, head) = model_and_upload(0);
         let (_, updates1, head1) = model_and_upload(1);
@@ -796,7 +796,7 @@ mod tests {
         for (pid, (u, h)) in [(0usize, (&updates, &head)), (1, (&updates1, &head1))] {
             let enc =
                 EncodedUpload::encode(u, h.as_ref(), &model, CompressionConfig::LosslessDelta);
-            assert!(enc.encoded_bytes() < enc.dense_bytes());
+            assert!(enc.encoded_bytes() < dense_upload_payload_bytes(u, h.as_ref()));
             assert!(encoded.submit_encoded(pid, &enc, &model).unwrap());
         }
         let (experts_enc, head_enc) = encoded.finalize(&pool);
@@ -966,7 +966,7 @@ mod tests {
         let (untouched, trained) = (ExpertKey::new(0, 2), ExpertKey::new(1, 4));
         let updates = shared_upload(&model, &[untouched], &[trained]);
         for config in [
-            CompressionConfig::sparse(0.25),
+            CompressionConfig::quantized_sparse(BitWidth::Int2, 0.25),
             CompressionConfig::quantized_sparse(BitWidth::Int4, 0.25),
             CompressionConfig::quantized_sparse(BitWidth::Int8, 0.0),
         ] {

@@ -2,7 +2,8 @@
 //!
 //! Participants encode their updates as `new − base` deltas against the
 //! round-start snapshot instead of shipping full-precision dense tensors.
-//! Three knobs, all per-run via [`CompressionConfig`]:
+//! An encoded tensor takes one of two wire forms, chosen per run by
+//! [`CompressionConfig`]:
 //!
 //! * **Lossless delta** — the delta is the bitwise XOR of the new and base
 //!   f32 words. Decoding XORs the base back in, so the reconstruction is
@@ -12,15 +13,14 @@
 //!   bits of most weights untouched, so the XOR words are mostly leading
 //!   zeros and the simulated wire format charges only the significant
 //!   bytes of each changed word (plus a changed-word bitmap).
-//! * **Quantization** — the arithmetic delta is quantized with the
-//!   symmetric per-row [`QuantizedMatrix`] scheme at int8/int4 (int2 also
-//!   works). Lossy: the decoded expert is `base + dequantize(delta)`.
-//! * **Top-k sparsification** — only the `⌈k·n⌉` largest-magnitude delta
-//!   entries ship; near-zero deltas are dropped. Composes with
-//!   quantization (the surviving values quantize against one shared
-//!   scale). The survivors are found by *selection* on integer magnitude
-//!   keys, not by sorting, so encoding costs time linear in the tensor
-//!   size (see [`EncodedTensor::encode`]).
+//! * **Quantized top-k delta** — only the `⌈k·n⌉` largest-magnitude
+//!   entries of the arithmetic delta ship, quantized against one shared
+//!   symmetric scale at int8/int4/int2; exact-zero deltas never ship.
+//!   Lossy: the decoded tensor is `base + level·scale` at the surviving
+//!   indices. A fraction of 1 ships every non-zero delta. The survivors
+//!   are found by *selection* on integer magnitude keys, not by sorting,
+//!   so encoding costs time linear in the tensor size (see
+//!   [`EncodedTensor::encode`]).
 //!
 //! Every upload is sealed with a word-wise content checksum
 //! ([`EncodedUpload::content_checksum`]) that staging verifies before it
@@ -35,7 +35,7 @@ use std::borrow::Borrow;
 use std::sync::Arc;
 
 use flux_moe::{Expert, ExpertKey, MoeModel};
-use flux_quant::{quantize_row, BitWidth, QuantizedMatrix};
+use flux_quant::{quantize_row, BitWidth};
 use flux_tensor::codec::{fold, FNV_OFFSET};
 use flux_tensor::rng::{mix64, GOLDEN_GAMMA};
 use flux_tensor::{scratch, Matrix};
@@ -45,47 +45,35 @@ use crate::aggregate::{ExpertUpdate, SharedExpertUpdate};
 /// Per-run upload compression knob.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum CompressionConfig {
-    /// Legacy wire format: full-precision dense tensors, no delta.
+    /// Legacy wire format: full-precision dense tensors, no delta. The
+    /// driver stages such uploads without encoding them; asked to encode
+    /// one, [`EncodedUpload::encode`] ships the lossless delta, which
+    /// decodes to the same bits.
     #[default]
     Dense,
     /// Bitwise XOR delta against the round-start snapshot. Decodes
     /// bit-identically; runs with this mode produce the same losses,
     /// scores and weights as [`CompressionConfig::Dense`].
     LosslessDelta,
-    /// Arithmetic delta, optionally top-k sparsified and/or quantized.
-    /// Lossy: decoded experts carry quantization/sparsification error,
-    /// pinned within tolerance of dense golden traces by the integration
-    /// suite.
+    /// Arithmetic delta, top-k sparsified and quantized against one shared
+    /// scale. Lossy: decoded experts carry quantization/sparsification
+    /// error, pinned within tolerance of dense golden traces by the
+    /// integration suite.
     LossyDelta {
-        /// Quantize the (surviving) delta entries at this width.
-        quantization: Option<BitWidth>,
+        /// Quantize the surviving delta entries at this width.
+        width: BitWidth,
         /// Fraction of delta entries kept by top-k magnitude selection
-        /// (`1.0` keeps everything; values are clamped to `[0, 1]`).
+        /// (`1.0` keeps every non-zero entry; values are clamped to
+        /// `[0, 1]`).
         top_k_fraction: f32,
     },
 }
 
 impl CompressionConfig {
-    /// Lossy delta quantized at `width`, keeping every entry.
-    pub fn quantized(width: BitWidth) -> Self {
-        CompressionConfig::LossyDelta {
-            quantization: Some(width),
-            top_k_fraction: 1.0,
-        }
-    }
-
     /// Lossy delta: top-k sparsified, then quantized at `width`.
     pub fn quantized_sparse(width: BitWidth, top_k_fraction: f32) -> Self {
         CompressionConfig::LossyDelta {
-            quantization: Some(width),
-            top_k_fraction,
-        }
-    }
-
-    /// Lossy delta: top-k sparsified full-precision values.
-    pub fn sparse(top_k_fraction: f32) -> Self {
-        CompressionConfig::LossyDelta {
-            quantization: None,
+            width,
             top_k_fraction,
         }
     }
@@ -182,26 +170,16 @@ impl std::error::Error for DecodeError {}
 /// payload tag, scale bookkeeping).
 const TENSOR_HEADER_BYTES: usize = 8;
 
-/// Folds a vector of 32-bit words (`bits` maps an item to its word): the
-/// length first — so a truncated vector can never alias a shorter one —
-/// then the words packed two per fold (an odd tail is zero-extended; the
-/// sealed length disambiguates).
-#[inline]
-fn fold_words<T: Copy>(mut hash: u64, items: &[T], bits: impl Fn(T) -> u32) -> u64 {
-    hash = fold(hash, items.len() as u64);
-    for pair in items.chunks(2) {
-        let high = pair.get(1).map_or(0, |&item| bits(item) as u64);
-        hash = fold(hash, bits(pair[0]) as u64 | high << 32);
+/// Folds a vector of 32-bit words: the length first — so a truncated
+/// vector can never alias a shorter one — then the words packed two per
+/// fold (an odd tail is zero-extended; the sealed length disambiguates).
+fn fold_u32s(mut hash: u64, words: &[u32]) -> u64 {
+    hash = fold(hash, words.len() as u64);
+    for pair in words.chunks(2) {
+        let high = pair.get(1).map_or(0, |&word| word as u64);
+        hash = fold(hash, pair[0] as u64 | high << 32);
     }
     hash
-}
-
-fn fold_u32s(hash: u64, words: &[u32]) -> u64 {
-    fold_words(hash, words, |w| w)
-}
-
-fn fold_f32s(hash: u64, values: &[f32]) -> u64 {
-    fold_words(hash, values, f32::to_bits)
 }
 
 /// Folds quantized levels: the length, then the levels packed eight per
@@ -227,23 +205,13 @@ fn magnitude_key(delta: f32) -> u32 {
     delta.to_bits() & 0x7fff_ffff
 }
 
-/// Wire payload of one encoded tensor.
+/// Wire payload of one encoded tensor: a delta against its base.
 #[derive(Debug, Clone)]
 enum DeltaPayload {
-    /// Raw f32 values (dense upload; decodes without a base).
-    Dense(Vec<f32>),
     /// `new.to_bits() ^ base.to_bits()` per word. Bit-identical decode.
     Xor(Vec<u32>),
-    /// Per-row quantized arithmetic delta.
-    Quantized(QuantizedMatrix),
-    /// Top-k full-precision delta entries at ascending flat indices.
-    Sparse {
-        /// Flat indices of the surviving entries.
-        indices: Vec<u32>,
-        /// Delta values at those indices.
-        values: Vec<f32>,
-    },
-    /// Top-k delta entries quantized against one shared symmetric scale.
+    /// Top-k delta entries, at ascending flat indices, quantized against
+    /// one shared symmetric scale.
     SparseQuantized {
         /// Flat indices of the surviving entries.
         indices: Vec<u32>,
@@ -277,46 +245,22 @@ impl EncodedTensor {
         debug_assert_eq!(new.len(), base.len());
         debug_assert_eq!(new.len(), rows * cols);
         let payload = match config {
-            CompressionConfig::Dense => DeltaPayload::Dense(new.to_vec()),
-            CompressionConfig::LosslessDelta => DeltaPayload::Xor(
+            CompressionConfig::Dense | CompressionConfig::LosslessDelta => DeltaPayload::Xor(
                 new.iter()
                     .zip(base)
                     .map(|(n, b)| n.to_bits() ^ b.to_bits())
                     .collect(),
             ),
-            CompressionConfig::LossyDelta {
-                quantization,
-                top_k_fraction,
-            } => {
-                let frac = top_k_fraction.clamp(0.0, 1.0);
-                if frac >= 1.0 && quantization.is_none() {
-                    // Degenerate lossy config: an un-quantized, un-sparsified
-                    // delta. The XOR form carries the same information in
-                    // fewer bytes and decodes exactly, so use it.
-                    return Self::encode_slices(
-                        new,
-                        base,
-                        rows,
-                        cols,
-                        CompressionConfig::LosslessDelta,
-                    );
-                }
-                if frac >= 1.0 {
-                    let width = quantization.expect("handled above");
-                    let delta = new.iter().zip(base).map(|(n, b)| n - b).collect();
-                    let delta_matrix = Matrix::from_vec(rows, cols, delta)
-                        .expect("encoded tensor shape is consistent");
-                    DeltaPayload::Quantized(QuantizedMatrix::quantize(&delta_matrix, width))
-                } else if std::ptr::eq(new, base) {
-                    // `new` is `base` itself (an upload sharing the
-                    // snapshot's expert), so every delta is zero and none
-                    // ships: the payload the selection below would reach,
-                    // without its pass.
-                    top_k_payload(Vec::new(), &[], quantization)
-                } else {
-                    encode_top_k(new, base, frac, quantization)
-                }
+            // `new` is `base` itself (an upload sharing the snapshot's
+            // expert), so every delta is zero and none ships: the payload
+            // the selection would reach, without its pass.
+            CompressionConfig::LossyDelta { width, .. } if std::ptr::eq(new, base) => {
+                top_k_payload(Vec::new(), &[], width)
             }
+            CompressionConfig::LossyDelta {
+                width,
+                top_k_fraction,
+            } => encode_top_k(new, base, top_k_fraction.clamp(0.0, 1.0), width),
         };
         Self {
             rows,
@@ -329,7 +273,7 @@ impl EncodedTensor {
     ///
     /// # Top-k selection
     ///
-    /// A sparsifying config ships the `k = ⌈fraction·n⌉` largest-magnitude
+    /// A lossy config ships the `k = ⌈fraction·n⌉` largest-magnitude
     /// entries of `new − base`. Every delta is keyed by its magnitude bit
     /// pattern (`to_bits() & 0x7fff_ffff`, an integer that is monotone in
     /// `|δ|`), the k-th largest key is found with one `select_nth_unstable`
@@ -348,7 +292,7 @@ impl EncodedTensor {
     /// aggregation tree's `submit_encoded`), not the encoder's.
     ///
     /// When `new` and `base` are the same tensor in memory (an upload that
-    /// shares the snapshot's expert), a sparsifying config emits the empty
+    /// shares the snapshot's expert), a lossy config emits the empty
     /// payload without scanning: the bytes and checksum of the scan's
     /// result for any finite tensor. (A base holding a NaN or infinite
     /// weight, which only a diverged model has, would make the scan ship
@@ -368,25 +312,18 @@ impl EncodedTensor {
         (self.rows, self.cols)
     }
 
-    /// Whether decoding requires the base tensor (everything but the dense
-    /// payload is a delta).
-    pub fn needs_base(&self) -> bool {
-        !matches!(self.payload, DeltaPayload::Dense(_))
-    }
-
-    /// Whether this is a sparse payload that ships no entry, valid against
+    /// Whether this is a top-k payload that ships no entry, valid against
     /// a base of `shape`: its decode would rebuild that base bit for bit.
     fn is_empty_delta_for(&self, shape: (usize, usize)) -> bool {
         (self.rows, self.cols) == shape
             && match &self.payload {
-                DeltaPayload::Sparse { indices, values } => indices.is_empty() && values.is_empty(),
                 DeltaPayload::SparseQuantized {
                     indices,
                     levels,
                     scale,
                     ..
                 } => indices.is_empty() && levels.is_empty() && scale.is_finite(),
-                _ => false,
+                DeltaPayload::Xor(_) => false,
             }
     }
 
@@ -394,14 +331,13 @@ impl EncodedTensor {
     ///
     /// # Errors
     ///
-    /// Returns a [`DecodeError`] when the base has the wrong length for a
-    /// delta payload, a payload vector is truncated or oversized, a sparse
-    /// index is out of range or out of order, or quantization parameters
-    /// are unusable — every malformed-input case a flaky uplink can
-    /// produce.
+    /// Returns a [`DecodeError`] when the base has the wrong length, a
+    /// payload vector is truncated or oversized, a sparse index is out of
+    /// range or out of order, or quantization parameters are unusable —
+    /// every malformed-input case a flaky uplink can produce.
     fn decode_slices(&self, base: &[f32]) -> Result<Vec<f32>, DecodeError> {
         let n = self.rows * self.cols;
-        if self.needs_base() && base.len() != n {
+        if base.len() != n {
             return Err(DecodeError::LengthMismatch {
                 what: "base tensor",
                 expected: n,
@@ -409,16 +345,6 @@ impl EncodedTensor {
             });
         }
         let out = match &self.payload {
-            DeltaPayload::Dense(values) => {
-                if values.len() != n {
-                    return Err(DecodeError::LengthMismatch {
-                        what: "dense payload",
-                        expected: n,
-                        actual: values.len(),
-                    });
-                }
-                values.clone()
-            }
             DeltaPayload::Xor(words) => {
                 if words.len() != n {
                     return Err(DecodeError::LengthMismatch {
@@ -432,46 +358,6 @@ impl EncodedTensor {
                     .zip(base)
                     .map(|(w, b)| f32::from_bits(b.to_bits() ^ w))
                     .collect()
-            }
-            DeltaPayload::Quantized(q) => {
-                if q.shape() != (self.rows, self.cols) {
-                    return Err(DecodeError::LengthMismatch {
-                        what: "quantized delta",
-                        expected: n,
-                        actual: q.rows() * q.cols(),
-                    });
-                }
-                if q.scales().iter().any(|s| !s.is_finite()) {
-                    return Err(DecodeError::BadQuantization("non-finite row scale".into()));
-                }
-                let max_level = q.width().max_level();
-                let mut levels = vec![0i8; q.cols()];
-                for row in 0..q.rows() {
-                    q.levels_row_into(row, &mut levels);
-                    if levels.iter().any(|&l| (l as i32).abs() > max_level) {
-                        return Err(DecodeError::BadQuantization(format!(
-                            "level overflows {:?}",
-                            q.width()
-                        )));
-                    }
-                }
-                let delta = q.dequantize();
-                base.iter()
-                    .zip(delta.as_slice())
-                    .map(|(b, d)| b + d)
-                    .collect()
-            }
-            DeltaPayload::Sparse { indices, values } => {
-                if values.len() != indices.len() {
-                    return Err(DecodeError::LengthMismatch {
-                        what: "sparse values",
-                        expected: indices.len(),
-                        actual: values.len(),
-                    });
-                }
-                let mut out = base.to_vec();
-                scatter_add(&mut out, indices, values.iter().copied())?;
-                out
             }
             DeltaPayload::SparseQuantized {
                 indices,
@@ -512,10 +398,9 @@ impl EncodedTensor {
     ///
     /// # Errors
     ///
-    /// Returns a [`DecodeError`] when the base has the wrong length for a
-    /// delta payload, a payload vector is truncated or oversized, a sparse
-    /// index is out of range or out of order, or quantization parameters
-    /// are unusable.
+    /// Returns a [`DecodeError`] when the base has the wrong length, a
+    /// payload vector is truncated or oversized, a sparse index is out of
+    /// range or out of order, or quantization parameters are unusable.
     pub fn decode(&self, base: &Matrix) -> Result<Matrix, DecodeError> {
         let values = self.decode_slices(base.as_slice())?;
         Ok(Matrix::from_vec(self.rows, self.cols, values)
@@ -526,34 +411,25 @@ impl EncodedTensor {
     ///
     /// # Errors
     ///
-    /// Returns a [`DecodeError`] when the base has the wrong length for a
-    /// delta payload, a payload vector is truncated or oversized, a sparse
-    /// index is out of range or out of order, or quantization parameters
-    /// are unusable.
+    /// Returns a [`DecodeError`] when the base has the wrong length, a
+    /// payload vector is truncated or oversized, a sparse index is out of
+    /// range or out of order, or quantization parameters are unusable.
     pub fn decode_vec(&self, base: &[f32]) -> Result<Vec<f32>, DecodeError> {
         self.decode_slices(base)
     }
 
-    /// Bytes of the uncompressed dense payload (4 per f32).
-    pub fn dense_bytes(&self) -> usize {
-        self.rows * self.cols * 4
-    }
-
     /// Simulated wire bytes of this payload.
     ///
-    /// * Dense: 4 bytes per word.
     /// * XOR delta: a changed-word bitmap (`⌈n/8⌉` bytes) plus the
     ///   significant bytes of each nonzero word — close values share sign,
     ///   exponent and high mantissa bits, so their XOR has many leading
     ///   zeros.
-    /// * Quantized: packed levels plus per-row f32 scales.
-    /// * Sparse: a membership mask — the cheaper of a dense bitmap and
-    ///   explicit u32 indices — plus the surviving values (f32 or packed
-    ///   levels with one shared scale).
+    /// * Quantized top-k: a membership mask — the cheaper of a dense
+    ///   bitmap and explicit u32 indices — plus the surviving packed levels
+    ///   and their one shared f32 scale.
     pub fn encoded_bytes(&self) -> usize {
         let n = self.rows * self.cols;
         let body = match &self.payload {
-            DeltaPayload::Dense(values) => values.len() * 4,
             DeltaPayload::Xor(words) => {
                 let bitmap = n.div_ceil(8);
                 let significant: usize = words
@@ -562,10 +438,6 @@ impl EncodedTensor {
                     .map(|&w| (32 - w.leading_zeros() as usize).div_ceil(8))
                     .sum();
                 bitmap + significant
-            }
-            DeltaPayload::Quantized(q) => q.storage_bytes(),
-            DeltaPayload::Sparse { indices, values } => {
-                sparse_mask_bytes(n, indices.len()) + values.len() * 4
             }
             DeltaPayload::SparseQuantized {
                 indices,
@@ -582,23 +454,10 @@ impl EncodedTensor {
     fn fold_checksum(&self, mut hash: u64) -> u64 {
         hash = fold(hash, self.rows as u64);
         hash = fold(hash, self.cols as u64);
+        // The payload tags (1: XOR, 4: quantized top-k) are part of the
+        // sealed format: a new tag would move every upload's checksum.
         match &self.payload {
-            DeltaPayload::Dense(values) => fold_f32s(fold(hash, 0), values),
             DeltaPayload::Xor(words) => fold_u32s(fold(hash, 1), words),
-            DeltaPayload::Quantized(q) => {
-                hash = fold(hash, 2);
-                hash = fold(hash, q.width().bits() as u64);
-                hash = fold_f32s(hash, q.scales());
-                let mut levels = vec![0i8; q.cols()];
-                for row in 0..q.rows() {
-                    q.levels_row_into(row, &mut levels);
-                    hash = fold_levels(hash, &levels);
-                }
-                hash
-            }
-            DeltaPayload::Sparse { indices, values } => {
-                fold_f32s(fold_u32s(fold(hash, 3), indices), values)
-            }
             DeltaPayload::SparseQuantized {
                 indices,
                 levels,
@@ -614,27 +473,19 @@ impl EncodedTensor {
     }
 
     /// Deterministically damages this tensor: flips one payload bit (or,
-    /// for payloads without directly addressable words, perturbs the
-    /// shape). `r` seeds the choice of word and bit.
+    /// for an empty XOR payload, perturbs the shape). `r` seeds the choice
+    /// of word and bit.
     fn corrupt(&mut self, r: u64) {
         let bit = (r >> 32) % 31;
         match &mut self.payload {
-            DeltaPayload::Dense(values) if !values.is_empty() => {
-                let i = r as usize % values.len();
-                values[i] = f32::from_bits(values[i].to_bits() ^ (1 << bit));
-            }
             DeltaPayload::Xor(words) if !words.is_empty() => {
                 let i = r as usize % words.len();
                 words[i] ^= 1 << bit;
             }
-            DeltaPayload::Sparse { values, .. } if !values.is_empty() => {
-                let i = r as usize % values.len();
-                values[i] = f32::from_bits(values[i].to_bits() ^ (1 << bit));
-            }
             DeltaPayload::SparseQuantized { scale, .. } => {
                 *scale = f32::from_bits(scale.to_bits() ^ (1 << bit));
             }
-            _ => self.rows ^= 1,
+            DeltaPayload::Xor(_) => self.rows ^= 1,
         }
     }
 
@@ -643,14 +494,8 @@ impl EncodedTensor {
     /// back to bit corruption.
     fn truncate_payload(&mut self, r: u64) {
         match &mut self.payload {
-            DeltaPayload::Dense(values) if values.len() > 1 => {
-                values.truncate(1 + r as usize % (values.len() - 1));
-            }
             DeltaPayload::Xor(words) if words.len() > 1 => {
                 words.truncate(1 + r as usize % (words.len() - 1));
-            }
-            DeltaPayload::Sparse { values, .. } if !values.is_empty() => {
-                values.truncate(values.len() - 1);
             }
             DeltaPayload::SparseQuantized { levels, .. } if !levels.is_empty() => {
                 levels.truncate(levels.len() - 1);
@@ -690,17 +535,12 @@ fn scatter_add(
     Ok(())
 }
 
-/// The sparse payload of `new − base` keeping `k = ⌈fraction·n⌉` entries:
+/// The top-k payload of `new − base` keeping `k = ⌈fraction·n⌉` entries:
 /// selection and tie rule as documented on [`EncodedTensor::encode`].
 ///
 /// Delta, key copy and surviving values live in one scratch scope; the only
 /// allocations are the payload vectors, sized exactly.
-fn encode_top_k(
-    new: &[f32],
-    base: &[f32],
-    fraction: f32,
-    quantization: Option<BitWidth>,
-) -> DeltaPayload {
+fn encode_top_k(new: &[f32], base: &[f32], fraction: f32, width: BitWidth) -> DeltaPayload {
     let n = new.len();
     let k = ((n as f64) * fraction as f64).ceil() as usize;
     scratch::with(2 * n, |buf| {
@@ -722,7 +562,7 @@ fn encode_top_k(
         }
         let kept = k.min(nonzero);
         if kept == 0 {
-            return top_k_payload(Vec::new(), &[], quantization);
+            return top_k_payload(Vec::new(), &[], width);
         }
         // Entries above `threshold` all ship; of those equal to it, the
         // first `ties` in index order.
@@ -752,32 +592,20 @@ fn encode_top_k(
         }
         debug_assert_eq!(cursor, kept);
         let indices = delta[..kept].iter().map(|i| i.to_bits()).collect();
-        top_k_payload(indices, &keys[..kept], quantization)
+        top_k_payload(indices, &keys[..kept], width)
     })
 }
 
-/// The sparse payload of the surviving `values` at `indices`: raw, or
-/// quantized against one shared scale.
-fn top_k_payload(
-    indices: Vec<u32>,
-    values: &[f32],
-    quantization: Option<BitWidth>,
-) -> DeltaPayload {
-    match quantization {
-        None => DeltaPayload::Sparse {
-            indices,
-            values: values.to_vec(),
-        },
-        Some(width) => {
-            let mut levels = vec![0i8; values.len()];
-            let scale = quantize_row(values, width, &mut levels);
-            DeltaPayload::SparseQuantized {
-                indices,
-                levels,
-                scale,
-                width,
-            }
-        }
+/// The top-k payload of the surviving `values` at `indices`, quantized
+/// against one shared scale.
+fn top_k_payload(indices: Vec<u32>, values: &[f32], width: BitWidth) -> DeltaPayload {
+    let mut levels = vec![0i8; values.len()];
+    let scale = quantize_row(values, width, &mut levels);
+    DeltaPayload::SparseQuantized {
+        indices,
+        levels,
+        scale,
+        width,
     }
 }
 
@@ -818,8 +646,8 @@ impl EncodedExpertUpdate {
     }
 
     /// Decodes against the base expert's `Arc`, and shares it when every
-    /// tensor is an empty sparse payload (what top-k ships for an expert
-    /// the participant never wrote): that decode would rebuild the base
+    /// tensor is an empty top-k payload (what a lossy config ships for an
+    /// expert the participant never wrote): that decode would rebuild the base
     /// bit for bit, so it is skipped.
     fn decode_shared(&self, base: &Arc<Expert>) -> Result<SharedExpertUpdate, DecodeError> {
         let unchanged = self.w1.is_empty_delta_for(base.w1.shape())
@@ -873,14 +701,6 @@ impl EncodedExpertUpdate {
             + self.w2.encoded_bytes()
             + self.b2.encoded_bytes()
     }
-
-    /// Bytes the dense upload of the same tensors would take.
-    pub fn dense_bytes(&self) -> usize {
-        self.w1.dense_bytes()
-            + self.b1.dense_bytes()
-            + self.w2.dense_bytes()
-            + self.b2.dense_bytes()
-    }
 }
 
 /// What [`EncodedUpload::decode`] (owned experts) and
@@ -909,7 +729,10 @@ impl EncodedUpload {
     /// Every update key must exist in `base` (participants derive their
     /// keys from the snapshot they downloaded, so this holds by
     /// construction). An update that shares `base`'s own expert encodes
-    /// without a scan under top-k (see [`EncodedTensor::encode`]).
+    /// without a scan under a lossy config (see [`EncodedTensor::encode`]).
+    /// [`CompressionConfig::Dense`] encodes to the lossless XOR form, which
+    /// decodes to the same bits (the driver stages dense uploads without
+    /// encoding them).
     pub fn encode<E: Borrow<Expert>>(
         updates: &[ExpertUpdate<E>],
         head: Option<&(Matrix, f32)>,
@@ -940,8 +763,8 @@ impl EncodedUpload {
 
     /// Hash over the upload's entire content (keys, weights, shapes, vector
     /// lengths and payload words) — what [`EncodedUpload::checksum`] must
-    /// equal. FNV-1a folded a 64-bit word at a time (two f32/u32 payload
-    /// words or eight quantized levels per multiply), so sealing and
+    /// equal. FNV-1a folded a 64-bit word at a time (two u32 payload words
+    /// or eight quantized levels per multiply), so sealing and
     /// verifying cost a fraction of the byte-wise walk; any change confined
     /// to one folded word — in particular any single flipped bit — changes
     /// the result.
@@ -959,12 +782,6 @@ impl EncodedUpload {
             }
             None => fold(hash, 0),
         }
-    }
-
-    /// Re-stamps the checksum from the current content. Only needed after
-    /// deliberately mutating an upload (tests forging rogue keys).
-    pub fn reseal(&mut self) {
-        self.checksum = self.content_checksum();
     }
 
     /// Decodes against the round-start snapshot.
@@ -1072,17 +889,6 @@ impl EncodedUpload {
             .unwrap_or(0);
         experts + head
     }
-
-    /// Bytes the dense upload of the same payload would take.
-    pub fn dense_bytes(&self) -> usize {
-        let experts: usize = self.experts.iter().map(|e| e.dense_bytes()).sum();
-        let head = self
-            .head
-            .as_ref()
-            .map(|(t, _)| t.dense_bytes())
-            .unwrap_or(0);
-        experts + head
-    }
 }
 
 /// Bytes a dense (uncompressed) upload payload occupies on the wire: 4 per
@@ -1129,7 +935,7 @@ mod tests {
             // Exact zeros and ties at the threshold, as well as noise.
             new.as_mut_slice()[..40].copy_from_slice(&base.as_slice()[..40]);
             let configs = [
-                CompressionConfig::sparse(0.1),
+                CompressionConfig::quantized_sparse(BitWidth::Int4, 0.1),
                 CompressionConfig::quantized_sparse(BitWidth::Int8, 0.25),
             ];
             configs
@@ -1160,6 +966,8 @@ mod tests {
         }
     }
 
+    /// The dense config encodes to the XOR form too, so both round-trip
+    /// bit for bit.
     #[test]
     fn xor_delta_round_trips_bit_identically() {
         let base = random_matrix(1, 6, 9);
@@ -1168,21 +976,17 @@ mod tests {
         new.set(0, 0, 0.0);
         new.set(0, 1, -0.0);
         new.set(1, 0, f32::MIN_POSITIVE / 2.0); // subnormal
-        let encoded = EncodedTensor::encode(&new, &base, CompressionConfig::LosslessDelta);
-        let decoded = encoded.decode(&base).unwrap();
-        for (d, n) in decoded.as_slice().iter().zip(new.as_slice()) {
-            assert_eq!(d.to_bits(), n.to_bits(), "bitwise mismatch");
+        for config in [CompressionConfig::LosslessDelta, CompressionConfig::Dense] {
+            let encoded = EncodedTensor::encode(&new, &base, config);
+            assert!(
+                matches!(encoded.payload, DeltaPayload::Xor(_)),
+                "{config:?}"
+            );
+            let decoded = encoded.decode(&base).unwrap();
+            for (d, n) in decoded.as_slice().iter().zip(new.as_slice()) {
+                assert_eq!(d.to_bits(), n.to_bits(), "{config:?}: bitwise mismatch");
+            }
         }
-    }
-
-    #[test]
-    fn dense_payload_round_trips_without_base() {
-        let base = random_matrix(3, 4, 4);
-        let new = random_matrix(4, 4, 4);
-        let encoded = EncodedTensor::encode(&new, &base, CompressionConfig::Dense);
-        assert!(!encoded.needs_base());
-        let decoded = encoded.decode(&Matrix::zeros(4, 4)).unwrap();
-        assert_eq!(decoded, new);
     }
 
     #[test]
@@ -1191,10 +995,10 @@ mod tests {
         let new = perturbed(&base, 6);
         let encoded = EncodedTensor::encode(&new, &base, CompressionConfig::LosslessDelta);
         assert!(
-            encoded.encoded_bytes() < encoded.dense_bytes(),
+            encoded.encoded_bytes() < new.len() * 4,
             "xor delta {} should undercut dense {}",
             encoded.encoded_bytes(),
-            encoded.dense_bytes()
+            new.len() * 4
         );
     }
 
@@ -1204,7 +1008,8 @@ mod tests {
         let new = perturbed(&base, 8);
         let mut errs = Vec::new();
         for width in [BitWidth::Int4, BitWidth::Int8] {
-            let encoded = EncodedTensor::encode(&new, &base, CompressionConfig::quantized(width));
+            let config = CompressionConfig::quantized_sparse(width, 1.0);
+            let encoded = EncodedTensor::encode(&new, &base, config);
             let decoded = encoded.decode(&base).unwrap();
             let err = decoded.sub(&new).unwrap().frobenius_norm() / new.frobenius_norm();
             errs.push(err);
@@ -1222,16 +1027,18 @@ mod tests {
     fn sparse_delta_keeps_only_top_k() {
         let base = Matrix::zeros(1, 8);
         let mut new = Matrix::zeros(1, 8);
-        for (i, v) in [0.5f32, -3.0, 0.1, 2.0, 0.0, -0.2, 1.0, 0.05]
+        for (i, v) in [0.5f32, -3.5, 0.1, 2.0, 0.0, -0.2, 1.0, 0.05]
             .iter()
             .enumerate()
         {
             new.set(0, i, *v);
         }
-        let encoded = EncodedTensor::encode(&new, &base, CompressionConfig::sparse(0.25));
+        let config = CompressionConfig::quantized_sparse(BitWidth::Int4, 0.25);
+        let encoded = EncodedTensor::encode(&new, &base, config);
         let decoded = encoded.decode(&base).unwrap();
-        // ceil(8 * 0.25) = 2 survivors: -3.0 and 2.0.
-        let expected = [0.0f32, -3.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0];
+        // ceil(8 * 0.25) = 2 survivors: -3.5 and 2.0, at levels -7 and 4
+        // of the shared int4 scale 0.5, so both decode exactly.
+        let expected = [0.0f32, -3.5, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0];
         for (d, e) in decoded.as_slice().iter().zip(expected.iter()) {
             assert_eq!(d, e);
         }
@@ -1264,18 +1071,11 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Encodes `new − base` at `fraction` with and without quantization and
-    /// asserts every payload field equals the reference encoder's.
+    /// Encodes `new − base` at `fraction` at every width and asserts every
+    /// payload field equals the reference encoder's.
     fn assert_matches_reference(new: &[f32], base: &[f32], fraction: f32, label: &str) {
         let delta: Vec<f32> = new.iter().zip(base).map(|(n, b)| n - b).collect();
         let (ref_indices, ref_values) = reference_top_k(&delta, fraction);
-        match EncodedTensor::encode_vec(new, base, CompressionConfig::sparse(fraction)).payload {
-            DeltaPayload::Sparse { indices, values } => {
-                assert_eq!(indices, ref_indices, "{label}: indices");
-                assert_eq!(bits(&values), bits(&ref_values), "{label}: values");
-            }
-            other => panic!("{label}: expected a sparse payload, got {other:?}"),
-        }
         for width in BitWidth::all() {
             let mut ref_levels = vec![0i8; ref_values.len()];
             let ref_scale = quantize_row(&ref_values, width, &mut ref_levels);
@@ -1292,7 +1092,7 @@ mod tests {
                     assert_eq!(scale.to_bits(), ref_scale.to_bits(), "{label}: scale");
                     assert_eq!(w, width);
                 }
-                other => panic!("{label}: expected sparse-quantized, got {other:?}"),
+                other => panic!("{label}: expected quantized top-k, got {other:?}"),
             }
         }
     }
@@ -1317,10 +1117,7 @@ mod tests {
                 })
                 .collect();
             let nf = n as f32;
-            for fraction in [0.0, 1.0 / nf, 0.25, 0.5, 1.0 - 1.0 / nf, 0.999] {
-                if fraction >= 1.0 {
-                    continue; // n = 1: a fraction of 1 is not a top-k config
-                }
+            for fraction in [0.0, 1.0 / nf, 0.25, 0.5, 1.0 - 1.0 / nf, 0.999, 1.0] {
                 assert_matches_reference(&new, &base, fraction, &format!("case {case} n {n}"));
             }
         }
@@ -1330,15 +1127,19 @@ mod tests {
     fn degenerate_selections_match_the_reference() {
         let zeros = [0.0f32; 8];
         let deltas = [0.5f32, -3.0, 0.1, 2.0, 0.0, -0.2, 1.0, 0.05];
-        // k = 0: nothing ships.
-        let none = EncodedTensor::encode_vec(&deltas, &zeros, CompressionConfig::sparse(0.0));
+        let int4 = |fraction| CompressionConfig::quantized_sparse(BitWidth::Int4, fraction);
+        // k = 0: nothing ships but the shared scale.
+        let none = EncodedTensor::encode_vec(&deltas, &zeros, int4(0.0));
         assert_eq!(bits(&none.decode_vec(&zeros).unwrap()), bits(&zeros));
-        assert_eq!(none.encoded_bytes(), TENSOR_HEADER_BYTES);
+        assert_eq!(none.encoded_bytes(), TENSOR_HEADER_BYTES + 4);
         // k ≥ non-zeros: every non-zero entry ships, the exact zero never.
-        let all = EncodedTensor::encode_vec(&deltas, &zeros, CompressionConfig::sparse(0.99));
-        match &all.payload {
-            DeltaPayload::Sparse { indices, .. } => assert_eq!(indices, &[0, 1, 2, 3, 5, 6, 7]),
-            other => panic!("{other:?}"),
+        for fraction in [0.99, 1.0] {
+            match &EncodedTensor::encode_vec(&deltas, &zeros, int4(fraction)).payload {
+                DeltaPayload::SparseQuantized { indices, .. } => {
+                    assert_eq!(indices, &[0, 1, 2, 3, 5, 6, 7])
+                }
+                other => panic!("{other:?}"),
+            }
         }
         // All-zero delta (of both signs): an empty payload at any fraction.
         let signed_zeros = [0.0f32, -0.0, 0.0, -0.0];
@@ -1356,15 +1157,17 @@ mod tests {
         }
         // Every magnitude equal: the k lowest indices win, whatever the sign.
         let equal = [1.0f32, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0];
-        match &EncodedTensor::encode_vec(&equal, &zeros, CompressionConfig::sparse(0.5)).payload {
-            DeltaPayload::Sparse { indices, values } => {
+        match &EncodedTensor::encode_vec(&equal, &zeros, int4(0.5)).payload {
+            DeltaPayload::SparseQuantized {
+                indices, levels, ..
+            } => {
                 assert_eq!(indices, &[0, 1, 2, 3]);
-                assert_eq!(values, &[1.0, -1.0, 1.0, -1.0]);
+                assert_eq!(levels, &[7, -7, 7, -7]);
             }
             other => panic!("{other:?}"),
         }
         // n = 1 and n = 0, and all of the above against the reference.
-        for fraction in [0.0, 0.25, 0.5, 0.99] {
+        for fraction in [0.0, 0.25, 0.5, 0.99, 1.0] {
             assert_matches_reference(&[], &[], fraction, "n = 0");
             assert_matches_reference(&[2.5], &[1.0], fraction, "n = 1");
             assert_matches_reference(&[1.0], &[1.0], fraction, "n = 1, zero delta");
@@ -1409,7 +1212,7 @@ mod tests {
             let nf = n as f32;
             for fraction in [0.0, 1.0 / nf, 4.0 / nf, 0.25, 0.5, 1.0 - 1.0 / nf, 1.0] {
                 for config in [
-                    CompressionConfig::sparse(fraction),
+                    CompressionConfig::quantized_sparse(BitWidth::Int2, fraction),
                     CompressionConfig::quantized_sparse(BitWidth::Int4, fraction),
                     CompressionConfig::quantized_sparse(BitWidth::Int8, fraction),
                 ] {
@@ -1421,12 +1224,8 @@ mod tests {
                         again.fold_checksum(FNV_OFFSET),
                         "{label}: encoding is not deterministic"
                     );
-                    let indices = match &encoded.payload {
-                        DeltaPayload::Sparse { indices, .. }
-                        | DeltaPayload::SparseQuantized { indices, .. } => indices.clone(),
-                        // fraction 1 is not a top-k payload; it encoded
-                        // without panicking, which is all that is asked.
-                        _ => continue,
+                    let DeltaPayload::SparseQuantized { indices, .. } = &encoded.payload else {
+                        panic!("{label}: a lossy config encoded to the XOR form");
                     };
                     let k = ((n as f64) * fraction as f64).ceil() as usize;
                     assert_eq!(indices.len(), k.min(n - 1), "{label}: one exact zero");
@@ -1461,17 +1260,14 @@ mod tests {
     fn encoded_bytes_shrink_with_width_and_sparsity() {
         let base = random_matrix(9, 16, 32);
         let new = perturbed(&base, 10);
-        let dense = EncodedTensor::encode(&new, &base, CompressionConfig::Dense).encoded_bytes();
-        let int8 = EncodedTensor::encode(&new, &base, CompressionConfig::quantized(BitWidth::Int8))
-            .encoded_bytes();
-        let int4 = EncodedTensor::encode(&new, &base, CompressionConfig::quantized(BitWidth::Int4))
-            .encoded_bytes();
-        let int4_sparse = EncodedTensor::encode(
-            &new,
-            &base,
-            CompressionConfig::quantized_sparse(BitWidth::Int4, 0.25),
-        )
-        .encoded_bytes();
+        let bytes = |width, fraction| {
+            let config = CompressionConfig::quantized_sparse(width, fraction);
+            EncodedTensor::encode(&new, &base, config).encoded_bytes()
+        };
+        let dense = new.len() * 4;
+        let int8 = bytes(BitWidth::Int8, 1.0);
+        let int4 = bytes(BitWidth::Int4, 1.0);
+        let int4_sparse = bytes(BitWidth::Int4, 0.25);
         assert!(dense > int8, "dense {dense} int8 {int8}");
         assert!(int8 > int4, "int8 {int8} int4 {int4}");
         assert!(int4 > int4_sparse, "int4 {int4} sparse {int4_sparse}");
@@ -1479,15 +1275,15 @@ mod tests {
 
     #[test]
     fn quantized_byte_ratio_matches_configured_width() {
-        // Satellite check: the compressed-vs-dense byte ratio tracks the
-        // configured bit width — int8 ≈ 4×, int4 ≈ 8× smaller levels, with
-        // per-row scale + header overhead on top.
+        // The compressed-vs-dense byte ratio tracks the configured bit
+        // width — int8 ≈ 4×, int4 ≈ 8× smaller levels, with the membership
+        // bitmap, the shared scale and the header on top.
         let base = random_matrix(11, 32, 32);
         let new = perturbed(&base, 12);
         let dense = (32 * 32 * 4) as f64;
         for (width, min_ratio) in [(BitWidth::Int8, 3.0), (BitWidth::Int4, 6.0)] {
-            let enc = EncodedTensor::encode(&new, &base, CompressionConfig::quantized(width))
-                .encoded_bytes() as f64;
+            let config = CompressionConfig::quantized_sparse(width, 1.0);
+            let enc = EncodedTensor::encode(&new, &base, config).encoded_bytes() as f64;
             let ratio = dense / enc;
             assert!(
                 ratio >= min_ratio && ratio <= width.compression_ratio() as f64 + 0.5,
@@ -1502,20 +1298,6 @@ mod tests {
         )
         .encoded_bytes() as f64;
         assert!(dense / sparse > 10.0, "sparse ratio {}", dense / sparse);
-    }
-
-    #[test]
-    fn lossy_delta_without_knobs_falls_back_to_lossless() {
-        let base = random_matrix(13, 4, 4);
-        let new = perturbed(&base, 14);
-        let cfg = CompressionConfig::LossyDelta {
-            quantization: None,
-            top_k_fraction: 1.0,
-        };
-        let decoded = EncodedTensor::encode(&new, &base, cfg)
-            .decode(&base)
-            .unwrap();
-        assert_eq!(decoded, new);
     }
 
     #[test]
@@ -1539,10 +1321,9 @@ mod tests {
         let base = random_matrix(21, 6, 6);
         let new = perturbed(&base, 22);
         for config in [
-            CompressionConfig::Dense,
             CompressionConfig::LosslessDelta,
-            CompressionConfig::sparse(0.5),
             CompressionConfig::quantized_sparse(BitWidth::Int4, 0.5),
+            CompressionConfig::quantized_sparse(BitWidth::Int8, 1.0),
         ] {
             let mut encoded = EncodedTensor::encode(&new, &base, config);
             encoded.truncate_payload(3);
@@ -1560,9 +1341,11 @@ mod tests {
         let encoded = EncodedTensor {
             rows: 1,
             cols: 4,
-            payload: DeltaPayload::Sparse {
+            payload: DeltaPayload::SparseQuantized {
                 indices: vec![0, 9],
-                values: vec![1.0, 2.0],
+                levels: vec![1, 2],
+                scale: 0.5,
+                width: BitWidth::Int4,
             },
         };
         let err = encoded.decode(&base).unwrap_err();
@@ -1575,38 +1358,24 @@ mod tests {
     #[test]
     fn unsorted_or_repeated_sparse_indices_are_rejected() {
         let base = Matrix::zeros(1, 8);
-        let forge = |indices: Vec<u32>, quantized: bool| {
-            let payload = if quantized {
-                DeltaPayload::SparseQuantized {
-                    levels: vec![1; indices.len()],
-                    indices,
-                    scale: 0.5,
-                    width: BitWidth::Int4,
-                }
-            } else {
-                DeltaPayload::Sparse {
-                    values: vec![1.0; indices.len()],
-                    indices,
-                }
-            };
-            EncodedTensor {
-                rows: 1,
-                cols: 8,
-                payload,
-            }
+        let forge = |indices: Vec<u32>| EncodedTensor {
+            rows: 1,
+            cols: 8,
+            payload: DeltaPayload::SparseQuantized {
+                levels: vec![1; indices.len()],
+                indices,
+                scale: 0.5,
+                width: BitWidth::Int4,
+            },
         };
-        for quantized in [false, true] {
-            // A repeated index would be applied twice.
-            let err = forge(vec![1, 3, 3, 6], quantized)
-                .decode(&base)
-                .unwrap_err();
-            assert_eq!(err, DecodeError::UnsortedIndices { position: 2 });
-            // A step back.
-            let err = forge(vec![5, 2], quantized).decode(&base).unwrap_err();
-            assert_eq!(err, DecodeError::UnsortedIndices { position: 1 });
-            // Strictly ascending indices decode.
-            assert!(forge(vec![0, 1, 7], quantized).decode(&base).is_ok());
-        }
+        // A repeated index would be applied twice.
+        let err = forge(vec![1, 3, 3, 6]).decode(&base).unwrap_err();
+        assert_eq!(err, DecodeError::UnsortedIndices { position: 2 });
+        // A step back.
+        let err = forge(vec![5, 2]).decode(&base).unwrap_err();
+        assert_eq!(err, DecodeError::UnsortedIndices { position: 1 });
+        // Strictly ascending indices decode.
+        assert!(forge(vec![0, 1, 7]).decode(&base).is_ok());
     }
 
     #[test]
@@ -1626,21 +1395,20 @@ mod tests {
             weight: 1.0,
         }];
         for config in [
-            CompressionConfig::sparse(0.25),
             CompressionConfig::quantized_sparse(BitWidth::Int4, 0.25),
+            CompressionConfig::quantized_sparse(BitWidth::Int8, 1.0),
         ] {
             let mut upload = EncodedUpload::encode(&updates, None, &model, config);
             assert!(upload.decode(&model).is_ok());
             match &mut upload.experts[0].w1.payload {
-                DeltaPayload::Sparse { indices, .. }
-                | DeltaPayload::SparseQuantized { indices, .. } => indices[1] = indices[0],
+                DeltaPayload::SparseQuantized { indices, .. } => indices[1] = indices[0],
                 other => panic!("{other:?}"),
             }
             // The seal catches the forgery; a forger who reseals meets the
             // typed index check instead of a double-applied delta.
             let err = upload.decode(&model).unwrap_err();
             assert!(matches!(err, DecodeError::ChecksumMismatch { .. }));
-            upload.reseal();
+            upload.checksum = upload.content_checksum();
             let err = upload.decode(&model).unwrap_err();
             assert_eq!(err, DecodeError::UnsortedIndices { position: 1 });
         }
@@ -1676,8 +1444,8 @@ mod tests {
         let err = encoded.decode(&base).unwrap_err();
         assert!(matches!(err, DecodeError::BadQuantization(_)));
 
-        // A packed field holds one level below `-max_level`; a dense
-        // quantized payload carrying it is rejected at every width.
+        // A packed field holds one level below `-max_level`; a payload
+        // carrying it is rejected at every width.
         for (width, low) in [
             (BitWidth::Int2, -2),
             (BitWidth::Int4, -8),
@@ -1686,13 +1454,12 @@ mod tests {
             let encoded = EncodedTensor {
                 rows: 1,
                 cols: 4,
-                payload: DeltaPayload::Quantized(QuantizedMatrix::from_levels(
-                    1,
-                    4,
+                payload: DeltaPayload::SparseQuantized {
+                    indices: vec![0, 1, 2, 3],
+                    levels: vec![0, 1, low, -1],
+                    scale: 0.5,
                     width,
-                    &[0, 1, low, -1],
-                    vec![0.5],
-                )),
+                },
             };
             let err = encoded.decode(&base).unwrap_err();
             assert!(
@@ -1720,8 +1487,7 @@ mod tests {
         assert_eq!(decoded.expert.b1, new.b1);
         assert_eq!(decoded.expert.w2, new.w2);
         assert_eq!(decoded.expert.b2, new.b2);
-        assert!(encoded.encoded_bytes() < encoded.dense_bytes());
-        assert_eq!(encoded.dense_bytes(), new.num_params() * 4);
+        assert!(encoded.encoded_bytes() < new.num_params() * 4);
     }
 
     /// An update that shares the base's own expert encodes to the same
@@ -1749,12 +1515,9 @@ mod tests {
         for config in [
             CompressionConfig::Dense,
             CompressionConfig::LosslessDelta,
-            CompressionConfig::quantized(BitWidth::Int8),
-            CompressionConfig::quantized(BitWidth::Int4),
-            CompressionConfig::quantized(BitWidth::Int2),
-            CompressionConfig::sparse(0.0),
-            CompressionConfig::sparse(0.25),
-            CompressionConfig::sparse(1.0),
+            CompressionConfig::quantized_sparse(BitWidth::Int8, 1.0),
+            CompressionConfig::quantized_sparse(BitWidth::Int4, 1.0),
+            CompressionConfig::quantized_sparse(BitWidth::Int2, 1.0),
             CompressionConfig::quantized_sparse(BitWidth::Int8, 0.1),
             CompressionConfig::quantized_sparse(BitWidth::Int4, 0.25),
             CompressionConfig::quantized_sparse(BitWidth::Int2, 0.0),
@@ -1768,6 +1531,44 @@ mod tests {
             );
             assert_eq!(from_shared.checksum, from_owned.checksum, "{config:?}");
             assert_eq!(from_shared.content_checksum(), from_shared.checksum);
+        }
+    }
+
+    /// At a fraction of 1 an expert the upload shares with the snapshot
+    /// ships no entry, so it decodes to the snapshot's own `Arc` instead
+    /// of a copy, while a trained expert still ships every non-zero delta.
+    #[test]
+    fn a_full_fraction_upload_decodes_a_shared_expert_to_its_arc() {
+        let mut rng = SeededRng::new(31);
+        let model = MoeModel::new(flux_moe::MoeConfig::tiny(), &mut rng);
+        let keys = model.expert_keys();
+        let mut trained = model.expert(keys[1]).clone();
+        trained.b1[0] += 0.5;
+        let updates: Vec<SharedExpertUpdate> = vec![
+            ExpertUpdate {
+                key: keys[0],
+                expert: Arc::clone(model.shared_expert(keys[0])),
+                weight: 1.0,
+            },
+            ExpertUpdate {
+                key: keys[1],
+                expert: Arc::new(trained.clone()),
+                weight: 1.0,
+            },
+        ];
+        for width in BitWidth::all() {
+            let config = CompressionConfig::quantized_sparse(width, 1.0);
+            let encoded = EncodedUpload::encode(&updates, None, &model, config);
+            let (decoded, _) = encoded.decode_shared(&model).unwrap();
+            assert!(
+                Arc::ptr_eq(&decoded[0].expert, model.shared_expert(keys[0])),
+                "{width:?}: the shared expert was decoded into a copy"
+            );
+            assert!(!Arc::ptr_eq(
+                &decoded[1].expert,
+                model.shared_expert(keys[1])
+            ));
+            assert_eq!(decoded[1].expert.b1, trained.b1, "{width:?}");
         }
     }
 
@@ -1790,7 +1591,7 @@ mod tests {
         let err = encoded.decode(&model).unwrap_err();
         assert!(matches!(err, DecodeError::ChecksumMismatch { .. }));
         // With a fresh seal the typed key validation fires instead.
-        encoded.reseal();
+        encoded.checksum = encoded.content_checksum();
         let err = encoded.decode(&model).unwrap_err();
         assert!(matches!(
             err,
@@ -1818,10 +1619,9 @@ mod tests {
         }];
         let head = (perturbed(model.active_head(), 25), 1.0f32);
         for config in [
-            CompressionConfig::Dense,
             CompressionConfig::LosslessDelta,
-            CompressionConfig::quantized(BitWidth::Int8),
-            CompressionConfig::sparse(0.5),
+            CompressionConfig::quantized_sparse(BitWidth::Int8, 1.0),
+            CompressionConfig::quantized_sparse(BitWidth::Int2, 0.5),
             CompressionConfig::quantized_sparse(BitWidth::Int4, 0.25),
         ] {
             let encoded = EncodedUpload::encode(&updates, Some(&head), &model, config);
@@ -1887,29 +1687,6 @@ mod tests {
         assert_ne!(
             fold_u32s(FNV_OFFSET, &zero_tail[..2]),
             fold_u32s(FNV_OFFSET, &zero_tail)
-        );
-    }
-
-    #[test]
-    fn dense_payload_byte_helper_matches_encoder() {
-        let mut rng = SeededRng::new(20);
-        let model = MoeModel::new(flux_moe::MoeConfig::tiny(), &mut rng);
-        let key = model.expert_keys()[0];
-        let updates = vec![ExpertUpdate {
-            key,
-            expert: model.expert(key).clone(),
-            weight: 1.0,
-        }];
-        let head = (model.active_head().clone(), 1.0f32);
-        let encoded = EncodedUpload::encode(
-            &updates,
-            Some(&head),
-            &model,
-            CompressionConfig::LosslessDelta,
-        );
-        assert_eq!(
-            encoded.dense_bytes(),
-            dense_upload_payload_bytes(&updates, Some(&head))
         );
     }
 }

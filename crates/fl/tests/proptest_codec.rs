@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 
 use flux_fl::{CompressionConfig, EncodedTensor};
-use flux_quant::{quantize_row, BitWidth, QuantizedMatrix};
+use flux_quant::{quantize_row, BitWidth};
 use flux_tensor::{Matrix, SeededRng};
 
 /// Per-tensor header the simulated wire format charges.
@@ -124,62 +124,34 @@ fn model(new: &Matrix, base: &Matrix, config: CompressionConfig) -> (Vec<f32>, u
         n.div_ceil(8) + significant
     };
     match config {
-        CompressionConfig::Dense => (new_flat.to_vec(), HEADER + 4 * n),
-        CompressionConfig::LosslessDelta => (new_flat.to_vec(), HEADER + xor_bytes()),
+        // Both ship the XOR form, which decodes to `new` exactly.
+        CompressionConfig::Dense | CompressionConfig::LosslessDelta => {
+            (new_flat.to_vec(), HEADER + xor_bytes())
+        }
         CompressionConfig::LossyDelta {
-            quantization,
+            width,
             top_k_fraction,
         } => {
-            let fraction = top_k_fraction.clamp(0.0, 1.0);
-            match (quantization, fraction >= 1.0) {
-                (None, true) => (new_flat.to_vec(), HEADER + xor_bytes()),
-                (Some(width), true) => {
-                    let q = QuantizedMatrix::quantize(
-                        &Matrix::from_vec(rows, cols, delta).unwrap(),
-                        width,
-                    );
-                    let decoded = base_flat
-                        .iter()
-                        .zip(q.dequantize().as_slice())
-                        .map(|(b, d)| b + d)
-                        .collect();
-                    (decoded, HEADER + q.storage_bytes())
-                }
-                (quantization, false) => {
-                    let kept = model_top_k(&delta, fraction);
-                    let values: Vec<f32> = kept.iter().map(|&i| delta[i]).collect();
-                    let mut decoded = base_flat.to_vec();
-                    let body = match quantization {
-                        None => {
-                            for (&i, v) in kept.iter().zip(&values) {
-                                decoded[i] += v;
-                            }
-                            4 * kept.len()
-                        }
-                        Some(width) => {
-                            let mut levels = vec![0i8; kept.len()];
-                            let scale = quantize_row(&values, width, &mut levels);
-                            for (&i, &level) in kept.iter().zip(&levels) {
-                                decoded[i] += level as f32 * scale;
-                            }
-                            width.storage_bytes(kept.len()) + 4
-                        }
-                    };
-                    (decoded, HEADER + mask_bytes(n, kept.len()) + body)
-                }
+            let kept = model_top_k(&delta, top_k_fraction.clamp(0.0, 1.0));
+            let values: Vec<f32> = kept.iter().map(|&i| delta[i]).collect();
+            let mut levels = vec![0i8; kept.len()];
+            let scale = quantize_row(&values, width, &mut levels);
+            let mut decoded = base_flat.to_vec();
+            for (&i, &level) in kept.iter().zip(&levels) {
+                decoded[i] += level as f32 * scale;
             }
+            let body = mask_bytes(n, kept.len()) + width.storage_bytes(kept.len()) + 4;
+            (decoded, HEADER + body)
         }
     }
 }
 
-/// Every constructor of [`CompressionConfig`], the sparsifying ones at each
-/// fraction of the sweep for an `n`-entry tensor.
+/// Every constructor of [`CompressionConfig`], the lossy one at every
+/// width and each fraction of the sweep for an `n`-entry tensor.
 fn configs(n: usize) -> Vec<CompressionConfig> {
     let nf = n.max(1) as f32;
     let mut out = vec![CompressionConfig::Dense, CompressionConfig::LosslessDelta];
-    out.extend(BitWidth::all().map(CompressionConfig::quantized));
     for fraction in [0.0, 1.0 / nf, 0.25, 0.5, 1.0 - 1.0 / nf, 1.0] {
-        out.push(CompressionConfig::sparse(fraction));
         out.extend(BitWidth::all().map(|w| CompressionConfig::quantized_sparse(w, fraction)));
     }
     out

@@ -125,8 +125,8 @@ fn make_shared_uploads(
 fn wire_configs() -> [CompressionConfig; 4] {
     [
         CompressionConfig::LosslessDelta,
-        CompressionConfig::quantized(BitWidth::Int8),
-        CompressionConfig::quantized(BitWidth::Int4),
+        CompressionConfig::quantized_sparse(BitWidth::Int8, 1.0),
+        CompressionConfig::quantized_sparse(BitWidth::Int4, 1.0),
         CompressionConfig::quantized_sparse(BitWidth::Int4, 0.25),
     ]
 }

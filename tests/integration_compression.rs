@@ -1,9 +1,10 @@
 //! The upload-compression layer. Lossless delta encoding (XOR bit
 //! patterns against the round-start snapshot) reproduces the dense run
 //! bit for bit — across thread counts, schedules, arrival orders and the
-//! scheduler — while shipping fewer bytes; lossy modes (int8/int4
-//! quantized deltas, top-k sparsification) are pure functions of upload and
-//! snapshot, so they hold their own bits the same way. Those are the
+//! scheduler — while shipping fewer bytes; the lossy mode (the top-k
+//! fraction of the delta, quantized at int8/int4/int2 against one shared
+//! scale) is a pure function of upload and snapshot, so it holds its own
+//! bits the same way. Those are the
 //! `Wire`, `LosslessArrivals`, `Lossy` and `CompressedScheduled` groups of
 //! the equivalence table (`tests/common/mod.rs`). This suite adds what only
 //! compression has: lossy scores within tolerance of the dense run, bytes
@@ -45,8 +46,14 @@ fn flux_with(compression: CompressionConfig) -> Trace {
 fn lossy_modes_stay_within_tolerance_of_the_dense_run() {
     let dense = flux_with(CompressionConfig::Dense);
     for (label, config) in [
-        ("int8", CompressionConfig::quantized(BitWidth::Int8)),
-        ("int4", CompressionConfig::quantized(BitWidth::Int4)),
+        (
+            "int8",
+            CompressionConfig::quantized_sparse(BitWidth::Int8, 1.0),
+        ),
+        (
+            "int4",
+            CompressionConfig::quantized_sparse(BitWidth::Int4, 1.0),
+        ),
         (
             "int4+topk25",
             CompressionConfig::quantized_sparse(BitWidth::Int4, 0.25),
@@ -85,8 +92,8 @@ fn encoded_bytes_shrink_with_width_and_sparsity() {
     };
     let dense = bytes_of(CompressionConfig::Dense);
     let lossless = bytes_of(CompressionConfig::LosslessDelta);
-    let int8 = bytes_of(CompressionConfig::quantized(BitWidth::Int8));
-    let int4 = bytes_of(CompressionConfig::quantized(BitWidth::Int4));
+    let int8 = bytes_of(CompressionConfig::quantized_sparse(BitWidth::Int8, 1.0));
+    let int4 = bytes_of(CompressionConfig::quantized_sparse(BitWidth::Int4, 1.0));
     let int4_sparse = bytes_of(CompressionConfig::quantized_sparse(BitWidth::Int4, 0.25));
     assert!(lossless < dense, "lossless {lossless} dense {dense}");
     assert!(int8 < dense, "int8 {int8} dense {dense}");
