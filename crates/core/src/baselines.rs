@@ -51,9 +51,10 @@ pub struct LocalRoundOutput {
 impl LocalRoundOutput {
     /// Moves the upload payload (expert updates + task head) out of the
     /// output, leaving the reduction bookkeeping (loss, tokens, cost) in
-    /// place. The pipelined driver stages the payload into the server's
-    /// sharded aggregator the moment a participant finishes, while the
-    /// participant-id-ordered reduction still consumes the rest.
+    /// place. The driver carries the payload (decoded again after its trip
+    /// over the wire when the run compresses) to its delivery layer, which
+    /// stages it, while the participant-id-ordered reduction consumes the
+    /// rest.
     pub fn take_upload(&mut self) -> (Vec<SharedExpertUpdate>, Option<(Matrix, f32)>) {
         (
             std::mem::take(&mut self.expert_updates),

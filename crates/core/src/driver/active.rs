@@ -21,9 +21,9 @@ use crate::merging::{ExpertGramCache, GramCacheStats};
 use crate::profiling::QuantizedModelCache;
 use crate::recovery::{encode_run_state, RunState};
 
-use super::delivery::{simulate_deliveries, submit_shuffled, submit_upload};
+use super::delivery::simulate_deliveries;
 use super::local_round::{ClientStates, ParticipantRound, RoundContext};
-use super::{ExecutionMode, FederatedRun, Method, RoundFaults, RoundRecord, RunResult};
+use super::{ExecutionMode, FederatedRun, Method, RoundRecord, RunResult};
 
 /// Simulated server-side aggregation latency per round, in seconds
 /// (constant, small). The pipelined schedule hides it behind the next
@@ -74,10 +74,10 @@ pub enum RunPhase {
 /// A round whose participant fan-out has completed but whose reduction and
 /// aggregation have not run yet (between `start_round` and `finish_round`).
 struct ComputedRound {
-    aggregator: AggregationTree,
     results: Vec<TaskOut>,
     eval_of_pending: Option<EvalResult>,
-    /// The round-start snapshot: the base encoded uploads decode against.
+    /// The round-start snapshot: the base a damaged upload is encoded
+    /// against.
     snapshot: Arc<MoeModel>,
 }
 
@@ -93,9 +93,9 @@ struct ComputedRound {
 ///
 /// `start_round` performs the round's participant fan-out on the given
 /// worker pool (plus the overlapped evaluation of the previous round in
-/// pipelined mode), staging uploads into the round's aggregation tree;
-/// `finish_round` applies the participant-id-ordered reduction and
-/// installs the staged round into the store. Splitting the loop this way lets
+/// pipelined mode); `finish_round` stages the uploads that land into the
+/// round's aggregation tree, applies the participant-id-ordered reduction
+/// and installs the round into the store. Splitting the loop this way lets
 /// the [`crate::scheduler::Scheduler`] interleave rounds from many runs on
 /// one pool; a run stepped to completion produces results bit-identical to
 /// [`FederatedRun::run`] executed alone, whatever is interleaved between
@@ -300,8 +300,9 @@ impl ActiveRun {
     /// Valid at any [`RunPhase`], and always the *top-of-round* state: only
     /// `finish_round` changes run state, so a checkpoint taken between
     /// `start_round` and `finish_round` writes the same directory as one
-    /// taken just before `start_round`. What the round has staged is not
-    /// persisted: on restore the round's fan-out replays deterministically,
+    /// taken just before `start_round`. What the fan-out computed is not
+    /// persisted (nothing is staged before `finish_round`): on restore the
+    /// round's fan-out replays deterministically,
     /// every participant recomputes its upload bit for bit, and the run
     /// continues to results bit-identical to an uninterrupted one.
     ///
@@ -358,10 +359,9 @@ impl ActiveRun {
     ///
     /// Every participant (and, in pipelined mode, the overlapped evaluation
     /// of the previous round) reads the same store snapshot; no store lock
-    /// is held while they compute. Uploads stage into the round's
-    /// aggregation tree the moment each participant finishes, under either
-    /// schedule — unless the delivery layer or the arrival-shuffle knob is
-    /// active, which retain them for `finish_round` to stage.
+    /// is held while they compute. Each participant's upload comes back in
+    /// the form staging takes (decoded on its worker when the run
+    /// compresses); nothing is staged before `finish_round`.
     ///
     /// # Panics
     ///
@@ -389,16 +389,6 @@ impl ActiveRun {
                 .collect();
         }
         let driver = &self.driver;
-        let aggregator =
-            AggregationTree::new(self.store.begin_round(), driver.config.aggregation_edges);
-        // Uploads stream into the aggregator the moment each participant
-        // finishes — unless the arrival shuffle knob is on, in which case
-        // they are replayed in a seeded order during finish_round (either
-        // way the aggregator's pid-ordered finalize makes arrival order
-        // unobservable), or the delivery layer is active, which decides
-        // per upload what arrives at all.
-        let submit_on_completion = driver.arrival_seed.is_none() && !driver.faults_active();
-
         // One snapshot per round: participants and the overlapped
         // evaluation share the store's `Arc`, holding no store lock while
         // they compute.
@@ -415,7 +405,7 @@ impl ActiveRun {
             round_rng: &self.round_rng,
         };
         let (mut results, eval_of_pending) = {
-            let (ctx, aggregator) = (&ctx, &aggregator);
+            let ctx = &ctx;
             let (states, eval_set) = (&self.client_states, &self.eval_set);
             let mut tasks: Vec<Box<dyn FnOnce() -> TaskOut + Send + '_>> = Vec::new();
             for participant in &self.fleet {
@@ -429,16 +419,12 @@ impl ActiveRun {
                     continue;
                 }
                 tasks.push(Box::new(move || {
-                    let mut result = ctx.local_round(participant, states.get(participant.id));
+                    let result = ctx.local_round(participant, states.get(participant.id));
                     // A straggler computes the same result, it just
-                    // reaches the server late.
+                    // returns late.
                     let delay = behavior.delay_ms();
                     if delay > 0 {
                         std::thread::sleep(std::time::Duration::from_millis(delay));
-                    }
-                    if submit_on_completion {
-                        let upload = result.upload.take().expect("a local round ships an upload");
-                        submit_upload(aggregator, participant.id, upload, ctx.snapshot);
                     }
                     TaskOut::Participant(Box::new(result))
                 }));
@@ -474,20 +460,20 @@ impl ActiveRun {
         debug_assert_eq!(results.len(), self.fleet.len());
         results.shrink_to_fit();
         self.computed = Some(ComputedRound {
-            aggregator,
             results,
             eval_of_pending,
             snapshot: global,
         });
     }
 
-    /// Closes the computed round: stages whatever uploads the delivery
-    /// layer or the arrival-shuffle knob retained, applies utility reports
-    /// and the participant-id-ordered reduction, installs the staged round
-    /// into the run's store with one `apply_round` (in place: the round's
-    /// snapshot is released first), advances the simulated clock, and
-    /// records the round (immediately when barriered; one round later when
-    /// pipelined, as the evaluation overlaps the next dispatch).
+    /// Closes the computed round: opens the round's aggregation tree, runs
+    /// the delivery layer (which stages every upload that lands), applies
+    /// utility reports and the participant-id-ordered reduction, installs
+    /// the staged round into the run's store with one `apply_round` (in
+    /// place: the round's snapshot is released first), advances the
+    /// simulated clock, and records the round (immediately when barriered;
+    /// one round later when pipelined, as the evaluation overlaps the next
+    /// dispatch).
     ///
     /// # Panics
     ///
@@ -495,7 +481,6 @@ impl ActiveRun {
     pub fn finish_round(&mut self, pool: &ThreadPool) {
         let round = self.next_round;
         let ComputedRound {
-            aggregator,
             mut results,
             eval_of_pending,
             snapshot,
@@ -513,21 +498,21 @@ impl ActiveRun {
             self.record(previous, eval.score);
         }
 
-        // The delivery layer: under faults every upload was retained, and
-        // the simulation decides which of them reach the aggregator (and
-        // what the retries cost), purely from the seeds.
-        let (landed_extra_s, round_faults) = if self.driver.faults_active() {
-            simulate_deliveries(
-                &self.driver,
-                round,
-                &aggregator,
-                &self.fleet,
-                &mut results,
-                &snapshot,
-            )
-        } else {
-            (vec![Some(0.0); self.fleet.len()], RoundFaults::default())
-        };
+        // The delivery layer decides which uploads reach the aggregator
+        // (and what the retries cost), purely from the seeds, and stages
+        // them.
+        let aggregator = AggregationTree::new(
+            self.store.begin_round(),
+            self.driver.config.aggregation_edges,
+        );
+        let (landed_extra_s, round_faults) = simulate_deliveries(
+            &self.driver,
+            round,
+            &aggregator,
+            &self.fleet,
+            &mut results,
+            &snapshot,
+        );
 
         // Ordered reduction: participant-id order, same as the old
         // sequential loop, regardless of completion order.
@@ -546,9 +531,9 @@ impl ActiveRun {
                 self.client_states
                     .install(participant.id, state, registered);
             }
-            // Under faults, an upload that never landed excludes its
-            // participant from the round entirely — no utility reports, no
-            // loss/token/byte contribution — exactly like a dropout.
+            // An upload that never landed excludes its participant from the
+            // round entirely — no utility reports, no loss/token/byte
+            // contribution — exactly like a dropout.
             let Some(extra_comm_s) = landed_extra_s[slot] else {
                 continue;
             };
@@ -572,18 +557,11 @@ impl ActiveRun {
             }
         }
 
-        if let Some(seed) = self.driver.arrival_seed {
-            // Replay the retained uploads in a seeded-shuffled participant
-            // order: a deterministic stand-in for the scheduler's arbitrary
-            // completion order. (Under faults the delivery layer already
-            // took every upload, so nothing is left to replay.)
-            submit_shuffled(&aggregator, &self.fleet, results, round, seed, &snapshot);
-        }
-        // The one door into the global model: whatever staged the uploads
-        // (completion order, the delivery layer, the shuffle), the root's
-        // pid-ordered finalize reduces them identically for every schedule
-        // and tree shape. The round's snapshot goes first, so the install
-        // changes the one model in place instead of copying it.
+        // The one door into the global model: whatever order the delivery
+        // layer staged the uploads in, the root's pid-ordered finalize
+        // reduces them identically for every schedule and tree shape. The
+        // round's snapshot goes first, so the install changes the one model
+        // in place instead of copying it.
         drop(snapshot);
         self.store.apply_round(aggregator.collapse(), pool);
 

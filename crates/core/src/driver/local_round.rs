@@ -20,10 +20,10 @@ use crate::baselines::{
     fmd_local_round, fmes_local_round, fmq_local_round, into_compact_upload, local_train,
     LocalRoundOutput,
 };
-use crate::merging::{ClusteringMode, CompactModelPlan, ExpertGramCache};
+use crate::merging::{CompactModelPlan, ExpertGramCache};
 use crate::profiling::{LocalProfiler, ProfilingConfig, QuantizedModelCache, StaleProfiler};
 
-use super::delivery::RoundUpload;
+use super::delivery::Upload;
 use super::{Method, RunConfig};
 
 /// What one registered client carries from one of its rounds to the next.
@@ -116,10 +116,9 @@ pub(super) struct ParticipantRound {
     pub(super) reported_utilities: Vec<ExpertUtility>,
     /// The client's new state, when the round changed it.
     pub(super) state: Option<ClientState>,
-    /// The upload in wire form until it is staged: the moment the
-    /// participant finishes, or in `finish_round` when the delivery layer
-    /// or the arrival-shuffle knob decides what arrives and when.
-    pub(super) upload: Option<RoundUpload>,
+    /// The upload as the server stages it (decoded already when the run
+    /// compresses), until the delivery layer in `finish_round` takes it.
+    pub(super) upload: Option<Upload>,
     /// Bytes a dense upload of this participant's payload occupies.
     pub(super) upload_bytes_dense: usize,
     /// Bytes the encoded upload actually occupies.
@@ -164,7 +163,7 @@ pub(super) struct RoundContext<'a> {
 
 impl RoundContext<'_> {
     /// Runs `participant`'s local round for the run's method against the
-    /// client's `state`, then puts the upload into its wire form.
+    /// client's `state`, then puts the upload through the wire.
     pub(super) fn local_round(
         &self,
         participant: &Participant,
@@ -210,38 +209,40 @@ impl RoundContext<'_> {
         round
     }
 
-    /// Moves the round's payload into its wire form and accounts its bytes
-    /// (encoding is participant-side compute, so it runs on the worker).
-    /// The dense form is exactly the legacy payload.
+    /// Puts the round's payload through the wire and accounts its bytes.
+    /// Encoding and decoding are participant- and edge-side compute, so
+    /// both run on the worker: a compressed upload is encoded against the
+    /// snapshot (its bytes price communication) and decoded against it
+    /// again, so the delivery layer stages every upload in one form. A
+    /// dense upload is the payload itself.
     fn encode_upload(&self, participant: &Participant, round: &mut ParticipantRound) {
         let compression = self.config.compression;
         let (updates, head) = round.output.take_upload();
         round.upload_bytes_dense = dense_upload_payload_bytes(&updates, head.as_ref());
-        let upload = if compression.is_dense() {
-            round.upload_bytes_encoded = round.upload_bytes_dense;
-            RoundUpload::Dense(updates, head)
+        round.upload_bytes_encoded = round.upload_bytes_dense;
+        if compression.is_dense() {
+            round.upload = Some((updates, head));
+            return;
+        }
+        let encoded = EncodedUpload::encode(&updates, head.as_ref(), self.snapshot, compression);
+        round.upload_bytes_encoded = encoded.encoded_bytes();
+        // Re-price communication from real payload bytes: the upload ships
+        // at the encoded/dense ratio of the reference-scale dense payload,
+        // the download of refreshed experts stays dense.
+        let dense_ref = CostModel::dense_upload_bytes(&self.snapshot.config, updates.len().max(1));
+        let ratio = if round.upload_bytes_dense > 0 {
+            round.upload_bytes_encoded as f64 / round.upload_bytes_dense as f64
         } else {
-            let encoded =
-                EncodedUpload::encode(&updates, head.as_ref(), self.snapshot, compression);
-            round.upload_bytes_encoded = encoded.encoded_bytes();
-            // Re-price communication from real payload bytes: the upload
-            // ships at the encoded/dense ratio of the reference-scale dense
-            // payload, the download of refreshed experts stays dense.
-            let dense_ref =
-                CostModel::dense_upload_bytes(&self.snapshot.config, updates.len().max(1));
-            let ratio = if round.upload_bytes_dense > 0 {
-                round.upload_bytes_encoded as f64 / round.upload_bytes_dense as f64
-            } else {
-                1.0
-            };
-            round.output.cost.communication_s = self.cost.communication_time_s_bytes(
-                &participant.device,
-                dense_ref * ratio,
-                dense_ref,
-            );
-            RoundUpload::Encoded(encoded)
+            1.0
         };
-        round.upload = Some(upload);
+        round.output.cost.communication_s =
+            self.cost
+                .communication_time_s_bytes(&participant.device, dense_ref * ratio, dense_ref);
+        drop(updates);
+        let decoded = encoded
+            .decode_shared(self.snapshot)
+            .expect("a driver-produced upload decodes against its round-start snapshot");
+        round.upload = Some(decoded);
     }
 
     /// One Flux participant round: profiling, role assignment, adaptive
@@ -416,7 +417,6 @@ impl RoundContext<'_> {
         let train_tokens: usize = train_samples.iter().map(|s| s.tokens.len()).sum();
         let reference_train_tokens = train_tokens.saturating_mul(cfg.reference_token_scale);
         let non_tuning_total = config.total_experts().saturating_sub(tuning_set.len());
-        let fused = matches!(cfg.merging.clustering, ClusteringMode::Fused);
         // Exploration gradient estimation: two forward passes per
         // perturbation over one reference-scale sample.
         let estimation_tokens = exploration_estimates
@@ -431,7 +431,7 @@ impl RoundContext<'_> {
                 .unwrap_or(16);
         let breakdown = RoundCostBreakdown {
             profiling_s,
-            merging_s: cost.merge_time_s(non_tuning_total, fused),
+            merging_s: cost.merge_time_s(non_tuning_total),
             assignment_s: cost.assignment_time_s(config.total_experts())
                 + cost.forward_time_s(device, config, estimation_tokens, config.top_k),
             fine_tuning_s: cost.fine_tune_time_s(

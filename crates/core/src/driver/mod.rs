@@ -17,16 +17,18 @@
 //! * this file — [`FederatedRun`]: the builders, start and restore.
 //! * `active.rs` — the method-agnostic state machine [`ActiveRun`]:
 //!   `start_round` materializes the round's cohort and fans its local
-//!   rounds out on the pool; `finish_round` runs the delivery layer,
-//!   reduces in participant-id order, installs the round into the store,
-//!   advances the simulated clock and records; checkpoint and resume.
+//!   rounds out on the pool; `finish_round` opens the round's aggregation
+//!   tree, runs the delivery layer, reduces in participant-id order,
+//!   installs the round into the store, advances the simulated clock and
+//!   records; checkpoint and resume.
 //! * `local_round.rs` — one participant's round: the single `match` on
 //!   [`Method`], Flux's body (profiling §4, role assignment §6, merging §5,
 //!   local training, utility reports), the baseline bodies of
-//!   [`crate::baselines`], and the upload's wire form.
-//! * `delivery.rs` — how uploads reach the round's aggregation tree: as
-//!   each participant finishes, through the fault-simulating delivery
-//!   layer, or in a seeded shuffle.
+//!   [`crate::baselines`], and the upload's trip over the wire (encoded
+//!   and decoded again on the worker when the run compresses).
+//! * `delivery.rs` — the one way uploads reach the round's aggregation
+//!   tree: the fault-simulating delivery layer, which stages what lands
+//!   (in a seeded shuffle under [`FederatedRun::with_shuffled_arrivals`]).
 //!
 //! # A local round never mutates run state
 //!
@@ -41,14 +43,14 @@
 //! # Round execution modes
 //!
 //! Every upload reaches the global model the same way, whatever the
-//! schedule: it is staged into the round's [`AggregationTree`] (as the
-//! participant finishes, from any thread in any order — or by the delivery
-//! layer / the arrival-shuffle knob when one of those decides what arrives
-//! and when), and `finish_round` closes the round with one
-//! [`ShardedStore::apply_round`]. The aggregator sorts its shards by
-//! participant id before the weighted merges, so losses, scores and
-//! weights are **bit-identical** for every thread count, arrival order and
-//! schedule.
+//! schedule: the delivery layer in `finish_round` stages it into the
+//! round's [`AggregationTree`] — already in the form staging takes, since
+//! a compressed upload was decoded on its participant's worker — and
+//! closes the round with one [`ShardedStore::apply_round`]. Under the
+//! default, inert fault tolerance every upload lands. The aggregator sorts
+//! its shards by participant id before the weighted merges, so losses,
+//! scores and weights are **bit-identical** for every thread count,
+//! arrival order and schedule.
 //!
 //! [`AggregationTree`]: flux_fl::AggregationTree
 //! [`ShardedStore::apply_round`]: flux_fl::ShardedStore::apply_round
@@ -93,7 +95,7 @@ use std::sync::Arc;
 
 use threadpool::ThreadPool;
 
-use flux_fl::{load_store, FaultToleranceConfig, ParticipantBehavior, SnapshotError};
+use flux_fl::{load_store, ParticipantBehavior, SnapshotError};
 
 pub use active::{ActiveRun, RunPhase};
 pub use config::{ExecutionMode, Method, RoundFaults, RoundRecord, RunConfig, RunResult};
@@ -166,10 +168,10 @@ impl FederatedRun {
         self
     }
 
-    /// Verification knob: defer the incremental upload submissions and
-    /// replay them in a seeded-shuffled participant order instead of
-    /// completion order. Results must not change — the golden-trace suite
-    /// uses this to prove arrival-order invariance deterministically.
+    /// Verification knob: the delivery layer stages each round's landed
+    /// uploads in a seeded permutation instead of arrival order. Results
+    /// must not change — the golden-trace suite uses this to prove
+    /// arrival-order invariance deterministically.
     pub fn with_shuffled_arrivals(mut self, seed: u64) -> Self {
         self.arrival_seed = Some(seed);
         self
@@ -178,22 +180,6 @@ impl FederatedRun {
     /// The run configuration.
     pub fn config(&self) -> &RunConfig {
         &self.config
-    }
-
-    /// Whether any fault source or non-default delivery policy is active —
-    /// the switch that routes uploads through the delivery layer instead of
-    /// streaming them straight into the aggregator.
-    fn faults_active(&self) -> bool {
-        self.config.fault_plan.is_some()
-            || self.config.fault_tolerance != FaultToleranceConfig::default()
-            || self.behaviors.values().any(|b| {
-                matches!(
-                    b,
-                    ParticipantBehavior::CrashAt { .. }
-                        | ParticipantBehavior::CorruptAt { .. }
-                        | ParticipantBehavior::StallAt { .. }
-                )
-            })
     }
 
     /// Executes the full federated fine-tuning process with one method:

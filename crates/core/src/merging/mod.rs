@@ -40,10 +40,11 @@
 //!   centres it in `f64` and solves — `O(m²·k)` per participant instead of
 //!   `O(m·d·k·iterations)`.
 //!
-//! Sharing pays for [`ClusteringMode::Fused`], whose one clustering problem
-//! spans every layer. The `PerLayer` ablation reads only within-layer inner
+//! Plans always cluster [`ClusteringMode::Fused`], whose one clustering
+//! problem spans every layer, so sharing pays. The `PerLayer` ablation of
+//! Fig. 16 ([`cluster_non_tuning_experts`]) reads only within-layer inner
 //! products, `1/L` of the shared matrix, so it computes each layer's own
-//! small matrix and leaves the cache empty.
+//! small matrix and takes no cache.
 //!
 //! [`CompactModelPlan::build`] takes no cache and computes the inner
 //! products of just the experts it clusters;
@@ -70,8 +71,6 @@ pub use strategy::{merge_cluster, MergeStrategy};
 pub struct MergingConfig {
     /// How the per-layer budgets are chosen.
     pub budget_policy: BudgetPolicy,
-    /// How clusters are computed (fused across layers or per layer).
-    pub clustering: ClusteringMode,
     /// How experts inside one cluster are combined.
     pub strategy: MergeStrategy,
     /// Dimensionality the expert features are reduced to before clustering.
@@ -82,7 +81,6 @@ impl Default for MergingConfig {
     fn default() -> Self {
         Self {
             budget_policy: BudgetPolicy::Adaptive,
-            clustering: ClusteringMode::Fused,
             strategy: MergeStrategy::AttentionFrequency,
             pca_dims: 8,
         }
@@ -99,12 +97,6 @@ impl MergingConfig {
     /// Overrides the merge strategy.
     pub fn with_strategy(mut self, strategy: MergeStrategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Overrides the clustering mode.
-    pub fn with_clustering(mut self, clustering: ClusteringMode) -> Self {
-        self.clustering = clustering;
         self
     }
 }

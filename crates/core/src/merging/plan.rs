@@ -8,7 +8,7 @@ use flux_moe::{ActivationProfile, Expert, ExpertKey, MoeModel, RoutingMap};
 use flux_tensor::{Matrix, SeededRng};
 
 use super::budget::layer_budgets;
-use super::cluster::cluster_non_tuning_experts_shared;
+use super::cluster::{cluster_non_tuning_experts_shared, ClusteringMode};
 use super::gram::ExpertGramCache;
 use super::strategy::merge_cluster;
 use super::MergingConfig;
@@ -63,6 +63,9 @@ impl CompactModelPlan {
     /// * `non_tuning_budget` — the participant's `B_non_i` (total merged
     ///   experts across layers).
     ///
+    /// The non-tuning experts cluster fused across layers
+    /// ([`ClusteringMode::Fused`], the Flux design).
+    ///
     /// The inner products clustering needs are computed here, for the
     /// non-tuning experts only; a caller building plans for many
     /// participants against one model shares them through
@@ -86,8 +89,7 @@ impl CompactModelPlan {
     /// `gram_cache`, which must be the cache of `model`'s round: the first
     /// plans of the round compute them (together, if they arrive together),
     /// the rest copy their sub-block. The plan equals `build`'s bit for
-    /// bit. (`ClusteringMode::PerLayer` computes per-layer matrices of its
-    /// own and leaves the cache untouched.)
+    /// bit.
     ///
     /// # Panics
     ///
@@ -147,7 +149,7 @@ impl CompactModelPlan {
             model,
             &non_tuning_per_layer,
             &budgets,
-            config.clustering,
+            ClusteringMode::Fused,
             config.pca_dims,
             gram_cache,
             rng,

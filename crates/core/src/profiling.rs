@@ -9,6 +9,7 @@
 //! profile computed during round `r-1`'s aggregation window so the profiling
 //! cost is hidden behind server-side work.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -257,12 +258,13 @@ impl StaleProfiler {
     }
 }
 
-fn limit_samples(dataset: &Dataset, max: usize) -> Dataset {
+/// The first `max` samples of `dataset`: borrowed when it already fits.
+fn limit_samples(dataset: &Dataset, max: usize) -> Cow<'_, Dataset> {
     if dataset.len() <= max {
-        return dataset.clone();
+        return Cow::Borrowed(dataset);
     }
     let indices: Vec<usize> = (0..max).collect();
-    dataset.subset(&indices)
+    Cow::Owned(dataset.subset(&indices))
 }
 
 #[cfg(test)]

@@ -1,6 +1,8 @@
 //! FedAvg aggregation of expert parameters and task heads: one-shot
-//! kernels plus the shard-wise incremental [`ShardedAggregator`] the async
-//! round pipeline feeds as participant updates arrive.
+//! kernels plus the shard-wise incremental [`ShardedAggregator`], which
+//! stages uploads in any order from any thread and reduces them in
+//! participant-id order. The driver stages a round's uploads at one
+//! point, its delivery layer, once the round's fan-out has returned.
 //!
 //! Staged experts are `Arc<Expert>`s. An upload that holds its experts
 //! shared stages them as they are, so an expert the participant never
@@ -138,11 +140,10 @@ pub fn fedavg_matrices(updates: &[(Matrix, f32)]) -> Option<Matrix> {
 
 /// Incremental, shard-wise FedAvg aggregation.
 ///
-/// The async round pipeline hands each participant's upload to the server
-/// the moment it arrives, in whatever order the scheduler produces. Naive
-/// eager averaging would make the result depend on that arrival order
-/// (f32 addition is not associative), so the aggregator splits the work in
-/// two:
+/// Uploads may be staged in any order (the driver's delivery layer stages
+/// them in arrival order, or a seeded shuffle of it). Naive eager
+/// averaging would make the result depend on that order (f32 addition is
+/// not associative), so the aggregator splits the work in two:
 ///
 /// * [`ShardedAggregator::submit`] *stages* an upload: every expert update
 ///   is routed to its shard (a deterministic function of the expert key)
@@ -218,13 +219,16 @@ impl ShardedAggregator {
     }
 
     /// Stages one participant's *encoded* upload: the compressed payload is
-    /// decoded against the round-start snapshot `base` right here at the
-    /// staging layer, so the decoded updates reduce under the same
-    /// per-shard locks and participant-id-ordered reduction as dense
-    /// uploads — compression never perturbs aggregation order. An expert
-    /// the upload left unchanged stages as `base`'s own `Arc` (see
+    /// decoded against the round-start snapshot `base` here, so the decoded
+    /// updates reduce under the same per-shard locks and
+    /// participant-id-ordered reduction as dense uploads — compression
+    /// never perturbs aggregation order. An expert the upload left
+    /// unchanged stages as `base`'s own `Arc` (see
     /// [`EncodedUpload::decode_shared`]). Duplicate submissions are rejected
-    /// (`Ok(false)`) before the (non-trivial) decode work.
+    /// (`Ok(false)`) before the (non-trivial) decode work. (The driver
+    /// decodes its uploads on the participant's worker and stages them
+    /// with [`ShardedAggregator::submit`]; only a damaged payload reaches
+    /// it here, to be rejected.)
     ///
     /// # Errors
     ///
@@ -307,11 +311,11 @@ impl ShardedAggregator {
 /// Two-level aggregation tree: edge aggregators pre-reduce their cohort
 /// slice before it reaches the root [`ShardedAggregator`].
 ///
-/// Each edge performs the *structural* half of the reduction the moment an
-/// upload arrives — routing every expert update to its key shard, decoding
-/// and checksum-validating compressed payloads, rejecting duplicate pids —
-/// so the root only concatenates pre-bucketed shard slices and runs the
-/// pid-ordered FedAvg kernels. Edges deliberately do **not** pre-sum
+/// Each edge performs the *structural* half of the reduction as an upload
+/// is staged — routing every expert update to its key shard and rejecting
+/// duplicate pids (plus decoding and checksum-validating a payload handed
+/// to [`AggregationTree::submit_encoded`]) — so the root only concatenates
+/// pre-bucketed shard slices and runs the pid-ordered FedAvg kernels. Edges deliberately do **not** pre-sum
 /// parameters: f32 addition is non-associative, so an arithmetic partial
 /// reduce per edge would make the result depend on the edge topology. By
 /// forwarding `(pid, update)` pairs instead, the root's pid-sorted
@@ -403,8 +407,7 @@ impl AggregationTree {
     }
 
     /// Stages an *encoded* upload: the payload decodes (and checksum-
-    /// validates) at the participant's edge, which is exactly the
-    /// pre-reduction work the two-level topology exists to offload.
+    /// validates) at the participant's edge.
     ///
     /// # Errors
     ///

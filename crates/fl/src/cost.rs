@@ -47,8 +47,9 @@ pub struct CostModel {
     /// Effective fraction of peak PCIe bandwidth reached by expert swapping
     /// (small transfers + synchronization stalls).
     pub pcie_efficiency: f64,
-    /// Seconds per expert for the K-Means-based merging pipeline when run
-    /// layer-by-layer (the fused variant divides this by `fused_speedup`).
+    /// Seconds per expert for the K-Means-based merging pipeline when it
+    /// clusters layer by layer. Merging clusters fused across layers,
+    /// which divides this by `fused_speedup`.
     pub merge_seconds_per_expert: f64,
     /// Speed-up of cross-layer fused clustering over per-layer clustering.
     pub fused_speedup: f64,
@@ -297,14 +298,10 @@ impl CostModel {
         self.communication_time_s_bytes(device, bytes, bytes)
     }
 
-    /// Seconds for the expert clustering + merging pipeline.
-    pub fn merge_time_s(&self, non_tuning_experts: usize, fused: bool) -> f64 {
-        let base = self.merge_seconds_per_expert * non_tuning_experts as f64;
-        if fused {
-            base / self.fused_speedup
-        } else {
-            base
-        }
+    /// Seconds for the expert clustering + merging pipeline, clustering
+    /// fused across layers.
+    pub fn merge_time_s(&self, non_tuning_experts: usize) -> f64 {
+        self.merge_seconds_per_expert * non_tuning_experts as f64 / self.fused_speedup
     }
 
     /// Seconds for the server-side role-assignment optimization, amortized
@@ -496,8 +493,8 @@ mod tests {
     #[test]
     fn fused_merging_is_much_faster() {
         let cost = CostModel::default();
-        let layered = cost.merge_time_s(128, false);
-        let fused = cost.merge_time_s(128, true);
+        let layered = cost.merge_seconds_per_expert * 128.0;
+        let fused = cost.merge_time_s(128);
         assert!(layered / fused > 10.0, "fusion should give a large speedup");
     }
 

@@ -11,8 +11,9 @@
 //!
 //! The server-side response — retry with backoff, per-round deadlines and
 //! quorum finalization — is configured by [`FaultToleranceConfig`] on the
-//! run config. The default config is inert: every pre-existing run
-//! executes byte-identically with fault tolerance compiled in.
+//! run config. Every upload goes through that response; the default
+//! config is inert, so without a fault source every upload lands on its
+//! first attempt at no extra cost.
 
 use flux_tensor::rng::{mix64, GOLDEN_GAMMA};
 
@@ -122,8 +123,10 @@ impl FaultPlan {
 
 /// Server-side degradation policy: retries, deadlines and quorum.
 ///
-/// The default is inert — infinite deadline, no retries, full quorum — so
-/// runs without faults behave (and price communication) exactly as before.
+/// Every upload of a run passes through this policy. The default is
+/// inert — infinite deadline, no retries, full quorum — so without a fault
+/// source every upload lands on its first attempt, priced as the local
+/// round priced it, and the round's fault ledger stays empty.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultToleranceConfig {
     /// Fraction of the round's cohort whose uploads must land before the

@@ -92,12 +92,11 @@ impl State {
 /// One federated job's global model, owned by its run.
 ///
 /// A round aggregates expert updates with FedAvg through the store:
-/// [`ShardedStore::begin_round`] opens a [`ShardedAggregator`] that
-/// participants (or the driver acting for them) feed as their uploads
-/// arrive — from any thread, in any order — and
+/// [`ShardedStore::begin_round`] opens a [`ShardedAggregator`] that the
+/// round's uploads are staged into — from any thread, in any order — and
 /// [`ShardedStore::apply_round`] reduces it in participant-id order and
 /// installs the result, bit-identical to the one-shot
-/// [`ShardedStore::aggregate`] however the updates arrived.
+/// [`ShardedStore::aggregate`] whatever the staging order.
 #[derive(Debug)]
 pub struct ShardedStore {
     num_shards: usize,

@@ -475,7 +475,8 @@ axes! {
     Threads,
     /// Pipelined against barriered, compared without the clock.
     Schedule,
-    /// Uploads staged in a seeded shuffle instead of completion order.
+    /// The delivery layer stages the landed uploads in a seeded shuffle
+    /// instead of arrival order.
     Arrivals,
     /// Lossless delta uploads against the dense run, compared
     /// [`Trace::wire_invariant`].
@@ -493,7 +494,9 @@ axes! {
     /// Interleaved with a co-tenant by the scheduler, or resumed there as a
     /// tenant from a checkpoint.
     Scheduler,
-    /// One participant returns late in wall-clock time.
+    /// One participant's local round returns late in wall-clock time, so
+    /// the fan-out completes in another order (nothing stages before
+    /// `finish_round`).
     Straggler,
     /// A transient fault retried to success, against the clean run.
     Retry,

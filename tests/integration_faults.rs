@@ -15,8 +15,9 @@
 mod common;
 
 use common::{check, quick, reference, Config, Group};
-use flux_core::driver::{ExecutionMode, FederatedRun, Method};
-use flux_fl::{CompressionConfig, FaultToleranceConfig, ParticipantBehavior};
+use flux_core::driver::{ExecutionMode, FederatedRun, Method, RoundRecord};
+use flux_fl::{CompressionConfig, FaultPlan, FaultToleranceConfig, ParticipantBehavior};
+use threadpool::ThreadPool;
 
 #[test]
 fn corrupt_upload_is_rejected_not_panicking() {
@@ -108,4 +109,64 @@ fn fault_plan_runs_are_deterministic_across_schedules() {
 #[test]
 fn mid_round_recovery_under_faults_is_bit_identical() {
     check(Group::FaultyKill);
+}
+
+/// A round nobody's upload reached: nothing trained, counted or shipped.
+fn assert_empty_round(record: &RoundRecord) {
+    assert_eq!(record.train_loss, 0.0, "round {}", record.round);
+    assert_eq!(record.tokens_trained, 0, "round {}", record.round);
+    assert_eq!(record.upload_bytes_dense, 0, "round {}", record.round);
+    assert!(record.score.is_finite(), "round {}", record.round);
+}
+
+#[test]
+fn a_round_with_no_upload_stages_nothing_and_the_run_finishes() {
+    // An empty cohort reaches the delivery layer like any other: its
+    // quorum is zero, nothing stages, and the round installs nothing.
+    assert_eq!(FaultToleranceConfig::default().quorum_count(0), 0);
+    let config = quick();
+    let pool = ThreadPool::new(2);
+
+    // Every cohort member drops out from round 1 on: rounds 1 and 2 run
+    // with an empty cohort and leave round 0's model as it was.
+    let everyone_drops = (0..config.num_participants)
+        .fold(FederatedRun::new(config.clone(), 36), |run, pid| {
+            run.with_behavior(pid, ParticipantBehavior::DropoutAt { round: 1 })
+        });
+    for mode in [ExecutionMode::Pipelined, ExecutionMode::Barriered] {
+        let mut active = everyone_drops.clone().with_mode(mode).start(Method::Flux);
+        let initial = active.store().snapshot().param_checksum();
+        active.step_round(&pool);
+        let after_round_0 = active.store().snapshot().param_checksum();
+        assert_ne!(after_round_0, initial, "{mode:?}: round 0 trains");
+        while !active.is_done() {
+            active.step_round(&pool);
+            assert_eq!(
+                active.store().snapshot().param_checksum(),
+                after_round_0,
+                "{mode:?}: an empty round changes no parameter"
+            );
+        }
+        let result = active.finish();
+        assert_eq!(result.rounds.len(), 3);
+        assert!(result.rounds[0].train_loss > 0.0);
+        for record in &result.rounds[1..] {
+            assert_empty_round(record);
+            assert!(record.faults.is_clean(), "a dropout is not a fault");
+        }
+    }
+
+    // Every upload crashes in every round: the cohort ran, nothing landed,
+    // and the final model is the initial one.
+    let crash_all = quick().with_fault_plan(FaultPlan::new(7).with_crashes(1.0));
+    let run = FederatedRun::new(crash_all, 37);
+    let initial = run.start(Method::Flux).store().snapshot().param_checksum();
+    let result = run.run(Method::Flux);
+    assert_eq!(result.rounds.len(), 3);
+    let everyone: Vec<usize> = (0..config.num_participants).collect();
+    for record in &result.rounds {
+        assert_empty_round(record);
+        assert_eq!(record.faults.dropped, everyone, "round {}", record.round);
+    }
+    assert_eq!(result.final_model.param_checksum(), initial);
 }

@@ -88,8 +88,8 @@ fn different_seeds_change_the_run() {
 
 #[test]
 fn straggler_changes_arrival_order_but_not_results() {
-    // A participant that returns late lands at the back of the arrival
-    // order: the run must neither deadlock nor change a single bit.
+    // A participant whose local round returns late finishes last in the
+    // fan-out: the run must neither deadlock nor change a single bit.
     check(Group::Straggler);
 }
 

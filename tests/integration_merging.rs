@@ -5,8 +5,8 @@ use std::collections::HashSet;
 
 use flux_core::baselines::top_frequency_experts;
 use flux_core::merging::{
-    layer_budgets, merge_cluster, BudgetPolicy, ClusteringMode, CompactModelPlan, ExpertGramCache,
-    ExpertSlot, GramCacheStats, MergeStrategy, MergingConfig,
+    layer_budgets, merge_cluster, BudgetPolicy, CompactModelPlan, ExpertGramCache, ExpertSlot,
+    MergeStrategy, MergingConfig,
 };
 use flux_data::{DatasetConfig, DatasetGenerator, DatasetKind};
 use flux_moe::{Expert, ExpertKey, MoeConfig, MoeModel, RoutingMap};
@@ -148,9 +148,9 @@ fn shared_gram_plans_equal_standalone_plans_for_every_participant() {
     // the same snapshot. Reading the inner products from the round's cache
     // (the driver's path) and computing them per plan (`build`, what the
     // benchmark's replay calls) must give the same plan bit for bit — for
-    // any tuning set, either clustering mode, and whichever participant
-    // happened to fill the cache. CI repeats this under FLUX_THREADS=1/4/8
-    // and FLUX_SIMD=0/1; `integration_kernels` sweeps the levels in-process.
+    // any tuning set, and whichever participant happened to fill the
+    // cache. CI repeats this under FLUX_THREADS=1/4/8 and FLUX_SIMD=0/1;
+    // `integration_kernels` sweeps the levels in-process.
     let config = MoeConfig::tiny().with_experts_per_layer(vec![30, 8, 30, 17]);
     let mut rng = SeededRng::new(11);
     let model = MoeModel::new(config.clone(), &mut rng);
@@ -162,51 +162,35 @@ fn shared_gram_plans_equal_standalone_plans_for_every_participant() {
     .generate(&mut rng);
     let profile = model.profile(&data);
     let all_keys = model.expert_keys();
-    for clustering in [ClusteringMode::Fused, ClusteringMode::PerLayer] {
-        let merging = MergingConfig::default().with_clustering(clustering);
-        let cache = ExpertGramCache::new();
-        for participant in 0..8u64 {
-            let mut pick = rng.derive(participant);
-            let tuning: HashSet<ExpertKey> = pick
-                .choose_indices(all_keys.len(), 3 + 5 * participant as usize)
-                .into_iter()
-                .map(|i| all_keys[i])
-                .collect();
-            let budget = 6 + 3 * participant as usize;
-            let build_rng = || SeededRng::new(1000 + participant);
-            let standalone = CompactModelPlan::build(
-                &model,
-                &profile,
-                &tuning,
-                budget,
-                merging,
-                &mut build_rng(),
-            );
-            let shared = CompactModelPlan::build_shared(
-                &model,
-                &profile,
-                &tuning,
-                budget,
-                merging,
-                &cache,
-                &mut build_rng(),
-            );
-            assert_eq!(
-                shared, standalone,
-                "{clustering:?}, participant {participant}"
-            );
-        }
-        // Fused plans share the round's matrix; PerLayer only ever needs
-        // within-layer products, computes them per layer and never forms it.
-        let stats = cache.stats();
-        if clustering == ClusteringMode::Fused {
-            assert_eq!(stats.requests, 8);
-            assert!(stats.panels > 0);
-            assert_eq!(stats.panels_computed, stats.panels);
-        } else {
-            assert_eq!(stats, GramCacheStats::default());
-        }
+    let merging = MergingConfig::default();
+    let cache = ExpertGramCache::new();
+    for participant in 0..8u64 {
+        let mut pick = rng.derive(participant);
+        let tuning: HashSet<ExpertKey> = pick
+            .choose_indices(all_keys.len(), 3 + 5 * participant as usize)
+            .into_iter()
+            .map(|i| all_keys[i])
+            .collect();
+        let budget = 6 + 3 * participant as usize;
+        let build_rng = || SeededRng::new(1000 + participant);
+        let standalone =
+            CompactModelPlan::build(&model, &profile, &tuning, budget, merging, &mut build_rng());
+        let shared = CompactModelPlan::build_shared(
+            &model,
+            &profile,
+            &tuning,
+            budget,
+            merging,
+            &cache,
+            &mut build_rng(),
+        );
+        assert_eq!(shared, standalone, "participant {participant}");
     }
+    // The plans share the round's matrix: computed once, every panel.
+    let stats = cache.stats();
+    assert_eq!(stats.requests, 8);
+    assert!(stats.panels > 0);
+    assert_eq!(stats.panels_computed, stats.panels);
 }
 
 #[test]
